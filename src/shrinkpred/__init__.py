@@ -54,7 +54,6 @@ from .risk import (
     alpha_divergence_mc,
     chi_square_identity_check,
     d1_loss_plugin,
-    digamma,
     f_alpha,
     log_inequality_margin,
     minimax_risk,

@@ -49,12 +49,15 @@ COND_WARN_THRESHOLD = 1e12
 
 # Stream tags for the counter-based generator; each consumer of randomness
 # gets its own 2^192-draw slice of the keyed counter space, so streams
-# sharing a (seed, rep) key never overlap.
+# sharing a (seed, rep) key never overlap.  LEMMA and BETA draw the
+# identity suite's random instances.
 STREAM_OBSERVATION = 0
 STREAM_DIVERGENCE = 1
 STREAM_NORMALIZATION = 2
 STREAM_IDENTITY = 3
 STREAM_DESIGN = 4
+STREAM_LEMMA = 5
+STREAM_BETA = 6
 
 _U64 = (1 << 64) - 1
 

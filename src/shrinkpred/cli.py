@@ -3,7 +3,7 @@
 Subcommands: canonicalize, bounds, identities, risk-compare, density-eval.
 Every run is configured by a single JSON document and one master seed;
 outputs are JSON or CSV files under the --out directory, byte-identical
-across reruns and worker counts.
+across reruns.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 canonicalization
 failure, 3 identity failure, 4 Monte Carlo exclusion guard breach.
@@ -16,13 +16,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .canonical import (
+    STREAM_BETA,
     STREAM_DESIGN,
+    STREAM_LEMMA,
     CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,
@@ -74,10 +76,6 @@ EXIT_USAGE = 1
 EXIT_CANONICAL = 2
 EXIT_IDENTITY = 3
 EXIT_MC_GUARD = 4
-
-# Private streams for identity-suite instance generation.
-_STREAM_LEMMA = 5
-_STREAM_BETA = 6
 
 
 def _fmt(x: float) -> str:
@@ -160,7 +158,6 @@ class IdentityConfig:
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    threads: int = 1
     design: DesignConfig | None = None
     prior: PriorConfig = field(default_factory=PriorConfig)
     alphas: list = field(default_factory=lambda: [1.0])
@@ -213,17 +210,26 @@ def _matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _section(doc, cls, name: str) -> dict:
+    """A config section whose every key names a field of the dataclass cls."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {name} option(s): {', '.join(map(repr, unknown))}")
+    return doc
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _section(json.load(fh), ExperimentConfig, "configuration")
     cfg = ExperimentConfig()
     cfg.seed = int(doc.get("seed", 0))
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
-    cfg.threads = int(doc.get("threads", 1))
     if "design" in doc:
         cfg.design = _parse_design(doc["design"])
-    pr = doc.get("prior", {})
+    pr = _section(doc.get("prior", {}), PriorConfig, "prior")
     cfg.prior = PriorConfig(
         c=pr.get("c"),
         a=pr.get("a"),
@@ -235,7 +241,7 @@ def load_config(path: str) -> ExperimentConfig:
     for a in cfg.alphas:
         if not -1.0 <= a <= 1.0:
             raise ValueError("alphas must lie in [-1, 1]")
-    gr = doc.get("grid", {})
+    gr = _section(doc.get("grid", {}), GridConfig, "grid")
     cfg.grid = GridConfig(
         theta_directions=[list(map(float, v)) for v in gr.get("theta_directions", [])],
         theta_norms=[float(x) for x in gr.get("theta_norms", [0.0])],
@@ -248,12 +254,10 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.n_mc_inner = int(doc.get("n_mc_inner", 2000))
     cfg.is_samples = int(doc.get("is_samples", 20_000))
     defaults = IdentityConfig()
-    overrides = {}
-    for key, value in doc.get("identities", {}).items():
-        if not hasattr(defaults, key):
-            raise ValueError(f"unknown identities option {key!r}")
-        overrides[key] = type(getattr(defaults, key))(value)
-    cfg.identities = IdentityConfig(**{**defaults.__dict__, **overrides})
+    cfg.identities = IdentityConfig(**{
+        key: type(getattr(defaults, key))(value)
+        for key, value in _section(doc.get("identities", {}), IdentityConfig, "identities").items()
+    })
     cfg.density = doc.get("density", {})
     cfg.out = doc.get("out")
     return cfg
@@ -278,16 +282,25 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
     return problem, design.X, design.Xtilde
 
 
+def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, float]:
+    """The prior's c vector and the positivity rescale g0.
+
+    c is the configured vector times g0 when rescale_c is set; g0 is
+    returned either way.
+    """
+    if pc.c is None or pc.c == "identity":
+        c = np.ones(problem.l)
+    else:
+        c = np.broadcast_to(np.asarray(pc.c, dtype=float), (problem.l,)).copy()
+    g0 = bounds_mod.rescale_C_for_positivity(problem.d, c, problem.m, problem.n, problem.k)
+    if pc.rescale_c:
+        c = g0 * c
+    return c, g0
+
+
 def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
     pc = cfg.prior
-    l = problem.l
-    if pc.c is None or pc.c == "identity":
-        c = np.ones(l)
-    else:
-        c = np.broadcast_to(np.asarray(pc.c, dtype=float), (l,)).copy()
-    if pc.rescale_c:
-        g0 = bounds_mod.rescale_C_for_positivity(problem.d, c, problem.m, problem.n, problem.k)
-        c = g0 * c
+    c, _ = _prior_c(pc, problem)
     if pc.a is not None or pc.nu is not None:
         return PriorSpec.from_problem(problem, c=c, a=pc.a, nu=pc.nu, gamma_prior=pc.gamma_prior)
     nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
@@ -325,15 +338,7 @@ def run_canonicalize(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, _, _ = build_problem(cfg)
-    pc = cfg.prior
-    l = problem.l
-    if pc.c is None or pc.c == "identity":
-        c = np.ones(l)
-    else:
-        c = np.broadcast_to(np.asarray(pc.c, dtype=float), (l,)).copy()
-    g0 = bounds_mod.rescale_C_for_positivity(problem.d, c, problem.m, problem.n, problem.k)
-    if pc.rescale_c:
-        c = g0 * c
+    c, g0 = _prior_c(cfg.prior, problem)
     nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
     suggested_a = (
         bounds_mod.a_of_nu(problem.k, nb.nu_max, problem.n) if nb.positive else None
@@ -361,7 +366,7 @@ def _run_identities(cfg: ExperimentConfig) -> dict:
 
     max_gap = 0.0
     for i in range(ic.lemma_instances):
-        rng = replication_rng(seed, i, stream=_STREAM_LEMMA)
+        rng = replication_rng(seed, i, stream=STREAM_LEMMA)
         l = int(rng.integers(1, 5))
         m = l + int(rng.integers(0, 4))
         Q, _ = np.linalg.qr(rng.standard_normal((m, l)))
@@ -380,7 +385,7 @@ def _run_identities(cfg: ExperimentConfig) -> dict:
 
     max_gap = 0.0
     for i in range(ic.beta_instances):
-        rng = replication_rng(seed, i, stream=_STREAM_BETA)
+        rng = replication_rng(seed, i, stream=STREAM_BETA)
         a_exp = rng.uniform(-0.45, 2.5)
         b_exp = rng.uniform(-0.45, 2.5)
         w = rng.uniform(0.05, 8.0)
@@ -478,7 +483,7 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     d = problem.d
     mr = minimax_risk(d, problem.m, n, k)
     points = _grid_points(cfg, problem)
-    seed, threads = cfg.seed, max(1, cfg.threads)
+    seed = cfg.seed
     # the domination guarantee is proved under n - k - 2 >= 0; never claim it below
     may_claim_domination = (n - k) >= 2
 
@@ -514,18 +519,18 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
             # simulated best-invariant risk (with its noise folded in) below.
             if alpha == 1.0:
                 rows = [
-                    (name, risk_d1_mc(proc, problem, params, cfg.reps, seed, n_threads=threads))
+                    (name, risk_d1_mc(proc, problem, params, cfg.reps, seed))
                     for name, proc in plugin_procs
                 ]
                 base_mean, base_se = mr, 0.0
             else:
                 base = risk_alpha_mc(builder_best_invariant(alpha), problem, params, alpha,
-                                     cfg.reps_outer, cfg.n_mc_inner, seed, n_threads=threads)
+                                     cfg.reps_outer, cfg.n_mc_inner, seed)
                 rows = [
                     ("best_invariant", base),
                     ("shrinkage_bayes",
                      risk_alpha_mc(builder_shrinkage(alpha), problem, params, alpha,
-                                   cfg.reps_outer, cfg.n_mc_inner, seed, n_threads=threads)),
+                                   cfg.reps_outer, cfg.n_mc_inner, seed)),
                 ]
                 base_mean, base_se = base.mean, base.std_error
             for name, est in rows:
@@ -617,7 +622,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", required=True, help="path to the JSON configuration")
     sub.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--threads", type=int, default=None, help="override the config thread count")
 
 
 def main(argv=None) -> int:
@@ -639,8 +643,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ValueError("seed must be nonnegative")
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import betaln, gammaln
 
 from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 MIN_ESS_FRACTION = 0.05
-PD_EIGENVALUE_RATIO = 1e-12
 
 
 class DegenerateObservationError(ValueError):
@@ -101,29 +99,42 @@ def _points(y, m: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"points must have shape (m,) or (N, {m})")
 
 
-class _SpdFactor:
-    """Cholesky factorization of a symmetric positive definite matrix.
+class _SpectralScale:
+    """Scale matrix A = c2 I + Q diag(e) Q' of a density kernel.
 
-    Rejects matrices whose smallest eigenvalue falls below
-    PD_EIGENVALUE_RATIO times the largest.
+    Q has orthonormal columns and e >= 0, so A has eigenvalue c2 + e_i along
+    column i of Q and c2 on the orthogonal complement: its inverse,
+    log-determinant and square root are closed-form.
     """
 
-    def __init__(self, mat: np.ndarray):
-        mat = 0.5 * (mat + mat.T)
-        w = np.linalg.eigvalsh(mat)
-        if w[0] <= PD_EIGENVALUE_RATIO * w[-1]:
-            raise np.linalg.LinAlgError("matrix is not positive definite within tolerance")
-        self.mat = mat
-        self._cf = cho_factor(mat, lower=True)
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self._cf[0]))))
+    def __init__(self, c2: float, Q: np.ndarray, e: np.ndarray):
+        self.c2, self.Q, self.e = c2, Q, e
 
     def quad(self, resid: np.ndarray) -> np.ndarray:
-        """Quadratic forms r' A^{-1} r for rows r of resid, shape (N, m)."""
-        sol = cho_solve(self._cf, resid.T)
-        return np.einsum("ij,ji->i", resid, sol)
+        """Quadratic forms r' A^{-1} r for rows r of resid, shape (N, m).
 
-    def chol_lower(self) -> np.ndarray:
-        return np.tril(self._cf[0])
+        (|r|^2 - |Q'r|^2)/c2 + sum_i (Q'r)_i^2/(c2 + e_i), arranged as
+        (|r|^2 - sum_i (Q'r)_i^2 e_i/(c2 + e_i))/c2.
+        """
+        proj = resid @ self.Q
+        proj *= proj
+        return (np.einsum("ij,ij->i", resid, resid) - proj @ (self.e / (self.c2 + self.e))) / self.c2
+
+    def logdet(self) -> float:
+        m, l = self.Q.shape
+        return (m - l) * math.log(self.c2) + float(np.sum(np.log(self.c2 + self.e)))
+
+    def root(self, z: np.ndarray) -> np.ndarray:
+        """Rows of z mapped in place by the symmetric square root of A.
+
+        sqrt(A) z = sqrt(c2) z + Q diag(sqrt(c2 + e_i) - sqrt(c2)) Q' z.
+        """
+        root_c2 = math.sqrt(self.c2)
+        zq = z @ self.Q
+        zq *= np.sqrt(self.c2 + self.e) - root_c2
+        z *= root_c2
+        z += zq @ self.Q.T
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +220,22 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class ShrinkageComponents:
-    """Matrices of the two-kernel factorization of the shrinkage density."""
+    """Pieces of the two-kernel factorization of the shrinkage density.
 
-    sigma_u: np.ndarray
+    The kernels' scale matrices are c2 I + Q diag(e_u) Q' and
+    c2 I + Q diag(e_b) Q' with c2 = 2/(1 - alpha).
+    """
+
+    e_u: np.ndarray
     theta_hat_b: np.ndarray
-    sigma_b: np.ndarray
+    e_b: np.ndarray
     r: float
 
     def __post_init__(self):
-        for name in ("sigma_u", "sigma_b"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-            w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-            if w[0] <= PD_EIGENVALUE_RATIO * w[-1]:
-                raise ValueError(f"{name} is not positive definite")
-        v = np.asarray(self.theta_hat_b, dtype=float).ravel()
-        v.setflags(write=False)
-        object.__setattr__(self, "theta_hat_b", v)
+        for name in ("e_u", "theta_hat_b", "e_b"):
+            v = np.asarray(getattr(self, name), dtype=float).ravel()
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
         if self.r < 0:
             raise ValueError("r must be nonnegative")
 
@@ -296,31 +305,24 @@ def shrinkage_components(
     alpha: float,
     v: np.ndarray,
 ) -> ShrinkageComponents:
-    """Covariances, shrunken mean and residual of the two-kernel factorization.
+    """Spectra, shrunken mean and residual of the two-kernel factorization.
 
-    With c2 = 2/(1 - alpha):
-      sigma_u   = c2 I + Q diag(d) Q'
-      theta_b   = (C - I)(C + (1-alpha)D/2)^{-1} v        (componentwise)
-      sigma_b   = c2 I + Q diag((c-1) d / (c + (1-alpha)d/2)) Q'
+    With c2 = 2/(1 - alpha) the scale matrices are c2 I + Q diag(e) Q' with
+      e_u       = d
+      e_b       = (c - 1) d / (c + (1-alpha)d/2)                (componentwise)
+      theta_b   = (C - I)(C + (1-alpha)D/2)^{-1} v
       r         = sum_i v_i^2 ((1-alpha)d_i/2 + 1) / (d_i (c_i + (1-alpha)d_i/2))
     """
     alpha = _check_alpha(alpha)
     v = np.asarray(v, dtype=float).ravel()
-    d, c, Q, m = problem.d, prior.c, problem.Q, problem.m
+    d, c = problem.d, prior.c
     if v.shape != (problem.l,):
         raise ValueError("v must have length l")
-    c2 = 2.0 / (1.0 - alpha)
     half = (1.0 - alpha) / 2.0
-    sigma_u = c2 * np.eye(m) + (Q * d) @ Q.T
     theta_b = (c - 1.0) / (c + half * d) * v
-    sigma_b = c2 * np.eye(m) + (Q * ((c - 1.0) * d / (c + half * d))) @ Q.T
+    e_b = (c - 1.0) * d / (c + half * d)
     r = float(v @ ((half * d + 1.0) / (d * (c + half * d)) * v))
-    return ShrinkageComponents(sigma_u=sigma_u, theta_hat_b=theta_b, sigma_b=sigma_b, r=r)
-
-
-def _sigma_u_factor(problem: CanonicalProblem, alpha: float) -> _SpdFactor:
-    c2 = 2.0 / (1.0 - alpha)
-    return _SpdFactor(c2 * np.eye(problem.m) + (problem.Q * problem.d) @ problem.Q.T)
+    return ShrinkageComponents(e_u=d, theta_hat_b=theta_b, e_b=e_b, r=r)
 
 
 def log_best_invariant(
@@ -330,58 +332,43 @@ def log_best_invariant(
     ytilde,
 ) -> float:
     """Unnormalized log of the best invariant density at ytilde."""
-    alpha = _check_alpha(alpha)
-    s = _check_s(obs)
-    fac = _sigma_u_factor(problem, alpha)
+    dens = best_invariant_density(problem, obs, alpha)
     pts, single = _points(ytilde, problem.m)
-    mean = problem.Q @ obs.v
-    expo = -problem.m / 2.0 - (problem.n - problem.k) / (1.0 - alpha)
-    out = expo * np.log(fac.quad(pts - mean) + s)
+    out = dens.log_unnormalized(pts)
     return float(out[0]) if single else out
 
 
 def best_invariant_normalizer(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> float:
-    """Log constant that normalizes the best invariant kernel.
+    """Log constant that normalizes the best invariant kernel."""
+    return best_invariant_density(problem, obs, alpha).log_norm_const
 
-    The normalized density is multivariate t with 2(n-k)/(1-alpha) degrees
-    of freedom, location Qv and scale matrix (s/dof) sigma_u.
+
+def best_invariant_density(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveDensity:
+    """Normalized best invariant density with a multivariate-t sampler.
+
+    The density is multivariate t with 2(n-k)/(1-alpha) degrees of freedom,
+    location Qv and scale matrix (s/dof) A_u, A_u = c2 I + Q diag(d) Q'.
     """
     alpha = _check_alpha(alpha)
     s = _check_s(obs)
     m, q = problem.m, problem.n - problem.k
-    nu_a = 2.0 * q / (1.0 - alpha)
-    fac = _sigma_u_factor(problem, alpha)
-    return float(
-        gammaln((nu_a + m) / 2.0)
-        - gammaln(nu_a / 2.0)
-        - (m / 2.0) * math.log(math.pi)
-        - 0.5 * fac.logdet
-        + (nu_a / 2.0) * math.log(s)
-    )
-
-
-def best_invariant_density(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveDensity:
-    """Normalized best invariant density with a multivariate-t sampler."""
-    alpha = _check_alpha(alpha)
-    s = _check_s(obs)
-    m, q = problem.m, problem.n - problem.k
-    fac = _sigma_u_factor(problem, alpha)
+    scale = _SpectralScale(2.0 / (1.0 - alpha), problem.Q, problem.d)
     mean = problem.Q @ obs.v
     expo = -m / 2.0 - q / (1.0 - alpha)
     nu_a = 2.0 * q / (1.0 - alpha)
     log_nc = float(
         gammaln((nu_a + m) / 2.0) - gammaln(nu_a / 2.0)
-        - (m / 2.0) * math.log(math.pi) - 0.5 * fac.logdet + (nu_a / 2.0) * math.log(s)
+        - (m / 2.0) * math.log(math.pi) - 0.5 * scale.logdet() + (nu_a / 2.0) * math.log(s)
     )
-    scale_chol = math.sqrt(s / nu_a) * fac.chol_lower()
 
     def log_unnorm(pts: np.ndarray) -> np.ndarray:
-        return expo * np.log(fac.quad(pts - mean) + s)
+        return expo * np.log(scale.quad(pts - mean) + s)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, m)) @ scale_chol.T
-        g = rng.chisquare(nu_a, size)
-        return mean + z / np.sqrt(g / nu_a)[:, None]
+        y = scale.root(rng.standard_normal((size, m)))
+        y *= np.sqrt(s / rng.chisquare(nu_a, size))[:, None]
+        y += mean
+        return y
 
     return PredictiveDensity(
         log_unnormalized=log_unnorm,
@@ -401,8 +388,9 @@ def _shrinkage_log_unnorm(
     """Unnormalized log shrinkage density as a batch evaluator."""
     s = _check_s(obs)
     comp = shrinkage_components(problem, prior, alpha, obs.v)
-    fac_u = _SpdFactor(comp.sigma_u)
-    fac_b = _SpdFactor(comp.sigma_b)
+    c2 = 2.0 / (1.0 - alpha)
+    scale_u = _SpectralScale(c2, problem.Q, comp.e_u)
+    scale_b = _SpectralScale(c2, problem.Q, comp.e_b)
     mean_u = problem.Q @ obs.v
     mean_b = problem.Q @ comp.theta_hat_b
     m, q = problem.m, problem.n - problem.k
@@ -413,8 +401,8 @@ def _shrinkage_log_unnorm(
     offset = comp.r + vstar_term + s
 
     def log_unnorm(pts: np.ndarray) -> np.ndarray:
-        lu = expo_u * np.log(fac_u.quad(pts - mean_u) + s)
-        lb = expo_b * np.log(fac_b.quad(pts - mean_b) + offset)
+        lu = expo_u * np.log(scale_u.quad(pts - mean_u) + s)
+        lb = expo_b * np.log(scale_b.quad(pts - mean_b) + offset)
         return lu + lb
 
     return log_unnorm

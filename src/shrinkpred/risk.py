@@ -9,18 +9,18 @@ constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
 For alpha < 1 risks are estimated by nested Monte Carlo.
 
 Replications are keyed by (seed, rep_index) through the counter-based
-generator and reduced by pairwise summation in fixed index order, so
-parallel and serial runs agree bit for bit.
+generator and reduced by pairwise summation in index order, so reruns
+agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import digamma
 
 from .canonical import (
     STREAM_DIVERGENCE,
@@ -42,7 +42,6 @@ __all__ = [
     "ExclusionCeilingError",
     "RiskEstimate",
     "ChiSquareCheck",
-    "digamma",
     "f_alpha",
     "d1_loss_plugin",
     "minimax_risk",
@@ -82,41 +81,8 @@ class ChiSquareCheck(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Special functions and losses
+# Divergence generator and losses
 # ---------------------------------------------------------------------------
-
-# Asymptotic series coefficients of psi(x) - ln x + 1/(2x): -B_2j/(2j) x^{-2j}.
-_PSI_SERIES = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-)
-
-
-def digamma(x: float) -> float:
-    """Digamma function for x > 0, absolute error below 1e-10.
-
-    Uses the Bernoulli asymptotic series for arguments above 6 and the
-    recurrence psi(x) = psi(x + 1) - 1/x to lift smaller arguments.
-    """
-    x = float(x)
-    if x <= 0:
-        raise ValueError("digamma requires x > 0")
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for coeff in _PSI_SERIES:
-        series += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + series
-
 
 def f_alpha(z: float, alpha: float) -> float:
     """Convex generator of the alpha-divergence evaluated at a density ratio.
@@ -158,7 +124,7 @@ def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
         raise ValueError("need n > k")
     d = np.asarray(d, dtype=float).ravel()
     half_dof = (n - k) / 2.0
-    return 0.5 * (float(d.sum()) + m * (math.log(half_dof) - digamma(half_dof)))
+    return 0.5 * (float(d.sum()) + m * (math.log(half_dof) - float(digamma(half_dof))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +178,6 @@ def alpha_divergence_mc(
     return RiskEstimate(mean=mean, std_error=se, reps=n_mc, seed=int(seed))
 
 
-def _indexed_loop(reps: int, n_threads: int, body: Callable[[int], float]) -> np.ndarray:
-    """Fill a losses array by replication index, optionally with worker threads.
-
-    Values land in a preallocated array at their own index, so the reduction
-    order is independent of scheduling.
-    """
-    losses = np.empty(reps)
-
-    def run_range(lo: int, hi: int):
-        for i in range(lo, hi):
-            losses[i] = body(i)
-
-    if n_threads <= 1:
-        run_range(0, reps)
-        return losses
-    chunk = -(-reps // n_threads)
-    spans = [(j * chunk, min((j + 1) * chunk, reps)) for j in range(n_threads) if j * chunk < reps]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(lambda span: run_range(*span), spans))
-    return losses
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     # np.sum / np.std use pairwise summation over the index-ordered array.
     n = values.size
@@ -248,7 +192,6 @@ def risk_d1_mc(
     params: CanonicalParams,
     reps: int,
     seed: int,
-    n_threads: int = 1,
 ) -> RiskEstimate:
     """Simulated alpha = 1 risk of an estimation procedure.
 
@@ -265,7 +208,7 @@ def risk_d1_mc(
         est = procedure(obs)
         return d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, sigma2, problem.m)
 
-    losses = _indexed_loop(reps, n_threads, body)
+    losses = np.fromiter(map(body, range(reps)), dtype=float, count=reps)
     mean, se = _mean_se(losses)
     return RiskEstimate(mean=mean, std_error=se, reps=reps, seed=int(seed))
 
@@ -278,7 +221,6 @@ def risk_alpha_mc(
     reps_outer: int,
     n_mc_inner: int,
     seed: int,
-    n_threads: int = 1,
 ) -> RiskEstimate:
     """Nested Monte Carlo alpha-divergence risk of a predictive density rule.
 
@@ -314,7 +256,7 @@ def risk_alpha_mc(
                                     alpha, n_mc_inner, seed, rep_index=i)
         return inner.mean
 
-    losses = _indexed_loop(reps_outer, n_threads, body)
+    losses = np.fromiter(map(body, range(reps_outer)), dtype=float, count=reps_outer)
     n_excluded = int(excluded.sum())
     if n_excluded > EXCLUSION_CEILING * reps_outer:
         raise ExclusionCeilingError(

@@ -175,14 +175,6 @@ def test_risk_compare_deterministic_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_risk_compare_thread_count_invariance(tmp_path):
-    cfg = write_config(tmp_path, RISK_DOC)
-    out_1, out_8 = tmp_path / "t1", tmp_path / "t8"
-    assert main(["risk-compare", "--config", cfg, "--out", str(out_1), "--threads", "1"]) == 0
-    assert main(["risk-compare", "--config", cfg, "--out", str(out_8), "--threads", "8"]) == 0
-    assert (out_1 / "risk_compare.csv").read_bytes() == (out_8 / "risk_compare.csv").read_bytes()
-
-
 def test_risk_compare_seed_override(tmp_path):
     cfg = write_config(tmp_path, RISK_DOC)
     out_a, out_b = tmp_path / "sa", tmp_path / "sb"
@@ -273,3 +265,10 @@ def test_usage_errors(tmp_path):
     assert main(["bogus-command"]) == 1
     cfg = write_config(tmp_path, {"design": {"type": "as1", "m": 2, "k": 3, "N": 2}})
     assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    good = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN}, "good.json")
+    assert main(["bounds", "--config", good, "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
+    # a misspelled key in each checked section
+    for typo in ({"rep": 10}, {"prior": {"gama_prior": 2.0}}, {"grid": {"theta_norm": [1.0]}},
+                 {"identities": {"lemma_instance": 5}}):
+        cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **typo), "typo.json")
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -52,13 +52,15 @@ def test_quadratic_forms_match_closed_expressions():
         # F = I: quadratic form around Qv with covariance sigma_u
         direct_a, _ = lemma_identity_residual(np.ones(l), ds, Q, y, v)
         ru = y - Q @ v
-        closed_a = scale * float(ru @ np.linalg.solve(comp.sigma_u, ru))
+        sigma_u = scale * np.eye(m) + (Q * comp.e_u) @ Q.T
+        closed_a = scale * float(ru @ np.linalg.solve(sigma_u, ru))
         assert abs(direct_a - closed_a) <= 1e-8 * (1.0 + abs(direct_a))
 
         # F = I - C^{-1}: shrunken mean, covariance sigma_b, residual r
         direct_b, _ = lemma_identity_residual(1.0 - 1.0 / c, ds, Q, y, v)
         rb = y - Q @ comp.theta_hat_b
-        closed_b = scale * (float(rb @ np.linalg.solve(comp.sigma_b, rb)) + comp.r)
+        sigma_b = scale * np.eye(m) + (Q * comp.e_b) @ Q.T
+        closed_b = scale * (float(rb @ np.linalg.solve(sigma_b, rb)) + comp.r)
         assert abs(direct_b - closed_b) <= 1e-8 * (1.0 + abs(direct_b))
 
 

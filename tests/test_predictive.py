@@ -54,6 +54,23 @@ def obs_m3():
     return CanonicalObservation(v=np.array([1.0, 2.0, 2.0]), v_star=np.zeros(0), s=9.0)
 
 
+@pytest.fixture(scope="module")
+def prob_rot():
+    """m = 4, k = l = 2 with a random orthonormal Q and unequal d."""
+    Q = np.linalg.qr(np.random.default_rng(2718).standard_normal((4, 2)))[0]
+    return synthetic_problem(n=10, k=2, m=4, d=[2.5, 0.4], Q=Q)
+
+
+@pytest.fixture(scope="module")
+def obs_rot():
+    return CanonicalObservation(v=np.array([0.7, -1.2]), v_star=np.zeros(0), s=3.3)
+
+
+def dense_scale(problem, alpha, e):
+    """The kernel scale matrix 2/(1-alpha) I + Q diag(e) Q', assembled densely."""
+    return 2.0 / (1.0 - alpha) * np.eye(problem.m) + (problem.Q * e) @ problem.Q.T
+
+
 # ---------------------------------------------------------------------------
 # Shrinkage factorization components
 # ---------------------------------------------------------------------------
@@ -65,7 +82,7 @@ def test_components_identity_c_reduction(prob_m3, obs_m3):
     comp = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
     c2 = 2.0 / (1.0 - alpha)
     assert np.all(comp.theta_hat_b == 0)
-    assert np.abs(comp.sigma_b - c2 * np.eye(3)).max() < 1e-12
+    assert np.abs(dense_scale(prob_m3, alpha, comp.e_b) - c2 * np.eye(3)).max() < 1e-12
     assert comp.r == pytest.approx(float(obs_m3.v @ (obs_m3.v / prob_m3.d)), rel=1e-12)
 
 
@@ -130,7 +147,7 @@ def test_best_invariant_maximized_at_center(prob_m3, obs_m3, rng):
         assert log_best_invariant(prob_m3, obs_m3, 0.2, center + rng.standard_normal(3)) < peak
 
 
-def test_univariate_t_oracle(prob_m1):
+def test_univariate_t_oracle(prob_m1, prob_rot, obs_rot, rng):
     # alpha = -1, m = 1: normalized density is Student t with n-k dof.
     obs = CanonicalObservation(v=np.array([0.6]), v_star=np.zeros(0), s=1.7)
     q = prob_m1.n - prob_m1.k
@@ -140,6 +157,14 @@ def test_univariate_t_oracle(prob_m1):
     for y in np.linspace(-4.0, 5.0, 11):
         want = stats.t.logpdf(y, df=q, loc=obs.v[0], scale=scale)
         assert dens.log_density(np.array([y])) == pytest.approx(want, abs=1e-10)
+    # rotated Q, unequal d: multivariate t, dof 2(n-k)/(1-alpha), shape (s/dof) sigma_u
+    for alpha in (-1.0, 0.3):
+        dof = 2.0 * (prob_rot.n - prob_rot.k) / (1.0 - alpha)
+        oracle = stats.multivariate_t(loc=prob_rot.Q @ obs_rot.v, df=dof,
+                                      shape=obs_rot.s / dof * dense_scale(prob_rot, alpha, prob_rot.d))
+        ys = 2.0 * rng.standard_normal((20, 4))
+        got = best_invariant_density(prob_rot, obs_rot, alpha).log_density(ys)
+        assert np.abs(got - oracle.logpdf(ys)).max() < 1e-10
 
 
 def test_normalizer_m1_quadrature(prob_m1):
@@ -166,7 +191,7 @@ def test_degenerate_observation_rejected(prob_m3):
         log_best_invariant(prob_m3, obs0, 0.0, np.zeros(3))
 
 
-def test_t_sampler_moments(prob_m1):
+def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
     obs = CanonicalObservation(v=np.array([1.5]), v_star=np.zeros(0), s=2.0)
     dens = best_invariant_density(prob_m1, obs, 0.0)
     from shrinkpred.canonical import replication_rng
@@ -174,6 +199,18 @@ def test_t_sampler_moments(prob_m1):
     ys = dens.sample(replication_rng(3, 0), 200_000)
     se = ys.std(ddof=1) / math.sqrt(ys.size)
     assert abs(ys.mean() - 1.5) < 4 * se
+    # rotated Q, unequal d: mean Qv and covariance s/(dof - 2) sigma_u, entry by entry
+    alpha = 0.0
+    dof = 2.0 * (prob_rot.n - prob_rot.k) / (1.0 - alpha)
+    ys = best_invariant_density(prob_rot, obs_rot, alpha).sample(replication_rng(4, 0), 200_000)
+    mean = prob_rot.Q @ obs_rot.v
+    se = ys.std(axis=0, ddof=1) / math.sqrt(len(ys))
+    assert np.all(np.abs(ys.mean(axis=0) - mean) < 4 * se)
+    cov = obs_rot.s / (dof - 2.0) * dense_scale(prob_rot, alpha, prob_rot.d)
+    r = ys - mean
+    prods = r[:, :, None] * r[:, None, :]
+    se = prods.std(axis=0, ddof=1) / math.sqrt(len(ys))
+    assert np.all(np.abs(prods.mean(axis=0) - cov) < 4 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +218,35 @@ def test_t_sampler_moments(prob_m1):
 # ---------------------------------------------------------------------------
 
 
-def test_factorization_recomposes(prob_m3, obs_m3, rng):
+def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
     alpha = -0.3
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 2.0, 4.0], nu=0.4)
     comp = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
+    sigma_b = dense_scale(prob_m3, alpha, comp.e_b)
     for _ in range(10):
         y = rng.standard_normal(3) * 2.0
         full = log_shrinkage_bayes(prob_m3, prior, obs_m3, alpha, y)
         first = log_best_invariant(prob_m3, obs_m3, alpha, y)
         r = y - prob_m3.Q @ comp.theta_hat_b
-        quad = float(r @ np.linalg.solve(comp.sigma_b, r))
+        quad = float(r @ np.linalg.solve(sigma_b, r))
         second = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad + comp.r + obs_m3.s)
+        assert full == pytest.approx(first + second, rel=1e-12)
+    # rotated Q, unequal d: both factors against dense solves
+    prior = PriorSpec.from_problem(prob_rot, c=[1.5, 3.0], nu=0.4)
+    comp = shrinkage_components(prob_rot, prior, alpha, obs_rot.v)
+    sigma_u = dense_scale(prob_rot, alpha, comp.e_u)
+    sigma_b = dense_scale(prob_rot, alpha, comp.e_b)
+    q = prob_rot.n - prob_rot.k
+    for _ in range(10):
+        y = rng.standard_normal(4) * 2.0
+        ru = y - prob_rot.Q @ obs_rot.v
+        rb = y - prob_rot.Q @ comp.theta_hat_b
+        quad_u = float(ru @ np.linalg.solve(sigma_u, ru))
+        quad_b = float(rb @ np.linalg.solve(sigma_b, rb))
+        first = -(prob_rot.m / 2 + q / (1 - alpha)) * math.log(quad_u + obs_rot.s)
+        second = -(prob_rot.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad_b + comp.r + obs_rot.s)
+        assert log_best_invariant(prob_rot, obs_rot, alpha, y) == pytest.approx(first, rel=1e-12)
+        full = log_shrinkage_bayes(prob_rot, prior, obs_rot, alpha, y)
         assert full == pytest.approx(first + second, rel=1e-12)
 
 
