@@ -2,8 +2,9 @@
 """Risk sweep on the replicated design: unbiased baseline vs shrinkage rules.
 
 Simulates the alpha = 1 risk of the unbiased, shrinkage plug-in and Stein
-variance procedures along a ray of signal norms, and prints each against
-the constant minimax value.  Everything derives from one seed.
+variance procedures along a ray of signal norms, all three scored on the
+same simulated observations, and prints each against the constant minimax
+value.  Everything derives from one seed.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from shrinkpred.predictive import (
     stein_variance,
     umvu_estimators,
 )
-from shrinkpred.risk import minimax_risk, risk_d1_mc
+from shrinkpred.risk import minimax_risk, risk_mc
 
 
 def main():
@@ -45,18 +46,18 @@ def main():
     print(f"nu bounds: nu1={nb.nu1:.4f} nu2={nb.nu2:.4f} nu3={nb.nu3:.4f} -> nu={prior.nu:.4f}")
     print(f"minimax risk: {mr:.6f}\n")
 
-    procedures = [
-        ("umvu", lambda obs: umvu_estimators(obs, n, k)),
-        ("shrink_plugin", lambda obs: plugin_bayes_estimators(problem, prior, obs)),
-        ("stein_variance", lambda obs: PluginEstimate(obs.v, stein_variance(obs, problem.d, n, k), w=math.inf)),
-    ]
+    rules = {
+        "umvu": lambda obs, rep: umvu_estimators(obs, n, k),
+        "shrink_plugin": lambda obs, rep: plugin_bayes_estimators(problem, prior, obs),
+        "stein_variance": lambda obs, rep: PluginEstimate(obs.v, stein_variance(obs, problem.d, n, k), w=math.inf),
+    }
     print(f"{'|theta|':>8} {'procedure':>15} {'risk':>10} {'se':>9} {'risk - MR':>10}")
     for norm in args.norms:
         theta = np.zeros(problem.l)
         theta[0] = norm
         params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0)
-        for name, proc in procedures:
-            est = risk_d1_mc(proc, problem, params, args.reps, seed=args.seed)
+        risks = risk_mc(rules, problem, params, 1.0, args.reps, seed=args.seed)
+        for name, est in risks.items():
             print(f"{norm:8.2f} {name:>15} {est.mean:10.5f} {est.std_error:9.5f} {est.mean - mr:+10.5f}")
         print()
 

@@ -57,8 +57,8 @@ from .risk import (
     f_alpha,
     log_inequality_margin,
     minimax_risk,
-    risk_alpha_mc,
     risk_d1_mc,
+    risk_mc,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from .risk import (
     chi_square_identity_check,
     log_inequality_margin,
     minimax_risk,
-    risk_alpha_mc,
-    risk_d1_mc,
+    risk_mc,
 )
 
 __all__ = [
@@ -210,11 +209,17 @@ def _matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _section(doc, cls, name: str) -> dict:
-    """A config section whose every key names a field of the dataclass cls."""
+_DESIGN_KEYS = {"type", "file", "m", "k", "N", "xtilde", "X", "Xtilde"}
+_DENSITY_KEYS = {"problem", "observation", "type", "alpha", "points", "is_samples"}
+
+
+def _section(doc, keys, name: str) -> dict:
+    """A config section whose every key is in keys, or names a field of keys if it is a dataclass."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if is_dataclass(keys):
+        keys = {f.name for f in fields(keys)}
+    unknown = sorted(set(doc) - keys)
     if unknown:
         raise ValueError(f"unknown {name} option(s): {', '.join(map(repr, unknown))}")
     return doc
@@ -228,7 +233,7 @@ def load_config(path: str) -> ExperimentConfig:
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
     if "design" in doc:
-        cfg.design = _parse_design(doc["design"])
+        cfg.design = _parse_design(_section(doc["design"], _DESIGN_KEYS, "design"))
     pr = _section(doc.get("prior", {}), PriorConfig, "prior")
     cfg.prior = PriorConfig(
         c=pr.get("c"),
@@ -258,7 +263,7 @@ def load_config(path: str) -> ExperimentConfig:
         key: type(getattr(defaults, key))(value)
         for key, value in _section(doc.get("identities", {}), IdentityConfig, "identities").items()
     })
-    cfg.density = doc.get("density", {})
+    cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     cfg.out = doc.get("out")
     return cfg
 
@@ -487,53 +492,39 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     # the domination guarantee is proved under n - k - 2 >= 0; never claim it below
     may_claim_domination = (n - k) >= 2
 
-    plugin_procs: list[tuple[str, object]] = [
-        ("umvu", lambda obs: umvu_estimators(obs, n, k)),
-        ("shrink_plugin", lambda obs: plugin_bayes_estimators(problem, prior, obs)),
-        ("stein_variance", lambda obs: PluginEstimate(obs.v, stein_variance(obs, d, n, k), w=math.inf)),
-    ]
+    plugin_rules = {
+        "umvu": lambda obs, rep: umvu_estimators(obs, n, k),
+        "shrink_plugin": lambda obs, rep: plugin_bayes_estimators(problem, prior, obs),
+        "stein_variance": lambda obs, rep: PluginEstimate(obs.v, stein_variance(obs, d, n, k), w=math.inf),
+    }
     if problem.case == "II":
-        plugin_procs.append(
-            ("stein_variance_star", lambda obs: PluginEstimate(obs.v, stein_variance_star(obs, n, k), w=math.inf))
+        plugin_rules["stein_variance_star"] = (
+            lambda obs, rep: PluginEstimate(obs.v, stein_variance_star(obs, n, k), w=math.inf)
         )
-
-    def builder_best_invariant(alpha):
-        def build(obs: CanonicalObservation, rep: int):
-            return best_invariant_density(problem, obs, alpha)
-        return build
-
-    def builder_shrinkage(alpha):
-        def build(obs: CanonicalObservation, rep: int):
-            return shrinkage_bayes_density(
-                problem, prior, obs, alpha,
-                n_samples=cfg.is_samples, seed=seed, rep_index=rep,
-            )
-        return build
 
     lines = ["procedure,alpha,theta_norm,sigma2,reps,risk_mean,risk_se,minimax_risk,dominates_flag"]
     for alpha in cfg.alphas:
+        if alpha == 1.0:
+            rules, reps = plugin_rules, cfg.reps
+        else:
+            rules = {
+                "best_invariant": lambda obs, rep: best_invariant_density(problem, obs, alpha),
+                "shrinkage_bayes": lambda obs, rep: shrinkage_bayes_density(
+                    problem, prior, obs, alpha, n_samples=cfg.is_samples, seed=seed, rep_index=rep,
+                ),
+            }
+            reps = cfg.reps_outer
         for theta, norm, s2 in points:
             params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
+            risks = risk_mc(rules, problem, params, alpha, reps, seed, cfg.n_mc_inner)
             # The flag compares each row against the invariant baseline's risk
             # under the same divergence: the exact constant at alpha = 1, the
             # simulated best-invariant risk (with its noise folded in) below.
             if alpha == 1.0:
-                rows = [
-                    (name, risk_d1_mc(proc, problem, params, cfg.reps, seed))
-                    for name, proc in plugin_procs
-                ]
                 base_mean, base_se = mr, 0.0
             else:
-                base = risk_alpha_mc(builder_best_invariant(alpha), problem, params, alpha,
-                                     cfg.reps_outer, cfg.n_mc_inner, seed)
-                rows = [
-                    ("best_invariant", base),
-                    ("shrinkage_bayes",
-                     risk_alpha_mc(builder_shrinkage(alpha), problem, params, alpha,
-                                   cfg.reps_outer, cfg.n_mc_inner, seed)),
-                ]
-                base_mean, base_se = base.mean, base.std_error
-            for name, est in rows:
+                base_mean, base_se = risks["best_invariant"].mean, risks["best_invariant"].std_error
+            for name, est in risks.items():
                 margin = 3.0 * math.hypot(est.std_error, base_se)
                 dominates = may_claim_domination and est.mean + margin < base_mean
                 lines.append(",".join([
@@ -643,7 +634,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ValueError("seed must be nonnegative")
             cfg.seed = args.seed
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = args.out if args.out is not None else (cfg.out or ".")

@@ -281,7 +281,6 @@ class PredictiveDensity:
     certificate: NormalizationCertificate
     m: int
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    plugin: PluginEstimate | None = None
 
     def log_density(self, y) -> np.ndarray | float:
         pts, single = _points(y, self.m)
@@ -554,7 +553,6 @@ def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> Predictive
         certificate=NormalizationCertificate(method="closed_form"),
         m=m,
         sampler=sampler,
-        plugin=est,
     )
 
 

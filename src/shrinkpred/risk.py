@@ -46,8 +46,8 @@ __all__ = [
     "d1_loss_plugin",
     "minimax_risk",
     "alpha_divergence_mc",
+    "risk_mc",
     "risk_d1_mc",
-    "risk_alpha_mc",
     "chi_square_identity_check",
     "log_inequality_margin",
 ]
@@ -84,23 +84,21 @@ class ChiSquareCheck(NamedTuple):
 # Divergence generator and losses
 # ---------------------------------------------------------------------------
 
-def f_alpha(z: float, alpha: float) -> float:
-    """Convex generator of the alpha-divergence evaluated at a density ratio.
+def f_alpha(log_z, alpha: float):
+    """Convex generator of the alpha-divergence at the density ratio z = exp(log_z).
 
     4(1 - z^{(1+alpha)/2})/(1 - alpha^2) for |alpha| < 1, z log z at
-    alpha = 1, -log z at alpha = -1.
+    alpha = 1, -log z at alpha = -1; elementwise over an array of log ratios.
     """
-    z = float(z)
-    if z <= 0:
-        raise ValueError("f_alpha requires z > 0")
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
+    log_z = np.asarray(log_z, dtype=float)
     if alpha == 1.0:
-        return z * math.log(z)
+        return np.exp(log_z) * log_z
     if alpha == -1.0:
-        return -math.log(z)
-    return 4.0 * -math.expm1((1.0 + alpha) / 2.0 * math.log(z)) / (1.0 - alpha * alpha)
+        return -log_z
+    return 4.0 * -np.expm1((1.0 + alpha) / 2.0 * log_z) / (1.0 - alpha * alpha)
 
 
 def d1_loss_plugin(theta_hat, sigma2_hat: float, theta, sigma2: float, m: int) -> float:
@@ -168,11 +166,7 @@ def alpha_divergence_mc(
         terms = phat.log_density(ys) - truth.log_density(ys)
     else:
         ys = truth.sample(rng, n_mc)
-        delta = phat.log_density(ys) - truth.log_density(ys)
-        if alpha == -1.0:
-            terms = -delta
-        else:
-            terms = 4.0 * -np.expm1((1.0 + alpha) / 2.0 * delta) / (1.0 - alpha * alpha)
+        terms = f_alpha(phat.log_density(ys) - truth.log_density(ys), alpha)
     mean = float(np.mean(terms))
     se = float(np.std(terms, ddof=1) / math.sqrt(n_mc))
     return RiskEstimate(mean=mean, std_error=se, reps=n_mc, seed=int(seed))
@@ -186,6 +180,63 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def risk_mc(
+    rules: dict[str, Callable[[CanonicalObservation, int], PluginEstimate | PredictiveDensity]],
+    problem: CanonicalProblem,
+    params: CanonicalParams,
+    alpha: float,
+    reps: int,
+    seed: int,
+    n_mc_inner: int = 0,
+) -> dict[str, RiskEstimate]:
+    """Simulated alpha-divergence risks of several rules on common observations.
+
+    Each replication draws one observation and hands it, with its index, to
+    every ``rule(obs, rep)``.  At alpha = 1 a rule returns plug-in
+    estimates, scored by the closed-form plug-in divergence; below 1 it
+    returns a normalized density, scored by an inner Monte Carlo of
+    ``n_mc_inner`` draws; the reported standard error covers the outer
+    variation only.  A replication whose normalization fails is excluded
+    from that rule only; more than 1% exclusions for any rule aborts the
+    run.  Returns ``{name: RiskEstimate}`` in the order of ``rules``.
+    """
+    alpha = float(alpha)
+    if not -1.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [-1, 1]")
+    reps = int(reps)
+    # a nested estimate pays an inner Monte Carlo per rep, so allows fewer
+    min_reps = 100 if alpha == 1.0 else 50
+    if reps < min_reps:
+        raise ValueError(f"reps must be at least {min_reps}")
+    sigma2 = params.sigma2
+    losses = np.empty((len(rules), reps))
+    excluded = np.zeros((len(rules), reps), dtype=bool)
+    for i in range(reps):
+        obs = simulate_observation(problem, params, seed, rep_index=i)
+        for j, rule in enumerate(rules.values()):
+            try:
+                out = rule(obs, i)
+            except UnreliableNormalizationError:
+                excluded[j, i] = True
+                continue
+            if alpha == 1.0:
+                losses[j, i] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta, sigma2, problem.m)
+            else:
+                losses[j, i] = alpha_divergence_mc(out, params.theta, params.eta, problem,
+                                                   alpha, n_mc_inner, seed, rep_index=i).mean
+    risks = {}
+    for name, loss, skip in zip(rules, losses, excluded):
+        n_excluded = int(skip.sum())
+        if n_excluded > EXCLUSION_CEILING * reps:
+            raise ExclusionCeilingError(
+                f"{name}: {n_excluded} of {reps} replications failed normalization"
+            )
+        kept = loss[~skip]
+        mean, se = _mean_se(kept)
+        risks[name] = RiskEstimate(mean=mean, std_error=se, reps=int(kept.size), seed=int(seed))
+    return risks
+
+
 def risk_d1_mc(
     procedure: Callable[[CanonicalObservation], PluginEstimate],
     problem: CanonicalProblem,
@@ -193,78 +244,9 @@ def risk_d1_mc(
     reps: int,
     seed: int,
 ) -> RiskEstimate:
-    """Simulated alpha = 1 risk of an estimation procedure.
-
-    ``procedure`` maps a canonical observation to plug-in estimates; the
-    loss of each replication is the closed-form plug-in divergence.
-    """
-    reps = int(reps)
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
-    sigma2 = params.sigma2
-
-    def body(i: int) -> float:
-        obs = simulate_observation(problem, params, seed, rep_index=i)
-        est = procedure(obs)
-        return d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, sigma2, problem.m)
-
-    losses = np.fromiter(map(body, range(reps)), dtype=float, count=reps)
-    mean, se = _mean_se(losses)
-    return RiskEstimate(mean=mean, std_error=se, reps=reps, seed=int(seed))
-
-
-def risk_alpha_mc(
-    density_builder: Callable[[CanonicalObservation, int], PredictiveDensity],
-    problem: CanonicalProblem,
-    params: CanonicalParams,
-    alpha: float,
-    reps_outer: int,
-    n_mc_inner: int,
-    seed: int,
-) -> RiskEstimate:
-    """Nested Monte Carlo alpha-divergence risk of a predictive density rule.
-
-    ``density_builder(obs, rep_index)`` must return a normalized density;
-    the outer loop draws observations, the inner loop estimates the
-    divergence at each.  The reported standard error covers outer variation
-    only.  Replications whose normalization fails are excluded; more than
-    1% exclusions aborts the run.
-
-    At alpha = 1 the builder must return a plug-in density, whose closed
-    form replaces the inner Monte Carlo.
-    """
-    reps_outer = int(reps_outer)
-    if reps_outer < 50:
-        raise ValueError("reps_outer must be at least 50")
-    alpha = float(alpha)
-    sigma2 = params.sigma2
-    excluded = np.zeros(reps_outer, dtype=bool)
-
-    def body(i: int) -> float:
-        obs = simulate_observation(problem, params, seed, rep_index=i)
-        try:
-            dens = density_builder(obs, i)
-        except UnreliableNormalizationError:
-            excluded[i] = True
-            return np.nan
-        if alpha == 1.0:
-            if dens.plugin is None:
-                raise ValueError("alpha = 1 risk needs a plug-in density")
-            return d1_loss_plugin(dens.plugin.theta_hat, dens.plugin.sigma2_hat,
-                                  params.theta, sigma2, problem.m)
-        inner = alpha_divergence_mc(dens, params.theta, params.eta, problem,
-                                    alpha, n_mc_inner, seed, rep_index=i)
-        return inner.mean
-
-    losses = np.fromiter(map(body, range(reps_outer)), dtype=float, count=reps_outer)
-    n_excluded = int(excluded.sum())
-    if n_excluded > EXCLUSION_CEILING * reps_outer:
-        raise ExclusionCeilingError(
-            f"{n_excluded} of {reps_outer} replications failed normalization"
-        )
-    kept = losses[~excluded]
-    mean, se = _mean_se(kept)
-    return RiskEstimate(mean=mean, std_error=se, reps=int(kept.size), seed=int(seed))
+    """Simulated alpha = 1 risk of one estimation procedure (see risk_mc)."""
+    rules = {"procedure": lambda obs, rep: procedure(obs)}
+    return risk_mc(rules, problem, params, 1.0, reps, seed)["procedure"]
 
 
 # ---------------------------------------------------------------------------

@@ -157,18 +157,25 @@ def test_risk_compare_rows_and_determinism(tmp_path):
 
 
 def test_risk_compare_deterministic_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import shrinkpred
 
     doc = dict(RISK_DOC, alphas=[1.0])
     cfg = write_config(tmp_path, doc)
+    # the children import the same source tree as this process
+    src = str(Path(shrinkpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = []
     for tag in ("p1", "p2"):
         out = tmp_path / tag
         proc = subprocess.run(
             [sys.executable, "-m", "shrinkpred", "risk-compare",
              "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "risk_compare.csv").read_bytes())
@@ -256,7 +263,7 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     assert all(row.endswith(",false") for row in lines[1:])
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["canonicalize", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -267,8 +274,12 @@ def test_usage_errors(tmp_path):
     assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     good = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN}, "good.json")
     assert main(["bounds", "--config", good, "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
-    # a misspelled key in each checked section
+    # a misspelled key in each checked section, and values of the wrong JSON type
     for typo in ({"rep": 10}, {"prior": {"gama_prior": 2.0}}, {"grid": {"theta_norm": [1.0]}},
-                 {"identities": {"lemma_instance": 5}}):
+                 {"identities": {"lemma_instance": 5}}, {"design": dict(AS1_DESIGN, Nn=5)},
+                 {"density": {"problem": "problem.json", "typ": "plugin"}},
+                 {"alphas": 5}, {"grid": {"sigma2": 2.0}}, {"identities": {"lemma_instances": [1]}}):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **typo), "typo.json")
-        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        capsys.readouterr()
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, typo
+        assert capsys.readouterr().err.startswith("configuration error:"), typo

@@ -17,8 +17,10 @@ from shrinkpred.predictive import (
     best_invariant_density,
     plugin_bayes_estimators,
     plugin_density,
+    shrinkage_bayes_density,
     umvu_estimators,
 )
+import shrinkpred.risk as risk_module
 from shrinkpred.risk import (
     ChiSquareCheck,
     ExclusionCeilingError,
@@ -29,8 +31,8 @@ from shrinkpred.risk import (
     f_alpha,
     log_inequality_margin,
     minimax_risk,
-    risk_alpha_mc,
     risk_d1_mc,
+    risk_mc,
 )
 
 
@@ -51,31 +53,30 @@ def prob_m3():
 
 @given(st.floats(-1.0, 1.0))
 def test_f_alpha_vanishes_at_one(alpha):
-    assert f_alpha(1.0, alpha) == pytest.approx(0.0, abs=1e-12)
+    assert f_alpha(math.log(1.0), alpha) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_alpha_values():
-    assert f_alpha(4.0, 0.0) == pytest.approx(-4.0, rel=1e-14)
-    assert f_alpha(2.0, 1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
-    assert f_alpha(2.0, -1.0) == pytest.approx(-math.log(2.0), rel=1e-14)
+    assert f_alpha(math.log(4.0), 0.0) == pytest.approx(-4.0, rel=1e-14)
+    assert f_alpha(math.log(2.0), 1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+    assert f_alpha(math.log(2.0), -1.0) == pytest.approx(-math.log(2.0), rel=1e-14)
     with pytest.raises(ValueError):
-        f_alpha(0.0, 0.0)
-    with pytest.raises(ValueError):
-        f_alpha(1.0, 2.0)
+        f_alpha(math.log(1.0), 2.0)
 
 
 def test_f_alpha_convex():
     h = 1e-4
     for alpha in (-1.0, -0.5, 0.0, 0.5, 0.999, 1.0):
         for z in np.linspace(0.05, 5.0, 100):
-            second = (f_alpha(z + h, alpha) - 2 * f_alpha(z, alpha) + f_alpha(z - h, alpha)) / h**2
+            second = (f_alpha(math.log(z + h), alpha) - 2 * f_alpha(math.log(z), alpha)
+                      + f_alpha(math.log(z - h), alpha)) / h**2
             assert second > -1e-8
 
 
 def test_f_alpha_limit_toward_kl():
     # pointwise continuity at alpha = -1
     for z in np.linspace(0.5, 2.0, 9):
-        assert f_alpha(z, -0.999) == pytest.approx(-math.log(z), abs=1e-2)
+        assert f_alpha(math.log(z), -0.999) == pytest.approx(-math.log(z), abs=1e-2)
 
 
 def test_f_alpha_limit_toward_reversed_kl_affine():
@@ -84,7 +85,7 @@ def test_f_alpha_limit_toward_reversed_kl_affine():
     # that affine part the generators agree near alpha = 1.
     alpha = 0.999
     for z in np.linspace(0.5, 2.0, 9):
-        adjusted = f_alpha(z, alpha) + 2.0 / (1.0 - alpha) * (z - 1.0)
+        adjusted = f_alpha(math.log(z), alpha) + 2.0 / (1.0 - alpha) * (z - 1.0)
         limit = z * math.log(z) - (z - 1.0)
         assert adjusted == pytest.approx(limit, abs=1e-2)
 
@@ -205,33 +206,65 @@ def test_risk_se_scaling(prob_m3):
     assert ses[0] / ses[1] == pytest.approx(math.sqrt(2.0), abs=0.15)
 
 
-def test_risk_alpha_one_path_equals_d1(prob_m3):
-    prior = PriorSpec.from_problem(prob_m3, nu=0.25)
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    via_alpha = risk_alpha_mc(
-        lambda obs, rep: plugin_density(plugin_bayes_estimators(prob_m3, prior, obs), prob_m3),
-        prob_m3, params, 1.0, reps_outer=500, n_mc_inner=0, seed=3,
-    )
-    via_d1 = risk_d1_mc(lambda o: plugin_bayes_estimators(prob_m3, prior, o), prob_m3, params, 500, seed=3)
-    assert via_alpha.mean == via_d1.mean
-    assert via_alpha.std_error == via_d1.std_error
-
-
 def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
     # invariance: same risk at well separated parameter points
     alpha = 0.0
-    builder = lambda obs, rep: best_invariant_density(prob_m3, obs, alpha)
+    rules = {"best_invariant": lambda obs, rep: best_invariant_density(prob_m3, obs, alpha)}
     e1 = np.array([5.0, 0.0, 0.0])
     points = [(np.zeros(3), 1.0), (e1, 1.0), (np.zeros(3), 0.5), (e1, 4.0)]
     outs = []
     for i, (theta, s2) in enumerate(points):
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        outs.append(risk_alpha_mc(builder, prob_m3, params, alpha, 400, 400, seed=17 + i))
+        outs.append(risk_mc(rules, prob_m3, params, alpha, 400, seed=17 + i, n_mc_inner=400)["best_invariant"])
     for a in outs:
         assert a.reps == 400  # no exclusions
         for b in outs:
             tol = 3 * math.hypot(a.std_error, b.std_error)
             assert abs(a.mean - b.mean) <= tol or a is b
+
+
+def _two_rules(problem, alpha):
+    """Two rules for risk_mc at alpha: plug-in estimates at 1, densities below."""
+    prior = PriorSpec.from_problem(problem, nu=0.25)
+    if alpha == 1.0:
+        return {
+            "umvu": lambda obs, rep: umvu_estimators(obs, problem.n, problem.k),
+            "shrink_plugin": lambda obs, rep: plugin_bayes_estimators(problem, prior, obs),
+        }
+    return {
+        "best_invariant": lambda obs, rep: best_invariant_density(problem, obs, alpha),
+        "shrinkage_bayes": lambda obs, rep: shrinkage_bayes_density(
+            problem, prior, obs, alpha, n_samples=2000, seed=4, rep_index=rep),
+    }
+
+
+@pytest.mark.parametrize("alpha, reps", [(1.0, 500), (0.0, 60)])
+def test_risk_mc_joint_equals_single(prob_m3, alpha, reps):
+    # every rule sees the same keyed observations, so scoring several rules
+    # in one loop changes no estimate
+    params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
+    rules = _two_rules(prob_m3, alpha)
+    joint = risk_mc(rules, prob_m3, params, alpha, reps, seed=3, n_mc_inner=200)
+    assert list(joint) == list(rules)
+    for name, rule in rules.items():
+        single = risk_mc({name: rule}, prob_m3, params, alpha, reps, seed=3, n_mc_inner=200)
+        assert joint[name] == single[name]
+
+
+def test_risk_mc_draws_each_observation_once(prob_m3, monkeypatch):
+    calls = []
+    original = risk_module.simulate_observation
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("rep_index"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(risk_module, "simulate_observation", counted)
+    rules = dict(_two_rules(prob_m3, 1.0), oracle=lambda obs, rep: PluginEstimate(np.zeros(3), 1.0, w=0.0))
+    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
+    out = risk_mc(rules, prob_m3, params, 1.0, 150, seed=8)
+    assert len(out) == 3
+    assert calls == list(range(150))
 
 
 def test_risk_estimate_validation():
@@ -249,8 +282,13 @@ def test_exclusion_below_ceiling_flags_and_continues(prob_m3):
             raise UnreliableNormalizationError("synthetic failure")
         return best_invariant_density(prob_m3, obs, 0.0)
 
-    out = risk_alpha_mc(flaky_builder, prob_m3, params, 0.0, 200, 100, seed=2)
-    assert out.reps == 199
+    # an exclusion belongs to the rule that failed: the other rule keeps rep 5
+    steady = lambda obs, rep: best_invariant_density(prob_m3, obs, 0.0)
+    out = risk_mc({"flaky": flaky_builder, "steady": steady}, prob_m3, params, 0.0, 200, seed=2, n_mc_inner=100)
+    alone = risk_mc({"steady": steady}, prob_m3, params, 0.0, 200, seed=2, n_mc_inner=100)
+    assert out["flaky"].reps == 199
+    assert out["steady"].reps == alone["steady"].reps == 200
+    assert out["steady"].mean == alone["steady"].mean
 
 
 def test_exclusion_ceiling_breach_raises(prob_m3):
@@ -262,7 +300,7 @@ def test_exclusion_ceiling_breach_raises(prob_m3):
         return best_invariant_density(prob_m3, obs, 0.0)
 
     with pytest.raises(ExclusionCeilingError):
-        risk_alpha_mc(broken_builder, prob_m3, params, 0.0, 200, 100, seed=2)
+        risk_mc({"broken": broken_builder}, prob_m3, params, 0.0, 200, seed=2, n_mc_inner=100)
 
 
 def test_minimum_replication_counts(prob_m3):
@@ -271,8 +309,8 @@ def test_minimum_replication_counts(prob_m3):
     with pytest.raises(ValueError):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
-        risk_alpha_mc(lambda o, r: best_invariant_density(prob_m3, o, 0.0),
-                      prob_m3, params, 0.0, reps_outer=10, n_mc_inner=200, seed=0)
+        risk_mc({"best_invariant": lambda o, r: best_invariant_density(prob_m3, o, 0.0)},
+                prob_m3, params, 0.0, reps=10, seed=0, n_mc_inner=200)
     phat = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
     with pytest.raises(ValueError):
         alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
