@@ -8,11 +8,12 @@ an l-vector V with diagonal covariance D (l = min(k, m)), an auxiliary
 sum of squares S.  The future observation then has mean Q theta with Q
 column-orthonormal, which is the form the density and risk modules work in.
 
-Two constructions are used.  When m >= k a nonsingular matrix M
-simultaneously diagonalizes (X'X)^{-1} and Xtilde'Xtilde.  When m < k an
-orthogonal matrix diagonalizes the covariance of Xtilde beta_hat and the
-coefficient space is completed with a whitened complement that is
-uncorrelated with it.
+One construction serves every design shape.  With the Cholesky factor
+X'X = U'U and the full singular value decomposition
+Xtilde U^{-1} = W diag(sv) Z', the future mean map is Q = W[:, :l] and
+D = diag(sv[:l]^2).  The coefficient transform stacks Q' Xtilde, which
+gives V, over Z[:, l:]' U, which gives V* and is empty when m >= k; both
+blocks come out uncorrelated, with covariances D and I.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
@@ -155,9 +156,7 @@ class CanonicalProblem:
     ``d`` holds the diagonal of D (nonincreasing, positive), ``Q`` is the
     m x l column-orthonormal mean map of the future observation, and
     ``coef_transform`` is the k x k matrix T with (V; V*) = T beta_hat and
-    (theta; mu) = T beta.  Case "I" (m >= k) stores the simultaneous
-    diagonalizer ``M``; case "II" (m < k) stores the rotation ``P``, the
-    whitener ``P_star`` and the complement rows ``Xtilde_star``.
+    (theta; mu) = T beta.
     """
 
     n: int
@@ -165,12 +164,7 @@ class CanonicalProblem:
     m: int
     d: np.ndarray
     Q: np.ndarray
-    case: str
     coef_transform: np.ndarray
-    M: np.ndarray | None = None
-    P: np.ndarray | None = None
-    P_star: np.ndarray | None = None
-    Xtilde_star: np.ndarray | None = None
     cond_xtx: float = 1.0
     conditioning_warning: str | None = None
 
@@ -178,12 +172,6 @@ class CanonicalProblem:
         object.__setattr__(self, "d", _freeze(self.d).ravel())
         object.__setattr__(self, "Q", _freeze(self.Q))
         object.__setattr__(self, "coef_transform", _freeze(self.coef_transform))
-        for name in ("M", "P", "P_star", "Xtilde_star"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(val))
-        if self.case not in ("I", "II"):
-            raise ValueError("case must be 'I' or 'II'")
         l = self.l
         if self.d.shape != (l,) or np.any(self.d <= 0):
             raise ValueError("d must be a positive l-vector")
@@ -199,8 +187,9 @@ class CanonicalProblem:
         return min(self.k, self.m)
 
     @property
-    def D(self) -> np.ndarray:
-        return np.diag(self.d)
+    def case(self) -> str:
+        """Case "I" when m >= k (V* is empty), case "II" when m < k."""
+        return "I" if self.m >= self.k else "II"
 
 
 @dataclass(frozen=True)
@@ -261,7 +250,7 @@ def sufficient_statistics(data: RegressionData) -> SufficientStats:
 
 
 def _fix_column_signs(U: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first nonzero entry is positive."""
+    """Flip columns so the first nonzero entry of each is positive."""
     U = U.copy()
     for j in range(U.shape[1]):
         col = U[:, j]
@@ -270,13 +259,6 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
         if nz.size and col[nz[0]] < 0:
             U[:, j] = -col
     return U
-
-
-def _sorted_eigh(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition, eigenvalues nonincreasing, stable ties."""
-    w, U = np.linalg.eigh(0.5 * (G + G.T))
-    order = np.argsort(-w, kind="stable")
-    return w[order], _fix_column_signs(U[:, order])
 
 
 def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND_WARN_THRESHOLD) -> CanonicalProblem:
@@ -315,41 +297,17 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND
     warning = None
     if cond > cond_threshold:
         warning = f"condition number of X'X is {cond:.3e}, above {cond_threshold:.1e}"
-    cf = cho_factor(xtx)
-    xtx_inv = cho_solve(cf, np.eye(k))
-    xtx_inv = 0.5 * (xtx_inv + xtx_inv.T)
-
-    if m >= k:
-        # Simultaneous diagonalization: with R'R = Xtilde'Xtilde and
-        # G = R (X'X)^{-1} R' = U Delta U', the matrix M = R'U satisfies
-        # M'(X'X)^{-1}M = Delta and MM' = Xtilde'Xtilde.
-        at = Xtilde.T @ Xtilde
-        L = np.linalg.cholesky(at)
-        R = L.T
-        G = R @ xtx_inv @ R.T
-        d, U = _sorted_eigh(G)
-        M = R.T @ U
-        # Q = Xtilde (M')^{-1}; solve M Q' = Xtilde'.
-        Q = np.linalg.solve(M, Xtilde.T).T
-        return CanonicalProblem(
-            n=n, k=k, m=m, d=d, Q=Q, case="I",
-            coef_transform=M.T, M=M,
-            cond_xtx=cond, conditioning_warning=warning,
-        )
-
-    # Case II: rotate the future mean space, then complete the coefficient
-    # space with rows orthogonal to it under the (X'X)^{-1} inner product.
-    B = Xtilde @ xtx_inv @ Xtilde.T
-    d, P = _sorted_eigh(B)
-    _, _, vt = np.linalg.svd(Xtilde @ xtx_inv)
-    xts = _fix_column_signs(vt[m:].T).T  # (k - m) orthonormal rows spanning the null space
-    Kmat = xts @ xtx_inv @ xts.T
-    kw, kU = _sorted_eigh(Kmat)
-    P_star = kU @ np.diag(kw**-0.5) @ kU.T  # symmetric whitener: P*' K P* = I
-    transform = np.vstack([P.T @ Xtilde, P_star.T @ xts])
+    # With X'X = U'U, Cov(Xtilde beta_hat) is proportional to A A' for A = Xtilde U^{-1};
+    # the SVD A = W diag(sv) Z' diagonalizes it without forming the Gram product A A'.
+    U = np.linalg.cholesky(xtx).T
+    A = solve_triangular(U, Xtilde.T, trans="T").T
+    W, sv, Zt = np.linalg.svd(A)
+    l = min(m, k)
+    Q = _fix_column_signs(W[:, :l])
+    complement = _fix_column_signs((Zt[l:] @ U).T).T  # rows of V*, empty when m >= k
     return CanonicalProblem(
-        n=n, k=k, m=m, d=d, Q=P, case="II",
-        coef_transform=transform, P=P, P_star=P_star, Xtilde_star=xts,
+        n=n, k=k, m=m, d=sv[:l] ** 2, Q=Q,
+        coef_transform=np.vstack([Q.T @ Xtilde, complement]),
         cond_xtx=cond, conditioning_warning=warning,
     )
 
@@ -366,8 +324,8 @@ def as1_problem(Xtilde: np.ndarray, N: int) -> CanonicalProblem:
     """Canonical problem for the replicated design, with D = I/N held exactly.
 
     Under X = (Xtilde; ...; Xtilde) every eigenvalue of the canonical
-    covariance equals 1/N, M is the symmetric square root of Xtilde'Xtilde
-    and Q is the polar factor of Xtilde.  Building these in closed form
+    covariance equals 1/N, the coefficient transform is the symmetric
+    square root of Xtilde'Xtilde and Q is the polar factor of Xtilde.  Building these in closed form
     keeps D exact instead of passing through a generic eigensolve.
     """
     Xtilde = np.atleast_2d(np.asarray(Xtilde, dtype=float))
@@ -379,7 +337,7 @@ def as1_problem(Xtilde: np.ndarray, N: int) -> CanonicalProblem:
     if N < 1:
         raise ValueError("N must be a positive integer")
     U, sv, Vt = np.linalg.svd(Xtilde, full_matrices=False)
-    M = Vt.T @ np.diag(sv) @ Vt
+    root = Vt.T @ np.diag(sv) @ Vt
     Q = U @ Vt  # polar factor Xtilde (Xtilde'Xtilde)^{-1/2}, exactly orthonormal
     d = np.full(k, 1.0 / N)
     n = m * int(N)
@@ -388,8 +346,8 @@ def as1_problem(Xtilde: np.ndarray, N: int) -> CanonicalProblem:
     if cond > COND_WARN_THRESHOLD:
         warning = f"condition number of X'X is {cond:.3e}, above {COND_WARN_THRESHOLD:.1e}"
     return CanonicalProblem(
-        n=n, k=k, m=m, d=d, Q=Q, case="I",
-        coef_transform=M.T, M=M, cond_xtx=cond, conditioning_warning=warning,
+        n=n, k=k, m=m, d=d, Q=Q,
+        coef_transform=root.T, cond_xtx=cond, conditioning_warning=warning,
     )
 
 
@@ -445,13 +403,16 @@ def simulate_observation(
 def invariant_report(problem: CanonicalProblem, X: np.ndarray, Xtilde: np.ndarray) -> dict:
     """Numeric residuals of the defining equations of a canonical problem.
 
-    Returns a dict with one entry per invariant: {"value": gap, "tol": tol,
-    "pass": bool}, plus an overall "all_pass" flag.
+    With T = coef_transform, the covariance T (X'X)^{-1} T' of (V; V*) must
+    be blockdiag(D, I), and the future mean map Q T[:l] must reproduce
+    Xtilde.  Returns a dict with one entry per invariant: {"value": gap,
+    "tol": tol, "pass": bool}, plus an overall "all_pass" flag.
     """
     X = np.asarray(X, dtype=float)
     Xtilde = np.atleast_2d(np.asarray(Xtilde, dtype=float))
     xtx_inv = np.linalg.inv(X.T @ X)
     l = problem.l
+    T = problem.coef_transform
     checks: dict[str, dict] = {}
 
     def add(name, value, tol):
@@ -459,31 +420,17 @@ def invariant_report(problem: CanonicalProblem, X: np.ndarray, Xtilde: np.ndarra
 
     add("q_orthonormality", np.abs(problem.Q.T @ problem.Q - np.eye(l)).max(), 1e-10)
     add("d_nonincreasing", max(0.0, float(np.max(np.diff(problem.d), initial=0.0))), 0.0)
-    if problem.case == "I":
-        M = problem.M
-        at = Xtilde.T @ Xtilde
-        add("mm_matches_xtxt", np.linalg.norm(M @ M.T - at) / np.linalg.norm(at), 1e-8)
-        G = M.T @ xtx_inv @ M
-        scale = np.abs(np.diag(G)).max()
-        off = np.abs(G - np.diag(np.diag(G))).max() / scale
-        add("m_diagonalizes", off, 1e-8)
-        add("d_matches_eigenvalues", np.abs(np.diag(G) - problem.d).max() / scale, 1e-8)
-    else:
-        P, xts, P_star = problem.P, problem.Xtilde_star, problem.P_star
-        G = P.T @ (Xtilde @ xtx_inv @ Xtilde.T) @ P
-        scale = np.abs(np.diag(G)).max()
-        off = np.abs(G - np.diag(np.diag(G))).max() / scale if l > 1 else 0.0
-        add("p_diagonalizes", off, 1e-8)
-        add("d_matches_eigenvalues", np.abs(np.diag(G) - problem.d).max() / scale, 1e-8)
-        add("complement_uncorrelated", np.abs(Xtilde @ xtx_inv @ xts.T).max(), 1e-8)
-        add("complement_whitened", np.abs(P_star.T @ (xts @ xtx_inv @ xts.T) @ P_star - np.eye(problem.k - l)).max(), 1e-8)
+    s = np.concatenate([problem.d, np.ones(problem.k - l)]) ** -0.5
+    cov = s[:, None] * (T @ xtx_inv @ T.T) * s[None, :]
+    add("coefficient_covariance", np.abs(cov - np.eye(problem.k)).max(), 1e-8)
+    add("future_mean_map", np.linalg.norm(problem.Q @ T[:l] - Xtilde) / np.linalg.norm(Xtilde), 1e-8)
     checks["all_pass"] = all(c["pass"] for c in checks.values() if isinstance(c, dict))
     return checks
 
 
 def problem_to_dict(problem: CanonicalProblem) -> dict:
     """JSON-ready dict with matrices as row-major nested lists."""
-    out = {
+    return {
         "n": problem.n,
         "k": problem.k,
         "m": problem.m,
@@ -495,41 +442,30 @@ def problem_to_dict(problem: CanonicalProblem) -> dict:
         "cond_xtx": problem.cond_xtx,
         "conditioning_warning": problem.conditioning_warning,
     }
-    for name in ("M", "P", "P_star", "Xtilde_star"):
-        val = getattr(problem, name)
-        out[name] = None if val is None else val.tolist()
-    return out
 
 
 def problem_from_dict(doc: dict) -> CanonicalProblem:
-    def arr(key, allow_none=False):
+    """Rebuild a problem from ``problem_to_dict`` output; other keys are ignored."""
+    def arr(key):
         val = doc.get(key)
         if val is None:
-            if allow_none:
-                return None
             raise ValueError(f"problem document is missing '{key}'")
         return np.asarray(val, dtype=float)
 
     return CanonicalProblem(
         n=int(doc["n"]), k=int(doc["k"]), m=int(doc["m"]),
-        d=arr("d"), Q=arr("Q"), case=doc["case"],
-        coef_transform=arr("coef_transform"),
-        M=arr("M", allow_none=True), P=arr("P", allow_none=True),
-        P_star=arr("P_star", allow_none=True), Xtilde_star=arr("Xtilde_star", allow_none=True),
+        d=arr("d"), Q=arr("Q"), coef_transform=arr("coef_transform"),
         cond_xtx=float(doc.get("cond_xtx", 1.0)),
         conditioning_warning=doc.get("conditioning_warning"),
     )
 
 
-def load_design(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read (X, Xtilde, y) from a JSON document or X from a dense CSV.
+def load_design(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Read (X, Xtilde, y) from a JSON document.
 
-    JSON documents carry keys "X" and "Xtilde" (row-major nested lists) and
-    optionally "y".  A path ending in .csv is read as the X matrix alone.
+    The document carries keys "X" and "Xtilde" (row-major nested lists) and
+    optionally "y".
     """
-    if path.endswith(".csv"):
-        X = np.atleast_2d(np.loadtxt(path, delimiter=","))
-        return X, None, None
     with open(path) as fh:
         doc = json.load(fh)
     X = np.asarray(doc["X"], dtype=float)

@@ -173,7 +173,7 @@ class ExperimentConfig:
 def _parse_design(doc: dict) -> DesignConfig:
     kind = doc.get("type", "explicit")
     if kind == "as1":
-        m, k, N = int(doc["m"]), int(doc["k"]), int(doc["N"])
+        m, k, N = (_int(doc, key) for key in ("m", "k", "N"))
         if not (m >= k >= 3):
             raise ValueError("the replicated design requires m >= k >= 3")
         if N < 1:
@@ -200,6 +200,22 @@ def _parse_design(doc: dict) -> DesignConfig:
             Xtilde=np.atleast_2d(_matrix(doc["Xtilde"])),
         )
     raise ValueError(f"unknown design type {kind!r}")
+
+
+def _int(doc: dict, key: str, default: int | None = None) -> int:
+    """doc[key] as an int (default when absent, if one is given); other values raise, naming the key."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _floats(doc: dict, key: str, default: list) -> list[float]:
+    """doc[key] (or default when absent) as a list of floats; a value that is not a list names the key."""
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return [float(x) for x in value]
 
 
 def _matrix(value) -> np.ndarray:
@@ -229,7 +245,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         doc = _section(json.load(fh), ExperimentConfig, "configuration")
     cfg = ExperimentConfig()
-    cfg.seed = int(doc.get("seed", 0))
+    cfg.seed = _int(doc, "seed", 0)
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
     if "design" in doc:
@@ -240,31 +256,36 @@ def load_config(path: str) -> ExperimentConfig:
         a=pr.get("a"),
         nu=pr.get("nu"),
         gamma_prior=float(pr.get("gamma_prior", 1.0)),
-        rescale_c=bool(pr.get("rescale_c", True)),
+        rescale_c=pr.get("rescale_c", True),
     )
-    cfg.alphas = [float(a) for a in doc.get("alphas", [1.0])]
+    if not isinstance(cfg.prior.rescale_c, bool):
+        raise ValueError(f"rescale_c must be true or false, got {cfg.prior.rescale_c!r}")
+    cfg.alphas = _floats(doc, "alphas", [1.0])
     for a in cfg.alphas:
         if not -1.0 <= a <= 1.0:
             raise ValueError("alphas must lie in [-1, 1]")
     gr = _section(doc.get("grid", {}), GridConfig, "grid")
     cfg.grid = GridConfig(
         theta_directions=[list(map(float, v)) for v in gr.get("theta_directions", [])],
-        theta_norms=[float(x) for x in gr.get("theta_norms", [0.0])],
-        sigma2=[float(x) for x in gr.get("sigma2", [1.0])],
+        theta_norms=_floats(gr, "theta_norms", [0.0]),
+        sigma2=_floats(gr, "sigma2", [1.0]),
     )
     if any(s <= 0 for s in cfg.grid.sigma2):
         raise ValueError("sigma2 values must be positive")
-    cfg.reps = int(doc.get("reps", 2000))
-    cfg.reps_outer = int(doc.get("reps_outer", 2000))
-    cfg.n_mc_inner = int(doc.get("n_mc_inner", 2000))
-    cfg.is_samples = int(doc.get("is_samples", 20_000))
+    cfg.reps = _int(doc, "reps", 2000)
+    cfg.reps_outer = _int(doc, "reps_outer", 2000)
+    cfg.n_mc_inner = _int(doc, "n_mc_inner", 2000)
+    cfg.is_samples = _int(doc, "is_samples", 20_000)
     defaults = IdentityConfig()
+    ident = _section(doc.get("identities", {}), IdentityConfig, "identities")
     cfg.identities = IdentityConfig(**{
-        key: type(getattr(defaults, key))(value)
-        for key, value in _section(doc.get("identities", {}), IdentityConfig, "identities").items()
+        key: _int(ident, key) if isinstance(getattr(defaults, key), int) else float(value)
+        for key, value in ident.items()
     })
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     cfg.out = doc.get("out")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ValueError(f"out must be a directory path, got {cfg.out!r}")
     return cfg
 
 
@@ -281,6 +302,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
                 xt = rng.standard_normal((design.m, design.k))
                 if np.linalg.matrix_rank(xt) == design.k and np.linalg.cond(xt) < 1e6:
                     break
+            else:
+                raise RankDeficiencyError("no random Xtilde with condition number below 1e6 in 10 draws")
         X = as1_design(xt, design.N)
         return as1_problem(xt, design.N), X, xt
     problem = canonicalize(design.X, design.Xtilde)

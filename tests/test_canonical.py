@@ -1,5 +1,7 @@
 """Canonical reduction: sufficient statistics, both reduction cases, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,22 @@ def test_case2_invariants_random(rng):
         assert report["all_pass"], report
 
 
+@pytest.mark.parametrize("m", [5, 2])
+def test_invariant_report_detects_wrong_transform(rng, m):
+    # k = 3: m = 5 is case I, m = 2 is case II
+    X, Xt = random_design(rng, 12, 3, m)
+    problem = canonicalize(X, Xt)
+    assert invariant_report(problem, X, Xt)["all_pass"]
+    T = problem.coef_transform.copy()
+    T[0] += 1e-6
+    Q = problem.Q.copy()
+    Q[:, 0] *= -1.0
+    for wrong in (replace(problem, d=problem.d * (1 + 1e-6)),
+                  replace(problem, coef_transform=T),
+                  replace(problem, Q=Q)):
+        assert not invariant_report(wrong, X, Xt)["all_pass"]
+
+
 def test_case2_two_dim_example(rng):
     # X with X'X = I_2, future row (1, 0): l = 1, d = 1, complement spans e2.
     X, _ = np.linalg.qr(rng.standard_normal((6, 2)))
@@ -116,7 +134,7 @@ def test_case2_two_dim_example(rng):
     assert problem.d[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(problem.Q[0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert problem.Q[0, 0] > 0  # sign convention
-    xts = problem.Xtilde_star[0]
+    xts = problem.coef_transform[1]
     assert abs(xts[0]) < 1e-12 and abs(abs(xts[1]) - 1.0) < 1e-12
 
 
@@ -155,7 +173,7 @@ def test_rank_deficient_xtilde_rejected(rng):
 def test_problem_constructor_validation():
     from shrinkpred.canonical import CanonicalProblem
 
-    ok = dict(n=10, k=2, m=2, Q=np.eye(2), case="I", coef_transform=np.eye(2))
+    ok = dict(n=10, k=2, m=2, Q=np.eye(2), coef_transform=np.eye(2))
     CanonicalProblem(d=np.array([2.0, 1.0]), **ok)
     with pytest.raises(ValueError):
         CanonicalProblem(d=np.array([1.0, 2.0]), **ok)  # increasing
@@ -163,10 +181,7 @@ def test_problem_constructor_validation():
         CanonicalProblem(d=np.array([1.0, -1.0]), **ok)
     with pytest.raises(ValueError):
         CanonicalProblem(d=np.array([2.0, 1.0]), n=10, k=2, m=2,
-                         Q=np.full((2, 2), 0.9), case="I", coef_transform=np.eye(2))
-    with pytest.raises(ValueError):
-        CanonicalProblem(d=np.array([2.0, 1.0]), n=10, k=2, m=2,
-                         Q=np.eye(2), case="III", coef_transform=np.eye(2))
+                         Q=np.full((2, 2), 0.9), coef_transform=np.eye(2))
 
 
 def test_problem_json_round_trip(as1_problem_n12):
@@ -176,6 +191,10 @@ def test_problem_json_round_trip(as1_problem_n12):
     assert np.array_equal(back.Q, as1_problem_n12.Q)
     assert np.array_equal(back.coef_transform, as1_problem_n12.coef_transform)
     assert back.case == "I" and back.n == 12
+    assert sorted(doc) == ["Q", "case", "coef_transform", "cond_xtx", "conditioning_warning", "d", "k", "l", "m", "n"]
+    # documents that still carry the per-case matrices load as before
+    old = problem_from_dict(dict(doc, M=doc["coef_transform"], P=None, P_star=None, Xtilde_star=None))
+    assert np.array_equal(old.coef_transform, as1_problem_n12.coef_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +207,7 @@ def test_identity_transform_passes_beta_through(rng):
     scales = np.array([1.0, 2.0, 3.0])
     X = np.linalg.qr(rng.standard_normal((9, 3)))[0] * np.sqrt(scales)
     problem = canonicalize(X, np.eye(3))
-    assert np.abs(problem.M - np.eye(3)).max() < 1e-10
+    assert np.abs(problem.coef_transform - np.eye(3)).max() < 1e-10
     y = rng.standard_normal(9)
     stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=np.eye(3)))
     obs = to_canonical(problem, stats)

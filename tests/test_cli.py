@@ -83,6 +83,49 @@ def test_canonicalize_rank_deficient_exits_2(tmp_path):
     assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def badly_scaled_design(seed, n, k, m):
+    """X with its last column scaled by 1e-5, so cond(X'X) ~ 1e10, and Xtilde's first column by 1e-3."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k))
+    X[:, -1] *= 1e-5
+    Xt = rng.standard_normal((m, k))
+    Xt[:, 0] *= 1e-3
+    return X, Xt
+
+
+@pytest.mark.parametrize("seed,n,k,m", [(50, 12, 3, 5), (2, 12, 4, 2)])
+def test_canonicalize_ill_conditioned_design(tmp_path, seed, n, k, m):
+    # Badly scaled columns, not near-collinear ones: the reduction must keep
+    # every d positive and every check of the report within its 1e-8 tolerance.
+    X, Xt = badly_scaled_design(seed, n, k, m)
+    assert 1e10 < np.linalg.cond(X.T @ X) < 1e11
+    cfg = write_config(tmp_path, {"design": {"type": "explicit", "X": X.tolist(), "Xtilde": Xt.tolist()}})
+    out = tmp_path / "o"
+    assert main(["canonicalize", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "canonicalize_report.json").read_text())["all_pass"]
+
+
+def test_ill_conditioned_random_xtilde_exits_2(tmp_path, monkeypatch, capsys):
+    import shrinkpred.cli as cli_mod
+
+    draws = []
+
+    class IllConditioned:
+        def standard_normal(self, shape):
+            draws.append(shape)
+            return np.eye(*shape) * np.logspace(0, -7, shape[1])  # full rank, cond 1e7
+
+    monkeypatch.setattr(cli_mod, "replication_rng", lambda *args, **kwargs: IllConditioned())
+    cfg = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN})
+    for command in ("canonicalize", "bounds"):
+        draws.clear()
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("canonicalization failed:")
+        assert len(draws) == 10
+    assert not (tmp_path / "o").exists()
+
+
 def test_bounds_output(tmp_path):
     cfg = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN})
     out = tmp_path / "out"
@@ -263,7 +306,7 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     assert all(row.endswith(",false") for row in lines[1:])
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert main([]) == 1
     assert main(["canonicalize", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -283,3 +326,15 @@ def test_usage_errors(tmp_path, capsys):
         capsys.readouterr()
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, typo
         assert capsys.readouterr().err.startswith("configuration error:"), typo
+    # a value of the wrong type, or a fraction where an integer belongs, is named in the message
+    monkeypatch.chdir(tmp_path)
+    for wrong, key in (({"alphas": 5}, "alphas"), ({"out": 5}, "out"), ({"seed": True}, "seed"),
+                       ({"reps": 2.5}, "reps"), ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m"),
+                       ({"prior": {"rescale_c": "false"}}, "rescale_c"),
+                       ({"identities": {"lemma_instances": 2.5}}, "lemma_instances")):
+        cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")
+        capsys.readouterr()
+        assert main(["bounds", "--config", cfg]) == 1, wrong
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"{key} must be" in err, (wrong, err)
+    assert not (tmp_path / "bounds.json").exists()

@@ -42,7 +42,7 @@ def test_quadratic_forms_match_closed_expressions():
         d = np.sort(rng.uniform(0.1, 3.0, l))[::-1]
         c = rng.uniform(1.0, 5.0, l)
         y, v = rng.standard_normal(m), rng.standard_normal(l)
-        problem = CanonicalProblem(n=20, k=l, m=m, d=d, Q=Q, case="I" if m >= l else "II",
+        problem = CanonicalProblem(n=20, k=l, m=m, d=d, Q=Q,
                                    coef_transform=np.eye(l))
         prior = PriorSpec(c=c, a=0.0, gamma_prior=1.0, n=20, k=l, m=m)
         comp = shrinkage_components(problem, prior, alpha, v)

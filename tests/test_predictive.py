@@ -35,7 +35,7 @@ def synthetic_problem(n, k, m, d, Q=None):
     d = np.asarray(d, dtype=float)
     if Q is None:
         Q = np.eye(m, min(k, m))
-    return CanonicalProblem(n=n, k=k, m=m, d=d, Q=Q, case="I" if m >= k else "II",
+    return CanonicalProblem(n=n, k=k, m=m, d=d, Q=Q,
                             coef_transform=np.eye(k))
 
 

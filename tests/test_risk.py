@@ -38,7 +38,7 @@ from shrinkpred.risk import (
 
 def synthetic_problem(n, k, m, d):
     return CanonicalProblem(n=n, k=k, m=m, d=np.asarray(d, float), Q=np.eye(m, min(k, m)),
-                            case="I" if m >= k else "II", coef_transform=np.eye(k))
+                            coef_transform=np.eye(k))
 
 
 @pytest.fixture(scope="module")
