@@ -46,10 +46,11 @@ def main():
     print(f"nu bounds: nu1={nb.nu1:.4f} nu2={nb.nu2:.4f} nu3={nb.nu3:.4f} -> nu={prior.nu:.4f}")
     print(f"minimax risk: {mr:.6f}\n")
 
+    # each rule maps a block of simulated observations to a block of plug-in estimates
     rules = {
-        "umvu": lambda obs, rep: umvu_estimators(obs, n, k),
-        "shrink_plugin": lambda obs, rep: plugin_bayes_estimators(problem, prior, obs),
-        "stein_variance": lambda obs, rep: PluginEstimate(obs.v, stein_variance(obs, problem.d, n, k), w=math.inf),
+        "umvu": lambda obs: umvu_estimators(obs, n, k),
+        "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
+        "stein_variance": lambda obs: PluginEstimate(obs.v, stein_variance(obs, problem.d, n, k), w=math.inf),
     }
     print(f"{'|theta|':>8} {'procedure':>15} {'risk':>10} {'se':>9} {'risk - MR':>10}")
     for norm in args.norms:

@@ -8,6 +8,7 @@ and estimates their risks by seeded Monte Carlo.
 
 from .bounds import NuBounds, a_of_nu, condition_d, nu_limits, nu_of_prior, rescale_C_for_positivity
 from .canonical import (
+    BLOCK_SIZE,
     CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,

@@ -8,12 +8,16 @@ an l-vector V with diagonal covariance D (l = min(k, m)), an auxiliary
 sum of squares S.  The future observation then has mean Q theta with Q
 column-orthonormal, which is the form the density and risk modules work in.
 
-One construction serves every design shape.  With the Cholesky factor
-X'X = U'U and the full singular value decomposition
-Xtilde U^{-1} = W diag(sv) Z', the future mean map is Q = W[:, :l] and
-D = diag(sv[:l]^2).  The coefficient transform stacks Q' Xtilde, which
-gives V, over Z[:, l:]' U, which gives V* and is empty when m >= k; both
-blocks come out uncorrelated, with covariances D and I.
+One construction serves every design shape.  With the triangular factor
+U of the QR decomposition of X, so that X'X = U'U without forming X'X,
+and the full singular value decomposition Xtilde U^{-1} = W diag(sv) Z',
+the future mean map is Q = W[:, :l] and D = diag(sv[:l]^2).  The
+coefficient transform stacks Q' Xtilde, which gives V, over Z[:, l:]' U,
+which gives V* and is empty when m >= k; both blocks come out
+uncorrelated, with covariances D and I.
+
+Observations are simulated in keyed blocks of BLOCK_SIZE rows (stream
+layout 2), so replication i depends only on (seed, i).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
@@ -32,6 +36,7 @@ __all__ = [
     "CanonicalProblem",
     "CanonicalObservation",
     "CanonicalParams",
+    "BLOCK_SIZE",
     "replication_rng",
     "sufficient_statistics",
     "canonicalize",
@@ -47,6 +52,9 @@ __all__ = [
 ]
 
 COND_WARN_THRESHOLD = 1e12
+
+# Rows per keyed block of simulated observations; changing it changes every draw.
+BLOCK_SIZE = 4096
 
 # Stream tags for the counter-based generator; each consumer of randomness
 # gets its own 2^192-draw slice of the keyed counter space, so streams
@@ -70,11 +78,10 @@ class RankDeficiencyError(ValueError):
 def replication_rng(master_seed: int, rep_index: int = 0, stream: int = STREAM_OBSERVATION) -> Generator:
     """Counter-based generator keyed by (master_seed, rep_index).
 
-    Distinct (seed, rep) pairs map to distinct Philox keys, so replications
-    are reproducible independently of execution order and may run
-    concurrently without coordination.  ``stream`` separates independent
-    uses of the same key (observation sampling, inner divergence draws,
-    normalization draws) by offsetting the counter.
+    Distinct (seed, index) pairs map to distinct Philox keys, so draws are
+    reproducible in any execution order.  The index is a block index on
+    the observation stream and a replication index elsewhere; ``stream``
+    separates uses of the same key by offsetting the counter.
     """
     key = ((int(master_seed) & _U64) << 64) | (int(rep_index) & _U64)
     return Generator(Philox(key=key, counter=int(stream) << 192))
@@ -89,6 +96,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _rows(arr, lead: tuple) -> np.ndarray:
+    """arr frozen as one vector (lead == ()) or one vector per block row (lead == (reps,))."""
+    out = _freeze(arr)
+    return out.ravel() if not lead else out.reshape(lead + out.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -118,21 +131,8 @@ class RegressionData:
                 raise ValueError(f"{name} contains non-finite entries")
         if np.linalg.matrix_rank(X) < k:
             raise RankDeficiencyError("X is rank deficient")
-        m = Xt.shape[0]
-        if np.linalg.matrix_rank(Xt) < min(m, k):
+        if np.linalg.matrix_rank(Xt) < min(Xt.shape[0], k):
             raise RankDeficiencyError("Xtilde is rank deficient")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.Xtilde.shape[0]
 
 
 @dataclass(frozen=True)
@@ -194,18 +194,26 @@ class CanonicalProblem:
 
 @dataclass(frozen=True)
 class CanonicalObservation:
-    """Sufficient statistics in canonical coordinates: V, V*, S."""
+    """Sufficient statistics in canonical coordinates: V, V*, S.
+
+    A block of observations gives all three a leading replication axis (s
+    of shape (reps,)); indexing it gives one row or a shorter block.
+    """
 
     v: np.ndarray
     v_star: np.ndarray
-    s: float
+    s: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _freeze(self.v).ravel())
-        object.__setattr__(self, "v_star", _freeze(self.v_star).ravel())
-        object.__setattr__(self, "s", float(self.s))
-        if self.s < 0:
+        s = _freeze(self.s)
+        object.__setattr__(self, "v", _rows(self.v, s.shape))
+        object.__setattr__(self, "v_star", _rows(self.v_star, s.shape))
+        object.__setattr__(self, "s", float(s) if s.ndim == 0 else s)
+        if np.any(s < 0):
             raise ValueError("s must be nonnegative")
+
+    def __getitem__(self, index) -> "CanonicalObservation":
+        return CanonicalObservation(v=self.v[index], v_star=self.v_star[index], s=self.s[index])
 
 
 @dataclass(frozen=True)
@@ -234,31 +242,18 @@ class CanonicalParams:
 
 
 def sufficient_statistics(data: RegressionData) -> SufficientStats:
-    """Least squares coefficients and residual sum of squares.
-
-    Solves the normal equations through a Cholesky factorization of X'X.
-    """
+    """Least squares coefficients (from X itself, not X'X) and residual sum of squares."""
     X, y = data.X, data.y
-    xtx = X.T @ X
-    try:
-        cf = cho_factor(xtx)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rank guard above
-        raise RankDeficiencyError("X'X is singular") from exc
-    beta = cho_solve(cf, X.T @ y)
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
     resid = y - X @ beta
     return SufficientStats(beta_hat_u=beta, s=float(resid @ resid))
 
 
 def _fix_column_signs(U: np.ndarray) -> np.ndarray:
     """Flip columns so the first nonzero entry of each is positive."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        scale = np.abs(col).max()
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * scale)
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-    return U
+    nonzero = np.abs(U) > 1e-12 * np.abs(U).max(axis=0, initial=0.0)
+    first = U[nonzero.argmax(axis=0), np.arange(U.shape[1])]
+    return U * np.where(first < 0, -1.0, 1.0)
 
 
 def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND_WARN_THRESHOLD) -> CanonicalProblem:
@@ -292,14 +287,14 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND
     if np.linalg.matrix_rank(Xtilde) < min(m, k):
         raise RankDeficiencyError("Xtilde is rank deficient")
 
-    xtx = X.T @ X
-    cond = float(np.linalg.cond(xtx))
+    cond = float(np.linalg.cond(X.T @ X))
     warning = None
     if cond > cond_threshold:
         warning = f"condition number of X'X is {cond:.3e}, above {cond_threshold:.1e}"
     # With X'X = U'U, Cov(Xtilde beta_hat) is proportional to A A' for A = Xtilde U^{-1};
     # the SVD A = W diag(sv) Z' diagonalizes it without forming the Gram product A A'.
-    U = np.linalg.cholesky(xtx).T
+    # The QR factor U of X never forms X'X either; the row signs of U cancel.
+    U = np.linalg.qr(X, mode="r")
     A = solve_triangular(U, Xtilde.T, trans="T").T
     W, sv, Zt = np.linalg.svd(A)
     l = min(m, k)
@@ -373,25 +368,23 @@ def params_to_canonical(problem: CanonicalProblem, beta: np.ndarray, sigma2: flo
     return CanonicalParams(theta=w[:l], mu=w[l:], eta=1.0 / sigma2)
 
 
-def simulate_observation(
-    problem: CanonicalProblem,
-    params: CanonicalParams,
-    seed: int,
-    rep_index: int = 0,
-) -> CanonicalObservation:
-    """Draw one canonical observation: V, V* Gaussian, eta*S chi-square.
+def simulate_observation(problem: CanonicalProblem, params: CanonicalParams, seed: int,
+                         block: int = 0) -> CanonicalObservation:
+    """Draw block ``block`` of canonical observations: BLOCK_SIZE rows of V, V* and S.
 
-    Deterministic given (seed, rep_index); distinct replication indices use
-    independent Philox keys and can be drawn concurrently.
+    The generator keyed by (seed, block) draws standard normals (B, l), then
+    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by theta, d and eta.
+    Row r is replication block * B + r, so it depends only on (seed,
+    replication) and every parameter point reuses the same standard draws.
     """
     l = problem.l
     if params.theta.shape != (l,) or params.mu.shape != (problem.k - l,):
         raise ValueError("params dimensions do not match problem")
-    rng = replication_rng(seed, rep_index, stream=STREAM_OBSERVATION)
+    rng = replication_rng(seed, block, stream=STREAM_OBSERVATION)
     eta = params.eta
-    v = params.theta + np.sqrt(problem.d / eta) * rng.standard_normal(l)
-    v_star = params.mu + np.sqrt(1.0 / eta) * rng.standard_normal(problem.k - l)
-    s = rng.gamma((problem.n - problem.k) / 2.0, 2.0) / eta
+    v = params.theta + np.sqrt(problem.d / eta) * rng.standard_normal((BLOCK_SIZE, l))
+    v_star = params.mu + np.sqrt(1.0 / eta) * rng.standard_normal((BLOCK_SIZE, problem.k - l))
+    s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE) / eta
     return CanonicalObservation(v=v, v_star=v_star, s=s)
 
 
@@ -405,12 +398,13 @@ def invariant_report(problem: CanonicalProblem, X: np.ndarray, Xtilde: np.ndarra
 
     With T = coef_transform, the covariance T (X'X)^{-1} T' of (V; V*) must
     be blockdiag(D, I), and the future mean map Q T[:l] must reproduce
-    Xtilde.  Returns a dict with one entry per invariant: {"value": gap,
-    "tol": tol, "pass": bool}, plus an overall "all_pass" flag.
+    Xtilde; (X'X)^{-1} = V diag(sx^-2) V' comes from the SVD of X, which
+    shares no factor with the reduction.  Returns a dict with one entry per
+    invariant: {"value": gap, "tol": tol, "pass": bool}, plus "all_pass".
     """
     X = np.asarray(X, dtype=float)
     Xtilde = np.atleast_2d(np.asarray(Xtilde, dtype=float))
-    xtx_inv = np.linalg.inv(X.T @ X)
+    _, sx, Vt = np.linalg.svd(X, full_matrices=False)
     l = problem.l
     T = problem.coef_transform
     checks: dict[str, dict] = {}
@@ -421,7 +415,8 @@ def invariant_report(problem: CanonicalProblem, X: np.ndarray, Xtilde: np.ndarra
     add("q_orthonormality", np.abs(problem.Q.T @ problem.Q - np.eye(l)).max(), 1e-10)
     add("d_nonincreasing", max(0.0, float(np.max(np.diff(problem.d), initial=0.0))), 0.0)
     s = np.concatenate([problem.d, np.ones(problem.k - l)]) ** -0.5
-    cov = s[:, None] * (T @ xtx_inv @ T.T) * s[None, :]
+    root = s[:, None] * (T @ Vt.T) / sx  # cov = root root'
+    cov = root @ root.T
     add("coefficient_covariance", np.abs(cov - np.eye(problem.k)).max(), 1e-8)
     add("future_mean_map", np.linalg.norm(problem.Q @ T[:l] - Xtilde) / np.linalg.norm(Xtilde), 1e-8)
     checks["all_pass"] = all(c["pass"] for c in checks.values() if isinstance(c, dict))

@@ -32,6 +32,8 @@ from .canonical import (
     STREAM_NORMALIZATION,
     CanonicalObservation,
     CanonicalProblem,
+    _freeze,
+    _rows,
     replication_rng,
 )
 
@@ -81,8 +83,8 @@ def _check_alpha(alpha: float, allow_one: bool = False) -> float:
     return alpha
 
 
-def _check_s(obs: CanonicalObservation) -> float:
-    if obs.s <= 0:
+def _check_s(obs: CanonicalObservation) -> float | np.ndarray:
+    if np.any(obs.s <= 0):
         raise DegenerateObservationError("observation has s = 0")
     return obs.s
 
@@ -242,19 +244,19 @@ class ShrinkageComponents:
 
 @dataclass(frozen=True)
 class PluginEstimate:
-    """Plug-in mean and variance estimates with the shrinkage statistic W."""
+    """Plug-in mean and variance estimates with the shrinkage statistic W, one row per block row."""
 
     theta_hat: np.ndarray
-    sigma2_hat: float
-    w: float
+    sigma2_hat: float | np.ndarray
+    w: float | np.ndarray
 
     def __post_init__(self):
-        th = np.asarray(self.theta_hat, dtype=float).ravel()
-        th.setflags(write=False)
-        object.__setattr__(self, "theta_hat", th)
-        if not self.sigma2_hat > 0:
+        sigma2 = _freeze(self.sigma2_hat)
+        object.__setattr__(self, "theta_hat", _rows(self.theta_hat, sigma2.shape))
+        object.__setattr__(self, "sigma2_hat", float(sigma2) if sigma2.ndim == 0 else sigma2)
+        if not np.all(sigma2 > 0):
             raise ValueError("sigma2_hat must be positive")
-        if self.w < 0:
+        if np.any(np.asarray(self.w) < 0):
             raise ValueError("w must be nonnegative")
 
 
@@ -491,21 +493,21 @@ def plugin_bayes_estimators(
     """Shrinkage plug-in estimates of theta and sigma^2 at alpha = 1.
 
     W = (V' C^{-1} D^{-1} V + |V*|^2 / gamma) / S; both estimators shrink
-    by nu/(nu + 1 + W).
+    by nu/(nu + 1 + W).  A block of observations gives a block of estimates.
     """
     s = _check_s(obs)
     d, c = problem.d, prior.c
     v, v_star = obs.v, obs.v_star
-    w = float(v @ (v / (c * d)) + v_star @ v_star / prior.gamma_prior) / s
+    w = (np.sum(v * (v / (c * d)), axis=-1) + np.sum(v_star * v_star, axis=-1) / prior.gamma_prior) / s
     nu = prior.nu
     f = nu / (nu + 1.0 + w)
-    theta = (1.0 - f / c) * v
+    theta = (1.0 - f[..., None] / c) * v
     sigma2 = (1.0 - f) * s / (problem.n - problem.k)
     return PluginEstimate(theta_hat=theta, sigma2_hat=sigma2, w=w)
 
 
 def umvu_estimators(obs: CanonicalObservation, n: int, k: int) -> PluginEstimate:
-    """Unbiased baseline: theta_hat = V, sigma2_hat = S/(n-k).
+    """Unbiased baseline: theta_hat = V, sigma2_hat = S/(n-k), per observation of a block.
 
     The no-shrinkage limit corresponds to W at infinity, which is what the
     estimate records.
@@ -514,23 +516,23 @@ def umvu_estimators(obs: CanonicalObservation, n: int, k: int) -> PluginEstimate
     return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (n - k), w=math.inf)
 
 
-def stein_variance(obs: CanonicalObservation, d: np.ndarray, n: int, k: int) -> float:
-    """Stein variance estimate min(S/(n-k), (V'D^{-1}V + S)/(l + n - k))."""
+def stein_variance(obs: CanonicalObservation, d: np.ndarray, n: int, k: int) -> float | np.ndarray:
+    """Stein variance estimate min(S/(n-k), (V'D^{-1}V + S)/(l + n - k)), per observation of a block."""
     s = _check_s(obs)
     d = np.asarray(d, dtype=float).ravel()
-    l = obs.v.size
+    l = obs.v.shape[-1]
     if d.shape != (l,):
         raise ValueError("d must match the length of v")
-    return float(min(s / (n - k), (obs.v @ (obs.v / d) + s) / (l + n - k)))
+    return np.minimum(s / (n - k), (np.sum(obs.v * (obs.v / d), axis=-1) + s) / (l + n - k))
 
 
-def stein_variance_star(obs: CanonicalObservation, n: int, k: int) -> float:
+def stein_variance_star(obs: CanonicalObservation, n: int, k: int) -> float | np.ndarray:
     """Variance estimate pooling the auxiliary statistic: min(S/(n-k), (|V*|^2 + S)/(n - l))."""
     s = _check_s(obs)
-    if obs.v_star.size == 0:
+    if obs.v_star.shape[-1] == 0:
         raise ValueError("v_star is empty; the pooled variant needs m < k")
-    l = obs.v.size
-    return float(min(s / (n - k), (obs.v_star @ obs.v_star + s) / (n - l)))
+    l = obs.v.shape[-1]
+    return np.minimum(s / (n - k), (np.sum(obs.v_star * obs.v_star, axis=-1) + s) / (n - l))
 
 
 def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> PredictiveDensity:

@@ -8,9 +8,9 @@ quadratic loss and entropy loss, and the unbiased baseline has the known
 constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
 For alpha < 1 risks are estimated by nested Monte Carlo.
 
-Replications are keyed by (seed, rep_index) through the counter-based
-generator and reduced by pairwise summation in index order, so reruns
-agree bit for bit.
+Observations come in keyed blocks (canonical.simulate_observation), other
+draws are keyed by (seed, replication), and losses are reduced by pairwise
+summation in replication order, so reruns agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .canonical import (
+    BLOCK_SIZE,
     STREAM_DIVERGENCE,
     STREAM_IDENTITY,
     CanonicalObservation,
@@ -101,19 +102,18 @@ def f_alpha(log_z, alpha: float):
     return 4.0 * -np.expm1((1.0 + alpha) / 2.0 * log_z) / (1.0 - alpha * alpha)
 
 
-def d1_loss_plugin(theta_hat, sigma2_hat: float, theta, sigma2: float, m: int) -> float:
+def d1_loss_plugin(theta_hat, sigma2_hat, theta, sigma2: float, m: int):
     """Closed-form alpha = 1 divergence of a plug-in normal from the truth.
 
     Equals (L1 + m L2)/2 with L1 the scale-invariant quadratic loss of the
-    mean and L2 the entropy loss of the variance.
+    mean and L2 the entropy loss of the variance; one loss per row of a block.
     """
-    if sigma2_hat <= 0 or sigma2 <= 0:
+    sigma2_hat = np.asarray(sigma2_hat, dtype=float)
+    if np.any(sigma2_hat <= 0) or sigma2 <= 0:
         raise ValueError("variances must be positive")
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    theta = np.asarray(theta, dtype=float).ravel()
-    diff = theta_hat - theta
+    diff = np.asarray(theta_hat, dtype=float) - np.asarray(theta, dtype=float)
     ratio = sigma2_hat / sigma2
-    return 0.5 * (float(diff @ diff) / sigma2 + m * (ratio - math.log(ratio) - 1.0))
+    return 0.5 * (np.sum(diff * diff, axis=-1) / sigma2 + m * (ratio - np.log(ratio) - 1.0))
 
 
 def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
@@ -128,11 +128,6 @@ def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo divergence and risk
 # ---------------------------------------------------------------------------
-
-
-def _true_density(problem: CanonicalProblem, theta, sigma2: float) -> PredictiveDensity:
-    est = PluginEstimate(theta_hat=np.asarray(theta, dtype=float), sigma2_hat=float(sigma2), w=math.inf)
-    return plugin_density(est, problem)
 
 
 def alpha_divergence_mc(
@@ -159,7 +154,7 @@ def alpha_divergence_mc(
     n_mc = int(n_mc)
     if n_mc < 100:
         raise ValueError("n_mc must be at least 100")
-    truth = _true_density(problem, theta, 1.0 / eta)
+    truth = plugin_density(PluginEstimate(theta_hat=theta, sigma2_hat=1.0 / eta, w=math.inf), problem)
     rng = replication_rng(seed, rep_index, stream=STREAM_DIVERGENCE)
     if alpha == 1.0:
         ys = phat.sample(rng, n_mc)
@@ -181,7 +176,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def risk_mc(
-    rules: dict[str, Callable[[CanonicalObservation, int], PluginEstimate | PredictiveDensity]],
+    rules: dict[str, Callable[..., PluginEstimate | PredictiveDensity]],
     problem: CanonicalProblem,
     params: CanonicalParams,
     alpha: float,
@@ -191,14 +186,16 @@ def risk_mc(
 ) -> dict[str, RiskEstimate]:
     """Simulated alpha-divergence risks of several rules on common observations.
 
-    Each replication draws one observation and hands it, with its index, to
-    every ``rule(obs, rep)``.  At alpha = 1 a rule returns plug-in
-    estimates, scored by the closed-form plug-in divergence; below 1 it
-    returns a normalized density, scored by an inner Monte Carlo of
-    ``n_mc_inner`` draws; the reported standard error covers the outer
-    variation only.  A replication whose normalization fails is excluded
-    from that rule only; more than 1% exclusions for any rule aborts the
-    run.  Returns ``{name: RiskEstimate}`` in the order of ``rules``.
+    Replications are the rows of the keyed observation blocks (the last one
+    truncated), each block drawn once for every rule.  At alpha = 1
+    ``rule(obs)`` maps a whole block to a block of plug-in estimates, scored
+    in one pass by the closed-form plug-in divergence.  Below 1
+    ``rule(obs, rep)`` maps one row and its index to a normalized density,
+    scored by an inner Monte Carlo of ``n_mc_inner`` draws; the reported
+    standard error covers the outer variation only.  A replication whose
+    normalization fails is excluded from that rule only; more than 1%
+    exclusions for any rule aborts the run.  Returns ``{name: RiskEstimate}``
+    in the order of ``rules``.
     """
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
@@ -211,18 +208,24 @@ def risk_mc(
     sigma2 = params.sigma2
     losses = np.empty((len(rules), reps))
     excluded = np.zeros((len(rules), reps), dtype=bool)
-    for i in range(reps):
-        obs = simulate_observation(problem, params, seed, rep_index=i)
-        for j, rule in enumerate(rules.values()):
-            try:
-                out = rule(obs, i)
-            except UnreliableNormalizationError:
-                excluded[j, i] = True
-                continue
-            if alpha == 1.0:
-                losses[j, i] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta, sigma2, problem.m)
-            else:
-                losses[j, i] = alpha_divergence_mc(out, params.theta, params.eta, problem,
+    for start in range(0, reps, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, reps)
+        block = simulate_observation(problem, params, seed, start // BLOCK_SIZE)[:stop - start]
+        if alpha == 1.0:
+            for j, rule in enumerate(rules.values()):
+                out = rule(block)
+                losses[j, start:stop] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta,
+                                                       sigma2, problem.m)
+            continue
+        for i in range(start, stop):
+            obs = block[i - start]
+            for j, rule in enumerate(rules.values()):
+                try:
+                    dens = rule(obs, i)
+                except UnreliableNormalizationError:
+                    excluded[j, i] = True
+                    continue
+                losses[j, i] = alpha_divergence_mc(dens, params.theta, params.eta, problem,
                                                    alpha, n_mc_inner, seed, rep_index=i).mean
     risks = {}
     for name, loss, skip in zip(rules, losses, excluded):
@@ -237,16 +240,10 @@ def risk_mc(
     return risks
 
 
-def risk_d1_mc(
-    procedure: Callable[[CanonicalObservation], PluginEstimate],
-    problem: CanonicalProblem,
-    params: CanonicalParams,
-    reps: int,
-    seed: int,
-) -> RiskEstimate:
-    """Simulated alpha = 1 risk of one estimation procedure (see risk_mc)."""
-    rules = {"procedure": lambda obs, rep: procedure(obs)}
-    return risk_mc(rules, problem, params, 1.0, reps, seed)["procedure"]
+def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], problem: CanonicalProblem,
+               params: CanonicalParams, reps: int, seed: int) -> RiskEstimate:
+    """Simulated alpha = 1 risk of one block-aware estimation procedure (see risk_mc)."""
+    return risk_mc({"procedure": procedure}, problem, params, 1.0, reps, seed)["procedure"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from shrinkpred.canonical import as1_problem, canonicalize
+from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, as1_problem, canonicalize, simulate_observation
+
+
+def simulate_rows(problem, params, seed, reps):
+    """Replications 0..reps-1 of the keyed observation stream as one block (the last block truncated)."""
+    blocks = [simulate_observation(problem, params, seed, b) for b in range(-(-reps // BLOCK_SIZE))]
+    return CanonicalObservation(
+        v=np.concatenate([b.v for b in blocks])[:reps],
+        v_star=np.concatenate([b.v_star for b in blocks])[:reps],
+        s=np.concatenate([b.s for b in blocks])[:reps],
+    )
 
 
 @pytest.fixture(scope="session")

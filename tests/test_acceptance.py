@@ -18,7 +18,6 @@ from shrinkpred.canonical import (
     as1_problem,
     canonicalize,
     invariant_report,
-    simulate_observation,
 )
 from shrinkpred.cli import ExperimentConfig, _run_identities, main
 from shrinkpred.predictive import (
@@ -33,7 +32,7 @@ from shrinkpred.predictive import (
 )
 from shrinkpred.risk import alpha_divergence_mc, d1_loss_plugin, minimax_risk, risk_d1_mc
 
-from conftest import make_case2_design
+from conftest import make_case2_design, simulate_rows
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):
@@ -121,18 +120,16 @@ def test_criterion_4_stein_dominance(as1_problem_n12, case2_problem_n12):
     reps = 50_000
 
     def l2(s2_hat):
-        return s2_hat - math.log(s2_hat) - 1.0  # true sigma^2 = 1
+        return s2_hat - np.log(s2_hat) - 1.0  # true sigma^2 = 1
 
     def paired_margin(problem, use_star):
         n, k = problem.n, problem.k
         params = CanonicalParams(theta=np.zeros(problem.l),
                                  mu=np.zeros(problem.k - problem.l), eta=1.0)
-        diffs = np.empty(reps)
-        for i in range(reps):
-            obs = simulate_observation(problem, params, seed=404, rep_index=i)
-            umvu = obs.s / (n - k)
-            stein = stein_variance_star(obs, n, k) if use_star else stein_variance(obs, problem.d, n, k)
-            diffs[i] = l2(stein) - l2(umvu)
+        obs = simulate_rows(problem, params, seed=404, reps=reps)
+        umvu = obs.s / (n - k)
+        stein = stein_variance_star(obs, n, k) if use_star else stein_variance(obs, problem.d, n, k)
+        diffs = l2(stein) - l2(umvu)
         se = diffs.std(ddof=1) / math.sqrt(reps)
         return -diffs.mean() / se
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
 from shrinkpred.canonical import (
+    BLOCK_SIZE,
     CanonicalParams,
     RankDeficiencyError,
     RegressionData,
@@ -23,6 +24,9 @@ from shrinkpred.canonical import (
     sufficient_statistics,
     to_canonical,
 )
+
+
+from conftest import simulate_rows
 
 
 def random_design(rng, n, k, m):
@@ -287,10 +291,10 @@ def test_case2_canonical_moments_by_simulation(case2_problem_n12, case2_design):
 
 def test_simulation_deterministic(as1_problem_n12):
     params = CanonicalParams(theta=np.array([1.0, 2.0, 3.0]), mu=np.zeros(0), eta=0.5)
-    a = simulate_observation(as1_problem_n12, params, seed=9, rep_index=3)
-    b = simulate_observation(as1_problem_n12, params, seed=9, rep_index=3)
+    a = simulate_observation(as1_problem_n12, params, seed=9)[3]
+    b = simulate_observation(as1_problem_n12, params, seed=9)[3]
     assert np.array_equal(a.v, b.v) and a.s == b.s
-    c = simulate_observation(as1_problem_n12, params, seed=9, rep_index=4)
+    c = simulate_observation(as1_problem_n12, params, seed=9)[4]
     assert not np.array_equal(a.v, c.v)
 
 
@@ -300,7 +304,18 @@ def test_simulation_deterministic_any_seed(as1_problem_n12, seed):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     a = simulate_observation(as1_problem_n12, params, seed=seed)
     b = simulate_observation(as1_problem_n12, params, seed=seed)
-    assert np.array_equal(a.v, b.v) and np.array_equal(a.v_star, b.v_star) and a.s == b.s
+    assert np.array_equal(a.v, b.v) and np.array_equal(a.v_star, b.v_star) and np.array_equal(a.s, b.s)
+
+
+def test_simulation_blocks_and_seeds_distinct(case2_problem_n12):
+    params = CanonicalParams(theta=np.zeros(1), mu=np.zeros(2), eta=1.0)
+    draws = [simulate_observation(case2_problem_n12, params, seed, block)
+             for seed, block in ((5, 0), (5, 1), (6, 0), (6, 1))]
+    for obs in draws:
+        assert obs.v.shape == (BLOCK_SIZE, 1) and obs.v_star.shape == (BLOCK_SIZE, 2)
+        assert obs.s.shape == (BLOCK_SIZE,)
+    rows = np.vstack([np.column_stack([obs.v, obs.v_star, obs.s]) for obs in draws])
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 def test_simulation_moments(as1_problem_n12):
@@ -309,12 +324,8 @@ def test_simulation_moments(as1_problem_n12):
     eta = 2.0
     params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=eta)
     reps = 100_000
-    vs = np.empty((reps, 3))
-    ss = np.empty(reps)
-    for i in range(reps):
-        obs = simulate_observation(problem, params, seed=11, rep_index=i)
-        vs[i] = obs.v
-        ss[i] = obs.s
+    obs = simulate_rows(problem, params, seed=11, reps=reps)
+    vs, ss = obs.v, obs.s
     # means of V within 4 SE componentwise
     se = vs.std(ddof=1, axis=0) / np.sqrt(reps)
     assert np.all(np.abs(vs.mean(0) - theta) < 4 * se)
@@ -334,5 +345,5 @@ def test_simulation_moments(as1_problem_n12):
 
 def test_case2_simulation_dimensions(case2_problem_n12):
     params = CanonicalParams(theta=np.zeros(1), mu=np.array([1.0, -1.0]), eta=1.0)
-    obs = simulate_observation(case2_problem_n12, params, seed=0)
+    obs = simulate_observation(case2_problem_n12, params, seed=0)[0]
     assert obs.v.shape == (1,) and obs.v_star.shape == (2,) and obs.s > 0

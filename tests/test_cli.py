@@ -93,12 +93,33 @@ def badly_scaled_design(seed, n, k, m):
     return X, Xt
 
 
-@pytest.mark.parametrize("seed,n,k,m", [(50, 12, 3, 5), (2, 12, 4, 2)])
-def test_canonicalize_ill_conditioned_design(tmp_path, seed, n, k, m):
-    # Badly scaled columns, not near-collinear ones: the reduction must keep
-    # every d positive and every check of the report within its 1e-8 tolerance.
-    X, Xt = badly_scaled_design(seed, n, k, m)
-    assert 1e10 < np.linalg.cond(X.T @ X) < 1e11
+def whole_spectrum_design(seed, n, k, m):
+    """X = U diag(logspace(0, -5, k)) V' with random orthonormal U and V, so cond(X'X) = 1e10
+    with no column scaling to undo; Xtilde is standard normal."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return (U * np.logspace(0, -5, k)) @ V.T, rng.standard_normal((m, k))
+
+
+@pytest.mark.parametrize("design,seed,n,k,m", [
+    pytest.param(badly_scaled_design, 50, 12, 3, 5, id="50-12-3-5"),
+    pytest.param(badly_scaled_design, 2, 12, 4, 2, id="2-12-4-2"),
+    pytest.param(whole_spectrum_design, 0, 12, 3, 5, id="spectrum-0-12-3-5"),
+    pytest.param(whole_spectrum_design, 1, 12, 3, 5, id="spectrum-1-12-3-5"),
+    pytest.param(whole_spectrum_design, 0, 12, 4, 2, id="spectrum-0-12-4-2"),
+    pytest.param(whole_spectrum_design, 1, 12, 4, 2, id="spectrum-1-12-4-2"),
+])
+def test_canonicalize_ill_conditioned_design(tmp_path, design, seed, n, k, m):
+    # cond(X'X) near 1e10, from badly scaled columns or spread over the whole
+    # spectrum: the reduction must keep every d positive and every check of
+    # the report within its 1e-8 tolerance.
+    X, Xt = design(seed, n, k, m)
+    cond = np.linalg.cond(X.T @ X)
+    if design is badly_scaled_design:
+        assert 1e10 < cond < 1e11
+    else:
+        assert cond == pytest.approx(1e10, rel=1e-3)
     cfg = write_config(tmp_path, {"design": {"type": "explicit", "X": X.tolist(), "Xtilde": Xt.tolist()}})
     out = tmp_path / "o"
     assert main(["canonicalize", "--config", cfg, "--out", str(out)]) == 0
@@ -185,18 +206,34 @@ def test_risk_compare_rows_and_determinism(tmp_path):
 
     lines = bytes_a.decode().strip().split("\n")
     header = lines[0].split(",")
-    assert header == ["procedure", "alpha", "theta_norm", "sigma2", "reps",
-                      "risk_mean", "risk_se", "minimax_risk", "dominates_flag"]
+    assert header == ["procedure", "alpha", "theta_norm", "theta_direction", "sigma2", "reps",
+                      "risk_mean", "risk_se", "minimax_risk", "below_baseline_3se"]
     # alpha = 1: three plug-in procedures; alpha = 0: two density rules; 2 points each
     assert len(lines) - 1 == 2 * 3 + 2 * 2
     procs = {row.split(",")[0] for row in lines[1:]}
     assert procs == {"umvu", "shrink_plugin", "stein_variance", "best_invariant", "shrinkage_bayes"}
     for row in lines[1:]:
         cells = row.split(",")
-        assert int(cells[4]) >= 50 and float(cells[6]) >= 0.0
+        assert cells[3] == "0"  # no theta_directions configured
+        assert int(cells[5]) >= 50 and float(cells[7]) >= 0.0
+        # the minimax constant is the alpha = 1 baseline only
+        assert (cells[8] != "") == (cells[1] == "1")
         if cells[0] == "umvu":
-            mean, se, mr = float(cells[5]), float(cells[6]), float(cells[7])
+            mean, se, mr = float(cells[6]), float(cells[7]), float(cells[8])
             assert abs(mean - mr) < 3 * se
+
+
+def test_risk_compare_rows_have_unique_keys(tmp_path):
+    # two directions at each nonzero norm: the direction column tells their rows apart
+    doc = dict(RISK_DOC, alphas=[1.0], grid={
+        "theta_directions": [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "theta_norms": [0.0, 2.0], "sigma2": [1.0]})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["risk-compare", "--config", cfg, "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "risk_compare.csv").read_text().strip().split("\n")[1:]]
+    keys = [(r[0], r[1], r[2], r[3], r[4]) for r in rows]
+    assert len(rows) == 3 * 3 and len(set(keys)) == len(keys)
+    assert sorted({(r[2], r[3]) for r in rows}) == [("0", "0"), ("2", "0"), ("2", "1")]
 
 
 def test_risk_compare_deterministic_across_processes(tmp_path):

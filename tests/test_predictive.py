@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from shrinkpred.bounds import a_of_nu
-from shrinkpred.canonical import CanonicalObservation, CanonicalProblem
+from shrinkpred.canonical import CanonicalObservation, CanonicalParams, CanonicalProblem, simulate_observation
 from shrinkpred.predictive import (
     DegenerateObservationError,
     PriorSpec,
@@ -463,6 +463,31 @@ def test_stein_star():
     empty = CanonicalObservation(v=np.array([0.5]), v_star=np.zeros(0), s=18.0)
     with pytest.raises(ValueError):
         stein_variance_star(empty, 12, 3)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_block_estimators_equal_row_by_row(prob_m3, case2_problem_n12, case):
+    # a block of observations runs through the same code as one observation
+    problem = prob_m3 if case == "I" else case2_problem_n12
+    n, k, l = problem.n, problem.k, problem.l
+    prior = PriorSpec.from_problem(problem, c=1.5, nu=0.3)
+    params = CanonicalParams(theta=np.linspace(-1.0, 1.0, l), mu=np.full(k - l, 0.5), eta=0.7)
+    reps = 250
+    block = simulate_observation(problem, params, seed=21)[:reps]
+    assert block.v.shape == (reps, l) and block.v_star.shape == (reps, k - l) and block.s.shape == (reps,)
+    for rule in (lambda obs: umvu_estimators(obs, n, k),
+                 lambda obs: plugin_bayes_estimators(problem, prior, obs)):
+        got = rule(block)
+        w = np.broadcast_to(got.w, (reps,))
+        for i in range(reps):
+            one = rule(block[i])
+            assert np.array_equal(got.theta_hat[i], one.theta_hat)
+            assert got.sigma2_hat[i] == one.sigma2_hat and w[i] == one.w
+    variances = [lambda obs: stein_variance(obs, problem.d, n, k)]
+    if case == "II":
+        variances.append(lambda obs: stein_variance_star(obs, n, k))
+    for variance in variances:
+        assert np.array_equal(variance(block), [variance(block[i]) for i in range(reps)])
 
 
 # ---------------------------------------------------------------------------

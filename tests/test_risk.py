@@ -8,7 +8,13 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shrinkpred.canonical import CanonicalObservation, CanonicalParams, CanonicalProblem
+from shrinkpred.canonical import (
+    BLOCK_SIZE,
+    CanonicalObservation,
+    CanonicalParams,
+    CanonicalProblem,
+    simulate_observation,
+)
 from shrinkpred.predictive import (
     NormalizationCertificate,
     PluginEstimate,
@@ -103,6 +109,17 @@ def test_d1_loss_values():
     assert got == pytest.approx(1.0 - math.log(2.0), rel=1e-12)  # (m/2) L2 at ratio 2
     with pytest.raises(ValueError):
         d1_loss_plugin(np.zeros(2), -1.0, np.zeros(2), 1.0, 2)
+
+
+def test_d1_loss_block_equals_row_by_row(prob_m3):
+    params = CanonicalParams(theta=np.array([0.5, -1.0, 2.0]), mu=np.zeros(0), eta=2.0)
+    block = simulate_observation(prob_m3, params, seed=6)[:300]
+    est = umvu_estimators(block, prob_m3.n, prob_m3.k)
+    got = d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, params.sigma2, 3)
+    assert got.shape == (300,)
+    rows = [d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, params.sigma2, 3)
+            for i in range(300)]
+    assert np.array_equal(got, rows)
 
 
 def test_minimax_risk_frozen_example():
@@ -228,8 +245,8 @@ def _two_rules(problem, alpha):
     prior = PriorSpec.from_problem(problem, nu=0.25)
     if alpha == 1.0:
         return {
-            "umvu": lambda obs, rep: umvu_estimators(obs, problem.n, problem.k),
-            "shrink_plugin": lambda obs, rep: plugin_bayes_estimators(problem, prior, obs),
+            "umvu": lambda obs: umvu_estimators(obs, problem.n, problem.k),
+            "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
         }
     return {
         "best_invariant": lambda obs, rep: best_invariant_density(problem, obs, alpha),
@@ -251,20 +268,49 @@ def test_risk_mc_joint_equals_single(prob_m3, alpha, reps):
         assert joint[name] == single[name]
 
 
-def test_risk_mc_draws_each_observation_once(prob_m3, monkeypatch):
+@pytest.mark.parametrize("alpha, reps", [(1.0, 150), (1.0, 4096), (1.0, 9000), (0.0, 60)])
+def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
     calls = []
     original = risk_module.simulate_observation
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("rep_index"))
-        return original(*args, **kwargs)
+    def counted(problem, params, seed, block=0):
+        calls.append(block)
+        return original(problem, params, seed, block)
 
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
-    rules = dict(_two_rules(prob_m3, 1.0), oracle=lambda obs, rep: PluginEstimate(np.zeros(3), 1.0, w=0.0))
+    rules = _two_rules(prob_m3, alpha)
+    if alpha == 1.0:
+        rules["oracle"] = lambda obs: PluginEstimate(np.zeros(3), 1.0, w=0.0)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    out = risk_mc(rules, prob_m3, params, 1.0, 150, seed=8)
-    assert len(out) == 3
-    assert calls == list(range(150))
+    out = risk_mc(rules, prob_m3, params, alpha, reps, seed=8, n_mc_inner=100)
+    assert len(out) == len(rules)
+    assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
+
+
+def _scored_rows(problem, params, reps, seed):
+    """The observations risk_mc hands an alpha = 1 rule, stacked in replication order."""
+    seen = []
+
+    def record(obs):
+        seen.append(obs)
+        return umvu_estimators(obs, problem.n, problem.k)
+
+    risk_mc({"umvu": record}, problem, params, 1.0, reps, seed)
+    return np.concatenate([o.v for o in seen]), np.concatenate([o.s for o in seen])
+
+
+def test_block_rows_prefix_invariant(prob_m3):
+    # row i depends only on (seed, i): runs of any length agree on their common
+    # rows, across the block boundary too
+    params = CanonicalParams(theta=np.array([1.0, 0.0, -1.0]), mu=np.zeros(0), eta=1.5)
+    runs = {reps: _scored_rows(prob_m3, params, reps, seed=12) for reps in (4095, 4096, 4097, 9000)}
+    full_v, full_s = runs[9000]
+    for reps, (v, s) in runs.items():
+        assert v.shape == (reps, 3) and s.shape == (reps,)
+        assert np.array_equal(v, full_v[:reps]) and np.array_equal(s, full_s[:reps])
+    for i in (0, 4095, 4096, 8191, 8192, 8999):
+        row = simulate_observation(prob_m3, params, 12, block=i // BLOCK_SIZE)[i % BLOCK_SIZE]
+        assert np.array_equal(full_v[i], row.v) and full_s[i] == row.s
 
 
 def test_risk_estimate_validation():
