@@ -50,7 +50,6 @@ from .predictive import (
 )
 from .risk import (
     ChiSquareCheck,
-    ExclusionCeilingError,
     RiskEstimate,
     alpha_divergence_mc,
     chi_square_identity_check,

@@ -6,7 +6,8 @@ outputs are JSON or CSV files under the --out directory, byte-identical
 across reruns.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 canonicalization
-failure, 3 identity failure, 4 Monte Carlo exclusion guard breach.
+failure, 3 identity failure, 4 a shrinkage normalizing constant failed its
+quadrature certificate.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .canonical import (
 from .predictive import (
     PluginEstimate,
     PriorSpec,
+    UnreliableNormalizationError,
     best_invariant_density,
     beta_integral_identity,
     lemma_identity_residual,
@@ -51,13 +53,7 @@ from .predictive import (
     stein_variance_star,
     umvu_estimators,
 )
-from .risk import (
-    ExclusionCeilingError,
-    chi_square_identity_check,
-    log_inequality_margin,
-    minimax_risk,
-    risk_mc,
-)
+from .risk import chi_square_identity_check, log_inequality_margin, minimax_risk, risk_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -164,7 +160,7 @@ class ExperimentConfig:
     reps: int = 2000
     reps_outer: int = 2000
     n_mc_inner: int = 2000
-    is_samples: int = 20_000
+    is_samples: int = 20_000  # read and checked, but without effect: the shrinkage constant is a quadrature
     identities: IdentityConfig = field(default_factory=IdentityConfig)
     density: dict = field(default_factory=dict)
     out: str | None = None
@@ -283,6 +279,7 @@ def load_config(path: str) -> ExperimentConfig:
         for key, value in ident.items()
     })
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
+    _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
     cfg.out = doc.get("out")
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ValueError(f"out must be a directory path, got {cfg.out!r}")
@@ -535,10 +532,8 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
             rules, reps = plugin_rules, cfg.reps
         else:
             rules = {
-                "best_invariant": lambda obs, rep: best_invariant_density(problem, obs, alpha),
-                "shrinkage_bayes": lambda obs, rep: shrinkage_bayes_density(
-                    problem, prior, obs, alpha, n_samples=cfg.is_samples, seed=seed, rep_index=rep,
-                ),
+                "best_invariant": lambda obs: best_invariant_density(problem, obs, alpha),
+                "shrinkage_bayes": lambda obs: shrinkage_bayes_density(problem, prior, obs, alpha),
             }
             reps = cfg.reps_outer
         for theta, norm, direction, s2 in points:
@@ -590,11 +585,7 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     if kind == "best_invariant":
         dens = best_invariant_density(problem, obs, alpha)
     elif kind == "shrinkage_bayes":
-        prior = build_prior(cfg, problem)
-        dens = shrinkage_bayes_density(
-            problem, prior, obs, alpha,
-            n_samples=int(section.get("is_samples", cfg.is_samples)), seed=cfg.seed,
-        )
+        dens = shrinkage_bayes_density(problem, build_prior(cfg, problem), obs, alpha)
     elif kind == "plugin":
         prior = build_prior(cfg, problem)
         dens = plugin_density(plugin_bayes_estimators(problem, prior, obs), problem)
@@ -671,8 +662,8 @@ def main(argv=None) -> int:
         if args.command == "risk-compare":
             return run_risk_compare(cfg, out_dir)
         return run_density_eval(cfg, out_dir)
-    except ExclusionCeilingError as exc:
-        print(f"monte carlo guard: {exc}", file=sys.stderr)
+    except UnreliableNormalizationError as exc:
+        print(f"normalization certificate failed: {exc}", file=sys.stderr)
         return EXIT_MC_GUARD
     except RankDeficiencyError as exc:
         print(f"canonicalization failed: {exc}", file=sys.stderr)

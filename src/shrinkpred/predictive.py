@@ -11,10 +11,10 @@ ytilde ~ N_m(Q theta, I/eta):
 * the plug-in normal at alpha = 1, whose mean and variance shrink the
   unbiased estimators by the data-adaptive factor nu/(nu + 1 + W).
 
-Densities are evaluated in the log domain.  The shrinkage density has no
-closed-form constant and is normalized by self-normalized importance
-sampling with the best invariant t as proposal (the extra kernel only adds
-tail decay, so the proposal dominates the target).
+Densities are evaluated in the log domain.  The shrinkage density's
+constant reduces, through Gamma integrals, to one integral on the logit
+scale, which a trapezoid rule computes to a certified 1e-10 in log Z;
+importance sampling (normalize_density) stays only as its test oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, log_expit
 
 from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
 from .canonical import (
@@ -65,13 +64,18 @@ __all__ = [
 
 MIN_ESS_FRACTION = 0.05
 
+# Certificate of the logit-scale trapezoid rule for the shrinkage constant (_log_trapezoid):
+# both window ends QUAD_DROP below the peak, and n vs 2n intervals within QUAD_TOL in log Z.
+QUAD_HALF_WIDTH, QUAD_MAX_WIDTH, QUAD_DROP = 32.0, 2.0**30, 40.0
+QUAD_START_INTERVALS, QUAD_MAX_INTERVALS, QUAD_TOL = 128, 1 << 16, 1e-10
+
 
 class DegenerateObservationError(ValueError):
     """Residual sum of squares is zero; scale-dependent densities are undefined."""
 
 
 class UnreliableNormalizationError(RuntimeError):
-    """Importance-sampling effective sample size fell below the guard threshold."""
+    """A normalizing constant failed its certificate (quadrature or importance-sampling guard)."""
 
 
 def _check_alpha(alpha: float, allow_one: bool = False) -> float:
@@ -264,13 +268,13 @@ class PluginEstimate:
 class NormalizationCertificate:
     """Provenance of a density's normalizing constant."""
 
-    method: str  # "closed_form" or "importance_sampled"
+    method: str  # "closed_form", "quadrature" or "importance_sampled"
     n_samples: int | None = None
     seed: int | None = None
     std_error: float = 0.0
 
     def __post_init__(self):
-        if self.method not in ("closed_form", "importance_sampled"):
+        if self.method not in ("closed_form", "quadrature", "importance_sampled"):
             raise ValueError("unknown normalization method")
 
 
@@ -380,59 +384,108 @@ def best_invariant_density(problem: CanonicalProblem, obs: CanonicalObservation,
     )
 
 
-def _shrinkage_log_unnorm(
-    problem: CanonicalProblem,
-    prior: PriorSpec,
-    obs: CanonicalObservation,
-    alpha: float,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Unnormalized log shrinkage density as a batch evaluator."""
-    s = _check_s(obs)
-    comp = shrinkage_components(problem, prior, alpha, obs.v)
-    c2 = 2.0 / (1.0 - alpha)
-    scale_u = _SpectralScale(c2, problem.Q, comp.e_u)
-    scale_b = _SpectralScale(c2, problem.Q, comp.e_b)
-    mean_u = problem.Q @ obs.v
-    mean_b = problem.Q @ comp.theta_hat_b
-    m, q = problem.m, problem.n - problem.k
-    expo_u = -m / 2.0 - q / (1.0 - alpha)
-    expo_b = -(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha)
-    # The auxiliary term vanishes when m >= k since v_star is empty.
-    vstar_term = float(obs.v_star @ obs.v_star) / prior.gamma_prior
-    offset = comp.r + vstar_term + s
+class _ShrinkageKernel:
+    """The shrinkage kernel (q_u(y) + s)^-A (q_b(y) + o)^-B: log values on rows, and its log integral.
 
-    def log_unnorm(pts: np.ndarray) -> np.ndarray:
-        lu = expo_u * np.log(scale_u.quad(pts - mean_u) + s)
-        lb = expo_b * np.log(scale_b.quad(pts - mean_b) + offset)
-        return lu + lb
+    q_u, q_b are the quadratic forms of c2 I + Q diag(e_u) Q' about Q v and
+    of c2 I + Q diag(e_b) Q' about Q theta_b, c2 = 2/(1-alpha),
+    A = m/2 + (n-k)/(1-alpha), B = (k+2a+2)/(1-alpha) and
+    o = r + |v*|^2/gamma + s (v* is empty when m >= k).
+    """
 
-    return log_unnorm
+    def __init__(self, problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, alpha: float):
+        comp = shrinkage_components(problem, prior, alpha, obs.v)
+        self.m, self.c2, self.s = problem.m, 2.0 / (1.0 - alpha), _check_s(obs)
+        self.scales = [_SpectralScale(self.c2, problem.Q, e) for e in (comp.e_u, comp.e_b)]
+        self.means = [problem.Q @ obs.v, problem.Q @ comp.theta_hat_b]
+        self.delta = obs.v - comp.theta_hat_b
+        self.A = problem.m / 2.0 + (problem.n - problem.k) / (1.0 - alpha)
+        self.B = (problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha)
+        self.o = comp.r + float(obs.v_star @ obs.v_star) / prior.gamma_prior + self.s
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        (scale_u, scale_b), (mean_u, mean_b) = self.scales, self.means
+        lu, lb = np.log(scale_u.quad(pts - mean_u) + self.s), np.log(scale_b.quad(pts - mean_b) + self.o)
+        return -self.A * lu - self.B * lb
+
+    def log_integral(self) -> float:
+        """log Z, Z the integral over R^m, as one integral on the logit scale.
+
+        Write each factor as a Gamma integral, integrate y and then the total
+        rate.  With w = expit(z), sigma_u = c2 + e_u, sigma_b = c2 + e_b,
+        p_i(w) = w/sigma_u_i + (1-w)/sigma_b_i, delta = v - theta_b, P = A + B - m/2:
+          log Z = (m/2) log pi + ((m-l)/2) log c2 + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
+          G(z) = A log w + B log(1-w) - (1/2) sum_i log p_i(w) - P log h(w),
+          h(w) = w s + (1-w) o + w(1-w) sum_i delta_i^2/(sigma_u_i sigma_b_i p_i(w)).
+        """
+        A, B, s, o, l = self.A, self.B, self.s, self.o, self.delta.size
+        P = A + B - self.m / 2.0
+        inv_u, inv_b = (1.0 / (self.c2 + scale.e) for scale in self.scales)
+        coupling = self.delta**2 * inv_u * inv_b
+
+        def g(z: np.ndarray) -> np.ndarray:
+            log_w, log_w1 = log_expit(z), log_expit(-z)
+            w, w1 = np.exp(log_w), np.exp(log_w1)
+            p = w[:, None] * inv_u + w1[:, None] * inv_b
+            h = w * s + w1 * o + w * w1 * ((1.0 / p) @ coupling)
+            return A * log_w + B * log_w1 - 0.5 * np.log(p).sum(axis=1) - P * np.log(h)
+
+        const = (self.m / 2.0) * math.log(math.pi) + ((self.m - l) / 2.0) * math.log(self.c2)
+        return float(const + gammaln(P) - gammaln(A) - gammaln(B) + _log_trapezoid(g))
 
 
-def log_shrinkage_bayes(
-    problem: CanonicalProblem,
-    prior: PriorSpec,
-    obs: CanonicalObservation,
-    alpha: float,
-    ytilde,
-) -> float:
+def _log_trapezoid(g: Callable[[np.ndarray], np.ndarray]) -> float:
+    """log of the integral of exp(g) over the real line, by the trapezoid rule.
+
+    g must be smooth with tails that fall at least linearly; there the rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 2014).  While
+    g at an end of the window is within QUAD_DROP of the largest node value,
+    the window doubles toward that end.  Otherwise the step halves, reusing
+    every node, until the n- and 2n-interval values agree to QUAD_TOL.
+    Past QUAD_MAX_INTERVALS or QUAD_MAX_WIDTH it raises
+    UnreliableNormalizationError.
+    """
+    lo, hi = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
+    while hi - lo <= QUAD_MAX_WIDTH:
+        n, step = QUAD_START_INTERVALS, (hi - lo) / QUAD_START_INTERVALS
+        gz = g(np.linspace(lo, hi, n + 1))
+        # the trapezoid sum in units of exp(shift), shift the largest node value
+        shift = float(gz.max())
+        e = np.exp(gz - shift)
+        total, gap = float(e.sum() - 0.5 * (e[0] + e[-1])), math.inf
+        log_int = shift + math.log(step * total)
+        while gz[0] <= shift - QUAD_DROP and gz[-1] <= shift - QUAD_DROP:
+            if gap <= QUAD_TOL:
+                return log_int
+            if n >= QUAD_MAX_INTERVALS:
+                raise UnreliableNormalizationError(
+                    f"trapezoid rule on [{lo:.3g}, {hi:.3g}] at {n} intervals: n vs 2n gap {gap:.3e}")
+            gm = g(lo + step * (np.arange(n) + 0.5))
+            top = max(shift, float(gm.max()))
+            total = total * math.exp(shift - top) + float(np.exp(gm - top).sum())
+            shift, n, step = top, 2 * n, step / 2.0
+            new = shift + math.log(step * total)
+            gap, log_int = abs(new - log_int), new
+        # an end lies in the bulk (or g is not finite there): widen toward it
+        width = hi - lo
+        lo -= 0.0 if gz[0] <= shift - QUAD_DROP else width
+        hi += 0.0 if gz[-1] <= shift - QUAD_DROP else width
+    raise UnreliableNormalizationError(f"integrand within {QUAD_DROP} of its peak at an end of [{lo:.3g}, {hi:.3g}]")
+
+
+def log_shrinkage_bayes(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, alpha: float,
+                        ytilde) -> float:
     """Unnormalized log of the hierarchical shrinkage density at ytilde."""
-    alpha = _check_alpha(alpha)
-    evaluator = _shrinkage_log_unnorm(problem, prior, obs, alpha)
     pts, single = _points(ytilde, problem.m)
-    out = evaluator(pts)
+    out = _ShrinkageKernel(problem, prior, obs, _check_alpha(alpha))(pts)
     return float(out[0]) if single else out
 
 
-def normalize_density(
-    log_unnormalized: Callable[[np.ndarray], np.ndarray],
-    proposal: PredictiveDensity,
-    n_samples: int,
-    seed: int,
-    rep_index: int = 0,
-) -> PredictiveDensity:
+def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray], proposal: PredictiveDensity,
+                      n_samples: int, seed: int, rep_index: int = 0) -> PredictiveDensity:
     """Normalize a density by importance sampling against a known proposal.
 
+    The test oracle for the quadrature constant of shrinkage_bayes_density.
     The proposal must be normalized, samplable and dominate the target.
     Raises UnreliableNormalizationError when the effective sample size
     drops below MIN_ESS_FRACTION of n_samples.
@@ -464,20 +517,19 @@ def normalize_density(
     )
 
 
-def shrinkage_bayes_density(
-    problem: CanonicalProblem,
-    prior: PriorSpec,
-    obs: CanonicalObservation,
-    alpha: float,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    rep_index: int = 0,
-) -> PredictiveDensity:
-    """Importance-sampling normalized shrinkage density."""
-    alpha = _check_alpha(alpha)
-    log_unnorm = _shrinkage_log_unnorm(problem, prior, obs, alpha)
-    proposal = best_invariant_density(problem, obs, alpha)
-    return normalize_density(log_unnorm, proposal, n_samples, seed, rep_index)
+def shrinkage_bayes_density(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
+                            alpha: float) -> PredictiveDensity:
+    """Shrinkage density normalized by its certified logit-scale quadrature.
+
+    Raises UnreliableNormalizationError when the certificate fails.
+    """
+    kernel = _ShrinkageKernel(problem, prior, obs, _check_alpha(alpha))
+    return PredictiveDensity(
+        log_unnormalized=kernel,
+        log_norm_const=-kernel.log_integral(),
+        certificate=NormalizationCertificate(method="quadrature"),
+        m=problem.m,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +610,8 @@ def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> Predictive
     )
 
 
-def alpha_limit_check(
-    problem: CanonicalProblem,
-    prior: PriorSpec,
-    obs: CanonicalObservation,
-    points,
-    alpha_sequence,
-    n_samples: int = 400_000,
-    seed: int = 0,
-) -> np.ndarray:
+def alpha_limit_check(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, points,
+                      alpha_sequence) -> np.ndarray:
     """Gap between the normalized shrinkage log density and the plug-in normal.
 
     Returns an array of shape (len(alpha_sequence), n_points) with
@@ -582,8 +627,7 @@ def alpha_limit_check(
     ref = target.log_density(pts)
     gaps = np.empty((len(alphas), pts.shape[0]))
     for i, alpha in enumerate(alphas):
-        dens = shrinkage_bayes_density(problem, prior, obs, alpha, n_samples=n_samples, seed=seed, rep_index=i)
-        gaps[i] = np.abs(dens.log_density(pts) - ref)
+        gaps[i] = np.abs(shrinkage_bayes_density(problem, prior, obs, alpha).log_density(pts) - ref)
     return gaps
 
 
@@ -634,6 +678,8 @@ def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float,
         raise ValueError("exponents must exceed -1")
     if w <= -1:
         raise ValueError("w must exceed -1")
+    from scipy import integrate  # loads scipy.optimize too; only this check needs it
+
     g_exp = a_exp + b_exp + 2.0
     val, _ = integrate.quad(
         lambda lam: lam**a_exp * (1.0 - lam) ** b_exp * (1.0 + w * lam) ** (-g_exp),

@@ -8,9 +8,10 @@ quadratic loss and entropy loss, and the unbiased baseline has the known
 constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
 For alpha < 1 risks are estimated by nested Monte Carlo.
 
-Observations come in keyed blocks (canonical.simulate_observation), other
-draws are keyed by (seed, replication), and losses are reduced by pairwise
-summation in replication order, so reruns agree bit for bit.
+Observations come in keyed blocks (canonical.simulate_observation), the
+inner divergence draws are keyed by (seed, replication), and losses are
+reduced by pairwise summation in replication order, so reruns agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,15 +33,9 @@ from .canonical import (
     replication_rng,
     simulate_observation,
 )
-from .predictive import (
-    PluginEstimate,
-    PredictiveDensity,
-    UnreliableNormalizationError,
-    plugin_density,
-)
+from .predictive import PluginEstimate, PredictiveDensity, plugin_density
 
 __all__ = [
-    "ExclusionCeilingError",
     "RiskEstimate",
     "ChiSquareCheck",
     "f_alpha",
@@ -52,13 +47,6 @@ __all__ = [
     "chi_square_identity_check",
     "log_inequality_margin",
 ]
-
-EXCLUSION_CEILING = 0.01
-
-
-class ExclusionCeilingError(RuntimeError):
-    """More than 1% of replications failed normalization."""
-
 
 @dataclass(frozen=True)
 class RiskEstimate:
@@ -175,26 +163,19 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def risk_mc(
-    rules: dict[str, Callable[..., PluginEstimate | PredictiveDensity]],
-    problem: CanonicalProblem,
-    params: CanonicalParams,
-    alpha: float,
-    reps: int,
-    seed: int,
-    n_mc_inner: int = 0,
-) -> dict[str, RiskEstimate]:
+def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | PredictiveDensity]],
+            problem: CanonicalProblem, params: CanonicalParams, alpha: float, reps: int, seed: int,
+            n_mc_inner: int = 0) -> dict[str, RiskEstimate]:
     """Simulated alpha-divergence risks of several rules on common observations.
 
     Replications are the rows of the keyed observation blocks (the last one
     truncated), each block drawn once for every rule.  At alpha = 1
     ``rule(obs)`` maps a whole block to a block of plug-in estimates, scored
-    in one pass by the closed-form plug-in divergence.  Below 1
-    ``rule(obs, rep)`` maps one row and its index to a normalized density,
-    scored by an inner Monte Carlo of ``n_mc_inner`` draws; the reported
-    standard error covers the outer variation only.  A replication whose
-    normalization fails is excluded from that rule only; more than 1%
-    exclusions for any rule aborts the run.  Returns ``{name: RiskEstimate}``
+    in one pass by the closed-form plug-in divergence.  Below 1 it maps one
+    row to a normalized density, scored by an inner Monte Carlo of
+    ``n_mc_inner`` draws keyed by (seed, replication), whose noise is part of
+    the outer variation the standard error reports.  A normalization failure
+    (UnreliableNormalizationError) propagates.  Returns ``{name: RiskEstimate}``
     in the order of ``rules``.
     """
     alpha = float(alpha)
@@ -205,9 +186,7 @@ def risk_mc(
     min_reps = 100 if alpha == 1.0 else 50
     if reps < min_reps:
         raise ValueError(f"reps must be at least {min_reps}")
-    sigma2 = params.sigma2
     losses = np.empty((len(rules), reps))
-    excluded = np.zeros((len(rules), reps), dtype=bool)
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)
         block = simulate_observation(problem, params, seed, start // BLOCK_SIZE)[:stop - start]
@@ -215,29 +194,14 @@ def risk_mc(
             for j, rule in enumerate(rules.values()):
                 out = rule(block)
                 losses[j, start:stop] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta,
-                                                       sigma2, problem.m)
+                                                       params.sigma2, problem.m)
             continue
         for i in range(start, stop):
             obs = block[i - start]
             for j, rule in enumerate(rules.values()):
-                try:
-                    dens = rule(obs, i)
-                except UnreliableNormalizationError:
-                    excluded[j, i] = True
-                    continue
-                losses[j, i] = alpha_divergence_mc(dens, params.theta, params.eta, problem,
+                losses[j, i] = alpha_divergence_mc(rule(obs), params.theta, params.eta, problem,
                                                    alpha, n_mc_inner, seed, rep_index=i).mean
-    risks = {}
-    for name, loss, skip in zip(rules, losses, excluded):
-        n_excluded = int(skip.sum())
-        if n_excluded > EXCLUSION_CEILING * reps:
-            raise ExclusionCeilingError(
-                f"{name}: {n_excluded} of {reps} replications failed normalization"
-            )
-        kept = loss[~skip]
-        mean, se = _mean_se(kept)
-        risks[name] = RiskEstimate(mean=mean, std_error=se, reps=int(kept.size), seed=int(seed))
-    return risks
+    return {name: RiskEstimate(*_mean_se(loss), reps=reps, seed=int(seed)) for name, loss in zip(rules, losses)}
 
 
 def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], problem: CanonicalProblem,

@@ -308,17 +308,34 @@ def test_density_eval(tmp_path):
         assert cells[5] == pytest.approx(cells[3] + cells[4], rel=1e-12)
 
 
-def test_exclusion_guard_breach_exits_4(tmp_path, monkeypatch):
-    import shrinkpred.cli as cli_mod
-    from shrinkpred.predictive import UnreliableNormalizationError
+def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
+    import shrinkpred.predictive as predictive_module
 
-    def always_fails(*args, **kwargs):
-        raise UnreliableNormalizationError("synthetic failure")
-
-    monkeypatch.setattr(cli_mod, "shrinkage_bayes_density", always_fails)
-    doc = dict(RISK_DOC, alphas=[0.0])
-    cfg = write_config(tmp_path, doc)
+    # with no room to refine, the shrinkage constant's quadrature certificate fails
+    monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
+    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
+    capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("normalization certificate failed:")
+    assert not (tmp_path / "o" / "risk_compare.csv").exists()
+
+
+def test_cli_import_skips_scipy_integrate():
+    # only the identity suite's beta check needs scipy.integrate (and the scipy.optimize it loads)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import shrinkpred
+
+    src = str(Path(shrinkpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, shrinkpred.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_domination_claim_below_two_residual_dof(tmp_path):

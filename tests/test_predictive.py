@@ -4,10 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import integrate, stats
 
 from shrinkpred.bounds import a_of_nu
-from shrinkpred.canonical import CanonicalObservation, CanonicalParams, CanonicalProblem, simulate_observation
+import shrinkpred.predictive as predictive_module
+from shrinkpred.canonical import (
+    STREAM_DESIGN,
+    CanonicalObservation,
+    CanonicalParams,
+    CanonicalProblem,
+    as1_problem,
+    canonicalize,
+    replication_rng,
+    simulate_observation,
+)
 from shrinkpred.predictive import (
     DegenerateObservationError,
     PriorSpec,
@@ -358,7 +369,7 @@ def test_ess_guard_trips(prob_m1):
 def test_normalized_density_integrates_to_one(prob_m3, obs_m3):
     # independent check of the certificate with a fresh seed and proposal
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    dens = shrinkage_bayes_density(prob_m3, prior, obs_m3, alpha=0.2, n_samples=50_000, seed=21)
+    dens = shrinkage_bayes_density(prob_m3, prior, obs_m3, alpha=0.2)
     checker = best_invariant_density(prob_m3, obs_m3, -0.5)
     from shrinkpred.canonical import replication_rng
 
@@ -367,6 +378,126 @@ def test_normalized_density_integrates_to_one(prob_m3, obs_m3):
     total = w.mean()
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(total - 1.0) < 3 * (se + dens.certificate.std_error)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature constant of the shrinkage density
+# ---------------------------------------------------------------------------
+
+QUAD_ALPHAS = (-1.0, 0.0, 0.5, 0.9)
+
+
+def item1_designs():
+    """as1 3x3 with N = 4; case II m=1 k=3; case I m=5 k=3; case II m=2 k=4."""
+    rng = np.random.default_rng(11)
+    return {
+        "as1": as1_problem(rng.standard_normal((3, 3)), 4),
+        "II_m1_k3": canonicalize(rng.standard_normal((12, 3)), rng.standard_normal((1, 3))),
+        "I_m5_k3": canonicalize(rng.standard_normal((10, 3)), rng.standard_normal((5, 3))),
+        "II_m2_k4": canonicalize(rng.standard_normal((11, 4)), rng.standard_normal((2, 4))),
+    }
+
+
+def two_observations(problem):
+    """One simulated observation at theta = 0 and one at theta = (1, ..., 1)."""
+    return [
+        simulate_observation(problem, CanonicalParams(theta=np.full(problem.l, float(j)),
+                                                      mu=np.zeros(problem.k - problem.l), eta=1.0), 5)[j]
+        for j in range(2)
+    ]
+
+
+def far_case():
+    """The seed-7 as1 design of the alpha-convergence demo with a far observation."""
+    problem = as1_problem(replication_rng(7, 0, stream=STREAM_DESIGN).standard_normal((3, 3)), 4)
+    return problem, CanonicalObservation(v=np.array([8.0, -4.0, 6.0]), v_star=np.zeros(0), s=2.0)
+
+
+def qaws_log_z(problem, prior, obs, alpha):
+    """log Z from the w-scale integral, integrated by QUADPACK's algebraic-weight rule.
+
+    The integrand is rebuilt here from the design: weight w^(A-1) (1-w)^(B-1)
+    times prod_i p_i(w)^(-1/2) h(w)^(-P), with the constants of the reduction.
+    """
+    comp = shrinkage_components(problem, prior, alpha, obs.v)
+    m, l, q = problem.m, problem.l, problem.n - problem.k
+    c2 = 2.0 / (1.0 - alpha)
+    A, B = m / 2.0 + q / (1.0 - alpha), (problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha)
+    P = A + B - m / 2.0
+    su, sb = c2 + comp.e_u, c2 + comp.e_b
+    delta2 = (obs.v - comp.theta_hat_b) ** 2
+    o = comp.r + float(obs.v_star @ obs.v_star) / prior.gamma_prior + obs.s
+
+    def log_f(w):
+        p = w / su + (1.0 - w) / sb
+        h = w * obs.s + (1.0 - w) * o + w * (1.0 - w) * float(np.sum(delta2 / (su * sb * p)))
+        return -0.5 * float(np.sum(np.log(p))) - P * math.log(h)
+
+    ref = log_f(0.5)
+    val, _ = integrate.quad(lambda w: math.exp(log_f(w) - ref), 0.0, 1.0, weight="alg",
+                            wvar=(A - 1.0, B - 1.0), epsabs=0.0, epsrel=1e-11, limit=200)
+    const = (m / 2.0) * math.log(math.pi) + ((m - l) / 2.0) * math.log(c2)
+    return const + float(scipy.special.gammaln(P) - scipy.special.gammaln(A) - scipy.special.gammaln(B)) \
+        + ref + math.log(val)
+
+
+@pytest.mark.parametrize("design", ["as1", "II_m1_k3", "I_m5_k3", "II_m2_k4"])
+def test_quadrature_constant_matches_importance_sampling(design):
+    problem = item1_designs()[design]
+    cases = [(problem, obs, alpha) for obs in two_observations(problem) for alpha in QUAD_ALPHAS]
+    if design == "as1":
+        cases.append((*far_case(), 0.9))
+    for i, (p, obs, alpha) in enumerate(cases):
+        dens = shrinkage_bayes_density(p, PriorSpec.minimax_default(p), obs, alpha)
+        assert dens.certificate.method == "quadrature" and dens.certificate.std_error == 0.0
+        oracle = normalize_density(dens.log_unnormalized, best_invariant_density(p, obs, alpha),
+                                   2_000_000, seed=3, rep_index=i)
+        z = (dens.log_norm_const - oracle.log_norm_const) / oracle.certificate.std_error
+        assert abs(z) <= 4.0, (design, i, alpha, z)
+
+
+@pytest.mark.parametrize("design", ["as1", "II_m1_k3", "I_m5_k3", "II_m2_k4"])
+def test_quadrature_constant_matches_algebraic_weight_rule(design):
+    # small B (a near -k/2 - 1) gives the long right tail that widens the window
+    problem = item1_designs()[design]
+    priors = [PriorSpec.minimax_default(problem),
+              PriorSpec.from_problem(problem, c=2.0, a=-problem.k / 2.0 - 1.0 + 0.01)]
+    for prior in priors:
+        for obs in two_observations(problem):
+            for alpha in QUAD_ALPHAS:
+                got = -shrinkage_bayes_density(problem, prior, obs, alpha).log_norm_const
+                want = qaws_log_z(problem, prior, obs, alpha)
+                assert abs(got - want) <= 1e-8 * (1.0 + abs(want)), (design, alpha, got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999])
+def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
+    # the rule certifies n against 2n intervals; four times the starting
+    # intervals must land on the same constant
+    far_problem, far_obs = far_case()
+    near = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
+    cases = [(as1_problem_n12, near), (far_problem, far_obs)]
+    base = [shrinkage_bayes_density(p, PriorSpec.minimax_default(p), o, alpha).log_norm_const for p, o in cases]
+    monkeypatch.setattr(predictive_module, "QUAD_START_INTERVALS", 4 * predictive_module.QUAD_START_INTERVALS)
+    fine = [shrinkage_bayes_density(p, PriorSpec.minimax_default(p), o, alpha).log_norm_const for p, o in cases]
+    assert np.all(np.isfinite(base))
+    assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
+
+
+def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
+    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    shrinkage_bayes_density(prob_m3, prior, obs_m3, 0.0)
+    # no refinement allowed: the n vs 2n comparison can never be made
+    monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
+    with pytest.raises(UnreliableNormalizationError, match="n vs 2n"):
+        shrinkage_bayes_density(prob_m3, prior, obs_m3, 0.0)
+    monkeypatch.undo()
+    # a window that may not grow cannot reach a long tail's QUAD_DROP
+    long_tail = PriorSpec.from_problem(prob_m3, c=2.0, a=-prob_m3.k / 2.0 - 1.0 + 0.01)
+    shrinkage_bayes_density(prob_m3, long_tail, obs_m3, 0.0)
+    monkeypatch.setattr(predictive_module, "QUAD_MAX_WIDTH", 2.0 * predictive_module.QUAD_HALF_WIDTH)
+    with pytest.raises(UnreliableNormalizationError, match="of its peak"):
+        shrinkage_bayes_density(prob_m3, long_tail, obs_m3, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +633,7 @@ def test_alpha_limit_gaps_decrease(as1_problem_n12):
     est = plugin_bayes_estimators(problem, prior, obs)
     center = problem.Q @ est.theta_hat
     pts = np.vstack([center, center + 0.5, center - 0.8])
-    gaps = alpha_limit_check(problem, prior, obs, pts, [0.5, 0.9], n_samples=150_000, seed=2)
+    gaps = alpha_limit_check(problem, prior, obs, pts, [0.5, 0.9])
     assert gaps.shape == (2, 3)
     assert np.all(gaps[1] < gaps[0])
 
@@ -513,7 +644,7 @@ def test_alpha_limit_degenerate_observation(as1_problem_n12):
     prior = PriorSpec.from_problem(problem, c=1.0, nu=0.25)
     obs = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=9.0)
     pts = np.vstack([np.zeros(3), np.full(3, 0.7)])
-    gaps = alpha_limit_check(problem, prior, obs, pts, [0.5, 0.9], n_samples=150_000, seed=6)
+    gaps = alpha_limit_check(problem, prior, obs, pts, [0.5, 0.9])
     assert np.all(gaps[1] < gaps[0])
 
 

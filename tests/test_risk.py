@@ -26,10 +26,10 @@ from shrinkpred.predictive import (
     shrinkage_bayes_density,
     umvu_estimators,
 )
+import shrinkpred.predictive as predictive_module
 import shrinkpred.risk as risk_module
 from shrinkpred.risk import (
     ChiSquareCheck,
-    ExclusionCeilingError,
     RiskEstimate,
     alpha_divergence_mc,
     chi_square_identity_check,
@@ -226,7 +226,7 @@ def test_risk_se_scaling(prob_m3):
 def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
     # invariance: same risk at well separated parameter points
     alpha = 0.0
-    rules = {"best_invariant": lambda obs, rep: best_invariant_density(prob_m3, obs, alpha)}
+    rules = {"best_invariant": lambda obs: best_invariant_density(prob_m3, obs, alpha)}
     e1 = np.array([5.0, 0.0, 0.0])
     points = [(np.zeros(3), 1.0), (e1, 1.0), (np.zeros(3), 0.5), (e1, 4.0)]
     outs = []
@@ -234,7 +234,7 @@ def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
         outs.append(risk_mc(rules, prob_m3, params, alpha, 400, seed=17 + i, n_mc_inner=400)["best_invariant"])
     for a in outs:
-        assert a.reps == 400  # no exclusions
+        assert a.reps == 400
         for b in outs:
             tol = 3 * math.hypot(a.std_error, b.std_error)
             assert abs(a.mean - b.mean) <= tol or a is b
@@ -249,9 +249,8 @@ def _two_rules(problem, alpha):
             "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
         }
     return {
-        "best_invariant": lambda obs, rep: best_invariant_density(problem, obs, alpha),
-        "shrinkage_bayes": lambda obs, rep: shrinkage_bayes_density(
-            problem, prior, obs, alpha, n_samples=2000, seed=4, rep_index=rep),
+        "best_invariant": lambda obs: best_invariant_density(problem, obs, alpha),
+        "shrinkage_bayes": lambda obs: shrinkage_bayes_density(problem, prior, obs, alpha),
     }
 
 
@@ -320,33 +319,12 @@ def test_risk_estimate_validation():
         RiskEstimate(mean=0.0, std_error=0.0, reps=1, seed=0)
 
 
-def test_exclusion_below_ceiling_flags_and_continues(prob_m3):
+def test_certificate_failure_propagates(prob_m3, monkeypatch):
+    # a shrinkage constant that fails its quadrature certificate stops the run
+    monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-
-    def flaky_builder(obs, rep):
-        if rep == 5:
-            raise UnreliableNormalizationError("synthetic failure")
-        return best_invariant_density(prob_m3, obs, 0.0)
-
-    # an exclusion belongs to the rule that failed: the other rule keeps rep 5
-    steady = lambda obs, rep: best_invariant_density(prob_m3, obs, 0.0)
-    out = risk_mc({"flaky": flaky_builder, "steady": steady}, prob_m3, params, 0.0, 200, seed=2, n_mc_inner=100)
-    alone = risk_mc({"steady": steady}, prob_m3, params, 0.0, 200, seed=2, n_mc_inner=100)
-    assert out["flaky"].reps == 199
-    assert out["steady"].reps == alone["steady"].reps == 200
-    assert out["steady"].mean == alone["steady"].mean
-
-
-def test_exclusion_ceiling_breach_raises(prob_m3):
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-
-    def broken_builder(obs, rep):
-        if rep % 10 == 0:
-            raise UnreliableNormalizationError("synthetic failure")
-        return best_invariant_density(prob_m3, obs, 0.0)
-
-    with pytest.raises(ExclusionCeilingError):
-        risk_mc({"broken": broken_builder}, prob_m3, params, 0.0, 200, seed=2, n_mc_inner=100)
+    with pytest.raises(UnreliableNormalizationError):
+        risk_mc(_two_rules(prob_m3, 0.0), prob_m3, params, 0.0, 60, seed=2, n_mc_inner=100)
 
 
 def test_minimum_replication_counts(prob_m3):
@@ -355,7 +333,7 @@ def test_minimum_replication_counts(prob_m3):
     with pytest.raises(ValueError):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
-        risk_mc({"best_invariant": lambda o, r: best_invariant_density(prob_m3, o, 0.0)},
+        risk_mc({"best_invariant": lambda o: best_invariant_density(prob_m3, o, 0.0)},
                 prob_m3, params, 0.0, reps=10, seed=0, n_mc_inner=200)
     phat = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("script,args", [
     ("as1_risk_study.py", ["--reps", "100", "--norms", "0"]),
-    ("alpha_convergence_demo.py", ["--samples", "2000"]),
+    ("alpha_convergence_demo.py", ["--seed", "7"]),
 ])
 def test_script_runs(script, args):
     # the child imports the same source tree as this process
