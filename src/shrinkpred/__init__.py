@@ -3,7 +3,7 @@
 Reduces the regression prediction problem to canonical coordinates, builds
 generalized Bayes predictive densities under alpha-divergence loss (best
 invariant, hierarchical shrinkage, and the plug-in normal at alpha = 1),
-and estimates their risks by seeded Monte Carlo.
+and estimates their risks by seeded Monte Carlo over exact losses.
 """
 
 from .bounds import NuBounds, a_of_nu, condition_d, nu_limits, nu_of_prior, rescale_C_for_positivity
@@ -29,11 +29,13 @@ from .predictive import (
     NormalizationCertificate,
     PluginEstimate,
     PredictiveDensity,
+    PredictiveKernel,
     PriorSpec,
     ShrinkageComponents,
     UnreliableNormalizationError,
     alpha_limit_check,
     best_invariant_density,
+    best_invariant_kernel,
     best_invariant_normalizer,
     beta_integral_identity,
     lemma_identity_residual,
@@ -43,6 +45,7 @@ from .predictive import (
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_density,
+    shrinkage_bayes_kernel,
     shrinkage_components,
     stein_variance,
     stein_variance_star,
@@ -51,6 +54,7 @@ from .predictive import (
 from .risk import (
     ChiSquareCheck,
     RiskEstimate,
+    alpha_divergence_loss,
     alpha_divergence_mc,
     chi_square_identity_check,
     d1_loss_plugin,

@@ -58,8 +58,10 @@ BLOCK_SIZE = 4096
 
 # Stream tags for the counter-based generator; each consumer of randomness
 # gets its own 2^192-draw slice of the keyed counter space, so streams
-# sharing a (seed, rep) key never overlap.  LEMMA and BETA draw the
-# identity suite's random instances.
+# sharing a (seed, rep) key never overlap.  DIVERGENCE and NORMALIZATION
+# key the draws of the Monte Carlo test oracles (risk.alpha_divergence_mc,
+# predictive.normalize_density); LEMMA and BETA draw the identity suite's
+# random instances.
 STREAM_OBSERVATION = 0
 STREAM_DIVERGENCE = 1
 STREAM_NORMALIZATION = 2

@@ -6,8 +6,8 @@ outputs are JSON or CSV files under the --out directory, byte-identical
 across reruns.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 canonicalization
-failure, 3 identity failure, 4 a shrinkage normalizing constant failed its
-quadrature certificate.
+failure, 3 identity failure, 4 a quadrature (a shrinkage normalizing
+constant or an alpha < 1 loss) failed its certificate.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ from .predictive import (
     PriorSpec,
     UnreliableNormalizationError,
     best_invariant_density,
+    best_invariant_kernel,
     beta_integral_identity,
     lemma_identity_residual,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_density,
+    shrinkage_bayes_kernel,
     stein_variance,
     stein_variance_star,
     umvu_estimators,
@@ -159,7 +161,7 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     reps: int = 2000
     reps_outer: int = 2000
-    n_mc_inner: int = 2000
+    n_mc_inner: int = 2000  # read and checked, but without effect: alpha < 1 losses are exact
     is_samples: int = 20_000  # read and checked, but without effect: the shrinkage constant is a quadrature
     identities: IdentityConfig = field(default_factory=IdentityConfig)
     density: dict = field(default_factory=dict)
@@ -206,6 +208,18 @@ def _int(doc: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(doc: dict, key: str, default: float | None = None) -> float | None:
+    """doc[key] (or default when absent) as a float; a value that is not a number names the key."""
+    value = doc.get(key, default)
+    if value is not None and not _is_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return None if value is None else float(value)
+
+
 def _floats(doc: dict, key: str, default: list) -> list[float]:
     """doc[key] (or default when absent) as a list of floats; a value that is not a list names the key."""
     value = doc.get(key, default)
@@ -249,11 +263,14 @@ def load_config(path: str) -> ExperimentConfig:
     pr = _section(doc.get("prior", {}), PriorConfig, "prior")
     cfg.prior = PriorConfig(
         c=pr.get("c"),
-        a=pr.get("a"),
-        nu=pr.get("nu"),
-        gamma_prior=float(pr.get("gamma_prior", 1.0)),
+        a=_number(pr, "a"),
+        nu=_number(pr, "nu"),
+        gamma_prior=_number(pr, "gamma_prior", 1.0),
         rescale_c=pr.get("rescale_c", True),
     )
+    c = cfg.prior.c
+    if not (c is None or c == "identity" or _is_number(c) or isinstance(c, list) and all(map(_is_number, c))):
+        raise ValueError(f'c must be "identity", a number or a list of numbers, got {c!r}')
     if not isinstance(cfg.prior.rescale_c, bool):
         raise ValueError(f"rescale_c must be true or false, got {cfg.prior.rescale_c!r}")
     cfg.alphas = _floats(doc, "alphas", [1.0])
@@ -514,7 +531,8 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     # the domination guarantee is proved under n - k - 2 >= 0; never claim it below
     may_claim_domination = (n - k) >= 2
 
-    # each plug-in rule maps a block of observations to a block of estimates
+    # each rule maps a block of observations to a block of estimates: plug-in
+    # estimates at alpha = 1, predictive kernels below
     plugin_rules = {
         "umvu": lambda obs: umvu_estimators(obs, n, k),
         "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
@@ -532,13 +550,13 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
             rules, reps = plugin_rules, cfg.reps
         else:
             rules = {
-                "best_invariant": lambda obs: best_invariant_density(problem, obs, alpha),
-                "shrinkage_bayes": lambda obs: shrinkage_bayes_density(problem, prior, obs, alpha),
+                "best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
+                "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha),
             }
             reps = cfg.reps_outer
         for theta, norm, direction, s2 in points:
             params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
-            risks = risk_mc(rules, problem, params, alpha, reps, seed, cfg.n_mc_inner)
+            risks = risk_mc(rules, problem, params, alpha, reps, seed)
             # A pointwise 3-SE test, not a domination claim, against the invariant
             # baseline's risk under the same divergence: the exact constant at
             # alpha = 1, the simulated best-invariant risk (noise folded in) below.

@@ -11,16 +11,19 @@ ytilde ~ N_m(Q theta, I/eta):
 * the plug-in normal at alpha = 1, whose mean and variance shrink the
   unbiased estimators by the data-adaptive factor nu/(nu + 1 + W).
 
-Densities are evaluated in the log domain.  The shrinkage density's
-constant reduces, through Gamma integrals, to one integral on the logit
-scale, which a trapezoid rule computes to a certified 1e-10 in log Z;
+Densities are evaluated in the log domain.  Below alpha = 1 both are
+built from per-row kernel parameters (PredictiveKernel), which a whole
+block of observations maps to at once and which risk.alpha_divergence_loss
+scores.  The shrinkage density's constant reduces, through Gamma
+integrals, to one integral on the logit scale, which a trapezoid rule
+computes to a certified 1e-10 in log Z for every row of a block;
 importance sampling (normalize_density) stays only as its test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +47,10 @@ __all__ = [
     "NormalizationCertificate",
     "PredictiveDensity",
     "PluginEstimate",
+    "PredictiveKernel",
     "shrinkage_components",
+    "best_invariant_kernel",
+    "shrinkage_bayes_kernel",
     "log_best_invariant",
     "best_invariant_normalizer",
     "best_invariant_density",
@@ -64,10 +70,11 @@ __all__ = [
 
 MIN_ESS_FRACTION = 0.05
 
-# Certificate of the logit-scale trapezoid rule for the shrinkage constant (_log_trapezoid):
-# both window ends QUAD_DROP below the peak, and n vs 2n intervals within QUAD_TOL in log Z.
+# Certificate of the trapezoid rule for the shrinkage constant (_log_trapezoid): both window
+# ends QUAD_DROP below the peak, and n vs 2n intervals within QUAD_TOL in log Z.  QUAD_ROWS
+# rows of a block share one grid.
 QUAD_HALF_WIDTH, QUAD_MAX_WIDTH, QUAD_DROP = 32.0, 2.0**30, 40.0
-QUAD_START_INTERVALS, QUAD_MAX_INTERVALS, QUAD_TOL = 128, 1 << 16, 1e-10
+QUAD_START_INTERVALS, QUAD_MAX_INTERVALS, QUAD_TOL, QUAD_ROWS = 128, 1 << 16, 1e-10, 64
 
 
 class DegenerateObservationError(ValueError):
@@ -75,7 +82,7 @@ class DegenerateObservationError(ValueError):
 
 
 class UnreliableNormalizationError(RuntimeError):
-    """A normalizing constant failed its certificate (quadrature or importance-sampling guard)."""
+    """A quadrature (normalizing constant or loss) or the importance-sampling guard failed its certificate."""
 
 
 def _check_alpha(alpha: float, allow_one: bool = False) -> float:
@@ -235,14 +242,15 @@ class ShrinkageComponents:
     e_u: np.ndarray
     theta_hat_b: np.ndarray
     e_b: np.ndarray
-    r: float
+    r: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("e_u", "theta_hat_b", "e_b"):
-            v = np.asarray(getattr(self, name), dtype=float).ravel()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        if self.r < 0:
+        r = _freeze(self.r)
+        for name in ("e_u", "e_b"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)).ravel())
+        object.__setattr__(self, "theta_hat_b", _rows(self.theta_hat_b, r.shape))
+        object.__setattr__(self, "r", float(r) if r.ndim == 0 else r)
+        if np.any(r < 0):
             raise ValueError("r must be nonnegative")
 
 
@@ -317,17 +325,85 @@ def shrinkage_components(
       e_b       = (c - 1) d / (c + (1-alpha)d/2)                (componentwise)
       theta_b   = (C - I)(C + (1-alpha)D/2)^{-1} v
       r         = sum_i v_i^2 ((1-alpha)d_i/2 + 1) / (d_i (c_i + (1-alpha)d_i/2))
+    A block of v (one row per observation) gives one theta_b row and one r each.
     """
     alpha = _check_alpha(alpha)
-    v = np.asarray(v, dtype=float).ravel()
+    v = np.asarray(v, dtype=float)
     d, c = problem.d, prior.c
-    if v.shape != (problem.l,):
+    if v.ndim not in (1, 2) or v.shape[-1] != problem.l:
         raise ValueError("v must have length l")
     half = (1.0 - alpha) / 2.0
     theta_b = (c - 1.0) / (c + half * d) * v
     e_b = (c - 1.0) * d / (c + half * d)
-    r = float(v @ ((half * d + 1.0) / (d * (c + half * d)) * v))
+    r = np.sum(v * ((half * d + 1.0) / (d * (c + half * d)) * v), axis=-1)
     return ShrinkageComponents(e_u=d, theta_hat_b=theta_b, e_b=e_b, r=r)
+
+
+@dataclass(frozen=True)
+class PredictiveKernel:
+    """Per-row parameters of a predictive density at alpha < 1.
+
+    log p(y) = log_const - A log(q_u(y) + s) - B log(q_b(y) + o), q_u the
+    quadratic form of c2 I + Q diag(e_u) Q' about Q v, q_b that of
+    c2 I + Q diag(e_b) Q' about Q theta_b, c2 = 2/(1 - alpha).  The best
+    invariant density has no second factor (B = 0, o None).  A block of
+    observations gives v and theta_b one row, and s, o and log_const one
+    entry, per observation; indexing the kernel selects rows.
+    """
+
+    alpha: float
+    Q: np.ndarray
+    A: float
+    e_u: np.ndarray
+    v: np.ndarray
+    s: float | np.ndarray
+    log_const: float | np.ndarray = 0.0
+    B: float = 0.0
+    e_b: np.ndarray | None = None
+    theta_b: np.ndarray | None = None
+    o: float | np.ndarray | None = None
+
+    @property
+    def c2(self) -> float:
+        return 2.0 / (1.0 - self.alpha)
+
+    def __getitem__(self, index) -> "PredictiveKernel":
+        rows = ("v", "s", "log_const") + (() if self.o is None else ("theta_b", "o"))
+        return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in rows})
+
+    def log_unnormalized(self, pts: np.ndarray) -> np.ndarray:
+        """log p(y) - log_const at the rows of pts, shape (N, m), for the kernel of one observation."""
+        lu = np.log(_SpectralScale(self.c2, self.Q, self.e_u).quad(pts - self.Q @ self.v) + self.s)
+        if self.o is None:
+            return -self.A * lu
+        lb = np.log(_SpectralScale(self.c2, self.Q, self.e_b).quad(pts - self.Q @ self.theta_b) + self.o)
+        return -self.A * lu - self.B * lb
+
+
+def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveKernel:
+    """The best invariant density of each observation of a block (or of one observation).
+
+    It is multivariate t with 2(n-k)/(1-alpha) degrees of freedom, location
+    Q v and scale matrix (s/dof) A_u, A_u = c2 I + Q diag(d) Q'.
+    """
+    alpha = _check_alpha(alpha)
+    s = _check_s(obs)
+    m, q = problem.m, problem.n - problem.k
+    nu_a = 2.0 * q / (1.0 - alpha)
+    logdet = _SpectralScale(2.0 / (1.0 - alpha), problem.Q, problem.d).logdet()
+    # one observation keeps math.log: numpy's vector log can differ from it in the last bit,
+    # and density-eval prints this constant to 17 digits
+    log_s = math.log(s) if np.ndim(s) == 0 else np.log(s)
+    log_const = (gammaln((nu_a + m) / 2.0) - gammaln(nu_a / 2.0)
+                 - (m / 2.0) * math.log(math.pi) - 0.5 * logdet + (nu_a / 2.0) * log_s)
+    return PredictiveKernel(alpha=alpha, Q=problem.Q, A=m / 2.0 + q / (1.0 - alpha), e_u=problem.d, v=obs.v,
+                            s=s, log_const=log_const)
+
+
+def _one_observation(obs: CanonicalObservation) -> CanonicalObservation:
+    if np.ndim(obs.s) != 0:
+        raise ValueError("a density is built from one observation, not a block")
+    return obs
 
 
 def log_best_invariant(
@@ -337,139 +413,142 @@ def log_best_invariant(
     ytilde,
 ) -> float:
     """Unnormalized log of the best invariant density at ytilde."""
-    dens = best_invariant_density(problem, obs, alpha)
     pts, single = _points(ytilde, problem.m)
-    out = dens.log_unnormalized(pts)
+    out = best_invariant_kernel(problem, _one_observation(obs), alpha).log_unnormalized(pts)
     return float(out[0]) if single else out
 
 
 def best_invariant_normalizer(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> float:
     """Log constant that normalizes the best invariant kernel."""
-    return best_invariant_density(problem, obs, alpha).log_norm_const
+    return float(best_invariant_kernel(problem, _one_observation(obs), alpha).log_const)
 
 
 def best_invariant_density(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveDensity:
-    """Normalized best invariant density with a multivariate-t sampler.
-
-    The density is multivariate t with 2(n-k)/(1-alpha) degrees of freedom,
-    location Qv and scale matrix (s/dof) A_u, A_u = c2 I + Q diag(d) Q'.
-    """
-    alpha = _check_alpha(alpha)
-    s = _check_s(obs)
-    m, q = problem.m, problem.n - problem.k
-    scale = _SpectralScale(2.0 / (1.0 - alpha), problem.Q, problem.d)
+    """Normalized best invariant density (best_invariant_kernel) with a multivariate-t sampler."""
+    kernel = best_invariant_kernel(problem, _one_observation(obs), alpha)
+    m = problem.m
+    scale = _SpectralScale(kernel.c2, problem.Q, problem.d)
     mean = problem.Q @ obs.v
-    expo = -m / 2.0 - q / (1.0 - alpha)
-    nu_a = 2.0 * q / (1.0 - alpha)
-    log_nc = float(
-        gammaln((nu_a + m) / 2.0) - gammaln(nu_a / 2.0)
-        - (m / 2.0) * math.log(math.pi) - 0.5 * scale.logdet() + (nu_a / 2.0) * math.log(s)
-    )
-
-    def log_unnorm(pts: np.ndarray) -> np.ndarray:
-        return expo * np.log(scale.quad(pts - mean) + s)
+    nu_a = 2.0 * (problem.n - problem.k) / (1.0 - kernel.alpha)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         y = scale.root(rng.standard_normal((size, m)))
-        y *= np.sqrt(s / rng.chisquare(nu_a, size))[:, None]
+        y *= np.sqrt(kernel.s / rng.chisquare(nu_a, size))[:, None]
         y += mean
         return y
 
     return PredictiveDensity(
-        log_unnormalized=log_unnorm,
-        log_norm_const=log_nc,
+        log_unnormalized=kernel.log_unnormalized,
+        log_norm_const=float(kernel.log_const),
         certificate=NormalizationCertificate(method="closed_form"),
         m=m,
         sampler=sampler,
     )
 
 
-class _ShrinkageKernel:
-    """The shrinkage kernel (q_u(y) + s)^-A (q_b(y) + o)^-B: log values on rows, and its log integral.
+def _shrinkage_factors(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
+                       alpha: float) -> PredictiveKernel:
+    """The shrinkage kernel (q_u(y) + s)^-A (q_b(y) + o)^-B, not yet normalized.
 
-    q_u, q_b are the quadratic forms of c2 I + Q diag(e_u) Q' about Q v and
-    of c2 I + Q diag(e_b) Q' about Q theta_b, c2 = 2/(1-alpha),
     A = m/2 + (n-k)/(1-alpha), B = (k+2a+2)/(1-alpha) and
     o = r + |v*|^2/gamma + s (v* is empty when m >= k).
     """
-
-    def __init__(self, problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, alpha: float):
-        comp = shrinkage_components(problem, prior, alpha, obs.v)
-        self.m, self.c2, self.s = problem.m, 2.0 / (1.0 - alpha), _check_s(obs)
-        self.scales = [_SpectralScale(self.c2, problem.Q, e) for e in (comp.e_u, comp.e_b)]
-        self.means = [problem.Q @ obs.v, problem.Q @ comp.theta_hat_b]
-        self.delta = obs.v - comp.theta_hat_b
-        self.A = problem.m / 2.0 + (problem.n - problem.k) / (1.0 - alpha)
-        self.B = (problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha)
-        self.o = comp.r + float(obs.v_star @ obs.v_star) / prior.gamma_prior + self.s
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        (scale_u, scale_b), (mean_u, mean_b) = self.scales, self.means
-        lu, lb = np.log(scale_u.quad(pts - mean_u) + self.s), np.log(scale_b.quad(pts - mean_b) + self.o)
-        return -self.A * lu - self.B * lb
-
-    def log_integral(self) -> float:
-        """log Z, Z the integral over R^m, as one integral on the logit scale.
-
-        Write each factor as a Gamma integral, integrate y and then the total
-        rate.  With w = expit(z), sigma_u = c2 + e_u, sigma_b = c2 + e_b,
-        p_i(w) = w/sigma_u_i + (1-w)/sigma_b_i, delta = v - theta_b, P = A + B - m/2:
-          log Z = (m/2) log pi + ((m-l)/2) log c2 + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
-          G(z) = A log w + B log(1-w) - (1/2) sum_i log p_i(w) - P log h(w),
-          h(w) = w s + (1-w) o + w(1-w) sum_i delta_i^2/(sigma_u_i sigma_b_i p_i(w)).
-        """
-        A, B, s, o, l = self.A, self.B, self.s, self.o, self.delta.size
-        P = A + B - self.m / 2.0
-        inv_u, inv_b = (1.0 / (self.c2 + scale.e) for scale in self.scales)
-        coupling = self.delta**2 * inv_u * inv_b
-
-        def g(z: np.ndarray) -> np.ndarray:
-            log_w, log_w1 = log_expit(z), log_expit(-z)
-            w, w1 = np.exp(log_w), np.exp(log_w1)
-            p = w[:, None] * inv_u + w1[:, None] * inv_b
-            h = w * s + w1 * o + w * w1 * ((1.0 / p) @ coupling)
-            return A * log_w + B * log_w1 - 0.5 * np.log(p).sum(axis=1) - P * np.log(h)
-
-        const = (self.m / 2.0) * math.log(math.pi) + ((self.m - l) / 2.0) * math.log(self.c2)
-        return float(const + gammaln(P) - gammaln(A) - gammaln(B) + _log_trapezoid(g))
+    alpha = _check_alpha(alpha)
+    comp = shrinkage_components(problem, prior, alpha, obs.v)
+    s = _check_s(obs)
+    return PredictiveKernel(
+        alpha=alpha, Q=problem.Q, A=problem.m / 2.0 + (problem.n - problem.k) / (1.0 - alpha), e_u=comp.e_u,
+        v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=comp.e_b,
+        theta_b=comp.theta_hat_b, o=comp.r + np.sum(obs.v_star * obs.v_star, axis=-1) / prior.gamma_prior + s,
+    )
 
 
-def _log_trapezoid(g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """log of the integral of exp(g) over the real line, by the trapezoid rule.
+def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
+                           alpha: float) -> PredictiveKernel:
+    """The shrinkage density of each observation of a block, normalized by its certified quadrature.
 
-    g must be smooth with tails that fall at least linearly; there the rule
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 2014).  While
-    g at an end of the window is within QUAD_DROP of the largest node value,
-    the window doubles toward that end.  Otherwise the step halves, reusing
-    every node, until the n- and 2n-interval values agree to QUAD_TOL.
-    Past QUAD_MAX_INTERVALS or QUAD_MAX_WIDTH it raises
+    Raises UnreliableNormalizationError when the certificate fails for any row.
+    """
+    kernel = _shrinkage_factors(problem, prior, obs, alpha)
+    return replace(kernel, log_const=-_log_integral(kernel))
+
+
+def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
+    """log Z of each row, Z the integral of the shrinkage kernel over R^m, as one integral on the logit scale.
+
+    Write each factor as a Gamma integral, integrate y and then the total
+    rate.  With w = expit(z), sigma_u = c2 + e_u, sigma_b = c2 + e_b,
+    p_i(w) = w/sigma_u_i + (1-w)/sigma_b_i, delta = v - theta_b, P = A + B - m/2:
+      log Z = (m/2) log pi + ((m-l)/2) log c2 + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
+      G(z) = A log w + B log(1-w) - (1/2) sum_i log p_i(w) - P log h(w),
+      h(w) = w s + (1-w) o + w(1-w) sum_i delta_i^2/(sigma_u_i sigma_b_i p_i(w)).
+    p does not depend on the row, so QUAD_ROWS rows share each trapezoid grid.
+    """
+    A, B, c2, (m, l) = kernel.A, kernel.B, kernel.c2, kernel.Q.shape
+    P = A + B - m / 2.0
+    inv_u, inv_b = 1.0 / (c2 + kernel.e_u), 1.0 / (c2 + kernel.e_b)
+    s, o = np.reshape(kernel.s, -1), np.reshape(kernel.o, -1)
+    coupling = np.reshape(kernel.v - kernel.theta_b, (-1, l)) ** 2 * inv_u * inv_b
+
+    def g(z: np.ndarray, rows: slice) -> np.ndarray:
+        log_w, log_w1 = log_expit(z), log_expit(-z)
+        w, w1 = np.exp(log_w), np.exp(log_w1)
+        p = w[:, None] * inv_u + w1[:, None] * inv_b
+        h = w * s[rows, None] + w1 * o[rows, None] + w * w1 * (coupling[rows] @ (1.0 / p).T)
+        return A * log_w + B * log_w1 - 0.5 * np.log(p).sum(axis=1) - P * np.log(h)
+
+    const = (m / 2.0) * math.log(math.pi) + ((m - l) / 2.0) * math.log(c2)
+    out = const + gammaln(P) - gammaln(A) - gammaln(B) + _log_trapezoid_rows(g, s.size)
+    return float(out[0]) if np.ndim(kernel.s) == 0 else out
+
+
+def _log_trapezoid_rows(g: Callable[[np.ndarray, slice], np.ndarray], rows: int) -> np.ndarray:
+    """_log_trapezoid of g(z, rows) for every row, QUAD_ROWS rows to a shared grid."""
+    out = np.empty(rows)
+    for start in range(0, rows, QUAD_ROWS):
+        chunk = slice(start, min(start + QUAD_ROWS, rows))
+        out[chunk] = _log_trapezoid(lambda z: g(z, chunk))
+    return out
+
+
+def _log_trapezoid(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """log of the integral of exp(g) over the real line for each row of g, by the trapezoid rule.
+
+    g maps the nodes z to an array of shape (rows, z.size) and must be
+    smooth in z with tails that fall at least linearly; there the rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 2014).  All rows
+    share one grid.  While g at an end of the window is within QUAD_DROP of
+    its row's largest node value, the window doubles toward that end.
+    Otherwise the step halves, reusing every node, until the n- and
+    2n-interval values of every row agree to QUAD_TOL.  Past
+    QUAD_MAX_INTERVALS or QUAD_MAX_WIDTH it raises
     UnreliableNormalizationError.
     """
     lo, hi = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
     while hi - lo <= QUAD_MAX_WIDTH:
         n, step = QUAD_START_INTERVALS, (hi - lo) / QUAD_START_INTERVALS
         gz = g(np.linspace(lo, hi, n + 1))
-        # the trapezoid sum in units of exp(shift), shift the largest node value
-        shift = float(gz.max())
-        e = np.exp(gz - shift)
-        total, gap = float(e.sum() - 0.5 * (e[0] + e[-1])), math.inf
-        log_int = shift + math.log(step * total)
-        while gz[0] <= shift - QUAD_DROP and gz[-1] <= shift - QUAD_DROP:
+        # each row's trapezoid sum in units of exp(shift), shift the row's largest node value
+        shift = gz.max(axis=1)
+        e = np.exp(gz - shift[:, None])
+        total, gap = e.sum(axis=1) - 0.5 * (e[:, 0] + e[:, -1]), math.inf
+        log_int = shift + np.log(step * total)
+        while np.all(gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]):
             if gap <= QUAD_TOL:
                 return log_int
             if n >= QUAD_MAX_INTERVALS:
                 raise UnreliableNormalizationError(
                     f"trapezoid rule on [{lo:.3g}, {hi:.3g}] at {n} intervals: n vs 2n gap {gap:.3e}")
             gm = g(lo + step * (np.arange(n) + 0.5))
-            top = max(shift, float(gm.max()))
-            total = total * math.exp(shift - top) + float(np.exp(gm - top).sum())
+            top = np.maximum(shift, gm.max(axis=1))
+            total = total * np.exp(shift - top) + np.exp(gm - top[:, None]).sum(axis=1)
             shift, n, step = top, 2 * n, step / 2.0
-            new = shift + math.log(step * total)
-            gap, log_int = abs(new - log_int), new
-        # an end lies in the bulk (or g is not finite there): widen toward it
-        width = hi - lo
-        lo -= 0.0 if gz[0] <= shift - QUAD_DROP else width
-        hi += 0.0 if gz[-1] <= shift - QUAD_DROP else width
+            new = shift + np.log(step * total)
+            gap, log_int = float(np.max(np.abs(new - log_int))), new
+        # an end lies in the bulk of some row (or g is not finite there): widen toward it
+        width, low = hi - lo, gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]
+        lo -= 0.0 if low[:, 0].all() else width
+        hi += 0.0 if low[:, 1].all() else width
     raise UnreliableNormalizationError(f"integrand within {QUAD_DROP} of its peak at an end of [{lo:.3g}, {hi:.3g}]")
 
 
@@ -477,7 +556,7 @@ def log_shrinkage_bayes(problem: CanonicalProblem, prior: PriorSpec, obs: Canoni
                         ytilde) -> float:
     """Unnormalized log of the hierarchical shrinkage density at ytilde."""
     pts, single = _points(ytilde, problem.m)
-    out = _ShrinkageKernel(problem, prior, obs, _check_alpha(alpha))(pts)
+    out = _shrinkage_factors(problem, prior, _one_observation(obs), alpha).log_unnormalized(pts)
     return float(out[0]) if single else out
 
 
@@ -519,14 +598,14 @@ def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray], prop
 
 def shrinkage_bayes_density(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
                             alpha: float) -> PredictiveDensity:
-    """Shrinkage density normalized by its certified logit-scale quadrature.
+    """Shrinkage density (shrinkage_bayes_kernel) normalized by its certified logit-scale quadrature.
 
     Raises UnreliableNormalizationError when the certificate fails.
     """
-    kernel = _ShrinkageKernel(problem, prior, obs, _check_alpha(alpha))
+    kernel = shrinkage_bayes_kernel(problem, prior, _one_observation(obs), alpha)
     return PredictiveDensity(
-        log_unnormalized=kernel,
-        log_norm_const=-kernel.log_integral(),
+        log_unnormalized=kernel.log_unnormalized,
+        log_norm_const=kernel.log_const,
         certificate=NormalizationCertificate(method="quadrature"),
         m=problem.m,
     )

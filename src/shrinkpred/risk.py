@@ -6,12 +6,16 @@ reversed form.  At alpha = 1 the divergence between a plug-in normal and
 the truth has the closed form (L1 + m L2)/2 combining scale-invariant
 quadratic loss and entropy loss, and the unbiased baseline has the known
 constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
-For alpha < 1 risks are estimated by nested Monte Carlo.
+For alpha < 1 the divergence of a predictive density from the truth is
+computed exactly too (alpha_divergence_loss): Gamma integrals and a
+Gaussian integral in y leave 1-D or 2-D Gauss-Laguerre rules, and at
+alpha = -1 Frullani integrals, each certified by a refinement check.  Risks
+are then single-level Monte Carlo averages of exact losses at every alpha.
 
-Observations come in keyed blocks (canonical.simulate_observation), the
-inner divergence draws are keyed by (seed, replication), and losses are
-reduced by pairwise summation in replication order, so reruns agree bit for
-bit.
+Observations come in keyed blocks (canonical.simulate_observation) and
+losses are reduced by pairwise summation in replication order, so reruns
+agree bit for bit.  alpha_divergence_mc, a Monte Carlo divergence with its
+own keyed draws, is kept as an independent check of the exact losses.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import digamma
 
 from .canonical import (
@@ -33,7 +38,14 @@ from .canonical import (
     replication_rng,
     simulate_observation,
 )
-from .predictive import PluginEstimate, PredictiveDensity, plugin_density
+from .predictive import (
+    PluginEstimate,
+    PredictiveDensity,
+    PredictiveKernel,
+    UnreliableNormalizationError,
+    _log_trapezoid_rows,
+    plugin_density,
+)
 
 __all__ = [
     "RiskEstimate",
@@ -42,11 +54,20 @@ __all__ = [
     "d1_loss_plugin",
     "minimax_risk",
     "alpha_divergence_mc",
+    "alpha_divergence_loss",
     "risk_mc",
     "risk_d1_mc",
     "chi_square_identity_check",
     "log_inequality_margin",
 ]
+
+# Certificate of the Gauss-Laguerre rules of alpha_divergence_loss: a row's losses at n and
+# 3n/2 nodes per factor agree within LOSS_TOL, for n from LOSS_START_NODES while 3n/2 stays
+# within LOSS_MAX_NODES.  Node pairs below e^-LOSS_WEIGHT_DROP of the heaviest are left out,
+# and LOSS_CHUNK bounds the float64 elements of one temporary (256 kB).
+LOSS_TOL, LOSS_START_NODES, LOSS_MAX_NODES = 1e-6, 32, 512
+LOSS_WEIGHT_DROP, LOSS_CHUNK = 60.0, 1 << 15
+
 
 @dataclass(frozen=True)
 class RiskEstimate:
@@ -163,26 +184,158 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | PredictiveDensity]],
-            problem: CanonicalProblem, params: CanonicalParams, alpha: float, reps: int, seed: int,
-            n_mc_inner: int = 0) -> dict[str, RiskEstimate]:
+def _laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights of the n-point Gauss rule for the weight x^a e^-x / Gamma(a+1) on (0, inf).
+
+    Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    Jacobi matrix with diagonal 2j + a + 1 and off-diagonal sqrt(j (j + a)),
+    and each weight is the squared first component of the node's unit
+    eigenvector.  These weights stay finite where Gamma(a+1) overflows.
+    """
+    j = np.arange(1.0, n)
+    nodes, vectors = eigh_tridiagonal(2.0 * np.arange(n) + a + 1.0, np.sqrt(j * (j + a)))
+    with np.errstate(divide="ignore"):  # a weight below the smallest double carries no mass
+        return nodes, 2.0 * np.log(np.abs(vectors[0]))
+
+
+def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float, rules: list) -> np.ndarray:
+    """log of I = int p^(1-beta) phat^beta for each row of kernel, by a tensor Gauss-Laguerre rule.
+
+    Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
+    after which y integrates as a Gaussian.  Per axis i, with a_i = t/sigma_u_i,
+    b_i = u/sigma_b_i and P_i = kappa + a_i + b_i, kappa = (1-alpha) eta/4, the
+    y-integral is F(t, u) = prod_i (pi/P_i)^(1/2) exp(-[kappa a_i (theta_i - v_i)^2
+    + kappa b_i (theta_i - theta_b_i)^2 + a_i b_i (v_i - theta_b_i)^2]/P_i) times
+    (pi/(kappa + (t+u)/c2))^((m-l)/2), here with numerator and denominator
+    scaled by sigma_u_i sigma_b_i.  rules holds the nodes and log weights in
+    x = t s and y = u o; a kernel without a second factor takes the single
+    node u = 0.  F <= (pi/kappa)^(m/2), so node pairs weighing less than
+    e^-LOSS_WEIGHT_DROP of the heaviest are left out.
+    """
+    beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) * eta / 4.0, kernel.c2
+    (m, l), rows = kernel.Q.shape, np.size(kernel.s)
+    (x, log_wx), (y, log_wy) = rules if kernel.o is not None else (rules[0], (np.zeros(1), np.zeros(1)))
+    e_b, theta_b, o = (kernel.e_u, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
+    log_w = (log_wx[:, None] + log_wy).ravel()
+    keep = log_w >= log_w.max() - LOSS_WEIGHT_DROP
+    s, o = np.reshape(kernel.s, (-1, 1)), np.reshape(o, (-1, 1))
+    t, u = np.repeat(x, y.size)[keep] / s, np.tile(y, x.size)[keep] / o   # (rows, kept pairs)
+    sigma_u, sigma_b = c2 + kernel.e_u, c2 + e_b
+    v, theta_b = np.reshape(kernel.v, (rows, l)), np.reshape(theta_b, (rows, l))
+    dv, db, dvb = kappa * sigma_b * (theta - v) ** 2, kappa * sigma_u * (theta - theta_b) ** 2, (v - theta_b) ** 2
+    tu = t * u
+    log_f = ((m - l) / 2.0) * np.log(math.pi / (kappa + (t + u) / c2)) + log_w[keep]
+    for i in range(l):
+        P = kappa * sigma_u[i] * sigma_b[i] + sigma_b[i] * t + sigma_u[i] * u
+        log_f += 0.5 * np.log(math.pi * sigma_u[i] * sigma_b[i] / P)
+        log_f -= (t * dv[:, i:i + 1] + u * db[:, i:i + 1] + tu * dvb[:, i:i + 1]) / P
+    shift = log_f.max(axis=1)
+    log_sum = shift + np.log(np.exp(log_f - shift[:, None]).sum(axis=1))
+    log_i = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s[:, 0])
+    log_i += (m * (1.0 - kernel.alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
+    if kernel.o is not None:
+        log_i -= kernel.B * beta * np.log(o[:, 0])
+    return log_i + log_sum
+
+
+def _certified(loss: Callable[[int, np.ndarray], np.ndarray], rows: int) -> np.ndarray:
+    """Per-row losses, each accepted once loss(n, index) and loss(3n/2, index) agree within LOSS_TOL.
+
+    Rows that disagree move on to the next pair, from LOSS_START_NODES while
+    3n/2 <= LOSS_MAX_NODES; past that the certificate fails.
+    """
+    out, todo, n = np.empty(rows), np.arange(rows), LOSS_START_NODES
+    coarse, gap = loss(n, todo), math.inf
+    while todo.size:
+        if 3 * n // 2 > LOSS_MAX_NODES:
+            raise UnreliableNormalizationError(
+                f"loss quadrature: {todo.size} row(s) uncertified at {n} nodes, n vs 3n/2 gap {gap:.3e}")
+        n = 3 * n // 2
+        fine = loss(n, todo)
+        diff = np.abs(fine - coarse)
+        ok = diff <= LOSS_TOL
+        out[todo[ok]] = fine[ok]
+        todo, coarse, gap = todo[~ok], fine[~ok], float(np.max(diff[~ok], initial=0.0))
+    return out
+
+
+def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta: float) -> np.ndarray:
+    """E log(q(Y) + o) for each row, Y ~ N(Q theta, I/eta), q and o a kernel factor's quadratic form and offset.
+
+    log(q + o) = log o + int_0^inf e^-t (1 - e^(-t q/o)) dt/t (Frullani), and
+    M(tau) = E e^(-tau q(Y)) = prod_i (1 + 2 tau/(eta sigma_i))^(-1/2)
+    exp(-(tau/sigma_i)(theta_i - mu_i)^2/(1 + 2 tau/(eta sigma_i))) times
+    (1 + 2 tau/(eta c2))^(-(m-l)/2), sigma_i = c2 + e_i and mu the factor's
+    center.  The t-integral is positive and runs on z = log t by _log_trapezoid.
+    """
+    c2, (m, l) = kernel.c2, kernel.Q.shape
+    e, mu, o = (kernel.e_b, kernel.theta_b, kernel.o) if second else (kernel.e_u, kernel.v, kernel.s)
+    sigma, o = c2 + e, np.reshape(o, -1)
+    dev = np.reshape(theta - mu, (-1, l)) ** 2 / sigma
+
+    def g(z: np.ndarray, rows: slice) -> np.ndarray:
+        t = np.exp(z)
+        tau = t / o[rows, None]
+        grow = 2.0 * tau[..., None] / (eta * sigma)
+        log_m = (-0.5 * np.log1p(grow) - tau[..., None] * dev[rows, None] / (1.0 + grow)).sum(axis=-1)
+        log_m -= ((m - l) / 2.0) * np.log1p(2.0 * tau / (eta * c2))
+        return -t + np.log(-np.expm1(log_m))
+
+    return np.log(o) + np.exp(_log_trapezoid_rows(g, o.size))
+
+
+def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float | np.ndarray:
+    """Exact alpha-divergence of each row's predictive density from the truth N_m(Q theta, I/eta).
+
+    For |alpha| < 1 the loss is -4 expm1(log I)/(1 - alpha^2), I the affinity
+    int p^((1-alpha)/2) phat^((1+alpha)/2) (_log_affinity), by generalized
+    Gauss-Laguerre rules certified row by row (_certified).  At alpha = -1
+    it is E log p - E log phat, with E log p = -(m/2)(log(2 pi/eta) + 1) and
+    each kernel factor's E log(q(Y) + o) a Frullani integral (_expected_log).
+    Raises UnreliableNormalizationError when a row's quadrature fails its
+    certificate.
+    """
+    theta, eta = np.asarray(theta, dtype=float), float(eta)
+    block = kernel if np.ndim(kernel.s) else kernel[None]
+    m, l = block.Q.shape
+    if block.alpha == -1.0:
+        loss = -(m / 2.0) * (math.log(2.0 * math.pi / eta) + 1.0) - block.log_const
+        loss = loss + block.A * _expected_log(block, False, theta, eta)
+        if block.o is not None:
+            loss = loss + block.B * _expected_log(block, True, theta, eta)
+    else:
+        beta, scale = (1.0 + block.alpha) / 2.0, 4.0 / (1.0 - block.alpha * block.alpha)
+
+        def loss_at(n: int, index: np.ndarray) -> np.ndarray:
+            exponents = (block.A,) if block.o is None else (block.A, block.B)
+            rules = [_laguerre(e * beta - 1.0, n) for e in exponents]
+            width = max(1, LOSS_CHUNK // n ** len(rules))
+            return np.concatenate([-scale * np.expm1(_log_affinity(block[index[i:i + width]], theta, eta, rules))
+                                   for i in range(0, index.size, width)])
+
+        loss = _certified(loss_at, np.size(block.s))
+    return loss if np.ndim(kernel.s) else float(loss[0])
+
+
+def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | PredictiveKernel]],
+            problem: CanonicalProblem, params: CanonicalParams, alpha: float, reps: int,
+            seed: int) -> dict[str, RiskEstimate]:
     """Simulated alpha-divergence risks of several rules on common observations.
 
     Replications are the rows of the keyed observation blocks (the last one
-    truncated), each block drawn once for every rule.  At alpha = 1
-    ``rule(obs)`` maps a whole block to a block of plug-in estimates, scored
-    in one pass by the closed-form plug-in divergence.  Below 1 it maps one
-    row to a normalized density, scored by an inner Monte Carlo of
-    ``n_mc_inner`` draws keyed by (seed, replication), whose noise is part of
-    the outer variation the standard error reports.  A normalization failure
-    (UnreliableNormalizationError) propagates.  Returns ``{name: RiskEstimate}``
-    in the order of ``rules``.
+    truncated), each block drawn once for every rule.  ``rule(obs)`` maps a
+    whole block to one estimate per row, scored in one pass: plug-in
+    estimates by the closed-form plug-in divergence at alpha = 1, predictive
+    kernels by the exact alpha_divergence_loss below 1.  Each loss is a
+    deterministic function of its row, so the standard error is the whole
+    Monte Carlo error.  A failed quadrature certificate
+    (UnreliableNormalizationError) propagates.  Returns
+    ``{name: RiskEstimate}`` in the order of ``rules``.
     """
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
     reps = int(reps)
-    # a nested estimate pays an inner Monte Carlo per rep, so allows fewer
     min_reps = 100 if alpha == 1.0 else 50
     if reps < min_reps:
         raise ValueError(f"reps must be at least {min_reps}")
@@ -190,17 +343,15 @@ def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | P
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)
         block = simulate_observation(problem, params, seed, start // BLOCK_SIZE)[:stop - start]
-        if alpha == 1.0:
-            for j, rule in enumerate(rules.values()):
-                out = rule(block)
+        for j, rule in enumerate(rules.values()):
+            out = rule(block)
+            if alpha == 1.0:
                 losses[j, start:stop] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta,
                                                        params.sigma2, problem.m)
-            continue
-        for i in range(start, stop):
-            obs = block[i - start]
-            for j, rule in enumerate(rules.values()):
-                losses[j, i] = alpha_divergence_mc(rule(obs), params.theta, params.eta, problem,
-                                                   alpha, n_mc_inner, seed, rep_index=i).mean
+            elif out.alpha != alpha:
+                raise ValueError(f"a rule built its kernel at alpha = {out.alpha}, not {alpha}")
+            else:
+                losses[j, start:stop] = alpha_divergence_loss(out, params.theta, params.eta)
     return {name: RiskEstimate(*_mean_se(loss), reps=reps, seed=int(seed)) for name, loss in zip(rules, losses)}
 
 

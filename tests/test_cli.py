@@ -1,6 +1,7 @@
 """Command line front-end: exit codes, file outputs, byte-level determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -320,6 +321,30 @@ def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o" / "risk_compare.csv").exists()
 
 
+def test_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
+    import shrinkpred.risk as risk_module
+
+    # with no larger Gauss-Laguerre rule to compare against, no alpha < 1 loss is certified
+    monkeypatch.setattr(risk_module, "LOSS_MAX_NODES", risk_module.LOSS_START_NODES)
+    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
+    capsys.readouterr()
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("normalization certificate failed:") and "loss quadrature" in err
+    assert not (tmp_path / "o" / "risk_compare.csv").exists()
+
+
+def test_risk_compare_near_alpha_one(tmp_path):
+    # alpha = 0.99 puts the best-invariant Laguerre parameter near 900, where
+    # scipy's roots_genlaguerre weights overflow
+    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.99]))
+    out = tmp_path / "o"
+    assert main(["risk-compare", "--config", cfg, "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "risk_compare.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 2 * 2
+    assert all(math.isfinite(float(r[6])) and math.isfinite(float(r[7])) for r in rows)
+
+
 def test_cli_import_skips_scipy_integrate():
     # only the identity suite's beta check needs scipy.integrate (and the scipy.optimize it loads)
     import os
@@ -385,6 +410,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     for wrong, key in (({"alphas": 5}, "alphas"), ({"out": 5}, "out"), ({"seed": True}, "seed"),
                        ({"reps": 2.5}, "reps"), ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m"),
                        ({"prior": {"rescale_c": "false"}}, "rescale_c"),
+                       ({"prior": {"nu": "0.3"}}, "nu"), ({"prior": {"a": [1]}}, "a"),
+                       ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c"),
                        ({"identities": {"lemma_instances": 2.5}}, "lemma_instances")):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")
         capsys.readouterr()

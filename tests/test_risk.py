@@ -1,6 +1,7 @@
 """Divergence generator, closed-form losses, Monte Carlo risk machinery."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,22 +9,25 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shrinkpred import cli
 from shrinkpred.canonical import (
     BLOCK_SIZE,
-    CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,
+    canonicalize,
     simulate_observation,
 )
 from shrinkpred.predictive import (
-    NormalizationCertificate,
     PluginEstimate,
     PriorSpec,
     UnreliableNormalizationError,
     best_invariant_density,
+    best_invariant_kernel,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_density,
+    shrinkage_bayes_kernel,
+    shrinkage_components,
     umvu_estimators,
 )
 import shrinkpred.predictive as predictive_module
@@ -31,6 +35,7 @@ import shrinkpred.risk as risk_module
 from shrinkpred.risk import (
     ChiSquareCheck,
     RiskEstimate,
+    alpha_divergence_loss,
     alpha_divergence_mc,
     chi_square_identity_check,
     d1_loss_plugin,
@@ -226,13 +231,13 @@ def test_risk_se_scaling(prob_m3):
 def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
     # invariance: same risk at well separated parameter points
     alpha = 0.0
-    rules = {"best_invariant": lambda obs: best_invariant_density(prob_m3, obs, alpha)}
+    rules = {"best_invariant": lambda obs: best_invariant_kernel(prob_m3, obs, alpha)}
     e1 = np.array([5.0, 0.0, 0.0])
     points = [(np.zeros(3), 1.0), (e1, 1.0), (np.zeros(3), 0.5), (e1, 4.0)]
     outs = []
     for i, (theta, s2) in enumerate(points):
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        outs.append(risk_mc(rules, prob_m3, params, alpha, 400, seed=17 + i, n_mc_inner=400)["best_invariant"])
+        outs.append(risk_mc(rules, prob_m3, params, alpha, 400, seed=17 + i)["best_invariant"])
     for a in outs:
         assert a.reps == 400
         for b in outs:
@@ -241,7 +246,7 @@ def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
 
 
 def _two_rules(problem, alpha):
-    """Two rules for risk_mc at alpha: plug-in estimates at 1, densities below."""
+    """Two block rules for risk_mc at alpha: plug-in estimates at 1, predictive kernels below."""
     prior = PriorSpec.from_problem(problem, nu=0.25)
     if alpha == 1.0:
         return {
@@ -249,8 +254,8 @@ def _two_rules(problem, alpha):
             "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
         }
     return {
-        "best_invariant": lambda obs: best_invariant_density(problem, obs, alpha),
-        "shrinkage_bayes": lambda obs: shrinkage_bayes_density(problem, prior, obs, alpha),
+        "best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
+        "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha),
     }
 
 
@@ -260,10 +265,10 @@ def test_risk_mc_joint_equals_single(prob_m3, alpha, reps):
     # in one loop changes no estimate
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
     rules = _two_rules(prob_m3, alpha)
-    joint = risk_mc(rules, prob_m3, params, alpha, reps, seed=3, n_mc_inner=200)
+    joint = risk_mc(rules, prob_m3, params, alpha, reps, seed=3)
     assert list(joint) == list(rules)
     for name, rule in rules.items():
-        single = risk_mc({name: rule}, prob_m3, params, alpha, reps, seed=3, n_mc_inner=200)
+        single = risk_mc({name: rule}, prob_m3, params, alpha, reps, seed=3)
         assert joint[name] == single[name]
 
 
@@ -281,7 +286,7 @@ def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
     if alpha == 1.0:
         rules["oracle"] = lambda obs: PluginEstimate(np.zeros(3), 1.0, w=0.0)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    out = risk_mc(rules, prob_m3, params, alpha, reps, seed=8, n_mc_inner=100)
+    out = risk_mc(rules, prob_m3, params, alpha, reps, seed=8)
     assert len(out) == len(rules)
     assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
 
@@ -324,7 +329,7 @@ def test_certificate_failure_propagates(prob_m3, monkeypatch):
     monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError):
-        risk_mc(_two_rules(prob_m3, 0.0), prob_m3, params, 0.0, 60, seed=2, n_mc_inner=100)
+        risk_mc(_two_rules(prob_m3, 0.0), prob_m3, params, 0.0, 60, seed=2)
 
 
 def test_minimum_replication_counts(prob_m3):
@@ -333,11 +338,133 @@ def test_minimum_replication_counts(prob_m3):
     with pytest.raises(ValueError):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
-        risk_mc({"best_invariant": lambda o: best_invariant_density(prob_m3, o, 0.0)},
-                prob_m3, params, 0.0, reps=10, seed=0, n_mc_inner=200)
+        risk_mc({"best_invariant": lambda o: best_invariant_kernel(prob_m3, o, 0.0)},
+                prob_m3, params, 0.0, reps=10, seed=0)
     phat = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
     with pytest.raises(ValueError):
         alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_risk_path_makes_no_inner_monte_carlo(prob_m3, monkeypatch, alpha):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("alpha_divergence_mc called on the risk path")
+
+    monkeypatch.setattr(risk_module, "alpha_divergence_mc", forbidden)
+    params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
+    out = risk_mc(_two_rules(prob_m3, alpha), prob_m3, params, alpha, 60, seed=4)
+    assert all(math.isfinite(est.mean) and est.std_error > 0 for est in out.values())
+
+
+def test_loss_certificate_failure_propagates(prob_m3, monkeypatch):
+    # with no larger rule to compare against, no row's loss quadrature is certified
+    monkeypatch.setattr(risk_module, "LOSS_MAX_NODES", risk_module.LOSS_START_NODES)
+    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
+    with pytest.raises(UnreliableNormalizationError, match="loss quadrature"):
+        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, params, 0.5, 60, seed=2)
+
+
+def test_rule_alpha_must_match(prob_m3):
+    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, params, 0.0, 60, seed=2)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.3])
+def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
+    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    theta = np.array([1.0, -0.5, 0.0])
+    block = simulate_observation(prob_m3, CanonicalParams(theta=theta, mu=np.zeros(0), eta=2.0), 9)[:20]
+    for build in (lambda o: best_invariant_kernel(prob_m3, o, alpha),
+                  lambda o: shrinkage_bayes_kernel(prob_m3, prior, o, alpha)):
+        losses = alpha_divergence_loss(build(block), theta, 2.0)
+        assert losses.shape == (20,)
+        for i in (0, 7, 19):
+            assert alpha_divergence_loss(build(block[i]), theta, 2.0) == pytest.approx(losses[i], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [-0.99, -0.5, 0.0, 2.5, 9.5, 120.0])
+@pytest.mark.parametrize("n", [32, 48])
+def test_laguerre_rule_matches_scipy(a, n):
+    x, log_w = risk_module._laguerre(a, n)
+    ref_x, ref_w = scipy.special.roots_genlaguerre(n, a)
+    assert np.allclose(x, ref_x, rtol=1e-10, atol=0.0)
+    # normalized weights: equal to rounding, and in log on every node that carries mass
+    ref_log_w = np.log(ref_w) - scipy.special.gammaln(a + 1.0)
+    assert np.abs(np.exp(log_w) - np.exp(ref_log_w)).max() <= 1e-13
+    mass = ref_log_w > math.log(1e-12)
+    assert np.abs(log_w[mass] - ref_log_w[mass]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("a", [896.0, 5000.0])
+def test_laguerre_rule_finite_where_scipy_overflows(a):
+    # roots_genlaguerre's weights are not finite at these parameters
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(scipy.special.roots_genlaguerre(32, a)[1]))
+    x, log_w = risk_module._laguerre(a, 32)
+    w = np.exp(log_w)
+    assert np.all(np.isfinite(x)) and not np.any(np.isnan(log_w))
+    # the rule integrates polynomials of degree < 64 exactly: sum 1, mean a+1, second moment (a+1)(a+2)
+    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+    assert w @ x == pytest.approx(a + 1.0, rel=1e-12)
+    assert w @ x**2 == pytest.approx((a + 1.0) * (a + 2.0), rel=1e-12)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def oracle_designs():
+    """(problem, prior) pairs: both shipped configs, a wide m > k design, and a prior with c != 1."""
+    out = {}
+    for name in ("as1_desk", "case2_small_l"):
+        cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
+        problem, _, _ = cli.build_problem(cfg)
+        out[name] = (problem, cli.build_prior(cfg, problem))
+    rng = np.random.default_rng(77)
+    wide = canonicalize(rng.standard_normal((10, 3)), rng.standard_normal((5, 3)))
+    out["wide_m5_k3"] = (wide, PriorSpec.minimax_default(wide))
+    as1 = out["as1_desk"][0]
+    out["as1_c_ne_1"] = (as1, PriorSpec.from_problem(as1, c=[1.5, 2.0, 3.0], nu=0.5))
+    return out
+
+
+@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l", "wide_m5_k3", "as1_c_ne_1"])
+def test_exact_loss_matches_inner_monte_carlo(design):
+    # every row's exact loss against a 2e5-draw alpha_divergence_mc of the same density,
+    # 8 rows per (alpha, theta) cell and rule, each oracle on its own keyed draws.  Over
+    # 640 rows a 4-SE excursion of the oracle itself is likely (the wide design's
+    # alpha = -1 cell has one, z = 4.72, whose draws overshoot E|Z|^2 by 4 SE), so a row
+    # beyond 4 SE is checked once more against 2e6 draws on fresh keys, which a real
+    # bias would fail by a wider margin.
+    problem, prior = oracle_designs()[design]
+    assert design != "wide_m5_k3" or problem.m > problem.k
+    assert design != "as1_c_ne_1" or np.all(shrinkage_components(problem, prior, 0.0, np.zeros(3)).e_b > 0)
+    zs, rechecked, rep = [], [], 0
+    for alpha in (-1.0, -0.5, 0.0, 0.5, 0.9):
+        for norm in (0.0, 2.0):
+            theta = np.zeros(problem.l)
+            theta[0] = norm
+            params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
+            block = simulate_observation(problem, params, 21, 0)[:8]
+            kernels = (best_invariant_kernel(problem, block, alpha),
+                       shrinkage_bayes_kernel(problem, prior, block, alpha))
+            densities = (lambda o: best_invariant_density(problem, o, alpha),
+                         lambda o: shrinkage_bayes_density(problem, prior, o, alpha))
+            for kernel, density in zip(kernels, densities):
+                losses = alpha_divergence_loss(kernel, theta, params.eta)
+                for i in range(8):
+                    mc = alpha_divergence_mc(density(block[i]), theta, params.eta, problem, alpha, 200_000,
+                                             seed=31, rep_index=rep)
+                    zs.append((losses[i] - mc.mean) / mc.std_error)
+                    if abs(zs[-1]) > 4.0:
+                        mc = alpha_divergence_mc(density(block[i]), theta, params.eta, problem, alpha,
+                                                 2_000_000, seed=32, rep_index=rep)
+                        rechecked.append((losses[i] - mc.mean) / mc.std_error)
+                    rep += 1
+    zs = np.array(zs)
+    assert zs.size == 5 * 2 * 2 * 8
+    assert len(rechecked) <= 1 and all(abs(z) <= 4.0 for z in rechecked), (zs, rechecked)
+    assert abs(zs.mean()) <= 3.0 / math.sqrt(zs.size), zs.mean()
 
 
 # ---------------------------------------------------------------------------
