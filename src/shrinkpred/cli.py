@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .canonical import (
+    BLOCK_SIZE,
     STREAM_BETA,
     STREAM_DESIGN,
     STREAM_LEMMA,
@@ -231,12 +232,13 @@ def _floats(doc: dict, key: str, default: list) -> list[float]:
 def _matrix(value) -> np.ndarray:
     """Inline nested lists, or a path to a dense row-major CSV."""
     if isinstance(value, str):
-        return np.atleast_2d(np.loadtxt(value, delimiter=",", ndmin=2))
+        return np.loadtxt(value, delimiter=",", ndmin=2)
     return np.asarray(value, dtype=float)
 
 
 _DESIGN_KEYS = {"type", "file", "m", "k", "N", "xtilde", "X", "Xtilde"}
 _DENSITY_KEYS = {"problem", "observation", "type", "alpha", "points", "is_samples"}
+_DENSITY_TYPES = ("best_invariant", "shrinkage_bayes", "plugin")
 
 
 def _section(doc, keys, name: str) -> dict:
@@ -297,6 +299,15 @@ def load_config(path: str) -> ExperimentConfig:
     })
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
+    if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
+        raise ValueError("alpha must lie in [-1, 1]")
+    if cfg.density.get("type", "best_invariant") not in _DENSITY_TYPES:
+        raise ValueError(f"type must be one of {', '.join(_DENSITY_TYPES)}, got {cfg.density['type']!r}")
+    for key in ("problem", "observation"):
+        if not isinstance(cfg.density.get(key, ""), (str, dict)):
+            raise ValueError(f"{key} must be a path or a JSON object, got {cfg.density[key]!r}")
+    if not isinstance(cfg.density.get("points", ""), str):
+        raise ValueError(f"points must be a path to a CSV file, got {cfg.density['points']!r}")
     cfg.out = doc.get("out")
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ValueError(f"out must be a directory path, got {cfg.out!r}")
@@ -594,7 +605,7 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         with open(obs_doc) as fh:
             obs_doc = json.load(fh)
     obs = CanonicalObservation(v=obs_doc["v"], v_star=obs_doc.get("v_star", []), s=float(obs_doc["s"]))
-    points = np.atleast_2d(np.loadtxt(section["points"], delimiter=",", ndmin=2))
+    points = np.loadtxt(section["points"], delimiter=",", ndmin=2)
     if points.shape[1] != problem.m:
         raise ValueError(f"points must have {problem.m} columns")
 
@@ -611,17 +622,19 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         raise ValueError(f"unknown density type {kind!r}")
 
     log_u = dens.log_unnormalized(points)
+    table = np.column_stack([points, log_u, log_u + dens.log_norm_const])
     header = [f"ytilde_{i + 1}" for i in range(problem.m)]
     header += ["log_density_unnormalized", "log_norm_const", "log_density"]
-    lines = [",".join(header)]
-    for row, lu in zip(points, log_u):
-        cells = [_fmt(x) for x in row]
-        cells += [_fmt(lu), _fmt(dens.log_norm_const), _fmt(lu + dens.log_norm_const)]
-        lines.append(",".join(cells))
+    # '%.17g' % x is format(x, '.17g') for every double, so one %-format per
+    # block of rows writes the bytes _fmt would, cell by cell
+    row_template = ",".join(["%.17g"] * (problem.m + 1) + [_fmt(dens.log_norm_const), "%.17g"]) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "density_eval.csv")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), BLOCK_SIZE):
+            block = table[start:start + BLOCK_SIZE]
+            fh.write(row_template * len(block) % tuple(block.ravel().tolist()))
     print(f"wrote {points.shape[0]} rows to {path}")
     return EXIT_OK
 

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from shrinkpred.cli import main
+from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, problem_from_dict
+from shrinkpred.cli import _fmt, build_prior, load_config, main
+from shrinkpred.predictive import (
+    best_invariant_density,
+    plugin_bayes_estimators,
+    plugin_density,
+    shrinkage_bayes_density,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -307,6 +314,61 @@ def test_density_eval(tmp_path):
     for row in lines[1:]:
         cells = [float(x) for x in row.split(",")]
         assert cells[5] == pytest.approx(cells[3] + cells[4], rel=1e-12)
+
+
+DENSITY_BUILDERS = {
+    "best_invariant": lambda problem, prior, obs: best_invariant_density(problem, obs, 0.3),
+    "shrinkage_bayes": lambda problem, prior, obs: shrinkage_bayes_density(problem, prior, obs, 0.3),
+    "plugin": lambda problem, prior, obs: plugin_density(plugin_bayes_estimators(problem, prior, obs), problem),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DENSITY_BUILDERS))
+def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
+    out = tmp_path / "out"
+    assert main(["canonicalize", "--config", write_config(tmp_path, {"seed": 5, "design": AS1_DESIGN}, "c1.json"),
+                 "--out", str(out)]) == 0
+    # one row past a block boundary, with a signed zero, the least subnormal, a
+    # huge value and values that need all 17 significant digits
+    rows = 2.5 * np.random.default_rng(21).standard_normal((BLOCK_SIZE + 3, 3))
+    rows[:3] = [[-0.0, 5e-324, 1e300], [0.1, 1 / 3, -2 / 3], [-5e-324, 2.2250738585072014e-308, 1e-300]]
+    rows[BLOCK_SIZE - 1:BLOCK_SIZE + 1, 0] = [-0.0, 0.30000000000000004]
+    pts = tmp_path / "points.csv"
+    np.savetxt(pts, rows, delimiter=",", fmt="%.17g")
+    obs_doc = {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}
+    cfg = write_config(tmp_path, {
+        "seed": 5,
+        "density": {"problem": str(out / "problem.json"), "observation": obs_doc, "type": kind,
+                    "alpha": 0.3, "points": str(pts)},
+    }, "c2.json")
+    # the kernel's quadratic form overflows to nan at the 1e300 coordinate
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["density-eval", "--config", cfg, "--out", str(out)]) == 0
+        problem = problem_from_dict(json.loads((out / "problem.json").read_text()))
+        obs = CanonicalObservation(v=obs_doc["v"], v_star=obs_doc["v_star"], s=obs_doc["s"])
+        dens = DENSITY_BUILDERS[kind](problem, build_prior(load_config(cfg), problem), obs)
+        log_u = dens.log_unnormalized(rows)
+    lines = ["ytilde_1,ytilde_2,ytilde_3,log_density_unnormalized,log_norm_const,log_density"]
+    for row, lu in zip(rows, log_u):
+        cells = [_fmt(x) for x in row]
+        cells += [_fmt(lu), _fmt(dens.log_norm_const), _fmt(lu + dens.log_norm_const)]
+        lines.append(",".join(cells))
+    assert (out / "density_eval.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"alpha": "x"}, "alpha"), ({"alpha": [0.0]}, "alpha"), ({"alpha": 1.5}, "alpha"),
+    ({"type": "t_density"}, "type"), ({"problem": 3}, "problem"),
+    ({"observation": [0.5, -0.2, 1.0]}, "observation"), ({"points": 3}, "points"),
+])
+def test_density_config_errors_name_the_key(tmp_path, capsys, bad, key):
+    density = dict({"problem": "problem.json", "observation": "observation.json", "points": "points.csv"}, **bad)
+    cfg = write_config(tmp_path, {"seed": 1, "density": density})
+    capsys.readouterr()
+    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{key} must" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
