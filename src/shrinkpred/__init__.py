@@ -26,25 +26,19 @@ from .canonical import (
 )
 from .predictive import (
     DegenerateObservationError,
-    NormalizationCertificate,
+    PluginDensity,
     PluginEstimate,
-    PredictiveDensity,
     PredictiveKernel,
     PriorSpec,
     ShrinkageComponents,
     UnreliableNormalizationError,
     alpha_limit_check,
-    best_invariant_density,
     best_invariant_kernel,
-    best_invariant_normalizer,
     beta_integral_identity,
     lemma_identity_residual,
-    log_best_invariant,
-    log_shrinkage_bayes,
     normalize_density,
     plugin_bayes_estimators,
     plugin_density,
-    shrinkage_bayes_density,
     shrinkage_bayes_kernel,
     shrinkage_components,
     stein_variance,

@@ -44,13 +44,11 @@ from .predictive import (
     PluginEstimate,
     PriorSpec,
     UnreliableNormalizationError,
-    best_invariant_density,
     best_invariant_kernel,
     beta_integral_identity,
     lemma_identity_residual,
     plugin_bayes_estimators,
     plugin_density,
-    shrinkage_bayes_density,
     shrinkage_bayes_kernel,
     stein_variance,
     stein_variance_star,
@@ -591,20 +589,40 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _json_doc(value):
+    """An inline JSON object, or the document at a path."""
+    if isinstance(value, str):
+        with open(value) as fh:
+            return json.load(fh)
+    return value
+
+
+def _observation(doc, problem: CanonicalProblem) -> CanonicalObservation:
+    """The density section's observation: v with l entries, v_star with k - l, and a finite s > 0."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"observation must be a JSON object, got {doc!r}")
+    for key in ("v", "s"):
+        if key not in doc:
+            raise ValueError(f"{key} must be given in the observation")
+    s = _number(doc, "s")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be a finite number > 0, got {s!r}")
+    v, v_star = (np.asarray(doc.get(key, []), dtype=float) for key in ("v", "v_star"))
+    for key, value, size, name in (("v", v, problem.l, "l"), ("v_star", v_star, problem.k - problem.l, "k - l")):
+        if value.shape != (size,):
+            raise ValueError(f"{key} must have {name} = {size} entries, got shape {value.shape}")
+    return CanonicalObservation(v=v, v_star=v_star, s=s)
+
+
 def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     section = cfg.density
     if not section:
         raise ValueError("configuration has no density section")
-    prob_doc = section["problem"]
-    if isinstance(prob_doc, str):
-        with open(prob_doc) as fh:
-            prob_doc = json.load(fh)
-    problem = problem_from_dict(prob_doc)
-    obs_doc = section["observation"]
-    if isinstance(obs_doc, str):
-        with open(obs_doc) as fh:
-            obs_doc = json.load(fh)
-    obs = CanonicalObservation(v=obs_doc["v"], v_star=obs_doc.get("v_star", []), s=float(obs_doc["s"]))
+    for key in ("problem", "observation", "points"):
+        if key not in section:
+            raise ValueError(f"{key} must be given in the density section")
+    problem = problem_from_dict(_json_doc(section["problem"]))
+    obs = _observation(_json_doc(section["observation"]), problem)
     points = np.loadtxt(section["points"], delimiter=",", ndmin=2)
     if points.shape[1] != problem.m:
         raise ValueError(f"points must have {problem.m} columns")
@@ -612,9 +630,9 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     kind = section.get("type", "best_invariant")
     alpha = float(section.get("alpha", 0.0))
     if kind == "best_invariant":
-        dens = best_invariant_density(problem, obs, alpha)
+        dens = best_invariant_kernel(problem, obs, alpha)
     elif kind == "shrinkage_bayes":
-        dens = shrinkage_bayes_density(problem, build_prior(cfg, problem), obs, alpha)
+        dens = shrinkage_bayes_kernel(problem, build_prior(cfg, problem), obs, alpha)
     elif kind == "plugin":
         prior = build_prior(cfg, problem)
         dens = plugin_density(plugin_bayes_estimators(problem, prior, obs), problem)
@@ -622,12 +640,12 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         raise ValueError(f"unknown density type {kind!r}")
 
     log_u = dens.log_unnormalized(points)
-    table = np.column_stack([points, log_u, log_u + dens.log_norm_const])
+    table = np.column_stack([points, log_u, log_u + dens.log_const])
     header = [f"ytilde_{i + 1}" for i in range(problem.m)]
     header += ["log_density_unnormalized", "log_norm_const", "log_density"]
     # '%.17g' % x is format(x, '.17g') for every double, so one %-format per
     # block of rows writes the bytes _fmt would, cell by cell
-    row_template = ",".join(["%.17g"] * (problem.m + 1) + [_fmt(dens.log_norm_const), "%.17g"]) + "\n"
+    row_template = ",".join(["%.17g"] * (problem.m + 1) + [_fmt(dens.log_const), "%.17g"]) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "density_eval.csv")
     with open(path, "w", newline="\n") as fh:

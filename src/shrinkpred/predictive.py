@@ -11,10 +11,13 @@ ytilde ~ N_m(Q theta, I/eta):
 * the plug-in normal at alpha = 1, whose mean and variance shrink the
   unbiased estimators by the data-adaptive factor nu/(nu + 1 + W).
 
-Densities are evaluated in the log domain.  Below alpha = 1 both are
-built from per-row kernel parameters (PredictiveKernel), which a whole
-block of observations maps to at once and which risk.alpha_divergence_loss
-scores.  The shrinkage density's constant reduces, through Gamma
+Densities are evaluated in the log domain.  Below alpha = 1 each is one
+PredictiveKernel of per-row parameters: best_invariant_kernel and
+shrinkage_bayes_kernel map a whole block of observations to it at once,
+risk.alpha_divergence_loss scores a block, and indexing it gives one
+observation's density, which evaluates (log_density) and, for the best
+invariant t, samples.  The plug-in normal is a PluginDensity with the same
+members.  The shrinkage density's constant reduces, through Gamma
 integrals, to one integral on the logit scale, which a trapezoid rule
 computes to a certified 1e-10 in log Z for every row of a block;
 importance sampling (normalize_density) stays only as its test oracle.
@@ -44,18 +47,12 @@ __all__ = [
     "UnreliableNormalizationError",
     "PriorSpec",
     "ShrinkageComponents",
-    "NormalizationCertificate",
-    "PredictiveDensity",
     "PluginEstimate",
     "PredictiveKernel",
+    "PluginDensity",
     "shrinkage_components",
     "best_invariant_kernel",
     "shrinkage_bayes_kernel",
-    "log_best_invariant",
-    "best_invariant_normalizer",
-    "best_invariant_density",
-    "log_shrinkage_bayes",
-    "shrinkage_bayes_density",
     "normalize_density",
     "plugin_bayes_estimators",
     "plugin_density",
@@ -272,41 +269,6 @@ class PluginEstimate:
             raise ValueError("w must be nonnegative")
 
 
-@dataclass(frozen=True)
-class NormalizationCertificate:
-    """Provenance of a density's normalizing constant."""
-
-    method: str  # "closed_form", "quadrature" or "importance_sampled"
-    n_samples: int | None = None
-    seed: int | None = None
-    std_error: float = 0.0
-
-    def __post_init__(self):
-        if self.method not in ("closed_form", "quadrature", "importance_sampled"):
-            raise ValueError("unknown normalization method")
-
-
-@dataclass(frozen=True)
-class PredictiveDensity:
-    """Evaluable log density: log p(y) = log_unnormalized(y) + log_norm_const."""
-
-    log_unnormalized: Callable[[np.ndarray], np.ndarray]
-    log_norm_const: float
-    certificate: NormalizationCertificate
-    m: int
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-
-    def log_density(self, y) -> np.ndarray | float:
-        pts, single = _points(y, self.m)
-        out = self.log_unnormalized(pts) + self.log_norm_const
-        return float(out[0]) if single else out
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.sampler is None:
-            raise ValueError("density has no sampler")
-        return self.sampler(rng, size)
-
-
 # ---------------------------------------------------------------------------
 # Shrinkage factorization
 # ---------------------------------------------------------------------------
@@ -345,15 +307,18 @@ class PredictiveKernel:
 
     log p(y) = log_const - A log(q_u(y) + s) - B log(q_b(y) + o), q_u the
     quadratic form of c2 I + Q diag(e_u) Q' about Q v, q_b that of
-    c2 I + Q diag(e_b) Q' about Q theta_b, c2 = 2/(1 - alpha).  The best
-    invariant density has no second factor (B = 0, o None).  A block of
-    observations gives v and theta_b one row, and s, o and log_const one
-    entry, per observation; indexing the kernel selects rows.
+    c2 I + Q diag(e_b) Q' about Q theta_b, c2 = 2/(1 - alpha) and
+    A = (m + dof)/2, dof = 2(n-k)/(1-alpha).  The best invariant density has
+    no second factor (B = 0, o None) and is multivariate t with dof degrees
+    of freedom.  A block of observations gives v and theta_b one row, and s,
+    o and log_const one entry, per observation; indexing the kernel selects
+    rows.  One observation's kernel evaluates its density at points
+    (log_unnormalized, log_density) and, without a second factor, samples it.
     """
 
     alpha: float
     Q: np.ndarray
-    A: float
+    dof: float
     e_u: np.ndarray
     v: np.ndarray
     s: float | np.ndarray
@@ -367,17 +332,44 @@ class PredictiveKernel:
     def c2(self) -> float:
         return 2.0 / (1.0 - self.alpha)
 
+    @property
+    def A(self) -> float:
+        return self.Q.shape[0] / 2.0 + self.dof / 2.0
+
     def __getitem__(self, index) -> "PredictiveKernel":
         rows = ("v", "s", "log_const") + (() if self.o is None else ("theta_b", "o"))
         return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in rows})
 
-    def log_unnormalized(self, pts: np.ndarray) -> np.ndarray:
-        """log p(y) - log_const at the rows of pts, shape (N, m), for the kernel of one observation."""
+    def _single_m(self) -> int:
+        """m, once the kernel is checked to hold one observation, not a block."""
+        if np.ndim(self.s) != 0:
+            raise ValueError("a density is evaluated for one observation, not a block; index the kernel first")
+        return self.Q.shape[0]
+
+    def log_unnormalized(self, y) -> float | np.ndarray:
+        """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
+        pts, single = _points(y, self._single_m())
         lu = np.log(_SpectralScale(self.c2, self.Q, self.e_u).quad(pts - self.Q @ self.v) + self.s)
         if self.o is None:
-            return -self.A * lu
-        lb = np.log(_SpectralScale(self.c2, self.Q, self.e_b).quad(pts - self.Q @ self.theta_b) + self.o)
-        return -self.A * lu - self.B * lb
+            out = -self.A * lu
+        else:
+            lb = np.log(_SpectralScale(self.c2, self.Q, self.e_b).quad(pts - self.Q @ self.theta_b) + self.o)
+            out = -self.A * lu - self.B * lb
+        return float(out[0]) if single else out
+
+    def log_density(self, y) -> float | np.ndarray:
+        """The normalized log density at a point or at the rows of a batch."""
+        return self.log_unnormalized(y) + self.log_const
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size draws, shape (size, m), of the best invariant t: Q v + sqrt(A_u) z sqrt(s/chi2_dof)."""
+        m = self._single_m()
+        if self.o is not None:
+            raise ValueError("the shrinkage density has no sampler")
+        y = _SpectralScale(self.c2, self.Q, self.e_u).root(rng.standard_normal((size, m)))
+        y *= np.sqrt(self.s / rng.chisquare(self.dof, size))[:, None]
+        y += self.Q @ self.v
+        return y
 
 
 def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveKernel:
@@ -396,80 +388,26 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     log_s = math.log(s) if np.ndim(s) == 0 else np.log(s)
     log_const = (gammaln((nu_a + m) / 2.0) - gammaln(nu_a / 2.0)
                  - (m / 2.0) * math.log(math.pi) - 0.5 * logdet + (nu_a / 2.0) * log_s)
-    return PredictiveKernel(alpha=alpha, Q=problem.Q, A=m / 2.0 + q / (1.0 - alpha), e_u=problem.d, v=obs.v,
-                            s=s, log_const=log_const)
-
-
-def _one_observation(obs: CanonicalObservation) -> CanonicalObservation:
-    if np.ndim(obs.s) != 0:
-        raise ValueError("a density is built from one observation, not a block")
-    return obs
-
-
-def log_best_invariant(
-    problem: CanonicalProblem,
-    obs: CanonicalObservation,
-    alpha: float,
-    ytilde,
-) -> float:
-    """Unnormalized log of the best invariant density at ytilde."""
-    pts, single = _points(ytilde, problem.m)
-    out = best_invariant_kernel(problem, _one_observation(obs), alpha).log_unnormalized(pts)
-    return float(out[0]) if single else out
-
-
-def best_invariant_normalizer(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> float:
-    """Log constant that normalizes the best invariant kernel."""
-    return float(best_invariant_kernel(problem, _one_observation(obs), alpha).log_const)
-
-
-def best_invariant_density(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveDensity:
-    """Normalized best invariant density (best_invariant_kernel) with a multivariate-t sampler."""
-    kernel = best_invariant_kernel(problem, _one_observation(obs), alpha)
-    m = problem.m
-    scale = _SpectralScale(kernel.c2, problem.Q, problem.d)
-    mean = problem.Q @ obs.v
-    nu_a = 2.0 * (problem.n - problem.k) / (1.0 - kernel.alpha)
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        y = scale.root(rng.standard_normal((size, m)))
-        y *= np.sqrt(kernel.s / rng.chisquare(nu_a, size))[:, None]
-        y += mean
-        return y
-
-    return PredictiveDensity(
-        log_unnormalized=kernel.log_unnormalized,
-        log_norm_const=float(kernel.log_const),
-        certificate=NormalizationCertificate(method="closed_form"),
-        m=m,
-        sampler=sampler,
-    )
-
-
-def _shrinkage_factors(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
-                       alpha: float) -> PredictiveKernel:
-    """The shrinkage kernel (q_u(y) + s)^-A (q_b(y) + o)^-B, not yet normalized.
-
-    A = m/2 + (n-k)/(1-alpha), B = (k+2a+2)/(1-alpha) and
-    o = r + |v*|^2/gamma + s (v* is empty when m >= k).
-    """
-    alpha = _check_alpha(alpha)
-    comp = shrinkage_components(problem, prior, alpha, obs.v)
-    s = _check_s(obs)
-    return PredictiveKernel(
-        alpha=alpha, Q=problem.Q, A=problem.m / 2.0 + (problem.n - problem.k) / (1.0 - alpha), e_u=comp.e_u,
-        v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=comp.e_b,
-        theta_b=comp.theta_hat_b, o=comp.r + np.sum(obs.v_star * obs.v_star, axis=-1) / prior.gamma_prior + s,
-    )
+    return PredictiveKernel(alpha=alpha, Q=problem.Q, dof=nu_a, e_u=problem.d, v=obs.v, s=s, log_const=log_const)
 
 
 def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
                            alpha: float) -> PredictiveKernel:
-    """The shrinkage density of each observation of a block, normalized by its certified quadrature.
+    """The shrinkage density of each observation of a block (or of one observation).
 
+    Its kernel is (q_u(y) + s)^-A (q_b(y) + o)^-B with A = m/2 + (n-k)/(1-alpha),
+    B = (k+2a+2)/(1-alpha) and o = r + |v*|^2/gamma + s (v* is empty when
+    m >= k), normalized by its certified logit-scale quadrature (_log_integral).
     Raises UnreliableNormalizationError when the certificate fails for any row.
     """
-    kernel = _shrinkage_factors(problem, prior, obs, alpha)
+    alpha = _check_alpha(alpha)
+    comp = shrinkage_components(problem, prior, alpha, obs.v)
+    s = _check_s(obs)
+    kernel = PredictiveKernel(
+        alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=comp.e_u,
+        v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=comp.e_b,
+        theta_b=comp.theta_hat_b, o=comp.r + np.sum(obs.v_star * obs.v_star, axis=-1) / prior.gamma_prior + s,
+    )
     return replace(kernel, log_const=-_log_integral(kernel))
 
 
@@ -552,25 +490,18 @@ def _log_trapezoid(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     raise UnreliableNormalizationError(f"integrand within {QUAD_DROP} of its peak at an end of [{lo:.3g}, {hi:.3g}]")
 
 
-def log_shrinkage_bayes(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, alpha: float,
-                        ytilde) -> float:
-    """Unnormalized log of the hierarchical shrinkage density at ytilde."""
-    pts, single = _points(ytilde, problem.m)
-    out = _shrinkage_factors(problem, prior, _one_observation(obs), alpha).log_unnormalized(pts)
-    return float(out[0]) if single else out
-
-
-def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray], proposal: PredictiveDensity,
-                      n_samples: int, seed: int, rep_index: int = 0) -> PredictiveDensity:
+def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray],
+                      proposal: PredictiveKernel | PluginDensity, n_samples: int, seed: int,
+                      rep_index: int = 0) -> tuple[float, float]:
     """Normalize a density by importance sampling against a known proposal.
 
-    The test oracle for the quadrature constant of shrinkage_bayes_density.
-    The proposal must be normalized, samplable and dominate the target.
-    Raises UnreliableNormalizationError when the effective sample size
-    drops below MIN_ESS_FRACTION of n_samples.
+    The test oracle for the quadrature constant of shrinkage_bayes_kernel.
+    The proposal, one observation's best invariant kernel or a plug-in
+    normal, must dominate the target.  Returns (log_norm_const, rel_se):
+    the constant that normalizes log_unnormalized, and the relative standard
+    error of its integral.  Raises UnreliableNormalizationError when the
+    effective sample size drops below MIN_ESS_FRACTION of n_samples.
     """
-    if proposal.sampler is None:
-        raise ValueError("proposal must be samplable")
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -585,30 +516,7 @@ def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray], prop
         raise UnreliableNormalizationError(
             f"effective sample size {ess:.1f} of {n_samples} is below the 5% guard"
         )
-    rel_se = float(np.std(w, ddof=1) / math.sqrt(n_samples) / zbar)
-    return PredictiveDensity(
-        log_unnormalized=log_unnormalized,
-        log_norm_const=-(shift + math.log(zbar)),
-        certificate=NormalizationCertificate(
-            method="importance_sampled", n_samples=n_samples, seed=int(seed), std_error=rel_se
-        ),
-        m=proposal.m,
-    )
-
-
-def shrinkage_bayes_density(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
-                            alpha: float) -> PredictiveDensity:
-    """Shrinkage density (shrinkage_bayes_kernel) normalized by its certified logit-scale quadrature.
-
-    Raises UnreliableNormalizationError when the certificate fails.
-    """
-    kernel = shrinkage_bayes_kernel(problem, prior, _one_observation(obs), alpha)
-    return PredictiveDensity(
-        log_unnormalized=kernel.log_unnormalized,
-        log_norm_const=kernel.log_const,
-        certificate=NormalizationCertificate(method="quadrature"),
-        m=problem.m,
-    )
+    return -(shift + math.log(zbar)), float(np.std(w, ddof=1) / math.sqrt(n_samples) / zbar)
 
 
 # ---------------------------------------------------------------------------
@@ -666,27 +574,34 @@ def stein_variance_star(obs: CanonicalObservation, n: int, k: int) -> float | np
     return np.minimum(s / (n - k), (np.sum(obs.v_star * obs.v_star, axis=-1) + s) / (n - l))
 
 
-def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> PredictiveDensity:
-    """Normal density N_m(Q theta_hat, sigma2_hat I) with closed-form constant."""
-    mean = problem.Q @ est.theta_hat
-    m = problem.m
+@dataclass(frozen=True)
+class PluginDensity:
+    """The normal density N_m(mean, sigma2 I) of one plug-in estimate, with its closed-form log_const."""
+
+    mean: np.ndarray
+    sigma2: float
+    log_const: float
+
+    def log_unnormalized(self, y) -> float | np.ndarray:
+        """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
+        pts, single = _points(y, self.mean.size)
+        r = pts - self.mean
+        out = -0.5 * np.einsum("ij,ij->i", r, r) / self.sigma2
+        return float(out[0]) if single else out
+
+    def log_density(self, y) -> float | np.ndarray:
+        """The normalized log density at a point or at the rows of a batch."""
+        return self.log_unnormalized(y) + self.log_const
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.mean + math.sqrt(self.sigma2) * rng.standard_normal((size, self.mean.size))
+
+
+def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> PluginDensity:
+    """Normal density N_m(Q theta_hat, sigma2_hat I) of one plug-in estimate."""
     sigma2 = est.sigma2_hat
-    log_nc = -m / 2.0 * math.log(2.0 * math.pi * sigma2)
-
-    def log_unnorm(pts: np.ndarray) -> np.ndarray:
-        r = pts - mean
-        return -0.5 * np.einsum("ij,ij->i", r, r) / sigma2
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return mean + math.sqrt(sigma2) * rng.standard_normal((size, m))
-
-    return PredictiveDensity(
-        log_unnormalized=log_unnorm,
-        log_norm_const=log_nc,
-        certificate=NormalizationCertificate(method="closed_form"),
-        m=m,
-        sampler=sampler,
-    )
+    return PluginDensity(mean=problem.Q @ est.theta_hat, sigma2=sigma2,
+                         log_const=-problem.m / 2.0 * math.log(2.0 * math.pi * sigma2))
 
 
 def alpha_limit_check(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, points,
@@ -702,11 +617,10 @@ def alpha_limit_check(problem: CanonicalProblem, prior: PriorSpec, obs: Canonica
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_sequence must be increasing")
     pts, _ = _points(np.atleast_2d(points), problem.m)
-    target = plugin_density(plugin_bayes_estimators(problem, prior, obs), problem)
-    ref = target.log_density(pts)
+    ref = plugin_density(plugin_bayes_estimators(problem, prior, obs), problem).log_density(pts)
     gaps = np.empty((len(alphas), pts.shape[0]))
     for i, alpha in enumerate(alphas):
-        gaps[i] = np.abs(shrinkage_bayes_density(problem, prior, obs, alpha).log_density(pts) - ref)
+        gaps[i] = np.abs(shrinkage_bayes_kernel(problem, prior, obs, alpha).log_density(pts) - ref)
     return gaps
 
 

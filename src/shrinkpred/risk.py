@@ -7,15 +7,17 @@ the truth has the closed form (L1 + m L2)/2 combining scale-invariant
 quadratic loss and entropy loss, and the unbiased baseline has the known
 constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
 For alpha < 1 the divergence of a predictive density from the truth is
-computed exactly too (alpha_divergence_loss): Gamma integrals and a
-Gaussian integral in y leave 1-D or 2-D Gauss-Laguerre rules, and at
-alpha = -1 Frullani integrals, each certified by a refinement check.  Risks
-are then single-level Monte Carlo averages of exact losses at every alpha.
+computed exactly too (alpha_divergence_loss, on a predictive.PredictiveKernel
+of a whole block): Gamma integrals and a Gaussian integral in y leave 1-D
+or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, each
+certified by a refinement check.  Risks are then single-level Monte Carlo
+averages of exact losses at every alpha.
 
 Observations come in keyed blocks (canonical.simulate_observation) and
 losses are reduced by pairwise summation in replication order, so reruns
-agree bit for bit.  alpha_divergence_mc, a Monte Carlo divergence with its
-own keyed draws, is kept as an independent check of the exact losses.
+agree bit for bit.  alpha_divergence_mc, a Monte Carlo divergence of one
+observation's kernel or plug-in density with its own keyed draws, is kept
+as an independent check of the exact losses.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .canonical import (
     simulate_observation,
 )
 from .predictive import (
+    PluginDensity,
     PluginEstimate,
-    PredictiveDensity,
     PredictiveKernel,
     UnreliableNormalizationError,
     _log_trapezoid_rows,
@@ -140,7 +142,7 @@ def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
 
 
 def alpha_divergence_mc(
-    phat: PredictiveDensity,
+    phat: PredictiveKernel | PluginDensity,
     theta,
     eta: float,
     problem: CanonicalProblem,
@@ -151,12 +153,11 @@ def alpha_divergence_mc(
 ) -> RiskEstimate:
     """Monte Carlo alpha-divergence of phat from the true density N_m(Q theta, I/eta).
 
+    phat is one observation's density: a PredictiveKernel or a PluginDensity.
     For alpha < 1 the draws come from the truth; at alpha = 1 the integral
-    runs against phat itself, so phat must be samplable there.  phat must
-    carry a normalization certificate.
+    runs against phat itself, so phat must be samplable there (a plug-in
+    normal or a best invariant kernel; a shrinkage kernel raises ValueError).
     """
-    if phat.certificate is None:
-        raise ValueError("phat is missing its normalization certificate")
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, problem_from_dict
+from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, problem_from_dict, problem_to_dict
 from shrinkpred.cli import _fmt, build_prior, load_config, main
 from shrinkpred.predictive import (
-    best_invariant_density,
+    best_invariant_kernel,
     plugin_bayes_estimators,
     plugin_density,
-    shrinkage_bayes_density,
+    shrinkage_bayes_kernel,
 )
 
 
@@ -317,8 +317,8 @@ def test_density_eval(tmp_path):
 
 
 DENSITY_BUILDERS = {
-    "best_invariant": lambda problem, prior, obs: best_invariant_density(problem, obs, 0.3),
-    "shrinkage_bayes": lambda problem, prior, obs: shrinkage_bayes_density(problem, prior, obs, 0.3),
+    "best_invariant": lambda problem, prior, obs: best_invariant_kernel(problem, obs, 0.3),
+    "shrinkage_bayes": lambda problem, prior, obs: shrinkage_bayes_kernel(problem, prior, obs, 0.3),
     "plugin": lambda problem, prior, obs: plugin_density(plugin_bayes_estimators(problem, prior, obs), problem),
 }
 
@@ -351,7 +351,7 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
     lines = ["ytilde_1,ytilde_2,ytilde_3,log_density_unnormalized,log_norm_const,log_density"]
     for row, lu in zip(rows, log_u):
         cells = [_fmt(x) for x in row]
-        cells += [_fmt(lu), _fmt(dens.log_norm_const), _fmt(lu + dens.log_norm_const)]
+        cells += [_fmt(lu), _fmt(dens.log_const), _fmt(lu + dens.log_const)]
         lines.append(",".join(cells))
     assert (out / "density_eval.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
@@ -368,6 +368,39 @@ def test_density_config_errors_name_the_key(tmp_path, capsys, bad, key):
     assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"{key} must" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case, kind, drop, obs, key", [
+    ("I", "best_invariant", "problem", {}, "problem"),
+    ("I", "best_invariant", "observation", {}, "observation"),
+    ("I", "best_invariant", "points", {}, "points"),
+    ("I", "best_invariant", None, {"v": None}, "v"),
+    ("I", "best_invariant", None, {"s": None}, "s"),
+    ("I", "best_invariant", None, {"v": [0.5, -0.2]}, "v"),
+    ("I", "shrinkage_bayes", None, {"v_star": [3.0]}, "v_star"),
+    ("II", "shrinkage_bayes", None, {"v_star": None}, "v_star"),
+    ("I", "shrinkage_bayes", None, {"s": math.nan}, "s"),
+    ("I", "best_invariant", None, {"s": math.inf}, "s"),
+    ("I", "plugin", None, {"s": 0.0}, "s"),
+    ("I", "best_invariant", None, {"s": "8"}, "s"),
+])
+def test_density_eval_input_errors_name_the_key(tmp_path, capsys, as1_problem_n12, case2_problem_n12,
+                                                case, kind, drop, obs, key):
+    # a density section that loads but lacks a key, or whose observation does not fit the problem
+    problem = as1_problem_n12 if case == "I" else case2_problem_n12
+    pts = tmp_path / "points.csv"
+    np.savetxt(pts, np.zeros((2, problem.m)), delimiter=",")
+    observation = {"v": [0.5] * problem.l, "v_star": [0.1] * (problem.k - problem.l), "s": 8.0}
+    observation = {name: value for name, value in dict(observation, **obs).items() if value is not None}
+    density = {"problem": problem_to_dict(problem), "observation": observation, "type": kind, "alpha": 0.0,
+               "points": str(pts)}
+    density.pop(drop, None)
+    cfg = write_config(tmp_path, {"seed": 1, "density": density})
+    capsys.readouterr()
+    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must" in err, err
     assert not (tmp_path / "o").exists()
 
 

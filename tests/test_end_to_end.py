@@ -19,7 +19,7 @@ from shrinkpred.canonical import (
 )
 from shrinkpred.predictive import (
     PriorSpec,
-    best_invariant_density,
+    best_invariant_kernel,
     plugin_bayes_estimators,
 )
 
@@ -64,7 +64,7 @@ def test_best_invariant_matches_regression_space_formula(m, rng):
     obs = to_canonical(problem, sufficient_statistics(RegressionData(X=X, y=y, Xtilde=Xtilde)))
     pts = rng.standard_normal((8, m))
     for alpha in (-1.0, 0.0, 0.6):
-        dens = best_invariant_density(problem, obs, alpha)
+        dens = best_invariant_kernel(problem, obs, alpha)
         want = direct_best_invariant_logpdf(X, Xtilde, y, alpha, pts)
         assert np.abs(dens.log_density(pts) - want).max() < 1e-9
 

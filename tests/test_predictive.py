@@ -24,16 +24,13 @@ from shrinkpred.predictive import (
     PriorSpec,
     UnreliableNormalizationError,
     alpha_limit_check,
-    best_invariant_density,
-    best_invariant_normalizer,
+    best_invariant_kernel,
     lemma_identity_residual,
-    log_best_invariant,
     log_marginal_kernel,
-    log_shrinkage_bayes,
     normalize_density,
     plugin_bayes_estimators,
     plugin_density,
-    shrinkage_bayes_density,
+    shrinkage_bayes_kernel,
     shrinkage_components,
     stein_variance,
     stein_variance_star,
@@ -146,16 +143,17 @@ def test_prior_derived_quantities(prob_m3):
 
 def test_best_invariant_at_center(prob_m3, obs_m3):
     alpha = -0.4
-    got = log_best_invariant(prob_m3, obs_m3, alpha, prob_m3.Q @ obs_m3.v)
+    got = best_invariant_kernel(prob_m3, obs_m3, alpha).log_unnormalized(prob_m3.Q @ obs_m3.v)
     expo = -prob_m3.m / 2.0 - (prob_m3.n - prob_m3.k) / (1.0 - alpha)
     assert got == pytest.approx(expo * math.log(obs_m3.s), rel=1e-12)
 
 
 def test_best_invariant_maximized_at_center(prob_m3, obs_m3, rng):
     center = prob_m3.Q @ obs_m3.v
-    peak = log_best_invariant(prob_m3, obs_m3, 0.2, center)
+    kernel = best_invariant_kernel(prob_m3, obs_m3, 0.2)
+    peak = kernel.log_unnormalized(center)
     for _ in range(25):
-        assert log_best_invariant(prob_m3, obs_m3, 0.2, center + rng.standard_normal(3)) < peak
+        assert kernel.log_unnormalized(center + rng.standard_normal(3)) < peak
 
 
 def test_univariate_t_oracle(prob_m1, prob_rot, obs_rot, rng):
@@ -164,7 +162,7 @@ def test_univariate_t_oracle(prob_m1, prob_rot, obs_rot, rng):
     q = prob_m1.n - prob_m1.k
     sigma_u = 2.0 / 2.0 + prob_m1.d[0]
     scale = math.sqrt(obs.s * sigma_u / q)
-    dens = best_invariant_density(prob_m1, obs, -1.0)
+    dens = best_invariant_kernel(prob_m1, obs, -1.0)
     for y in np.linspace(-4.0, 5.0, 11):
         want = stats.t.logpdf(y, df=q, loc=obs.v[0], scale=scale)
         assert dens.log_density(np.array([y])) == pytest.approx(want, abs=1e-10)
@@ -174,16 +172,16 @@ def test_univariate_t_oracle(prob_m1, prob_rot, obs_rot, rng):
         oracle = stats.multivariate_t(loc=prob_rot.Q @ obs_rot.v, df=dof,
                                       shape=obs_rot.s / dof * dense_scale(prob_rot, alpha, prob_rot.d))
         ys = 2.0 * rng.standard_normal((20, 4))
-        got = best_invariant_density(prob_rot, obs_rot, alpha).log_density(ys)
+        got = best_invariant_kernel(prob_rot, obs_rot, alpha).log_density(ys)
         assert np.abs(got - oracle.logpdf(ys)).max() < 1e-10
 
 
 def test_normalizer_m1_quadrature(prob_m1):
     obs = CanonicalObservation(v=np.array([-0.3]), v_star=np.zeros(0), s=2.2)
     for alpha in (-1.0, 0.0, 0.7):
-        lognc = best_invariant_normalizer(prob_m1, obs, alpha)
+        kernel = best_invariant_kernel(prob_m1, obs, alpha)
         total, _ = integrate.quad(
-            lambda y: math.exp(log_best_invariant(prob_m1, obs, alpha, np.array([y])) + lognc),
+            lambda y: math.exp(kernel.log_unnormalized(np.array([y])) + kernel.log_const),
             -np.inf, np.inf,
         )
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -191,20 +189,21 @@ def test_normalizer_m1_quadrature(prob_m1):
 
 def test_normalizer_location_invariant(prob_m3):
     s = 3.1
-    a = best_invariant_normalizer(prob_m3, CanonicalObservation(np.zeros(3), np.zeros(0), s), 0.3)
-    b = best_invariant_normalizer(prob_m3, CanonicalObservation(np.array([5.0, -2.0, 1.0]), np.zeros(0), s), 0.3)
+    a = best_invariant_kernel(prob_m3, CanonicalObservation(np.zeros(3), np.zeros(0), s), 0.3).log_const
+    b = best_invariant_kernel(prob_m3, CanonicalObservation(np.array([5.0, -2.0, 1.0]), np.zeros(0), s),
+                              0.3).log_const
     assert a == b
 
 
 def test_degenerate_observation_rejected(prob_m3):
     obs0 = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=0.0)
     with pytest.raises(DegenerateObservationError):
-        log_best_invariant(prob_m3, obs0, 0.0, np.zeros(3))
+        best_invariant_kernel(prob_m3, obs0, 0.0)
 
 
 def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
     obs = CanonicalObservation(v=np.array([1.5]), v_star=np.zeros(0), s=2.0)
-    dens = best_invariant_density(prob_m1, obs, 0.0)
+    dens = best_invariant_kernel(prob_m1, obs, 0.0)
     from shrinkpred.canonical import replication_rng
 
     ys = dens.sample(replication_rng(3, 0), 200_000)
@@ -213,7 +212,7 @@ def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
     # rotated Q, unequal d: mean Qv and covariance s/(dof - 2) sigma_u, entry by entry
     alpha = 0.0
     dof = 2.0 * (prob_rot.n - prob_rot.k) / (1.0 - alpha)
-    ys = best_invariant_density(prob_rot, obs_rot, alpha).sample(replication_rng(4, 0), 200_000)
+    ys = best_invariant_kernel(prob_rot, obs_rot, alpha).sample(replication_rng(4, 0), 200_000)
     mean = prob_rot.Q @ obs_rot.v
     se = ys.std(axis=0, ddof=1) / math.sqrt(len(ys))
     assert np.all(np.abs(ys.mean(axis=0) - mean) < 4 * se)
@@ -222,6 +221,27 @@ def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
     prods = r[:, :, None] * r[:, None, :]
     se = prods.std(axis=0, ddof=1) / math.sqrt(len(ys))
     assert np.all(np.abs(prods.mean(axis=0) - cov) < 4 * se)
+
+
+def test_kernel_evaluates_and_samples_one_observation(prob_m3):
+    # a block kernel is scored whole by the loss, but evaluated and sampled one row at a time
+    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
+    block = simulate_observation(prob_m3, params, 9)[:5]
+    y = np.array([0.3, -1.0, 2.0])
+    for build in (lambda o: best_invariant_kernel(prob_m3, o, 0.3),
+                  lambda o: shrinkage_bayes_kernel(prob_m3, prior, o, 0.3)):
+        kernel = build(block)
+        for evaluate in (kernel.log_unnormalized, kernel.log_density):
+            with pytest.raises(ValueError, match="one observation"):
+                evaluate(y)
+        with pytest.raises(ValueError, match="one observation"):
+            kernel.sample(replication_rng(1, 0), 10)
+        assert kernel[2].log_density(y) == pytest.approx(build(block[2]).log_density(y), rel=1e-14)
+    shrink = shrinkage_bayes_kernel(prob_m3, prior, block[0], 0.3)
+    with pytest.raises(ValueError, match="no sampler"):
+        shrink.sample(replication_rng(1, 0), 10)
+    assert best_invariant_kernel(prob_m3, block[0], 0.3).sample(replication_rng(1, 0), 10).shape == (10, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +254,12 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 2.0, 4.0], nu=0.4)
     comp = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
     sigma_b = dense_scale(prob_m3, alpha, comp.e_b)
+    shrink = shrinkage_bayes_kernel(prob_m3, prior, obs_m3, alpha)
+    invariant = best_invariant_kernel(prob_m3, obs_m3, alpha)
     for _ in range(10):
         y = rng.standard_normal(3) * 2.0
-        full = log_shrinkage_bayes(prob_m3, prior, obs_m3, alpha, y)
-        first = log_best_invariant(prob_m3, obs_m3, alpha, y)
+        full = shrink.log_unnormalized(y)
+        first = invariant.log_unnormalized(y)
         r = y - prob_m3.Q @ comp.theta_hat_b
         quad = float(r @ np.linalg.solve(sigma_b, r))
         second = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad + comp.r + obs_m3.s)
@@ -248,6 +270,8 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
     sigma_u = dense_scale(prob_rot, alpha, comp.e_u)
     sigma_b = dense_scale(prob_rot, alpha, comp.e_b)
     q = prob_rot.n - prob_rot.k
+    shrink = shrinkage_bayes_kernel(prob_rot, prior, obs_rot, alpha)
+    invariant = best_invariant_kernel(prob_rot, obs_rot, alpha)
     for _ in range(10):
         y = rng.standard_normal(4) * 2.0
         ru = y - prob_rot.Q @ obs_rot.v
@@ -256,8 +280,8 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
         quad_b = float(rb @ np.linalg.solve(sigma_b, rb))
         first = -(prob_rot.m / 2 + q / (1 - alpha)) * math.log(quad_u + obs_rot.s)
         second = -(prob_rot.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad_b + comp.r + obs_rot.s)
-        assert log_best_invariant(prob_rot, obs_rot, alpha, y) == pytest.approx(first, rel=1e-12)
-        full = log_shrinkage_bayes(prob_rot, prior, obs_rot, alpha, y)
+        assert invariant.log_unnormalized(y) == pytest.approx(first, rel=1e-12)
+        full = shrink.log_unnormalized(y)
         assert full == pytest.approx(first + second, rel=1e-12)
 
 
@@ -267,8 +291,8 @@ def test_zero_data_reduction(prob_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, a=-0.5)
     obs0 = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=4.0)
     y = np.array([1.0, -2.0, 0.5])
-    got = log_shrinkage_bayes(prob_m3, prior, obs0, alpha, y)
-    first = log_best_invariant(prob_m3, obs0, alpha, y)
+    got = shrinkage_bayes_kernel(prob_m3, prior, obs0, alpha).log_unnormalized(y)
+    first = best_invariant_kernel(prob_m3, obs0, alpha).log_unnormalized(y)
     expo = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha)
     want = first + expo * math.log((1 - alpha) / 2 * float(y @ y) + obs0.s)
     assert got == pytest.approx(want, rel=1e-12)
@@ -308,10 +332,8 @@ def test_posterior_integral_oracle():
         return math.log(val) * 2 / (1 - alpha)
 
     grid = np.array([-2.0, -0.8, 0.0, 0.7, 1.5, 3.0])
-    diffs = [
-        numeric_log(yt) - log_shrinkage_bayes(problem, prior, obs, alpha, np.array([yt]))
-        for yt in grid
-    ]
+    kernel = shrinkage_bayes_kernel(problem, prior, obs, alpha)
+    diffs = [numeric_log(yt) - kernel.log_unnormalized(np.array([yt])) for yt in grid]
     assert np.ptp(diffs) < 1e-4
 
 
@@ -325,36 +347,28 @@ def test_self_normalization_is_exact(prob_m1):
     proposal = plugin_density(est, prob_m1)
 
     def target(pts):
-        return proposal.log_unnormalized(pts) + proposal.log_norm_const
+        return proposal.log_unnormalized(pts) + proposal.log_const
 
-    out = normalize_density(target, proposal, n_samples=5000, seed=4)
-    assert out.log_norm_const == 0.0
-    assert out.certificate.std_error == 0.0
-    assert out.certificate.method == "importance_sampled"
+    log_norm_const, rel_se = normalize_density(target, proposal, n_samples=5000, seed=4)
+    assert log_norm_const == 0.0
+    assert rel_se == 0.0
 
 
 def test_is_matches_closed_form_constant(prob_m3, obs_m3):
     # Proposal: heavier-tailed invariant density (alpha = -1); target alpha = 0.
-    proposal = best_invariant_density(prob_m3, obs_m3, -1.0)
-
-    def target(pts):
-        return log_best_invariant(prob_m3, obs_m3, 0.0, pts)
-
-    out = normalize_density(target, proposal, n_samples=60_000, seed=11)
-    closed = best_invariant_normalizer(prob_m3, obs_m3, 0.0)
-    assert abs(out.log_norm_const - closed) < 3 * out.certificate.std_error
+    proposal = best_invariant_kernel(prob_m3, obs_m3, -1.0)
+    target = best_invariant_kernel(prob_m3, obs_m3, 0.0)
+    log_norm_const, rel_se = normalize_density(target.log_unnormalized, proposal, n_samples=60_000, seed=11)
+    assert abs(log_norm_const - target.log_const) < 3 * rel_se
 
 
 def test_se_scales_with_sample_size(prob_m3, obs_m3):
-    proposal = best_invariant_density(prob_m3, obs_m3, -1.0)
-
-    def target(pts):
-        return log_best_invariant(prob_m3, obs_m3, 0.0, pts)
-
+    proposal = best_invariant_kernel(prob_m3, obs_m3, -1.0)
+    target = best_invariant_kernel(prob_m3, obs_m3, 0.0).log_unnormalized
     ratios = []
     for seed in range(20):
-        se_n = normalize_density(target, proposal, 4000, seed).certificate.std_error
-        se_2n = normalize_density(target, proposal, 8000, seed + 1000).certificate.std_error
+        _, se_n = normalize_density(target, proposal, 4000, seed)
+        _, se_2n = normalize_density(target, proposal, 8000, seed + 1000)
         ratios.append(se_n / se_2n)
     assert np.mean(ratios) == pytest.approx(math.sqrt(2.0), abs=0.12)
 
@@ -367,17 +381,17 @@ def test_ess_guard_trips(prob_m1):
 
 
 def test_normalized_density_integrates_to_one(prob_m3, obs_m3):
-    # independent check of the certificate with a fresh seed and proposal
+    # independent check of the quadrature constant with a fresh seed and proposal
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    dens = shrinkage_bayes_density(prob_m3, prior, obs_m3, alpha=0.2)
-    checker = best_invariant_density(prob_m3, obs_m3, -0.5)
+    dens = shrinkage_bayes_kernel(prob_m3, prior, obs_m3, alpha=0.2)
+    checker = best_invariant_kernel(prob_m3, obs_m3, -0.5)
     from shrinkpred.canonical import replication_rng
 
     ys = checker.sample(replication_rng(99, 0), 200_000)
     w = np.exp(dens.log_density(ys) - checker.log_density(ys))
     total = w.mean()
     se = w.std(ddof=1) / math.sqrt(w.size)
-    assert abs(total - 1.0) < 3 * (se + dens.certificate.std_error)
+    assert abs(total - 1.0) < 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +462,10 @@ def test_quadrature_constant_matches_importance_sampling(design):
     if design == "as1":
         cases.append((*far_case(), 0.9))
     for i, (p, obs, alpha) in enumerate(cases):
-        dens = shrinkage_bayes_density(p, PriorSpec.minimax_default(p), obs, alpha)
-        assert dens.certificate.method == "quadrature" and dens.certificate.std_error == 0.0
-        oracle = normalize_density(dens.log_unnormalized, best_invariant_density(p, obs, alpha),
-                                   2_000_000, seed=3, rep_index=i)
-        z = (dens.log_norm_const - oracle.log_norm_const) / oracle.certificate.std_error
+        dens = shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), obs, alpha)
+        log_norm_const, rel_se = normalize_density(dens.log_unnormalized, best_invariant_kernel(p, obs, alpha),
+                                                   2_000_000, seed=3, rep_index=i)
+        z = (dens.log_const - log_norm_const) / rel_se
         assert abs(z) <= 4.0, (design, i, alpha, z)
 
 
@@ -465,7 +478,7 @@ def test_quadrature_constant_matches_algebraic_weight_rule(design):
     for prior in priors:
         for obs in two_observations(problem):
             for alpha in QUAD_ALPHAS:
-                got = -shrinkage_bayes_density(problem, prior, obs, alpha).log_norm_const
+                got = -shrinkage_bayes_kernel(problem, prior, obs, alpha).log_const
                 want = qaws_log_z(problem, prior, obs, alpha)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want)), (design, alpha, got, want)
 
@@ -477,27 +490,27 @@ def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
     far_problem, far_obs = far_case()
     near = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
     cases = [(as1_problem_n12, near), (far_problem, far_obs)]
-    base = [shrinkage_bayes_density(p, PriorSpec.minimax_default(p), o, alpha).log_norm_const for p, o in cases]
+    base = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     monkeypatch.setattr(predictive_module, "QUAD_START_INTERVALS", 4 * predictive_module.QUAD_START_INTERVALS)
-    fine = [shrinkage_bayes_density(p, PriorSpec.minimax_default(p), o, alpha).log_norm_const for p, o in cases]
+    fine = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     assert np.all(np.isfinite(base))
     assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
 
 
 def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    shrinkage_bayes_density(prob_m3, prior, obs_m3, 0.0)
+    shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
     # no refinement allowed: the n vs 2n comparison can never be made
     monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
     with pytest.raises(UnreliableNormalizationError, match="n vs 2n"):
-        shrinkage_bayes_density(prob_m3, prior, obs_m3, 0.0)
+        shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
     monkeypatch.undo()
     # a window that may not grow cannot reach a long tail's QUAD_DROP
     long_tail = PriorSpec.from_problem(prob_m3, c=2.0, a=-prob_m3.k / 2.0 - 1.0 + 0.01)
-    shrinkage_bayes_density(prob_m3, long_tail, obs_m3, 0.0)
+    shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
     monkeypatch.setattr(predictive_module, "QUAD_MAX_WIDTH", 2.0 * predictive_module.QUAD_HALF_WIDTH)
     with pytest.raises(UnreliableNormalizationError, match="of its peak"):
-        shrinkage_bayes_density(prob_m3, long_tail, obs_m3, 0.0)
+        shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
 
 
 # ---------------------------------------------------------------------------

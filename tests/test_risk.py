@@ -21,11 +21,9 @@ from shrinkpred.predictive import (
     PluginEstimate,
     PriorSpec,
     UnreliableNormalizationError,
-    best_invariant_density,
     best_invariant_kernel,
     plugin_bayes_estimators,
     plugin_density,
-    shrinkage_bayes_density,
     shrinkage_bayes_kernel,
     shrinkage_components,
     umvu_estimators,
@@ -188,16 +186,6 @@ def test_divergence_nonnegative_up_to_noise(prob_m3, rng):
         alpha = rng.uniform(-1.0, 1.0)
         out = alpha_divergence_mc(plugin_density(est, prob_m3), theta, 1.0, prob_m3, alpha, 2000, seed=i)
         assert out.mean >= -3 * out.std_error
-
-
-def test_divergence_requires_certificate(prob_m3):
-    dens = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
-    stripped = type(dens)(
-        log_unnormalized=dens.log_unnormalized, log_norm_const=dens.log_norm_const,
-        certificate=None, m=dens.m, sampler=dens.sampler,
-    )
-    with pytest.raises(ValueError):
-        alpha_divergence_mc(stripped, np.zeros(3), 1.0, prob_m3, 0.0, 1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +436,8 @@ def test_exact_loss_matches_inner_monte_carlo(design):
             block = simulate_observation(problem, params, 21, 0)[:8]
             kernels = (best_invariant_kernel(problem, block, alpha),
                        shrinkage_bayes_kernel(problem, prior, block, alpha))
-            densities = (lambda o: best_invariant_density(problem, o, alpha),
-                         lambda o: shrinkage_bayes_density(problem, prior, o, alpha))
+            densities = (lambda o: best_invariant_kernel(problem, o, alpha),
+                         lambda o: shrinkage_bayes_kernel(problem, prior, o, alpha))
             for kernel, density in zip(kernels, densities):
                 losses = alpha_divergence_loss(kernel, theta, params.eta)
                 for i in range(8):
