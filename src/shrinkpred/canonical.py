@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
@@ -297,7 +296,7 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND
     # the SVD A = W diag(sv) Z' diagonalizes it without forming the Gram product A A'.
     # The QR factor U of X never forms X'X either; the row signs of U cancel.
     U = np.linalg.qr(X, mode="r")
-    A = solve_triangular(U, Xtilde.T, trans="T").T
+    A = np.linalg.solve(U.T, Xtilde.T).T
     W, sv, Zt = np.linalg.svd(A)
     l = min(m, k)
     Q = _fix_column_signs(W[:, :l])
@@ -443,16 +442,25 @@ def problem_to_dict(problem: CanonicalProblem) -> dict:
 
 def problem_from_dict(doc: dict) -> CanonicalProblem:
     """Rebuild a problem from ``problem_to_dict`` output; other keys are ignored."""
-    def arr(key):
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
+
+    def field(key, convert):
         val = doc.get(key)
         if val is None:
             raise ValueError(f"problem document is missing '{key}'")
-        return np.asarray(val, dtype=float)
+        try:
+            return convert(val)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"problem document's '{key}' is malformed: {exc}") from None
+
+    def arr(key):
+        return field(key, lambda val: np.asarray(val, dtype=float))
 
     return CanonicalProblem(
-        n=int(doc["n"]), k=int(doc["k"]), m=int(doc["m"]),
+        n=field("n", int), k=field("k", int), m=field("m", int),
         d=arr("d"), Q=arr("Q"), coef_transform=arr("coef_transform"),
-        cond_xtx=float(doc.get("cond_xtx", 1.0)),
+        cond_xtx=field("cond_xtx", float) if "cond_xtx" in doc else 1.0,
         conditioning_warning=doc.get("conditioning_warning"),
     )
 

@@ -21,6 +21,8 @@ members.  The shrinkage density's constant reduces, through Gamma
 integrals, to one integral on the logit scale, which a trapezoid rule
 computes to a certified 1e-10 in log Z for every row of a block;
 importance sampling (normalize_density) stays only as its test oracle.
+The module uses math.lgamma and numpy alone; scipy is imported only inside
+beta_integral_identity, the one check that needs quadrature.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln, gammaln, log_expit
 
 from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
 from .canonical import (
@@ -124,8 +125,22 @@ class _SpectralScale:
         """Quadratic forms r' A^{-1} r for rows r of resid, shape (N, m).
 
         (|r|^2 - |Q'r|^2)/c2 + sum_i (Q'r)_i^2/(c2 + e_i), arranged as
-        (|r|^2 - sum_i (Q'r)_i^2 e_i/(c2 + e_i))/c2.
+        (|r|^2 - sum_i (Q'r)_i^2 e_i/(c2 + e_i))/c2.  A row whose squares
+        overflow is scaled by its largest |r_i| M first, as M^2 q(r/M), so a
+        far point gets inf rather than inf - inf; a row with an infinite
+        coordinate gets inf.
         """
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._quad(resid)
+            far = ~np.isfinite(out)
+            if far.any():
+                far &= ~np.isnan(resid).any(axis=1)
+                r = resid[far]
+                top = np.abs(r).max(axis=1)
+                out[far] = np.where(np.isinf(top), np.inf, self._quad(r / top[:, None]) * top * top)
+        return out
+
+    def _quad(self, resid: np.ndarray) -> np.ndarray:
         proj = resid @ self.Q
         proj *= proj
         return (np.einsum("ij,ij->i", resid, resid) - proj @ (self.e / (self.c2 + self.e))) / self.c2
@@ -386,7 +401,7 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     # one observation keeps math.log: numpy's vector log can differ from it in the last bit,
     # and density-eval prints this constant to 17 digits
     log_s = math.log(s) if np.ndim(s) == 0 else np.log(s)
-    log_const = (gammaln((nu_a + m) / 2.0) - gammaln(nu_a / 2.0)
+    log_const = (math.lgamma((nu_a + m) / 2.0) - math.lgamma(nu_a / 2.0)
                  - (m / 2.0) * math.log(math.pi) - 0.5 * logdet + (nu_a / 2.0) * log_s)
     return PredictiveKernel(alpha=alpha, Q=problem.Q, dof=nu_a, e_u=problem.d, v=obs.v, s=s, log_const=log_const)
 
@@ -429,15 +444,20 @@ def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
     coupling = np.reshape(kernel.v - kernel.theta_b, (-1, l)) ** 2 * inv_u * inv_b
 
     def g(z: np.ndarray, rows: slice) -> np.ndarray:
-        log_w, log_w1 = log_expit(z), log_expit(-z)
+        log_w, log_w1 = _log_expit(z), _log_expit(-z)
         w, w1 = np.exp(log_w), np.exp(log_w1)
         p = w[:, None] * inv_u + w1[:, None] * inv_b
         h = w * s[rows, None] + w1 * o[rows, None] + w * w1 * (coupling[rows] @ (1.0 / p).T)
         return A * log_w + B * log_w1 - 0.5 * np.log(p).sum(axis=1) - P * np.log(h)
 
     const = (m / 2.0) * math.log(math.pi) + ((m - l) / 2.0) * math.log(c2)
-    out = const + gammaln(P) - gammaln(A) - gammaln(B) + _log_trapezoid_rows(g, s.size)
+    out = const + math.lgamma(P) - math.lgamma(A) - math.lgamma(B) + _log_trapezoid_rows(g, s.size)
     return float(out[0]) if np.ndim(kernel.s) == 0 else out
+
+
+def _log_expit(z: np.ndarray) -> np.ndarray:
+    """log(1/(1 + e^-z)), finite and without overflow in both tails."""
+    return -np.logaddexp(0.0, -z)
 
 
 def _log_trapezoid_rows(g: Callable[[np.ndarray, slice], np.ndarray], rows: int) -> np.ndarray:
@@ -672,6 +692,7 @@ def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float,
     if w <= -1:
         raise ValueError("w must exceed -1")
     from scipy import integrate  # loads scipy.optimize too; only this check needs it
+    from scipy.special import betaln
 
     g_exp = a_exp + b_exp + 2.0
     val, _ = integrate.quad(

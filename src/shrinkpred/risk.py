@@ -13,6 +13,10 @@ or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, each
 certified by a refinement check.  Risks are then single-level Monte Carlo
 averages of exact losses at every alpha.
 
+psi((n-k)/2) is summed in closed form (n - k is an integer).  The Laguerre
+rules are the one use of scipy here, imported on first use, so only an
+alpha < 1 risk loads scipy.linalg.
+
 Observations come in keyed blocks (canonical.simulate_observation) and
 losses are reduced by pairwise summation in replication order, so reruns
 agree bit for bit.  alpha_divergence_mc, a Monte Carlo divergence of one
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import digamma
 
 from .canonical import (
     BLOCK_SIZE,
@@ -127,13 +129,24 @@ def d1_loss_plugin(theta_hat, sigma2_hat, theta, sigma2: float, m: int):
     return 0.5 * (np.sum(diff * diff, axis=-1) / sigma2 + m * (ratio - np.log(ratio) - 1.0))
 
 
+def _digamma_half(q: int) -> float:
+    """psi(q/2) for an integer q >= 1, in closed form.
+
+    psi(x) = -gamma + sum_{j<x} 1/j at integers x and
+    -gamma - 2 log 2 + sum_{j<=floor(x)} 2/(2j-1) at half-integers.
+    """
+    if q % 2 == 0:
+        return math.fsum([-np.euler_gamma] + [1.0 / j for j in range(1, q // 2)])
+    return math.fsum([-np.euler_gamma, -2.0 * math.log(2.0)] + [2.0 / (2 * j - 1) for j in range(1, q // 2 + 1)])
+
+
 def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
     """Constant risk of the unbiased baseline under the alpha = 1 loss."""
     if n <= k:
         raise ValueError("need n > k")
     d = np.asarray(d, dtype=float).ravel()
     half_dof = (n - k) / 2.0
-    return 0.5 * (float(d.sum()) + m * (math.log(half_dof) - float(digamma(half_dof))))
+    return 0.5 * (float(d.sum()) + m * (math.log(half_dof) - _digamma_half(n - k)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +206,8 @@ def _laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     and each weight is the squared first component of the node's unit
     eigenvector.  These weights stay finite where Gamma(a+1) overflows.
     """
+    from scipy.linalg import eigh_tridiagonal  # only alpha < 1 risks load scipy.linalg
+
     j = np.arange(1.0, n)
     nodes, vectors = eigh_tridiagonal(2.0 * np.arange(n) + a + 1.0, np.sqrt(j * (j + a)))
     with np.errstate(divide="ignore"):  # a weight below the smallest double carries no mass

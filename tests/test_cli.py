@@ -341,13 +341,13 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
         "density": {"problem": str(out / "problem.json"), "observation": obs_doc, "type": kind,
                     "alpha": 0.3, "points": str(pts)},
     }, "c2.json")
-    # the kernel's quadratic form overflows to nan at the 1e300 coordinate
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["density-eval", "--config", cfg, "--out", str(out)]) == 0
-        problem = problem_from_dict(json.loads((out / "problem.json").read_text()))
-        obs = CanonicalObservation(v=obs_doc["v"], v_star=obs_doc["v_star"], s=obs_doc["s"])
-        dens = DENSITY_BUILDERS[kind](problem, build_prior(load_config(cfg), problem), obs)
-        log_u = dens.log_unnormalized(rows)
+    # the 1e300 coordinate puts the row's density at 0: log density -inf, with no RuntimeWarning
+    assert main(["density-eval", "--config", cfg, "--out", str(out)]) == 0
+    problem = problem_from_dict(json.loads((out / "problem.json").read_text()))
+    obs = CanonicalObservation(v=obs_doc["v"], v_star=obs_doc["v_star"], s=obs_doc["s"])
+    dens = DENSITY_BUILDERS[kind](problem, build_prior(load_config(cfg), problem), obs)
+    log_u = dens.log_unnormalized(rows)
+    assert log_u[0] == -math.inf
     lines = ["ytilde_1,ytilde_2,ytilde_3,log_density_unnormalized,log_norm_const,log_density"]
     for row, lu in zip(rows, log_u):
         cells = [_fmt(x) for x in row]
@@ -440,8 +440,9 @@ def test_risk_compare_near_alpha_one(tmp_path):
     assert all(math.isfinite(float(r[6])) and math.isfinite(float(r[7])) for r in rows)
 
 
-def test_cli_import_skips_scipy_integrate():
-    # only the identity suite's beta check needs scipy.integrate (and the scipy.optimize it loads)
+def test_cli_import_skips_scipy_integrate(tmp_path):
+    # only the identity suite's beta check needs scipy.integrate (and the scipy.optimize it loads),
+    # and only the alpha < 1 Gauss-Laguerre rule scipy.linalg; nothing else loads scipy
     import os
     import subprocess
     import sys
@@ -451,11 +452,62 @@ def test_cli_import_skips_scipy_integrate():
 
     src = str(Path(shrinkpred.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, shrinkpred.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    canon = tmp_path / "canon"
+    np.savetxt(tmp_path / "points.csv", np.random.default_rng(4).standard_normal((50, 3)), delimiter=",")
+    runs = [["canonicalize", "--config", write_config(tmp_path, {"seed": 5, "design": AS1_DESIGN}, "c.json"),
+             "--out", str(canon)]]
+    for kind in ("best_invariant", "shrinkage_bayes", "plugin"):
+        density = {"problem": str(canon / "problem.json"), "type": kind, "alpha": 0.0,
+                   "points": str(tmp_path / "points.csv"),
+                   "observation": {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}}
+        runs.append(["density-eval", "--config", write_config(tmp_path, {"density": density}, f"{kind}.json"),
+                     "--out", str(tmp_path / kind)])
+    for alpha in (1.0, 0.0):
+        cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[alpha]), f"risk{alpha}.json")
+        runs.append(["risk-compare", "--config", cfg, "--out", str(tmp_path / f"risk{alpha}")])
+    code = ("import json, sys\n"
+            "def loaded():\n"
+            "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if m.split('.')[0] == 'scipy'})\n"
+            "import shrinkpred\n"
+            "print(json.dumps(loaded()))\n"
+            "import shrinkpred.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize']))))\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert shrinkpred.cli.main(argv) == 0, argv\n"
+            "    print(json.dumps(loaded()))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    after = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert len(after) == 2 + len(runs)
+    assert after[1] == []
+    # import, canonicalize, density-eval of each density, alpha = 1 risk-compare
+    assert after[:-1] == [[]] * (len(after) - 1)
+    # an alpha < 1 risk-compare loads scipy.linalg for its Laguerre rules, and nothing else of scipy's subpackages
+    assert "scipy.linalg" in after[-1]
+    assert "scipy.special" not in after[-1] and "scipy.integrate" not in after[-1]
+
+
+@pytest.mark.parametrize("problem, key", [
+    ([1, 2], "JSON object"), ({"k": 3, "m": 3}, "'n'"), ({"n": 12, "m": 3}, "'k'"), ({"n": 12, "k": 3}, "'m'"),
+    ({"n": [12], "k": 3, "m": 3}, "'n'"), ({"n": 12, "k": "three", "m": 3}, "'k'"),
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": [1.0]}, "'cond_xtx'"), ({"n": 12, "k": 3, "m": 3, "d": [[1.0], 2.0]}, "'d'"),
+])
+def test_density_eval_problem_document_errors_name_the_key(tmp_path, capsys, as1_problem_n12, problem, key):
+    # a problem document that is not an object, or lacks or garbles a key, exits 1 naming it
+    if isinstance(problem, dict):
+        doc = problem_to_dict(as1_problem_n12)
+        problem = dict({name: value for name, value in doc.items() if name not in ("n", "k", "m")}, **problem)
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    np.savetxt(tmp_path / "points.csv", np.zeros((2, 3)), delimiter=",")
+    density = {"problem": str(tmp_path / "problem.json"), "points": str(tmp_path / "points.csv"),
+               "observation": {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}}
+    cfg = write_config(tmp_path, {"seed": 1, "density": density})
+    capsys.readouterr()
+    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem document") and key in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_no_domination_claim_below_two_residual_dof(tmp_path):

@@ -156,6 +156,43 @@ def test_best_invariant_maximized_at_center(prob_m3, obs_m3, rng):
         assert kernel.log_unnormalized(center + rng.standard_normal(3)) < peak
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -0.4, 0.0, 0.3, 0.9])
+def test_best_invariant_constant_matches_scipy_gammaln(prob_m3, prob_rot, obs_m3, obs_rot, alpha):
+    # the constant uses math.lgamma; scipy's gammaln formula is the oracle
+    for problem, obs in ((prob_m3, obs_m3), (prob_rot, obs_rot)):
+        m, dof = problem.m, 2.0 * (problem.n - problem.k) / (1.0 - alpha)
+        _, logdet = np.linalg.slogdet(dense_scale(problem, alpha, problem.d))
+        want = (scipy.special.gammaln((dof + m) / 2.0) - scipy.special.gammaln(dof / 2.0)
+                - m / 2.0 * math.log(math.pi) - 0.5 * logdet + dof / 2.0 * math.log(obs.s))
+        assert best_invariant_kernel(problem, obs, alpha).log_const == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_log_expit_matches_scipy():
+    z = np.concatenate([np.linspace(-745.0, 745.0, 100001), [-1e6, 1e6]])
+    np.testing.assert_allclose(predictive_module._log_expit(z), scipy.special.log_expit(z), rtol=1e-15, atol=1e-300)
+
+
+@pytest.mark.parametrize("kind", ["best_invariant", "shrinkage_bayes"])
+def test_far_points_have_zero_density(prob_rot, obs_rot, kind):
+    # |y|^2 overflows at these points: the density is 0 (log -inf), not nan, and
+    # RuntimeWarnings are errors here; finite points keep their values
+    if kind == "best_invariant":
+        kernel = best_invariant_kernel(prob_rot, obs_rot, 0.3)
+    else:
+        kernel = shrinkage_bayes_kernel(prob_rot, PriorSpec.minimax_default(prob_rot), obs_rot, 0.3)
+    near = np.array([[0.5, -1.0, 2.0, 0.1], [3.0, 0.0, -4.0, 1e-3]])
+    far = np.array([[1e200, 0.0, 0.0, 0.0], [0.0, -1e300, 1.0, 0.0], [1e300, 1e300, -1e300, 1e300],
+                    [np.inf, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, np.inf]])
+    got = kernel.log_density(np.vstack([near, far]))
+    assert np.all(got[len(near):] == -np.inf)
+    assert np.array_equal(got[:len(near)], kernel.log_density(near))
+    assert math.isnan(kernel.log_density(np.array([np.nan, 0.0, 0.0, 0.0])))
+    # squares overflow but the form does not: the scaled form is 1e308-scale and finite
+    huge = kernel.log_density(np.full(4, 1e154))
+    big = kernel.log_density(np.full(4, 1e150))
+    assert math.isfinite(huge) and huge == pytest.approx(big - 2.0 * (kernel.A + kernel.B) * math.log(1e4), rel=1e-12)
+
+
 def test_univariate_t_oracle(prob_m1, prob_rot, obs_rot, rng):
     # alpha = -1, m = 1: normalized density is Student t with n-k dof.
     obs = CanonicalObservation(v=np.array([0.6]), v_star=np.zeros(0), s=1.7)

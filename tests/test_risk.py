@@ -9,6 +9,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shrinkpred.risk as risk_module
 from shrinkpred import cli
 from shrinkpred.canonical import (
     BLOCK_SIZE,
@@ -136,6 +137,13 @@ def test_minimax_risk_zero_trace_limit():
     got = minimax_risk(np.full(3, 1e-15), 3, 12, 3)
     assert got == pytest.approx(1.5 * (math.log(4.5) - float(scipy.special.digamma(4.5))), abs=1e-12)
     assert got > 0
+
+
+def test_digamma_closed_form_matches_scipy():
+    # psi((n-k)/2) in minimax_risk is summed in closed form; scipy's digamma is the oracle
+    for q in range(1, 2001):
+        want = float(scipy.special.digamma(q / 2.0))
+        assert abs(risk_module._digamma_half(q) - want) <= 1e-14 * abs(want), q
 
 
 def test_minimax_risk_two_dof_euler():
