@@ -13,9 +13,10 @@ or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, each
 certified by a refinement check.  Risks are then single-level Monte Carlo
 averages of exact losses at every alpha.
 
-psi((n-k)/2) is summed in closed form (n - k is an integer).  The Laguerre
-rules are the one use of scipy here, imported on first use, so only an
-alpha < 1 risk loads scipy.linalg.
+The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
+is an integer), and the Gauss-Laguerre rules come from Sturm-sequence
+bisection and Newton steps on the three-term recurrence, built once per
+(a, n).
 
 Observations come in keyed blocks (canonical.simulate_observation) and
 losses are reduced by pairwise summation in replication order, so reruns
@@ -26,6 +27,7 @@ as an independent check of the exact losses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -198,20 +200,64 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+@functools.lru_cache(maxsize=256)
 def _laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and log weights of the n-point Gauss rule for the weight x^a e^-x / Gamma(a+1) on (0, inf).
 
     Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
-    Jacobi matrix with diagonal 2j + a + 1 and off-diagonal sqrt(j (j + a)),
-    and each weight is the squared first component of the node's unit
-    eigenvector.  These weights stay finite where Gamma(a+1) overflows.
+    Jacobi matrix T with diagonal 2j + a + 1 and off-diagonal sqrt(j (j + a)).
+    Sturm-sequence bisection brackets all n at once (the pivots of T - xI
+    that are negative count the eigenvalues below x) to 2^-20 relative, and
+    three Newton steps on p_n, the orthonormal polynomial of T's three-term
+    recurrence, polish them.  Each weight is 1/sum_{k<n} p_k(x)^2, the
+    Christoffel-Darboux kernel at the node, summed with a running rescale so
+    its log stays finite where Gamma(a+1) overflows.  Memoized per (a, n);
+    the arrays are read-only.
     """
-    from scipy.linalg import eigh_tridiagonal  # only alpha < 1 risks load scipy.linalg
+    j = np.arange(n)
+    diag, off2 = 2.0 * j + a + 1.0, j[1:] * (j[1:] + a)
+    off = np.sqrt(off2)
+    # T is positive definite, and Gershgorin bounds its spectrum above
+    lo, hi = np.zeros(n), np.full(n, float(np.max(diag + np.append(off, 0.0) + np.insert(off, 0, 0.0))))
+    with np.errstate(divide="ignore"):  # a zero pivot turns the next into -inf, which the count allows
+        while np.any(hi - lo > 2.0**-20 * hi):
+            mid = 0.5 * (lo + hi)
+            pivots = np.subtract.outer(diag, mid)
+            for i in range(1, n):
+                pivots[i] -= off2[i - 1] / pivots[i - 1]
+            above = np.count_nonzero(pivots < 0.0, axis=0) > j   # node j lies below mid
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    x = 0.5 * (lo + hi)
+    step, log_sum = _orthonormal(x, a, n)
+    for _ in range(3):
+        x = x - step
+        step, log_sum = _orthonormal(x, a, n)
+    log_w = -log_sum
+    x.setflags(write=False)
+    log_w.setflags(write=False)
+    return x, log_w
 
-    j = np.arange(1.0, n)
-    nodes, vectors = eigh_tridiagonal(2.0 * np.arange(n) + a + 1.0, np.sqrt(j * (j + a)))
-    with np.errstate(divide="ignore"):  # a weight below the smallest double carries no mass
-        return nodes, 2.0 * np.log(np.abs(vectors[0]))
+
+def _orthonormal(x: np.ndarray, a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """p_n(x)/p_n'(x) and log sum_{k<n} p_k(x)^2 for the orthonormal polynomials of _laguerre's weight.
+
+    sqrt((k+1)(k+1+a)) p_{k+1} = (x - 2k - a - 1) p_k - sqrt(k (k+a)) p_{k-1},
+    p_0 = 1.  Whenever a sum passes 1e200 every node's terms are divided by
+    the square root of its sum, whose log is carried aside.
+    """
+    p_prev, p, dp_prev, dp = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    total, log_scale, b = np.ones_like(x), np.zeros_like(x), 0.0
+    for k in range(n):
+        b_next, xd = math.sqrt((k + 1.0) * (k + 1.0 + a)), x - (2.0 * k + a + 1.0)
+        dp_prev, dp = dp, (xd * dp + p - b * dp_prev) / b_next
+        p_prev, p, b = p, (xd * p - b * p_prev) / b_next, b_next
+        if k < n - 1:
+            total += p * p
+            if total.max() > 1e200:
+                r = 1.0 / np.sqrt(total)
+                log_scale += np.log(total)
+                p, p_prev, dp, dp_prev, total = p * r, p_prev * r, dp * r, dp_prev * r, np.ones_like(x)
+    return p / dp, log_scale + np.log(total)
 
 
 def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float, rules: list) -> np.ndarray:
@@ -240,7 +286,9 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float, rules
     v, theta_b = np.reshape(kernel.v, (rows, l)), np.reshape(theta_b, (rows, l))
     dv, db, dvb = kappa * sigma_b * (theta - v) ** 2, kappa * sigma_u * (theta - theta_b) ** 2, (v - theta_b) ** 2
     tu = t * u
-    log_f = ((m - l) / 2.0) * np.log(math.pi / (kappa + (t + u) / c2)) + log_w[keep]
+    log_f = np.broadcast_to(log_w[keep], t.shape).copy()
+    if m > l:
+        log_f += ((m - l) / 2.0) * np.log(math.pi / (kappa + (t + u) / c2))
     for i in range(l):
         P = kappa * sigma_u[i] * sigma_b[i] + sigma_b[i] * t + sigma_u[i] * u
         log_f += 0.5 * np.log(math.pi * sigma_u[i] * sigma_b[i] / P)

@@ -177,7 +177,8 @@ def test_identities_pass(tmp_path):
 
 
 def test_identities_tight_tolerance_fails(tmp_path):
-    ident = dict(FAST_IDENTITIES, beta_tol=1e-14, lemma_tol=1e-14)
+    # the beta check's trapezoid rule agrees with the closed form to a few 1e-15, so ask for 1e-17
+    ident = dict(FAST_IDENTITIES, beta_tol=1e-17, lemma_tol=1e-14)
     cfg = write_config(tmp_path, {"seed": 2, "identities": ident})
     out = tmp_path / "out"
     assert main(["identities", "--config", cfg, "--out", str(out)]) == 3
@@ -441,8 +442,8 @@ def test_risk_compare_near_alpha_one(tmp_path):
 
 
 def test_cli_import_skips_scipy_integrate(tmp_path):
-    # only the identity suite's beta check needs scipy.integrate (and the scipy.optimize it loads),
-    # and only the alpha < 1 Gauss-Laguerre rule scipy.linalg; nothing else loads scipy
+    # the runtime is numpy alone: no subcommand, the alpha < 1 Gauss-Laguerre rules and
+    # the identity suite's beta check included, loads any scipy module
     import os
     import subprocess
     import sys
@@ -465,14 +466,15 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     for alpha in (1.0, 0.0):
         cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[alpha]), f"risk{alpha}.json")
         runs.append(["risk-compare", "--config", cfg, "--out", str(tmp_path / f"risk{alpha}")])
+    cfg = write_config(tmp_path, {"seed": 2, "design": AS1_DESIGN, "identities": FAST_IDENTITIES}, "ident.json")
+    runs += [[command, "--config", cfg, "--out", str(tmp_path / command)] for command in ("identities", "bounds")]
     code = ("import json, sys\n"
             "def loaded():\n"
-            "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if m.split('.')[0] == 'scipy'})\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "import shrinkpred\n"
             "print(json.dumps(loaded()))\n"
             "import shrinkpred.cli\n"
-            "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize']))))\n"
+            "print(json.dumps(loaded()))\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert shrinkpred.cli.main(argv) == 0, argv\n"
             "    print(json.dumps(loaded()))\n")
@@ -480,12 +482,8 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     assert proc.returncode == 0, proc.stderr
     after = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert len(after) == 2 + len(runs)
-    assert after[1] == []
-    # import, canonicalize, density-eval of each density, alpha = 1 risk-compare
-    assert after[:-1] == [[]] * (len(after) - 1)
-    # an alpha < 1 risk-compare loads scipy.linalg for its Laguerre rules, and nothing else of scipy's subpackages
-    assert "scipy.linalg" in after[-1]
-    assert "scipy.special" not in after[-1] and "scipy.integrate" not in after[-1]
+    # import, canonicalize, density-eval of each density, risk-compare at alpha = 1 and 0, identities, bounds
+    assert after == [[]] * len(after)
 
 
 @pytest.mark.parametrize("problem, key", [

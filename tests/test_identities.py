@@ -1,7 +1,11 @@
 """Numeric verification of the quadratic-form, beta-integral and chi-square identities."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import betaln
 
 from shrinkpred.canonical import CanonicalProblem
 from shrinkpred.predictive import (
@@ -74,6 +78,19 @@ def test_beta_integral_random_instances():
         quad_val, closed = beta_integral_identity(a_exp, b_exp, w)
         worst = max(worst, abs(quad_val - closed) / closed)
     assert worst <= 1e-6
+
+
+def test_beta_integral_matches_quadpack_and_betaln():
+    # the trapezoid quadrature and the lgamma closed form against scipy's QUADPACK and betaln
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        a_exp, b_exp, w = rng.uniform(-0.45, 2.5), rng.uniform(-0.45, 2.5), rng.uniform(0.05, 8.0)
+        quad_val, closed = beta_integral_identity(a_exp, b_exp, w)
+        ref, _ = integrate.quad(lambda t: t**a_exp * (1.0 - t) ** b_exp * (1.0 + w * t) ** (-(a_exp + b_exp + 2.0)),
+                                0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
+        assert quad_val == pytest.approx(ref, rel=1e-9)
+        assert closed == pytest.approx(math.exp(betaln(a_exp + 1.0, b_exp + 1.0) - (a_exp + 1.0) * math.log(w + 1.0)),
+                                       rel=1e-13)
 
 
 def test_beta_integral_domain():

@@ -1,6 +1,7 @@
 """Divergence generator, closed-form losses, Monte Carlo risk machinery."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,40 @@ def test_laguerre_rule_finite_where_scipy_overflows(a):
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
     assert w @ x == pytest.approx(a + 1.0, rel=1e-12)
     assert w @ x**2 == pytest.approx((a + 1.0) * (a + 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
+@pytest.mark.parametrize("n", [162, 243, 364])
+def test_laguerre_rule_at_largest_certificate_nodes(a, n):
+    # the node counts _certified reaches from LOSS_START_NODES by 3n/2 steps within LOSS_MAX_NODES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, log_w = risk_module._laguerre.__wrapped__(a, n)
+    w = np.exp(log_w)
+    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+    assert w @ x == pytest.approx(a + 1.0, rel=1e-12)
+    assert w @ x**2 == pytest.approx((a + 1.0) * (a + 2.0), rel=1e-12)
+    # scipy's nodes and weights, where they are finite (its weights are not at n = 364)
+    with np.errstate(all="ignore"):
+        ref_x, ref_w = scipy.special.roots_genlaguerre(n, a)
+        ref_log_w = np.log(ref_w) - scipy.special.gammaln(a + 1.0)
+    finite = np.isfinite(ref_x)
+    assert finite.sum() >= n - 1
+    assert np.allclose(x[finite], ref_x[finite], rtol=1e-10, atol=0.0)
+    finite = np.isfinite(ref_log_w)
+    if finite.any():
+        assert np.abs(w[finite] - np.exp(ref_log_w[finite])).max() <= 1e-13
+        mass = finite & (ref_log_w > math.log(1e-12))
+        assert np.abs(log_w[mass] - ref_log_w[mass]).max() <= 1e-10
+
+
+def test_laguerre_rule_is_cached_and_read_only():
+    x, log_w = risk_module._laguerre(2.75, 48)
+    again = risk_module._laguerre(2.75, 48)
+    assert again[0] is x and again[1] is log_w
+    for array in (x, log_w):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
