@@ -212,17 +212,20 @@ def _is_number(value) -> bool:
 
 
 def _number(doc: dict, key: str, default: float | None = None) -> float | None:
-    """doc[key] (or default when absent) as a float; a value that is not a number names the key."""
+    """doc[key] (or default when absent) as a float; a value that is not a number names the key.
+
+    null stands for an absent value only where the default is None.
+    """
     value = doc.get(key, default)
-    if value is not None and not _is_number(value):
+    if not (_is_number(value) or value is None and default is None):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return None if value is None else float(value)
 
 
 def _floats(doc: dict, key: str, default: list) -> list[float]:
-    """doc[key] (or default when absent) as a list of floats; a value that is not a list names the key."""
+    """doc[key] (or default when absent) as a list of floats; a value that is not a list of numbers names the key."""
     value = doc.get(key, default)
-    if not isinstance(value, list):
+    if not (isinstance(value, list) and all(map(_is_number, value))):
         raise ValueError(f"{key} must be a list of numbers, got {value!r}")
     return [float(x) for x in value]
 
@@ -278,8 +281,12 @@ def load_config(path: str) -> ExperimentConfig:
         if not -1.0 <= a <= 1.0:
             raise ValueError("alphas must lie in [-1, 1]")
     gr = _section(doc.get("grid", {}), GridConfig, "grid")
+    directions = gr.get("theta_directions", [])
+    if not (isinstance(directions, list)
+            and all(isinstance(v, list) and all(map(_is_number, v)) for v in directions)):
+        raise ValueError(f"theta_directions must be a list of lists of numbers, got {directions!r}")
     cfg.grid = GridConfig(
-        theta_directions=[list(map(float, v)) for v in gr.get("theta_directions", [])],
+        theta_directions=[list(map(float, v)) for v in directions],
         theta_norms=_floats(gr, "theta_norms", [0.0]),
         sigma2=_floats(gr, "sigma2", [1.0]),
     )
@@ -292,8 +299,8 @@ def load_config(path: str) -> ExperimentConfig:
     defaults = IdentityConfig()
     ident = _section(doc.get("identities", {}), IdentityConfig, "identities")
     cfg.identities = IdentityConfig(**{
-        key: _int(ident, key) if isinstance(getattr(defaults, key), int) else float(value)
-        for key, value in ident.items()
+        key: (_int if isinstance(getattr(defaults, key), int) else _number)(ident, key, getattr(defaults, key))
+        for key in ident
     })
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect

@@ -10,8 +10,12 @@ For alpha < 1 the divergence of a predictive density from the truth is
 computed exactly too (alpha_divergence_loss, on a predictive.PredictiveKernel
 of a whole block): Gamma integrals and a Gaussian integral in y leave 1-D
 or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, each
-certified by a refinement check.  Risks are then single-level Monte Carlo
-averages of exact losses at every alpha.
+certified by a refinement check.  The Gaussian integral factors over the
+axes, and axes with equal scales (c2 + e_u, c2 + e_b) share one factor, so
+a rule's work grows with the number of such spectral groups (one in the
+replicated design), not with m; each row's few coefficients per group
+multiply node-pair arrays fixed per rule.  Risks are then single-level
+Monte Carlo averages of exact losses at every alpha.
 
 The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
 is an integer), and the Gauss-Laguerre rules come from Sturm-sequence
@@ -260,46 +264,89 @@ def _orthonormal(x: np.ndarray, a: float, n: int) -> tuple[np.ndarray, np.ndarra
     return p / dp, log_scale + np.log(total)
 
 
-def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float, rules: list) -> np.ndarray:
-    """log of I = int p^(1-beta) phat^beta for each row of kernel, by a tensor Gauss-Laguerre rule.
+@functools.lru_cache(maxsize=64)
+def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]:
+    """The kept node pairs of the tensor of _laguerre(a_x, n) and _laguerre(a_y, n): X, Y, X Y and log w.
 
-    Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
-    after which y integrates as a Gaussian.  Per axis i, with a_i = t/sigma_u_i,
-    b_i = u/sigma_b_i and P_i = kappa + a_i + b_i, kappa = (1-alpha) eta/4, the
-    y-integral is F(t, u) = prod_i (pi/P_i)^(1/2) exp(-[kappa a_i (theta_i - v_i)^2
-    + kappa b_i (theta_i - theta_b_i)^2 + a_i b_i (v_i - theta_b_i)^2]/P_i) times
-    (pi/(kappa + (t+u)/c2))^((m-l)/2), here with numerator and denominator
-    scaled by sigma_u_i sigma_b_i.  rules holds the nodes and log weights in
-    x = t s and y = u o; a kernel without a second factor takes the single
-    node u = 0.  F <= (pi/kappa)^(m/2), so node pairs weighing less than
-    e^-LOSS_WEIGHT_DROP of the heaviest are left out.
+    a_y None stands for a single node 0 of weight 1.  Pairs run x-major, and
+    those weighing less than e^-LOSS_WEIGHT_DROP of the heaviest are left
+    out.  Memoized per (a_x, a_y, n); the arrays are read-only.
     """
-    beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) * eta / 4.0, kernel.c2
-    (m, l), rows = kernel.Q.shape, np.size(kernel.s)
-    (x, log_wx), (y, log_wy) = rules if kernel.o is not None else (rules[0], (np.zeros(1), np.zeros(1)))
-    e_b, theta_b, o = (kernel.e_u, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
+    x, log_wx = _laguerre(a_x, n)
+    y, log_wy = (np.zeros(1), np.zeros(1)) if a_y is None else _laguerre(a_y, n)
     log_w = (log_wx[:, None] + log_wy).ravel()
     keep = log_w >= log_w.max() - LOSS_WEIGHT_DROP
-    s, o = np.reshape(kernel.s, (-1, 1)), np.reshape(o, (-1, 1))
-    t, u = np.repeat(x, y.size)[keep] / s, np.tile(y, x.size)[keep] / o   # (rows, kept pairs)
-    sigma_u, sigma_b = c2 + kernel.e_u, c2 + e_b
-    v, theta_b = np.reshape(kernel.v, (rows, l)), np.reshape(theta_b, (rows, l))
-    dv, db, dvb = kappa * sigma_b * (theta - v) ** 2, kappa * sigma_u * (theta - theta_b) ** 2, (v - theta_b) ** 2
-    tu = t * u
-    log_f = np.broadcast_to(log_w[keep], t.shape).copy()
-    if m > l:
-        log_f += ((m - l) / 2.0) * np.log(math.pi / (kappa + (t + u) / c2))
-    for i in range(l):
-        P = kappa * sigma_u[i] * sigma_b[i] + sigma_b[i] * t + sigma_u[i] * u
-        log_f += 0.5 * np.log(math.pi * sigma_u[i] * sigma_b[i] / P)
-        log_f -= (t * dv[:, i:i + 1] + u * db[:, i:i + 1] + tu * dvb[:, i:i + 1]) / P
-    shift = log_f.max(axis=1)
-    log_sum = shift + np.log(np.exp(log_f - shift[:, None]).sum(axis=1))
-    log_i = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s[:, 0])
-    log_i += (m * (1.0 - kernel.alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
-    if kernel.o is not None:
-        log_i -= kernel.B * beta * np.log(o[:, 0])
-    return log_i + log_sum
+    X, Y = np.repeat(x, y.size)[keep], np.tile(y, x.size)[keep]
+    out = X, Y, X * Y, log_w[keep]
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Callable[[int, np.ndarray], np.ndarray]:
+    """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of kernel at n nodes per factor.
+
+    Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
+    after which y integrates as a Gaussian: per axis, with sigma_u = c2 + e_u,
+    sigma_b = c2 + e_b and kappa = (1-alpha) eta/4, a factor
+    (pi sigma_u sigma_b/P)^(1/2) exp(-(t dv + u db + t u dvb)/P), where
+    P = kappa sigma_u sigma_b + sigma_b t + sigma_u u, dv = kappa sigma_b (theta - v)^2,
+    db = kappa sigma_u (theta - theta_b)^2 and dvb = (v - theta_b)^2.  The m - l
+    axes outside Q have e = 0 and no deviations.  Axes that share (sigma_u,
+    sigma_b) share P, so they form one group: its multiplicity scales the
+    log, and its members' deviations add up.  The rules run in the node
+    coordinates X = t s and Y = u o, where P = kappa sigma_u sigma_b
+    + (sigma_b/s) X + (sigma_u/o) Y and the exponent's numerator is
+    (dv/s) X + (db/o) Y + (dvb/(s o)) X Y: each row has a few coefficients
+    per group, built once, against the fixed pair arrays of _node_pairs.  A
+    kernel without a second factor takes the single node u = 0.  The
+    integrand is at most (pi/kappa)^(m/2), so dropping light pairs is safe;
+    rows go LOSS_CHUNK // kept at a time.
+    """
+    alpha, c2, (m, l) = kernel.alpha, kernel.c2, kernel.Q.shape
+    beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) * eta / 4.0
+    s = np.reshape(kernel.s, -1)
+    if kernel.o is None:
+        e_b, theta_b, o, a_y = kernel.e_u, kernel.v, np.ones_like(s), None
+    else:
+        e_b, theta_b, o, a_y = kernel.e_b, kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0
+    v, theta_b = np.reshape(kernel.v, (-1, l)), np.reshape(theta_b, (-1, l))
+    log_const = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
+    log_const += (m * (1.0 - alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
+    scales = list(zip((c2 + kernel.e_u).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, key in enumerate(scales):
+        groups.setdefault(key, []).append(i)
+    terms = []
+    for (sigma_u, sigma_b), axes in groups.items():
+        log_const += (len(axes) / 2.0) * math.log(math.pi * sigma_u * sigma_b)
+        coef = [sigma_b / s, sigma_u / o]
+        eig = [i for i in axes if i < l]
+        if eig:
+            coef += [kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
+                     kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
+                     ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)]
+        terms.append((kappa * sigma_u * sigma_b, len(axes) / 2.0, np.stack(coef)))
+
+    def log_i(n: int, index: np.ndarray) -> np.ndarray:
+        X, Y, XY, log_w = _node_pairs(kernel.A * beta - 1.0, a_y, n)
+        width = max(1, LOSS_CHUNK // log_w.size)
+        chosen = [(p0, half, coef[:, index, None]) for p0, half, coef in terms]
+        out = log_const[index]
+        for lo in range(0, index.size, width):
+            log_f = np.broadcast_to(log_w, (min(width, index.size - lo), log_w.size)).copy()
+            for p0, half, coef in chosen:
+                c = coef[:, lo:lo + width]
+                P = p0 + c[0] * X + c[1] * Y
+                log_f -= half * np.log(P)
+                if len(c) > 2:
+                    log_f -= (c[2] * X + c[3] * Y + c[4] * XY) / P
+            shift = log_f.max(axis=1)
+            log_f -= shift[:, None]
+            out[lo:lo + width] += shift + np.log(np.exp(log_f, out=log_f).sum(axis=1))
+        return out
+
+    return log_i
 
 
 def _certified(loss: Callable[[int, np.ndarray], np.ndarray], rows: int) -> np.ndarray:
@@ -368,16 +415,8 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
         if block.o is not None:
             loss = loss + block.B * _expected_log(block, True, theta, eta)
     else:
-        beta, scale = (1.0 + block.alpha) / 2.0, 4.0 / (1.0 - block.alpha * block.alpha)
-
-        def loss_at(n: int, index: np.ndarray) -> np.ndarray:
-            exponents = (block.A,) if block.o is None else (block.A, block.B)
-            rules = [_laguerre(e * beta - 1.0, n) for e in exponents]
-            width = max(1, LOSS_CHUNK // n ** len(rules))
-            return np.concatenate([-scale * np.expm1(_log_affinity(block[index[i:i + width]], theta, eta, rules))
-                                   for i in range(0, index.size, width)])
-
-        loss = _certified(loss_at, np.size(block.s))
+        scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta, eta)
+        loss = _certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s))
     return loss if np.ndim(kernel.s) else float(loss[0])
 
 

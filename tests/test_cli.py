@@ -530,6 +530,24 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     assert all(row.endswith(",false") for row in lines[1:])
 
 
+@pytest.mark.parametrize("wrong, key", [
+    ({"identities": {"lemma_tol": "abc"}}, "lemma_tol"),
+    ({"identities": {"chisq_nu": None}}, "chisq_nu"),
+    ({"grid": {"theta_directions": 5}}, "theta_directions"),
+    ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}}, "theta_directions"),
+    ({"grid": {"theta_norms": [1.0, "2"]}}, "theta_norms"),
+    ({"grid": {"sigma2": [None]}}, "sigma2"),
+    ({"alphas": [0.0, "0.5"]}, "alphas"),
+])
+def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
+    cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong))
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{key} must be" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert main([]) == 1
     assert main(["canonicalize", "--config", str(tmp_path / "missing.json")]) == 1

@@ -1,5 +1,6 @@
 """Divergence generator, closed-form losses, Monte Carlo risk machinery."""
 
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -496,6 +497,118 @@ def test_exact_loss_matches_inner_monte_carlo(design):
     assert zs.size == 5 * 2 * 2 * 8
     assert len(rechecked) <= 1 and all(abs(z) <= 4.0 for z in rechecked), (zs, rechecked)
     assert abs(zs.mean()) <= 3.0 / math.sqrt(zs.size), zs.mean()
+
+
+def per_axis_log_affinity(kernel, theta, eta, n):
+    """log I of every row of a block kernel at n nodes per factor, one axis at a time.
+
+    The per-axis affinity formula, kept as an oracle: the node pairs are
+    rebuilt from _laguerre, and each of the l eigen-axes and the m - l
+    complement axes contributes its own P, log and division.
+    """
+    beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) * eta / 4.0, kernel.c2
+    (m, l), rows = kernel.Q.shape, np.size(kernel.s)
+    x, log_wx = risk_module._laguerre(kernel.A * beta - 1.0, n)
+    y, log_wy = (np.zeros(1), np.zeros(1)) if kernel.o is None else risk_module._laguerre(kernel.B * beta - 1.0, n)
+    e_b, theta_b, o = (kernel.e_u, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
+    log_w = (log_wx[:, None] + log_wy).ravel()
+    keep = log_w >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
+    s, o = np.reshape(kernel.s, (-1, 1)), np.reshape(o, (-1, 1))
+    t, u = np.repeat(x, y.size)[keep] / s, np.tile(y, x.size)[keep] / o
+    sigma_u, sigma_b = c2 + kernel.e_u, c2 + e_b
+    v, theta_b = np.reshape(kernel.v, (rows, l)), np.reshape(theta_b, (rows, l))
+    dv, db, dvb = kappa * sigma_b * (theta - v) ** 2, kappa * sigma_u * (theta - theta_b) ** 2, (v - theta_b) ** 2
+    log_f = np.broadcast_to(log_w[keep], t.shape).copy()
+    if m > l:
+        log_f += ((m - l) / 2.0) * np.log(math.pi / (kappa + (t + u) / c2))
+    for i in range(l):
+        P = kappa * sigma_u[i] * sigma_b[i] + sigma_b[i] * t + sigma_u[i] * u
+        log_f += 0.5 * np.log(math.pi * sigma_u[i] * sigma_b[i] / P)
+        log_f -= (t * dv[:, i:i + 1] + u * db[:, i:i + 1] + t * u * dvb[:, i:i + 1]) / P
+    shift = log_f.max(axis=1)
+    log_sum = shift + np.log(np.exp(log_f - shift[:, None]).sum(axis=1))
+    log_i = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s[:, 0])
+    log_i += (m * (1.0 - kernel.alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
+    if kernel.o is not None:
+        log_i -= kernel.B * beta * np.log(o[:, 0])
+    return log_i + log_sum
+
+
+AFFINITY_SHAPES = ("best_invariant", "all_equal", "two_equal_one_distinct", "distinct_m_gt_l", "c_is_1")
+AFFINITY_ALPHAS = (-0.5, 0.0, 0.7)
+
+
+@functools.lru_cache(maxsize=1)
+def affinity_cases():
+    """(kernel, theta, eta, spectral groups) for each shape of the grouped affinity, at each of AFFINITY_ALPHAS."""
+    as1 = oracle_designs()["as1_desk"][0]
+    wide = oracle_designs()["wide_m5_k3"][0]
+    two_equal = synthetic_problem(12, 3, 3, [2.5, 1.0, 1.0])
+    theta = np.array([1.0, -0.5, 0.3])
+
+    def block(problem):
+        params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
+        return simulate_observation(problem, params, 5, 0)[:40]
+
+    cases = {}
+    for alpha in AFFINITY_ALPHAS:
+        cases[f"best_invariant-{alpha}"] = (best_invariant_kernel(as1, block(as1), alpha), 1)
+        cases[f"all_equal-{alpha}"] = (shrinkage_bayes_kernel(
+            as1, PriorSpec.from_problem(as1, c=[2.0, 2.0, 2.0], nu=0.4), block(as1), alpha), 1)
+        cases[f"two_equal_one_distinct-{alpha}"] = (shrinkage_bayes_kernel(
+            two_equal, PriorSpec.from_problem(two_equal, c=[2.0, 1.5, 1.5], nu=0.4), block(two_equal), alpha), 2)
+        cases[f"distinct_m_gt_l-{alpha}"] = (shrinkage_bayes_kernel(
+            wide, PriorSpec.from_problem(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
+        cases[f"c_is_1-{alpha}"] = (shrinkage_bayes_kernel(
+            as1, PriorSpec.from_problem(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
+    return {name: (kernel, theta, 1.5, groups) for name, (kernel, groups) in cases.items()}
+
+
+@pytest.mark.parametrize("case", [f"{shape}-{alpha}" for shape in AFFINITY_SHAPES for alpha in AFFINITY_ALPHAS])
+@pytest.mark.parametrize("n", [32, 48])
+def test_grouped_affinity_matches_per_axis_formula(case, n):
+    kernel, theta, eta, groups = affinity_cases()[case]
+    (m, l), c2 = kernel.Q.shape, kernel.c2
+    e_b = kernel.e_u if kernel.o is None else kernel.e_b
+    pairs = set(zip((c2 + kernel.e_u).tolist(), (c2 + e_b).tolist())) | ({(c2, c2)} if m > l else set())
+    assert len(pairs) == groups
+    if case.startswith("c_is_1"):
+        assert np.all(kernel.e_b == 0.0) and np.all(kernel.theta_b == 0.0)
+    rows = np.size(kernel.s)
+    got = risk_module._log_affinity(kernel, theta, eta)(n, np.arange(rows))
+    want = per_axis_log_affinity(kernel, theta, eta, n)
+    assert np.abs(got - want).max() <= 1e-12, np.abs(got - want).max()
+    # a subset of rows, in any order, gives the same bits as the whole block
+    index = np.array([7, 3, 31])
+    assert np.array_equal(risk_module._log_affinity(kernel, theta, eta)(n, index), got[index])
+
+
+@pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0"])
+def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
+    kernel, theta, eta, _ = affinity_cases()[case]
+    default = alpha_divergence_loss(kernel, theta, eta)
+    for chunk in (1, 700):
+        monkeypatch.setattr(risk_module, "LOSS_CHUNK", chunk)
+        assert np.array_equal(alpha_divergence_loss(kernel, theta, eta), default)
+
+
+def test_node_pairs_are_cached_read_only_and_built_once():
+    X, Y, XY, log_w = pairs = risk_module._node_pairs(3.25, 5.5, 48)
+    assert all(a is b for a, b in zip(pairs, risk_module._node_pairs(3.25, 5.5, 48)))
+    for array in pairs:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert X.shape == Y.shape == XY.shape == log_w.shape and log_w.size < 48 * 48
+    assert np.array_equal(XY, X * Y) and log_w.min() >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
+    x, _ = risk_module._laguerre(3.25, 48)
+    assert np.all(np.isin(X, x)) and np.all(np.diff(np.searchsorted(x, X)) >= 0)   # x-major order
+    # a second block at the same alpha finds every rule it needs already built
+    kernel, theta, eta, _ = affinity_cases()["all_equal-0.0"]
+    alpha_divergence_loss(kernel, theta, eta)
+    before = risk_module._node_pairs.cache_info()
+    alpha_divergence_loss(kernel[5:30], theta, eta)
+    after = risk_module._node_pairs.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 # ---------------------------------------------------------------------------
