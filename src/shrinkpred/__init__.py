@@ -30,13 +30,11 @@ from .predictive import (
     PluginEstimate,
     PredictiveKernel,
     PriorSpec,
-    ShrinkageComponents,
     UnreliableNormalizationError,
     alpha_limit_check,
     best_invariant_kernel,
     beta_integral_identity,
     lemma_identity_residual,
-    normalize_density,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_kernel,
@@ -49,10 +47,8 @@ from .risk import (
     ChiSquareCheck,
     RiskEstimate,
     alpha_divergence_loss,
-    alpha_divergence_mc,
     chi_square_identity_check,
     d1_loss_plugin,
-    f_alpha,
     log_inequality_margin,
     minimax_risk,
     risk_d1_mc,

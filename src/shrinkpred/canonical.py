@@ -58,9 +58,10 @@ BLOCK_SIZE = 4096
 # Stream tags for the counter-based generator; each consumer of randomness
 # gets its own 2^192-draw slice of the keyed counter space, so streams
 # sharing a (seed, rep) key never overlap.  DIVERGENCE and NORMALIZATION
-# key the draws of the Monte Carlo test oracles (risk.alpha_divergence_mc,
-# predictive.normalize_density); LEMMA and BETA draw the identity suite's
-# random instances.
+# key the draws of the Monte Carlo test oracles in tests/oracles.py
+# (alpha_divergence_mc, normalize_density) and stay reserved so no other
+# consumer reuses them; LEMMA and BETA draw the identity suite's random
+# instances.
 STREAM_OBSERVATION = 0
 STREAM_DIVERGENCE = 1
 STREAM_NORMALIZATION = 2
@@ -257,7 +258,7 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(first < 0, -1.0, 1.0)
 
 
-def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND_WARN_THRESHOLD) -> CanonicalProblem:
+def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
     """Reduce the design pair (X, Xtilde) to canonical form.
 
     Parameters
@@ -266,14 +267,13 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND
         Observed design, full column rank.
     Xtilde : (m, k) array
         Future design, rank min(m, k).
-    cond_threshold : float
-        Condition number of X'X above which a conditioning warning is
-        attached to the result (the reduction still runs).
 
     Returns
     -------
     CanonicalProblem
-        Case "I" when m >= k, case "II" otherwise.
+        Case "I" when m >= k, case "II" otherwise.  A condition number of
+        X'X above COND_WARN_THRESHOLD attaches a conditioning warning (the
+        reduction still runs).
     """
     X = np.asarray(X, dtype=float)
     Xtilde = np.atleast_2d(np.asarray(Xtilde, dtype=float))
@@ -290,8 +290,8 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray, cond_threshold: float = COND
 
     cond = float(np.linalg.cond(X.T @ X))
     warning = None
-    if cond > cond_threshold:
-        warning = f"condition number of X'X is {cond:.3e}, above {cond_threshold:.1e}"
+    if cond > COND_WARN_THRESHOLD:
+        warning = f"condition number of X'X is {cond:.3e}, above {COND_WARN_THRESHOLD:.1e}"
     # With X'X = U'U, Cov(Xtilde beta_hat) is proportional to A A' for A = Xtilde U^{-1};
     # the SVD A = W diag(sv) Z' diagonalizes it without forming the Gram product A A'.
     # The QR factor U of X never forms X'X either; the row signs of U cancel.
@@ -465,15 +465,23 @@ def problem_from_dict(doc: dict) -> CanonicalProblem:
     )
 
 
-def load_design(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Read (X, Xtilde, y) from a JSON document.
+def load_design(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read (X, Xtilde) from a JSON object with keys "X" and "Xtilde" (row-major nested lists).
 
-    The document carries keys "X" and "Xtilde" (row-major nested lists) and
-    optionally "y".
+    A document that is not an object, or lacks or garbles a key, raises
+    ValueError naming the file and the key; other keys are ignored.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    X = np.asarray(doc["X"], dtype=float)
-    Xtilde = np.asarray(doc["Xtilde"], dtype=float) if "Xtilde" in doc else None
-    y = np.asarray(doc["y"], dtype=float) if "y" in doc else None
-    return X, Xtilde, y
+    if not isinstance(doc, dict):
+        raise ValueError(f"design file {path} must hold a JSON object, got {type(doc).__name__}")
+
+    def matrix(key):
+        if key not in doc:
+            raise ValueError(f"design file {path} is missing '{key}'")
+        try:
+            return np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"design file {path}: '{key}' is malformed: {exc}") from None
+
+    return matrix("X"), matrix("Xtilde")

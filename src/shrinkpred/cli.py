@@ -185,9 +185,7 @@ def _parse_design(doc: dict) -> DesignConfig:
     if kind == "explicit":
         if "file" in doc:
             # one JSON document carrying both matrices
-            X, Xtilde, _ = load_design(doc["file"])
-            if Xtilde is None:
-                raise ValueError("design file must contain Xtilde")
+            X, Xtilde = load_design(doc["file"])
             return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
         if "X" not in doc or "Xtilde" not in doc:
             raise ValueError("explicit design needs X and Xtilde")

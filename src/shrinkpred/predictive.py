@@ -15,12 +15,12 @@ Densities are evaluated in the log domain.  Below alpha = 1 each is one
 PredictiveKernel of per-row parameters: best_invariant_kernel and
 shrinkage_bayes_kernel map a whole block of observations to it at once,
 risk.alpha_divergence_loss scores a block, and indexing it gives one
-observation's density, which evaluates (log_density) and, for the best
-invariant t, samples.  The plug-in normal is a PluginDensity with the same
-members.  The shrinkage density's constant reduces, through Gamma
-integrals, to one integral on the logit scale, which a trapezoid rule
-computes to a certified 1e-10 in log Z for every row of a block;
-importance sampling (normalize_density) stays only as its test oracle.
+observation's density, which evaluates (log_density).  The plug-in normal
+is a PluginDensity with the same members.  The shrinkage density's constant
+reduces, through Gamma integrals, to one integral on the logit scale, which
+a trapezoid rule computes to a certified 1e-10 in log Z for every row of a
+block.  The samplers and the importance-sampling normalizer that check it
+live with the tests, in tests/oracles.py.
 The module uses math.lgamma and numpy alone; even beta_integral_identity's
 check runs on the module's own logit-scale trapezoid rule.
 """
@@ -34,27 +34,18 @@ from typing import Callable
 import numpy as np
 
 from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
-from .canonical import (
-    STREAM_NORMALIZATION,
-    CanonicalObservation,
-    CanonicalProblem,
-    _freeze,
-    _rows,
-    replication_rng,
-)
+from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _rows
 
 __all__ = [
     "DegenerateObservationError",
     "UnreliableNormalizationError",
     "PriorSpec",
-    "ShrinkageComponents",
     "PluginEstimate",
     "PredictiveKernel",
     "PluginDensity",
     "shrinkage_components",
     "best_invariant_kernel",
     "shrinkage_bayes_kernel",
-    "normalize_density",
     "plugin_bayes_estimators",
     "plugin_density",
     "umvu_estimators",
@@ -63,10 +54,7 @@ __all__ = [
     "alpha_limit_check",
     "lemma_identity_residual",
     "beta_integral_identity",
-    "log_marginal_kernel",
 ]
-
-MIN_ESS_FRACTION = 0.05
 
 # Certificate of the trapezoid rule for the shrinkage constant (_log_trapezoid): both window
 # ends QUAD_DROP below the peak, and n vs 2n intervals within QUAD_TOL in log Z.  QUAD_ROWS
@@ -80,7 +68,11 @@ class DegenerateObservationError(ValueError):
 
 
 class UnreliableNormalizationError(RuntimeError):
-    """A quadrature (normalizing constant or loss) or the importance-sampling guard failed its certificate."""
+    """A quadrature (normalizing constant or loss) failed its certificate.
+
+    The importance-sampling oracle of tests/oracles.py raises it too, when its
+    effective sample size falls below the guard.
+    """
 
 
 def _check_alpha(alpha: float, allow_one: bool = False) -> float:
@@ -114,8 +106,8 @@ class _SpectralScale:
     """Scale matrix A = c2 I + Q diag(e) Q' of a density kernel.
 
     Q has orthonormal columns and e >= 0, so A has eigenvalue c2 + e_i along
-    column i of Q and c2 on the orthogonal complement: its inverse,
-    log-determinant and square root are closed-form.
+    column i of Q and c2 on the orthogonal complement: its inverse and
+    log-determinant are closed-form.
     """
 
     def __init__(self, c2: float, Q: np.ndarray, e: np.ndarray):
@@ -148,18 +140,6 @@ class _SpectralScale:
     def logdet(self) -> float:
         m, l = self.Q.shape
         return (m - l) * math.log(self.c2) + float(np.sum(np.log(self.c2 + self.e)))
-
-    def root(self, z: np.ndarray) -> np.ndarray:
-        """Rows of z mapped in place by the symmetric square root of A.
-
-        sqrt(A) z = sqrt(c2) z + Q diag(sqrt(c2 + e_i) - sqrt(c2)) Q' z.
-        """
-        root_c2 = math.sqrt(self.c2)
-        zq = z @ self.Q
-        zq *= np.sqrt(self.c2 + self.e) - root_c2
-        z *= root_c2
-        z += zq @ self.Q.T
-        return z
 
 
 # ---------------------------------------------------------------------------
@@ -244,29 +224,6 @@ class PriorSpec:
 
 
 @dataclass(frozen=True)
-class ShrinkageComponents:
-    """Pieces of the two-kernel factorization of the shrinkage density.
-
-    The kernels' scale matrices are c2 I + Q diag(e_u) Q' and
-    c2 I + Q diag(e_b) Q' with c2 = 2/(1 - alpha).
-    """
-
-    e_u: np.ndarray
-    theta_hat_b: np.ndarray
-    e_b: np.ndarray
-    r: float | np.ndarray
-
-    def __post_init__(self):
-        r = _freeze(self.r)
-        for name in ("e_u", "e_b"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)).ravel())
-        object.__setattr__(self, "theta_hat_b", _rows(self.theta_hat_b, r.shape))
-        object.__setattr__(self, "r", float(r) if r.ndim == 0 else r)
-        if np.any(r < 0):
-            raise ValueError("r must be nonnegative")
-
-
-@dataclass(frozen=True)
 class PluginEstimate:
     """Plug-in mean and variance estimates with the shrinkage statistic W, one row per block row."""
 
@@ -294,11 +251,11 @@ def shrinkage_components(
     prior: PriorSpec,
     alpha: float,
     v: np.ndarray,
-) -> ShrinkageComponents:
-    """Spectra, shrunken mean and residual of the two-kernel factorization.
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """(e_b, theta_b, r): spectrum, shrunken mean and residual of the two-kernel factorization.
 
-    With c2 = 2/(1 - alpha) the scale matrices are c2 I + Q diag(e) Q' with
-      e_u       = d
+    With c2 = 2/(1 - alpha) the kernels' scale matrices are c2 I + Q diag(d) Q'
+    and c2 I + Q diag(e_b) Q' with
       e_b       = (c - 1) d / (c + (1-alpha)d/2)                (componentwise)
       theta_b   = (C - I)(C + (1-alpha)D/2)^{-1} v
       r         = sum_i v_i^2 ((1-alpha)d_i/2 + 1) / (d_i (c_i + (1-alpha)d_i/2))
@@ -313,7 +270,7 @@ def shrinkage_components(
     theta_b = (c - 1.0) / (c + half * d) * v
     e_b = (c - 1.0) * d / (c + half * d)
     r = np.sum(v * ((half * d + 1.0) / (d * (c + half * d)) * v), axis=-1)
-    return ShrinkageComponents(e_u=d, theta_hat_b=theta_b, e_b=e_b, r=r)
+    return e_b, theta_b, r
 
 
 @dataclass(frozen=True)
@@ -328,7 +285,7 @@ class PredictiveKernel:
     of freedom.  A block of observations gives v and theta_b one row, and s,
     o and log_const one entry, per observation; indexing the kernel selects
     rows.  One observation's kernel evaluates its density at points
-    (log_unnormalized, log_density) and, without a second factor, samples it.
+    (log_unnormalized, log_density).
     """
 
     alpha: float
@@ -376,16 +333,6 @@ class PredictiveKernel:
         """The normalized log density at a point or at the rows of a batch."""
         return self.log_unnormalized(y) + self.log_const
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size draws, shape (size, m), of the best invariant t: Q v + sqrt(A_u) z sqrt(s/chi2_dof)."""
-        m = self._single_m()
-        if self.o is not None:
-            raise ValueError("the shrinkage density has no sampler")
-        y = _SpectralScale(self.c2, self.Q, self.e_u).root(rng.standard_normal((size, m)))
-        y *= np.sqrt(self.s / rng.chisquare(self.dof, size))[:, None]
-        y += self.Q @ self.v
-        return y
-
 
 def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveKernel:
     """The best invariant density of each observation of a block (or of one observation).
@@ -416,12 +363,12 @@ def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: Can
     Raises UnreliableNormalizationError when the certificate fails for any row.
     """
     alpha = _check_alpha(alpha)
-    comp = shrinkage_components(problem, prior, alpha, obs.v)
+    e_b, theta_b, r = shrinkage_components(problem, prior, alpha, obs.v)
     s = _check_s(obs)
     kernel = PredictiveKernel(
-        alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=comp.e_u,
-        v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=comp.e_b,
-        theta_b=comp.theta_hat_b, o=comp.r + np.sum(obs.v_star * obs.v_star, axis=-1) / prior.gamma_prior + s,
+        alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=problem.d,
+        v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=e_b,
+        theta_b=theta_b, o=r + np.sum(obs.v_star * obs.v_star, axis=-1) / prior.gamma_prior + s,
     )
     return replace(kernel, log_const=-_log_integral(kernel))
 
@@ -510,35 +457,6 @@ def _log_trapezoid(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     raise UnreliableNormalizationError(f"integrand within {QUAD_DROP} of its peak at an end of [{lo:.3g}, {hi:.3g}]")
 
 
-def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray],
-                      proposal: PredictiveKernel | PluginDensity, n_samples: int, seed: int,
-                      rep_index: int = 0) -> tuple[float, float]:
-    """Normalize a density by importance sampling against a known proposal.
-
-    The test oracle for the quadrature constant of shrinkage_bayes_kernel.
-    The proposal, one observation's best invariant kernel or a plug-in
-    normal, must dominate the target.  Returns (log_norm_const, rel_se):
-    the constant that normalizes log_unnormalized, and the relative standard
-    error of its integral.  Raises UnreliableNormalizationError when the
-    effective sample size drops below MIN_ESS_FRACTION of n_samples.
-    """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    rng = replication_rng(seed, rep_index, stream=STREAM_NORMALIZATION)
-    ys = proposal.sample(rng, n_samples)
-    logw = log_unnormalized(ys) - proposal.log_density(ys)
-    shift = float(np.max(logw))
-    w = np.exp(logw - shift)
-    zbar = float(np.mean(w))
-    ess = float(w.sum() ** 2 / (w @ w))
-    if ess < MIN_ESS_FRACTION * n_samples:
-        raise UnreliableNormalizationError(
-            f"effective sample size {ess:.1f} of {n_samples} is below the 5% guard"
-        )
-    return -(shift + math.log(zbar)), float(np.std(w, ddof=1) / math.sqrt(n_samples) / zbar)
-
-
 # ---------------------------------------------------------------------------
 # Plug-in estimators and density (alpha = 1)
 # ---------------------------------------------------------------------------
@@ -613,9 +531,6 @@ class PluginDensity:
         """The normalized log density at a point or at the rows of a batch."""
         return self.log_unnormalized(y) + self.log_const
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.mean + math.sqrt(self.sigma2) * rng.standard_normal((size, self.mean.size))
-
 
 def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> PluginDensity:
     """Normal density N_m(Q theta_hat, sigma2_hat I) of one plug-in estimate."""
@@ -689,6 +604,13 @@ def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float,
     logit scale t = expit(z), where the integrand becomes
     exp((a+1) log t + (b+1) log(1-t) - (a+b+2) log1p(w t)).  Returns
     (quadrature, closed_form).
+
+    Any a, b > -1 and w > -1 are accepted, but the tails of the logit-scale
+    integrand fall with slopes a + 1 and b + 1, so the window must reach
+    about QUAD_DROP/(min(a, b) + 1).  The working domain is exponents down to about
+    -0.997: at -0.99 and -0.995 the quadrature matches the closed form to
+    2e-15, while at -0.998 and below it needs more than QUAD_MAX_INTERVALS
+    and raises UnreliableNormalizationError.
     """
     if a_exp <= -1 or b_exp <= -1:
         raise ValueError("exponents must exceed -1")
@@ -704,28 +626,3 @@ def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float,
                   - (a_exp + 1.0) * math.log(w + 1.0))
     return math.exp(float(_log_trapezoid(g)[0])), math.exp(log_closed)
 
-
-def log_marginal_kernel(
-    v: np.ndarray,
-    v_star: np.ndarray,
-    s: float,
-    d: np.ndarray,
-    c: np.ndarray,
-    gamma_prior: float,
-    a: float,
-    n: int,
-    k: int,
-) -> float:
-    """Log marginal kernel of (V, V*, S) under the shrinkage prior at alpha = 1.
-
-    Up to a constant: -(n-k)/2 log s - (k/2 + a + 1) log(V'C^{-1}D^{-1}V +
-    |V*|^2/gamma + s).  Its gradient reproduces the plug-in estimators.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    v_star = np.asarray(v_star, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
-    if s <= 0:
-        raise DegenerateObservationError("s must be positive")
-    u = float(v @ (v / (c * d)) + v_star @ v_star / gamma_prior)
-    return -(n - k) / 2.0 * math.log(s) - (k / 2.0 + a + 1.0) * math.log(u + s)

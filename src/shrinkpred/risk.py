@@ -24,9 +24,8 @@ bisection and Newton steps on the three-term recurrence, built once per
 
 Observations come in keyed blocks (canonical.simulate_observation) and
 losses are reduced by pairwise summation in replication order, so reruns
-agree bit for bit.  alpha_divergence_mc, a Monte Carlo divergence of one
-observation's kernel or plug-in density with its own keyed draws, is kept
-as an independent check of the exact losses.
+agree bit for bit.  The tests check the exact losses against a Monte Carlo
+divergence with its own keyed draws, alpha_divergence_mc in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 
 from .canonical import (
     BLOCK_SIZE,
-    STREAM_DIVERGENCE,
     STREAM_IDENTITY,
     CanonicalObservation,
     CanonicalParams,
@@ -48,22 +46,13 @@ from .canonical import (
     replication_rng,
     simulate_observation,
 )
-from .predictive import (
-    PluginDensity,
-    PluginEstimate,
-    PredictiveKernel,
-    UnreliableNormalizationError,
-    _log_trapezoid_rows,
-    plugin_density,
-)
+from .predictive import PluginEstimate, PredictiveKernel, UnreliableNormalizationError, _log_trapezoid_rows
 
 __all__ = [
     "RiskEstimate",
     "ChiSquareCheck",
-    "f_alpha",
     "d1_loss_plugin",
     "minimax_risk",
-    "alpha_divergence_mc",
     "alpha_divergence_loss",
     "risk_mc",
     "risk_d1_mc",
@@ -101,25 +90,8 @@ class ChiSquareCheck(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Divergence generator and losses
+# Closed-form losses
 # ---------------------------------------------------------------------------
-
-def f_alpha(log_z, alpha: float):
-    """Convex generator of the alpha-divergence at the density ratio z = exp(log_z).
-
-    4(1 - z^{(1+alpha)/2})/(1 - alpha^2) for |alpha| < 1, z log z at
-    alpha = 1, -log z at alpha = -1; elementwise over an array of log ratios.
-    """
-    alpha = float(alpha)
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
-    log_z = np.asarray(log_z, dtype=float)
-    if alpha == 1.0:
-        return np.exp(log_z) * log_z
-    if alpha == -1.0:
-        return -log_z
-    return 4.0 * -np.expm1((1.0 + alpha) / 2.0 * log_z) / (1.0 - alpha * alpha)
-
 
 def d1_loss_plugin(theta_hat, sigma2_hat, theta, sigma2: float, m: int):
     """Closed-form alpha = 1 divergence of a plug-in normal from the truth.
@@ -156,44 +128,8 @@ def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo divergence and risk
+# Exact losses and Monte Carlo risk
 # ---------------------------------------------------------------------------
-
-
-def alpha_divergence_mc(
-    phat: PredictiveKernel | PluginDensity,
-    theta,
-    eta: float,
-    problem: CanonicalProblem,
-    alpha: float,
-    n_mc: int,
-    seed: int,
-    rep_index: int = 0,
-) -> RiskEstimate:
-    """Monte Carlo alpha-divergence of phat from the true density N_m(Q theta, I/eta).
-
-    phat is one observation's density: a PredictiveKernel or a PluginDensity.
-    For alpha < 1 the draws come from the truth; at alpha = 1 the integral
-    runs against phat itself, so phat must be samplable there (a plug-in
-    normal or a best invariant kernel; a shrinkage kernel raises ValueError).
-    """
-    alpha = float(alpha)
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
-    n_mc = int(n_mc)
-    if n_mc < 100:
-        raise ValueError("n_mc must be at least 100")
-    truth = plugin_density(PluginEstimate(theta_hat=theta, sigma2_hat=1.0 / eta, w=math.inf), problem)
-    rng = replication_rng(seed, rep_index, stream=STREAM_DIVERGENCE)
-    if alpha == 1.0:
-        ys = phat.sample(rng, n_mc)
-        terms = phat.log_density(ys) - truth.log_density(ys)
-    else:
-        ys = truth.sample(rng, n_mc)
-        terms = f_alpha(phat.log_density(ys) - truth.log_density(ys), alpha)
-    mean = float(np.mean(terms))
-    se = float(np.std(terms, ddof=1) / math.sqrt(n_mc))
-    return RiskEstimate(mean=mean, std_error=se, reps=n_mc, seed=int(seed))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

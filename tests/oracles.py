@@ -1,0 +1,166 @@
+"""Monte Carlo oracles for the exact quadratures of shrinkpred, and the samplers they draw with.
+
+The program computes the shrinkage density's constant by a certified
+trapezoid rule (predictive.shrinkage_bayes_kernel) and the alpha < 1 losses
+by Gauss-Laguerre and Frullani rules (risk.alpha_divergence_loss).  The
+tests check them against independent Monte Carlo estimates:
+normalize_density by importance sampling, alpha_divergence_mc by sampling
+the truth (or, at alpha = 1, the estimate).  Each draws on its own keyed
+stream, STREAM_NORMALIZATION or STREAM_DIVERGENCE, which canonical keeps
+reserved.  log_marginal_kernel is the alpha = 1 marginal whose gradient
+gives the plug-in estimators.  Tests import these as ``from oracles import
+...``, as they import from conftest.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from shrinkpred.canonical import STREAM_DIVERGENCE, STREAM_NORMALIZATION, CanonicalProblem, replication_rng
+from shrinkpred.predictive import (
+    DegenerateObservationError,
+    PluginDensity,
+    PluginEstimate,
+    PredictiveKernel,
+    UnreliableNormalizationError,
+    plugin_density,
+)
+from shrinkpred.risk import RiskEstimate
+
+MIN_ESS_FRACTION = 0.05
+
+
+def sample(density: PredictiveKernel | PluginDensity, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size draws, shape (size, m), of one observation's plug-in normal or best invariant t.
+
+    The t is Q v + sqrt(A_u) z sqrt(s/chi2_dof), A_u = c2 I + Q diag(e_u) Q':
+    the normal draws z come first, then the chi-square draws.  A block
+    kernel, or a shrinkage kernel, raises ValueError.
+    """
+    if isinstance(density, PluginDensity):
+        return density.mean + math.sqrt(density.sigma2) * rng.standard_normal((size, density.mean.size))
+    m = density._single_m()
+    if density.o is not None:
+        raise ValueError("the shrinkage density has no sampler")
+    y = rng.standard_normal((size, m))
+    # sqrt(A_u) y = sqrt(c2) y + Q diag(sqrt(c2 + e_u) - sqrt(c2)) Q' y, in place
+    root_c2 = math.sqrt(density.c2)
+    yq = y @ density.Q
+    yq *= np.sqrt(density.c2 + density.e_u) - root_c2
+    y *= root_c2
+    y += yq @ density.Q.T
+    y *= np.sqrt(density.s / rng.chisquare(density.dof, size))[:, None]
+    y += density.Q @ density.v
+    return y
+
+
+def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray],
+                      proposal: PredictiveKernel | PluginDensity, n_samples: int, seed: int,
+                      rep_index: int = 0) -> tuple[float, float]:
+    """Normalize a density by importance sampling against a known proposal.
+
+    The oracle for the quadrature constant of shrinkage_bayes_kernel.  The
+    proposal, one observation's best invariant kernel or a plug-in normal,
+    must dominate the target.  Returns (log_norm_const, rel_se): the
+    constant that normalizes log_unnormalized, and the relative standard
+    error of its integral.  Raises UnreliableNormalizationError when the
+    effective sample size drops below MIN_ESS_FRACTION of n_samples.
+    """
+    n_samples = int(n_samples)
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    rng = replication_rng(seed, rep_index, stream=STREAM_NORMALIZATION)
+    ys = sample(proposal, rng, n_samples)
+    logw = log_unnormalized(ys) - proposal.log_density(ys)
+    shift = float(np.max(logw))
+    w = np.exp(logw - shift)
+    zbar = float(np.mean(w))
+    ess = float(w.sum() ** 2 / (w @ w))
+    if ess < MIN_ESS_FRACTION * n_samples:
+        raise UnreliableNormalizationError(
+            f"effective sample size {ess:.1f} of {n_samples} is below the 5% guard"
+        )
+    return -(shift + math.log(zbar)), float(np.std(w, ddof=1) / math.sqrt(n_samples) / zbar)
+
+
+def f_alpha(log_z, alpha: float):
+    """Convex generator of the alpha-divergence at the density ratio z = exp(log_z).
+
+    4(1 - z^{(1+alpha)/2})/(1 - alpha^2) for |alpha| < 1, z log z at
+    alpha = 1, -log z at alpha = -1; elementwise over an array of log ratios.
+    """
+    alpha = float(alpha)
+    if not -1.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [-1, 1]")
+    log_z = np.asarray(log_z, dtype=float)
+    if alpha == 1.0:
+        return np.exp(log_z) * log_z
+    if alpha == -1.0:
+        return -log_z
+    return 4.0 * -np.expm1((1.0 + alpha) / 2.0 * log_z) / (1.0 - alpha * alpha)
+
+
+def alpha_divergence_mc(
+    phat: PredictiveKernel | PluginDensity,
+    theta,
+    eta: float,
+    problem: CanonicalProblem,
+    alpha: float,
+    n_mc: int,
+    seed: int,
+    rep_index: int = 0,
+) -> RiskEstimate:
+    """Monte Carlo alpha-divergence of phat from the true density N_m(Q theta, I/eta).
+
+    The oracle for risk.alpha_divergence_loss.  phat is one observation's
+    density: a PredictiveKernel or a PluginDensity.  For alpha < 1 the draws
+    come from the truth; at alpha = 1 the integral runs against phat itself,
+    so phat must be samplable there (a plug-in normal or a best invariant
+    kernel; a shrinkage kernel raises ValueError).
+    """
+    alpha = float(alpha)
+    if not -1.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [-1, 1]")
+    n_mc = int(n_mc)
+    if n_mc < 100:
+        raise ValueError("n_mc must be at least 100")
+    truth = plugin_density(PluginEstimate(theta_hat=theta, sigma2_hat=1.0 / eta, w=math.inf), problem)
+    rng = replication_rng(seed, rep_index, stream=STREAM_DIVERGENCE)
+    if alpha == 1.0:
+        ys = sample(phat, rng, n_mc)
+        terms = phat.log_density(ys) - truth.log_density(ys)
+    else:
+        ys = sample(truth, rng, n_mc)
+        terms = f_alpha(phat.log_density(ys) - truth.log_density(ys), alpha)
+    mean = float(np.mean(terms))
+    se = float(np.std(terms, ddof=1) / math.sqrt(n_mc))
+    return RiskEstimate(mean=mean, std_error=se, reps=n_mc, seed=int(seed))
+
+
+def log_marginal_kernel(
+    v: np.ndarray,
+    v_star: np.ndarray,
+    s: float,
+    d: np.ndarray,
+    c: np.ndarray,
+    gamma_prior: float,
+    a: float,
+    n: int,
+    k: int,
+) -> float:
+    """Log marginal kernel of (V, V*, S) under the shrinkage prior at alpha = 1.
+
+    Up to a constant: -(n-k)/2 log s - (k/2 + a + 1) log(V'C^{-1}D^{-1}V +
+    |V*|^2/gamma + s).  Its gradient reproduces the plug-in estimators.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    v_star = np.asarray(v_star, dtype=float).ravel()
+    d = np.asarray(d, dtype=float).ravel()
+    c = np.asarray(c, dtype=float).ravel()
+    if s <= 0:
+        raise DegenerateObservationError("s must be positive")
+    u = float(v @ (v / (c * d)) + v_star @ v_star / gamma_prior)
+    return -(n - k) / 2.0 * math.log(s) - (k / 2.0 + a + 1.0) * math.log(u + s)

@@ -79,6 +79,22 @@ def test_canonicalize_design_document(tmp_path):
     assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("doc, key", [
+    ([[1.0, 0.0], [0.0, 1.0]], "JSON object"), ({"Xtilde": [[1.0, 0.0]]}, "'X'"),
+    ({"X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "'Xtilde'"), ({"X": [[1.0, "x"]], "Xtilde": [[1.0, 0.0]]}, "'X'"),
+])
+def test_design_file_errors_name_the_file_and_key(tmp_path, capsys, doc, key):
+    # a design file that is not an object, or lacks or garbles a matrix, exits 1 naming both
+    doc_path = tmp_path / "design.json"
+    doc_path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"design": {"type": "explicit", "file": str(doc_path)}})
+    capsys.readouterr()
+    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: design file {doc_path}") and key in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_canonicalize_rank_deficient_exits_2(tmp_path):
     col = np.arange(10.0)
     cfg = write_config(tmp_path, {

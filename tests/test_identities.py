@@ -10,6 +10,7 @@ from scipy.special import betaln
 from shrinkpred.canonical import CanonicalProblem
 from shrinkpred.predictive import (
     PriorSpec,
+    UnreliableNormalizationError,
     beta_integral_identity,
     lemma_identity_residual,
     shrinkage_components,
@@ -49,22 +50,22 @@ def test_quadratic_forms_match_closed_expressions():
         problem = CanonicalProblem(n=20, k=l, m=m, d=d, Q=Q,
                                    coef_transform=np.eye(l))
         prior = PriorSpec(c=c, a=0.0, gamma_prior=1.0, n=20, k=l, m=m)
-        comp = shrinkage_components(problem, prior, alpha, v)
+        e_b, theta_b, r = shrinkage_components(problem, prior, alpha, v)
         ds = (1.0 - alpha) / 2.0 * d
         scale = 2.0 / (1.0 - alpha)
 
         # F = I: quadratic form around Qv with covariance sigma_u
         direct_a, _ = lemma_identity_residual(np.ones(l), ds, Q, y, v)
         ru = y - Q @ v
-        sigma_u = scale * np.eye(m) + (Q * comp.e_u) @ Q.T
+        sigma_u = scale * np.eye(m) + (Q * d) @ Q.T
         closed_a = scale * float(ru @ np.linalg.solve(sigma_u, ru))
         assert abs(direct_a - closed_a) <= 1e-8 * (1.0 + abs(direct_a))
 
         # F = I - C^{-1}: shrunken mean, covariance sigma_b, residual r
         direct_b, _ = lemma_identity_residual(1.0 - 1.0 / c, ds, Q, y, v)
-        rb = y - Q @ comp.theta_hat_b
-        sigma_b = scale * np.eye(m) + (Q * comp.e_b) @ Q.T
-        closed_b = scale * (float(rb @ np.linalg.solve(sigma_b, rb)) + comp.r)
+        rb = y - Q @ theta_b
+        sigma_b = scale * np.eye(m) + (Q * e_b) @ Q.T
+        closed_b = scale * (float(rb @ np.linalg.solve(sigma_b, rb)) + r)
         assert abs(direct_b - closed_b) <= 1e-8 * (1.0 + abs(direct_b))
 
 
@@ -98,3 +99,12 @@ def test_beta_integral_domain():
         beta_integral_identity(-1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         beta_integral_identity(0.5, -1.5, 1.0)
+
+
+def test_beta_integral_working_domain():
+    # near -1 the logit-scale tail is too long for the trapezoid rule's interval cap
+    for a_exp in (-0.99, -0.995):
+        quad_val, closed = beta_integral_identity(a_exp, 5.0, -0.9)
+        assert quad_val == pytest.approx(closed, rel=1e-14)
+    with pytest.raises(UnreliableNormalizationError):
+        beta_integral_identity(-0.999, 5.0, -0.9)

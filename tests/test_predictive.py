@@ -26,8 +26,6 @@ from shrinkpred.predictive import (
     alpha_limit_check,
     best_invariant_kernel,
     lemma_identity_residual,
-    log_marginal_kernel,
-    normalize_density,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_kernel,
@@ -36,6 +34,8 @@ from shrinkpred.predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+
+from oracles import log_marginal_kernel, normalize_density, sample
 
 
 def synthetic_problem(n, k, m, d, Q=None):
@@ -87,18 +87,18 @@ def dense_scale(problem, alpha, e):
 def test_components_identity_c_reduction(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.2)
     alpha = 0.3
-    comp = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
+    e_b, theta_b, r = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
     c2 = 2.0 / (1.0 - alpha)
-    assert np.all(comp.theta_hat_b == 0)
-    assert np.abs(dense_scale(prob_m3, alpha, comp.e_b) - c2 * np.eye(3)).max() < 1e-12
-    assert comp.r == pytest.approx(float(obs_m3.v @ (obs_m3.v / prob_m3.d)), rel=1e-12)
+    assert np.all(theta_b == 0)
+    assert np.abs(dense_scale(prob_m3, alpha, e_b) - c2 * np.eye(3)).max() < 1e-12
+    assert r == pytest.approx(float(obs_m3.v @ (obs_m3.v / prob_m3.d)), rel=1e-12)
 
 
 def test_components_zero_v(prob_m3):
     prior = PriorSpec.from_problem(prob_m3, c=2.5, nu=0.2)
-    comp = shrinkage_components(prob_m3, prior, -0.5, np.zeros(3))
-    assert np.all(comp.theta_hat_b == 0)
-    assert comp.r == 0.0
+    _, theta_b, r = shrinkage_components(prob_m3, prior, -0.5, np.zeros(3))
+    assert np.all(theta_b == 0)
+    assert r == 0.0
 
 
 def test_shrinkage_never_expands():
@@ -111,9 +111,9 @@ def test_shrinkage_never_expands():
         prior = PriorSpec.from_problem(problem, c=rng.uniform(1.0, 6.0, l), nu=rng.uniform(0.01, 2.0))
         alpha = rng.uniform(-1.0, 0.999)
         v = rng.standard_normal(l) * rng.uniform(0.1, 10.0)
-        comp = shrinkage_components(problem, prior, alpha, v)
-        assert np.linalg.norm(comp.theta_hat_b) <= np.linalg.norm(v) + 1e-12
-        assert np.all(np.abs(comp.theta_hat_b) <= np.abs(v) + 1e-12)
+        _, theta_b, _ = shrinkage_components(problem, prior, alpha, v)
+        assert np.linalg.norm(theta_b) <= np.linalg.norm(v) + 1e-12
+        assert np.all(np.abs(theta_b) <= np.abs(v) + 1e-12)
 
 
 def test_alpha_one_rejected(prob_m3, obs_m3):
@@ -241,15 +241,13 @@ def test_degenerate_observation_rejected(prob_m3):
 def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
     obs = CanonicalObservation(v=np.array([1.5]), v_star=np.zeros(0), s=2.0)
     dens = best_invariant_kernel(prob_m1, obs, 0.0)
-    from shrinkpred.canonical import replication_rng
-
-    ys = dens.sample(replication_rng(3, 0), 200_000)
+    ys = sample(dens, replication_rng(3, 0), 200_000)
     se = ys.std(ddof=1) / math.sqrt(ys.size)
     assert abs(ys.mean() - 1.5) < 4 * se
     # rotated Q, unequal d: mean Qv and covariance s/(dof - 2) sigma_u, entry by entry
     alpha = 0.0
     dof = 2.0 * (prob_rot.n - prob_rot.k) / (1.0 - alpha)
-    ys = best_invariant_kernel(prob_rot, obs_rot, alpha).sample(replication_rng(4, 0), 200_000)
+    ys = sample(best_invariant_kernel(prob_rot, obs_rot, alpha), replication_rng(4, 0), 200_000)
     mean = prob_rot.Q @ obs_rot.v
     se = ys.std(axis=0, ddof=1) / math.sqrt(len(ys))
     assert np.all(np.abs(ys.mean(axis=0) - mean) < 4 * se)
@@ -261,7 +259,7 @@ def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
 
 
 def test_kernel_evaluates_and_samples_one_observation(prob_m3):
-    # a block kernel is scored whole by the loss, but evaluated and sampled one row at a time
+    # a block kernel is scored whole by the loss, but evaluated and (by the oracle) sampled one row at a time
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
     block = simulate_observation(prob_m3, params, 9)[:5]
@@ -273,12 +271,12 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
             with pytest.raises(ValueError, match="one observation"):
                 evaluate(y)
         with pytest.raises(ValueError, match="one observation"):
-            kernel.sample(replication_rng(1, 0), 10)
+            sample(kernel, replication_rng(1, 0), 10)
         assert kernel[2].log_density(y) == pytest.approx(build(block[2]).log_density(y), rel=1e-14)
     shrink = shrinkage_bayes_kernel(prob_m3, prior, block[0], 0.3)
     with pytest.raises(ValueError, match="no sampler"):
-        shrink.sample(replication_rng(1, 0), 10)
-    assert best_invariant_kernel(prob_m3, block[0], 0.3).sample(replication_rng(1, 0), 10).shape == (10, 3)
+        sample(shrink, replication_rng(1, 0), 10)
+    assert sample(best_invariant_kernel(prob_m3, block[0], 0.3), replication_rng(1, 0), 10).shape == (10, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +287,34 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
 def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
     alpha = -0.3
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 2.0, 4.0], nu=0.4)
-    comp = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
-    sigma_b = dense_scale(prob_m3, alpha, comp.e_b)
+    e_b, theta_b, r = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
+    sigma_b = dense_scale(prob_m3, alpha, e_b)
     shrink = shrinkage_bayes_kernel(prob_m3, prior, obs_m3, alpha)
     invariant = best_invariant_kernel(prob_m3, obs_m3, alpha)
     for _ in range(10):
         y = rng.standard_normal(3) * 2.0
         full = shrink.log_unnormalized(y)
         first = invariant.log_unnormalized(y)
-        r = y - prob_m3.Q @ comp.theta_hat_b
-        quad = float(r @ np.linalg.solve(sigma_b, r))
-        second = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad + comp.r + obs_m3.s)
+        rb = y - prob_m3.Q @ theta_b
+        quad = float(rb @ np.linalg.solve(sigma_b, rb))
+        second = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad + r + obs_m3.s)
         assert full == pytest.approx(first + second, rel=1e-12)
     # rotated Q, unequal d: both factors against dense solves
     prior = PriorSpec.from_problem(prob_rot, c=[1.5, 3.0], nu=0.4)
-    comp = shrinkage_components(prob_rot, prior, alpha, obs_rot.v)
-    sigma_u = dense_scale(prob_rot, alpha, comp.e_u)
-    sigma_b = dense_scale(prob_rot, alpha, comp.e_b)
+    e_b, theta_b, r = shrinkage_components(prob_rot, prior, alpha, obs_rot.v)
+    sigma_u = dense_scale(prob_rot, alpha, prob_rot.d)
+    sigma_b = dense_scale(prob_rot, alpha, e_b)
     q = prob_rot.n - prob_rot.k
     shrink = shrinkage_bayes_kernel(prob_rot, prior, obs_rot, alpha)
     invariant = best_invariant_kernel(prob_rot, obs_rot, alpha)
     for _ in range(10):
         y = rng.standard_normal(4) * 2.0
         ru = y - prob_rot.Q @ obs_rot.v
-        rb = y - prob_rot.Q @ comp.theta_hat_b
+        rb = y - prob_rot.Q @ theta_b
         quad_u = float(ru @ np.linalg.solve(sigma_u, ru))
         quad_b = float(rb @ np.linalg.solve(sigma_b, rb))
         first = -(prob_rot.m / 2 + q / (1 - alpha)) * math.log(quad_u + obs_rot.s)
-        second = -(prob_rot.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad_b + comp.r + obs_rot.s)
+        second = -(prob_rot.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad_b + r + obs_rot.s)
         assert invariant.log_unnormalized(y) == pytest.approx(first, rel=1e-12)
         full = shrink.log_unnormalized(y)
         assert full == pytest.approx(first + second, rel=1e-12)
@@ -422,9 +420,7 @@ def test_normalized_density_integrates_to_one(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     dens = shrinkage_bayes_kernel(prob_m3, prior, obs_m3, alpha=0.2)
     checker = best_invariant_kernel(prob_m3, obs_m3, -0.5)
-    from shrinkpred.canonical import replication_rng
-
-    ys = checker.sample(replication_rng(99, 0), 200_000)
+    ys = sample(checker, replication_rng(99, 0), 200_000)
     w = np.exp(dens.log_density(ys) - checker.log_density(ys))
     total = w.mean()
     se = w.std(ddof=1) / math.sqrt(w.size)
@@ -470,14 +466,14 @@ def qaws_log_z(problem, prior, obs, alpha):
     The integrand is rebuilt here from the design: weight w^(A-1) (1-w)^(B-1)
     times prod_i p_i(w)^(-1/2) h(w)^(-P), with the constants of the reduction.
     """
-    comp = shrinkage_components(problem, prior, alpha, obs.v)
+    e_b, theta_b, r = shrinkage_components(problem, prior, alpha, obs.v)
     m, l, q = problem.m, problem.l, problem.n - problem.k
     c2 = 2.0 / (1.0 - alpha)
     A, B = m / 2.0 + q / (1.0 - alpha), (problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha)
     P = A + B - m / 2.0
-    su, sb = c2 + comp.e_u, c2 + comp.e_b
-    delta2 = (obs.v - comp.theta_hat_b) ** 2
-    o = comp.r + float(obs.v_star @ obs.v_star) / prior.gamma_prior + obs.s
+    su, sb = c2 + problem.d, c2 + e_b
+    delta2 = (obs.v - theta_b) ** 2
+    o = r + float(obs.v_star @ obs.v_star) / prior.gamma_prior + obs.s
 
     def log_f(w):
         p = w / su + (1.0 - w) / sb
