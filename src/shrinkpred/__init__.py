@@ -13,7 +13,6 @@ from .canonical import (
     CanonicalParams,
     CanonicalProblem,
     RankDeficiencyError,
-    RegressionData,
     SufficientStats,
     as1_design,
     as1_problem,

@@ -101,18 +101,14 @@ def a_of_nu(k: int, nu: float, n: int) -> float:
     return (nu * (n - k) - k - 2.0) / 2.0
 
 
-def condition_d(d: np.ndarray, l: int | None = None) -> bool:
-    """Spread condition on the canonical eigenvalues: l - 2 <= 2(sum(d)/d1 - 2).
+def condition_d(d: np.ndarray) -> bool:
+    """Spread condition on the canonical eigenvalues: l - 2 <= 2(sum(d)/d1 - 2), l = len(d).
 
     Requires d sorted nonincreasing (d1 is the largest entry).
     """
     d = np.asarray(d, dtype=float).ravel()
-    if l is None:
-        l = d.size
-    if l != d.size:
-        raise ValueError("l must equal the length of d")
     if np.any(np.diff(d) > 0):
         raise ValueError("d must be sorted nonincreasing")
     if np.any(d <= 0):
         raise ValueError("entries of d must be positive")
-    return bool(l - 2 <= 2.0 * (d.sum() / d[0] - 2.0))
+    return bool(d.size - 2 <= 2.0 * (d.sum() / d[0] - 2.0))

@@ -30,7 +30,6 @@ from numpy.random import Generator, Philox
 
 __all__ = [
     "RankDeficiencyError",
-    "RegressionData",
     "SufficientStats",
     "CanonicalProblem",
     "CanonicalObservation",
@@ -107,37 +106,6 @@ def _rows(arr, lead: tuple) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RegressionData:
-    """Raw regression inputs: design X (n x k), response y, future design Xtilde (m x k)."""
-
-    X: np.ndarray
-    y: np.ndarray
-    Xtilde: np.ndarray
-
-    def __post_init__(self):
-        X = _freeze(self.X)
-        y = _freeze(self.y).ravel()
-        Xt = _freeze(np.atleast_2d(self.Xtilde))
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "Xtilde", Xt)
-        n, k = X.shape
-        if not (n > k >= 1):
-            raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
-        if y.shape != (n,):
-            raise ValueError("y length must match rows of X")
-        if Xt.shape[1] != k:
-            raise ValueError("Xtilde must have the same number of columns as X")
-        for name, a in (("X", X), ("y", y), ("Xtilde", Xt)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} contains non-finite entries")
-        if np.linalg.matrix_rank(X) < k:
-            raise RankDeficiencyError("X is rank deficient")
-        if np.linalg.matrix_rank(Xt) < min(Xt.shape[0], k):
-            raise RankDeficiencyError("Xtilde is rank deficient")
-
-
-@dataclass(frozen=True)
 class SufficientStats:
     """Least squares estimate and residual sum of squares."""
 
@@ -168,7 +136,6 @@ class CanonicalProblem:
     Q: np.ndarray
     coef_transform: np.ndarray
     cond_xtx: float = 1.0
-    conditioning_warning: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", _freeze(self.d).ravel())
@@ -192,6 +159,13 @@ class CanonicalProblem:
     def case(self) -> str:
         """Case "I" when m >= k (V* is empty), case "II" when m < k."""
         return "I" if self.m >= self.k else "II"
+
+    @property
+    def conditioning_warning(self) -> str | None:
+        """A warning when cond_xtx exceeds COND_WARN_THRESHOLD (the reduction still ran), else None."""
+        if self.cond_xtx > COND_WARN_THRESHOLD:
+            return f"condition number of X'X is {self.cond_xtx:.3e}, above {COND_WARN_THRESHOLD:.1e}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -243,9 +217,21 @@ class CanonicalParams:
 # ---------------------------------------------------------------------------
 
 
-def sufficient_statistics(data: RegressionData) -> SufficientStats:
-    """Least squares coefficients (from X itself, not X'X) and residual sum of squares."""
-    X, y = data.X, data.y
+def sufficient_statistics(X: np.ndarray, y: np.ndarray) -> SufficientStats:
+    """Least squares coefficients (from X itself, not X'X) and residual sum of squares.
+
+    X must be a finite n x k matrix of full column rank with n > k, and y a
+    finite n-vector.
+    """
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or not X.shape[0] > X.shape[1] >= 1:
+        raise ValueError(f"X must be an n x k matrix with n > k >= 1, got shape {X.shape}")
+    if y.shape != X.shape[:1]:
+        raise ValueError("y length must match rows of X")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("X and y must be finite")
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise RankDeficiencyError("X is rank deficient")
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     resid = y - X @ beta
     return SufficientStats(beta_hat_u=beta, s=float(resid @ resid))
@@ -272,7 +258,7 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
     -------
     CanonicalProblem
         Case "I" when m >= k, case "II" otherwise.  A condition number of
-        X'X above COND_WARN_THRESHOLD attaches a conditioning warning (the
+        X'X above COND_WARN_THRESHOLD gives it a conditioning_warning (the
         reduction still runs).
     """
     X = np.asarray(X, dtype=float)
@@ -288,10 +274,6 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
     if np.linalg.matrix_rank(Xtilde) < min(m, k):
         raise RankDeficiencyError("Xtilde is rank deficient")
 
-    cond = float(np.linalg.cond(X.T @ X))
-    warning = None
-    if cond > COND_WARN_THRESHOLD:
-        warning = f"condition number of X'X is {cond:.3e}, above {COND_WARN_THRESHOLD:.1e}"
     # With X'X = U'U, Cov(Xtilde beta_hat) is proportional to A A' for A = Xtilde U^{-1};
     # the SVD A = W diag(sv) Z' diagonalizes it without forming the Gram product A A'.
     # The QR factor U of X never forms X'X either; the row signs of U cancel.
@@ -303,8 +285,7 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
     complement = _fix_column_signs((Zt[l:] @ U).T).T  # rows of V*, empty when m >= k
     return CanonicalProblem(
         n=n, k=k, m=m, d=sv[:l] ** 2, Q=Q,
-        coef_transform=np.vstack([Q.T @ Xtilde, complement]),
-        cond_xtx=cond, conditioning_warning=warning,
+        coef_transform=np.vstack([Q.T @ Xtilde, complement]), cond_xtx=float(np.linalg.cond(X.T @ X)),
     )
 
 
@@ -336,15 +317,8 @@ def as1_problem(Xtilde: np.ndarray, N: int) -> CanonicalProblem:
     root = Vt.T @ np.diag(sv) @ Vt
     Q = U @ Vt  # polar factor Xtilde (Xtilde'Xtilde)^{-1/2}, exactly orthonormal
     d = np.full(k, 1.0 / N)
-    n = m * int(N)
     cond = float((sv.max() / sv.min()) ** 2)
-    warning = None
-    if cond > COND_WARN_THRESHOLD:
-        warning = f"condition number of X'X is {cond:.3e}, above {COND_WARN_THRESHOLD:.1e}"
-    return CanonicalProblem(
-        n=n, k=k, m=m, d=d, Q=Q,
-        coef_transform=root.T, cond_xtx=cond, conditioning_warning=warning,
-    )
+    return CanonicalProblem(n=m * int(N), k=k, m=m, d=d, Q=Q, coef_transform=root.T, cond_xtx=cond)
 
 
 def to_canonical(problem: CanonicalProblem, stats: SufficientStats) -> CanonicalObservation:
@@ -441,7 +415,10 @@ def problem_to_dict(problem: CanonicalProblem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> CanonicalProblem:
-    """Rebuild a problem from ``problem_to_dict`` output; other keys are ignored."""
+    """Rebuild a problem from ``problem_to_dict`` output; other keys are ignored.
+
+    conditioning_warning is not read: it follows from cond_xtx.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
 
@@ -461,7 +438,6 @@ def problem_from_dict(doc: dict) -> CanonicalProblem:
         n=field("n", int), k=field("k", int), m=field("m", int),
         d=arr("d"), Q=arr("Q"), coef_transform=arr("coef_transform"),
         cond_xtx=field("cond_xtx", float) if "cond_xtx" in doc else 1.0,
-        conditioning_warning=doc.get("conditioning_warning"),
     )
 
 
@@ -480,8 +456,11 @@ def load_design(path: str) -> tuple[np.ndarray, np.ndarray]:
         if key not in doc:
             raise ValueError(f"design file {path} is missing '{key}'")
         try:
-            return np.asarray(doc[key], dtype=float)
+            out = np.asarray(doc[key], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"design file {path}: '{key}' is malformed: {exc}") from None
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"design file {path}: '{key}' holds a non-finite entry")
+        return out
 
     return matrix("X"), matrix("Xtilde")

@@ -73,6 +73,11 @@ EXIT_CANONICAL = 2
 EXIT_IDENTITY = 3
 EXIT_MC_GUARD = 4
 
+# The identity suite's fixed checks: lemma and beta relative gaps, the chi-square gap in
+# standard errors at phi(w) = nu w/(nu + 1 + w), and the log bound's least margin.
+LEMMA_TOL, BETA_TOL, LOG_TOL = 1e-8, 1e-6, 1e-12
+CHISQ_SE_MULT, CHISQ_NU, CHISQ_DOF, CHISQ_NUMERATOR_DOF = 4.0, 0.3, 9, 3
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -139,16 +144,9 @@ class GridConfig:
 @dataclass
 class IdentityConfig:
     lemma_instances: int = 200
-    lemma_tol: float = 1e-8
     beta_instances: int = 50
-    beta_tol: float = 1e-6
     chisq_draws: int = 100_000
-    chisq_se_mult: float = 4.0
-    chisq_nu: float = 0.3
-    chisq_dof: int = 9
-    chisq_numerator_dof: int = 3
     log_grid_points: int = 10_000
-    log_tol: float = 1e-12
 
 
 @dataclass
@@ -175,64 +173,78 @@ def _parse_design(doc: dict) -> DesignConfig:
             raise ValueError("the replicated design requires m >= k >= 3")
         if N < 1:
             raise ValueError("N must be a positive integer")
-        xt = doc.get("xtilde")
         cfg = DesignConfig(kind="as1", m=m, k=k, N=N)
-        if xt is not None:
-            cfg.xtilde = np.asarray(xt, dtype=float)
+        if doc.get("xtilde") is not None:
+            cfg.xtilde = _matrix(doc, "xtilde")
             if cfg.xtilde.shape != (m, k):
-                raise ValueError("xtilde must be m x k")
+                raise ValueError(f"xtilde must be m x k = {m} x {k}, got shape {cfg.xtilde.shape}")
         return cfg
     if kind == "explicit":
         if "file" in doc:
             # one JSON document carrying both matrices
             X, Xtilde = load_design(doc["file"])
-            return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
-        if "X" not in doc or "Xtilde" not in doc:
+        elif "X" not in doc or "Xtilde" not in doc:
             raise ValueError("explicit design needs X and Xtilde")
-        return DesignConfig(
-            kind="explicit",
-            X=_matrix(doc["X"]),
-            Xtilde=np.atleast_2d(_matrix(doc["Xtilde"])),
-        )
+        else:
+            X, Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
+        if X.ndim != 2:
+            raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {X.shape}")
+        return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
     raise ValueError(f"unknown design type {kind!r}")
 
 
 def _int(doc: dict, key: str, default: int | None = None) -> int:
     """doc[key] as an int (default when absent, if one is given); other values raise, naming the key."""
-    value = doc[key] if default is None else doc.get(key, default)
+    value = doc.get(key, default)
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
+def _seed(seed: int) -> int:
+    """The master seed, checked to fit the generator's 64-bit key word, past which seeds would alias."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: not true or false, NaN, an infinity or an int beyond the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _number(doc: dict, key: str, default: float | None = None) -> float | None:
-    """doc[key] (or default when absent) as a float; a value that is not a number names the key.
+    """doc[key] (or default when absent) as a float; a value that is not a finite number names the key.
 
     null stands for an absent value only where the default is None.
     """
     value = doc.get(key, default)
     if not (_is_number(value) or value is None and default is None):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return None if value is None else float(value)
 
 
 def _floats(doc: dict, key: str, default: list) -> list[float]:
-    """doc[key] (or default when absent) as a list of floats; a value that is not a list of numbers names the key."""
+    """doc[key] (or default when absent) as a list of floats; other values raise, naming the key."""
     value = doc.get(key, default)
     if not (isinstance(value, list) and all(map(_is_number, value))):
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
     return [float(x) for x in value]
 
 
-def _matrix(value) -> np.ndarray:
-    """Inline nested lists, or a path to a dense row-major CSV."""
-    if isinstance(value, str):
-        return np.loadtxt(value, delimiter=",", ndmin=2)
-    return np.asarray(value, dtype=float)
+def _matrix(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array: inline nested lists, or a path to a dense row-major CSV.
+
+    A value that does not read as finite numbers names the key.
+    """
+    value = doc[key]
+    try:
+        out = np.loadtxt(value, delimiter=",", ndmin=2) if isinstance(value, str) else np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} must be a matrix of numbers: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{key} must be a matrix of finite numbers")
+    return out
 
 
 _DESIGN_KEYS = {"type", "file", "m", "k", "N", "xtilde", "X", "Xtilde"}
@@ -256,9 +268,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         doc = _section(json.load(fh), ExperimentConfig, "configuration")
     cfg = ExperimentConfig()
-    cfg.seed = _int(doc, "seed", 0)
-    if cfg.seed < 0:
-        raise ValueError("seed must be nonnegative")
+    cfg.seed = _seed(_int(doc, "seed", 0))
     if "design" in doc:
         cfg.design = _parse_design(_section(doc["design"], _DESIGN_KEYS, "design"))
     pr = _section(doc.get("prior", {}), PriorConfig, "prior")
@@ -271,7 +281,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
     c = cfg.prior.c
     if not (c is None or c == "identity" or _is_number(c) or isinstance(c, list) and all(map(_is_number, c))):
-        raise ValueError(f'c must be "identity", a number or a list of numbers, got {c!r}')
+        raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}')
     if not isinstance(cfg.prior.rescale_c, bool):
         raise ValueError(f"rescale_c must be true or false, got {cfg.prior.rescale_c!r}")
     cfg.alphas = _floats(doc, "alphas", [1.0])
@@ -282,24 +292,23 @@ def load_config(path: str) -> ExperimentConfig:
     directions = gr.get("theta_directions", [])
     if not (isinstance(directions, list)
             and all(isinstance(v, list) and all(map(_is_number, v)) for v in directions)):
-        raise ValueError(f"theta_directions must be a list of lists of numbers, got {directions!r}")
+        raise ValueError(f"theta_directions must be a list of lists of finite numbers, got {directions!r}")
     cfg.grid = GridConfig(
         theta_directions=[list(map(float, v)) for v in directions],
         theta_norms=_floats(gr, "theta_norms", [0.0]),
         sigma2=_floats(gr, "sigma2", [1.0]),
     )
+    # a negative norm would label the opposite direction's point
+    if any(t < 0 for t in cfg.grid.theta_norms):
+        raise ValueError("theta_norms must be nonnegative")
     if any(s <= 0 for s in cfg.grid.sigma2):
         raise ValueError("sigma2 values must be positive")
     cfg.reps = _int(doc, "reps", 2000)
     cfg.reps_outer = _int(doc, "reps_outer", 2000)
     cfg.n_mc_inner = _int(doc, "n_mc_inner", 2000)
     cfg.is_samples = _int(doc, "is_samples", 20_000)
-    defaults = IdentityConfig()
     ident = _section(doc.get("identities", {}), IdentityConfig, "identities")
-    cfg.identities = IdentityConfig(**{
-        key: (_int if isinstance(getattr(defaults, key), int) else _number)(ident, key, getattr(defaults, key))
-        for key in ident
-    })
+    cfg.identities = IdentityConfig(**{key: _int(ident, key, getattr(IdentityConfig, key)) for key in ident})
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
     if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
@@ -415,67 +424,59 @@ def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _lemma_gap(rng) -> float:
+    """Relative gap of the quadratic-form lemma on one random instance."""
+    l = int(rng.integers(1, 5))
+    m = l + int(rng.integers(0, 4))
+    Q, _ = np.linalg.qr(rng.standard_normal((m, l)))
+    F = rng.uniform(0.0, 1.0, l)
+    ds = rng.uniform(0.1, 3.0, l)
+    y = rng.standard_normal(m)
+    v = rng.standard_normal(l)
+    lhs, rhs = lemma_identity_residual(F, ds, Q, y, v)
+    return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+
+def _beta_gap(rng) -> float:
+    """Relative gap of the beta integral's quadrature on one random instance."""
+    a_exp = rng.uniform(-0.45, 2.5)
+    b_exp = rng.uniform(-0.45, 2.5)
+    w = rng.uniform(0.05, 8.0)
+    quad_val, closed = beta_integral_identity(a_exp, b_exp, w)
+    return abs(quad_val - closed) / closed
+
+
 def _run_identities(cfg: ExperimentConfig) -> dict:
     ic = cfg.identities
     seed = cfg.seed
     results = {}
 
-    max_gap = 0.0
-    for i in range(ic.lemma_instances):
-        rng = replication_rng(seed, i, stream=STREAM_LEMMA)
-        l = int(rng.integers(1, 5))
-        m = l + int(rng.integers(0, 4))
-        Q, _ = np.linalg.qr(rng.standard_normal((m, l)))
-        F = rng.uniform(0.0, 1.0, l)
-        ds = rng.uniform(0.1, 3.0, l)
-        y = rng.standard_normal(m)
-        v = rng.standard_normal(l)
-        lhs, rhs = lemma_identity_residual(F, ds, Q, y, v)
-        max_gap = max(max_gap, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    results["lemma_quadratic_form"] = {
-        "instances": ic.lemma_instances,
-        "max_rel_gap": max_gap,
-        "tolerance": ic.lemma_tol,
-        "pass": max_gap <= ic.lemma_tol,
-    }
-
-    max_gap = 0.0
-    for i in range(ic.beta_instances):
-        rng = replication_rng(seed, i, stream=STREAM_BETA)
-        a_exp = rng.uniform(-0.45, 2.5)
-        b_exp = rng.uniform(-0.45, 2.5)
-        w = rng.uniform(0.05, 8.0)
-        quad_val, closed = beta_integral_identity(a_exp, b_exp, w)
-        max_gap = max(max_gap, abs(quad_val - closed) / closed)
-    results["beta_integral"] = {
-        "instances": ic.beta_instances,
-        "max_rel_gap": max_gap,
-        "tolerance": ic.beta_tol,
-        "pass": max_gap <= ic.beta_tol,
-    }
+    # instance i of each check draws from its own keyed stream
+    for name, instances, stream, gap, tol in (
+        ("lemma_quadratic_form", ic.lemma_instances, STREAM_LEMMA, _lemma_gap, LEMMA_TOL),
+        ("beta_integral", ic.beta_instances, STREAM_BETA, _beta_gap, BETA_TOL),
+    ):
+        max_gap = 0.0
+        for i in range(instances):
+            max_gap = max(max_gap, gap(replication_rng(seed, i, stream=stream)))
+        results[name] = {"instances": instances, "max_rel_gap": max_gap, "tolerance": tol, "pass": max_gap <= tol}
 
     if ic.chisq_draws > 0:
-        nu = ic.chisq_nu
-
         def phi(w):
-            return nu * w / (nu + 1.0 + w)
+            return CHISQ_NU * w / (CHISQ_NU + 1.0 + w)
 
         def phi_prime(w):
-            return nu * (nu + 1.0) / (nu + 1.0 + w) ** 2
+            return CHISQ_NU * (CHISQ_NU + 1.0) / (CHISQ_NU + 1.0 + w) ** 2
 
-        check = chi_square_identity_check(
-            phi, ic.chisq_dof, ic.chisq_draws, seed,
-            phi_prime=phi_prime, numerator_dof=ic.chisq_numerator_dof,
-        )
-        gap_ok = abs(check.gap) <= ic.chisq_se_mult * check.std_error
+        check = chi_square_identity_check(phi, CHISQ_DOF, ic.chisq_draws, seed, phi_prime, CHISQ_NUMERATOR_DOF)
         results["chi_square_identity"] = {
             "instances": ic.chisq_draws,
             "lhs": check.lhs,
             "rhs": check.rhs,
             "gap": check.gap,
             "std_error": check.std_error,
-            "se_multiplier": ic.chisq_se_mult,
-            "pass": bool(gap_ok),
+            "se_multiplier": CHISQ_SE_MULT,
+            "pass": bool(abs(check.gap) <= CHISQ_SE_MULT * check.std_error),
         }
     else:
         results["chi_square_identity"] = {"instances": 0, "pass": True}
@@ -487,8 +488,8 @@ def _run_identities(cfg: ExperimentConfig) -> dict:
         results["log_inequality"] = {
             "instances": npts,
             "min_margin": margin,
-            "tolerance": ic.log_tol,
-            "pass": margin >= -ic.log_tol,
+            "tolerance": LOG_TOL,
+            "pass": margin >= -LOG_TOL,
         }
     else:
         results["log_inequality"] = {"instances": 0, "pass": True}
@@ -603,16 +604,16 @@ def _json_doc(value):
 
 
 def _observation(doc, problem: CanonicalProblem) -> CanonicalObservation:
-    """The density section's observation: v with l entries, v_star with k - l, and a finite s > 0."""
+    """The density section's observation: finite v with l entries and v_star with k - l, and a finite s > 0."""
     if not isinstance(doc, dict):
         raise ValueError(f"observation must be a JSON object, got {doc!r}")
     for key in ("v", "s"):
         if key not in doc:
             raise ValueError(f"{key} must be given in the observation")
     s = _number(doc, "s")
-    if not (math.isfinite(s) and s > 0):
+    if s is None or not s > 0:
         raise ValueError(f"s must be a finite number > 0, got {s!r}")
-    v, v_star = (np.asarray(doc.get(key, []), dtype=float) for key in ("v", "v_star"))
+    v, v_star = (np.asarray(_floats(doc, key, [])) for key in ("v", "v_star"))
     for key, value, size, name in (("v", v, problem.l, "l"), ("v_star", v_star, problem.k - problem.l, "k - l")):
         if value.shape != (size,):
             raise ValueError(f"{key} must have {name} = {size} entries, got shape {value.shape}")
@@ -638,11 +639,8 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         dens = best_invariant_kernel(problem, obs, alpha)
     elif kind == "shrinkage_bayes":
         dens = shrinkage_bayes_kernel(problem, build_prior(cfg, problem), obs, alpha)
-    elif kind == "plugin":
-        prior = build_prior(cfg, problem)
-        dens = plugin_density(plugin_bayes_estimators(problem, prior, obs), problem)
-    else:
-        raise ValueError(f"unknown density type {kind!r}")
+    else:  # "plugin": load_config admits no other type
+        dens = plugin_density(plugin_bayes_estimators(problem, build_prior(cfg, problem), obs), problem)
 
     log_u = dens.log_unnormalized(points)
     table = np.column_stack([points, log_u, log_u + dens.log_const])
@@ -699,9 +697,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ValueError("seed must be nonnegative")
-            cfg.seed = args.seed
+            cfg.seed = _seed(args.seed)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -75,11 +75,11 @@ class UnreliableNormalizationError(RuntimeError):
     """
 
 
-def _check_alpha(alpha: float, allow_one: bool = False) -> float:
+def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
-    if not allow_one and alpha == 1.0:
+    if alpha == 1.0:
         raise ValueError("alpha = 1 is not supported here; use the plug-in path")
     return alpha
 
@@ -155,7 +155,7 @@ class PriorSpec:
     shrinks component i less), ``a`` is the common exponent of the
     precision and mixing densities, and ``gamma_prior`` scales the prior on
     the auxiliary mean.  Problem dimensions are captured so the derived
-    quantities nu and b_of_alpha are self-contained.
+    shrinkage weight nu is self-contained.
     """
 
     c: np.ndarray
@@ -182,16 +182,8 @@ class PriorSpec:
             raise ValueError("need n > k")
 
     @property
-    def l(self) -> int:
-        return min(self.k, self.m)
-
-    @property
     def nu(self) -> float:
         return nu_of_prior(self.k, self.a, self.n)
-
-    def b_of_alpha(self, alpha: float) -> float:
-        alpha = _check_alpha(alpha, allow_one=True)
-        return (1.0 - alpha) * self.m / 4.0 + (self.n - self.k) / 2.0 - 1.0
 
     @classmethod
     def from_problem(

@@ -73,7 +73,6 @@ class RiskEstimate:
     mean: float
     std_error: float
     reps: int
-    seed: int
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -391,7 +390,7 @@ def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | P
                 raise ValueError(f"a rule built its kernel at alpha = {out.alpha}, not {alpha}")
             else:
                 losses[j, start:stop] = alpha_divergence_loss(out, params.theta, params.eta)
-    return {name: RiskEstimate(*_mean_se(loss), reps=reps, seed=int(seed)) for name, loss in zip(rules, losses)}
+    return {name: RiskEstimate(*_mean_se(loss), reps=reps) for name, loss in zip(rules, losses)}
 
 
 def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], problem: CanonicalProblem,
@@ -410,29 +409,23 @@ def chi_square_identity_check(
     dof: int,
     n_mc: int,
     seed: int,
-    phi_prime: Callable[[np.ndarray], np.ndarray] | None = None,
+    phi_prime: Callable[[np.ndarray], np.ndarray],
     numerator_dof: int = 3,
-    sigma2: float = 1.0,
 ) -> ChiSquareCheck:
     """Paired Monte Carlo check of the chi-square integration-by-parts identity.
 
-    With S ~ sigma^2 chi^2_dof, U ~ sigma^2 chi^2_numerator_dof independent
-    and W = U/S, compares E[phi(W) S / (W sigma^2)] against
-    E[(dof + 2) phi(W)/W - 2 phi'(W)].  Returns lhs, rhs, their gap and the
-    standard error of the paired differences.  phi' defaults to a central
-    finite difference.
+    With S ~ chi^2_dof, U ~ chi^2_numerator_dof independent and W = U/S,
+    compares E[phi(W) S / W] against E[(dof + 2) phi(W)/W - 2 phi'(W)].
+    Both sides are scale-free (a common variance cancels in W and in S/W
+    over its scale), so unit variance is no loss.  Returns lhs, rhs, their
+    gap and the standard error of the paired differences.
     """
-    if phi_prime is None:
-        def phi_prime(w, _phi=phi):
-            h = 1e-6 * np.maximum(1.0, np.abs(w))
-            return (_phi(w + h) - _phi(w - h)) / (2.0 * h)
-
     rng = replication_rng(seed, 0, stream=STREAM_IDENTITY)
-    s = sigma2 * rng.chisquare(dof, n_mc)
-    u = sigma2 * rng.chisquare(numerator_dof, n_mc)
+    s = rng.chisquare(dof, n_mc)
+    u = rng.chisquare(numerator_dof, n_mc)
     w = u / s
     pw = phi(w)
-    lhs_terms = pw * s / (w * sigma2)
+    lhs_terms = pw * s / w
     rhs_terms = (dof + 2.0) * pw / w - 2.0 * phi_prime(w)
     diff = lhs_terms - rhs_terms
     se = float(np.std(diff, ddof=1) / math.sqrt(n_mc))

@@ -137,7 +137,7 @@ def alpha_divergence_mc(
         terms = f_alpha(phat.log_density(ys) - truth.log_density(ys), alpha)
     mean = float(np.mean(terms))
     se = float(np.std(terms, ddof=1) / math.sqrt(n_mc))
-    return RiskEstimate(mean=mean, std_error=se, reps=n_mc, seed=int(seed))
+    return RiskEstimate(mean=mean, std_error=se, reps=n_mc)
 
 
 def log_marginal_kernel(

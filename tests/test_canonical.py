@@ -12,7 +12,6 @@ from shrinkpred.canonical import (
     BLOCK_SIZE,
     CanonicalParams,
     RankDeficiencyError,
-    RegressionData,
     as1_design,
     as1_problem,
     canonicalize,
@@ -41,8 +40,7 @@ def random_design(rng, n, k, m):
 @given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=20))
 def test_intercept_only_reduces_to_mean(ys):
     y = np.asarray(ys)
-    data = RegressionData(X=np.ones((len(ys), 1)), y=y, Xtilde=np.ones((1, 1)))
-    stats = sufficient_statistics(data)
+    stats = sufficient_statistics(np.ones((len(ys), 1)), y)
     assert stats.beta_hat_u[0] == pytest.approx(y.mean(), abs=1e-9 * (1 + abs(y.mean())))
     assert stats.s == pytest.approx(((y - y.mean()) ** 2).sum(), rel=1e-9, abs=1e-9)
 
@@ -50,13 +48,13 @@ def test_intercept_only_reduces_to_mean(ys):
 def test_exact_fit_gives_zero_rss(rng):
     X = rng.standard_normal((8, 2))
     y = X @ np.array([1.5, -2.0])
-    stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=np.eye(2)))
+    stats = sufficient_statistics(X, y)
     assert stats.s == pytest.approx(0.0, abs=1e-18)
 
 
 def test_matches_qr_oracle(rng):
     X, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
-    stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=np.eye(3)))
+    stats = sufficient_statistics(X, y)
     # Independent least squares route: Householder QR.
     q, r = np.linalg.qr(X)
     beta_qr = np.linalg.solve(r, q.T @ y)
@@ -69,7 +67,19 @@ def test_rank_deficient_design_rejected(rng):
     X = rng.standard_normal((10, 3))
     X[:, 2] = X[:, 0] + X[:, 1]
     with pytest.raises(RankDeficiencyError):
-        RegressionData(X=X, y=rng.standard_normal(10), Xtilde=np.eye(3))
+        sufficient_statistics(X, rng.standard_normal(10))
+
+
+@pytest.mark.parametrize("X, y", [
+    (np.ones(5), np.ones(5)),  # X is not a matrix
+    (np.ones((3, 3)), np.ones(3)),  # n = k
+    (np.eye(5, 2), np.ones(4)),  # y does not match the rows of X
+    (np.eye(5, 2), np.array([1.0, np.nan, 0.0, 0.0, 0.0])),
+    (np.where(np.eye(5, 2) == 1, np.inf, 0.0), np.ones(5)),
+])
+def test_sufficient_statistics_input_checks(X, y):
+    with pytest.raises(ValueError):
+        sufficient_statistics(X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +211,15 @@ def test_problem_json_round_trip(as1_problem_n12):
     assert np.array_equal(old.coef_transform, as1_problem_n12.coef_transform)
 
 
+def test_conditioning_warning_follows_cond_xtx(as1_problem_n12):
+    # a document whose warning disagrees with its cond_xtx loads with the warning cond_xtx implies
+    doc = problem_to_dict(as1_problem_n12)
+    ill = problem_from_dict(dict(doc, cond_xtx=1e14, conditioning_warning=None))
+    assert ill.conditioning_warning == "condition number of X'X is 1.000e+14, above 1.0e+12"
+    assert problem_to_dict(ill)["conditioning_warning"] == ill.conditioning_warning
+    assert problem_from_dict(dict(doc, conditioning_warning="stale")).conditioning_warning is None
+
+
 # ---------------------------------------------------------------------------
 # Coordinate maps
 # ---------------------------------------------------------------------------
@@ -213,7 +232,7 @@ def test_identity_transform_passes_beta_through(rng):
     problem = canonicalize(X, np.eye(3))
     assert np.abs(problem.coef_transform - np.eye(3)).max() < 1e-10
     y = rng.standard_normal(9)
-    stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=np.eye(3)))
+    stats = sufficient_statistics(X, y)
     obs = to_canonical(problem, stats)
     assert np.abs(obs.v - stats.beta_hat_u).max() < 1e-12
     assert obs.v_star.size == 0
@@ -226,7 +245,7 @@ def test_prediction_mean_round_trip(rng):
         X, Xt = random_design(rng, 12, 3, 5)
         problem = canonicalize(X, Xt)
         y = rng.standard_normal(12)
-        stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=Xt))
+        stats = sufficient_statistics(X, y)
         obs = to_canonical(problem, stats)
         assert np.abs(problem.Q @ obs.v - Xt @ stats.beta_hat_u).max() < 1e-10
 
@@ -274,7 +293,7 @@ def test_case2_canonical_moments_by_simulation(case2_problem_n12, case2_design):
     vss = np.empty((reps, 2))
     for i in range(reps):
         y = X @ beta + sigma * rng_local.standard_normal(12)
-        stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=xt))
+        stats = sufficient_statistics(X, y)
         obs = to_canonical(problem, stats)
         vs[i] = obs.v
         vss[i] = obs.v_star

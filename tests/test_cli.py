@@ -66,6 +66,11 @@ def test_canonicalize_matrices_from_csv(tmp_path):
     out = tmp_path / "o"
     assert main(["canonicalize", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "problem.json").read_text())["case"] == "II"
+    # the replicated design's xtilde reads like the other design matrices
+    np.savetxt(xt_path, rng.standard_normal((3, 3)), delimiter=",")
+    cfg = write_config(tmp_path, {"design": dict(AS1_DESIGN, xtilde=str(xt_path))}, "as1.json")
+    assert main(["canonicalize", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "problem.json").read_text())["d"] == [0.25, 0.25, 0.25]
 
 
 def test_canonicalize_design_document(tmp_path):
@@ -82,6 +87,7 @@ def test_canonicalize_design_document(tmp_path):
 @pytest.mark.parametrize("doc, key", [
     ([[1.0, 0.0], [0.0, 1.0]], "JSON object"), ({"Xtilde": [[1.0, 0.0]]}, "'X'"),
     ({"X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "'Xtilde'"), ({"X": [[1.0, "x"]], "Xtilde": [[1.0, 0.0]]}, "'X'"),
+    ({"X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "Xtilde": [[math.nan, 0.0]]}, "'Xtilde'"),
 ])
 def test_design_file_errors_name_the_file_and_key(tmp_path, capsys, doc, key):
     # a design file that is not an object, or lacks or garbles a matrix, exits 1 naming both
@@ -192,10 +198,13 @@ def test_identities_pass(tmp_path):
     assert doc["lemma_quadratic_form"]["instances"] == 50
 
 
-def test_identities_tight_tolerance_fails(tmp_path):
+def test_identities_tight_tolerance_fails(tmp_path, monkeypatch):
+    import shrinkpred.cli as cli_mod
+
     # the beta check's trapezoid rule agrees with the closed form to a few 1e-15, so ask for 1e-17
-    ident = dict(FAST_IDENTITIES, beta_tol=1e-17, lemma_tol=1e-14)
-    cfg = write_config(tmp_path, {"seed": 2, "identities": ident})
+    monkeypatch.setattr(cli_mod, "BETA_TOL", 1e-17)
+    monkeypatch.setattr(cli_mod, "LEMMA_TOL", 1e-14)
+    cfg = write_config(tmp_path, {"seed": 2, "identities": FAST_IDENTITIES})
     out = tmp_path / "out"
     assert main(["identities", "--config", cfg, "--out", str(out)]) == 3
     doc = json.loads((out / "identities.json").read_text())
@@ -207,6 +216,22 @@ def test_identities_zero_instances(tmp_path):
     ident = {"lemma_instances": 0, "beta_instances": 0, "chisq_draws": 0, "log_grid_points": 0}
     cfg = write_config(tmp_path, {"identities": ident})
     assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+# the identity suite's tolerances and chi-square settings, fixed at these values: only the instance counts are options
+FIXED_IDENTITY_SETTINGS = {"lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12, "chisq_se_mult": 4.0,
+                           "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}
+
+
+@pytest.mark.parametrize("key", FIXED_IDENTITY_SETTINGS)
+def test_removed_identities_options_are_unknown(tmp_path, capsys, key):
+    ident = dict(FAST_IDENTITIES, **{key: FIXED_IDENTITY_SETTINGS[key]})
+    cfg = write_config(tmp_path, {"seed": 2, "identities": ident})
+    capsys.readouterr()
+    assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown identities option(s):") and repr(key) in err, err
+    assert not (tmp_path / "o").exists()
 
 
 RISK_DOC = {
@@ -388,19 +413,26 @@ def test_density_config_errors_name_the_key(tmp_path, capsys, bad, key):
     assert not (tmp_path / "o").exists()
 
 
+ABSENT = object()  # an observation key left out
+
+
 @pytest.mark.parametrize("case, kind, drop, obs, key", [
     ("I", "best_invariant", "problem", {}, "problem"),
     ("I", "best_invariant", "observation", {}, "observation"),
     ("I", "best_invariant", "points", {}, "points"),
-    ("I", "best_invariant", None, {"v": None}, "v"),
-    ("I", "best_invariant", None, {"s": None}, "s"),
+    ("I", "best_invariant", None, {"v": ABSENT}, "v"),
+    ("I", "best_invariant", None, {"s": ABSENT}, "s"),
     ("I", "best_invariant", None, {"v": [0.5, -0.2]}, "v"),
     ("I", "shrinkage_bayes", None, {"v_star": [3.0]}, "v_star"),
-    ("II", "shrinkage_bayes", None, {"v_star": None}, "v_star"),
+    ("II", "shrinkage_bayes", None, {"v_star": ABSENT}, "v_star"),
     ("I", "shrinkage_bayes", None, {"s": math.nan}, "s"),
     ("I", "best_invariant", None, {"s": math.inf}, "s"),
     ("I", "plugin", None, {"s": 0.0}, "s"),
     ("I", "best_invariant", None, {"s": "8"}, "s"),
+    ("I", "best_invariant", None, {"v": [0.5, math.nan, 1.0]}, "v"),
+    ("I", "plugin", None, {"v": [0.5, "a", 1.0]}, "v"),
+    ("II", "best_invariant", None, {"v_star": [math.inf, 0.1]}, "v_star"),
+    ("I", "best_invariant", None, {"s": None}, "s"),
 ])
 def test_density_eval_input_errors_name_the_key(tmp_path, capsys, as1_problem_n12, case2_problem_n12,
                                                 case, kind, drop, obs, key):
@@ -409,7 +441,7 @@ def test_density_eval_input_errors_name_the_key(tmp_path, capsys, as1_problem_n1
     pts = tmp_path / "points.csv"
     np.savetxt(pts, np.zeros((2, problem.m)), delimiter=",")
     observation = {"v": [0.5] * problem.l, "v_star": [0.1] * (problem.k - problem.l), "s": 8.0}
-    observation = {name: value for name, value in dict(observation, **obs).items() if value is not None}
+    observation = {name: value for name, value in dict(observation, **obs).items() if value is not ABSENT}
     density = {"problem": problem_to_dict(problem), "observation": observation, "type": kind, "alpha": 0.0,
                "points": str(pts)}
     density.pop(drop, None)
@@ -547,16 +579,60 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
 
 
 @pytest.mark.parametrize("wrong, key", [
-    ({"identities": {"lemma_tol": "abc"}}, "lemma_tol"),
-    ({"identities": {"chisq_nu": None}}, "chisq_nu"),
+    ({"identities": {"chisq_draws": "abc"}}, "chisq_draws"),
+    ({"identities": {"log_grid_points": None}}, "log_grid_points"),
     ({"grid": {"theta_directions": 5}}, "theta_directions"),
     ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}}, "theta_directions"),
     ({"grid": {"theta_norms": [1.0, "2"]}}, "theta_norms"),
     ({"grid": {"sigma2": [None]}}, "sigma2"),
     ({"alphas": [0.0, "0.5"]}, "alphas"),
+    # JSON's NaN and Infinity, an int past the float range, and a negative norm
+    ({"grid": {"theta_norms": [math.nan]}}, "theta_norms"),
+    ({"grid": {"theta_norms": [2.0, -2.0]}}, "theta_norms"),
+    ({"grid": {"sigma2": [math.nan]}}, "sigma2"),
+    ({"grid": {"sigma2": [math.inf]}}, "sigma2"),
+    ({"grid": {"theta_directions": [[1.0, math.nan, 0.0]]}}, "theta_directions"),
+    ({"prior": {"c": math.nan}}, "c"),
+    ({"prior": {"c": [1.0, -math.inf, 1.0]}}, "c"),
+    ({"prior": {"nu": math.inf}}, "nu"),
+    ({"alphas": [10**400]}, "alphas"),
 ])
 def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
     cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong))
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{key} must be" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_seed_beyond_64_bits_rejected(tmp_path, capsys, source):
+    # the generator keys on 64 bits of the seed, so 2^64 would rerun seed 0's draws
+    seed = 2**64
+    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[1.0], seed=seed if source == "config" else 1))
+    flag = ["--seed", str(seed)] if source == "flag" else []
+    capsys.readouterr()
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "seed must be" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("design, key", [
+    ({"type": "as1", "m": 3, "k": 3}, "N"),
+    ({"type": "explicit", "X": 5, "Xtilde": [[1.0, 0.0]]}, "X"),
+    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, "a", 0.0], [0.0, 0.0, 1.0]]},
+     "xtilde"),
+    # non-finite entries, which the reduction's SVD would fail on without naming the matrix
+    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]]},
+     "xtilde"),
+    ({"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [math.nan, 2.0]], "Xtilde": [[1.0, 0.0]]}, "X"),
+    ({"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], "Xtilde": [[math.nan, 0.0]]},
+     "Xtilde"),
+])
+def test_design_errors_name_the_key(tmp_path, capsys, design, key):
+    cfg = write_config(tmp_path, {"seed": 1, "design": design})
     capsys.readouterr()
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

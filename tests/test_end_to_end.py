@@ -12,7 +12,6 @@ import pytest
 from scipy.special import gammaln
 
 from shrinkpred.canonical import (
-    RegressionData,
     canonicalize,
     sufficient_statistics,
     to_canonical,
@@ -61,7 +60,7 @@ def test_best_invariant_matches_regression_space_formula(m, rng):
     Xtilde = rng.standard_normal((m, k))
     y = rng.standard_normal(n)
     problem = canonicalize(X, Xtilde)
-    obs = to_canonical(problem, sufficient_statistics(RegressionData(X=X, y=y, Xtilde=Xtilde)))
+    obs = to_canonical(problem, sufficient_statistics(X, y))
     pts = rng.standard_normal((8, m))
     for alpha in (-1.0, 0.0, 0.6):
         dens = best_invariant_kernel(problem, obs, alpha)
@@ -77,7 +76,7 @@ def test_plugin_statistic_in_regression_space(rng):
     Xtilde = rng.standard_normal((m, k))
     y = rng.standard_normal(n)
     problem = canonicalize(X, Xtilde)
-    stats = sufficient_statistics(RegressionData(X=X, y=y, Xtilde=Xtilde))
+    stats = sufficient_statistics(X, y)
     obs = to_canonical(problem, stats)
     prior = PriorSpec.from_problem(problem, c=1.0, nu=0.3)
     est = plugin_bayes_estimators(problem, prior, obs)

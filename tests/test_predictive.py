@@ -125,9 +125,6 @@ def test_alpha_one_rejected(prob_m3, obs_m3):
 def test_prior_derived_quantities(prob_m3):
     prior = PriorSpec.from_problem(prob_m3, a=-1.6)
     assert prior.nu == pytest.approx((3 + 2 * -1.6 + 2) / 9, rel=1e-14)
-    for alpha in (-1.0, 0.0, 0.5, 1.0):
-        want = (1 - alpha) * prob_m3.m / 4 + (prob_m3.n - prob_m3.k) / 2 - 1
-        assert prior.b_of_alpha(alpha) == want
     with pytest.raises(ValueError):
         PriorSpec.from_problem(prob_m3, a=-3.0)  # below the integrability floor
     with pytest.raises(ValueError):

@@ -316,9 +316,9 @@ def test_block_rows_prefix_invariant(prob_m3):
 
 def test_risk_estimate_validation():
     with pytest.raises(ValueError):
-        RiskEstimate(mean=0.0, std_error=-1.0, reps=10, seed=0)
+        RiskEstimate(mean=0.0, std_error=-1.0, reps=10)
     with pytest.raises(ValueError):
-        RiskEstimate(mean=0.0, std_error=0.0, reps=1, seed=0)
+        RiskEstimate(mean=0.0, std_error=0.0, reps=1)
 
 
 def test_certificate_failure_propagates(prob_m3, monkeypatch):
@@ -633,12 +633,6 @@ def test_chi_square_identity_shrinkage_phi():
         lambda w: nu * w / (nu + 1 + w), dof=9, n_mc=100_000, seed=29,
         phi_prime=lambda w: nu * (nu + 1) / (nu + 1 + w) ** 2,
     )
-    assert abs(out.gap) <= 4 * out.std_error
-
-
-def test_chi_square_identity_finite_difference_default():
-    nu = 0.3
-    out = chi_square_identity_check(lambda w: nu * w / (nu + 1 + w), dof=9, n_mc=50_000, seed=31)
     assert abs(out.gap) <= 4 * out.std_error
 
 
