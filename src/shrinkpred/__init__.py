@@ -4,7 +4,18 @@ Reduces the regression prediction problem to canonical coordinates, builds
 generalized Bayes predictive densities under alpha-divergence loss (best
 invariant, hierarchical shrinkage, and the plug-in normal at alpha = 1),
 and estimates their risks by seeded Monte Carlo over exact losses.
+
+Importing the package first caps OpenBLAS at one thread unless
+OPENBLAS_NUM_THREADS is already set: no BLAS call here is large enough to
+gain from threads, and an idle pool spins on the other cores.  Once numpy
+is loaded its pool exists, so the variable is then left alone.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bounds import NuBounds, a_of_nu, condition_d, nu_limits, nu_of_prior, rescale_C_for_positivity
 from .canonical import (

@@ -23,6 +23,7 @@ layout 2), so replication i depends only on (seed, i).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,6 @@ STREAM_DESIGN = 4
 STREAM_LEMMA = 5
 STREAM_BETA = 6
 
-_U64 = (1 << 64) - 1
-
 
 class RankDeficiencyError(ValueError):
     """Design matrix rank deficient beyond tolerance."""
@@ -82,9 +81,13 @@ def replication_rng(master_seed: int, rep_index: int = 0, stream: int = STREAM_O
     Distinct (seed, index) pairs map to distinct Philox keys, so draws are
     reproducible in any execution order.  The index is a block index on
     the observation stream and a replication index elsewhere; ``stream``
-    separates uses of the same key by offsetting the counter.
+    separates uses of the same key by offsetting the counter.  Each key word
+    must lie in [0, 2^64); one outside would alias a key inside it.
     """
-    key = ((int(master_seed) & _U64) << 64) | (int(rep_index) & _U64)
+    master_seed, rep_index = int(master_seed), int(rep_index)
+    if not (0 <= master_seed < 1 << 64 and 0 <= rep_index < 1 << 64):
+        raise ValueError(f"seed and index must lie in [0, 2^64), got ({master_seed}, {rep_index})")
+    key = (master_seed << 64) | rep_index
     return Generator(Philox(key=key, counter=int(stream) << 192))
 
 
@@ -343,24 +346,28 @@ def params_to_canonical(problem: CanonicalProblem, beta: np.ndarray, sigma2: flo
     return CanonicalParams(theta=w[:l], mu=w[l:], eta=1.0 / sigma2)
 
 
-def simulate_observation(problem: CanonicalProblem, params: CanonicalParams, seed: int,
-                         block: int = 0) -> CanonicalObservation:
-    """Draw block ``block`` of canonical observations: BLOCK_SIZE rows of V, V* and S.
+def simulate_observation(problem: CanonicalProblem, points: Sequence[CanonicalParams], seed: int,
+                         block: int = 0) -> list[CanonicalObservation]:
+    """Draw block ``block`` of canonical observations at each parameter point: BLOCK_SIZE rows of V, V*, S.
 
     The generator keyed by (seed, block) draws standard normals (B, l), then
-    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by theta, d and eta.
+    (B, k - l), then B gamma((n-k)/2, 2) variates, once for all of
+    ``points``; each point scales them by its theta, mu and eta (and d).
     Row r is replication block * B + r, so it depends only on (seed,
     replication) and every parameter point reuses the same standard draws.
+    Returns one CanonicalObservation per point, in order.
     """
     l = problem.l
-    if params.theta.shape != (l,) or params.mu.shape != (problem.k - l,):
-        raise ValueError("params dimensions do not match problem")
+    for params in points:
+        if params.theta.shape != (l,) or params.mu.shape != (problem.k - l,):
+            raise ValueError("params dimensions do not match problem")
     rng = replication_rng(seed, block, stream=STREAM_OBSERVATION)
-    eta = params.eta
-    v = params.theta + np.sqrt(problem.d / eta) * rng.standard_normal((BLOCK_SIZE, l))
-    v_star = params.mu + np.sqrt(1.0 / eta) * rng.standard_normal((BLOCK_SIZE, problem.k - l))
-    s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE) / eta
-    return CanonicalObservation(v=v, v_star=v_star, s=s)
+    z = rng.standard_normal((BLOCK_SIZE, l))
+    z_star = rng.standard_normal((BLOCK_SIZE, problem.k - l))
+    g = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE)
+    return [CanonicalObservation(v=p.theta + np.sqrt(problem.d / p.eta) * z,
+                                 v_star=p.mu + np.sqrt(1.0 / p.eta) * z_star, s=g / p.eta)
+            for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,9 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.is_samples = _int(doc, "is_samples", 20_000)
     ident = _section(doc.get("identities", {}), IdentityConfig, "identities")
     cfg.identities = IdentityConfig(**{key: _int(ident, key, getattr(IdentityConfig, key)) for key in ident})
+    for key, count in vars(cfg.identities).items():
+        if count < 0:
+            raise ValueError(f"{key} must be nonnegative, got {count}")
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
     if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
@@ -558,6 +561,8 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
             lambda obs: PluginEstimate(obs.v, stein_variance_star(obs, n, k), w=math.inf)
         )
 
+    grid = [CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
+            for theta, _, _, s2 in points]
     lines = ["procedure,alpha,theta_norm,theta_direction,sigma2,reps,risk_mean,risk_se,"
              "minimax_risk,below_baseline_3se"]
     for alpha in cfg.alphas:
@@ -569,9 +574,8 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
                 "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha),
             }
             reps = cfg.reps_outer
-        for theta, norm, direction, s2 in points:
-            params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
-            risks = risk_mc(rules, problem, params, alpha, reps, seed)
+        # one call over the whole grid, so each keyed block is drawn once for every point
+        for (_, norm, direction, s2), risks in zip(points, risk_mc(rules, problem, grid, alpha, reps, seed)):
             # A pointwise 3-SE test, not a domination claim, against the invariant
             # baseline's risk under the same divergence: the exact constant at
             # alpha = 1, the simulated best-invariant risk (noise folded in) below.

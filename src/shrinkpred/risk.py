@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -356,19 +357,22 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
 
 
 def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | PredictiveKernel]],
-            problem: CanonicalProblem, params: CanonicalParams, alpha: float, reps: int,
-            seed: int) -> dict[str, RiskEstimate]:
-    """Simulated alpha-divergence risks of several rules on common observations.
+            problem: CanonicalProblem, points: Sequence[CanonicalParams], alpha: float, reps: int,
+            seed: int) -> list[dict[str, RiskEstimate]]:
+    """Simulated alpha-divergence risks of several rules at several parameter points, on common draws.
 
     Replications are the rows of the keyed observation blocks (the last one
-    truncated), each block drawn once for every rule.  ``rule(obs)`` maps a
-    whole block to one estimate per row, scored in one pass: plug-in
-    estimates by the closed-form plug-in divergence at alpha = 1, predictive
-    kernels by the exact alpha_divergence_loss below 1.  Each loss is a
-    deterministic function of its row, so the standard error is the whole
-    Monte Carlo error.  A failed quadrature certificate
-    (UnreliableNormalizationError) propagates.  Returns
-    ``{name: RiskEstimate}`` in the order of ``rules``.
+    truncated), each block drawn once for every point and rule: the points
+    share its standard draws (canonical.simulate_observation), so each
+    point's risks are those a run at that point alone would give.
+    ``rule(obs)`` maps a whole block to one estimate per row, scored in one
+    pass: plug-in estimates by the closed-form plug-in divergence at
+    alpha = 1, predictive kernels by the exact alpha_divergence_loss below
+    1.  Each loss is a deterministic function of its row, so the standard
+    error is the whole Monte Carlo error.  A failed quadrature certificate
+    (UnreliableNormalizationError) propagates.  Returns one
+    ``{name: RiskEstimate}`` per point, in the order of ``points``, with
+    names in the order of ``rules``.
     """
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
@@ -377,26 +381,29 @@ def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | P
     min_reps = 100 if alpha == 1.0 else 50
     if reps < min_reps:
         raise ValueError(f"reps must be at least {min_reps}")
-    losses = np.empty((len(rules), reps))
+    losses = np.empty((len(points), len(rules), reps))
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)
-        block = simulate_observation(problem, params, seed, start // BLOCK_SIZE)[:stop - start]
-        for j, rule in enumerate(rules.values()):
-            out = rule(block)
-            if alpha == 1.0:
-                losses[j, start:stop] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta,
-                                                       params.sigma2, problem.m)
-            elif out.alpha != alpha:
-                raise ValueError(f"a rule built its kernel at alpha = {out.alpha}, not {alpha}")
-            else:
-                losses[j, start:stop] = alpha_divergence_loss(out, params.theta, params.eta)
-    return {name: RiskEstimate(*_mean_se(loss), reps=reps) for name, loss in zip(rules, losses)}
+        blocks = simulate_observation(problem, points, seed, start // BLOCK_SIZE)
+        for params, block, point_losses in zip(points, blocks, losses):
+            block = block[:stop - start]
+            for j, rule in enumerate(rules.values()):
+                out = rule(block)
+                if alpha == 1.0:
+                    point_losses[j, start:stop] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta,
+                                                                 params.sigma2, problem.m)
+                elif out.alpha != alpha:
+                    raise ValueError(f"a rule built its kernel at alpha = {out.alpha}, not {alpha}")
+                else:
+                    point_losses[j, start:stop] = alpha_divergence_loss(out, params.theta, params.eta)
+    return [{name: RiskEstimate(*_mean_se(loss), reps=reps) for name, loss in zip(rules, point_losses)}
+            for point_losses in losses]
 
 
 def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], problem: CanonicalProblem,
                params: CanonicalParams, reps: int, seed: int) -> RiskEstimate:
-    """Simulated alpha = 1 risk of one block-aware estimation procedure (see risk_mc)."""
-    return risk_mc({"procedure": procedure}, problem, params, 1.0, reps, seed)["procedure"]
+    """Simulated alpha = 1 risk of one block-aware estimation procedure at one point (see risk_mc)."""
+    return risk_mc({"procedure": procedure}, problem, [params], 1.0, reps, seed)[0]["procedure"]
 
 
 # ---------------------------------------------------------------------------

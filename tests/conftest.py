@@ -6,7 +6,7 @@ from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, as1_problem, 
 
 def simulate_rows(problem, params, seed, reps):
     """Replications 0..reps-1 of the keyed observation stream as one block (the last block truncated)."""
-    blocks = [simulate_observation(problem, params, seed, b) for b in range(-(-reps // BLOCK_SIZE))]
+    blocks = [simulate_observation(problem, [params], seed, b)[0] for b in range(-(-reps // BLOCK_SIZE))]
     return CanonicalObservation(
         v=np.concatenate([b.v for b in blocks])[:reps],
         v_star=np.concatenate([b.v_star for b in blocks])[:reps],

@@ -19,6 +19,7 @@ from shrinkpred.canonical import (
     params_to_canonical,
     problem_from_dict,
     problem_to_dict,
+    replication_rng,
     simulate_observation,
     sufficient_statistics,
     to_canonical,
@@ -308,12 +309,23 @@ def test_case2_canonical_moments_by_simulation(case2_problem_n12, case2_design):
 # ---------------------------------------------------------------------------
 
 
+def test_replication_rng_rejects_keys_beyond_64_bits():
+    # each key word is 64 bits wide: 2^64 would alias 0, and -1 would alias 2^64 - 1
+    top = 2**64 - 1
+    for seed, index in ((2**64, 0), (-1, 0), (0, 2**64), (0, -1)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            replication_rng(seed, index)
+    edge = replication_rng(top, top).standard_normal(4)
+    assert not np.array_equal(edge, replication_rng(0, 0).standard_normal(4))
+    assert not np.array_equal(replication_rng(top, 0).standard_normal(4), replication_rng(0, 0).standard_normal(4))
+
+
 def test_simulation_deterministic(as1_problem_n12):
     params = CanonicalParams(theta=np.array([1.0, 2.0, 3.0]), mu=np.zeros(0), eta=0.5)
-    a = simulate_observation(as1_problem_n12, params, seed=9)[3]
-    b = simulate_observation(as1_problem_n12, params, seed=9)[3]
+    a = simulate_observation(as1_problem_n12, [params], seed=9)[0][3]
+    b = simulate_observation(as1_problem_n12, [params], seed=9)[0][3]
     assert np.array_equal(a.v, b.v) and a.s == b.s
-    c = simulate_observation(as1_problem_n12, params, seed=9)[4]
+    c = simulate_observation(as1_problem_n12, [params], seed=9)[0][4]
     assert not np.array_equal(a.v, c.v)
 
 
@@ -321,14 +333,14 @@ def test_simulation_deterministic(as1_problem_n12):
 @given(st.integers(0, 2**63 - 1))
 def test_simulation_deterministic_any_seed(as1_problem_n12, seed):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    a = simulate_observation(as1_problem_n12, params, seed=seed)
-    b = simulate_observation(as1_problem_n12, params, seed=seed)
+    [a] = simulate_observation(as1_problem_n12, [params], seed=seed)
+    [b] = simulate_observation(as1_problem_n12, [params], seed=seed)
     assert np.array_equal(a.v, b.v) and np.array_equal(a.v_star, b.v_star) and np.array_equal(a.s, b.s)
 
 
 def test_simulation_blocks_and_seeds_distinct(case2_problem_n12):
     params = CanonicalParams(theta=np.zeros(1), mu=np.zeros(2), eta=1.0)
-    draws = [simulate_observation(case2_problem_n12, params, seed, block)
+    draws = [simulate_observation(case2_problem_n12, [params], seed, block)[0]
              for seed, block in ((5, 0), (5, 1), (6, 0), (6, 1))]
     for obs in draws:
         assert obs.v.shape == (BLOCK_SIZE, 1) and obs.v_star.shape == (BLOCK_SIZE, 2)
@@ -364,5 +376,5 @@ def test_simulation_moments(as1_problem_n12):
 
 def test_case2_simulation_dimensions(case2_problem_n12):
     params = CanonicalParams(theta=np.zeros(1), mu=np.array([1.0, -1.0]), eta=1.0)
-    obs = simulate_observation(case2_problem_n12, params, seed=0)[0]
+    obs = simulate_observation(case2_problem_n12, [params], seed=0)[0][0]
     assert obs.v.shape == (1,) and obs.v_star.shape == (2,) and obs.s > 0

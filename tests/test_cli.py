@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,27 @@ def test_risk_compare_deterministic_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("config, draws", [("as1_desk", 6), ("case2_small_l", 13)])
+def test_risk_compare_draws_each_block_once(tmp_path, monkeypatch, config, draws):
+    # one risk_mc call per alpha covers the whole grid, so each keyed block is drawn
+    # once for all points: ceil(20000/4096) + ceil(500/4096) on as1_desk (7 points,
+    # 42 draws point by point) and ceil(50000/4096) on case2_small_l (3 points, 39)
+    import shrinkpred.risk as risk_module
+
+    calls = []
+    original = risk_module.simulate_observation
+
+    def counted(problem, points, seed, block=0):
+        calls.append(len(points))
+        return original(problem, points, seed, block)
+
+    monkeypatch.setattr(risk_module, "simulate_observation", counted)
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    assert main(["risk-compare", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == draws
+    assert set(calls) == {7 if config == "as1_desk" else 3}
+
+
 def test_risk_compare_seed_override(tmp_path):
     cfg = write_config(tmp_path, RISK_DOC)
     out_a, out_b = tmp_path / "sa", tmp_path / "sb"
@@ -487,6 +509,36 @@ def test_risk_compare_near_alpha_one(tmp_path):
     rows = [row.split(",") for row in (out / "risk_compare.csv").read_text().strip().split("\n")[1:]]
     assert len(rows) == 2 * 2
     assert all(math.isfinite(float(r[6])) and math.isfinite(float(r[7])) for r in rows)
+
+
+@pytest.mark.parametrize("exported, numpy_first, expected", [
+    (None, False, "1"), ("3", False, "3"), (None, True, None)])
+def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
+    # a fresh process: importing shrinkpred first sets OPENBLAS_NUM_THREADS=1, keeps a
+    # value the user exported, and leaves the environment alone once numpy is loaded
+    import os
+    import subprocess
+    import sys
+
+    import shrinkpred
+
+    src = str(Path(shrinkpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    code = ("import json, os, sys\n"
+            + ("import numpy\n" if numpy_first else "")
+            + "import shrinkpred.cli\n"
+            "tasks = '/proc/self/task'\n"
+            "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = json.loads(proc.stdout)
+    assert value == expected
+    if expected == "1" and threads is not None:
+        assert threads == 1  # no BLAS worker threads beside the main one
 
 
 def test_cli_import_skips_scipy_integrate(tmp_path):
@@ -667,7 +719,11 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                        ({"prior": {"rescale_c": "false"}}, "rescale_c"),
                        ({"prior": {"nu": "0.3"}}, "nu"), ({"prior": {"a": [1]}}, "a"),
                        ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c"),
-                       ({"identities": {"lemma_instances": 2.5}}, "lemma_instances")):
+                       ({"identities": {"lemma_instances": 2.5}}, "lemma_instances"),
+                       ({"identities": {"lemma_instances": -5}}, "lemma_instances"),
+                       ({"identities": {"beta_instances": -1}}, "beta_instances"),
+                       ({"identities": {"chisq_draws": -1}}, "chisq_draws"),
+                       ({"identities": {"log_grid_points": -3}}, "log_grid_points")):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")
         capsys.readouterr()
         assert main(["bounds", "--config", cfg]) == 1, wrong

@@ -259,7 +259,7 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
     # a block kernel is scored whole by the loss, but evaluated and (by the oracle) sampled one row at a time
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
-    block = simulate_observation(prob_m3, params, 9)[:5]
+    block = simulate_observation(prob_m3, [params], 9)[0][:5]
     y = np.array([0.3, -1.0, 2.0])
     for build in (lambda o: best_invariant_kernel(prob_m3, o, 0.3),
                   lambda o: shrinkage_bayes_kernel(prob_m3, prior, o, 0.3)):
@@ -445,8 +445,8 @@ def item1_designs():
 def two_observations(problem):
     """One simulated observation at theta = 0 and one at theta = (1, ..., 1)."""
     return [
-        simulate_observation(problem, CanonicalParams(theta=np.full(problem.l, float(j)),
-                                                      mu=np.zeros(problem.k - problem.l), eta=1.0), 5)[j]
+        simulate_observation(problem, [CanonicalParams(theta=np.full(problem.l, float(j)),
+                                                       mu=np.zeros(problem.k - problem.l), eta=1.0)], 5)[0][j]
         for j in range(2)
     ]
 
@@ -647,7 +647,7 @@ def test_block_estimators_equal_row_by_row(prob_m3, case2_problem_n12, case):
     prior = PriorSpec.from_problem(problem, c=1.5, nu=0.3)
     params = CanonicalParams(theta=np.linspace(-1.0, 1.0, l), mu=np.full(k - l, 0.5), eta=0.7)
     reps = 250
-    block = simulate_observation(problem, params, seed=21)[:reps]
+    block = simulate_observation(problem, [params], seed=21)[0][:reps]
     assert block.v.shape == (reps, l) and block.v_star.shape == (reps, k - l) and block.s.shape == (reps,)
     for rule in (lambda obs: umvu_estimators(obs, n, k),
                  lambda obs: plugin_bayes_estimators(problem, prior, obs)):

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from shrinkpred import cli
 from shrinkpred.canonical import (
     BLOCK_SIZE,
+    STREAM_OBSERVATION,
+    CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,
     canonicalize,
+    replication_rng,
     simulate_observation,
 )
 from shrinkpred.predictive import (
@@ -118,7 +121,7 @@ def test_d1_loss_values():
 
 def test_d1_loss_block_equals_row_by_row(prob_m3):
     params = CanonicalParams(theta=np.array([0.5, -1.0, 2.0]), mu=np.zeros(0), eta=2.0)
-    block = simulate_observation(prob_m3, params, seed=6)[:300]
+    block = simulate_observation(prob_m3, [params], seed=6)[0][:300]
     est = umvu_estimators(block, prob_m3.n, prob_m3.k)
     got = d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, params.sigma2, 3)
     assert got.shape == (300,)
@@ -234,7 +237,7 @@ def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
     outs = []
     for i, (theta, s2) in enumerate(points):
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        outs.append(risk_mc(rules, prob_m3, params, alpha, 400, seed=17 + i)["best_invariant"])
+        outs.append(risk_mc(rules, prob_m3, [params], alpha, 400, seed=17 + i)[0]["best_invariant"])
     for a in outs:
         assert a.reps == 400
         for b in outs:
@@ -262,29 +265,81 @@ def test_risk_mc_joint_equals_single(prob_m3, alpha, reps):
     # in one loop changes no estimate
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
     rules = _two_rules(prob_m3, alpha)
-    joint = risk_mc(rules, prob_m3, params, alpha, reps, seed=3)
+    [joint] = risk_mc(rules, prob_m3, [params], alpha, reps, seed=3)
     assert list(joint) == list(rules)
     for name, rule in rules.items():
-        single = risk_mc({name: rule}, prob_m3, params, alpha, reps, seed=3)
+        [single] = risk_mc({name: rule}, prob_m3, [params], alpha, reps, seed=3)
         assert joint[name] == single[name]
+
+
+def _three_points(problem):
+    """Three parameter points that differ in theta, mu and eta."""
+    l, k = problem.l, problem.k
+    return [CanonicalParams(theta=np.zeros(l), mu=np.zeros(k - l), eta=1.0),
+            CanonicalParams(theta=np.linspace(0.5, 2.0, l), mu=np.full(k - l, -0.5), eta=0.5),
+            CanonicalParams(theta=np.full(l, -3.0), mu=np.full(k - l, 1.0), eta=4.0)]
+
+
+def _risk_one_point(rules, problem, params, alpha, reps, seed):
+    """Reference: one point's risks by the per-point loop, drawing each keyed block for this point alone.
+
+    The block layout is written out here (standard normals (B, l), then
+    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the point), so
+    it also pins the observation stream.
+    """
+    l, losses = problem.l, {name: [] for name in rules}
+    for start in range(0, reps, BLOCK_SIZE):
+        rng = replication_rng(seed, start // BLOCK_SIZE, stream=STREAM_OBSERVATION)
+        v = params.theta + np.sqrt(problem.d / params.eta) * rng.standard_normal((BLOCK_SIZE, l))
+        v_star = params.mu + np.sqrt(1.0 / params.eta) * rng.standard_normal((BLOCK_SIZE, problem.k - l))
+        s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE) / params.eta
+        block = CanonicalObservation(v=v, v_star=v_star, s=s)[:min(BLOCK_SIZE, reps - start)]
+        for name, rule in rules.items():
+            out = rule(block)
+            if alpha == 1.0:
+                loss = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta, params.sigma2, problem.m)
+            else:
+                loss = alpha_divergence_loss(out, params.theta, params.eta)
+            losses[name].append(loss)
+    out = {}
+    for name, parts in losses.items():
+        loss = np.concatenate(parts)
+        out[name] = RiskEstimate(float(np.sum(loss) / reps), float(np.std(loss, ddof=1) / math.sqrt(reps)), reps)
+    return out
+
+
+@pytest.mark.parametrize("alpha, reps", [(1.0, 5000), (0.0, 60)])
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_risk_mc_over_points_equals_per_point_loop(prob_m3, case2_problem_n12, case, alpha, reps):
+    # one draw per block shared by every point gives each point, bit for bit,
+    # the risks of a run at that point alone
+    problem = prob_m3 if case == "I" else case2_problem_n12
+    rules = _two_rules(problem, alpha)
+    points = _three_points(problem)
+    got = risk_mc(rules, problem, points, alpha, reps, seed=13)
+    assert len(got) == len(points)
+    for params, risks in zip(points, got):
+        assert list(risks) == list(rules)
+        assert risks == _risk_one_point(rules, problem, params, alpha, reps, seed=13)
+    assert risk_mc(rules, problem, [], alpha, reps, seed=13) == []
 
 
 @pytest.mark.parametrize("alpha, reps", [(1.0, 150), (1.0, 4096), (1.0, 9000), (0.0, 60)])
 def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
+    # one draw per block, whatever the number of rules and points
     calls = []
     original = risk_module.simulate_observation
 
-    def counted(problem, params, seed, block=0):
+    def counted(problem, points, seed, block=0):
         calls.append(block)
-        return original(problem, params, seed, block)
+        return original(problem, points, seed, block)
 
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
     rules = _two_rules(prob_m3, alpha)
     if alpha == 1.0:
         rules["oracle"] = lambda obs: PluginEstimate(np.zeros(3), 1.0, w=0.0)
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    out = risk_mc(rules, prob_m3, params, alpha, reps, seed=8)
-    assert len(out) == len(rules)
+    out = risk_mc(rules, prob_m3, _three_points(prob_m3), alpha, reps, seed=8)
+    assert len(out) == 3 and all(len(risks) == len(rules) for risks in out)
     assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
 
 
@@ -296,7 +351,7 @@ def _scored_rows(problem, params, reps, seed):
         seen.append(obs)
         return umvu_estimators(obs, problem.n, problem.k)
 
-    risk_mc({"umvu": record}, problem, params, 1.0, reps, seed)
+    risk_mc({"umvu": record}, problem, [params], 1.0, reps, seed)
     return np.concatenate([o.v for o in seen]), np.concatenate([o.s for o in seen])
 
 
@@ -310,7 +365,7 @@ def test_block_rows_prefix_invariant(prob_m3):
         assert v.shape == (reps, 3) and s.shape == (reps,)
         assert np.array_equal(v, full_v[:reps]) and np.array_equal(s, full_s[:reps])
     for i in (0, 4095, 4096, 8191, 8192, 8999):
-        row = simulate_observation(prob_m3, params, 12, block=i // BLOCK_SIZE)[i % BLOCK_SIZE]
+        row = simulate_observation(prob_m3, [params], 12, block=i // BLOCK_SIZE)[0][i % BLOCK_SIZE]
         assert np.array_equal(full_v[i], row.v) and full_s[i] == row.s
 
 
@@ -326,7 +381,7 @@ def test_certificate_failure_propagates(prob_m3, monkeypatch):
     monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError):
-        risk_mc(_two_rules(prob_m3, 0.0), prob_m3, params, 0.0, 60, seed=2)
+        risk_mc(_two_rules(prob_m3, 0.0), prob_m3, [params], 0.0, 60, seed=2)
 
 
 def test_minimum_replication_counts(prob_m3):
@@ -336,7 +391,7 @@ def test_minimum_replication_counts(prob_m3):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
         risk_mc({"best_invariant": lambda o: best_invariant_kernel(prob_m3, o, 0.0)},
-                prob_m3, params, 0.0, reps=10, seed=0)
+                prob_m3, [params], 0.0, reps=10, seed=0)
     phat = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
     with pytest.raises(ValueError):
         alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
@@ -346,7 +401,7 @@ def test_minimum_replication_counts(prob_m3):
 def test_risk_path_makes_no_inner_monte_carlo(prob_m3, alpha):
     # the Monte Carlo divergence lives in tests/oracles.py, out of the risk path's reach
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
-    out = risk_mc(_two_rules(prob_m3, alpha), prob_m3, params, alpha, 60, seed=4)
+    out = risk_mc(_two_rules(prob_m3, alpha), prob_m3, [params], alpha, 60, seed=4)[0]
     assert all(math.isfinite(est.mean) and est.std_error > 0 for est in out.values())
 
 
@@ -355,20 +410,20 @@ def test_loss_certificate_failure_propagates(prob_m3, monkeypatch):
     monkeypatch.setattr(risk_module, "LOSS_MAX_NODES", risk_module.LOSS_START_NODES)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError, match="loss quadrature"):
-        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, params, 0.5, 60, seed=2)
+        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, [params], 0.5, 60, seed=2)
 
 
 def test_rule_alpha_must_match(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(ValueError, match="alpha"):
-        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, params, 0.0, 60, seed=2)
+        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, [params], 0.0, 60, seed=2)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.3])
 def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     theta = np.array([1.0, -0.5, 0.0])
-    block = simulate_observation(prob_m3, CanonicalParams(theta=theta, mu=np.zeros(0), eta=2.0), 9)[:20]
+    block = simulate_observation(prob_m3, [CanonicalParams(theta=theta, mu=np.zeros(0), eta=2.0)], 9)[0][:20]
     for build in (lambda o: best_invariant_kernel(prob_m3, o, alpha),
                   lambda o: shrinkage_bayes_kernel(prob_m3, prior, o, alpha)):
         losses = alpha_divergence_loss(build(block), theta, 2.0)
@@ -473,7 +528,7 @@ def test_exact_loss_matches_inner_monte_carlo(design):
             theta = np.zeros(problem.l)
             theta[0] = norm
             params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
-            block = simulate_observation(problem, params, 21, 0)[:8]
+            block = simulate_observation(problem, [params], 21, 0)[0][:8]
             kernels = (best_invariant_kernel(problem, block, alpha),
                        shrinkage_bayes_kernel(problem, prior, block, alpha))
             densities = (lambda o: best_invariant_kernel(problem, o, alpha),
@@ -544,7 +599,7 @@ def affinity_cases():
 
     def block(problem):
         params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
-        return simulate_observation(problem, params, 5, 0)[:40]
+        return simulate_observation(problem, [params], 5, 0)[0][:40]
 
     cases = {}
     for alpha in AFFINITY_ALPHAS:
