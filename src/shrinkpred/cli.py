@@ -13,6 +13,7 @@ constant or an alpha < 1 loss) failed its certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -54,7 +55,7 @@ from .predictive import (
     stein_variance_star,
     umvu_estimators,
 )
-from .risk import chi_square_identity_check, log_inequality_margin, minimax_risk, risk_mc
+from .risk import chi_square_identity_check, log_inequality_margin, min_reps, minimax_risk, risk_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -305,6 +306,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError("sigma2 values must be positive")
     cfg.reps = _int(doc, "reps", 2000)
     cfg.reps_outer = _int(doc, "reps_outer", 2000)
+    # reps drives the alpha = 1 rows and reps_outer the alpha < 1 ones; each is checked where used
+    for key, count, alpha, used in (("reps", cfg.reps, 1.0, 1.0 in cfg.alphas),
+                                    ("reps_outer", cfg.reps_outer, 0.0, min(cfg.alphas, default=1.0) < 1.0)):
+        if used and count < min_reps(alpha):
+            raise ValueError(f"{key} must be at least {min_reps(alpha)}, got {count}")
     cfg.n_mc_inner = _int(doc, "n_mc_inner", 2000)
     cfg.is_samples = _int(doc, "is_samples", 20_000)
     ident = _section(doc.get("identities", {}), IdentityConfig, "identities")
@@ -312,6 +318,8 @@ def load_config(path: str) -> ExperimentConfig:
     for key, count in vars(cfg.identities).items():
         if count < 0:
             raise ValueError(f"{key} must be nonnegative, got {count}")
+    if cfg.identities.chisq_draws == 1:  # its standard error needs a second draw
+        raise ValueError("chisq_draws must be 0 or at least 2, got 1")
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
     if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
@@ -624,6 +632,100 @@ def _observation(doc, problem: CanonicalProblem) -> CanonicalObservation:
     return CanonicalObservation(v=v, v_star=v_star, s=s)
 
 
+# Exact '%.17g' in numpy for 1e-6 < |x| < 1e17 (the double 1e-6 lies below 10^-6, so every such
+# value has a decimal exponent X in [-6, 16]). |x| 10^(16 - X) is formed exactly as hi + lo by
+# Dekker's product (10^p is an exact double for p <= 22); hi >= 2^53 is an even integer, so
+# hi + rint(lo) is the correctly rounded 17-digit integer, ties to even (Gay 1990).
+_P10 = np.array([float(10**p) for p in range(23)])
+_P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)  # Veltkamp split: 26-bit high halves
+_P10_LO = _P10 - _P10_HI
+# Every number is laid out in 46 bytes, and a mask per (X, significant digits, sign) keeps its
+# %g text: "-", "0.000", the 17 digits each followed by a ".", "e-056" and the separator.
+_CELL = b"-0.000" + b"0." * 17 + b"e-056"
+
+
+def _scaled(a: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^(16 - exp10) as the exact unevaluated sum hi + lo (Dekker's two-product)."""
+    p = 16 - exp10
+    b, b_hi, b_lo = _P10[p], _P10_HI[p], _P10_LO[p]
+    hi = a * b
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)
+    a_lo = a - a_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For 0..9999 its four ASCII digits as one uint32 and its trailing zeros (4 for 0); and per
+    ((X + 6) 17 + significant digits - 1) 2 + sign, the bytes of a cell that '%.17g' writes."""
+    i = np.arange(10_000)
+    digits4 = (48 + i[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8).view(np.uint32).ravel()
+    mask = np.zeros((23, 17, 2, 46), bool)
+    for exp10 in range(-6, 17):
+        for n in range(1, 18):
+            cell = mask[exp10 + 6, n - 1]
+            cell[1, 0] = cell[:, 45] = True
+            cell[:, 6:6 + 2 * max(n, exp10 + 1):2] = True  # zeros before the point are digits too
+            if exp10 < -4:  # d.ddde-05, d.ddde-06
+                cell[:, 7] = n > 1
+                cell[:, [40, 41, 42, 38 - exp10]] = True
+            elif exp10 < 0:  # 0.000ddd
+                cell[:, 1:2 - exp10] = True
+            else:
+                cell[:, 7 + 2 * exp10] = n > exp10 + 1
+    return digits4, sum(i % 10**k == 0 for k in range(1, 5)), mask.reshape(-1, 46)
+
+
+def _csv_cells(cols: int) -> np.ndarray:
+    """Scratch cells for _csv_rows: BLOCK_SIZE x cols copies of the layout, each with its separator."""
+    layout = b"".join(_CELL + sep for sep in [b","] * (cols - 1) + [b"\n"])
+    return np.tile(np.frombuffer(layout, np.uint8).reshape(cols, 46), (BLOCK_SIZE, 1, 1))
+
+
+def _csv_rows(block: np.ndarray, cells: np.ndarray) -> bytes:
+    """The rows of block as CSV lines, each number as _fmt writes it; cells is a _csv_cells buffer.
+
+    A row holding a value outside the range above (a zero, a subnormal, an
+    infinity, a nan, |x| <= 1e-6 or |x| >= 1e17) is %-formatted alone.
+    """
+    rows, cols = block.shape
+    x = block.ravel()
+    fast = (np.abs(x) > 1e-6) & (np.abs(x) < 1e17)
+    a = np.where(fast, np.abs(x), 1.0)
+    exp10 = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    hi, lo = _scaled(a, exp10)
+    # floor(log10) can miss by one next to a power of ten: move to where 10^16 <= hi + lo < 10^17
+    shift = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).view(np.int8) - ((hi < 1e16) | (hi == 1e16) & (lo < 0))
+    moved = np.flatnonzero(shift)
+    exp10[moved] += shift[moved]
+    hi[moved], lo[moved] = _scaled(a[moved], exp10[moved])
+    # d < 10^17: 17 digits cannot round up to 10^(X + 1), since the nearest double to a power of ten
+    # 10^q, q in [-5, 17], is 10^q itself or lies above it (below it for q = -6, outside the range)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    chunks = np.empty((x.size, 5), np.uint32)  # d's base-10^4 digits, most significant first
+    for j in range(4, 0, -1):
+        d, chunks[:, j] = np.divmod(d, 10_000)
+    chunks[:, 0] = d
+    digits4, trailing0, masks = _tables()
+    zeros = trailing0[chunks[:, 4]]
+    for j in range(3, 0, -1):
+        zeros += (zeros == 16 - 4 * j) * trailing0[chunks[:, j]]
+    cells = cells[:rows]
+    cells[..., 6:40:2] = digits4[chunks].view(np.uint8).reshape(rows, cols, 20)[..., 3:]
+    keep = masks[((exp10 + 6) * 17 + 16 - zeros) * 2 + np.signbit(x)]
+    text = np.compress(keep.ravel(), cells.ravel()).tobytes()
+    slow = np.flatnonzero(~fast.reshape(rows, cols).all(axis=1))
+    if not slow.size:
+        return text
+    starts = np.concatenate([[0], np.cumsum(keep.reshape(rows, -1).sum(axis=1))])
+    template = ",".join(["%.17g"] * cols) + "\n"
+    parts, start = [], 0
+    for i in slow:
+        parts += [text[start:starts[i]], (template % tuple(block[i].tolist())).encode()]
+        start = starts[i + 1]
+    return b"".join(parts + [text[start:]])
+
+
 def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     section = cfg.density
     if not section:
@@ -647,19 +749,16 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         dens = plugin_density(plugin_bayes_estimators(problem, build_prior(cfg, problem), obs), problem)
 
     log_u = dens.log_unnormalized(points)
-    table = np.column_stack([points, log_u, log_u + dens.log_const])
+    table = np.column_stack([points, log_u, np.full(len(log_u), dens.log_const), log_u + dens.log_const])
     header = [f"ytilde_{i + 1}" for i in range(problem.m)]
     header += ["log_density_unnormalized", "log_norm_const", "log_density"]
-    # '%.17g' % x is format(x, '.17g') for every double, so one %-format per
-    # block of rows writes the bytes _fmt would, cell by cell
-    row_template = ",".join(["%.17g"] * (problem.m + 1) + [_fmt(dens.log_const), "%.17g"]) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "density_eval.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        cells = _csv_cells(table.shape[1])
         for start in range(0, len(table), BLOCK_SIZE):
-            block = table[start:start + BLOCK_SIZE]
-            fh.write(row_template * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_rows(table[start:start + BLOCK_SIZE], cells))
     print(f"wrote {points.shape[0]} rows to {path}")
     return EXIT_OK
 

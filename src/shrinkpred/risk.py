@@ -55,6 +55,7 @@ __all__ = [
     "d1_loss_plugin",
     "minimax_risk",
     "alpha_divergence_loss",
+    "min_reps",
     "risk_mc",
     "risk_d1_mc",
     "chi_square_identity_check",
@@ -356,6 +357,11 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
     return loss if np.ndim(kernel.s) else float(loss[0])
 
 
+def min_reps(alpha: float) -> int:
+    """The fewest replications risk_mc accepts at alpha."""
+    return 100 if alpha == 1.0 else 50
+
+
 def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | PredictiveKernel]],
             problem: CanonicalProblem, points: Sequence[CanonicalParams], alpha: float, reps: int,
             seed: int) -> list[dict[str, RiskEstimate]]:
@@ -378,9 +384,8 @@ def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | P
     if not -1.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
     reps = int(reps)
-    min_reps = 100 if alpha == 1.0 else 50
-    if reps < min_reps:
-        raise ValueError(f"reps must be at least {min_reps}")
+    if reps < min_reps(alpha):
+        raise ValueError(f"reps must be at least {min_reps(alpha)}")
     losses = np.empty((len(points), len(rules), reps))
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)

@@ -397,6 +397,13 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
     rows = 2.5 * np.random.default_rng(21).standard_normal((BLOCK_SIZE + 3, 3))
     rows[:3] = [[-0.0, 5e-324, 1e300], [0.1, 1 / 3, -2 / 3], [-5e-324, 2.2250738585072014e-308, 1e-300]]
     rows[BLOCK_SIZE - 1:BLOCK_SIZE + 1, 0] = [-0.0, 0.30000000000000004]
+    # the edges of the vectorized renderer's range (1e-6, 1e17) and of %g's layouts, between the rows
+    # above that fall back to %-formatting: 1e-6 and 1e17 and their neighbours, X = -5 / -4 and 16
+    rows[3:8] = [[np.nextafter(1e-6, 1), -np.nextafter(1e-6, 0), 1e-6],
+                 [9.9999999999999991e-05, 1e-4, -1.2345e-5],
+                 [np.nextafter(1e17, 0), 1e16, -12345678901234567.0],
+                 [1e-5, -np.nextafter(1e-4, 0), 2.5e-6],
+                 [np.nextafter(1e17, 1e18), 0.5, 1250000000000000.25]]
     pts = tmp_path / "points.csv"
     np.savetxt(pts, rows, delimiter=",", fmt="%.17g")
     obs_doc = {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}
@@ -656,6 +663,42 @@ def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"{key} must be" in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("alphas, counts, message", [
+    ([0.0], {"reps_outer": 49}, "reps_outer must be at least 50"),
+    ([1.0, 0.5], {"reps_outer": 10}, "reps_outer must be at least 50"),
+    ([1.0], {"reps": 99}, "reps must be at least 100"),
+    ([1.0, 0.0], {"reps": 10}, "reps must be at least 100"),
+])
+def test_rep_counts_below_the_floor_name_the_key(tmp_path, capsys, alphas, counts, message):
+    # each count is checked against risk_mc's floor where an alpha uses it, before any run starts
+    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=alphas, **counts))
+    capsys.readouterr()
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rep_counts_at_the_floor_or_unused_load(tmp_path):
+    for alphas, counts in (([1.0, 0.0], {"reps": 100, "reps_outer": 50}), ([0.0], {"reps": 1}),
+                           ([1.0], {"reps_outer": 1})):
+        cfg = load_config(write_config(tmp_path, dict(RISK_DOC, alphas=alphas, **counts)))
+        assert (cfg.reps, cfg.reps_outer) == (counts.get("reps", 200), counts.get("reps_outer", 50))
+
+
+def test_one_chisq_draw_is_a_config_error(tmp_path, capsys):
+    # one draw has no standard error: the run used to write "std_error": NaN, which is not JSON
+    cfg = write_config(tmp_path, {"seed": 1, "identities": dict(FAST_IDENTITIES, chisq_draws=1)})
+    capsys.readouterr()
+    assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: chisq_draws must be 0 or at least 2"), err
+    assert not (tmp_path / "o").exists()
+    for draws in (0, 2):
+        path = write_config(tmp_path, {"identities": {"chisq_draws": draws}}, "ok.json")
+        assert load_config(path).identities.chisq_draws == draws
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
