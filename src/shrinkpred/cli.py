@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -233,6 +234,17 @@ def _floats(doc: dict, key: str, default: list) -> list[float]:
     return [float(x) for x in value]
 
 
+def _load_csv(path: str, key: str) -> np.ndarray:
+    """The rows of the comma-separated file at path, as a 2-D float array; a file with no rows names key."""
+    with warnings.catch_warnings():
+        # loadtxt only warns on a file without rows, and hands back an array of the wrong shape
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        except UserWarning:
+            raise ValueError(f"{key} file {path} holds no rows") from None
+
+
 def _matrix(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array: inline nested lists, or a path to a dense row-major CSV.
 
@@ -240,7 +252,7 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
     """
     value = doc[key]
     try:
-        out = np.loadtxt(value, delimiter=",", ndmin=2) if isinstance(value, str) else np.asarray(value, dtype=float)
+        out = _load_csv(value, key) if isinstance(value, str) else np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{key} must be a matrix of numbers: {exc}") from None
     if not np.all(np.isfinite(out)):
@@ -362,10 +374,13 @@ def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, fl
     """The prior's c vector and the positivity rescale g0.
 
     c is the configured vector times g0 when rescale_c is set; g0 is
-    returned either way.
+    returned either way.  A list must have one entry per axis, l; a number
+    stands for every axis.
     """
     if pc.c is None or pc.c == "identity":
         c = np.ones(problem.l)
+    elif isinstance(pc.c, list) and len(pc.c) != problem.l:
+        raise ValueError(f"c must have l = {problem.l} entries, got {len(pc.c)}")
     else:
         c = np.broadcast_to(np.asarray(pc.c, dtype=float), (problem.l,)).copy()
     g0 = bounds_mod.rescale_C_for_positivity(problem.d, c, problem.m, problem.n, problem.k)
@@ -735,7 +750,7 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
             raise ValueError(f"{key} must be given in the density section")
     problem = problem_from_dict(_json_doc(section["problem"]))
     obs = _observation(_json_doc(section["observation"]), problem)
-    points = np.loadtxt(section["points"], delimiter=",", ndmin=2)
+    points = _load_csv(section["points"], "points")
     if points.shape[1] != problem.m:
         raise ValueError(f"points must have {problem.m} columns")
 

@@ -18,9 +18,9 @@ multiply node-pair arrays fixed per rule.  Risks are then single-level
 Monte Carlo averages of exact losses at every alpha.
 
 The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
-is an integer), and the Gauss-Laguerre rules come from Sturm-sequence
-bisection and Newton steps on the three-term recurrence, built once per
-(a, n).
+is an integer), and the Gauss-Laguerre rules come from LAPACK eigenvalues
+of the Jacobi matrix and Newton steps on the three-term recurrence, built
+once per (a, n).
 
 Observations come in keyed blocks (canonical.simulate_observation) and
 losses are reduced by pairwise summation in replication order, so reruns
@@ -147,28 +147,18 @@ def _laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
     Jacobi matrix T with diagonal 2j + a + 1 and off-diagonal sqrt(j (j + a)).
-    Sturm-sequence bisection brackets all n at once (the pivots of T - xI
-    that are negative count the eigenvalues below x) to 2^-20 relative, and
-    three Newton steps on p_n, the orthonormal polynomial of T's three-term
-    recurrence, polish them.  Each weight is 1/sum_{k<n} p_k(x)^2, the
-    Christoffel-Darboux kernel at the node, summed with a running rescale so
-    its log stays finite where Gamma(a+1) overflows.  Memoized per (a, n);
-    the arrays are read-only.
+    LAPACK (np.linalg.eigvalsh of the dense T) finds them to within rounding
+    of T's norm, which leaves the smallest short of full relative accuracy,
+    so three Newton steps on p_n, the orthonormal polynomial of T's
+    three-term recurrence, polish them.  T is already tridiagonal, so
+    LAPACK's reduction to tridiagonal form leaves it as it is and the nodes
+    do not depend on the BLAS thread count.  Each weight is
+    1/sum_{k<n} p_k(x)^2, the Christoffel-Darboux kernel at the node, summed
+    with a running rescale so its log stays finite where Gamma(a+1)
+    overflows.  Memoized per (a, n); the arrays are read-only.
     """
-    j = np.arange(n)
-    diag, off2 = 2.0 * j + a + 1.0, j[1:] * (j[1:] + a)
-    off = np.sqrt(off2)
-    # T is positive definite, and Gershgorin bounds its spectrum above
-    lo, hi = np.zeros(n), np.full(n, float(np.max(diag + np.append(off, 0.0) + np.insert(off, 0, 0.0))))
-    with np.errstate(divide="ignore"):  # a zero pivot turns the next into -inf, which the count allows
-        while np.any(hi - lo > 2.0**-20 * hi):
-            mid = 0.5 * (lo + hi)
-            pivots = np.subtract.outer(diag, mid)
-            for i in range(1, n):
-                pivots[i] -= off2[i - 1] / pivots[i - 1]
-            above = np.count_nonzero(pivots < 0.0, axis=0) > j   # node j lies below mid
-            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-    x = 0.5 * (lo + hi)
+    j = np.arange(1, n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(np.sqrt(j * (j + a)), -1))
     step, log_sum = _orthonormal(x, a, n)
     for _ in range(3):
         x = x - step
@@ -203,7 +193,7 @@ def _orthonormal(x: np.ndarray, a: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 @functools.lru_cache(maxsize=64)
 def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]:
-    """The kept node pairs of the tensor of _laguerre(a_x, n) and _laguerre(a_y, n): X, Y, X Y and log w.
+    """The kept node pairs of the tensor of _laguerre(a_x, n) and _laguerre(a_y, n): rows 1, X, Y, X Y; log w.
 
     a_y None stands for a single node 0 of weight 1.  Pairs run x-major, and
     those weighing less than e^-LOSS_WEIGHT_DROP of the heaviest are left
@@ -214,7 +204,7 @@ def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]
     log_w = (log_wx[:, None] + log_wy).ravel()
     keep = log_w >= log_w.max() - LOSS_WEIGHT_DROP
     X, Y = np.repeat(x, y.size)[keep], np.tile(y, x.size)[keep]
-    out = X, Y, X * Y, log_w[keep]
+    out = np.stack([np.ones_like(X), X, Y, X * Y]), log_w[keep]
     for array in out:
         array.setflags(write=False)
     return out
@@ -234,11 +224,15 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     log, and its members' deviations add up.  The rules run in the node
     coordinates X = t s and Y = u o, where P = kappa sigma_u sigma_b
     + (sigma_b/s) X + (sigma_u/o) Y and the exponent's numerator is
-    (dv/s) X + (db/o) Y + (dvb/(s o)) X Y: each row has a few coefficients
-    per group, built once, against the fixed pair arrays of _node_pairs.  A
-    kernel without a second factor takes the single node u = 0.  The
-    integrand is at most (pi/kappa)^(m/2), so dropping light pairs is safe;
-    rows go LOSS_CHUNK // kept at a time.
+    (dv/s) X + (db/o) Y + (dvb/(s o)) X Y: each row has two triples of
+    coefficients per group, built once as (rows, 3) arrays, which np.einsum
+    contracts with the bases [1, X, Y] and [X, Y, XY], the first and last
+    three rows of _node_pairs's array.  einsum without optimize sums each element in the same
+    order whatever the number of rows, where a BLAS product need not, so a
+    row's bits do not depend on its chunk.  A kernel without a second
+    factor takes the single node u = 0.  The integrand is at most
+    (pi/kappa)^(m/2), so dropping light pairs is safe; rows go
+    LOSS_CHUNK // kept at a time.
     """
     alpha, c2, (m, l) = kernel.alpha, kernel.c2, kernel.Q.shape
     beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) * eta / 4.0
@@ -257,27 +251,28 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     terms = []
     for (sigma_u, sigma_b), axes in groups.items():
         log_const += (len(axes) / 2.0) * math.log(math.pi * sigma_u * sigma_b)
-        coef = [sigma_b / s, sigma_u / o]
+        lin = np.stack([np.full_like(s, kappa * sigma_u * sigma_b), sigma_b / s, sigma_u / o], axis=1)
         eig = [i for i in axes if i < l]
+        dev = None
         if eig:
-            coef += [kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
-                     kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
-                     ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)]
-        terms.append((kappa * sigma_u * sigma_b, len(axes) / 2.0, np.stack(coef)))
+            dev = np.stack([kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
+                            kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
+                            ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)], axis=1)
+        terms.append((len(axes) / 2.0, lin, dev))
 
     def log_i(n: int, index: np.ndarray) -> np.ndarray:
-        X, Y, XY, log_w = _node_pairs(kernel.A * beta - 1.0, a_y, n)
+        basis, log_w = _node_pairs(kernel.A * beta - 1.0, a_y, n)
         width = max(1, LOSS_CHUNK // log_w.size)
-        chosen = [(p0, half, coef[:, index, None]) for p0, half, coef in terms]
+        chosen = [(half, lin[index], None if dev is None else dev[index]) for half, lin, dev in terms]
         out = log_const[index]
         for lo in range(0, index.size, width):
-            log_f = np.broadcast_to(log_w, (min(width, index.size - lo), log_w.size)).copy()
-            for p0, half, coef in chosen:
-                c = coef[:, lo:lo + width]
-                P = p0 + c[0] * X + c[1] * Y
-                log_f -= half * np.log(P)
-                if len(c) > 2:
-                    log_f -= (c[2] * X + c[3] * Y + c[4] * XY) / P
+            log_f = log_w   # each subtraction writes into the temporary it consumes
+            for half, lin, dev in chosen:
+                P = np.einsum("ik,kj->ij", lin[lo:lo + width], basis[:3])
+                if dev is not None:
+                    num = np.einsum("ik,kj->ij", dev[lo:lo + width], basis[1:])
+                    log_f = np.subtract(log_f, np.divide(num, P, out=num), out=num)
+                log_f = np.subtract(log_f, np.multiply(half, np.log(P, out=P), out=P), out=P)
             shift = log_f.max(axis=1)
             log_f -= shift[:, None]
             out[lo:lo + width] += shift + np.log(np.exp(log_f, out=log_f).sum(axis=1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +483,30 @@ def test_density_eval_input_errors_name_the_key(tmp_path, capsys, as1_problem_n1
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("text", ["", "# ytilde_1,ytilde_2,ytilde_3\n\n"])
+def test_csv_files_without_rows_are_rejected_without_a_warning(tmp_path, capsys, as1_problem_n12, action, text):
+    # loadtxt warns on such a file and hands back a (0, 1) array, which used to fail a column check
+    # further on; under warnings as errors its warning escaped as a traceback
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    density = {"problem": problem_to_dict(as1_problem_n12), "observation": {"v": [0.5] * 3, "v_star": [], "s": 8.0},
+               "points": str(empty)}
+    runs = [(["density-eval", "--config", write_config(tmp_path, {"seed": 1, "density": density}, "d.json")],
+             f"error: points file {empty} holds no rows\n"),
+            (["canonicalize", "--config", write_config(tmp_path, {"design": {
+                "type": "explicit", "X": str(empty), "Xtilde": [[1.0, 0.0, 0.0]]}}, "x.json")],
+             f"configuration error: X must be a matrix of numbers: X file {empty} holds no rows\n")]
+    for argv, message in runs:
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
+
+
 def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
     import shrinkpred.predictive as predictive_module
 
@@ -663,6 +688,26 @@ def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"{key} must be" in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "risk-compare"])
+@pytest.mark.parametrize("c", [[1.0, 2.0], [2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_prior_c_list_of_the_wrong_length_names_the_key_and_l(tmp_path, capsys, command, c):
+    # numpy used to reject the broadcast in its own words, or stretch a one-entry list over l axes
+    cfg = write_config(tmp_path, dict(RISK_DOC, prior={"c": c}))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: c must have l = 3 entries, got {len(c)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_prior_c_number_stands_for_every_axis(tmp_path):
+    outs = []
+    for tag, c in (("number", 2.0), ("list", [2.0, 2.0, 2.0])):
+        cfg = write_config(tmp_path, dict(RISK_DOC, prior={"c": c}))
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / tag)]) == 0
+        outs.append((tmp_path / tag / "bounds.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("alphas, counts, message", [

@@ -484,6 +484,20 @@ def test_laguerre_rule_at_largest_certificate_nodes(a, n):
         assert np.abs(log_w[mass] - ref_log_w[mass]).max() <= 1e-10
 
 
+@pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
+@pytest.mark.parametrize("n", [32, 48, 72])
+def test_laguerre_rule_integrates_every_monomial_below_degree_2n(a, n):
+    # the defining property of the n-point Gauss rule, with no scipy: E x^j = Gamma(a+1+j)/Gamma(a+1)
+    # for j < 2n, compared in log space, where x^j and the moments overflow
+    x, log_w = risk_module._laguerre(a, n)
+    j = np.arange(2 * n)
+    terms = log_w + j[:, None] * np.log(x)
+    top = terms.max(axis=1)
+    got = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    want = np.array([math.lgamma(a + 1.0 + k) - math.lgamma(a + 1.0) for k in j])
+    assert np.abs(got - want).max() <= 1e-11
+
+
 def test_laguerre_rule_is_cached_and_read_only():
     x, log_w = risk_module._laguerre(2.75, 48)
     again = risk_module._laguerre(2.75, 48)
@@ -644,13 +658,15 @@ def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
 
 
 def test_node_pairs_are_cached_read_only_and_built_once():
-    X, Y, XY, log_w = pairs = risk_module._node_pairs(3.25, 5.5, 48)
+    basis, log_w = pairs = risk_module._node_pairs(3.25, 5.5, 48)
     assert all(a is b for a, b in zip(pairs, risk_module._node_pairs(3.25, 5.5, 48)))
-    for array in pairs:
+    for array in (basis[0], basis[1], log_w):
         with pytest.raises(ValueError):
             array[0] = 0.0
+    one, X, Y, XY = basis
     assert X.shape == Y.shape == XY.shape == log_w.shape and log_w.size < 48 * 48
-    assert np.array_equal(XY, X * Y) and log_w.min() >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
+    assert np.all(one == 1.0) and np.array_equal(XY, X * Y)
+    assert log_w.min() >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
     x, _ = risk_module._laguerre(3.25, 48)
     assert np.all(np.isin(X, x)) and np.all(np.diff(np.searchsorted(x, X)) >= 0)   # x-major order
     # a second block at the same alpha finds every rule it needs already built
