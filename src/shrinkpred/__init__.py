@@ -40,7 +40,6 @@ from .predictive import (
     PluginEstimate,
     PredictiveKernel,
     PriorSpec,
-    UnreliableNormalizationError,
     alpha_limit_check,
     best_invariant_kernel,
     beta_integral_identity,
@@ -53,6 +52,7 @@ from .predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+from .quad import UnreliableNormalizationError
 from .risk import (
     ChiSquareCheck,
     RiskEstimate,

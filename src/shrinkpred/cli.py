@@ -45,7 +45,6 @@ from .canonical import (
 from .predictive import (
     PluginEstimate,
     PriorSpec,
-    UnreliableNormalizationError,
     best_invariant_kernel,
     beta_integral_identity,
     lemma_identity_residual,
@@ -56,6 +55,7 @@ from .predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+from .quad import UnreliableNormalizationError
 from .risk import chi_square_identity_check, log_inequality_margin, min_reps, minimax_risk, risk_mc
 
 __all__ = [
@@ -235,7 +235,7 @@ def _floats(doc: dict, key: str, default: list) -> list[float]:
 
 
 def _load_csv(path: str, key: str) -> np.ndarray:
-    """The rows of the comma-separated file at path, as a 2-D float array; a file with no rows names key."""
+    """The rows of the comma-separated file at path, as a 2-D float array; a file that is not one names key."""
     with warnings.catch_warnings():
         # loadtxt only warns on a file without rows, and hands back an array of the wrong shape
         warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
@@ -243,6 +243,8 @@ def _load_csv(path: str, key: str) -> np.ndarray:
             return np.loadtxt(path, delimiter=",", ndmin=2)
         except UserWarning:
             raise ValueError(f"{key} file {path} holds no rows") from None
+        except ValueError as exc:
+            raise ValueError(f"{key} file {path} is not a table of numbers: {exc}") from None
 
 
 def _matrix(doc: dict, key: str) -> np.ndarray:
@@ -753,6 +755,8 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     points = _load_csv(section["points"], "points")
     if points.shape[1] != problem.m:
         raise ValueError(f"points must have {problem.m} columns")
+    if np.isnan(points).any():   # an infinite coordinate has log density -inf, nan none
+        raise ValueError(f"points must be numbers or +-inf, not nan, in {section['points']}")
 
     kind = section.get("type", "best_invariant")
     alpha = float(section.get("alpha", 0.0))

@@ -18,27 +18,24 @@ risk.alpha_divergence_loss scores a block, and indexing it gives one
 observation's density, which evaluates (log_density).  The plug-in normal
 is a PluginDensity with the same members.  The shrinkage density's constant
 reduces, through Gamma integrals, to one integral on the logit scale, which
-a trapezoid rule computes to a certified 1e-10 in log Z for every row of a
-block.  The samplers and the importance-sampling normalizer that check it
-live with the tests, in tests/oracles.py.
-The module uses math.lgamma and numpy alone; even beta_integral_identity's
-check runs on the module's own logit-scale trapezoid rule.
+quad.log_trapezoid computes for every row of a block.  The samplers and the
+importance-sampling normalizer that check it live with the tests, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
 from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _rows
+from .quad import log_trapezoid
 
 __all__ = [
     "DegenerateObservationError",
-    "UnreliableNormalizationError",
     "PriorSpec",
     "PluginEstimate",
     "PredictiveKernel",
@@ -56,23 +53,9 @@ __all__ = [
     "beta_integral_identity",
 ]
 
-# Certificate of the trapezoid rule for the shrinkage constant (_log_trapezoid): both window
-# ends QUAD_DROP below the peak, and n vs 2n intervals within QUAD_TOL in log Z.  QUAD_ROWS
-# rows of a block share one grid.
-QUAD_HALF_WIDTH, QUAD_MAX_WIDTH, QUAD_DROP = 32.0, 2.0**30, 40.0
-QUAD_START_INTERVALS, QUAD_MAX_INTERVALS, QUAD_TOL, QUAD_ROWS = 128, 1 << 16, 1e-10, 64
-
 
 class DegenerateObservationError(ValueError):
     """Residual sum of squares is zero; scale-dependent densities are undefined."""
-
-
-class UnreliableNormalizationError(RuntimeError):
-    """A quadrature (normalizing constant or loss) failed its certificate.
-
-    The importance-sampling oracle of tests/oracles.py raises it too, when its
-    effective sample size falls below the guard.
-    """
 
 
 def _check_alpha(alpha: float) -> float:
@@ -374,7 +357,7 @@ def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
       log Z = (m/2) log pi + ((m-l)/2) log c2 + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
       G(z) = A log w + B log(1-w) - (1/2) sum_i log p_i(w) - P log h(w),
       h(w) = w s + (1-w) o + w(1-w) sum_i delta_i^2/(sigma_u_i sigma_b_i p_i(w)).
-    p does not depend on the row, so QUAD_ROWS rows share each trapezoid grid.
+    p does not depend on the row, so the rows of a chunk share one trapezoid grid.
     """
     A, B, c2, (m, l) = kernel.A, kernel.B, kernel.c2, kernel.Q.shape
     P = A + B - m / 2.0
@@ -390,63 +373,13 @@ def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
         return A * log_w + B * log_w1 - 0.5 * np.log(p).sum(axis=1) - P * np.log(h)
 
     const = (m / 2.0) * math.log(math.pi) + ((m - l) / 2.0) * math.log(c2)
-    out = const + math.lgamma(P) - math.lgamma(A) - math.lgamma(B) + _log_trapezoid_rows(g, s.size)
+    out = const + math.lgamma(P) - math.lgamma(A) - math.lgamma(B) + log_trapezoid(g, s.size)
     return float(out[0]) if np.ndim(kernel.s) == 0 else out
 
 
 def _log_expit(z: np.ndarray) -> np.ndarray:
     """log(1/(1 + e^-z)), finite and without overflow in both tails."""
     return -np.logaddexp(0.0, -z)
-
-
-def _log_trapezoid_rows(g: Callable[[np.ndarray, slice], np.ndarray], rows: int) -> np.ndarray:
-    """_log_trapezoid of g(z, rows) for every row, QUAD_ROWS rows to a shared grid."""
-    out = np.empty(rows)
-    for start in range(0, rows, QUAD_ROWS):
-        chunk = slice(start, min(start + QUAD_ROWS, rows))
-        out[chunk] = _log_trapezoid(lambda z: g(z, chunk))
-    return out
-
-
-def _log_trapezoid(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """log of the integral of exp(g) over the real line for each row of g, by the trapezoid rule.
-
-    g maps the nodes z to an array of shape (rows, z.size) and must be
-    smooth in z with tails that fall at least linearly; there the rule
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 2014).  All rows
-    share one grid.  While g at an end of the window is within QUAD_DROP of
-    its row's largest node value, the window doubles toward that end.
-    Otherwise the step halves, reusing every node, until the n- and
-    2n-interval values of every row agree to QUAD_TOL.  Past
-    QUAD_MAX_INTERVALS or QUAD_MAX_WIDTH it raises
-    UnreliableNormalizationError.
-    """
-    lo, hi = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
-    while hi - lo <= QUAD_MAX_WIDTH:
-        n, step = QUAD_START_INTERVALS, (hi - lo) / QUAD_START_INTERVALS
-        gz = g(np.linspace(lo, hi, n + 1))
-        # each row's trapezoid sum in units of exp(shift), shift the row's largest node value
-        shift = gz.max(axis=1)
-        e = np.exp(gz - shift[:, None])
-        total, gap = e.sum(axis=1) - 0.5 * (e[:, 0] + e[:, -1]), math.inf
-        log_int = shift + np.log(step * total)
-        while np.all(gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]):
-            if gap <= QUAD_TOL:
-                return log_int
-            if n >= QUAD_MAX_INTERVALS:
-                raise UnreliableNormalizationError(
-                    f"trapezoid rule on [{lo:.3g}, {hi:.3g}] at {n} intervals: n vs 2n gap {gap:.3e}")
-            gm = g(lo + step * (np.arange(n) + 0.5))
-            top = np.maximum(shift, gm.max(axis=1))
-            total = total * np.exp(shift - top) + np.exp(gm - top[:, None]).sum(axis=1)
-            shift, n, step = top, 2 * n, step / 2.0
-            new = shift + np.log(step * total)
-            gap, log_int = float(np.max(np.abs(new - log_int))), new
-        # an end lies in the bulk of some row (or g is not finite there): widen toward it
-        width, low = hi - lo, gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]
-        lo -= 0.0 if low[:, 0].all() else width
-        hi += 0.0 if low[:, 1].all() else width
-    raise UnreliableNormalizationError(f"integrand within {QUAD_DROP} of its peak at an end of [{lo:.3g}, {hi:.3g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +525,16 @@ def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float,
     """Quadrature and closed form of int_0^1 t^a (1-t)^b (1 + w t)^{-(a+b+2)} dt.
 
     At exponent a + b + 2 the integral collapses to
-    Be(a+1, b+1) / (w+1)^{a+1}.  The quadrature is _log_trapezoid on the
+    Be(a+1, b+1) / (w+1)^{a+1}.  The quadrature is quad.log_trapezoid on the
     logit scale t = expit(z), where the integrand becomes
     exp((a+1) log t + (b+1) log(1-t) - (a+b+2) log1p(w t)).  Returns
     (quadrature, closed_form).
 
     Any a, b > -1 and w > -1 are accepted, but the tails of the logit-scale
     integrand fall with slopes a + 1 and b + 1, so the window must reach
-    about QUAD_DROP/(min(a, b) + 1).  The working domain is exponents down to about
+    about quad.QUAD_DROP/(min(a, b) + 1).  The working domain is exponents down to about
     -0.997: at -0.99 and -0.995 the quadrature matches the closed form to
-    2e-15, while at -0.998 and below it needs more than QUAD_MAX_INTERVALS
+    2e-15, while at -0.998 and below it needs more than quad.QUAD_MAX_INTERVALS
     and raises UnreliableNormalizationError.
     """
     if a_exp <= -1 or b_exp <= -1:
@@ -609,12 +542,12 @@ def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float,
     if w <= -1:
         raise ValueError("w must exceed -1")
 
-    def g(z: np.ndarray) -> np.ndarray:
+    def g(z: np.ndarray, rows: slice) -> np.ndarray:   # rows is slice(0, 1), the one row, of w
         log_t = _log_expit(z)
         return ((a_exp + 1.0) * log_t + (b_exp + 1.0) * _log_expit(-z)
-                - (a_exp + b_exp + 2.0) * np.log1p(w * np.exp(log_t)))[None, :]
+                - (a_exp + b_exp + 2.0) * np.log1p(np.array([[w]]) * np.exp(log_t)))
 
     log_closed = (math.lgamma(a_exp + 1.0) + math.lgamma(b_exp + 1.0) - math.lgamma(a_exp + b_exp + 2.0)
                   - (a_exp + 1.0) * math.log(w + 1.0))
-    return math.exp(float(_log_trapezoid(g)[0])), math.exp(log_closed)
+    return math.exp(float(log_trapezoid(g, 1)[0])), math.exp(log_closed)
 

@@ -9,8 +9,8 @@ constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
 For alpha < 1 the divergence of a predictive density from the truth is
 computed exactly too (alpha_divergence_loss, on a predictive.PredictiveKernel
 of a whole block): Gamma integrals and a Gaussian integral in y leave 1-D
-or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, each
-certified by a refinement check.  The Gaussian integral factors over the
+or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, all on
+the certified rules of quad.  The Gaussian integral factors over the
 axes, and axes with equal scales (c2 + e_u, c2 + e_b) share one factor, so
 a rule's work grows with the number of such spectral groups (one in the
 replicated design), not with m; each row's few coefficients per group
@@ -18,9 +18,7 @@ multiply node-pair arrays fixed per rule.  Risks are then single-level
 Monte Carlo averages of exact losses at every alpha.
 
 The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
-is an integer), and the Gauss-Laguerre rules come from LAPACK eigenvalues
-of the Jacobi matrix and Newton steps on the three-term recurrence, built
-once per (a, n).
+is an integer).
 
 Observations come in keyed blocks (canonical.simulate_observation) and
 losses are reduced by pairwise summation in replication order, so reruns
@@ -47,7 +45,8 @@ from .canonical import (
     replication_rng,
     simulate_observation,
 )
-from .predictive import PluginEstimate, PredictiveKernel, UnreliableNormalizationError, _log_trapezoid_rows
+from .predictive import PluginEstimate, PredictiveKernel
+from .quad import certified, laguerre, log_trapezoid
 
 __all__ = [
     "RiskEstimate",
@@ -62,11 +61,7 @@ __all__ = [
     "log_inequality_margin",
 ]
 
-# Certificate of the Gauss-Laguerre rules of alpha_divergence_loss: a row's losses at n and
-# 3n/2 nodes per factor agree within LOSS_TOL, for n from LOSS_START_NODES while 3n/2 stays
-# within LOSS_MAX_NODES.  Node pairs below e^-LOSS_WEIGHT_DROP of the heaviest are left out,
-# and LOSS_CHUNK bounds the float64 elements of one temporary (256 kB).
-LOSS_TOL, LOSS_START_NODES, LOSS_MAX_NODES = 1e-6, 32, 512
+# _node_pairs leaves out pairs below e^-LOSS_WEIGHT_DROP of the heaviest; LOSS_CHUNK bounds one temporary (256 kB)
 LOSS_WEIGHT_DROP, LOSS_CHUNK = 60.0, 1 << 15
 
 
@@ -141,66 +136,16 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-@functools.lru_cache(maxsize=256)
-def _laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log weights of the n-point Gauss rule for the weight x^a e^-x / Gamma(a+1) on (0, inf).
-
-    Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
-    Jacobi matrix T with diagonal 2j + a + 1 and off-diagonal sqrt(j (j + a)).
-    LAPACK (np.linalg.eigvalsh of the dense T) finds them to within rounding
-    of T's norm, which leaves the smallest short of full relative accuracy,
-    so three Newton steps on p_n, the orthonormal polynomial of T's
-    three-term recurrence, polish them.  T is already tridiagonal, so
-    LAPACK's reduction to tridiagonal form leaves it as it is and the nodes
-    do not depend on the BLAS thread count.  Each weight is
-    1/sum_{k<n} p_k(x)^2, the Christoffel-Darboux kernel at the node, summed
-    with a running rescale so its log stays finite where Gamma(a+1)
-    overflows.  Memoized per (a, n); the arrays are read-only.
-    """
-    j = np.arange(1, n)
-    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(np.sqrt(j * (j + a)), -1))
-    step, log_sum = _orthonormal(x, a, n)
-    for _ in range(3):
-        x = x - step
-        step, log_sum = _orthonormal(x, a, n)
-    log_w = -log_sum
-    x.setflags(write=False)
-    log_w.setflags(write=False)
-    return x, log_w
-
-
-def _orthonormal(x: np.ndarray, a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """p_n(x)/p_n'(x) and log sum_{k<n} p_k(x)^2 for the orthonormal polynomials of _laguerre's weight.
-
-    sqrt((k+1)(k+1+a)) p_{k+1} = (x - 2k - a - 1) p_k - sqrt(k (k+a)) p_{k-1},
-    p_0 = 1.  Whenever a sum passes 1e200 every node's terms are divided by
-    the square root of its sum, whose log is carried aside.
-    """
-    p_prev, p, dp_prev, dp = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
-    total, log_scale, b = np.ones_like(x), np.zeros_like(x), 0.0
-    for k in range(n):
-        b_next, xd = math.sqrt((k + 1.0) * (k + 1.0 + a)), x - (2.0 * k + a + 1.0)
-        dp_prev, dp = dp, (xd * dp + p - b * dp_prev) / b_next
-        p_prev, p, b = p, (xd * p - b * p_prev) / b_next, b_next
-        if k < n - 1:
-            total += p * p
-            if total.max() > 1e200:
-                r = 1.0 / np.sqrt(total)
-                log_scale += np.log(total)
-                p, p_prev, dp, dp_prev, total = p * r, p_prev * r, dp * r, dp_prev * r, np.ones_like(x)
-    return p / dp, log_scale + np.log(total)
-
-
 @functools.lru_cache(maxsize=64)
 def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]:
-    """The kept node pairs of the tensor of _laguerre(a_x, n) and _laguerre(a_y, n): rows 1, X, Y, X Y; log w.
+    """The kept node pairs of the tensor of laguerre(a_x, n) and laguerre(a_y, n): rows 1, X, Y, X Y; log w.
 
     a_y None stands for a single node 0 of weight 1.  Pairs run x-major, and
     those weighing less than e^-LOSS_WEIGHT_DROP of the heaviest are left
     out.  Memoized per (a_x, a_y, n); the arrays are read-only.
     """
-    x, log_wx = _laguerre(a_x, n)
-    y, log_wy = (np.zeros(1), np.zeros(1)) if a_y is None else _laguerre(a_y, n)
+    x, log_wx = laguerre(a_x, n)
+    y, log_wy = (np.zeros(1), np.zeros(1)) if a_y is None else laguerre(a_y, n)
     log_w = (log_wx[:, None] + log_wy).ravel()
     keep = log_w >= log_w.max() - LOSS_WEIGHT_DROP
     X, Y = np.repeat(x, y.size)[keep], np.tile(y, x.size)[keep]
@@ -281,27 +226,6 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     return log_i
 
 
-def _certified(loss: Callable[[int, np.ndarray], np.ndarray], rows: int) -> np.ndarray:
-    """Per-row losses, each accepted once loss(n, index) and loss(3n/2, index) agree within LOSS_TOL.
-
-    Rows that disagree move on to the next pair, from LOSS_START_NODES while
-    3n/2 <= LOSS_MAX_NODES; past that the certificate fails.
-    """
-    out, todo, n = np.empty(rows), np.arange(rows), LOSS_START_NODES
-    coarse, gap = loss(n, todo), math.inf
-    while todo.size:
-        if 3 * n // 2 > LOSS_MAX_NODES:
-            raise UnreliableNormalizationError(
-                f"loss quadrature: {todo.size} row(s) uncertified at {n} nodes, n vs 3n/2 gap {gap:.3e}")
-        n = 3 * n // 2
-        fine = loss(n, todo)
-        diff = np.abs(fine - coarse)
-        ok = diff <= LOSS_TOL
-        out[todo[ok]] = fine[ok]
-        todo, coarse, gap = todo[~ok], fine[~ok], float(np.max(diff[~ok], initial=0.0))
-    return out
-
-
 def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta: float) -> np.ndarray:
     """E log(q(Y) + o) for each row, Y ~ N(Q theta, I/eta), q and o a kernel factor's quadratic form and offset.
 
@@ -309,7 +233,7 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta
     M(tau) = E e^(-tau q(Y)) = prod_i (1 + 2 tau/(eta sigma_i))^(-1/2)
     exp(-(tau/sigma_i)(theta_i - mu_i)^2/(1 + 2 tau/(eta sigma_i))) times
     (1 + 2 tau/(eta c2))^(-(m-l)/2), sigma_i = c2 + e_i and mu the factor's
-    center.  The t-integral is positive and runs on z = log t by _log_trapezoid.
+    center.  The t-integral is positive and runs on z = log t by quad.log_trapezoid.
     """
     c2, (m, l) = kernel.c2, kernel.Q.shape
     e, mu, o = (kernel.e_b, kernel.theta_b, kernel.o) if second else (kernel.e_u, kernel.v, kernel.s)
@@ -324,7 +248,7 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta
         log_m -= ((m - l) / 2.0) * np.log1p(2.0 * tau / (eta * c2))
         return -t + np.log(-np.expm1(log_m))
 
-    return np.log(o) + np.exp(_log_trapezoid_rows(g, o.size))
+    return np.log(o) + np.exp(log_trapezoid(g, o.size))
 
 
 def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float | np.ndarray:
@@ -332,7 +256,7 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
 
     For |alpha| < 1 the loss is -4 expm1(log I)/(1 - alpha^2), I the affinity
     int p^((1-alpha)/2) phat^((1+alpha)/2) (_log_affinity), by generalized
-    Gauss-Laguerre rules certified row by row (_certified).  At alpha = -1
+    Gauss-Laguerre rules certified row by row (quad.certified).  At alpha = -1
     it is E log p - E log phat, with E log p = -(m/2)(log(2 pi/eta) + 1) and
     each kernel factor's E log(q(Y) + o) a Frullani integral (_expected_log).
     Raises UnreliableNormalizationError when a row's quadrature fails its
@@ -348,7 +272,7 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
             loss = loss + block.B * _expected_log(block, True, theta, eta)
     else:
         scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta, eta)
-        loss = _certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s))
+        loss = certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s))
     return loss if np.ndim(kernel.s) else float(loss[0])
 
 

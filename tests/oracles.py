@@ -25,9 +25,9 @@ from shrinkpred.predictive import (
     PluginDensity,
     PluginEstimate,
     PredictiveKernel,
-    UnreliableNormalizationError,
     plugin_density,
 )
+from shrinkpred.quad import UnreliableNormalizationError
 from shrinkpred.risk import RiskEstimate
 
 MIN_ESS_FRACTION = 0.05

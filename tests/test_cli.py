@@ -405,6 +405,7 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
                  [np.nextafter(1e17, 0), 1e16, -12345678901234567.0],
                  [1e-5, -np.nextafter(1e-4, 0), 2.5e-6],
                  [np.nextafter(1e17, 1e18), 0.5, 1250000000000000.25]]
+    rows[8] = [np.inf, 0.5, -np.inf]   # infinite coordinates are accepted
     pts = tmp_path / "points.csv"
     np.savetxt(pts, rows, delimiter=",", fmt="%.17g")
     obs_doc = {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}
@@ -413,13 +414,13 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
         "density": {"problem": str(out / "problem.json"), "observation": obs_doc, "type": kind,
                     "alpha": 0.3, "points": str(pts)},
     }, "c2.json")
-    # the 1e300 coordinate puts the row's density at 0: log density -inf, with no RuntimeWarning
+    # the 1e300 and infinite coordinates put the row's density at 0: log density -inf, with no RuntimeWarning
     assert main(["density-eval", "--config", cfg, "--out", str(out)]) == 0
     problem = problem_from_dict(json.loads((out / "problem.json").read_text()))
     obs = CanonicalObservation(v=obs_doc["v"], v_star=obs_doc["v_star"], s=obs_doc["s"])
     dens = DENSITY_BUILDERS[kind](problem, build_prior(load_config(cfg), problem), obs)
     log_u = dens.log_unnormalized(rows)
-    assert log_u[0] == -math.inf
+    assert log_u[0] == log_u[8] == -math.inf
     lines = ["ytilde_1,ytilde_2,ytilde_3,log_density_unnormalized,log_norm_const,log_density"]
     for row, lu in zip(rows, log_u):
         cells = [_fmt(x) for x in row]
@@ -507,11 +508,42 @@ def test_csv_files_without_rows_are_rejected_without_a_warning(tmp_path, capsys,
         assert not (tmp_path / "o").exists()
 
 
+NOT_A_TABLE = "{key} file {path} is not a table of numbers: "
+
+
+@pytest.mark.parametrize("key, text, message", [
+    pytest.param("points", "1,2,3\n4,5,x\n", "error: " + NOT_A_TABLE + "could not convert", id="points-cell"),
+    pytest.param("points", "1,2,3\n4,5\n", "error: " + NOT_A_TABLE + "the number of columns", id="points-ragged"),
+    pytest.param("points", "1,2,3\nnan,5,6\n", "error: points must be numbers or +-inf, not nan, in {path}\n",
+                 id="points-nan"),
+    pytest.param("X", "1,0,0\n0,x,0\n", "configuration error: X must be a matrix of numbers: " + NOT_A_TABLE,
+                 id="X-cell"),
+    pytest.param("X", "1,0,0\n0,1\n", "configuration error: X must be a matrix of numbers: " + NOT_A_TABLE,
+                 id="X-ragged"),
+])
+def test_csv_files_that_are_not_tables_of_numbers_name_the_key(tmp_path, capsys, as1_problem_n12, key, text,
+                                                                 message):
+    # numpy's own message used to come through alone, and a nan point used to give a nan row and exit 0
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    if key == "points":
+        density = {"problem": problem_to_dict(as1_problem_n12), "points": str(path),
+                   "observation": {"v": [0.5] * 3, "v_star": [], "s": 8.0}}
+        argv = ["density-eval", "--config", write_config(tmp_path, {"seed": 1, "density": density})]
+    else:
+        design = {"type": "explicit", "X": str(path), "Xtilde": [[1.0, 0.0, 0.0]]}
+        argv = ["canonicalize", "--config", write_config(tmp_path, {"design": design})]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(message.format(key=key, path=path))
+    assert not (tmp_path / "o").exists()
+
+
 def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
-    import shrinkpred.predictive as predictive_module
+    import shrinkpred.quad as quad_module
 
     # with no room to refine, the shrinkage constant's quadrature certificate fails
-    monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
     capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
@@ -520,15 +552,30 @@ def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
-    import shrinkpred.risk as risk_module
+    import shrinkpred.quad as quad_module
 
     # with no larger Gauss-Laguerre rule to compare against, no alpha < 1 loss is certified
-    monkeypatch.setattr(risk_module, "LOSS_MAX_NODES", risk_module.LOSS_START_NODES)
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
     capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("normalization certificate failed:") and "loss quadrature" in err
+    assert not (tmp_path / "o" / "risk_compare.csv").exists()
+
+
+def test_kullback_leibler_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
+    import shrinkpred.cli as cli_mod
+    import shrinkpred.quad as quad_module
+
+    # at alpha = -1 the best invariant loss's Frullani integrals fail first, before any shrinkage constant
+    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(cli_mod, "shrinkage_bayes_kernel", lambda *args: pytest.fail("shrinkage kernel built"))
+    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[-1.0]))
+    capsys.readouterr()
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("normalization certificate failed: trapezoid rule") and "n vs 2n" in err
     assert not (tmp_path / "o" / "risk_compare.csv").exists()
 
 

@@ -10,11 +10,11 @@ from scipy.special import betaln
 from shrinkpred.canonical import CanonicalProblem
 from shrinkpred.predictive import (
     PriorSpec,
-    UnreliableNormalizationError,
     beta_integral_identity,
     lemma_identity_residual,
     shrinkage_components,
 )
+from shrinkpred.quad import UnreliableNormalizationError
 
 
 def random_instance(rng):

@@ -9,6 +9,7 @@ from scipy import integrate, stats
 
 from shrinkpred.bounds import a_of_nu
 import shrinkpred.predictive as predictive_module
+import shrinkpred.quad as quad_module
 from shrinkpred.canonical import (
     STREAM_DESIGN,
     CanonicalObservation,
@@ -22,7 +23,6 @@ from shrinkpred.canonical import (
 from shrinkpred.predictive import (
     DegenerateObservationError,
     PriorSpec,
-    UnreliableNormalizationError,
     alpha_limit_check,
     best_invariant_kernel,
     lemma_identity_residual,
@@ -34,6 +34,7 @@ from shrinkpred.predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+from shrinkpred.quad import UnreliableNormalizationError
 
 from oracles import log_marginal_kernel, normalize_density, sample
 
@@ -521,7 +522,7 @@ def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
     near = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
     cases = [(as1_problem_n12, near), (far_problem, far_obs)]
     base = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
-    monkeypatch.setattr(predictive_module, "QUAD_START_INTERVALS", 4 * predictive_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(quad_module, "QUAD_START_INTERVALS", 4 * quad_module.QUAD_START_INTERVALS)
     fine = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     assert np.all(np.isfinite(base))
     assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
@@ -531,14 +532,14 @@ def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
     # no refinement allowed: the n vs 2n comparison can never be made
-    monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     with pytest.raises(UnreliableNormalizationError, match="n vs 2n"):
         shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
     monkeypatch.undo()
     # a window that may not grow cannot reach a long tail's QUAD_DROP
     long_tail = PriorSpec.from_problem(prob_m3, c=2.0, a=-prob_m3.k / 2.0 - 1.0 + 0.01)
     shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
-    monkeypatch.setattr(predictive_module, "QUAD_MAX_WIDTH", 2.0 * predictive_module.QUAD_HALF_WIDTH)
+    monkeypatch.setattr(quad_module, "QUAD_MAX_WIDTH", 2.0 * quad_module.QUAD_HALF_WIDTH)
     with pytest.raises(UnreliableNormalizationError, match="of its peak"):
         shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
 

@@ -1,8 +1,10 @@
 """Divergence generator, closed-form losses, Monte Carlo risk machinery."""
 
+import decimal
 import functools
 import math
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from shrinkpred.canonical import (
 from shrinkpred.predictive import (
     PluginEstimate,
     PriorSpec,
-    UnreliableNormalizationError,
     best_invariant_kernel,
     plugin_bayes_estimators,
     plugin_density,
@@ -33,8 +34,9 @@ from shrinkpred.predictive import (
     shrinkage_components,
     umvu_estimators,
 )
-import shrinkpred.predictive as predictive_module
+import shrinkpred.quad as quad_module
 import shrinkpred.risk as risk_module
+from shrinkpred.quad import UnreliableNormalizationError
 from shrinkpred.risk import (
     ChiSquareCheck,
     RiskEstimate,
@@ -378,7 +380,7 @@ def test_risk_estimate_validation():
 
 def test_certificate_failure_propagates(prob_m3, monkeypatch):
     # a shrinkage constant that fails its quadrature certificate stops the run
-    monkeypatch.setattr(predictive_module, "QUAD_MAX_INTERVALS", predictive_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError):
         risk_mc(_two_rules(prob_m3, 0.0), prob_m3, [params], 0.0, 60, seed=2)
@@ -407,10 +409,21 @@ def test_risk_path_makes_no_inner_monte_carlo(prob_m3, alpha):
 
 def test_loss_certificate_failure_propagates(prob_m3, monkeypatch):
     # with no larger rule to compare against, no row's loss quadrature is certified
-    monkeypatch.setattr(risk_module, "LOSS_MAX_NODES", risk_module.LOSS_START_NODES)
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError, match="loss quadrature"):
         risk_mc(_two_rules(prob_m3, 0.5), prob_m3, [params], 0.5, 60, seed=2)
+
+
+def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypatch):
+    # the best invariant rule alone at alpha = -1 needs no shrinkage constant: the trapezoid
+    # rule that fails is the one of its Frullani integrals
+    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
+    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
+    rules = {"best_invariant": lambda o: best_invariant_kernel(prob_m3, o, -1.0)}
+    with pytest.raises(UnreliableNormalizationError, match="n vs 2n") as raised:
+        risk_mc(rules, prob_m3, [params], -1.0, 60, seed=2)
+    assert "_expected_log" in [entry.name for entry in raised.traceback]
 
 
 def test_rule_alpha_must_match(prob_m3):
@@ -435,7 +448,7 @@ def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
 @pytest.mark.parametrize("a", [-0.99, -0.5, 0.0, 2.5, 9.5, 120.0])
 @pytest.mark.parametrize("n", [32, 48])
 def test_laguerre_rule_matches_scipy(a, n):
-    x, log_w = risk_module._laguerre(a, n)
+    x, log_w = quad_module.laguerre(a, n)
     ref_x, ref_w = scipy.special.roots_genlaguerre(n, a)
     assert np.allclose(x, ref_x, rtol=1e-10, atol=0.0)
     # normalized weights: equal to rounding, and in log on every node that carries mass
@@ -450,7 +463,7 @@ def test_laguerre_rule_finite_where_scipy_overflows(a):
     # roots_genlaguerre's weights are not finite at these parameters
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(scipy.special.roots_genlaguerre(32, a)[1]))
-    x, log_w = risk_module._laguerre(a, 32)
+    x, log_w = quad_module.laguerre(a, 32)
     w = np.exp(log_w)
     assert np.all(np.isfinite(x)) and not np.any(np.isnan(log_w))
     # the rule integrates polynomials of degree < 64 exactly: sum 1, mean a+1, second moment (a+1)(a+2)
@@ -462,10 +475,10 @@ def test_laguerre_rule_finite_where_scipy_overflows(a):
 @pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
 @pytest.mark.parametrize("n", [162, 243, 364])
 def test_laguerre_rule_at_largest_certificate_nodes(a, n):
-    # the node counts _certified reaches from LOSS_START_NODES by 3n/2 steps within LOSS_MAX_NODES
+    # the node counts quad.certified reaches from LOSS_START_NODES by 3n/2 steps within LOSS_MAX_NODES
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        x, log_w = risk_module._laguerre.__wrapped__(a, n)
+        x, log_w = quad_module.laguerre.__wrapped__(a, n)
     w = np.exp(log_w)
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
     assert w @ x == pytest.approx(a + 1.0, rel=1e-12)
@@ -489,7 +502,7 @@ def test_laguerre_rule_at_largest_certificate_nodes(a, n):
 def test_laguerre_rule_integrates_every_monomial_below_degree_2n(a, n):
     # the defining property of the n-point Gauss rule, with no scipy: E x^j = Gamma(a+1+j)/Gamma(a+1)
     # for j < 2n, compared in log space, where x^j and the moments overflow
-    x, log_w = risk_module._laguerre(a, n)
+    x, log_w = quad_module.laguerre(a, n)
     j = np.arange(2 * n)
     terms = log_w + j[:, None] * np.log(x)
     top = terms.max(axis=1)
@@ -498,9 +511,39 @@ def test_laguerre_rule_integrates_every_monomial_below_degree_2n(a, n):
     assert np.abs(got - want).max() <= 1e-11
 
 
+def _decimal_orthonormal(x: Decimal, a: Decimal, n: int) -> tuple[Decimal, Decimal]:
+    """p_n(x)/p_n'(x) and log sum_{k<n} p_k(x)^2 of laguerre's recurrence, in the current decimal context."""
+    p_prev, p, dp_prev, dp, total, b = Decimal(0), Decimal(1), Decimal(0), Decimal(0), Decimal(1), Decimal(0)
+    for k in range(n):
+        b_next, xd = ((k + 1) * (k + 1 + a)).sqrt(), x - (2 * k + a + 1)
+        dp_prev, dp = dp, (xd * dp + p - b * dp_prev) / b_next
+        p_prev, p, b = p, (xd * p - b * p_prev) / b_next, b_next
+        if k < n - 1:
+            total += p * p
+    return p / dp, total.ln()
+
+
+@pytest.mark.parametrize("a", [-0.99, -0.5, 4.25, 120.0])
+def test_laguerre_log_weights_match_a_50_digit_reference(a):
+    # the reference runs Newton on the recurrence in 50-digit decimals from the rule's own nodes;
+    # the rule's Newton polish is what brings its log weights this close (without it: 2.8e-13 to 5.7e-13)
+    n = 72
+    x, log_w = quad_module.laguerre(a, n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        errors = []
+        for node, got in zip(x.tolist(), log_w.tolist()):
+            node = Decimal(node)
+            for _ in range(4):
+                step, _ = _decimal_orthonormal(node, Decimal(a), n)
+                node -= step
+            errors.append(abs(Decimal(got) + _decimal_orthonormal(node, Decimal(a), n)[1]))
+    assert max(errors) <= Decimal("1e-13")
+
+
 def test_laguerre_rule_is_cached_and_read_only():
-    x, log_w = risk_module._laguerre(2.75, 48)
-    again = risk_module._laguerre(2.75, 48)
+    x, log_w = quad_module.laguerre(2.75, 48)
+    again = quad_module.laguerre(2.75, 48)
     assert again[0] is x and again[1] is log_w
     for array in (x, log_w):
         with pytest.raises(ValueError):
@@ -568,13 +611,13 @@ def per_axis_log_affinity(kernel, theta, eta, n):
     """log I of every row of a block kernel at n nodes per factor, one axis at a time.
 
     The per-axis affinity formula, kept as an oracle: the node pairs are
-    rebuilt from _laguerre, and each of the l eigen-axes and the m - l
+    rebuilt from quad.laguerre, and each of the l eigen-axes and the m - l
     complement axes contributes its own P, log and division.
     """
     beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) * eta / 4.0, kernel.c2
     (m, l), rows = kernel.Q.shape, np.size(kernel.s)
-    x, log_wx = risk_module._laguerre(kernel.A * beta - 1.0, n)
-    y, log_wy = (np.zeros(1), np.zeros(1)) if kernel.o is None else risk_module._laguerre(kernel.B * beta - 1.0, n)
+    x, log_wx = quad_module.laguerre(kernel.A * beta - 1.0, n)
+    y, log_wy = (np.zeros(1), np.zeros(1)) if kernel.o is None else quad_module.laguerre(kernel.B * beta - 1.0, n)
     e_b, theta_b, o = (kernel.e_u, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
     log_w = (log_wx[:, None] + log_wy).ravel()
     keep = log_w >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
@@ -667,7 +710,7 @@ def test_node_pairs_are_cached_read_only_and_built_once():
     assert X.shape == Y.shape == XY.shape == log_w.shape and log_w.size < 48 * 48
     assert np.all(one == 1.0) and np.array_equal(XY, X * Y)
     assert log_w.min() >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
-    x, _ = risk_module._laguerre(3.25, 48)
+    x, _ = quad_module.laguerre(3.25, 48)
     assert np.all(np.isin(X, x)) and np.all(np.diff(np.searchsorted(x, X)) >= 0)   # x-major order
     # a second block at the same alpha finds every rule it needs already built
     kernel, theta, eta, _ = affinity_cases()["all_equal-0.0"]
