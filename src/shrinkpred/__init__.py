@@ -42,8 +42,6 @@ from .predictive import (
     PriorSpec,
     alpha_limit_check,
     best_invariant_kernel,
-    beta_integral_identity,
-    lemma_identity_residual,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_kernel,
@@ -52,14 +50,12 @@ from .predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+from .identities import beta_integral_identity, lemma_identity_residual, log_inequality_margin
 from .quad import UnreliableNormalizationError
 from .risk import (
-    ChiSquareCheck,
     RiskEstimate,
     alpha_divergence_loss,
-    chi_square_identity_check,
     d1_loss_plugin,
-    log_inequality_margin,
     minimax_risk,
     risk_d1_mc,
     risk_mc,

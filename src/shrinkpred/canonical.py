@@ -57,11 +57,11 @@ BLOCK_SIZE = 4096
 
 # Stream tags for the counter-based generator; each consumer of randomness
 # gets its own 2^192-draw slice of the keyed counter space, so streams
-# sharing a (seed, rep) key never overlap.  DIVERGENCE and NORMALIZATION
-# key the draws of the Monte Carlo test oracles in tests/oracles.py
-# (alpha_divergence_mc, normalize_density) and stay reserved so no other
-# consumer reuses them; LEMMA and BETA draw the identity suite's random
-# instances.
+# sharing a (seed, rep) key never overlap.  DIVERGENCE, NORMALIZATION and
+# IDENTITY key only the draws of the Monte Carlo test oracles in
+# tests/oracles.py (alpha_divergence_mc, normalize_density,
+# chi_square_identity_mc) and stay reserved so no other consumer reuses
+# them; LEMMA and BETA draw the identity suite's random instances.
 STREAM_OBSERVATION = 0
 STREAM_DIVERGENCE = 1
 STREAM_NORMALIZATION = 2
@@ -144,6 +144,9 @@ class CanonicalProblem:
         object.__setattr__(self, "d", _freeze(self.d).ravel())
         object.__setattr__(self, "Q", _freeze(self.Q))
         object.__setattr__(self, "coef_transform", _freeze(self.coef_transform))
+        for name in ("d", "Q", "coef_transform"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must hold finite numbers")
         l = self.l
         if self.d.shape != (l,) or np.any(self.d <= 0):
             raise ValueError("d must be a positive l-vector")
@@ -438,14 +441,17 @@ def problem_from_dict(doc: dict) -> CanonicalProblem:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"problem document's '{key}' is malformed: {exc}") from None
 
-    def arr(key):
-        return field(key, lambda val: np.asarray(val, dtype=float))
+    def integer(val):
+        if isinstance(val, bool) or not (isinstance(val, int) or isinstance(val, float) and val.is_integer()):
+            raise ValueError(f"{val!r} is not an integer")
+        return int(val)
 
-    return CanonicalProblem(
-        n=field("n", int), k=field("k", int), m=field("m", int),
-        d=arr("d"), Q=arr("Q"), coef_transform=arr("coef_transform"),
-        cond_xtx=field("cond_xtx", float) if "cond_xtx" in doc else 1.0,
-    )
+    args = {key: field(key, integer) for key in ("n", "k", "m")}
+    args.update({key: field(key, lambda val: np.asarray(val, dtype=float)) for key in ("d", "Q", "coef_transform")})
+    try:
+        return CanonicalProblem(**args, cond_xtx=field("cond_xtx", float) if "cond_xtx" in doc else 1.0)
+    except ValueError as exc:
+        raise ValueError(f"problem document is invalid: {exc}") from None
 
 
 def load_design(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -26,9 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .canonical import (
     BLOCK_SIZE,
-    STREAM_BETA,
     STREAM_DESIGN,
-    STREAM_LEMMA,
     CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,
@@ -46,8 +44,6 @@ from .predictive import (
     PluginEstimate,
     PriorSpec,
     best_invariant_kernel,
-    beta_integral_identity,
-    lemma_identity_residual,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_kernel,
@@ -55,8 +51,9 @@ from .predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+from .identities import run_identities
 from .quad import UnreliableNormalizationError
-from .risk import chi_square_identity_check, log_inequality_margin, min_reps, minimax_risk, risk_mc
+from .risk import min_reps, minimax_risk, risk_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -74,11 +71,6 @@ EXIT_USAGE = 1
 EXIT_CANONICAL = 2
 EXIT_IDENTITY = 3
 EXIT_MC_GUARD = 4
-
-# The identity suite's fixed checks: lemma and beta relative gaps, the chi-square gap in
-# standard errors at phi(w) = nu w/(nu + 1 + w), and the log bound's least margin.
-LEMMA_TOL, BETA_TOL, LOG_TOL = 1e-8, 1e-6, 1e-12
-CHISQ_SE_MULT, CHISQ_NU, CHISQ_DOF, CHISQ_NUMERATOR_DOF = 4.0, 0.3, 9, 3
 
 
 def _fmt(x: float) -> str:
@@ -144,14 +136,6 @@ class GridConfig:
 
 
 @dataclass
-class IdentityConfig:
-    lemma_instances: int = 200
-    beta_instances: int = 50
-    chisq_draws: int = 100_000
-    log_grid_points: int = 10_000
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     design: DesignConfig | None = None
@@ -162,7 +146,6 @@ class ExperimentConfig:
     reps_outer: int = 2000
     n_mc_inner: int = 2000  # read and checked, but without effect: alpha < 1 losses are exact
     is_samples: int = 20_000  # read and checked, but without effect: the shrinkage constant is a quadrature
-    identities: IdentityConfig = field(default_factory=IdentityConfig)
     density: dict = field(default_factory=dict)
     out: str | None = None
 
@@ -327,13 +310,6 @@ def load_config(path: str) -> ExperimentConfig:
             raise ValueError(f"{key} must be at least {min_reps(alpha)}, got {count}")
     cfg.n_mc_inner = _int(doc, "n_mc_inner", 2000)
     cfg.is_samples = _int(doc, "is_samples", 20_000)
-    ident = _section(doc.get("identities", {}), IdentityConfig, "identities")
-    cfg.identities = IdentityConfig(**{key: _int(ident, key, getattr(IdentityConfig, key)) for key in ident})
-    for key, count in vars(cfg.identities).items():
-        if count < 0:
-            raise ValueError(f"{key} must be nonnegative, got {count}")
-    if cfg.identities.chisq_draws == 1:  # its standard error needs a second draw
-        raise ValueError("chisq_draws must be 0 or at least 2, got 1")
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
     _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
     if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
@@ -452,89 +428,15 @@ def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _lemma_gap(rng) -> float:
-    """Relative gap of the quadratic-form lemma on one random instance."""
-    l = int(rng.integers(1, 5))
-    m = l + int(rng.integers(0, 4))
-    Q, _ = np.linalg.qr(rng.standard_normal((m, l)))
-    F = rng.uniform(0.0, 1.0, l)
-    ds = rng.uniform(0.1, 3.0, l)
-    y = rng.standard_normal(m)
-    v = rng.standard_normal(l)
-    lhs, rhs = lemma_identity_residual(F, ds, Q, y, v)
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
-
-
-def _beta_gap(rng) -> float:
-    """Relative gap of the beta integral's quadrature on one random instance."""
-    a_exp = rng.uniform(-0.45, 2.5)
-    b_exp = rng.uniform(-0.45, 2.5)
-    w = rng.uniform(0.05, 8.0)
-    quad_val, closed = beta_integral_identity(a_exp, b_exp, w)
-    return abs(quad_val - closed) / closed
-
-
-def _run_identities(cfg: ExperimentConfig) -> dict:
-    ic = cfg.identities
-    seed = cfg.seed
-    results = {}
-
-    # instance i of each check draws from its own keyed stream
-    for name, instances, stream, gap, tol in (
-        ("lemma_quadratic_form", ic.lemma_instances, STREAM_LEMMA, _lemma_gap, LEMMA_TOL),
-        ("beta_integral", ic.beta_instances, STREAM_BETA, _beta_gap, BETA_TOL),
-    ):
-        max_gap = 0.0
-        for i in range(instances):
-            max_gap = max(max_gap, gap(replication_rng(seed, i, stream=stream)))
-        results[name] = {"instances": instances, "max_rel_gap": max_gap, "tolerance": tol, "pass": max_gap <= tol}
-
-    if ic.chisq_draws > 0:
-        def phi(w):
-            return CHISQ_NU * w / (CHISQ_NU + 1.0 + w)
-
-        def phi_prime(w):
-            return CHISQ_NU * (CHISQ_NU + 1.0) / (CHISQ_NU + 1.0 + w) ** 2
-
-        check = chi_square_identity_check(phi, CHISQ_DOF, ic.chisq_draws, seed, phi_prime, CHISQ_NUMERATOR_DOF)
-        results["chi_square_identity"] = {
-            "instances": ic.chisq_draws,
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "gap": check.gap,
-            "std_error": check.std_error,
-            "se_multiplier": CHISQ_SE_MULT,
-            "pass": bool(abs(check.gap) <= CHISQ_SE_MULT * check.std_error),
-        }
-    else:
-        results["chi_square_identity"] = {"instances": 0, "pass": True}
-
-    if ic.log_grid_points > 0:
-        npts = ic.log_grid_points
-        x = np.arange(1, npts + 1) / (npts + 1) * 0.99
-        margin = float(log_inequality_margin(x).min())
-        results["log_inequality"] = {
-            "instances": npts,
-            "min_margin": margin,
-            "tolerance": LOG_TOL,
-            "pass": margin >= -LOG_TOL,
-        }
-    else:
-        results["log_inequality"] = {"instances": 0, "pass": True}
-
-    results["all_pass"] = all(v["pass"] for v in results.values() if isinstance(v, dict))
-    return results
-
-
 def run_identity_suite(cfg: ExperimentConfig, out_dir: str) -> int:
-    results = _run_identities(cfg)
+    results = run_identities(cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "identities.json"), results)
     for name, entry in results.items():
         if isinstance(entry, dict):
             status = "PASS" if entry["pass"] else "FAIL"
-            gap = entry.get("max_rel_gap", entry.get("gap", entry.get("min_margin", 0.0)))
-            print(f"{name}: {status} (instances={entry['instances']}, gap={gap:.3e})")
+            gap = entry.get("max_rel_gap", entry.get("rel_gap", entry.get("min_margin")))
+            print(f"{name}: {status} (gap={gap:.3e}, tol={entry['tolerance']:.1e})")
     return EXIT_OK if results["all_pass"] else EXIT_IDENTITY
 
 

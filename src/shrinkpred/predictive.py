@@ -49,8 +49,6 @@ __all__ = [
     "stein_variance",
     "stein_variance_star",
     "alpha_limit_check",
-    "lemma_identity_residual",
-    "beta_integral_identity",
 ]
 
 
@@ -482,72 +480,3 @@ def alpha_limit_check(problem: CanonicalProblem, prior: PriorSpec, obs: Canonica
     for i, alpha in enumerate(alphas):
         gaps[i] = np.abs(shrinkage_bayes_kernel(problem, prior, obs, alpha).log_density(pts) - ref)
     return gaps
-
-
-# ---------------------------------------------------------------------------
-# Identity machinery
-# ---------------------------------------------------------------------------
-
-
-def lemma_identity_residual(F, D_star, Q, ytilde, v) -> tuple[float, float]:
-    """Both sides of the quadratic-form rearrangement used in the derivations.
-
-    F and D_star are the diagonals of diagonal matrices, Q has orthonormal
-    columns.  Returns (lhs, rhs) where lhs is the direct quadratic form and
-    rhs its completed-square re-expression; they agree to rounding error.
-    """
-    F = np.asarray(F, dtype=float).ravel()
-    ds = np.asarray(D_star, dtype=float).ravel()
-    Q = np.asarray(Q, dtype=float)
-    y = np.asarray(ytilde, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    l = F.size
-    if ds.shape != (l,) or v.shape != (l,) or Q.shape != (y.size, l):
-        raise ValueError("inconsistent dimensions")
-    if np.abs(Q.T @ Q - np.eye(l)).max() > 1e-8:
-        raise ValueError("Q must have orthonormal columns")
-    g = 1.0 + ds * (1.0 - F)
-    if np.any(np.abs(g) < 1e-12):
-        raise np.linalg.LinAlgError("I + D*(I - F) is singular")
-
-    t = Q.T @ y + v / ds
-    lhs = float(y @ y + v @ (v / ds) - t @ (F / (1.0 + 1.0 / ds) * t))
-
-    loc = Q @ (F / g * v)
-    mat = np.eye(y.size) + (Q * (F * ds / g)) @ Q.T
-    resid = y - loc
-    quad = float(resid @ np.linalg.solve(mat, resid))
-    rhs = quad + float(v @ ((ds + 1.0) * (1.0 - F) / (ds * g) * v))
-    return lhs, rhs
-
-
-def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float, float]:
-    """Quadrature and closed form of int_0^1 t^a (1-t)^b (1 + w t)^{-(a+b+2)} dt.
-
-    At exponent a + b + 2 the integral collapses to
-    Be(a+1, b+1) / (w+1)^{a+1}.  The quadrature is quad.log_trapezoid on the
-    logit scale t = expit(z), where the integrand becomes
-    exp((a+1) log t + (b+1) log(1-t) - (a+b+2) log1p(w t)).  Returns
-    (quadrature, closed_form).
-
-    Any a, b > -1 and w > -1 are accepted, but the tails of the logit-scale
-    integrand fall with slopes a + 1 and b + 1, so the window must reach
-    about quad.QUAD_DROP/(min(a, b) + 1).  The working domain is exponents down to about
-    -0.997: at -0.99 and -0.995 the quadrature matches the closed form to
-    2e-15, while at -0.998 and below it needs more than quad.QUAD_MAX_INTERVALS
-    and raises UnreliableNormalizationError.
-    """
-    if a_exp <= -1 or b_exp <= -1:
-        raise ValueError("exponents must exceed -1")
-    if w <= -1:
-        raise ValueError("w must exceed -1")
-
-    def g(z: np.ndarray, rows: slice) -> np.ndarray:   # rows is slice(0, 1), the one row, of w
-        log_t = _log_expit(z)
-        return ((a_exp + 1.0) * log_t + (b_exp + 1.0) * _log_expit(-z)
-                - (a_exp + b_exp + 2.0) * np.log1p(np.array([[w]]) * np.exp(log_t)))
-
-    log_closed = (math.lgamma(a_exp + 1.0) + math.lgamma(b_exp + 1.0) - math.lgamma(a_exp + b_exp + 2.0)
-                  - (a_exp + 1.0) * math.log(w + 1.0))
-    return math.exp(float(log_trapezoid(g, 1)[0])), math.exp(log_closed)
-

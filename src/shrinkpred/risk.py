@@ -32,17 +32,15 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .canonical import (
     BLOCK_SIZE,
-    STREAM_IDENTITY,
     CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,
-    replication_rng,
     simulate_observation,
 )
 from .predictive import PluginEstimate, PredictiveKernel
@@ -50,15 +48,12 @@ from .quad import certified, laguerre, log_trapezoid
 
 __all__ = [
     "RiskEstimate",
-    "ChiSquareCheck",
     "d1_loss_plugin",
     "minimax_risk",
     "alpha_divergence_loss",
     "min_reps",
     "risk_mc",
     "risk_d1_mc",
-    "chi_square_identity_check",
-    "log_inequality_margin",
 ]
 
 # _node_pairs leaves out pairs below e^-LOSS_WEIGHT_DROP of the heaviest; LOSS_CHUNK bounds one temporary (256 kB)
@@ -76,13 +71,6 @@ class RiskEstimate:
             raise ValueError("std_error must be nonnegative")
         if self.reps < 2:
             raise ValueError("reps must be at least 2")
-
-
-class ChiSquareCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    gap: float
-    std_error: float
 
 
 # ---------------------------------------------------------------------------
@@ -328,53 +316,3 @@ def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], prob
                params: CanonicalParams, reps: int, seed: int) -> RiskEstimate:
     """Simulated alpha = 1 risk of one block-aware estimation procedure at one point (see risk_mc)."""
     return risk_mc({"procedure": procedure}, problem, [params], 1.0, reps, seed)[0]["procedure"]
-
-
-# ---------------------------------------------------------------------------
-# Identity checks
-# ---------------------------------------------------------------------------
-
-
-def chi_square_identity_check(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dof: int,
-    n_mc: int,
-    seed: int,
-    phi_prime: Callable[[np.ndarray], np.ndarray],
-    numerator_dof: int = 3,
-) -> ChiSquareCheck:
-    """Paired Monte Carlo check of the chi-square integration-by-parts identity.
-
-    With S ~ chi^2_dof, U ~ chi^2_numerator_dof independent and W = U/S,
-    compares E[phi(W) S / W] against E[(dof + 2) phi(W)/W - 2 phi'(W)].
-    Both sides are scale-free (a common variance cancels in W and in S/W
-    over its scale), so unit variance is no loss.  Returns lhs, rhs, their
-    gap and the standard error of the paired differences.
-    """
-    rng = replication_rng(seed, 0, stream=STREAM_IDENTITY)
-    s = rng.chisquare(dof, n_mc)
-    u = rng.chisquare(numerator_dof, n_mc)
-    w = u / s
-    pw = phi(w)
-    lhs_terms = pw * s / w
-    rhs_terms = (dof + 2.0) * pw / w - 2.0 * phi_prime(w)
-    diff = lhs_terms - rhs_terms
-    se = float(np.std(diff, ddof=1) / math.sqrt(n_mc))
-    return ChiSquareCheck(
-        lhs=float(np.mean(lhs_terms)),
-        rhs=float(np.mean(rhs_terms)),
-        gap=float(np.mean(diff)),
-        std_error=se,
-    )
-
-
-def log_inequality_margin(x: np.ndarray) -> np.ndarray:
-    """Margin of the bound -log(1-x) <= x + x^2/(2(1-x)) for x in (0, 1).
-
-    Nonnegative wherever the bound holds; evaluated with log1p to keep the
-    cancellation at small x below the margin itself.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or np.any(x >= 1):
-        raise ValueError("x must lie in (0, 1)")
-    return x + 0.5 * x * x / (1.0 - x) + np.log1p(-x)

@@ -1,15 +1,17 @@
 """Monte Carlo oracles for the exact quadratures of shrinkpred, and the samplers they draw with.
 
 The program computes the shrinkage density's constant by a certified
-trapezoid rule (predictive.shrinkage_bayes_kernel) and the alpha < 1 losses
-by Gauss-Laguerre and Frullani rules (risk.alpha_divergence_loss).  The
-tests check them against independent Monte Carlo estimates:
-normalize_density by importance sampling, alpha_divergence_mc by sampling
-the truth (or, at alpha = 1, the estimate).  Each draws on its own keyed
-stream, STREAM_NORMALIZATION or STREAM_DIVERGENCE, which canonical keeps
-reserved.  log_marginal_kernel is the alpha = 1 marginal whose gradient
-gives the plug-in estimators.  Tests import these as ``from oracles import
-...``, as they import from conftest.
+trapezoid rule (predictive.shrinkage_bayes_kernel), the alpha < 1 losses
+by Gauss-Laguerre and Frullani rules (risk.alpha_divergence_loss) and both
+sides of the chi-square identity by one trapezoid rule
+(identities.chi_square_identity).  The tests check them against
+independent Monte Carlo estimates: normalize_density by importance
+sampling, alpha_divergence_mc by sampling the truth (or, at alpha = 1, the
+estimate), chi_square_identity_mc by paired chi-square draws.  Each draws
+on its own keyed stream, STREAM_NORMALIZATION, STREAM_DIVERGENCE or
+STREAM_IDENTITY, which canonical keeps reserved.  log_marginal_kernel is
+the alpha = 1 marginal whose gradient gives the plug-in estimators.  Tests
+import these as ``from oracles import ...``, as they import from conftest.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from shrinkpred.canonical import STREAM_DIVERGENCE, STREAM_NORMALIZATION, CanonicalProblem, replication_rng
+from shrinkpred.canonical import (
+    STREAM_DIVERGENCE,
+    STREAM_IDENTITY,
+    STREAM_NORMALIZATION,
+    CanonicalProblem,
+    replication_rng,
+)
+from shrinkpred.identities import CHISQ_DOF, CHISQ_NUMERATOR_DOF
 from shrinkpred.predictive import (
     DegenerateObservationError,
     PluginDensity,
@@ -138,6 +147,23 @@ def alpha_divergence_mc(
     mean = float(np.mean(terms))
     se = float(np.std(terms, ddof=1) / math.sqrt(n_mc))
     return RiskEstimate(mean=mean, std_error=se, reps=n_mc)
+
+
+def chi_square_identity_mc(phi: Callable[[np.ndarray], np.ndarray], phi_prime: Callable[[np.ndarray], np.ndarray],
+                           n_mc: int, seed: int) -> tuple[RiskEstimate, RiskEstimate]:
+    """Monte Carlo estimates of both sides of the chi-square identity, from one set of paired draws.
+
+    The oracle for identities.chi_square_identity.  With S ~ chi^2_CHISQ_DOF
+    and U ~ chi^2_CHISQ_NUMERATOR_DOF independent and W = U/S, returns the
+    sample means of phi(W) S/W and of (CHISQ_DOF + 2) phi(W)/W - 2 phi'(W),
+    each with its standard error.
+    """
+    rng = replication_rng(seed, 0, stream=STREAM_IDENTITY)
+    s = rng.chisquare(CHISQ_DOF, n_mc)
+    w = rng.chisquare(CHISQ_NUMERATOR_DOF, n_mc) / s
+    pw = phi(w)
+    sides = (pw * s / w, (CHISQ_DOF + 2.0) * pw / w - 2.0 * phi_prime(w))
+    return tuple(RiskEstimate(float(np.mean(t)), float(np.std(t, ddof=1) / math.sqrt(n_mc)), n_mc) for t in sides)
 
 
 def log_marginal_kernel(

@@ -19,7 +19,8 @@ from shrinkpred.canonical import (
     canonicalize,
     invariant_report,
 )
-from shrinkpred.cli import ExperimentConfig, _run_identities, main
+from shrinkpred.cli import main
+from shrinkpred.identities import run_identities
 from shrinkpred.predictive import (
     PluginEstimate,
     PriorSpec,
@@ -141,13 +142,12 @@ def test_criterion_4_stein_dominance(as1_problem_n12, case2_problem_n12):
 
 
 def test_criterion_5_identity_suite():
-    cfg = ExperimentConfig(seed=505)
-    results = _run_identities(cfg)
+    results = run_identities(505)
+    chisq = results["chi_square_identity"]
     detail = (
         f"lemma {results['lemma_quadratic_form']['max_rel_gap']:.2e}/200, "
         f"beta {results['beta_integral']['max_rel_gap']:.2e}/50, "
-        f"chisq |gap|={abs(results['chi_square_identity']['gap']):.2e} "
-        f"(4SE={4 * results['chi_square_identity']['std_error']:.2e}), "
+        f"chisq rel gap {chisq['rel_gap']:.2e} (tol {chisq['tolerance']:.0e}), "
         f"log-ineq min margin {results['log_inequality']['min_margin']:.2e}"
     )
     report(5, "identity-suite", results["all_pass"], detail)

@@ -197,6 +197,11 @@ def test_problem_constructor_validation():
     with pytest.raises(ValueError):
         CanonicalProblem(d=np.array([2.0, 1.0]), n=10, k=2, m=2,
                          Q=np.full((2, 2), 0.9), coef_transform=np.eye(2))
+    # every comparison with NaN is false, so the checks above would let one through
+    for name, value in (("d", np.array([2.0, np.nan])), ("Q", np.array([[1.0, 0.0], [0.0, np.nan]])),
+                        ("coef_transform", np.array([[1.0, np.inf], [0.0, 1.0]]))):
+        with pytest.raises(ValueError, match=f"^{name} must hold finite numbers"):
+            CanonicalProblem(**{**ok, "d": np.array([2.0, 1.0]), name: value})
 
 
 def test_problem_json_round_trip(as1_problem_n12):

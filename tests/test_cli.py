@@ -26,13 +26,6 @@ def write_config(tmp_path, doc, name="config.json"):
 
 AS1_DESIGN = {"type": "as1", "m": 3, "k": 3, "N": 4}
 
-FAST_IDENTITIES = {
-    "lemma_instances": 50,
-    "beta_instances": 10,
-    "chisq_draws": 20000,
-    "log_grid_points": 1000,
-}
-
 
 def test_canonicalize_as1(tmp_path):
     cfg = write_config(tmp_path, {"seed": 5, "design": AS1_DESIGN})
@@ -192,21 +185,24 @@ def test_bounds_output(tmp_path):
 
 
 def test_identities_pass(tmp_path):
-    cfg = write_config(tmp_path, {"seed": 2, "identities": FAST_IDENTITIES})
+    cfg = write_config(tmp_path, {"seed": 2})
     out = tmp_path / "out"
     assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "identities.json").read_text())
     assert doc["all_pass"]
-    assert doc["lemma_quadratic_form"]["instances"] == 50
+    assert doc["lemma_quadratic_form"]["instances"] == 200
+    chisq = doc["chi_square_identity"]
+    assert list(chisq) == ["lhs", "rhs", "rel_gap", "tolerance", "pass"]
+    assert chisq["rel_gap"] <= chisq["tolerance"] <= 1e-9
 
 
 def test_identities_tight_tolerance_fails(tmp_path, monkeypatch):
-    import shrinkpred.cli as cli_mod
+    import shrinkpred.identities as identities_mod
 
     # the beta check's trapezoid rule agrees with the closed form to a few 1e-15, so ask for 1e-17
-    monkeypatch.setattr(cli_mod, "BETA_TOL", 1e-17)
-    monkeypatch.setattr(cli_mod, "LEMMA_TOL", 1e-14)
-    cfg = write_config(tmp_path, {"seed": 2, "identities": FAST_IDENTITIES})
+    monkeypatch.setattr(identities_mod, "BETA_TOL", 1e-17)
+    monkeypatch.setattr(identities_mod, "LEMMA_TOL", 1e-14)
+    cfg = write_config(tmp_path, {"seed": 2})
     out = tmp_path / "out"
     assert main(["identities", "--config", cfg, "--out", str(out)]) == 3
     doc = json.loads((out / "identities.json").read_text())
@@ -214,25 +210,35 @@ def test_identities_tight_tolerance_fails(tmp_path, monkeypatch):
     assert not doc["beta_integral"]["pass"]
 
 
-def test_identities_zero_instances(tmp_path):
-    ident = {"lemma_instances": 0, "beta_instances": 0, "chisq_draws": 0, "log_grid_points": 0}
-    cfg = write_config(tmp_path, {"identities": ident})
-    assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+def test_identities_catch_a_phi_prime_half_a_percent_off(tmp_path, monkeypatch):
+    # 1.005 phi' moves the exact gap by about 1.5e-3; the 100 000-draw Monte Carlo check it
+    # replaces had a 4-SE bar of 1.0e-2 at seed 1 and passed it
+    import shrinkpred.identities as identities_mod
+
+    phi_prime = identities_mod._phi_prime
+    monkeypatch.setattr(identities_mod, "_phi_prime", lambda w: 1.005 * phi_prime(w))
+    cfg = write_config(tmp_path, {"seed": 1})
+    out = tmp_path / "out"
+    assert main(["identities", "--config", cfg, "--out", str(out)]) == 3
+    doc = json.loads((out / "identities.json").read_text())
+    chisq = doc["chi_square_identity"]
+    assert chisq["pass"] is False and doc["all_pass"] is False
+    assert chisq["lhs"] - chisq["rhs"] > 1e-3
 
 
-# the identity suite's tolerances and chi-square settings, fixed at these values: only the instance counts are options
-FIXED_IDENTITY_SETTINGS = {"lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12, "chisq_se_mult": 4.0,
-                           "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}
+# every option the identities section held: its instance counts, then the settings fixed before it went
+REMOVED_IDENTITY_OPTIONS = {"lemma_instances": 200, "beta_instances": 50, "chisq_draws": 100_000,
+                            "log_grid_points": 10_000, "lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12,
+                            "chisq_se_mult": 4.0, "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}
 
 
-@pytest.mark.parametrize("key", FIXED_IDENTITY_SETTINGS)
+@pytest.mark.parametrize("key", REMOVED_IDENTITY_OPTIONS)
 def test_removed_identities_options_are_unknown(tmp_path, capsys, key):
-    ident = dict(FAST_IDENTITIES, **{key: FIXED_IDENTITY_SETTINGS[key]})
-    cfg = write_config(tmp_path, {"seed": 2, "identities": ident})
+    # the suite's counts and tolerances are constants, so an identities section is itself the unknown option
+    cfg = write_config(tmp_path, {"seed": 2, "identities": {key: REMOVED_IDENTITY_OPTIONS[key]}})
     capsys.readouterr()
     assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: unknown identities option(s):") and repr(key) in err, err
+    assert capsys.readouterr().err == "configuration error: unknown configuration option(s): 'identities'\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -645,7 +651,7 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     for alpha in (1.0, 0.0):
         cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[alpha]), f"risk{alpha}.json")
         runs.append(["risk-compare", "--config", cfg, "--out", str(tmp_path / f"risk{alpha}")])
-    cfg = write_config(tmp_path, {"seed": 2, "design": AS1_DESIGN, "identities": FAST_IDENTITIES}, "ident.json")
+    cfg = write_config(tmp_path, {"seed": 2, "design": AS1_DESIGN}, "ident.json")
     runs += [[command, "--config", cfg, "--out", str(tmp_path / command)] for command in ("identities", "bounds")]
     code = ("import json, sys\n"
             "def loaded():\n"
@@ -669,6 +675,12 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     ([1, 2], "JSON object"), ({"k": 3, "m": 3}, "'n'"), ({"n": 12, "m": 3}, "'k'"), ({"n": 12, "k": 3}, "'m'"),
     ({"n": [12], "k": 3, "m": 3}, "'n'"), ({"n": 12, "k": "three", "m": 3}, "'k'"),
     ({"n": 12, "k": 3, "m": 3, "cond_xtx": [1.0]}, "'cond_xtx'"), ({"n": 12, "k": 3, "m": 3, "d": [[1.0], 2.0]}, "'d'"),
+    # JSON's NaN and Infinity, which every comparison in the constructor's checks lets through
+    ({"n": 12, "k": 3, "m": 3, "d": [0.25, math.nan, 0.25]}, "d must hold finite numbers"),
+    ({"n": 12, "k": 3, "m": 3, "Q": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]]}, "Q must hold finite"),
+    ({"n": 12, "k": 3, "m": 3, "coef_transform": [[math.inf] * 3] * 3}, "coef_transform must hold finite"),
+    # a fraction or a string where a dimension belongs, which int() used to truncate or parse
+    ({"n": 12.7, "k": 3, "m": 3}, "'n'"), ({"n": "12", "k": 3, "m": 3}, "'n'"),
 ])
 def test_density_eval_problem_document_errors_name_the_key(tmp_path, capsys, as1_problem_n12, problem, key):
     # a problem document that is not an object, or lacks or garbles a key, exits 1 naming it
@@ -710,8 +722,8 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
 
 
 @pytest.mark.parametrize("wrong, key", [
-    ({"identities": {"chisq_draws": "abc"}}, "chisq_draws"),
-    ({"identities": {"log_grid_points": None}}, "log_grid_points"),
+    ({"reps": math.nan}, "reps"),
+    ({"prior": {"gamma_prior": -math.inf}}, "gamma_prior"),
     ({"grid": {"theta_directions": 5}}, "theta_directions"),
     ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}}, "theta_directions"),
     ({"grid": {"theta_norms": [1.0, "2"]}}, "theta_norms"),
@@ -780,19 +792,6 @@ def test_rep_counts_at_the_floor_or_unused_load(tmp_path):
         assert (cfg.reps, cfg.reps_outer) == (counts.get("reps", 200), counts.get("reps_outer", 50))
 
 
-def test_one_chisq_draw_is_a_config_error(tmp_path, capsys):
-    # one draw has no standard error: the run used to write "std_error": NaN, which is not JSON
-    cfg = write_config(tmp_path, {"seed": 1, "identities": dict(FAST_IDENTITIES, chisq_draws=1)})
-    capsys.readouterr()
-    assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: chisq_draws must be 0 or at least 2"), err
-    assert not (tmp_path / "o").exists()
-    for draws in (0, 2):
-        path = write_config(tmp_path, {"identities": {"chisq_draws": draws}}, "ok.json")
-        assert load_config(path).identities.chisq_draws == draws
-
-
 @pytest.mark.parametrize("source", ["config", "flag"])
 def test_seed_beyond_64_bits_rejected(tmp_path, capsys, source):
     # the generator keys on 64 bits of the seed, so 2^64 would rerun seed 0's draws
@@ -840,9 +839,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert main(["bounds", "--config", good, "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
     # a misspelled key in each checked section, and values of the wrong JSON type
     for typo in ({"rep": 10}, {"prior": {"gama_prior": 2.0}}, {"grid": {"theta_norm": [1.0]}},
-                 {"identities": {"lemma_instance": 5}}, {"design": dict(AS1_DESIGN, Nn=5)},
-                 {"density": {"problem": "problem.json", "typ": "plugin"}},
-                 {"alphas": 5}, {"grid": {"sigma2": 2.0}}, {"identities": {"lemma_instances": [1]}}):
+                 {"design": dict(AS1_DESIGN, Nn=5)}, {"density": {"problem": "problem.json", "typ": "plugin"}},
+                 {"alphas": 5}, {"grid": {"sigma2": 2.0}}):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **typo), "typo.json")
         capsys.readouterr()
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, typo
@@ -853,12 +851,7 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                        ({"reps": 2.5}, "reps"), ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m"),
                        ({"prior": {"rescale_c": "false"}}, "rescale_c"),
                        ({"prior": {"nu": "0.3"}}, "nu"), ({"prior": {"a": [1]}}, "a"),
-                       ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c"),
-                       ({"identities": {"lemma_instances": 2.5}}, "lemma_instances"),
-                       ({"identities": {"lemma_instances": -5}}, "lemma_instances"),
-                       ({"identities": {"beta_instances": -1}}, "beta_instances"),
-                       ({"identities": {"chisq_draws": -1}}, "chisq_draws"),
-                       ({"identities": {"log_grid_points": -3}}, "log_grid_points")):
+                       ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c")):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")
         capsys.readouterr()
         assert main(["bounds", "--config", cfg]) == 1, wrong

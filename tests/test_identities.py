@@ -7,14 +7,13 @@ import pytest
 from scipy import integrate
 from scipy.special import betaln
 
+import shrinkpred.identities as identities_module
 from shrinkpred.canonical import CanonicalProblem
-from shrinkpred.predictive import (
-    PriorSpec,
-    beta_integral_identity,
-    lemma_identity_residual,
-    shrinkage_components,
-)
+from shrinkpred.identities import beta_integral_identity, chi_square_identity, lemma_identity_residual
+from shrinkpred.predictive import PriorSpec, shrinkage_components
 from shrinkpred.quad import UnreliableNormalizationError
+
+from oracles import chi_square_identity_mc
 
 
 def random_instance(rng):
@@ -108,3 +107,20 @@ def test_beta_integral_working_domain():
         assert quad_val == pytest.approx(closed, rel=1e-14)
     with pytest.raises(UnreliableNormalizationError):
         beta_integral_identity(-0.999, 5.0, -0.9)
+
+
+def test_chi_square_identity_linear_phi():
+    # phi(w) = w collapses both sides to E[S] = CHISQ_DOF
+    lhs, rhs = chi_square_identity(lambda w: w, lambda w: np.ones_like(w))
+    assert lhs == pytest.approx(9.0, rel=0, abs=1e-12)
+    assert rhs == pytest.approx(9.0, rel=0, abs=1e-12)
+
+
+def test_chi_square_identity_shrinkage_phi():
+    # the suite's phi: the quadrature against 100 000 paired draws, each side within 4 standard errors
+    phi, phi_prime = identities_module._phi, identities_module._phi_prime
+    lhs, rhs = chi_square_identity(phi, phi_prime)
+    mc_lhs, mc_rhs = chi_square_identity_mc(phi, phi_prime, n_mc=100_000, seed=29)
+    assert abs(lhs - mc_lhs.mean) <= 4 * mc_lhs.std_error
+    assert abs(rhs - mc_rhs.mean) <= 4 * mc_rhs.std_error
+    assert abs(lhs - rhs) <= identities_module.CHISQ_TOL * rhs

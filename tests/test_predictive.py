@@ -20,12 +20,12 @@ from shrinkpred.canonical import (
     replication_rng,
     simulate_observation,
 )
+from shrinkpred.identities import lemma_identity_residual
 from shrinkpred.predictive import (
     DegenerateObservationError,
     PriorSpec,
     alpha_limit_check,
     best_invariant_kernel,
-    lemma_identity_residual,
     plugin_bayes_estimators,
     plugin_density,
     shrinkage_bayes_kernel,

@@ -24,6 +24,7 @@ from shrinkpred.canonical import (
     replication_rng,
     simulate_observation,
 )
+from shrinkpred.identities import log_inequality_margin
 from shrinkpred.predictive import (
     PluginEstimate,
     PriorSpec,
@@ -38,12 +39,9 @@ import shrinkpred.quad as quad_module
 import shrinkpred.risk as risk_module
 from shrinkpred.quad import UnreliableNormalizationError
 from shrinkpred.risk import (
-    ChiSquareCheck,
     RiskEstimate,
     alpha_divergence_loss,
-    chi_square_identity_check,
     d1_loss_plugin,
-    log_inequality_margin,
     minimax_risk,
     risk_d1_mc,
     risk_mc,
@@ -724,30 +722,6 @@ def test_node_pairs_are_cached_read_only_and_built_once():
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
-
-
-def test_chi_square_identity_linear_phi():
-    out = chi_square_identity_check(lambda w: w, dof=9, n_mc=100_000, seed=23,
-                                    phi_prime=lambda w: np.ones_like(w))
-    # identity collapses to E[S/sigma^2] = dof on both sides
-    assert out.lhs == pytest.approx(9.0, abs=4 * 9.0 * math.sqrt(2.0 / 9.0) / math.sqrt(100_000) * 9)
-    assert out.rhs == pytest.approx(9.0, abs=1e-9)
-    assert abs(out.gap) <= 4 * out.std_error
-
-
-def test_chi_square_identity_zero_phi():
-    out = chi_square_identity_check(lambda w: np.zeros_like(w), dof=9, n_mc=1000, seed=1,
-                                    phi_prime=lambda w: np.zeros_like(w))
-    assert out == ChiSquareCheck(0.0, 0.0, 0.0, 0.0)
-
-
-def test_chi_square_identity_shrinkage_phi():
-    nu = 0.3
-    out = chi_square_identity_check(
-        lambda w: nu * w / (nu + 1 + w), dof=9, n_mc=100_000, seed=29,
-        phi_prime=lambda w: nu * (nu + 1) / (nu + 1 + w) ** 2,
-    )
-    assert abs(out.gap) <= 4 * out.std_error
 
 
 def test_log_inequality_grid():
