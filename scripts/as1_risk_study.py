@@ -21,7 +21,7 @@ from shrinkpred.predictive import (
     stein_variance,
     umvu_estimators,
 )
-from shrinkpred.risk import minimax_risk, risk_mc
+from shrinkpred.risk import RiskEstimate, minimax_risk, plugin_scorer, risk_mc
 
 
 def main():
@@ -46,7 +46,8 @@ def main():
     print(f"nu bounds: nu1={nb.nu1:.4f} nu2={nb.nu2:.4f} nu3={nb.nu3:.4f} -> nu={prior.nu:.4f}")
     print(f"minimax risk: {mr:.6f}\n")
 
-    # each rule maps a block of simulated observations to a block of plug-in estimates
+    # each rule maps a block of simulated observations to a block of plug-in estimates,
+    # which its scorer turns into one alpha = 1 loss per row
     rules = {
         "umvu": lambda obs: umvu_estimators(obs, n, k),
         "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
@@ -58,10 +59,11 @@ def main():
         theta[0] = norm
         points.append(CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0))
     # one call for every norm, so each keyed block of observations is drawn once
-    all_risks = risk_mc(rules, problem, points, 1.0, args.reps, seed=args.seed)
+    table = risk_mc([plugin_scorer(rule, problem.m) for rule in rules.values()], problem, points, args.reps,
+                    seed=args.seed)
     print(f"{'|theta|':>8} {'procedure':>15} {'risk':>10} {'se':>9} {'risk - MR':>10}")
-    for norm, risks in zip(args.norms, all_risks):
-        for name, est in risks.items():
+    for norm, rows in zip(args.norms, table):
+        for name, est in zip(rules, map(RiskEstimate.of, rows)):
             print(f"{norm:8.2f} {name:>15} {est.mean:10.5f} {est.std_error:9.5f} {est.mean - mr:+10.5f}")
         print()
 

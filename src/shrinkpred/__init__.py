@@ -56,7 +56,9 @@ from .risk import (
     RiskEstimate,
     alpha_divergence_loss,
     d1_loss_plugin,
+    kernel_scorer,
     minimax_risk,
+    plugin_scorer,
     risk_d1_mc,
     risk_mc,
 )

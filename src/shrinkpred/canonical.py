@@ -129,7 +129,8 @@ class CanonicalProblem:
     ``d`` holds the diagonal of D (nonincreasing, positive), ``Q`` is the
     m x l column-orthonormal mean map of the future observation, and
     ``coef_transform`` is the k x k matrix T with (V; V*) = T beta_hat and
-    (theta; mu) = T beta.
+    (theta; mu) = T beta.  n > k, so S has residual degrees of freedom, and
+    ``cond_xtx``, the condition number of X'X, is a finite number >= 1.
     """
 
     n: int
@@ -147,6 +148,10 @@ class CanonicalProblem:
         for name in ("d", "Q", "coef_transform"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must hold finite numbers")
+        if not self.n > self.k:
+            raise ValueError(f"n must exceed k (no residual degrees of freedom otherwise), got n={self.n}, k={self.k}")
+        if not (np.isfinite(self.cond_xtx) and self.cond_xtx >= 1.0):
+            raise ValueError(f"cond_xtx must be a finite number >= 1, got {self.cond_xtx!r}")
         l = self.l
         if self.d.shape != (l,) or np.any(self.d <= 0):
             raise ValueError("d must be a positive l-vector")
@@ -446,10 +451,16 @@ def problem_from_dict(doc: dict) -> CanonicalProblem:
             raise ValueError(f"{val!r} is not an integer")
         return int(val)
 
+    def number(val):
+        if isinstance(val, bool):
+            raise ValueError(f"{val!r} is not a number")
+        return float(val)
+
     args = {key: field(key, integer) for key in ("n", "k", "m")}
     args.update({key: field(key, lambda val: np.asarray(val, dtype=float)) for key in ("d", "Q", "coef_transform")})
+    args.update({"cond_xtx": field("cond_xtx", number)} if "cond_xtx" in doc else {})
     try:
-        return CanonicalProblem(**args, cond_xtx=field("cond_xtx", float) if "cond_xtx" in doc else 1.0)
+        return CanonicalProblem(**args)
     except ValueError as exc:
         raise ValueError(f"problem document is invalid: {exc}") from None
 

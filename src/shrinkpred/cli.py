@@ -53,7 +53,7 @@ from .predictive import (
 )
 from .identities import run_identities
 from .quad import UnreliableNormalizationError
-from .risk import min_reps, minimax_risk, risk_mc
+from .risk import RiskEstimate, kernel_scorer, min_reps, minimax_risk, plugin_scorer, risk_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -156,8 +156,8 @@ def _parse_design(doc: dict) -> DesignConfig:
         m, k, N = (_int(doc, key) for key in ("m", "k", "N"))
         if not (m >= k >= 3):
             raise ValueError("the replicated design requires m >= k >= 3")
-        if N < 1:
-            raise ValueError("N must be a positive integer")
+        if N < 1 or N * m <= k:
+            raise ValueError(f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k={k}")
         cfg = DesignConfig(kind="as1", m=m, k=k, N=N)
         if doc.get("xtilde") is not None:
             cfg.xtilde = _matrix(doc, "xtilde")
@@ -494,15 +494,16 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
              "minimax_risk,below_baseline_3se"]
     for alpha in cfg.alphas:
         if alpha == 1.0:
-            rules, reps = plugin_rules, cfg.reps
+            scorers, reps = {name: plugin_scorer(rule, problem.m) for name, rule in plugin_rules.items()}, cfg.reps
         else:
-            rules = {
-                "best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
-                "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha),
+            scorers = {
+                "best_invariant": kernel_scorer(lambda obs: best_invariant_kernel(problem, obs, alpha), alpha),
+                "shrinkage_bayes": kernel_scorer(lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha), alpha),
             }
             reps = cfg.reps_outer
         # one call over the whole grid, so each keyed block is drawn once for every point
-        for (_, norm, direction, s2), risks in zip(points, risk_mc(rules, problem, grid, alpha, reps, seed)):
+        for (_, norm, direction, s2), rows in zip(points, risk_mc(scorers.values(), problem, grid, reps, seed)):
+            risks = dict(zip(scorers, map(RiskEstimate.of, rows)))
             # A pointwise 3-SE test, not a domination claim, against the invariant
             # baseline's risk under the same divergence: the exact constant at
             # alpha = 1, the simulated best-invariant risk (noise folded in) below.

@@ -20,17 +20,19 @@ Monte Carlo averages of exact losses at every alpha.
 The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
 is an integer).
 
-Observations come in keyed blocks (canonical.simulate_observation) and
-losses are reduced by pairwise summation in replication order, so reruns
-agree bit for bit.  The tests check the exact losses against a Monte Carlo
-divergence with its own keyed draws, alpha_divergence_mc in tests/oracles.py.
+Rows, then reductions: risk_mc scores keyed observation blocks
+(plugin_scorer at alpha = 1, kernel_scorer below) into a table of per-row
+losses, and RiskEstimate.of reduces a row by pairwise summation in
+replication order, so reruns agree bit for bit.  The tests check the exact
+losses against a Monte Carlo divergence with its own keyed draws,
+alpha_divergence_mc in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,12 +54,16 @@ __all__ = [
     "minimax_risk",
     "alpha_divergence_loss",
     "min_reps",
+    "plugin_scorer",
+    "kernel_scorer",
     "risk_mc",
     "risk_d1_mc",
 ]
 
 # _node_pairs leaves out pairs below e^-LOSS_WEIGHT_DROP of the heaviest; LOSS_CHUNK bounds one temporary (256 kB)
 LOSS_WEIGHT_DROP, LOSS_CHUNK = 60.0, 1 << 15
+MIN_REPS = 50  # the fewest rows risk_mc fills
+Scorer = Callable[[CanonicalObservation, CanonicalParams], np.ndarray]  # (block, params) -> one value per row
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,12 @@ class RiskEstimate:
             raise ValueError("std_error must be nonnegative")
         if self.reps < 2:
             raise ValueError("reps must be at least 2")
+
+    @classmethod
+    def of(cls, losses: np.ndarray) -> RiskEstimate:
+        """Mean and standard error of per-row losses, by numpy's pairwise sums in replication order."""
+        reps = np.size(losses)
+        return cls(float(np.sum(losses) / reps), float(np.std(losses, ddof=1) / math.sqrt(reps)), reps)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +126,6 @@ def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Exact losses and Monte Carlo risk
 # ---------------------------------------------------------------------------
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    # np.sum / np.std use pairwise summation over the index-ordered array.
-    n = values.size
-    mean = float(np.sum(values) / n)
-    se = float(np.std(values, ddof=1) / math.sqrt(n))
-    return mean, se
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,54 +269,56 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
 
 
 def min_reps(alpha: float) -> int:
-    """The fewest replications risk_mc accepts at alpha."""
-    return 100 if alpha == 1.0 else 50
+    """The fewest replications a risk at alpha takes: risk_mc's MIN_REPS, raised to 100 at alpha = 1."""
+    return 100 if alpha == 1.0 else MIN_REPS
 
 
-def risk_mc(rules: dict[str, Callable[[CanonicalObservation], PluginEstimate | PredictiveKernel]],
-            problem: CanonicalProblem, points: Sequence[CanonicalParams], alpha: float, reps: int,
-            seed: int) -> list[dict[str, RiskEstimate]]:
-    """Simulated alpha-divergence risks of several rules at several parameter points, on common draws.
+def plugin_scorer(rule: Callable[[CanonicalObservation], PluginEstimate], m: int) -> Scorer:
+    """Score a block's plug-in estimates by the closed-form alpha = 1 divergence (d1_loss_plugin)."""
+    def score(block: CanonicalObservation, params: CanonicalParams) -> np.ndarray:
+        out = rule(block)
+        return d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta, params.sigma2, m)
+    return score
+
+
+def kernel_scorer(rule: Callable[[CanonicalObservation], PredictiveKernel], alpha: float) -> Scorer:
+    """Score a block's predictive kernels by the exact alpha_divergence_loss; each kernel must be built at alpha."""
+    def score(block: CanonicalObservation, params: CanonicalParams) -> np.ndarray:
+        kernel = rule(block)
+        if kernel.alpha != alpha:
+            raise ValueError(f"a rule built its kernel at alpha = {kernel.alpha}, not {alpha}")
+        return alpha_divergence_loss(kernel, params.theta, params.eta)
+    return score
+
+
+def risk_mc(scorers: Collection[Scorer], problem: CanonicalProblem, points: Sequence[CanonicalParams], reps: int,
+            seed: int) -> np.ndarray:
+    """The (points x scorers x reps) table of per-row values, on common draws.
 
     Replications are the rows of the keyed observation blocks (the last one
-    truncated), each block drawn once for every point and rule: the points
-    share its standard draws (canonical.simulate_observation), so each
-    point's risks are those a run at that point alone would give.
-    ``rule(obs)`` maps a whole block to one estimate per row, scored in one
-    pass: plug-in estimates by the closed-form plug-in divergence at
-    alpha = 1, predictive kernels by the exact alpha_divergence_loss below
-    1.  Each loss is a deterministic function of its row, so the standard
-    error is the whole Monte Carlo error.  A failed quadrature certificate
-    (UnreliableNormalizationError) propagates.  Returns one
-    ``{name: RiskEstimate}`` per point, in the order of ``points``, with
-    names in the order of ``rules``.
+    truncated), each block drawn once for every point: the points share its
+    standard draws (canonical.simulate_observation), so a point's rows are
+    those a run at that point alone would give.  table[i, j] holds scorer
+    j's score(block, points[i]) in replication order.  A scorer's error,
+    such as a failed quadrature certificate, propagates.
     """
-    alpha = float(alpha)
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
     reps = int(reps)
-    if reps < min_reps(alpha):
-        raise ValueError(f"reps must be at least {min_reps(alpha)}")
-    losses = np.empty((len(points), len(rules), reps))
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be at least {MIN_REPS}")
+    losses = np.empty((len(points), len(scorers), reps))
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)
         blocks = simulate_observation(problem, points, seed, start // BLOCK_SIZE)
         for params, block, point_losses in zip(points, blocks, losses):
             block = block[:stop - start]
-            for j, rule in enumerate(rules.values()):
-                out = rule(block)
-                if alpha == 1.0:
-                    point_losses[j, start:stop] = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta,
-                                                                 params.sigma2, problem.m)
-                elif out.alpha != alpha:
-                    raise ValueError(f"a rule built its kernel at alpha = {out.alpha}, not {alpha}")
-                else:
-                    point_losses[j, start:stop] = alpha_divergence_loss(out, params.theta, params.eta)
-    return [{name: RiskEstimate(*_mean_se(loss), reps=reps) for name, loss in zip(rules, point_losses)}
-            for point_losses in losses]
+            for row, score in zip(point_losses, scorers):
+                row[start:stop] = score(block, params)
+    return losses
 
 
 def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], problem: CanonicalProblem,
                params: CanonicalParams, reps: int, seed: int) -> RiskEstimate:
-    """Simulated alpha = 1 risk of one block-aware estimation procedure at one point (see risk_mc)."""
-    return risk_mc({"procedure": procedure}, problem, [params], 1.0, reps, seed)[0]["procedure"]
+    """Simulated alpha = 1 risk of one plug-in procedure at one point; kept only while perfbench/ calls it."""
+    if reps < min_reps(1.0):
+        raise ValueError(f"reps must be at least {min_reps(1.0)}")
+    return RiskEstimate.of(risk_mc([plugin_scorer(procedure, problem.m)], problem, [params], reps, seed)[0, 0])

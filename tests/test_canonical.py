@@ -202,6 +202,11 @@ def test_problem_constructor_validation():
                         ("coef_transform", np.array([[1.0, np.inf], [0.0, 1.0]]))):
         with pytest.raises(ValueError, match=f"^{name} must hold finite numbers"):
             CanonicalProblem(**{**ok, "d": np.array([2.0, 1.0]), name: value})
+    # S needs residual degrees of freedom, and cond_xtx is a ratio of ordered singular values
+    for name, value, message in (("n", 2, "n must exceed k"), ("cond_xtx", np.nan, "cond_xtx must be"),
+                                 ("cond_xtx", np.inf, "cond_xtx must be"), ("cond_xtx", 0.99, "cond_xtx must be")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            CanonicalProblem(**{**ok, "d": np.array([2.0, 1.0]), name: value})
 
 
 def test_problem_json_round_trip(as1_problem_n12):
@@ -257,7 +262,7 @@ def test_prediction_mean_round_trip(rng):
 
 
 def test_as1_single_replicate_matrix_root(rng):
-    xt = rng.standard_normal((3, 3))
+    xt = rng.standard_normal((4, 3))  # m > k, so that one replicate leaves n - k = 1
     problem = as1_problem(xt, 1)
     beta_hat = rng.standard_normal(3)
     v = problem.coef_transform @ beta_hat

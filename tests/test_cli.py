@@ -681,6 +681,14 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     ({"n": 12, "k": 3, "m": 3, "coef_transform": [[math.inf] * 3] * 3}, "coef_transform must hold finite"),
     # a fraction or a string where a dimension belongs, which int() used to truncate or parse
     ({"n": 12.7, "k": 3, "m": 3}, "'n'"), ({"n": "12", "k": 3, "m": 3}, "'n'"),
+    # no residual degrees of freedom, which used to fail in a log with "math domain error"
+    ({"n": 3, "k": 3, "m": 3}, "n must exceed k"),
+    # cond_xtx, a ratio of ordered singular values: NaN used to load with a silently null warning
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": math.nan}, "cond_xtx must be a finite number >= 1"),
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": math.inf}, "cond_xtx must be a finite number >= 1"),
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": -math.inf}, "cond_xtx must be a finite number >= 1"),
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": 0.5}, "cond_xtx must be a finite number >= 1"),
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": True}, "'cond_xtx'"),
 ])
 def test_density_eval_problem_document_errors_name_the_key(tmp_path, capsys, as1_problem_n12, problem, key):
     # a problem document that is not an object, or lacks or garbles a key, exits 1 naming it
@@ -776,7 +784,7 @@ def test_prior_c_number_stands_for_every_axis(tmp_path):
     ([1.0, 0.0], {"reps": 10}, "reps must be at least 100"),
 ])
 def test_rep_counts_below_the_floor_name_the_key(tmp_path, capsys, alphas, counts, message):
-    # each count is checked against risk_mc's floor where an alpha uses it, before any run starts
+    # each count is checked against min_reps's floor where an alpha uses it, before any run starts
     cfg = write_config(tmp_path, dict(RISK_DOC, alphas=alphas, **counts))
     capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -816,6 +824,8 @@ def test_seed_beyond_64_bits_rejected(tmp_path, capsys, source):
     ({"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [math.nan, 2.0]], "Xtilde": [[1.0, 0.0]]}, "X"),
     ({"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], "Xtilde": [[math.nan, 0.0]]},
      "Xtilde"),
+    # one replicate of a square Xtilde leaves n = k, no residual degrees of freedom
+    ({"type": "as1", "m": 3, "k": 3, "N": 1}, "N"),
 ])
 def test_design_errors_name_the_key(tmp_path, capsys, design, key):
     cfg = write_config(tmp_path, {"seed": 1, "design": design})

@@ -42,7 +42,9 @@ from shrinkpred.risk import (
     RiskEstimate,
     alpha_divergence_loss,
     d1_loss_plugin,
+    kernel_scorer,
     minimax_risk,
+    plugin_scorer,
     risk_d1_mc,
     risk_mc,
 )
@@ -231,13 +233,13 @@ def test_risk_se_scaling(prob_m3):
 def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
     # invariance: same risk at well separated parameter points
     alpha = 0.0
-    rules = {"best_invariant": lambda obs: best_invariant_kernel(prob_m3, obs, alpha)}
+    score = kernel_scorer(lambda obs: best_invariant_kernel(prob_m3, obs, alpha), alpha)
     e1 = np.array([5.0, 0.0, 0.0])
     points = [(np.zeros(3), 1.0), (e1, 1.0), (np.zeros(3), 0.5), (e1, 4.0)]
     outs = []
     for i, (theta, s2) in enumerate(points):
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        outs.append(risk_mc(rules, prob_m3, [params], alpha, 400, seed=17 + i)[0]["best_invariant"])
+        outs.append(RiskEstimate.of(risk_mc([score], prob_m3, [params], 400, seed=17 + i)[0, 0]))
     for a in outs:
         assert a.reps == 400
         for b in outs:
@@ -246,7 +248,7 @@ def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
 
 
 def _two_rules(problem, alpha):
-    """Two block rules for risk_mc at alpha: plug-in estimates at 1, predictive kernels below."""
+    """Two block rules at alpha: plug-in estimates at 1, predictive kernels below."""
     prior = PriorSpec.from_problem(problem, nu=0.25)
     if alpha == 1.0:
         return {
@@ -259,17 +261,30 @@ def _two_rules(problem, alpha):
     }
 
 
+def _two_scorers(problem, alpha):
+    """risk_mc's scorers of _two_rules: the closed-form plug-in loss at 1, the exact kernel loss below."""
+    rules = _two_rules(problem, alpha)
+    if alpha == 1.0:
+        return {name: plugin_scorer(rule, problem.m) for name, rule in rules.items()}
+    return {name: kernel_scorer(rule, alpha) for name, rule in rules.items()}
+
+
+def _risks(scorers, problem, points, reps, seed):
+    """risk_mc's table reduced row by row, as run_risk_compare does: one {name: RiskEstimate} per point."""
+    return [dict(zip(scorers, map(RiskEstimate.of, rows)))
+            for rows in risk_mc(scorers.values(), problem, points, reps, seed)]
+
+
 @pytest.mark.parametrize("alpha, reps", [(1.0, 500), (0.0, 60)])
 def test_risk_mc_joint_equals_single(prob_m3, alpha, reps):
-    # every rule sees the same keyed observations, so scoring several rules
-    # in one loop changes no estimate
+    # every scorer sees the same keyed observations, so scoring several rules
+    # in one loop changes no row
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
-    rules = _two_rules(prob_m3, alpha)
-    [joint] = risk_mc(rules, prob_m3, [params], alpha, reps, seed=3)
-    assert list(joint) == list(rules)
-    for name, rule in rules.items():
-        [single] = risk_mc({name: rule}, prob_m3, [params], alpha, reps, seed=3)
-        assert joint[name] == single[name]
+    scorers = list(_two_scorers(prob_m3, alpha).values())
+    joint = risk_mc(scorers, prob_m3, [params], reps, seed=3)
+    assert joint.shape == (1, 2, reps)
+    for j, score in enumerate(scorers):
+        assert np.array_equal(joint[:, j], risk_mc([score], prob_m3, [params], reps, seed=3)[:, 0])
 
 
 def _three_points(problem):
@@ -281,7 +296,8 @@ def _three_points(problem):
 
 
 def _risk_one_point(rules, problem, params, alpha, reps, seed):
-    """Reference: one point's risks by the per-point loop, drawing each keyed block for this point alone.
+    """Reference: one point's risks by a per-point loop with its own alpha branch, drawing each keyed block
+    for this point alone.
 
     The block layout is written out here (standard normals (B, l), then
     (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the point), so
@@ -314,14 +330,14 @@ def test_risk_mc_over_points_equals_per_point_loop(prob_m3, case2_problem_n12, c
     # one draw per block shared by every point gives each point, bit for bit,
     # the risks of a run at that point alone
     problem = prob_m3 if case == "I" else case2_problem_n12
-    rules = _two_rules(problem, alpha)
+    rules, scorers = _two_rules(problem, alpha), _two_scorers(problem, alpha)
     points = _three_points(problem)
-    got = risk_mc(rules, problem, points, alpha, reps, seed=13)
+    got = _risks(scorers, problem, points, reps, seed=13)
     assert len(got) == len(points)
     for params, risks in zip(points, got):
         assert list(risks) == list(rules)
         assert risks == _risk_one_point(rules, problem, params, alpha, reps, seed=13)
-    assert risk_mc(rules, problem, [], alpha, reps, seed=13) == []
+    assert risk_mc(scorers.values(), problem, [], reps, seed=13).shape == (0, 2, reps)
 
 
 @pytest.mark.parametrize("alpha, reps", [(1.0, 150), (1.0, 4096), (1.0, 9000), (0.0, 60)])
@@ -335,23 +351,23 @@ def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
         return original(problem, points, seed, block)
 
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
-    rules = _two_rules(prob_m3, alpha)
+    scorers = list(_two_scorers(prob_m3, alpha).values())
     if alpha == 1.0:
-        rules["oracle"] = lambda obs: PluginEstimate(np.zeros(3), 1.0, w=0.0)
-    out = risk_mc(rules, prob_m3, _three_points(prob_m3), alpha, reps, seed=8)
-    assert len(out) == 3 and all(len(risks) == len(rules) for risks in out)
+        scorers.append(plugin_scorer(lambda obs: PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3.m))
+    out = risk_mc(scorers, prob_m3, _three_points(prob_m3), reps, seed=8)
+    assert out.shape == (3, len(scorers), reps)
     assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
 
 
 def _scored_rows(problem, params, reps, seed):
-    """The observations risk_mc hands an alpha = 1 rule, stacked in replication order."""
+    """The observations risk_mc hands a plug-in scorer's rule, stacked in replication order."""
     seen = []
 
     def record(obs):
         seen.append(obs)
         return umvu_estimators(obs, problem.n, problem.k)
 
-    risk_mc({"umvu": record}, problem, [params], 1.0, reps, seed)
+    risk_mc([plugin_scorer(record, problem.m)], problem, [params], reps, seed)
     return np.concatenate([o.v for o in seen]), np.concatenate([o.s for o in seen])
 
 
@@ -369,6 +385,19 @@ def test_block_rows_prefix_invariant(prob_m3):
         assert np.array_equal(full_v[i], row.v) and full_s[i] == row.s
 
 
+@pytest.mark.parametrize("reps", [4095, 4096, 4097, 9000])
+def test_scorer_rows_are_the_drawn_rows_in_order(prob_m3, reps):
+    # a per-row statistic of its block fills a scorer's table row with exactly the rows
+    # simulate_observation draws, in replication order, at every point
+    points = _three_points(prob_m3)
+    table = risk_mc([lambda block, params: block.s, lambda block, params: block.v[:, 2]], prob_m3, points, reps, 12)
+    assert table.shape == (3, 2, reps)
+    for params, rows in zip(points, table):
+        drawn = [simulate_observation(prob_m3, [params], 12, block=b)[0] for b in range(math.ceil(reps / BLOCK_SIZE))]
+        assert np.array_equal(rows[0], np.concatenate([o.s for o in drawn])[:reps])
+        assert np.array_equal(rows[1], np.concatenate([o.v[:, 2] for o in drawn])[:reps])
+
+
 def test_risk_estimate_validation():
     with pytest.raises(ValueError):
         RiskEstimate(mean=0.0, std_error=-1.0, reps=10)
@@ -381,7 +410,7 @@ def test_certificate_failure_propagates(prob_m3, monkeypatch):
     monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError):
-        risk_mc(_two_rules(prob_m3, 0.0), prob_m3, [params], 0.0, 60, seed=2)
+        risk_mc(_two_scorers(prob_m3, 0.0).values(), prob_m3, [params], 60, seed=2)
 
 
 def test_minimum_replication_counts(prob_m3):
@@ -390,8 +419,12 @@ def test_minimum_replication_counts(prob_m3):
     with pytest.raises(ValueError):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
-        risk_mc({"best_invariant": lambda o: best_invariant_kernel(prob_m3, o, 0.0)},
-                prob_m3, [params], 0.0, reps=10, seed=0)
+        risk_mc([kernel_scorer(lambda o: best_invariant_kernel(prob_m3, o, 0.0), 0.0)],
+                prob_m3, [params], reps=10, seed=0)
+    # risk_mc knows no alpha, so its floor is 50 rows for every scorer
+    with pytest.raises(ValueError, match="at least 50"):
+        risk_mc([plugin_scorer(proc, prob_m3.m)], prob_m3, [params], reps=49, seed=0)
+    assert risk_mc([plugin_scorer(proc, prob_m3.m)], prob_m3, [params], reps=50, seed=0).shape == (1, 1, 50)
     phat = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
     with pytest.raises(ValueError):
         alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
@@ -401,7 +434,7 @@ def test_minimum_replication_counts(prob_m3):
 def test_risk_path_makes_no_inner_monte_carlo(prob_m3, alpha):
     # the Monte Carlo divergence lives in tests/oracles.py, out of the risk path's reach
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
-    out = risk_mc(_two_rules(prob_m3, alpha), prob_m3, [params], alpha, 60, seed=4)[0]
+    [out] = _risks(_two_scorers(prob_m3, alpha), prob_m3, [params], 60, seed=4)
     assert all(math.isfinite(est.mean) and est.std_error > 0 for est in out.values())
 
 
@@ -410,7 +443,7 @@ def test_loss_certificate_failure_propagates(prob_m3, monkeypatch):
     monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     with pytest.raises(UnreliableNormalizationError, match="loss quadrature"):
-        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, [params], 0.5, 60, seed=2)
+        risk_mc(_two_scorers(prob_m3, 0.5).values(), prob_m3, [params], 60, seed=2)
 
 
 def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypatch):
@@ -418,16 +451,18 @@ def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypat
     # rule that fails is the one of its Frullani integrals
     monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    rules = {"best_invariant": lambda o: best_invariant_kernel(prob_m3, o, -1.0)}
+    score = kernel_scorer(lambda o: best_invariant_kernel(prob_m3, o, -1.0), -1.0)
     with pytest.raises(UnreliableNormalizationError, match="n vs 2n") as raised:
-        risk_mc(rules, prob_m3, [params], -1.0, 60, seed=2)
+        risk_mc([score], prob_m3, [params], 60, seed=2)
     assert "_expected_log" in [entry.name for entry in raised.traceback]
 
 
 def test_rule_alpha_must_match(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        risk_mc(_two_rules(prob_m3, 0.5), prob_m3, [params], 0.0, 60, seed=2)
+    block = simulate_observation(prob_m3, [params], 2)[0][:60]
+    for score in (kernel_scorer(rule, 0.0) for rule in _two_rules(prob_m3, 0.5).values()):
+        with pytest.raises(ValueError, match="alpha = 0.5, not 0.0"):
+            score(block, params)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.3])
