@@ -22,7 +22,6 @@ layout 2), so replication i depends only on (seed, i).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ __all__ = [
     "invariant_report",
     "problem_to_dict",
     "problem_from_dict",
-    "load_design",
 ]
 
 COND_WARN_THRESHOLD = 1e12
@@ -280,15 +278,17 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
         raise ValueError("Xtilde must have k columns")
     if not (n > k >= 1):
         raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
-    if np.linalg.matrix_rank(X) < k:
+    # The QR factor U of X never forms X'X, yet X'X = U'U; the row signs of U cancel.  U has the
+    # singular values of X, which decide its rank as np.linalg.matrix_rank(X) does and give cond(X'X).
+    U = np.linalg.qr(X, mode="r")
+    sx = np.linalg.svd(U, compute_uv=False)
+    if not sx[-1] > sx[0] * n * np.finfo(float).eps:
         raise RankDeficiencyError("X is rank deficient")
     if np.linalg.matrix_rank(Xtilde) < min(m, k):
         raise RankDeficiencyError("Xtilde is rank deficient")
 
-    # With X'X = U'U, Cov(Xtilde beta_hat) is proportional to A A' for A = Xtilde U^{-1};
+    # Cov(Xtilde beta_hat) is proportional to A A' for A = Xtilde U^{-1};
     # the SVD A = W diag(sv) Z' diagonalizes it without forming the Gram product A A'.
-    # The QR factor U of X never forms X'X either; the row signs of U cancel.
-    U = np.linalg.qr(X, mode="r")
     A = np.linalg.solve(U.T, Xtilde.T).T
     W, sv, Zt = np.linalg.svd(A)
     l = min(m, k)
@@ -296,7 +296,7 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
     complement = _fix_column_signs((Zt[l:] @ U).T).T  # rows of V*, empty when m >= k
     return CanonicalProblem(
         n=n, k=k, m=m, d=sv[:l] ** 2, Q=Q,
-        coef_transform=np.vstack([Q.T @ Xtilde, complement]), cond_xtx=float(np.linalg.cond(X.T @ X)),
+        coef_transform=np.vstack([Q.T @ Xtilde, complement]), cond_xtx=float((sx[0] / sx[-1]) ** 2),
     )
 
 
@@ -464,27 +464,3 @@ def problem_from_dict(doc: dict) -> CanonicalProblem:
     except ValueError as exc:
         raise ValueError(f"problem document is invalid: {exc}") from None
 
-
-def load_design(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read (X, Xtilde) from a JSON object with keys "X" and "Xtilde" (row-major nested lists).
-
-    A document that is not an object, or lacks or garbles a key, raises
-    ValueError naming the file and the key; other keys are ignored.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"design file {path} must hold a JSON object, got {type(doc).__name__}")
-
-    def matrix(key):
-        if key not in doc:
-            raise ValueError(f"design file {path} is missing '{key}'")
-        try:
-            out = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"design file {path}: '{key}' is malformed: {exc}") from None
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"design file {path}: '{key}' holds a non-finite entry")
-        return out
-
-    return matrix("X"), matrix("Xtilde")

@@ -35,7 +35,6 @@ from .canonical import (
     as1_problem,
     canonicalize,
     invariant_report,
-    load_design,
     problem_from_dict,
     problem_to_dict,
     replication_rng,
@@ -122,7 +121,6 @@ class DesignConfig:
 @dataclass
 class PriorConfig:
     c: np.ndarray | float | None = None
-    a: float | None = None
     nu: float | None = None
     gamma_prior: float = 1.0
     rescale_c: bool = True
@@ -165,13 +163,9 @@ def _parse_design(doc: dict) -> DesignConfig:
                 raise ValueError(f"xtilde must be m x k = {m} x {k}, got shape {cfg.xtilde.shape}")
         return cfg
     if kind == "explicit":
-        if "file" in doc:
-            # one JSON document carrying both matrices
-            X, Xtilde = load_design(doc["file"])
-        elif "X" not in doc or "Xtilde" not in doc:
+        if "X" not in doc or "Xtilde" not in doc:
             raise ValueError("explicit design needs X and Xtilde")
-        else:
-            X, Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
+        X, Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
         if X.ndim != 2:
             raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {X.shape}")
         return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
@@ -245,7 +239,7 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
     return out
 
 
-_DESIGN_KEYS = {"type", "file", "m", "k", "N", "xtilde", "X", "Xtilde"}
+_DESIGN_KEYS = {"type", "m", "k", "N", "xtilde", "X", "Xtilde"}
 _DENSITY_KEYS = {"problem", "observation", "type", "alpha", "points", "is_samples"}
 _DENSITY_TYPES = ("best_invariant", "shrinkage_bayes", "plugin")
 
@@ -272,7 +266,6 @@ def load_config(path: str) -> ExperimentConfig:
     pr = _section(doc.get("prior", {}), PriorConfig, "prior")
     cfg.prior = PriorConfig(
         c=pr.get("c"),
-        a=_number(pr, "a"),
         nu=_number(pr, "nu"),
         gamma_prior=_number(pr, "gamma_prior", 1.0),
         rescale_c=pr.get("rescale_c", True),
@@ -296,6 +289,10 @@ def load_config(path: str) -> ExperimentConfig:
         theta_norms=_floats(gr, "theta_norms", [0.0]),
         sigma2=_floats(gr, "sigma2", [1.0]),
     )
+    # a repeated value would repeat a row's key (procedure, alpha, theta_norm, theta_direction, sigma2)
+    for key, values in (("alphas", cfg.alphas), ("theta_norms", cfg.grid.theta_norms), ("sigma2", cfg.grid.sigma2)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{key} must not repeat a value, got {values}")
     # a negative norm would label the opposite direction's point
     if any(t < 0 for t in cfg.grid.theta_norms):
         raise ValueError("theta_norms must be nonnegative")
@@ -370,12 +367,13 @@ def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, fl
 def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
     pc = cfg.prior
     c, _ = _prior_c(pc, problem)
-    if pc.a is not None or pc.nu is not None:
-        return PriorSpec.from_problem(problem, c=c, a=pc.a, nu=pc.nu, gamma_prior=pc.gamma_prior)
-    nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
-    if not nb.positive:
-        raise ValueError("nu bounds are not positive; rescale C or set a/nu explicitly")
-    return PriorSpec.from_problem(problem, c=c, nu=nb.nu_max, gamma_prior=pc.gamma_prior)
+    nu = pc.nu
+    if nu is None:
+        nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
+        if not nb.positive:
+            raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
+        nu = nb.nu_max
+    return PriorSpec.from_problem(problem, c=c, nu=nu, gamma_prior=pc.gamma_prior)
 
 
 # ---------------------------------------------------------------------------

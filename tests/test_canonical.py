@@ -177,6 +177,17 @@ def test_conditioning_warning_attached(rng):
     assert "condition number" in problem.conditioning_warning
 
 
+@pytest.mark.parametrize("cond_x", [1e8, 1e9])
+def test_cond_xtx_is_exact_past_one_over_eps(rng, cond_x):
+    # X = U diag(sv) V' with cond(X) = cond_x, so cond(X'X) = cond_x^2; X'X formed in floating
+    # point would saturate near 1/eps = 4.5e15
+    U = np.linalg.qr(rng.standard_normal((20, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    X = (U * np.array([1.0, 1e-3, 1.0 / cond_x])) @ V.T
+    problem = canonicalize(X, rng.standard_normal((4, 3)))
+    assert problem.cond_xtx == pytest.approx(cond_x**2, rel=1e-4)
+
+
 def test_rank_deficient_xtilde_rejected(rng):
     X = rng.standard_normal((10, 3))
     row = rng.standard_normal(3)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -66,34 +67,6 @@ def test_canonicalize_matrices_from_csv(tmp_path):
     cfg = write_config(tmp_path, {"design": dict(AS1_DESIGN, xtilde=str(xt_path))}, "as1.json")
     assert main(["canonicalize", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "problem.json").read_text())["d"] == [0.25, 0.25, 0.25]
-
-
-def test_canonicalize_design_document(tmp_path):
-    rng = np.random.default_rng(9)
-    doc_path = tmp_path / "design.json"
-    doc_path.write_text(json.dumps({
-        "X": rng.standard_normal((9, 2)).tolist(),
-        "Xtilde": rng.standard_normal((3, 2)).tolist(),
-    }))
-    cfg = write_config(tmp_path, {"design": {"type": "explicit", "file": str(doc_path)}})
-    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-
-
-@pytest.mark.parametrize("doc, key", [
-    ([[1.0, 0.0], [0.0, 1.0]], "JSON object"), ({"Xtilde": [[1.0, 0.0]]}, "'X'"),
-    ({"X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "'Xtilde'"), ({"X": [[1.0, "x"]], "Xtilde": [[1.0, 0.0]]}, "'X'"),
-    ({"X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "Xtilde": [[math.nan, 0.0]]}, "'Xtilde'"),
-])
-def test_design_file_errors_name_the_file_and_key(tmp_path, capsys, doc, key):
-    # a design file that is not an object, or lacks or garbles a matrix, exits 1 naming both
-    doc_path = tmp_path / "design.json"
-    doc_path.write_text(json.dumps(doc))
-    cfg = write_config(tmp_path, {"design": {"type": "explicit", "file": str(doc_path)}})
-    capsys.readouterr()
-    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: design file {doc_path}") and key in err, err
-    assert not (tmp_path / "o").exists()
 
 
 def test_canonicalize_rank_deficient_exits_2(tmp_path):
@@ -239,6 +212,19 @@ def test_removed_identities_options_are_unknown(tmp_path, capsys, key):
     capsys.readouterr()
     assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "configuration error: unknown configuration option(s): 'identities'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("removed, message", [
+    ({"prior": {"a": [1]}}, "unknown prior option(s): 'a'"),
+    ({"design": {"type": "explicit", "file": "design.json"}}, "unknown design option(s): 'file'"),
+])
+def test_removed_prior_and_design_keys_are_unknown(tmp_path, capsys, removed, message):
+    # the prior is set by nu alone, and an explicit design by X and Xtilde alone
+    cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **removed))
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -747,13 +733,19 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     ({"prior": {"c": [1.0, -math.inf, 1.0]}}, "c"),
     ({"prior": {"nu": math.inf}}, "nu"),
     ({"alphas": [10**400]}, "alphas"),
+    # a repeated value, compared as a float, would repeat the key of a risk_compare.csv row
+    ({"alphas": [1.0, 1.0]}, "alphas"),
+    ({"alphas": [0, -0.0]}, "alphas"),
+    ({"grid": {"theta_norms": [2.0, 2.0]}}, "theta_norms"),
+    ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}}, "theta_norms"),
+    ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2"),
 ])
 def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
     cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong))
     capsys.readouterr()
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and f"{key} must be" in err, err
+    assert err.startswith("configuration error:") and re.search(f"{key} must (be|not repeat a value)", err), err
     assert not (tmp_path / "o").exists()
 
 
@@ -860,7 +852,7 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     for wrong, key in (({"alphas": 5}, "alphas"), ({"out": 5}, "out"), ({"seed": True}, "seed"),
                        ({"reps": 2.5}, "reps"), ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m"),
                        ({"prior": {"rescale_c": "false"}}, "rescale_c"),
-                       ({"prior": {"nu": "0.3"}}, "nu"), ({"prior": {"a": [1]}}, "a"),
+                       ({"prior": {"nu": "0.3"}}, "nu"),
                        ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c")):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")
         capsys.readouterr()
