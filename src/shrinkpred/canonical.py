@@ -106,6 +106,21 @@ def _rows(arr, lead: tuple) -> np.ndarray:
     return out.ravel() if not lead else out.reshape(lead + out.shape[-1:])
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """np.sum(a * b, axis=-1) bit for bit, without numpy's per-row reduction cost on short rows.
+
+    numpy adds a row of fewer than 8 entries left to right; so does this, one
+    column of the block at a time.  Single rows and longer ones go to np.sum.
+    """
+    p = a * b
+    if p.ndim < 2 or not 0 < p.shape[-1] < 8:
+        return np.sum(p, axis=-1)
+    out = p[..., 0]
+    for j in range(1, p.shape[-1]):
+        out = out + p[..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Least squares estimate and residual sum of squares."""

@@ -150,6 +150,11 @@ class ExperimentConfig:
 
 def _parse_design(doc: dict) -> DesignConfig:
     kind = doc.get("type", "explicit")
+    if not isinstance(kind, str) or kind not in _DESIGN_TYPE_KEYS:
+        raise ValueError(f"unknown design type {kind!r}")
+    foreign = sorted(set(doc) - _DESIGN_TYPE_KEYS[kind] - {"type"})
+    if foreign:
+        raise ValueError(f"design option(s) {', '.join(map(repr, foreign))} do not apply to type {kind!r}")
     if kind == "as1":
         m, k, N = (_int(doc, key) for key in ("m", "k", "N"))
         if not (m >= k >= 3):
@@ -162,14 +167,12 @@ def _parse_design(doc: dict) -> DesignConfig:
             if cfg.xtilde.shape != (m, k):
                 raise ValueError(f"xtilde must be m x k = {m} x {k}, got shape {cfg.xtilde.shape}")
         return cfg
-    if kind == "explicit":
-        if "X" not in doc or "Xtilde" not in doc:
-            raise ValueError("explicit design needs X and Xtilde")
-        X, Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
-        if X.ndim != 2:
-            raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {X.shape}")
-        return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
-    raise ValueError(f"unknown design type {kind!r}")
+    if "X" not in doc or "Xtilde" not in doc:
+        raise ValueError("explicit design needs X and Xtilde")
+    X, Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
+    if X.ndim != 2:
+        raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {X.shape}")
+    return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
 
 
 def _int(doc: dict, key: str, default: int | None = None) -> int:
@@ -239,7 +242,8 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
     return out
 
 
-_DESIGN_KEYS = {"type", "m", "k", "N", "xtilde", "X", "Xtilde"}
+_DESIGN_TYPE_KEYS = {"as1": {"m", "k", "N", "xtilde"}, "explicit": {"X", "Xtilde"}}
+_DESIGN_KEYS = {"type"}.union(*_DESIGN_TYPE_KEYS.values())
 _DENSITY_KEYS = {"problem", "observation", "type", "alpha", "points", "is_samples"}
 _DENSITY_TYPES = ("best_invariant", "shrinkage_bayes", "plugin")
 

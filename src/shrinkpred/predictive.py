@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
-from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _rows
+from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _row_dot, _rows
 from .quad import log_trapezoid
 
 __all__ = [
@@ -242,7 +242,7 @@ def shrinkage_components(
     half = (1.0 - alpha) / 2.0
     theta_b = (c - 1.0) / (c + half * d) * v
     e_b = (c - 1.0) * d / (c + half * d)
-    r = np.sum(v * ((half * d + 1.0) / (d * (c + half * d)) * v), axis=-1)
+    r = _row_dot(v, (half * d + 1.0) / (d * (c + half * d)) * v)
     return e_b, theta_b, r
 
 
@@ -341,7 +341,7 @@ def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: Can
     kernel = PredictiveKernel(
         alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=problem.d,
         v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=e_b,
-        theta_b=theta_b, o=r + np.sum(obs.v_star * obs.v_star, axis=-1) / prior.gamma_prior + s,
+        theta_b=theta_b, o=r + _row_dot(obs.v_star, obs.v_star) / prior.gamma_prior + s,
     )
     return replace(kernel, log_const=-_log_integral(kernel))
 
@@ -398,7 +398,7 @@ def plugin_bayes_estimators(
     s = _check_s(obs)
     d, c = problem.d, prior.c
     v, v_star = obs.v, obs.v_star
-    w = (np.sum(v * (v / (c * d)), axis=-1) + np.sum(v_star * v_star, axis=-1) / prior.gamma_prior) / s
+    w = (_row_dot(v, v / (c * d)) + _row_dot(v_star, v_star) / prior.gamma_prior) / s
     nu = prior.nu
     f = nu / (nu + 1.0 + w)
     theta = (1.0 - f[..., None] / c) * v
@@ -423,7 +423,7 @@ def stein_variance(obs: CanonicalObservation, d: np.ndarray, n: int, k: int) -> 
     l = obs.v.shape[-1]
     if d.shape != (l,):
         raise ValueError("d must match the length of v")
-    return np.minimum(s / (n - k), (np.sum(obs.v * (obs.v / d), axis=-1) + s) / (l + n - k))
+    return np.minimum(s / (n - k), (_row_dot(obs.v, obs.v / d) + s) / (l + n - k))
 
 
 def stein_variance_star(obs: CanonicalObservation, n: int, k: int) -> float | np.ndarray:
@@ -432,7 +432,7 @@ def stein_variance_star(obs: CanonicalObservation, n: int, k: int) -> float | np
     if obs.v_star.shape[-1] == 0:
         raise ValueError("v_star is empty; the pooled variant needs m < k")
     l = obs.v.shape[-1]
-    return np.minimum(s / (n - k), (np.sum(obs.v_star * obs.v_star, axis=-1) + s) / (n - l))
+    return np.minimum(s / (n - k), (_row_dot(obs.v_star, obs.v_star) + s) / (n - l))
 
 
 @dataclass(frozen=True)

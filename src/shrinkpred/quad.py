@@ -1,7 +1,8 @@
 """Certified quadrature rules, numpy alone; a rule that misses its certificate raises UnreliableNormalizationError.
 
-The shrinkage constant and the alpha = -1 loss's Frullani integrals run on log_trapezoid, the
-alpha < 1 losses on laguerre's Gauss-Laguerre rules, accepted row by row by certified.
+The shrinkage constant and the alpha = -1 loss's Frullani integrals run on log_trapezoid, which
+halves its step only inside the integrand's bulk.  The alpha < 1 losses run on laguerre's
+Gauss-Laguerre rules, accepted row by row by certified on the ladder n = 16, 24, 36, ..., 271, 406.
 """
 
 import functools
@@ -15,9 +16,10 @@ __all__ = ["UnreliableNormalizationError", "log_trapezoid", "laguerre", "certifi
 # log_trapezoid's window, refinement and certificate; QUAD_ROWS rows share one grid
 QUAD_HALF_WIDTH, QUAD_MAX_WIDTH, QUAD_DROP = 32.0, 2.0**30, 40.0
 QUAD_START_INTERVALS, QUAD_MAX_INTERVALS, QUAD_TOL, QUAD_ROWS = 128, 1 << 16, 1e-10, 64
+QUAD_BULK_MARGIN = 10.0  # the bulk: within QUAD_DROP + QUAD_BULK_MARGIN of a row's peak; inf refines the whole window
 
 # certified's tolerance and node counts: n from LOSS_START_NODES while 3n/2 <= LOSS_MAX_NODES
-LOSS_TOL, LOSS_START_NODES, LOSS_MAX_NODES = 1e-6, 32, 512
+LOSS_TOL, LOSS_START_NODES, LOSS_MAX_NODES = 1e-6, 16, 512
 
 
 class UnreliableNormalizationError(RuntimeError):
@@ -37,8 +39,12 @@ def log_trapezoid(g: Callable[[np.ndarray, slice], np.ndarray], rows: int) -> np
     While g at an end of the window is within QUAD_DROP of its row's largest
     node value, the window doubles toward that end.  Otherwise the step
     halves, reusing every node, until the n- and 2n-interval values of every
-    row agree to QUAD_TOL.  Past QUAD_MAX_INTERVALS or QUAD_MAX_WIDTH it
-    raises UnreliableNormalizationError.
+    row agree to QUAD_TOL.  Only the bulk is refined: the rule runs between
+    the first-pass nodes that bracket every node within QUAD_DROP +
+    QUAD_BULK_MARGIN of its row's peak, since the trapezoid's accuracy comes
+    from there, and g beyond lies lower still.  Past QUAD_MAX_INTERVALS
+    (intervals of the whole window, so a floor on the step) or
+    QUAD_MAX_WIDTH it raises UnreliableNormalizationError.
     """
     out = np.empty(rows)
     for start in range(0, rows, QUAD_ROWS):
@@ -51,30 +57,47 @@ def _shared_grid(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """log_trapezoid of every row of g(z), all rows on one grid."""
     lo, hi = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
     while hi - lo <= QUAD_MAX_WIDTH:
-        n, step = QUAD_START_INTERVALS, (hi - lo) / QUAD_START_INTERVALS
-        gz = g(np.linspace(lo, hi, n + 1))
-        # each row's trapezoid sum in units of exp(shift), shift the row's largest node value
+        gz = g(np.linspace(lo, hi, QUAD_START_INTERVALS + 1))
         shift = gz.max(axis=1)
-        e = np.exp(gz - shift[:, None])
-        total, gap = e.sum(axis=1) - 0.5 * (e[:, 0] + e[:, -1]), math.inf
-        log_int = shift + np.log(step * total)
-        while np.all(gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]):
-            if gap <= QUAD_TOL:
-                return log_int
-            if n >= QUAD_MAX_INTERVALS:
-                raise UnreliableNormalizationError(
-                    f"trapezoid rule on [{lo:.3g}, {hi:.3g}] at {n} intervals: n vs 2n gap {gap:.3e}")
-            gm = g(lo + step * (np.arange(n) + 0.5))
-            top = np.maximum(shift, gm.max(axis=1))
-            total = total * np.exp(shift - top) + np.exp(gm - top[:, None]).sum(axis=1)
-            shift, n, step = top, 2 * n, step / 2.0
-            new = shift + np.log(step * total)
-            gap, log_int = float(np.max(np.abs(new - log_int))), new
+        low = gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]
+        if low.all():
+            return _refine_bulk(g, lo, (hi - lo) / QUAD_START_INTERVALS, gz, shift)
         # an end lies in the bulk of some row (or g is not finite there): widen toward it
-        width, low = hi - lo, gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]
+        width = hi - lo
         lo -= 0.0 if low[:, 0].all() else width
         hi += 0.0 if low[:, 1].all() else width
     raise UnreliableNormalizationError(f"integrand within {QUAD_DROP} of its peak at an end of [{lo:.3g}, {hi:.3g}]")
+
+
+def _refine_bulk(g: Callable[[np.ndarray], np.ndarray], lo: float, step: float, gz: np.ndarray,
+                 shift: np.ndarray) -> np.ndarray:
+    """The trapezoid rule from the first-pass nodes gz = g(lo + step j), halving the step inside the bulk.
+
+    The bulk is every node within QUAD_DROP + QUAD_BULK_MARGIN of its row's
+    peak; the rule runs between the first-pass nodes that bracket it, whose
+    values pass the window's QUAD_DROP test too.  n counts intervals of the
+    whole first-pass window, so QUAD_MAX_INTERVALS floors the step.
+    """
+    n = gz.shape[1] - 1
+    inside = (gz > (shift - QUAD_DROP - QUAD_BULK_MARGIN)[:, None]).any(axis=0)
+    first, last = max(int(np.argmax(inside)) - 1, 0), min(n + 1 - int(np.argmax(inside[::-1])), n)
+    lo, gz, span = lo + first * step, gz[:, first:last + 1], last - first
+    # each row's trapezoid sum in units of exp(shift), shift the row's largest node value
+    e = np.exp(gz - shift[:, None])
+    total, gap = e.sum(axis=1) - 0.5 * (e[:, 0] + e[:, -1]), math.inf
+    log_int = shift + np.log(step * total)
+    while gap > QUAD_TOL:
+        if n >= QUAD_MAX_INTERVALS:
+            raise UnreliableNormalizationError(
+                f"trapezoid rule on [{lo:.3g}, {lo + step * span:.3g}] at {n} intervals of the window: "
+                f"n vs 2n gap {gap:.3e}")
+        gm = g(lo + step * (np.arange(span) + 0.5))
+        top = np.maximum(shift, gm.max(axis=1))
+        total = total * np.exp(shift - top) + np.exp(gm - top[:, None]).sum(axis=1)
+        shift, n, span, step = top, 2 * n, 2 * span, step / 2.0
+        new = shift + np.log(step * total)
+        gap, log_int = float(np.max(np.abs(new - log_int))), new
+    return log_int
 
 
 @functools.lru_cache(maxsize=256)
@@ -86,10 +109,14 @@ def laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     from LAPACK (np.linalg.eigvalsh of the dense T, already tridiagonal, so
     they do not depend on the BLAS thread count).  Three Newton steps on p_n,
     the orthonormal polynomial of T's three-term recurrence, move each node to
-    where the recurrence has its root.  That buys the weights, not the nodes:
-    at n = 72 the log weights are within 4e-14 of a 50-digit reference (6e-13
-    without the steps); the smallest node at a = -0.99, n = 364 is off by
-    2.5e-12 relative (2.8e-13 without).  Each weight is 1/sum_{k<n} p_k(x)^2,
+    where the recurrence has its root.  That buys the weights, not the nodes.
+    Against a 50-digit reference, at n = 72 the log weights are within 4e-14
+    (6e-13 without the steps).  At certified's top rung, n = 406: at
+    a = -0.99 the nodes are within 2.7e-12 relative (4.8e-13 without; the
+    smallest node is the worst) and the log weights within 7.0e-13 (4.5e-12
+    without); at a = 896, about the largest A beta - 1 of the shipped configs'
+    problems (alpha = 0.99), 3.6e-16 and 3.3e-13 (1.8e-14 and 1.2e-11
+    without).  Each weight is 1/sum_{k<n} p_k(x)^2,
     the Christoffel-Darboux kernel at the node, summed with a running rescale
     so its log stays finite where Gamma(a+1) overflows.  Memoized per (a, n);
     the arrays are read-only.
@@ -132,7 +159,11 @@ def certified(loss: Callable[[int, np.ndarray], np.ndarray], rows: int) -> np.nd
     """Per-row losses, each accepted once loss(n, index) and loss(3n/2, index) agree within LOSS_TOL.
 
     Rows that disagree move on to the next pair, from LOSS_START_NODES while
-    3n/2 <= LOSS_MAX_NODES; past that the certificate fails.
+    3n/2 <= LOSS_MAX_NODES: n = 16, 24, 36, 54, 81, 121, 181, 271, 406; past
+    406 the certificate fails.  The first pair costs a shrinkage row of
+    as1_desk at alpha = 0 244 + 436 kept node pairs.  On both shipped
+    configs' problems at alpha from -0.99 to 0.99 the accepted losses lie
+    within 3.3e-8 of a reference certified to 1e-11 from 64 nodes.
     """
     out, todo, n = np.empty(rows), np.arange(rows), LOSS_START_NODES
     coarse, gap = loss(n, todo), math.inf

@@ -43,6 +43,7 @@ from .canonical import (
     CanonicalObservation,
     CanonicalParams,
     CanonicalProblem,
+    _row_dot,
     simulate_observation,
 )
 from .predictive import PluginEstimate, PredictiveKernel
@@ -100,7 +101,7 @@ def d1_loss_plugin(theta_hat, sigma2_hat, theta, sigma2: float, m: int):
         raise ValueError("variances must be positive")
     diff = np.asarray(theta_hat, dtype=float) - np.asarray(theta, dtype=float)
     ratio = sigma2_hat / sigma2
-    return 0.5 * (np.sum(diff * diff, axis=-1) / sigma2 + m * (ratio - np.log(ratio) - 1.0))
+    return 0.5 * (_row_dot(diff, diff) / sigma2 + m * (ratio - np.log(ratio) - 1.0))
 
 
 def _digamma_half(q: int) -> float:

@@ -12,6 +12,7 @@ from shrinkpred.canonical import (
     BLOCK_SIZE,
     CanonicalParams,
     RankDeficiencyError,
+    _row_dot,
     as1_design,
     as1_problem,
     canonicalize,
@@ -399,3 +400,15 @@ def test_case2_simulation_dimensions(case2_problem_n12):
     params = CanonicalParams(theta=np.zeros(1), mu=np.array([1.0, -1.0]), eta=1.0)
     obs = simulate_observation(case2_problem_n12, [params], seed=0)[0][0]
     assert obs.v.shape == (1,) and obs.v_star.shape == (2,) and obs.s > 0
+
+
+@pytest.mark.parametrize("width", range(10))
+def test_row_dot_is_numpy_row_sum_bit_for_bit(width):
+    # the alpha = 1 losses and the shrinkage factorization sum short rows with _row_dot; their bytes in
+    # risk_compare.csv stay those of np.sum(a * b, axis=-1) only while numpy adds such rows left to right
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((BLOCK_SIZE, width)) * 10.0 ** rng.uniform(-8, 8, (BLOCK_SIZE, width))
+    b = rng.standard_normal((BLOCK_SIZE, width))
+    for x, y in ((a, b), (a, a), (a[:, ::-1], b[::-1]), (a[0], b[0]), (a[:5], b[0])):
+        got, want = _row_dot(x, y), np.sum(x * y, axis=-1)
+        assert type(got) is type(want) and np.array_equal(got, want)

@@ -228,6 +228,27 @@ def test_removed_prior_and_design_keys_are_unknown(tmp_path, capsys, removed, me
     assert not (tmp_path / "o").exists()
 
 
+EXPLICIT_DESIGN = {"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], "Xtilde": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("design, key", [
+    (dict(AS1_DESIGN, X=EXPLICIT_DESIGN["X"]), "X"),
+    (dict(AS1_DESIGN, Xtilde=EXPLICIT_DESIGN["Xtilde"]), "Xtilde"),
+    (dict(EXPLICIT_DESIGN, m=3), "m"),
+    (dict(EXPLICIT_DESIGN, k=3), "k"),
+    (dict(EXPLICIT_DESIGN, N=4), "N"),
+    (dict(EXPLICIT_DESIGN, xtilde=[[1.0, 0.0]]), "xtilde"),
+])
+def test_other_design_types_keys_are_rejected_by_name(tmp_path, capsys, design, key):
+    # a key of the other design type would otherwise be read by neither and silently ignored
+    cfg = write_config(tmp_path, {"seed": 1, "design": design})
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: design option(s) {key!r} do not apply to type {design['type']!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
 RISK_DOC = {
     "seed": 33,
     "design": AS1_DESIGN,

@@ -506,9 +506,10 @@ def test_laguerre_rule_finite_where_scipy_overflows(a):
 
 
 @pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
-@pytest.mark.parametrize("n", [162, 243, 364])
+@pytest.mark.parametrize("n", [162, 243, 271, 364])
 def test_laguerre_rule_at_largest_certificate_nodes(a, n):
-    # the node counts quad.certified reaches from LOSS_START_NODES by 3n/2 steps within LOSS_MAX_NODES
+    # large node counts of quad.certified's n -> 3n/2 ladders; at its top rung, 406, scipy's largest nodes are
+    # not finite, and test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference checks the rule instead
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         x, log_w = quad_module.laguerre.__wrapped__(a, n)
@@ -544,34 +545,63 @@ def test_laguerre_rule_integrates_every_monomial_below_degree_2n(a, n):
     assert np.abs(got - want).max() <= 1e-11
 
 
-def _decimal_orthonormal(x: Decimal, a: Decimal, n: int) -> tuple[Decimal, Decimal]:
-    """p_n(x)/p_n'(x) and log sum_{k<n} p_k(x)^2 of laguerre's recurrence, in the current decimal context."""
-    p_prev, p, dp_prev, dp, total, b = Decimal(0), Decimal(1), Decimal(0), Decimal(0), Decimal(1), Decimal(0)
-    for k in range(n):
-        b_next, xd = ((k + 1) * (k + 1 + a)).sqrt(), x - (2 * k + a + 1)
-        dp_prev, dp = dp, (xd * dp + p - b * dp_prev) / b_next
-        p_prev, p, b = p, (xd * p - b * p_prev) / b_next, b_next
-        if k < n - 1:
+def _decimal_orthonormal(x: Decimal, a: Decimal, b: list[Decimal]) -> tuple[Decimal, Decimal]:
+    """p_n(x)/p_n'(x) and sum_{k<n} p_k(x)^2 of laguerre's recurrence, b[k] = sqrt((k+1)(k+1+a)), n = len(b)."""
+    p_prev, p, dp_prev, dp, total, b_prev = Decimal(0), Decimal(1), Decimal(0), Decimal(0), Decimal(1), Decimal(0)
+    for k, b_next in enumerate(b):
+        xd = x - (2 * k + a + 1)
+        dp_prev, dp = dp, (xd * dp + p - b_prev * dp_prev) / b_next
+        p_prev, p, b_prev = p, (xd * p - b_prev * p_prev) / b_next, b_next
+        if k < len(b) - 1:
             total += p * p
-    return p / dp, total.ln()
+    return p / dp, total
+
+
+def decimal_rule_errors(a: float, n: int) -> tuple[float, float]:
+    """The largest relative node error and log-weight error of laguerre(a, n) against a 50-digit reference.
+
+    The reference runs three Newton steps on the recurrence in 50-digit
+    decimals from the rule's own nodes (the last one moves a node by < 1e-40)
+    and takes each log weight at the node before the last step.
+    """
+    x, log_w = quad_module.laguerre(a, n)
+    node_err, weight_err = Decimal(0), Decimal(0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a_dec = Decimal(a)
+        b = [((k + 1) * (k + 1 + a_dec)).sqrt() for k in range(n)]
+        for node, got in zip(x.tolist(), log_w.tolist()):
+            ref = Decimal(node)
+            for _ in range(3):
+                step, total = _decimal_orthonormal(ref, a_dec, b)
+                ref -= step
+            node_err = max(node_err, abs((Decimal(node) - ref) / ref))
+            weight_err = max(weight_err, abs(Decimal(got) + total.ln()))
+    return float(node_err), float(weight_err)
 
 
 @pytest.mark.parametrize("a", [-0.99, -0.5, 4.25, 120.0])
 def test_laguerre_log_weights_match_a_50_digit_reference(a):
-    # the reference runs Newton on the recurrence in 50-digit decimals from the rule's own nodes;
     # the rule's Newton polish is what brings its log weights this close (without it: 2.8e-13 to 5.7e-13)
-    n = 72
-    x, log_w = quad_module.laguerre(a, n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        errors = []
-        for node, got in zip(x.tolist(), log_w.tolist()):
-            node = Decimal(node)
-            for _ in range(4):
-                step, _ = _decimal_orthonormal(node, Decimal(a), n)
-                node -= step
-            errors.append(abs(Decimal(got) + _decimal_orthonormal(node, Decimal(a), n)[1]))
-    assert max(errors) <= Decimal("1e-13")
+    assert decimal_rule_errors(a, 72)[1] <= 1e-13
+
+
+def top_rung() -> int:
+    """The largest node count quad.certified reaches: n -> 3n/2 from LOSS_START_NODES within LOSS_MAX_NODES."""
+    n = quad_module.LOSS_START_NODES
+    while 3 * n // 2 <= quad_module.LOSS_MAX_NODES:
+        n = 3 * n // 2
+    return n
+
+
+# a = -0.99 is near the alpha -> -1 edge; 896 is about A beta - 1 on as1_desk at alpha = 0.99, the largest
+# the shipped configs' problems reach (A = 901.5, beta = 0.995); laguerre's docstring records the errors
+@pytest.mark.parametrize("a, node_tol, weight_tol", [(-0.99, 1e-11, 2e-12), (896.0, 1e-14, 2e-12)])
+def test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference(a, node_tol, weight_tol):
+    n = top_rung()
+    assert n == 406
+    node_err, weight_err = decimal_rule_errors(a, n)
+    assert node_err <= node_tol and weight_err <= weight_tol, (node_err, weight_err)
 
 
 def test_laguerre_rule_is_cached_and_read_only():
@@ -638,6 +668,69 @@ def test_exact_loss_matches_inner_monte_carlo(design):
     assert zs.size == 5 * 2 * 2 * 8
     assert len(rechecked) <= 1 and all(abs(z) <= 4.0 for z in rechecked), (zs, rechecked)
     assert abs(zs.mean()) <= 3.0 / math.sqrt(zs.size), zs.mean()
+
+
+def norm_blocks(problem, rows, seed):
+    """(params, block) pairs at |theta| = 0, 2, 10 and 50 along the first axis, eta = 1, rows rows each."""
+    points = [CanonicalParams(theta=norm * np.eye(problem.l)[0], mu=np.zeros(problem.k - problem.l), eta=1.0)
+              for norm in (0.0, 2.0, 10.0, 50.0)]
+    return [(params, block[:rows]) for params, block in zip(points, simulate_observation(problem, points, seed, 0))]
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l"])
+def test_certified_loss_is_within_loss_tol_of_a_deeper_reference(design, alpha, monkeypatch):
+    # the ladder from LOSS_START_NODES against one certified to 1e-11 from 64 nodes; over these
+    # cells the two differ by at most 3.3e-8
+    problem, prior = oracle_designs()[design]
+    for params, block in norm_blocks(problem, 64, 11):
+        for kernel in (best_invariant_kernel(problem, block, alpha),
+                       shrinkage_bayes_kernel(problem, prior, block, alpha)):
+            got = alpha_divergence_loss(kernel, params.theta, params.eta)
+            with monkeypatch.context() as patch:
+                patch.setattr(quad_module, "LOSS_TOL", 1e-11)
+                patch.setattr(quad_module, "LOSS_START_NODES", 64)
+                want = alpha_divergence_loss(kernel, params.theta, params.eta)
+            assert np.abs(got - want).max() <= quad_module.LOSS_TOL
+
+
+def counting_grid(nodes: list):
+    """quad._shared_grid, recording how many nodes each evaluation of the integrand takes."""
+    shared = quad_module._shared_grid
+
+    def grid(g):
+        def counted(z):
+            nodes.append(z.size)
+            return g(z)
+        return shared(counted)
+    return grid
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.99, 0.0, 0.99])
+@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l"])
+def test_bulk_refinement_matches_the_full_window_rule(design, alpha, monkeypatch):
+    # an infinite QUAD_BULK_MARGIN refines the whole first-pass window; refining only the bulk moves the
+    # shrinkage constant and the alpha = -1 Frullani losses by rounding, and evaluates fewer nodes
+    problem, prior = oracle_designs()[design]
+    for params, block in norm_blocks(problem, 128, 13):
+        def run():
+            nodes = []
+            with monkeypatch.context() as patch:
+                patch.setattr(quad_module, "_shared_grid", counting_grid(nodes))
+                kernels = (shrinkage_bayes_kernel(problem, prior, block, alpha),
+                           best_invariant_kernel(problem, block, alpha))
+                constant_nodes = sum(nodes)
+                losses = [alpha_divergence_loss(k, params.theta, params.eta) for k in kernels] if alpha == -1.0 else []
+            return kernels[0].log_const, losses, constant_nodes
+
+        got, got_losses, got_nodes = run()
+        monkeypatch.setattr(quad_module, "QUAD_BULK_MARGIN", math.inf)
+        want, want_losses, want_nodes = run()
+        monkeypatch.undo()
+        assert np.abs(got - want).max() <= quad_module.QUAD_TOL
+        for got_loss, want_loss in zip(got_losses, want_losses):
+            assert np.abs(got_loss - want_loss).max() <= quad_module.QUAD_TOL
+        assert got_nodes < want_nodes
 
 
 def per_axis_log_affinity(kernel, theta, eta, n):
