@@ -17,7 +17,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .bounds import NuBounds, a_of_nu, condition_d, nu_limits, nu_of_prior, rescale_C_for_positivity
+from .bounds import NuBounds, condition_d, nu_limits, rescale_C_for_positivity
 from .canonical import (
     BLOCK_SIZE,
     CanonicalObservation,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NuBounds", "nu_limits", "rescale_C_for_positivity", "nu_of_prior", "a_of_nu", "condition_d"]
+__all__ = ["NuBounds", "nu_limits", "rescale_C_for_positivity", "condition_d"]
 
 
 @dataclass(frozen=True)
@@ -80,25 +80,6 @@ def rescale_C_for_positivity(d: np.ndarray, c0: np.ndarray, m: int, n: int, k: i
     if deficit + m / (n - k) > 0:
         return 1.0
     return float(max(1.0, 1.05 * (-deficit) * (n - k) / m))
-
-
-def nu_of_prior(k: int, a: float, n: int) -> float:
-    """Shrinkage weight nu = (k + 2a + 2)/(n - k) of the prior exponent a."""
-    if n <= k:
-        raise ValueError("need n > k")
-    nu = (k + 2.0 * a + 2.0) / (n - k)
-    if nu <= 0:
-        raise ValueError("a must exceed -k/2 - 1 so that nu > 0")
-    return nu
-
-
-def a_of_nu(k: int, nu: float, n: int) -> float:
-    """Inverse of nu_of_prior."""
-    if n <= k:
-        raise ValueError("need n > k")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    return (nu * (n - k) - k - 2.0) / 2.0
 
 
 def condition_d(d: np.ndarray) -> bool:

@@ -143,7 +143,6 @@ class ExperimentConfig:
     reps: int = 2000
     reps_outer: int = 2000
     n_mc_inner: int = 2000  # read and checked, but without effect: alpha < 1 losses are exact
-    is_samples: int = 20_000  # read and checked, but without effect: the shrinkage constant is a quadrature
     density: dict = field(default_factory=dict)
     out: str | None = None
 
@@ -274,6 +273,10 @@ def load_config(path: str) -> ExperimentConfig:
         gamma_prior=_number(pr, "gamma_prior", 1.0),
         rescale_c=pr.get("rescale_c", True),
     )
+    if cfg.prior.nu is not None and not cfg.prior.nu > 0:
+        raise ValueError(f"nu must be positive, got {cfg.prior.nu!r}")
+    if not cfg.prior.gamma_prior >= 1:
+        raise ValueError(f"gamma_prior must be >= 1, got {cfg.prior.gamma_prior!r}")
     c = cfg.prior.c
     if not (c is None or c == "identity" or _is_number(c) or isinstance(c, list) and all(map(_is_number, c))):
         raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}')
@@ -310,9 +313,9 @@ def load_config(path: str) -> ExperimentConfig:
         if used and count < min_reps(alpha):
             raise ValueError(f"{key} must be at least {min_reps(alpha)}, got {count}")
     cfg.n_mc_inner = _int(doc, "n_mc_inner", 2000)
-    cfg.is_samples = _int(doc, "is_samples", 20_000)
     cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
-    _int(cfg.density, "is_samples", cfg.is_samples)  # checked like the top-level key, equally without effect
+    # read and checked, but without effect: the shrinkage constant is a quadrature
+    _int(cfg.density, "is_samples", 20_000)
     if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
     if cfg.density.get("type", "best_invariant") not in _DENSITY_TYPES:
@@ -369,15 +372,8 @@ def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, fl
 
 
 def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
-    pc = cfg.prior
-    c, _ = _prior_c(pc, problem)
-    nu = pc.nu
-    if nu is None:
-        nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
-        if not nb.positive:
-            raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
-        nu = nb.nu_max
-    return PriorSpec.from_problem(problem, c=c, nu=nu, gamma_prior=pc.gamma_prior)
+    c, _ = _prior_c(cfg.prior, problem)
+    return PriorSpec.from_problem(problem, c=c, nu=cfg.prior.nu, gamma_prior=cfg.prior.gamma_prior)
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +407,12 @@ def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, _, _ = build_problem(cfg)
     c, g0 = _prior_c(cfg.prior, problem)
     nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
-    suggested_a = (
-        bounds_mod.a_of_nu(problem.k, nb.nu_max, problem.n) if nb.positive else None
-    )
     out = {
         "nu1": nb.nu1,
         "nu2": nb.nu2,
         "nu3": nb.nu3,
         "nu_max": nb.nu_max,
         "positive": nb.positive,
-        "suggested_a": suggested_a,
         "g0": g0,
         "condition_d": bounds_mod.condition_d(problem.d),
     }
@@ -483,12 +475,10 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     plugin_rules = {
         "umvu": lambda obs: umvu_estimators(obs, n, k),
         "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
-        "stein_variance": lambda obs: PluginEstimate(obs.v, stein_variance(obs, d, n, k), w=math.inf),
+        "stein_variance": lambda obs: PluginEstimate(obs.v, stein_variance(obs, d, n, k)),
     }
     if problem.case == "II":
-        plugin_rules["stein_variance_star"] = (
-            lambda obs: PluginEstimate(obs.v, stein_variance_star(obs, n, k), w=math.inf)
-        )
+        plugin_rules["stein_variance_star"] = lambda obs: PluginEstimate(obs.v, stein_variance_star(obs, n, k))
 
     grid = [CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
             for theta, _, _, s2 in points]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import a_of_nu, nu_limits, nu_of_prior, rescale_C_for_positivity
+from .bounds import nu_limits, rescale_C_for_positivity
 from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _row_dot, _rows
 from .quad import log_trapezoid
 
@@ -133,14 +133,14 @@ class PriorSpec:
     """Hyperparameters of the hierarchical shrinkage prior.
 
     ``c`` scales the prior covariance componentwise (c_i >= 1; a larger c_i
-    shrinks component i less), ``a`` is the common exponent of the
-    precision and mixing densities, and ``gamma_prior`` scales the prior on
-    the auxiliary mean.  Problem dimensions are captured so the derived
-    shrinkage weight nu is self-contained.
+    shrinks component i less), ``nu`` = (k + 2a + 2)/(n - k) > 0 is the
+    shrinkage weight, which fixes the common exponent a of the precision and
+    mixing densities, and ``gamma_prior`` scales the prior on the auxiliary
+    mean.  Problem dimensions are captured so the exponent a is self-contained.
     """
 
     c: np.ndarray
-    a: float
+    nu: float
     gamma_prior: float
     n: int
     k: int
@@ -155,54 +155,48 @@ class PriorSpec:
             raise ValueError(f"c must have length l = {l}")
         if np.any(c < 1):
             raise ValueError("entries of c must be >= 1")
-        if not self.a > -self.k / 2.0 - 1.0:
-            raise ValueError("a must exceed -k/2 - 1")
+        if not self.nu > 0:  # the prior's integrability floor a > -k/2 - 1
+            raise ValueError("nu must be positive")
         if self.gamma_prior < 1:
             raise ValueError("gamma_prior must be >= 1")
         if self.n <= self.k:
             raise ValueError("need n > k")
 
     @property
-    def nu(self) -> float:
-        return nu_of_prior(self.k, self.a, self.n)
+    def a(self) -> float:
+        """The prior exponent a = (nu (n - k) - k - 2)/2."""
+        return (self.nu * (self.n - self.k) - self.k - 2.0) / 2.0
 
     @classmethod
     def from_problem(
         cls,
         problem: CanonicalProblem,
         c: np.ndarray | float | None = None,
-        a: float | None = None,
         nu: float | None = None,
         gamma_prior: float = 1.0,
     ) -> "PriorSpec":
-        if c is None:
-            c_arr = np.ones(problem.l)
-        else:
-            c_arr = np.broadcast_to(np.asarray(c, dtype=float), (problem.l,)).copy()
-        if (a is None) == (nu is None):
-            raise ValueError("specify exactly one of a or nu")
-        if a is None:
-            a = a_of_nu(problem.k, nu, problem.n)
-        return cls(c=c_arr, a=float(a), gamma_prior=float(gamma_prior),
-                   n=problem.n, k=problem.k, m=problem.m)
+        """The prior of problem with scale c (default I) and weight nu (default the domination cap nu_max)."""
+        c = np.ones(problem.l) if c is None else np.broadcast_to(np.asarray(c, dtype=float), (problem.l,)).copy()
+        if nu is None:
+            nb = nu_limits(problem.d, c, problem.m, problem.n, problem.k)
+            if not nb.positive:
+                raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
+            nu = nb.nu_max
+        return cls(c=c, nu=float(nu), gamma_prior=float(gamma_prior), n=problem.n, k=problem.k, m=problem.m)
 
     @classmethod
     def minimax_default(cls, problem: CanonicalProblem, gamma_prior: float = 1.0) -> "PriorSpec":
         """C = g0*I with g0 the positivity rescale, nu at the domination cap."""
-        c0 = np.ones(problem.l)
-        g0 = rescale_C_for_positivity(problem.d, c0, problem.m, problem.n, problem.k)
-        c = g0 * c0
-        nb = nu_limits(problem.d, c, problem.m, problem.n, problem.k)
-        return cls.from_problem(problem, c=c, nu=nb.nu_max, gamma_prior=gamma_prior)
+        g0 = rescale_C_for_positivity(problem.d, np.ones(problem.l), problem.m, problem.n, problem.k)
+        return cls.from_problem(problem, c=g0, gamma_prior=gamma_prior)
 
 
 @dataclass(frozen=True)
 class PluginEstimate:
-    """Plug-in mean and variance estimates with the shrinkage statistic W, one row per block row."""
+    """Plug-in mean and variance estimates, one row per block row."""
 
     theta_hat: np.ndarray
     sigma2_hat: float | np.ndarray
-    w: float | np.ndarray
 
     def __post_init__(self):
         sigma2 = _freeze(self.sigma2_hat)
@@ -210,8 +204,6 @@ class PluginEstimate:
         object.__setattr__(self, "sigma2_hat", float(sigma2) if sigma2.ndim == 0 else sigma2)
         if not np.all(sigma2 > 0):
             raise ValueError("sigma2_hat must be positive")
-        if np.any(np.asarray(self.w) < 0):
-            raise ValueError("w must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +323,9 @@ def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: Can
     """The shrinkage density of each observation of a block (or of one observation).
 
     Its kernel is (q_u(y) + s)^-A (q_b(y) + o)^-B with A = m/2 + (n-k)/(1-alpha),
-    B = (k+2a+2)/(1-alpha) and o = r + |v*|^2/gamma + s (v* is empty when
-    m >= k), normalized by its certified logit-scale quadrature (_log_integral).
+    B = (k+2a+2)/(1-alpha) = nu(n-k)/(1-alpha) and o = r + |v*|^2/gamma + s (v* is empty
+    when m >= k), normalized by its certified logit-scale quadrature (_log_integral).
+    B is computed from a: nu(n-k) can round one ulp away from k+2a+2 and move the risks' last digits.
     Raises UnreliableNormalizationError when the certificate fails for any row.
     """
     alpha = _check_alpha(alpha)
@@ -403,17 +396,16 @@ def plugin_bayes_estimators(
     f = nu / (nu + 1.0 + w)
     theta = (1.0 - f[..., None] / c) * v
     sigma2 = (1.0 - f) * s / (problem.n - problem.k)
-    return PluginEstimate(theta_hat=theta, sigma2_hat=sigma2, w=w)
+    return PluginEstimate(theta_hat=theta, sigma2_hat=sigma2)
 
 
 def umvu_estimators(obs: CanonicalObservation, n: int, k: int) -> PluginEstimate:
     """Unbiased baseline: theta_hat = V, sigma2_hat = S/(n-k), per observation of a block.
 
-    The no-shrinkage limit corresponds to W at infinity, which is what the
-    estimate records.
+    It is the no-shrinkage limit of the plug-in rule, W at infinity.
     """
     s = _check_s(obs)
-    return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (n - k), w=math.inf)
+    return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (n - k))
 
 
 def stein_variance(obs: CanonicalObservation, d: np.ndarray, n: int, k: int) -> float | np.ndarray:

@@ -136,7 +136,7 @@ def alpha_divergence_mc(
     n_mc = int(n_mc)
     if n_mc < 100:
         raise ValueError("n_mc must be at least 100")
-    truth = plugin_density(PluginEstimate(theta_hat=theta, sigma2_hat=1.0 / eta, w=math.inf), problem)
+    truth = plugin_density(PluginEstimate(theta_hat=theta, sigma2_hat=1.0 / eta), problem)
     rng = replication_rng(seed, rep_index, stream=STREAM_DIVERGENCE)
     if alpha == 1.0:
         ys = sample(phat, rng, n_mc)

@@ -163,7 +163,6 @@ def test_criterion_6_d1_equivalence(as1_problem_n12):
         est = PluginEstimate(
             theta_hat=theta + 0.4 * rng.standard_normal(3),
             sigma2_hat=sigma2 * rng.uniform(0.6, 1.4),
-            w=1.0,
         )
         mc = alpha_divergence_mc(plugin_density(est, problem), theta, 1.0 / sigma2,
                                  problem, 1.0, 20_000, seed=1000 + i)
@@ -222,7 +221,6 @@ def test_criterion_9_determinism(tmp_path):
         "reps": 400,
         "reps_outer": 60,
         "n_mc_inner": 200,
-        "is_samples": 4000,
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))

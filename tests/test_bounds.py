@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shrinkpred.bounds import (
-    a_of_nu,
-    condition_d,
-    nu_limits,
-    nu_of_prior,
-    rescale_C_for_positivity,
-)
+from shrinkpred.bounds import condition_d, nu_limits, rescale_C_for_positivity
+from shrinkpred.predictive import PriorSpec
 
 positive_floats = st.floats(0.05, 20.0, allow_nan=False)
 
@@ -100,24 +95,27 @@ def test_rescale_monotone_in_deficit(d1, d2):
     assert g_hi >= g_lo - 1e-12
 
 
+def prior_of_nu(k: int, nu: float, n: int) -> PriorSpec:
+    return PriorSpec(c=np.ones(k), nu=nu, gamma_prior=1.0, n=n, k=k, m=k)
+
+
 def test_nu_a_round_trip_values():
-    assert nu_of_prior(3, 0.0, 12) == pytest.approx(5.0 / 9.0, abs=1e-15)
+    assert prior_of_nu(3, 5.0 / 9.0, 12).a == pytest.approx(0.0, abs=1e-15)
     eps = 1e-6
-    assert nu_of_prior(3, -(3 + 2) / 2 + eps, 12) == pytest.approx(2 * eps / 9, rel=1e-6)
+    assert prior_of_nu(3, 2 * eps / 9, 12).a == pytest.approx(-(3 + 2) / 2 + eps, abs=1e-15)
 
 
 @given(st.integers(1, 10), st.floats(1e-3, 50.0), st.integers(2, 40))
 def test_nu_a_inverse_pair(k, nu, q):
     n = k + q
-    a = a_of_nu(k, nu, n)
-    assert nu_of_prior(k, a, n) == pytest.approx(nu, rel=1e-12, abs=1e-12)
+    a = prior_of_nu(k, nu, n).a
+    assert (k + 2 * a + 2) / (n - k) == pytest.approx(nu, rel=1e-12, abs=1e-12)
 
 
 def test_nonpositive_nu_rejected():
-    with pytest.raises(ValueError):
-        a_of_nu(3, 0.0, 12)
-    with pytest.raises(ValueError):
-        nu_of_prior(3, -10.0, 12)
+    for nu in (0.0, -10.0 / 9.0):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            prior_of_nu(3, nu, 12)
 
 
 def test_condition_d_equal_eigenvalues():

@@ -150,7 +150,7 @@ def test_bounds_output(tmp_path):
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "bounds.json").read_text())
-    assert set(doc) == {"nu1", "nu2", "nu3", "nu_max", "positive", "suggested_a", "g0", "condition_d"}
+    assert set(doc) == {"nu1", "nu2", "nu3", "nu_max", "positive", "g0", "condition_d"}
     assert doc["positive"] is True
     assert doc["nu_max"] == pytest.approx(min(doc["nu1"], doc["nu2"], doc["nu3"]))
     assert doc["g0"] == 1.0
@@ -218,9 +218,11 @@ def test_removed_identities_options_are_unknown(tmp_path, capsys, key):
 @pytest.mark.parametrize("removed, message", [
     ({"prior": {"a": [1]}}, "unknown prior option(s): 'a'"),
     ({"design": {"type": "explicit", "file": "design.json"}}, "unknown design option(s): 'file'"),
+    ({"is_samples": 4000}, "unknown configuration option(s): 'is_samples'"),
 ])
 def test_removed_prior_and_design_keys_are_unknown(tmp_path, capsys, removed, message):
-    # the prior is set by nu alone, and an explicit design by X and Xtilde alone
+    # the prior is set by nu alone, an explicit design by X and Xtilde alone, and is_samples only
+    # in the density section
     cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **removed))
     capsys.readouterr()
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -257,7 +259,6 @@ RISK_DOC = {
     "reps": 200,
     "reps_outer": 50,
     "n_mc_inner": 100,
-    "is_samples": 2000,
 }
 
 
@@ -760,6 +761,10 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     ({"grid": {"theta_norms": [2.0, 2.0]}}, "theta_norms"),
     ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}}, "theta_norms"),
     ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2"),
+    # values a prior cannot take fail at load, also for subcommands that build no prior
+    ({"prior": {"nu": -1}}, "nu"),
+    ({"prior": {"nu": 0}}, "nu"),
+    ({"prior": {"gamma_prior": 0.5}}, "gamma_prior"),
 ])
 def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
     cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong))

@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 from scipy import integrate, stats
 
-from shrinkpred.bounds import a_of_nu
+from shrinkpred.bounds import nu_limits
 import shrinkpred.predictive as predictive_module
 import shrinkpred.quad as quad_module
 from shrinkpred.canonical import (
@@ -124,14 +124,25 @@ def test_alpha_one_rejected(prob_m3, obs_m3):
 
 
 def test_prior_derived_quantities(prob_m3):
-    prior = PriorSpec.from_problem(prob_m3, a=-1.6)
-    assert prior.nu == pytest.approx((3 + 2 * -1.6 + 2) / 9, rel=1e-14)
-    with pytest.raises(ValueError):
-        PriorSpec.from_problem(prob_m3, a=-3.0)  # below the integrability floor
+    prior = PriorSpec.from_problem(prob_m3, nu=0.2)
+    assert prior.a == pytest.approx(-1.6, rel=1e-14)
+    for nu in (0.0, -1.0 / 9.0):  # at or below the integrability floor a > -k/2 - 1
+        with pytest.raises(ValueError, match="nu must be positive"):
+            PriorSpec.from_problem(prob_m3, nu=nu)
     with pytest.raises(ValueError):
         PriorSpec.from_problem(prob_m3, c=0.5, nu=0.2)
     with pytest.raises(ValueError):
         PriorSpec.from_problem(prob_m3, nu=0.2, gamma_prior=0.5)
+
+
+def test_default_nu_needs_positive_bounds():
+    # nu1 = -0.155 at C = I: the domination cap is no prior until C is rescaled or nu is set
+    problem = synthetic_problem(n=12, k=3, m=1, d=[1.0])
+    assert nu_limits(problem.d, np.ones(1), 1, 12, 3).nu1 == pytest.approx(-0.155, abs=5e-4)
+    with pytest.raises(ValueError, match=r"^nu bounds are not positive; rescale C or set nu explicitly$"):
+        PriorSpec.from_problem(problem)
+    assert PriorSpec.from_problem(problem, nu=0.2).nu == 0.2
+    assert PriorSpec.minimax_default(problem).nu > 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +332,7 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
 def test_zero_data_reduction(prob_m3):
     # C = I and v = 0: second factor becomes ((1-alpha)|y|^2/2 + s)^{-(k+2a+2)/(1-alpha)}
     alpha = -1.0
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, a=-0.5)
+    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=4.0 / 9.0)  # a = -1/2
     obs0 = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=4.0)
     y = np.array([1.0, -2.0, 0.5])
     got = shrinkage_bayes_kernel(prob_m3, prior, obs0, alpha).log_unnormalized(y)
@@ -339,7 +350,7 @@ def test_posterior_integral_oracle():
     alpha, a, d, c = -0.2, 0.0, 0.8, 2.0
     v, s = 0.7, 1.3
     problem = synthetic_problem(n=n, k=k, m=m, d=[d])
-    prior = PriorSpec.from_problem(problem, c=c, a=a)
+    prior = PriorSpec.from_problem(problem, c=c, nu=(k + 2 * a + 2) / (n - k))
     obs = CanonicalObservation(v=np.array([v]), v_star=np.zeros(0), s=s)
     b_exp = (1 - alpha) * m / 4 + (n - k) / 2 - 1
 
@@ -502,10 +513,10 @@ def test_quadrature_constant_matches_importance_sampling(design):
 
 @pytest.mark.parametrize("design", ["as1", "II_m1_k3", "I_m5_k3", "II_m2_k4"])
 def test_quadrature_constant_matches_algebraic_weight_rule(design):
-    # small B (a near -k/2 - 1) gives the long right tail that widens the window
+    # small B (nu near 0, a near -k/2 - 1) gives the long right tail that widens the window
     problem = item1_designs()[design]
     priors = [PriorSpec.minimax_default(problem),
-              PriorSpec.from_problem(problem, c=2.0, a=-problem.k / 2.0 - 1.0 + 0.01)]
+              PriorSpec.from_problem(problem, c=2.0, nu=0.02 / (problem.n - problem.k))]
     for prior in priors:
         for obs in two_observations(problem):
             for alpha in QUAD_ALPHAS:
@@ -537,7 +548,7 @@ def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
         shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
     monkeypatch.undo()
     # a window that may not grow cannot reach a long tail's QUAD_DROP
-    long_tail = PriorSpec.from_problem(prob_m3, c=2.0, a=-prob_m3.k / 2.0 - 1.0 + 0.01)
+    long_tail = PriorSpec.from_problem(prob_m3, c=2.0, nu=0.02 / (prob_m3.n - prob_m3.k))
     shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
     monkeypatch.setattr(quad_module, "QUAD_MAX_WIDTH", 2.0 * quad_module.QUAD_HALF_WIDTH)
     with pytest.raises(UnreliableNormalizationError, match="of its peak"):
@@ -552,7 +563,6 @@ def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
 def test_plugin_hand_example(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.2)
     est = plugin_bayes_estimators(prob_m3, prior, obs_m3)
-    assert est.w == pytest.approx(1.0, rel=1e-14)
     assert np.abs(est.theta_hat - 10.0 / 11.0 * obs_m3.v).max() < 1e-13
     assert est.sigma2_hat == pytest.approx(10.0 / 11.0, rel=1e-13)
 
@@ -602,7 +612,6 @@ def test_umvu(prob_m3):
     est = umvu_estimators(obs, 12, 3)
     assert np.array_equal(est.theta_hat, obs.v)
     assert est.sigma2_hat == 2.0
-    assert math.isinf(est.w)
     tiny = plugin_bayes_estimators(prob_m3, PriorSpec.from_problem(prob_m3, nu=1e-14), obs)
     assert np.abs(tiny.theta_hat - est.theta_hat).max() < 1e-12
 
@@ -653,11 +662,10 @@ def test_block_estimators_equal_row_by_row(prob_m3, case2_problem_n12, case):
     for rule in (lambda obs: umvu_estimators(obs, n, k),
                  lambda obs: plugin_bayes_estimators(problem, prior, obs)):
         got = rule(block)
-        w = np.broadcast_to(got.w, (reps,))
         for i in range(reps):
             one = rule(block[i])
             assert np.array_equal(got.theta_hat[i], one.theta_hat)
-            assert got.sigma2_hat[i] == one.sigma2_hat and w[i] == one.w
+            assert got.sigma2_hat[i] == one.sigma2_hat
     variances = [lambda obs: stein_variance(obs, problem.d, n, k)]
     if case == "II":
         variances.append(lambda obs: stein_variance_star(obs, n, k))
@@ -741,7 +749,7 @@ def test_marginal_derivative_representation():
     n, k, m = 12, 3, 1
     d, c, gam, a = np.array([0.4]), np.array([1.5]), 1.3, -1.0
     problem = synthetic_problem(n=n, k=k, m=m, d=d)
-    prior = PriorSpec(c=c, a=a, gamma_prior=gam, n=n, k=k, m=m)
+    prior = PriorSpec(c=c, nu=(k + 2 * a + 2) / (n - k), gamma_prior=gam, n=n, k=k, m=m)
     obs = CanonicalObservation(v=np.array([0.9]), v_star=np.array([0.3, -1.1]), s=2.0)
 
     def lm(v0, s0):

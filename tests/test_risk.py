@@ -165,7 +165,7 @@ def test_minimax_risk_two_dof_euler():
 
 def test_divergence_zero_when_equal(prob_m3):
     theta = np.array([0.4, -1.0, 2.0])
-    truth_est = PluginEstimate(theta_hat=theta, sigma2_hat=1.0, w=math.inf)
+    truth_est = PluginEstimate(theta_hat=theta, sigma2_hat=1.0)
     phat = plugin_density(truth_est, prob_m3)
     for alpha in (-1.0, -0.3, 0.5, 1.0):
         est = alpha_divergence_mc(phat, theta, 1.0, prob_m3, alpha, 5000, seed=1)
@@ -177,7 +177,7 @@ def test_divergence_gaussian_kl_oracle(prob_m3):
     theta = np.zeros(3)
     delta = np.array([0.6, -0.2, 0.1])
     sigma2 = 1.3
-    phat = plugin_density(PluginEstimate(theta + delta, sigma2, w=math.inf), prob_m3)
+    phat = plugin_density(PluginEstimate(theta + delta, sigma2), prob_m3)
     est = alpha_divergence_mc(phat, theta, 1.0 / sigma2, prob_m3, -1.0, 40_000, seed=2)
     want = float(delta @ delta) / (2 * sigma2)
     assert abs(est.mean - want) < 3 * est.std_error
@@ -186,7 +186,7 @@ def test_divergence_gaussian_kl_oracle(prob_m3):
 def test_divergence_alpha_one_matches_closed_form(prob_m3):
     theta = np.array([1.0, 0.0, -0.5])
     sigma2 = 0.7
-    est_plug = PluginEstimate(np.array([0.7, 0.2, -0.4]), 0.9, w=1.0)
+    est_plug = PluginEstimate(np.array([0.7, 0.2, -0.4]), 0.9)
     phat = plugin_density(est_plug, prob_m3)
     mc = alpha_divergence_mc(phat, theta, 1.0 / sigma2, prob_m3, 1.0, 40_000, seed=3)
     want = d1_loss_plugin(est_plug.theta_hat, est_plug.sigma2_hat, theta, sigma2, 3)
@@ -196,7 +196,7 @@ def test_divergence_alpha_one_matches_closed_form(prob_m3):
 def test_divergence_nonnegative_up_to_noise(prob_m3, rng):
     for i in range(10):
         theta = rng.standard_normal(3)
-        est = PluginEstimate(theta + 0.3 * rng.standard_normal(3), rng.uniform(0.5, 2.0), w=1.0)
+        est = PluginEstimate(theta + 0.3 * rng.standard_normal(3), rng.uniform(0.5, 2.0))
         alpha = rng.uniform(-1.0, 1.0)
         out = alpha_divergence_mc(plugin_density(est, prob_m3), theta, 1.0, prob_m3, alpha, 2000, seed=i)
         assert out.mean >= -3 * out.std_error
@@ -218,7 +218,7 @@ def test_umvu_risk_matches_constant(prob_m3):
 
 def test_oracle_cheat_has_zero_risk(prob_m3):
     params = CanonicalParams(theta=np.array([1.0, 2.0, 3.0]), mu=np.zeros(0), eta=2.0)
-    cheat = lambda obs: PluginEstimate(params.theta, params.sigma2, w=0.0)
+    cheat = lambda obs: PluginEstimate(params.theta, params.sigma2)
     est = risk_d1_mc(cheat, prob_m3, params, 200, seed=0)
     assert est.mean == 0.0 and est.std_error == 0.0
 
@@ -353,7 +353,7 @@ def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
     scorers = list(_two_scorers(prob_m3, alpha).values())
     if alpha == 1.0:
-        scorers.append(plugin_scorer(lambda obs: PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3.m))
+        scorers.append(plugin_scorer(lambda obs: PluginEstimate(np.zeros(3), 1.0), prob_m3.m))
     out = risk_mc(scorers, prob_m3, _three_points(prob_m3), reps, seed=8)
     assert out.shape == (3, len(scorers), reps)
     assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
@@ -425,7 +425,7 @@ def test_minimum_replication_counts(prob_m3):
     with pytest.raises(ValueError, match="at least 50"):
         risk_mc([plugin_scorer(proc, prob_m3.m)], prob_m3, [params], reps=49, seed=0)
     assert risk_mc([plugin_scorer(proc, prob_m3.m)], prob_m3, [params], reps=50, seed=0).shape == (1, 1, 50)
-    phat = plugin_density(PluginEstimate(np.zeros(3), 1.0, w=0.0), prob_m3)
+    phat = plugin_density(PluginEstimate(np.zeros(3), 1.0), prob_m3)
     with pytest.raises(ValueError):
         alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
 
