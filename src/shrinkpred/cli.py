@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def _write_json(path: str, doc: dict):
 
 @dataclass
 class DesignConfig:
-    kind: str  # "as1" or "explicit"
+    type: str = "explicit"  # or "as1"
     m: int | None = None
     k: int | None = None
     N: int | None = None
@@ -120,7 +120,7 @@ class DesignConfig:
 
 @dataclass
 class PriorConfig:
-    c: np.ndarray | float | None = None
+    c: str | float | list | None = "identity"
     nu: float | None = None
     gamma_prior: float = 1.0
     rescale_c: bool = True
@@ -134,6 +134,16 @@ class GridConfig:
 
 
 @dataclass
+class DensityConfig:
+    problem: str | dict | None = None
+    observation: str | dict | None = None
+    type: str = "best_invariant"
+    alpha: float = 0.0
+    points: str | None = None
+    is_samples: int = 20_000  # read and checked, but without effect: the shrinkage constant is a quadrature
+
+
+@dataclass
 class ExperimentConfig:
     seed: int = 0
     design: DesignConfig | None = None
@@ -143,24 +153,24 @@ class ExperimentConfig:
     reps: int = 2000
     reps_outer: int = 2000
     n_mc_inner: int = 2000  # read and checked, but without effect: alpha < 1 losses are exact
-    density: dict = field(default_factory=dict)
+    density: DensityConfig = field(default_factory=DensityConfig)
     out: str | None = None
 
 
 def _parse_design(doc: dict) -> DesignConfig:
-    kind = doc.get("type", "explicit")
-    if not isinstance(kind, str) or kind not in _DESIGN_TYPE_KEYS:
-        raise ValueError(f"unknown design type {kind!r}")
-    foreign = sorted(set(doc) - _DESIGN_TYPE_KEYS[kind] - {"type"})
+    cfg = DesignConfig()
+    cfg.type = doc.get("type", cfg.type)
+    if not isinstance(cfg.type, str) or cfg.type not in _DESIGN_TYPE_KEYS:
+        raise ValueError(f"unknown design type {cfg.type!r}")
+    foreign = sorted(set(doc) - _DESIGN_TYPE_KEYS[cfg.type] - {"type"})
     if foreign:
-        raise ValueError(f"design option(s) {', '.join(map(repr, foreign))} do not apply to type {kind!r}")
-    if kind == "as1":
-        m, k, N = (_int(doc, key) for key in ("m", "k", "N"))
+        raise ValueError(f"design option(s) {', '.join(map(repr, foreign))} do not apply to type {cfg.type!r}")
+    if cfg.type == "as1":
+        m, k, N = cfg.m, cfg.k, cfg.N = [_int(doc, key) for key in ("m", "k", "N")]
         if not (m >= k >= 3):
             raise ValueError("the replicated design requires m >= k >= 3")
         if N < 1 or N * m <= k:
             raise ValueError(f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k={k}")
-        cfg = DesignConfig(kind="as1", m=m, k=k, N=N)
         if doc.get("xtilde") is not None:
             cfg.xtilde = _matrix(doc, "xtilde")
             if cfg.xtilde.shape != (m, k):
@@ -168,10 +178,10 @@ def _parse_design(doc: dict) -> DesignConfig:
         return cfg
     if "X" not in doc or "Xtilde" not in doc:
         raise ValueError("explicit design needs X and Xtilde")
-    X, Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
-    if X.ndim != 2:
-        raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {X.shape}")
-    return DesignConfig(kind="explicit", X=X, Xtilde=Xtilde)
+    cfg.X, cfg.Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
+    if cfg.X.ndim != 2:
+        raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {cfg.X.shape}")
+    return cfg
 
 
 def _int(doc: dict, key: str, default: int | None = None) -> int:
@@ -242,90 +252,87 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
 
 
 _DESIGN_TYPE_KEYS = {"as1": {"m", "k", "N", "xtilde"}, "explicit": {"X", "Xtilde"}}
-_DESIGN_KEYS = {"type"}.union(*_DESIGN_TYPE_KEYS.values())
-_DENSITY_KEYS = {"problem", "observation", "type", "alpha", "points", "is_samples"}
 _DENSITY_TYPES = ("best_invariant", "shrinkage_bayes", "plugin")
 
 
-def _section(doc, keys, name: str) -> dict:
-    """A config section whose every key is in keys, or names a field of keys if it is a dataclass."""
+def _section(doc, cls, name: str) -> dict:
+    """A config section whose every key names a field of the dataclass cls."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object")
-    if is_dataclass(keys):
-        keys = {f.name for f in fields(keys)}
-    unknown = sorted(set(doc) - keys)
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {name} option(s): {', '.join(map(repr, unknown))}")
     return doc
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """The configuration at path, every value checked; an absent key keeps its dataclass field's default."""
     with open(path) as fh:
         doc = _section(json.load(fh), ExperimentConfig, "configuration")
     cfg = ExperimentConfig()
-    cfg.seed = _seed(_int(doc, "seed", 0))
+    cfg.seed = _seed(_int(doc, "seed", cfg.seed))
     if "design" in doc:
-        cfg.design = _parse_design(_section(doc["design"], _DESIGN_KEYS, "design"))
-    pr = _section(doc.get("prior", {}), PriorConfig, "prior")
-    cfg.prior = PriorConfig(
-        c=pr.get("c"),
-        nu=_number(pr, "nu"),
-        gamma_prior=_number(pr, "gamma_prior", 1.0),
-        rescale_c=pr.get("rescale_c", True),
-    )
-    if cfg.prior.nu is not None and not cfg.prior.nu > 0:
-        raise ValueError(f"nu must be positive, got {cfg.prior.nu!r}")
-    if not cfg.prior.gamma_prior >= 1:
-        raise ValueError(f"gamma_prior must be >= 1, got {cfg.prior.gamma_prior!r}")
-    c = cfg.prior.c
+        cfg.design = _parse_design(_section(doc["design"], DesignConfig, "design"))
+    # a value no prior can take fails here, also for subcommands that build none
+    pr, prior = _section(doc.get("prior", {}), PriorConfig, "prior"), cfg.prior
+    prior.c = c = pr.get("c", prior.c)
+    prior.nu = _number(pr, "nu", prior.nu)
+    prior.gamma_prior = _number(pr, "gamma_prior", prior.gamma_prior)
+    prior.rescale_c = pr.get("rescale_c", prior.rescale_c)
+    if prior.nu is not None and not prior.nu > 0:
+        raise ValueError(f"nu must be positive, got {prior.nu!r}")
+    if not prior.gamma_prior >= 1:
+        raise ValueError(f"gamma_prior must be >= 1, got {prior.gamma_prior!r}")
     if not (c is None or c == "identity" or _is_number(c) or isinstance(c, list) and all(map(_is_number, c))):
         raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}')
-    if not isinstance(cfg.prior.rescale_c, bool):
-        raise ValueError(f"rescale_c must be true or false, got {cfg.prior.rescale_c!r}")
-    cfg.alphas = _floats(doc, "alphas", [1.0])
-    for a in cfg.alphas:
-        if not -1.0 <= a <= 1.0:
-            raise ValueError("alphas must lie in [-1, 1]")
-    gr = _section(doc.get("grid", {}), GridConfig, "grid")
-    directions = gr.get("theta_directions", [])
+    if c not in (None, "identity") and np.min(c, initial=1.0) < 1:  # the prior needs C >= I
+        raise ValueError(f"c must be >= 1 in every entry, got {c!r}")
+    if not isinstance(prior.rescale_c, bool):
+        raise ValueError(f"rescale_c must be true or false, got {prior.rescale_c!r}")
+    cfg.alphas = _floats(doc, "alphas", cfg.alphas)
+    if not all(-1.0 <= a <= 1.0 for a in cfg.alphas):
+        raise ValueError("alphas must lie in [-1, 1]")
+    gr, grid = _section(doc.get("grid", {}), GridConfig, "grid"), cfg.grid
+    directions = gr.get("theta_directions", grid.theta_directions)
     if not (isinstance(directions, list)
             and all(isinstance(v, list) and all(map(_is_number, v)) for v in directions)):
         raise ValueError(f"theta_directions must be a list of lists of finite numbers, got {directions!r}")
-    cfg.grid = GridConfig(
-        theta_directions=[list(map(float, v)) for v in directions],
-        theta_norms=_floats(gr, "theta_norms", [0.0]),
-        sigma2=_floats(gr, "sigma2", [1.0]),
-    )
+    grid.theta_directions = [list(map(float, v)) for v in directions]
+    grid.theta_norms = _floats(gr, "theta_norms", grid.theta_norms)
+    grid.sigma2 = _floats(gr, "sigma2", grid.sigma2)
     # a repeated value would repeat a row's key (procedure, alpha, theta_norm, theta_direction, sigma2)
-    for key, values in (("alphas", cfg.alphas), ("theta_norms", cfg.grid.theta_norms), ("sigma2", cfg.grid.sigma2)):
+    for key, values in (("alphas", cfg.alphas), ("theta_norms", grid.theta_norms), ("sigma2", grid.sigma2)):
         if len(set(values)) < len(values):
             raise ValueError(f"{key} must not repeat a value, got {values}")
     # a negative norm would label the opposite direction's point
-    if any(t < 0 for t in cfg.grid.theta_norms):
+    if any(t < 0 for t in grid.theta_norms):
         raise ValueError("theta_norms must be nonnegative")
-    if any(s <= 0 for s in cfg.grid.sigma2):
+    if any(s <= 0 for s in grid.sigma2):
         raise ValueError("sigma2 values must be positive")
-    cfg.reps = _int(doc, "reps", 2000)
-    cfg.reps_outer = _int(doc, "reps_outer", 2000)
+    cfg.reps = _int(doc, "reps", cfg.reps)
+    cfg.reps_outer = _int(doc, "reps_outer", cfg.reps_outer)
     # reps drives the alpha = 1 rows and reps_outer the alpha < 1 ones; each is checked where used
     for key, count, alpha, used in (("reps", cfg.reps, 1.0, 1.0 in cfg.alphas),
                                     ("reps_outer", cfg.reps_outer, 0.0, min(cfg.alphas, default=1.0) < 1.0)):
         if used and count < min_reps(alpha):
             raise ValueError(f"{key} must be at least {min_reps(alpha)}, got {count}")
-    cfg.n_mc_inner = _int(doc, "n_mc_inner", 2000)
-    cfg.density = _section(doc.get("density", {}), _DENSITY_KEYS, "density")
-    # read and checked, but without effect: the shrinkage constant is a quadrature
-    _int(cfg.density, "is_samples", 20_000)
-    if not -1.0 <= _number(cfg.density, "alpha", 0.0) <= 1.0:
+    cfg.n_mc_inner = _int(doc, "n_mc_inner", cfg.n_mc_inner)
+    # problem, observation and points are checked for presence where density-eval reads them
+    dn, density = _section(doc.get("density", {}), DensityConfig, "density"), cfg.density
+    density.is_samples = _int(dn, "is_samples", density.is_samples)
+    density.alpha = _number(dn, "alpha", density.alpha)
+    if not -1.0 <= density.alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
-    if cfg.density.get("type", "best_invariant") not in _DENSITY_TYPES:
-        raise ValueError(f"type must be one of {', '.join(_DENSITY_TYPES)}, got {cfg.density['type']!r}")
-    for key in ("problem", "observation"):
-        if not isinstance(cfg.density.get(key, ""), (str, dict)):
-            raise ValueError(f"{key} must be a path or a JSON object, got {cfg.density[key]!r}")
-    if not isinstance(cfg.density.get("points", ""), str):
-        raise ValueError(f"points must be a path to a CSV file, got {cfg.density['points']!r}")
-    cfg.out = doc.get("out")
+    density.type = dn.get("type", density.type)
+    if density.type not in _DENSITY_TYPES:
+        raise ValueError(f"type must be one of {', '.join(_DENSITY_TYPES)}, got {density.type!r}")
+    for key, types, what in (("problem", (str, dict), "a path or a JSON object"),
+                             ("observation", (str, dict), "a path or a JSON object"),
+                             ("points", str, "a path to a CSV file")):
+        if key in dn and not isinstance(dn[key], types):
+            raise ValueError(f"{key} must be {what}, got {dn[key]!r}")
+    density.problem, density.observation, density.points = dn.get("problem"), dn.get("observation"), dn.get("points")
+    cfg.out = doc.get("out", cfg.out)
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ValueError(f"out must be a directory path, got {cfg.out!r}")
     return cfg
@@ -336,7 +343,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
     design = cfg.design
     if design is None:
         raise ValueError("configuration has no design section")
-    if design.kind == "as1":
+    if design.type == "as1":
         xt = design.xtilde
         if xt is None:
             rng = replication_rng(cfg.seed, 0, stream=STREAM_DESIGN)
@@ -382,11 +389,7 @@ def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
 
 
 def run_canonicalize(cfg: ExperimentConfig, out_dir: str) -> int:
-    try:
-        problem, X, Xtilde = build_problem(cfg)
-    except (RankDeficiencyError, ValueError, np.linalg.LinAlgError) as exc:
-        print(f"canonicalization failed: {exc}", file=sys.stderr)
-        return EXIT_CANONICAL
+    problem, X, Xtilde = build_problem(cfg)
     report = invariant_report(problem, X, Xtilde)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "problem.json"), problem_to_dict(problem))
@@ -640,25 +643,21 @@ def _csv_rows(block: np.ndarray, cells: np.ndarray) -> bytes:
 
 def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     section = cfg.density
-    if not section:
-        raise ValueError("configuration has no density section")
     for key in ("problem", "observation", "points"):
-        if key not in section:
+        if getattr(section, key) is None:
             raise ValueError(f"{key} must be given in the density section")
-    problem = problem_from_dict(_json_doc(section["problem"]))
-    obs = _observation(_json_doc(section["observation"]), problem)
-    points = _load_csv(section["points"], "points")
+    problem = problem_from_dict(_json_doc(section.problem))
+    obs = _observation(_json_doc(section.observation), problem)
+    points = _load_csv(section.points, "points")
     if points.shape[1] != problem.m:
         raise ValueError(f"points must have {problem.m} columns")
     if np.isnan(points).any():   # an infinite coordinate has log density -inf, nan none
-        raise ValueError(f"points must be numbers or +-inf, not nan, in {section['points']}")
+        raise ValueError(f"points must be numbers or +-inf, not nan, in {section.points}")
 
-    kind = section.get("type", "best_invariant")
-    alpha = float(section.get("alpha", 0.0))
-    if kind == "best_invariant":
-        dens = best_invariant_kernel(problem, obs, alpha)
-    elif kind == "shrinkage_bayes":
-        dens = shrinkage_bayes_kernel(problem, build_prior(cfg, problem), obs, alpha)
+    if section.type == "best_invariant":
+        dens = best_invariant_kernel(problem, obs, section.alpha)
+    elif section.type == "shrinkage_bayes":
+        dens = shrinkage_bayes_kernel(problem, build_prior(cfg, problem), obs, section.alpha)
     else:  # "plugin": load_config admits no other type
         dens = plugin_density(plugin_bayes_estimators(problem, build_prior(cfg, problem), obs), problem)
 
@@ -692,17 +691,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", required=True, help="path to the JSON configuration")
-    sub.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+_COMMANDS = {"canonicalize": run_canonicalize, "bounds": run_bounds, "identities": run_identity_suite,
+             "risk-compare": run_risk_compare, "density-eval": run_density_eval}
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place where an exception becomes an exit code."""
     parser = _Parser(prog="shrinkpred", description=__doc__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name in ("canonicalize", "bounds", "identities", "risk-compare", "density-eval"):
-        _add_common(subs.add_parser(name))
+    for name in _COMMANDS:
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", required=True, help="path to the JSON configuration")
+        sub.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
+        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -720,19 +721,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     out_dir = args.out if args.out is not None else (cfg.out or ".")
     try:
-        if args.command == "canonicalize":
-            return run_canonicalize(cfg, out_dir)
-        if args.command == "bounds":
-            return run_bounds(cfg, out_dir)
-        if args.command == "identities":
-            return run_identity_suite(cfg, out_dir)
-        if args.command == "risk-compare":
-            return run_risk_compare(cfg, out_dir)
-        return run_density_eval(cfg, out_dir)
+        return _COMMANDS[args.command](cfg, out_dir)
     except UnreliableNormalizationError as exc:
         print(f"normalization certificate failed: {exc}", file=sys.stderr)
         return EXIT_MC_GUARD
-    except RankDeficiencyError as exc:
+    except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
         print(f"canonicalization failed: {exc}", file=sys.stderr)
         return EXIT_CANONICAL
     except (ValueError, KeyError, OSError) as exc:

@@ -2,7 +2,7 @@
 
 The shrinkage constant and the alpha = -1 loss's Frullani integrals run on log_trapezoid, which
 halves its step only inside the integrand's bulk.  The alpha < 1 losses run on laguerre's
-Gauss-Laguerre rules, accepted row by row by certified on the ladder n = 16, 24, 36, ..., 271, 406.
+Gauss-Laguerre rules, accepted row by row by certified on the ladder n = 16, 24, 36, ..., 406, 609.
 """
 
 import functools
@@ -19,7 +19,7 @@ QUAD_START_INTERVALS, QUAD_MAX_INTERVALS, QUAD_TOL, QUAD_ROWS = 128, 1 << 16, 1e
 QUAD_BULK_MARGIN = 10.0  # the bulk: within QUAD_DROP + QUAD_BULK_MARGIN of a row's peak; inf refines the whole window
 
 # certified's tolerance and node counts: n from LOSS_START_NODES while 3n/2 <= LOSS_MAX_NODES
-LOSS_TOL, LOSS_START_NODES, LOSS_MAX_NODES = 1e-6, 16, 512
+LOSS_TOL, LOSS_START_NODES, LOSS_MAX_NODES = 1e-6, 16, 640
 
 
 class UnreliableNormalizationError(RuntimeError):
@@ -111,15 +111,15 @@ def laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     the orthonormal polynomial of T's three-term recurrence, move each node to
     where the recurrence has its root.  That buys the weights, not the nodes.
     Against a 50-digit reference, at n = 72 the log weights are within 4e-14
-    (6e-13 without the steps).  At certified's top rung, n = 406: at
-    a = -0.99 the nodes are within 2.7e-12 relative (4.8e-13 without; the
-    smallest node is the worst) and the log weights within 7.0e-13 (4.5e-12
-    without); at a = 896, about the largest A beta - 1 of the shipped configs'
-    problems (alpha = 0.99), 3.6e-16 and 3.3e-13 (1.8e-14 and 1.2e-11
-    without).  Each weight is 1/sum_{k<n} p_k(x)^2,
-    the Christoffel-Darboux kernel at the node, summed with a running rescale
-    so its log stays finite where Gamma(a+1) overflows.  Memoized per (a, n);
-    the arrays are read-only.
+    (6e-13 without the steps).  At certified's top rung, n = 609: at
+    a = -0.99 the nodes are within 3.7e-12 relative (2.5e-12 without) and
+    the log weights within 3.6e-12 (2.5e-11 without); at a = 896, about the
+    largest A beta - 1 of the shipped configs' problems (alpha = 0.99),
+    5.7e-16 and 5.0e-13 (1.6e-14 and 1.7e-11 without).  At n = 406 they are
+    2.7e-12 and 7.0e-13, and 3.6e-16 and 3.3e-13.  Each weight is 1/sum_{k<n}
+    p_k(x)^2, the Christoffel-Darboux kernel at the node, summed with a running
+    rescale so its log stays finite where Gamma(a+1) overflows.  Memoized per
+    (a, n); the arrays are read-only.
     """
     j = np.arange(1, n)
     x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(np.sqrt(j * (j + a)), -1))
@@ -159,8 +159,8 @@ def certified(loss: Callable[[int, np.ndarray], np.ndarray], rows: int) -> np.nd
     """Per-row losses, each accepted once loss(n, index) and loss(3n/2, index) agree within LOSS_TOL.
 
     Rows that disagree move on to the next pair, from LOSS_START_NODES while
-    3n/2 <= LOSS_MAX_NODES: n = 16, 24, 36, 54, 81, 121, 181, 271, 406; past
-    406 the certificate fails.  The first pair costs a shrinkage row of
+    3n/2 <= LOSS_MAX_NODES: n = 16, 24, 36, 54, 81, 121, 181, 271, 406, 609;
+    past 609 the certificate fails.  The first pair costs a shrinkage row of
     as1_desk at alpha = 0 244 + 436 kept node pairs.  On both shipped
     configs' problems at alpha from -0.99 to 0.99 the accepted losses lie
     within 3.3e-8 of a reference certified to 1e-11 from 64 nodes.

@@ -795,6 +795,43 @@ def test_prior_c_number_stands_for_every_axis(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("c", [0.5, [1.0, 0.5, 2.0]])
+def test_prior_c_below_one_is_a_configuration_error_for_every_subcommand(tmp_path, capsys, c):
+    # the prior needs C >= I; canonicalize, which builds no prior, used to exit 0
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
+    cfg = write_config(tmp_path, dict(doc, prior=dict(doc["prior"], c=c)))
+    for command in ("canonicalize", "bounds", "risk-compare"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
+        err = capsys.readouterr().err
+        assert err == f"configuration error: c must be >= 1 in every entry, got {c!r}\n", (command, err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_without_a_design_exits_1_from_every_subcommand_that_needs_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 1})
+    for command in ("canonicalize", "bounds", "risk-compare"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
+        assert capsys.readouterr().err == "error: configuration has no design section\n", command
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_linear_algebra_failure_in_the_reduction_exits_2(tmp_path, monkeypatch, capsys):
+    import shrinkpred.cli as cli_mod
+
+    def fails(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli_mod, "canonicalize", fails)
+    cfg = write_config(tmp_path, {"design": {"X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "Xtilde": [[1.0, 0.0]]}})
+    for command in ("canonicalize", "bounds"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, command
+        assert capsys.readouterr().err == "canonicalization failed: SVD did not converge\n", command
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("alphas, counts, message", [
     ([0.0], {"reps_outer": 49}, "reps_outer must be at least 50"),
     ([1.0, 0.5], {"reps_outer": 10}, "reps_outer must be at least 50"),

@@ -508,8 +508,8 @@ def test_laguerre_rule_finite_where_scipy_overflows(a):
 @pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
 @pytest.mark.parametrize("n", [162, 243, 271, 364])
 def test_laguerre_rule_at_largest_certificate_nodes(a, n):
-    # large node counts of quad.certified's n -> 3n/2 ladders; at its top rung, 406, scipy's largest nodes are
-    # not finite, and test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference checks the rule instead
+    # large node counts of quad.certified's n -> 3n/2 ladders; at its top rungs, 406 and 609, scipy's largest nodes
+    # are not finite, and test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference checks the rule instead
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         x, log_w = quad_module.laguerre.__wrapped__(a, n)
@@ -595,11 +595,14 @@ def top_rung() -> int:
 
 
 # a = -0.99 is near the alpha -> -1 edge; 896 is about A beta - 1 on as1_desk at alpha = 0.99, the largest
-# the shipped configs' problems reach (A = 901.5, beta = 0.995); laguerre's docstring records the errors
-@pytest.mark.parametrize("a, node_tol, weight_tol", [(-0.99, 1e-11, 2e-12), (896.0, 1e-14, 2e-12)])
-def test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference(a, node_tol, weight_tol):
-    n = top_rung()
-    assert n == 406
+# the shipped configs' problems reach (A = 901.5, beta = 0.995); laguerre's docstring records the errors.
+# 406, the rung below the top, keeps its own pin.
+@pytest.mark.parametrize("n, a, node_tol, weight_tol", [
+    (406, -0.99, 1e-11, 2e-12), (406, 896.0, 1e-14, 2e-12),
+    (609, -0.99, 1e-11, 1e-11), (609, 896.0, 1e-14, 2e-12),
+])
+def test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference(n, a, node_tol, weight_tol):
+    assert top_rung() == 609
     node_err, weight_err = decimal_rule_errors(a, n)
     assert node_err <= node_tol and weight_err <= weight_tol, (node_err, weight_err)
 

@@ -1,16 +1,17 @@
-"""The README's quick start and the example script run, and the README lists every config key."""
+"""The README's quick start and the example script run, and the README lists every config key and its default."""
 
+import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import shrinkpred
-from shrinkpred.cli import _DENSITY_KEYS, _DESIGN_KEYS, ExperimentConfig, GridConfig, PriorConfig
+from shrinkpred.cli import DensityConfig, DesignConfig, ExperimentConfig, GridConfig, PriorConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -33,15 +34,41 @@ def test_script_runs(script, args):
     assert proc.stdout
 
 
+SECTIONS = {"top-level": ExperimentConfig, "design": DesignConfig, "prior": PriorConfig, "grid": GridConfig,
+            "density": DensityConfig}
+IN_WORDS = object()  # "(default: ...)", a default resolved where the value is used
+
+
+def readme_default(cell: str):
+    """The default an "accepts" cell states: a JSON value, a bare word, IN_WORDS, or None when it states none."""
+    found = re.search(r"`([^`]+)` \(the default\)|\(default (?!:)`?([^)`]+)`?\)|(\(default: )", cell)
+    if found is None:
+        return None
+    if found.group(3):
+        return IN_WORDS
+    text = found.group(1) or found.group(2)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def test_readme_config_tables_list_the_accepted_keys():
-    # each table's header names its section, "| <section> key | ..."; its first column lists the keys
+    # each table's header names its section, "| <section> key | ..."; its rows are "| `key` | required | accepts |"
     tables = {}
     for section, body in re.findall(r"^ *\| (\S+) key \|.*\n *\|[-|]+\|\n((?: *\|.*\n)+)", README, re.M):
-        tables[section] = {re.match(r" *\| `([^`]+)` \|", row).group(1) for row in body.splitlines()}
-    assert tables == {
-        "top-level": {f.name for f in fields(ExperimentConfig)},
-        "design": _DESIGN_KEYS,
-        "prior": {f.name for f in fields(PriorConfig)},
-        "grid": {f.name for f in fields(GridConfig)},
-        "density": _DENSITY_KEYS,
-    }
+        tables[section] = dict(re.match(r" *\| `([^`]+)` \|[^|]*\|(.*)\|$", row).groups() for row in body.splitlines())
+    assert {section: set(rows) for section, rows in tables.items()} == {
+        section: {f.name for f in fields(cls)} for section, cls in SECTIONS.items()}
+    # every default a table states is its dataclass field's
+    stated = 0
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            default = f.default if f.default is not MISSING else f.default_factory()
+            want = readme_default(tables[section][f.name])
+            if want is IN_WORDS:  # the dataclass leaves it empty
+                assert default in (None, []), (section, f.name, default)
+            elif want is not None:  # compared as numbers, but true is not 1
+                assert (want, type(want) is bool) == (default, type(default) is bool), (section, f.name, want, default)
+            stated += want is not None
+    assert stated == 14
