@@ -22,8 +22,10 @@ layout 2), so replication i depends only on (seed, i).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -46,6 +48,9 @@ __all__ = [
     "invariant_report",
     "problem_to_dict",
     "problem_from_dict",
+    "read_int",
+    "read_number",
+    "read_array",
 ]
 
 COND_WARN_THRESHOLD = 1e12
@@ -444,6 +449,54 @@ def problem_to_dict(problem: CanonicalProblem) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: not a string, true or false, NaN, an infinity or an int beyond the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _nested(value, depth: int) -> bool:
+    """depth levels of JSON lists around finite numbers; below the top level, lists of one length."""
+    if depth == 0:
+        return _is_number(value)
+    return (isinstance(value, list) and all(_nested(v, depth - 1) for v in value)
+            and (depth == 1 or len(set(map(len, value))) <= 1))
+
+
+# The readers of every number from outside, a configuration or a problem document: an absent key
+# takes its default, and an absent key without one, or a value that is not of its shape of finite
+# JSON numbers (null included), raises a ValueError that names the key.
+_REQUIRED = object()  # the default of a key that must be given
+_SHAPES = {1: "a list of finite numbers", 2: "a list of equal-length rows of finite numbers"}
+
+
+def _read(doc: dict, key: str, default, valid: Callable, what: str):
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{key} must be given")
+        return default
+    if not valid(doc[key]):
+        raise ValueError(f"{key} must be {what}, got {doc[key]!r}")
+    return doc[key]
+
+
+def read_int(doc: dict, key: str, default=_REQUIRED) -> int:
+    """doc[key] as an int; a float of integral value counts."""
+    return int(_read(doc, key, default, lambda v: _is_number(v) and float(v).is_integer(), "an integer"))
+
+
+def read_number(doc: dict, key: str, default=_REQUIRED, low: float | None = None) -> float | None:
+    """doc[key] as a float, at least low when one is given."""
+    value = _read(doc, key, default, lambda v: _is_number(v) and (low is None or v >= low),
+                  "a finite number" + ("" if low is None else f" >= {low:g}"))
+    return None if value is None else float(value)
+
+
+def read_array(doc: dict, key: str, ndim: int, default=_REQUIRED) -> np.ndarray:
+    """doc[key], ndim levels of JSON lists of finite numbers, as a float array."""
+    out = np.array(_read(doc, key, default, lambda v: _nested(v, ndim), _SHAPES[ndim]), dtype=float)
+    return out if out.ndim == ndim else out.reshape((0,) * ndim)  # [] has one dimension
+
+
 def problem_from_dict(doc: dict) -> CanonicalProblem:
     """Rebuild a problem from ``problem_to_dict`` output; other keys are ignored.
 
@@ -451,31 +504,15 @@ def problem_from_dict(doc: dict) -> CanonicalProblem:
     """
     if not isinstance(doc, dict):
         raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
-
-    def field(key, convert):
-        val = doc.get(key)
-        if val is None:
-            raise ValueError(f"problem document is missing '{key}'")
+    args = {}
+    for key, read in (("n", read_int), ("k", read_int), ("m", read_int), ("d", partial(read_array, ndim=1)),
+                      ("Q", partial(read_array, ndim=2)), ("coef_transform", partial(read_array, ndim=2)),
+                      ("cond_xtx", partial(read_number, default=CanonicalProblem.cond_xtx, low=1.0))):
         try:
-            return convert(val)
-        except (TypeError, ValueError) as exc:
+            args[key] = read(doc, key)
+        except ValueError as exc:
             raise ValueError(f"problem document's '{key}' is malformed: {exc}") from None
-
-    def integer(val):
-        if isinstance(val, bool) or not (isinstance(val, int) or isinstance(val, float) and val.is_integer()):
-            raise ValueError(f"{val!r} is not an integer")
-        return int(val)
-
-    def number(val):
-        if isinstance(val, bool):
-            raise ValueError(f"{val!r} is not a number")
-        return float(val)
-
-    args = {key: field(key, integer) for key in ("n", "k", "m")}
-    args.update({key: field(key, lambda val: np.asarray(val, dtype=float)) for key in ("d", "Q", "coef_transform")})
-    args.update({"cond_xtx": field("cond_xtx", number)} if "cond_xtx" in doc else {})
     try:
         return CanonicalProblem(**args)
     except ValueError as exc:
         raise ValueError(f"problem document is invalid: {exc}") from None
-

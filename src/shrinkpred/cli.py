@@ -37,6 +37,9 @@ from .canonical import (
     invariant_report,
     problem_from_dict,
     problem_to_dict,
+    read_array,
+    read_int,
+    read_number,
     replication_rng,
 )
 from .predictive import (
@@ -69,7 +72,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CANONICAL = 2
 EXIT_IDENTITY = 3
-EXIT_MC_GUARD = 4
+EXIT_CERTIFICATE = 4
 
 
 def _fmt(x: float) -> str:
@@ -120,10 +123,9 @@ class DesignConfig:
 
 @dataclass
 class PriorConfig:
-    c: str | float | list | None = "identity"
+    c: str | float | list = "identity"
     nu: float | None = None
     gamma_prior: float = 1.0
-    rescale_c: bool = True
 
 
 @dataclass
@@ -154,7 +156,6 @@ class ExperimentConfig:
     reps_outer: int = 2000
     n_mc_inner: int = 2000  # read and checked, but without effect: alpha < 1 losses are exact
     density: DensityConfig = field(default_factory=DensityConfig)
-    out: str | None = None
 
 
 def _parse_design(doc: dict) -> DesignConfig:
@@ -166,12 +167,12 @@ def _parse_design(doc: dict) -> DesignConfig:
     if foreign:
         raise ValueError(f"design option(s) {', '.join(map(repr, foreign))} do not apply to type {cfg.type!r}")
     if cfg.type == "as1":
-        m, k, N = cfg.m, cfg.k, cfg.N = [_int(doc, key) for key in ("m", "k", "N")]
+        m, k, N = cfg.m, cfg.k, cfg.N = [read_int(doc, key) for key in ("m", "k", "N")]
         if not (m >= k >= 3):
             raise ValueError("the replicated design requires m >= k >= 3")
         if N < 1 or N * m <= k:
             raise ValueError(f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k={k}")
-        if doc.get("xtilde") is not None:
+        if "xtilde" in doc:
             cfg.xtilde = _matrix(doc, "xtilde")
             if cfg.xtilde.shape != (m, k):
                 raise ValueError(f"xtilde must be m x k = {m} x {k}, got shape {cfg.xtilde.shape}")
@@ -179,17 +180,7 @@ def _parse_design(doc: dict) -> DesignConfig:
     if "X" not in doc or "Xtilde" not in doc:
         raise ValueError("explicit design needs X and Xtilde")
     cfg.X, cfg.Xtilde = _matrix(doc, "X"), _matrix(doc, "Xtilde")
-    if cfg.X.ndim != 2:
-        raise ValueError(f"X must be an n x k matrix (a list of rows), got shape {cfg.X.shape}")
     return cfg
-
-
-def _int(doc: dict, key: str, default: int | None = None) -> int:
-    """doc[key] as an int (default when absent, if one is given); other values raise, naming the key."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _seed(seed: int) -> int:
@@ -197,30 +188,6 @@ def _seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return seed
-
-
-def _is_number(value) -> bool:
-    """A finite number: not true or false, NaN, an infinity or an int beyond the float range."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-def _number(doc: dict, key: str, default: float | None = None) -> float | None:
-    """doc[key] (or default when absent) as a float; a value that is not a finite number names the key.
-
-    null stands for an absent value only where the default is None.
-    """
-    value = doc.get(key, default)
-    if not (_is_number(value) or value is None and default is None):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return None if value is None else float(value)
-
-
-def _floats(doc: dict, key: str, default: list) -> list[float]:
-    """doc[key] (or default when absent) as a list of floats; other values raise, naming the key."""
-    value = doc.get(key, default)
-    if not (isinstance(value, list) and all(map(_is_number, value))):
-        raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
-    return [float(x) for x in value]
 
 
 def _load_csv(path: str, key: str) -> np.ndarray:
@@ -237,14 +204,15 @@ def _load_csv(path: str, key: str) -> np.ndarray:
 
 
 def _matrix(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array: inline nested lists, or a path to a dense row-major CSV.
+    """doc[key] as a 2-D float array: inline rows of numbers, or a path to a dense row-major CSV.
 
     A value that does not read as finite numbers names the key.
     """
-    value = doc[key]
+    if not isinstance(doc[key], str):
+        return read_array(doc, key, 2)
     try:
-        out = _load_csv(value, key) if isinstance(value, str) else np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        out = _load_csv(doc[key], key)
+    except ValueError as exc:
         raise ValueError(f"{key} must be a matrix of numbers: {exc}") from None
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{key} must be a matrix of finite numbers")
@@ -270,36 +238,30 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         doc = _section(json.load(fh), ExperimentConfig, "configuration")
     cfg = ExperimentConfig()
-    cfg.seed = _seed(_int(doc, "seed", cfg.seed))
+    cfg.seed = _seed(read_int(doc, "seed", cfg.seed))
     if "design" in doc:
         cfg.design = _parse_design(_section(doc["design"], DesignConfig, "design"))
     # a value no prior can take fails here, also for subcommands that build none
     pr, prior = _section(doc.get("prior", {}), PriorConfig, "prior"), cfg.prior
-    prior.c = c = pr.get("c", prior.c)
-    prior.nu = _number(pr, "nu", prior.nu)
-    prior.gamma_prior = _number(pr, "gamma_prior", prior.gamma_prior)
-    prior.rescale_c = pr.get("rescale_c", prior.rescale_c)
+    c = pr.get("c", prior.c)
+    if c != "identity":
+        try:
+            prior.c = read_array(pr, "c", 1).tolist() if isinstance(c, list) else read_number(pr, "c")
+        except ValueError:
+            raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}') from None
+        if np.min(prior.c, initial=1.0) < 1:  # the prior needs C >= I
+            raise ValueError(f"c must be >= 1 in every entry, got {c!r}")
+    prior.nu = read_number(pr, "nu", prior.nu)
     if prior.nu is not None and not prior.nu > 0:
         raise ValueError(f"nu must be positive, got {prior.nu!r}")
-    if not prior.gamma_prior >= 1:
-        raise ValueError(f"gamma_prior must be >= 1, got {prior.gamma_prior!r}")
-    if not (c is None or c == "identity" or _is_number(c) or isinstance(c, list) and all(map(_is_number, c))):
-        raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}')
-    if c not in (None, "identity") and np.min(c, initial=1.0) < 1:  # the prior needs C >= I
-        raise ValueError(f"c must be >= 1 in every entry, got {c!r}")
-    if not isinstance(prior.rescale_c, bool):
-        raise ValueError(f"rescale_c must be true or false, got {prior.rescale_c!r}")
-    cfg.alphas = _floats(doc, "alphas", cfg.alphas)
+    prior.gamma_prior = read_number(pr, "gamma_prior", prior.gamma_prior, low=1.0)
+    cfg.alphas = read_array(doc, "alphas", 1, cfg.alphas).tolist()
     if not all(-1.0 <= a <= 1.0 for a in cfg.alphas):
         raise ValueError("alphas must lie in [-1, 1]")
     gr, grid = _section(doc.get("grid", {}), GridConfig, "grid"), cfg.grid
-    directions = gr.get("theta_directions", grid.theta_directions)
-    if not (isinstance(directions, list)
-            and all(isinstance(v, list) and all(map(_is_number, v)) for v in directions)):
-        raise ValueError(f"theta_directions must be a list of lists of finite numbers, got {directions!r}")
-    grid.theta_directions = [list(map(float, v)) for v in directions]
-    grid.theta_norms = _floats(gr, "theta_norms", grid.theta_norms)
-    grid.sigma2 = _floats(gr, "sigma2", grid.sigma2)
+    grid.theta_directions = read_array(gr, "theta_directions", 2, grid.theta_directions).tolist()
+    grid.theta_norms = read_array(gr, "theta_norms", 1, grid.theta_norms).tolist()
+    grid.sigma2 = read_array(gr, "sigma2", 1, grid.sigma2).tolist()
     # a repeated value would repeat a row's key (procedure, alpha, theta_norm, theta_direction, sigma2)
     for key, values in (("alphas", cfg.alphas), ("theta_norms", grid.theta_norms), ("sigma2", grid.sigma2)):
         if len(set(values)) < len(values):
@@ -309,18 +271,18 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError("theta_norms must be nonnegative")
     if any(s <= 0 for s in grid.sigma2):
         raise ValueError("sigma2 values must be positive")
-    cfg.reps = _int(doc, "reps", cfg.reps)
-    cfg.reps_outer = _int(doc, "reps_outer", cfg.reps_outer)
+    cfg.reps = read_int(doc, "reps", cfg.reps)
+    cfg.reps_outer = read_int(doc, "reps_outer", cfg.reps_outer)
     # reps drives the alpha = 1 rows and reps_outer the alpha < 1 ones; each is checked where used
     for key, count, alpha, used in (("reps", cfg.reps, 1.0, 1.0 in cfg.alphas),
                                     ("reps_outer", cfg.reps_outer, 0.0, min(cfg.alphas, default=1.0) < 1.0)):
         if used and count < min_reps(alpha):
             raise ValueError(f"{key} must be at least {min_reps(alpha)}, got {count}")
-    cfg.n_mc_inner = _int(doc, "n_mc_inner", cfg.n_mc_inner)
+    cfg.n_mc_inner = read_int(doc, "n_mc_inner", cfg.n_mc_inner)
     # problem, observation and points are checked for presence where density-eval reads them
     dn, density = _section(doc.get("density", {}), DensityConfig, "density"), cfg.density
-    density.is_samples = _int(dn, "is_samples", density.is_samples)
-    density.alpha = _number(dn, "alpha", density.alpha)
+    density.is_samples = read_int(dn, "is_samples", density.is_samples)
+    density.alpha = read_number(dn, "alpha", density.alpha)
     if not -1.0 <= density.alpha <= 1.0:
         raise ValueError("alpha must lie in [-1, 1]")
     density.type = dn.get("type", density.type)
@@ -332,9 +294,6 @@ def load_config(path: str) -> ExperimentConfig:
         if key in dn and not isinstance(dn[key], types):
             raise ValueError(f"{key} must be {what}, got {dn[key]!r}")
     density.problem, density.observation, density.points = dn.get("problem"), dn.get("observation"), dn.get("points")
-    cfg.out = doc.get("out", cfg.out)
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise ValueError(f"out must be a directory path, got {cfg.out!r}")
     return cfg
 
 
@@ -360,22 +319,19 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
 
 
 def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, float]:
-    """The prior's c vector and the positivity rescale g0.
+    """The prior's c vector, the configured one times the positivity rescale g0, and g0.
 
-    c is the configured vector times g0 when rescale_c is set; g0 is
-    returned either way.  A list must have one entry per axis, l; a number
-    stands for every axis.
+    g0 keeps nu1 > 0 (it is 1 unless nu1 <= 0).  A list must have one entry
+    per axis, l; a number stands for every axis.
     """
-    if pc.c is None or pc.c == "identity":
+    if pc.c == "identity":
         c = np.ones(problem.l)
     elif isinstance(pc.c, list) and len(pc.c) != problem.l:
         raise ValueError(f"c must have l = {problem.l} entries, got {len(pc.c)}")
     else:
-        c = np.broadcast_to(np.asarray(pc.c, dtype=float), (problem.l,)).copy()
+        c = np.broadcast_to(pc.c, (problem.l,)).copy()
     g0 = bounds_mod.rescale_C_for_positivity(problem.d, c, problem.m, problem.n, problem.k)
-    if pc.rescale_c:
-        c = g0 * c
-    return c, g0
+    return g0 * c, g0
 
 
 def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
@@ -442,7 +398,7 @@ def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple
 
     direction indexes grid.theta_directions (0 when none are configured, and for theta = 0)."""
     l = problem.l
-    dirs = [np.asarray(v, dtype=float) for v in cfg.grid.theta_directions]
+    dirs = [np.asarray(v) for v in cfg.grid.theta_directions]
     if not dirs:
         e1 = np.zeros(l)
         e1[0] = 1.0
@@ -458,7 +414,7 @@ def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple
         for index, direction in enumerate(chosen):
             theta = norm * direction / np.linalg.norm(direction)
             for s2 in cfg.grid.sigma2:
-                points.append((theta, float(norm), index, float(s2)))
+                points.append((theta, norm, index, s2))
     return points
 
 
@@ -534,13 +490,10 @@ def _observation(doc, problem: CanonicalProblem) -> CanonicalObservation:
     """The density section's observation: finite v with l entries and v_star with k - l, and a finite s > 0."""
     if not isinstance(doc, dict):
         raise ValueError(f"observation must be a JSON object, got {doc!r}")
-    for key in ("v", "s"):
-        if key not in doc:
-            raise ValueError(f"{key} must be given in the observation")
-    s = _number(doc, "s")
-    if s is None or not s > 0:
+    s = read_number(doc, "s")
+    if not s > 0:
         raise ValueError(f"s must be a finite number > 0, got {s!r}")
-    v, v_star = (np.asarray(_floats(doc, key, [])) for key in ("v", "v_star"))
+    v, v_star = read_array(doc, "v", 1), read_array(doc, "v_star", 1, [])
     for key, value, size, name in (("v", v, problem.l, "l"), ("v_star", v_star, problem.k - problem.l, "k - l")):
         if value.shape != (size,):
             raise ValueError(f"{key} must have {name} = {size} entries, got shape {value.shape}")
@@ -702,7 +655,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         sub = subs.add_parser(name)
         sub.add_argument("--config", required=True, help="path to the JSON configuration")
-        sub.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
+        sub.add_argument("--out", default=".", help="output directory (default: the working directory)")
         sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     try:
         args = parser.parse_args(argv)
@@ -719,12 +672,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = args.out if args.out is not None else (cfg.out or ".")
     try:
-        return _COMMANDS[args.command](cfg, out_dir)
+        return _COMMANDS[args.command](cfg, args.out)
     except UnreliableNormalizationError as exc:
         print(f"normalization certificate failed: {exc}", file=sys.stderr)
-        return EXIT_MC_GUARD
+        return EXIT_CERTIFICATE
     except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
         print(f"canonicalization failed: {exc}", file=sys.stderr)
         return EXIT_CANONICAL

@@ -88,9 +88,10 @@ def _refine_bulk(g: Callable[[np.ndarray], np.ndarray], lo: float, step: float, 
     log_int = shift + np.log(step * total)
     while gap > QUAD_TOL:
         if n >= QUAD_MAX_INTERVALS:
-            raise UnreliableNormalizationError(
-                f"trapezoid rule on [{lo:.3g}, {lo + step * span:.3g}] at {n} intervals of the window: "
-                f"n vs 2n gap {gap:.3e}")
+            last = "no n vs 2n pair" if gap == math.inf else (
+                f"n vs 2n gap {gap:.3e} at {n // 2} vs {n} intervals of the window, the last pair")
+            raise UnreliableNormalizationError(f"trapezoid rule on [{lo:.3g}, {lo + step * span:.3g}]: {last} "
+                                               f"within QUAD_MAX_INTERVALS = {QUAD_MAX_INTERVALS}")
         gm = g(lo + step * (np.arange(span) + 0.5))
         top = np.maximum(shift, gm.max(axis=1))
         total = total * np.exp(shift - top) + np.exp(gm - top[:, None]).sum(axis=1)
@@ -169,9 +170,11 @@ def certified(loss: Callable[[int, np.ndarray], np.ndarray], rows: int) -> np.nd
     coarse, gap = loss(n, todo), math.inf
     while todo.size:
         if 3 * n // 2 > LOSS_MAX_NODES:
+            last = "no n vs 3n/2 pair" if gap == math.inf else (
+                f"n vs 3n/2 gap {gap:.3e} at {coarse_n} vs {n} nodes, the last pair")
             raise UnreliableNormalizationError(
-                f"loss quadrature: {todo.size} row(s) uncertified at {n} nodes, n vs 3n/2 gap {gap:.3e}")
-        n = 3 * n // 2
+                f"loss quadrature: {todo.size} row(s) uncertified, {last} within LOSS_MAX_NODES = {LOSS_MAX_NODES}")
+        coarse_n, n = n, 3 * n // 2
         fine = loss(n, todo)
         diff = np.abs(fine - coarse)
         ok = diff <= LOSS_TOL

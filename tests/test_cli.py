@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, problem_from_dict, problem_to_dict
-from shrinkpred.cli import _fmt, build_prior, load_config, main
+from shrinkpred.bounds import nu_limits
+from shrinkpred.cli import _fmt, build_prior, build_problem, load_config, main
 from shrinkpred.predictive import (
     best_invariant_kernel,
     plugin_bayes_estimators,
@@ -230,7 +231,41 @@ def test_removed_prior_and_design_keys_are_unknown(tmp_path, capsys, removed, me
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("removed, message", [
+    ({"out": "results"}, "unknown configuration option(s): 'out'"),
+    ({"prior": {"rescale_c": True}}, "unknown prior option(s): 'rescale_c'"),
+    ({"prior": {"c": None}}, 'c must be "identity", a finite number or a list of finite numbers, got None'),
+    ({"prior": {"nu": None}}, "nu must be a finite number, got None"),
+    ({"design": dict(AS1_DESIGN, xtilde=None)},
+     "xtilde must be a list of equal-length rows of finite numbers, got None"),
+])
+def test_removed_spellings_exit_1_from_every_subcommand(tmp_path, capsys, removed, message):
+    # --out alone sets the output directory, C is always g0 c, "identity" alone spells c = 1, and null spells
+    # no value: a key left out takes its default
+    cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **removed))
+    for command in ("canonicalize", "bounds", "identities", "risk-compare", "density-eval"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
+        assert capsys.readouterr().err == f"configuration error: {message}\n", command
+    assert not (tmp_path / "o").exists()
+
+
 EXPLICIT_DESIGN = {"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], "Xtilde": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("c, g0", [("identity", 1.602631578947368), (1.5, 1.0684210526315785), (3.0, 1.0)])
+def test_the_prior_scale_is_always_g0_times_the_configured_c(tmp_path, c, g0):
+    # n - k = 2 and l = 1; at c = 1 nu1 <= 0, so the positivity rescale g0 lifts C until nu1 > 0
+    design = dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.5], [1.0, 2.0]])
+    path = write_config(tmp_path, {"seed": 1, "design": design, "prior": {"c": c}})
+    assert main(["bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    bounds = json.loads((tmp_path / "o" / "bounds.json").read_text())
+    assert bounds["g0"] == g0 and bounds["nu1"] > 0
+    cfg = load_config(path)
+    problem, _, _ = build_problem(cfg)
+    assert nu_limits(problem.d, np.ones(1), problem.m, problem.n, problem.k).nu1 <= 0
+    configured = 1.0 if c == "identity" else c
+    assert build_prior(cfg, problem).c.tolist() == [g0 * configured]
 
 
 @pytest.mark.parametrize("design, key", [
@@ -287,6 +322,31 @@ def test_risk_compare_rows_and_determinism(tmp_path):
         if cells[0] == "umvu":
             mean, se, mr = float(cells[6]), float(cells[7]), float(cells[8])
             assert abs(mean - mr) < 3 * se
+
+
+def test_risks_depend_on_theta_and_sigma2_only_through_theta_over_sigma(tmp_path):
+    # every grid point scales the same standard draws, and sigma = 2 scales them exactly (a power of two), so the
+    # sigma2 = 4 rows at |theta| = t are the sigma2 = 1 rows at t / 2: bit for bit at alpha = 1, whose losses are
+    # closed forms, and to rounding in the quadratures of the alpha < 1 losses
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
+    norms = [0.0, 2.0, 5.0, 10.0]
+    doc = dict(doc, seed=1, alphas=[1.0, 0.0, -1.0, 0.9], reps=BLOCK_SIZE, reps_outer=200,
+               grid=dict(doc["grid"], theta_norms=sorted({*norms, *(t / 2 for t in norms)}), sigma2=[1.0, 4.0]))
+    assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "risk_compare.csv").read_text().splitlines()[1:]
+    # (procedure, alpha, theta_norm, theta_direction, sigma2) -> (risk_mean, risk_se)
+    risks = {tuple(cells[:5]): cells[6:8] for cells in (line.split(",") for line in lines)}
+    compared = 0
+    for (name, alpha, norm, direction, s2), scaled in risks.items():
+        if s2 == "4" and float(norm) in norms:
+            base = risks[name, alpha, _fmt(float(norm) / 2), direction, "1"]
+            if alpha == "1":
+                assert scaled == base, (name, norm, direction)
+            else:
+                assert np.allclose(np.array(scaled, float), np.array(base, float), rtol=1e-10, atol=0), (
+                    name, alpha, norm, direction, scaled, base)
+            compared += 1
+    assert compared == 7 * (3 + 3 * 2)  # (norm, direction) points x (3 rules at alpha = 1, 2 at each alpha < 1)
 
 
 def test_risk_compare_rows_have_unique_keys(tmp_path):
@@ -684,9 +744,11 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     ({"n": [12], "k": 3, "m": 3}, "'n'"), ({"n": 12, "k": "three", "m": 3}, "'k'"),
     ({"n": 12, "k": 3, "m": 3, "cond_xtx": [1.0]}, "'cond_xtx'"), ({"n": 12, "k": 3, "m": 3, "d": [[1.0], 2.0]}, "'d'"),
     # JSON's NaN and Infinity, which every comparison in the constructor's checks lets through
-    ({"n": 12, "k": 3, "m": 3, "d": [0.25, math.nan, 0.25]}, "d must hold finite numbers"),
-    ({"n": 12, "k": 3, "m": 3, "Q": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]]}, "Q must hold finite"),
-    ({"n": 12, "k": 3, "m": 3, "coef_transform": [[math.inf] * 3] * 3}, "coef_transform must hold finite"),
+    ({"n": 12, "k": 3, "m": 3, "d": [0.25, math.nan, 0.25]}, "malformed: d must be a list of finite numbers"),
+    ({"n": 12, "k": 3, "m": 3, "Q": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]]},
+     "malformed: Q must be a list of equal-length rows of finite numbers"),
+    ({"n": 12, "k": 3, "m": 3, "coef_transform": [[math.inf] * 3] * 3},
+     "coef_transform must be a list of equal-length rows of finite numbers"),
     # a fraction or a string where a dimension belongs, which int() used to truncate or parse
     ({"n": 12.7, "k": 3, "m": 3}, "'n'"), ({"n": "12", "k": 3, "m": 3}, "'n'"),
     # no residual degrees of freedom, which used to fail in a log with "math domain error"
@@ -697,6 +759,16 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     ({"n": 12, "k": 3, "m": 3, "cond_xtx": -math.inf}, "cond_xtx must be a finite number >= 1"),
     ({"n": 12, "k": 3, "m": 3, "cond_xtx": 0.5}, "cond_xtx must be a finite number >= 1"),
     ({"n": 12, "k": 3, "m": 3, "cond_xtx": True}, "'cond_xtx'"),
+    # a numeric string or a boolean, which float() and np.asarray(..., dtype=float) used to read as a number
+    ({"n": 12, "k": 3, "m": 3, "cond_xtx": "12"}, "cond_xtx must be a finite number >= 1, got '12'"),
+    ({"n": 12, "k": 3, "m": 3, "d": ["0.25", "0.25", "0.25"]}, "d must be a list of finite numbers"),
+    ({"n": 12, "k": 3, "m": 3, "d": [0.25, True, 0.25]}, "d must be a list of finite numbers"),
+    ({"n": 12, "k": 3, "m": 3, "Q": [[1.0, 0.0, 0.0], [0.0, "1", 0.0], [0.0, 0.0, 1.0]]}, "'Q'"),
+    ({"n": 12, "k": 3, "m": 3, "Q": [[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "'Q'"),
+    ({"n": 12, "k": 3, "m": 3, "coef_transform": [["0.5", 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},
+     "'coef_transform'"),
+    ({"n": 12, "k": 3, "m": 3, "coef_transform": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, False]]},
+     "'coef_transform'"),
 ])
 def test_density_eval_problem_document_errors_name_the_key(tmp_path, capsys, as1_problem_n12, problem, key):
     # a problem document that is not an object, or lacks or garbles a key, exits 1 naming it
@@ -725,7 +797,7 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
             "X": rng.standard_normal((4, 3)).tolist(),
             "Xtilde": rng.standard_normal((3, 3)).tolist(),
         },
-        "prior": {"nu": 0.1, "rescale_c": False},
+        "prior": {"nu": 0.1},
         "alphas": [1.0],
         "grid": {"theta_norms": [0.0], "sigma2": [1.0]},
         "reps": 150,
@@ -881,6 +953,16 @@ def test_seed_beyond_64_bits_rejected(tmp_path, capsys, source):
      "Xtilde"),
     # one replicate of a square Xtilde leaves n = k, no residual degrees of freedom
     ({"type": "as1", "m": 3, "k": 3, "N": 1}, "N"),
+    # a numeric string or a boolean, which np.asarray(..., dtype=float) used to read as a number
+    (dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0, "1.5"], [True, 2.0]]), "X"),
+    (dict(EXPLICIT_DESIGN, Xtilde=[["1", 0.0]]), "Xtilde"),
+    (dict(EXPLICIT_DESIGN, Xtilde=[[True, 0.0]]), "Xtilde"),
+    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, "1", 0.0], [0.0, 0.0, 1.0]]},
+     "xtilde"),
+    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]]},
+     "xtilde"),
+    # rows of unequal length
+    (dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0], [1.0, 2.0]]), "X"),
 ])
 def test_design_errors_name_the_key(tmp_path, capsys, design, key):
     cfg = write_config(tmp_path, {"seed": 1, "design": design})
@@ -912,9 +994,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("configuration error:"), typo
     # a value of the wrong type, or a fraction where an integer belongs, is named in the message
     monkeypatch.chdir(tmp_path)
-    for wrong, key in (({"alphas": 5}, "alphas"), ({"out": 5}, "out"), ({"seed": True}, "seed"),
+    for wrong, key in (({"alphas": 5}, "alphas"), ({"seed": True}, "seed"),
                        ({"reps": 2.5}, "reps"), ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m"),
-                       ({"prior": {"rescale_c": "false"}}, "rescale_c"),
                        ({"prior": {"nu": "0.3"}}, "nu"),
                        ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c")):
         cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")

@@ -1,6 +1,7 @@
 """Density constructions: shrinkage factorization, normalizers, plug-in rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -537,6 +538,19 @@ def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
     fine = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     assert np.all(np.isfinite(base))
     assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
+
+
+def test_trapezoid_certificate_failure_names_the_pair_its_gap_belongs_to():
+    # a step in exp(g) at the irrational +-sqrt(2) keeps the rule's error of the order of its step, far above
+    # QUAD_TOL, so the step halves up to QUAD_MAX_INTERVALS; the gap reported is that of the last pair formed
+    def g(z, chunk):
+        return np.broadcast_to(np.where(np.abs(z) < math.sqrt(2.0), 0.0, -100.0), (chunk.stop - chunk.start, z.size))
+
+    with pytest.raises(UnreliableNormalizationError) as raised:
+        quad_module.log_trapezoid(g, 2)
+    top = quad_module.QUAD_MAX_INTERVALS
+    assert re.fullmatch(rf"trapezoid rule on \[\S+, \S+\]: n vs 2n gap \S+ at {top // 2} vs {top} intervals of "
+                        rf"the window, the last pair within QUAD_MAX_INTERVALS = {top}", str(raised.value))
 
 
 def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):

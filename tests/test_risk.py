@@ -446,6 +446,15 @@ def test_loss_certificate_failure_propagates(prob_m3, monkeypatch):
         risk_mc(_two_scorers(prob_m3, 0.5).values(), prob_m3, [params], 60, seed=2)
 
 
+def test_loss_certificate_failure_names_the_pair_its_gap_belongs_to():
+    # a loss of 1/n never settles: the last pair the ladder forms is 406 vs 609 nodes, and the gap is theirs
+    with pytest.raises(UnreliableNormalizationError) as raised:
+        quad_module.certified(lambda n, index: np.full(index.size, 1.0 / n), 3)
+    assert str(raised.value) == ("loss quadrature: 3 row(s) uncertified, n vs 3n/2 gap "
+                                 f"{1 / 406 - 1 / 609:.3e} at 406 vs 609 nodes, the last pair within "
+                                 "LOSS_MAX_NODES = 640")
+
+
 def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypatch):
     # the best invariant rule alone at alpha = -1 needs no shrinkage constant: the trapezoid
     # rule that fails is the one of its Frullani integrals

@@ -71,4 +71,4 @@ def test_readme_config_tables_list_the_accepted_keys():
             elif want is not None:  # compared as numbers, but true is not 1
                 assert (want, type(want) is bool) == (default, type(default) is bool), (section, f.name, want, default)
             stated += want is not None
-    assert stated == 14
+    assert stated == 12
