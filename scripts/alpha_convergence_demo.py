@@ -25,11 +25,11 @@ def main():
     problem = as1_problem(rng.standard_normal((3, 3)), 4)
     prior = PriorSpec.minimax_default(problem)
     obs = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
-    est = plugin_bayes_estimators(problem, prior, obs)
+    est = plugin_bayes_estimators(prior, obs)
     center = problem.Q @ est.theta_hat
     pts = np.vstack([center, center + 0.5, center - 0.8])
 
-    gaps = alpha_limit_check(problem, prior, obs, pts, ALPHAS)
+    gaps = alpha_limit_check(prior, obs, pts, ALPHAS)
     print("abs log-density gap to the plug-in normal")
     print(f"{'alpha':>8} " + " ".join(f"{f'point {j}':>12}" for j in range(pts.shape[0])))
     for alpha, row in zip(ALPHAS, gaps):

@@ -24,7 +24,6 @@ from .canonical import (
     CanonicalParams,
     CanonicalProblem,
     RankDeficiencyError,
-    SufficientStats,
     as1_design,
     as1_problem,
     canonicalize,

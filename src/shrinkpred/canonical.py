@@ -32,7 +32,6 @@ from numpy.random import Generator, Philox
 
 __all__ = [
     "RankDeficiencyError",
-    "SufficientStats",
     "CanonicalProblem",
     "CanonicalObservation",
     "CanonicalParams",
@@ -124,20 +123,6 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     for j in range(1, p.shape[-1]):
         out = out + p[..., j]
     return out
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Least squares estimate and residual sum of squares."""
-
-    beta_hat_u: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_hat_u", _freeze(self.beta_hat_u).ravel())
-        object.__setattr__(self, "s", float(self.s))
-        if self.s < 0:
-            raise ValueError("residual sum of squares must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -246,8 +231,8 @@ class CanonicalParams:
 # ---------------------------------------------------------------------------
 
 
-def sufficient_statistics(X: np.ndarray, y: np.ndarray) -> SufficientStats:
-    """Least squares coefficients (from X itself, not X'X) and residual sum of squares.
+def sufficient_statistics(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """(beta_hat, s): least squares coefficients (from X itself, not X'X) and residual sum of squares.
 
     X must be a finite n x k matrix of full column rank with n > k, and y a
     finite n-vector.
@@ -263,7 +248,7 @@ def sufficient_statistics(X: np.ndarray, y: np.ndarray) -> SufficientStats:
         raise RankDeficiencyError("X is rank deficient")
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     resid = y - X @ beta
-    return SufficientStats(beta_hat_u=beta, s=float(resid @ resid))
+    return beta, float(resid @ resid)
 
 
 def _fix_column_signs(U: np.ndarray) -> np.ndarray:
@@ -352,14 +337,14 @@ def as1_problem(Xtilde: np.ndarray, N: int) -> CanonicalProblem:
     return CanonicalProblem(n=m * int(N), k=k, m=m, d=d, Q=Q, coef_transform=root.T, cond_xtx=cond)
 
 
-def to_canonical(problem: CanonicalProblem, stats: SufficientStats) -> CanonicalObservation:
+def to_canonical(problem: CanonicalProblem, beta_hat: np.ndarray, s: float) -> CanonicalObservation:
     """Map (beta_hat, S) into canonical coordinates."""
-    beta = stats.beta_hat_u
+    beta = np.asarray(beta_hat, dtype=float).ravel()
     if beta.shape != (problem.k,):
         raise ValueError(f"beta_hat has length {beta.shape[0]}, expected k={problem.k}")
     w = problem.coef_transform @ beta
     l = problem.l
-    return CanonicalObservation(v=w[:l], v_star=w[l:], s=stats.s)
+    return CanonicalObservation(v=w[:l], v_star=w[l:], s=s)
 
 
 def params_to_canonical(problem: CanonicalProblem, beta: np.ndarray, sigma2: float) -> CanonicalParams:

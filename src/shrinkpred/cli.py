@@ -43,7 +43,6 @@ from .canonical import (
     replication_rng,
 )
 from .predictive import (
-    PluginEstimate,
     PriorSpec,
     best_invariant_kernel,
     plugin_bayes_estimators,
@@ -282,12 +281,15 @@ def load_config(path: str) -> ExperimentConfig:
     # problem, observation and points are checked for presence where density-eval reads them
     dn, density = _section(doc.get("density", {}), DensityConfig, "density"), cfg.density
     density.is_samples = read_int(dn, "is_samples", density.is_samples)
-    density.alpha = read_number(dn, "alpha", density.alpha)
-    if not -1.0 <= density.alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
     density.type = dn.get("type", density.type)
     if density.type not in _DENSITY_TYPES:
         raise ValueError(f"type must be one of {', '.join(_DENSITY_TYPES)}, got {density.type!r}")
+    # the plug-in normal is the alpha = 1 density; the other two are built for alpha < 1
+    if density.type == "plugin" and "alpha" in dn:
+        raise ValueError("alpha must be left out for type 'plugin', the alpha = 1 plug-in normal")
+    density.alpha = read_number(dn, "alpha", density.alpha)
+    if not -1.0 <= density.alpha < 1.0:
+        raise ValueError(f"alpha must lie in [-1, 1) for type {density.type!r}, got {density.alpha!r}")
     for key, types, what in (("problem", (str, dict), "a path or a JSON object"),
                              ("observation", (str, dict), "a path or a JSON object"),
                              ("points", str, "a path to a CSV file")):
@@ -421,23 +423,21 @@ def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple
 def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, _, _ = build_problem(cfg)
     prior = build_prior(cfg, problem)
-    n, k = problem.n, problem.k
-    d = problem.d
-    mr = minimax_risk(d, problem.m, n, k)
+    mr = minimax_risk(problem)
     points = _grid_points(cfg, problem)
     seed = cfg.seed
     # the domination guarantee is proved under n - k - 2 >= 0; never claim it below
-    may_claim_domination = (n - k) >= 2
+    may_claim_domination = (problem.n - problem.k) >= 2
 
     # each rule maps a block of observations to a block of estimates: plug-in
     # estimates at alpha = 1, predictive kernels below
     plugin_rules = {
-        "umvu": lambda obs: umvu_estimators(obs, n, k),
-        "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
-        "stein_variance": lambda obs: PluginEstimate(obs.v, stein_variance(obs, d, n, k)),
+        "umvu": functools.partial(umvu_estimators, problem),
+        "shrink_plugin": functools.partial(plugin_bayes_estimators, prior),
+        "stein_variance": functools.partial(stein_variance, problem),
     }
     if problem.case == "II":
-        plugin_rules["stein_variance_star"] = lambda obs: PluginEstimate(obs.v, stein_variance_star(obs, n, k))
+        plugin_rules["stein_variance_star"] = functools.partial(stein_variance_star, problem)
 
     grid = [CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
             for theta, _, _, s2 in points]
@@ -449,7 +449,7 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
         else:
             scorers = {
                 "best_invariant": kernel_scorer(lambda obs: best_invariant_kernel(problem, obs, alpha), alpha),
-                "shrinkage_bayes": kernel_scorer(lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha), alpha),
+                "shrinkage_bayes": kernel_scorer(lambda obs: shrinkage_bayes_kernel(prior, obs, alpha), alpha),
             }
             reps = cfg.reps_outer
         # one call over the whole grid, so each keyed block is drawn once for every point
@@ -487,10 +487,8 @@ def _json_doc(value):
 
 
 def _observation(doc, problem: CanonicalProblem) -> CanonicalObservation:
-    """The density section's observation: finite v with l entries and v_star with k - l, and a finite s > 0."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"observation must be a JSON object, got {doc!r}")
-    s = read_number(doc, "s")
+    """The density section's observation: finite v with l entries and v_star with k - l, a finite s > 0, no other key."""
+    s = read_number(_section(doc, CanonicalObservation, "observation"), "s")
     if not s > 0:
         raise ValueError(f"s must be a finite number > 0, got {s!r}")
     v, v_star = read_array(doc, "v", 1), read_array(doc, "v_star", 1, [])
@@ -610,9 +608,9 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     if section.type == "best_invariant":
         dens = best_invariant_kernel(problem, obs, section.alpha)
     elif section.type == "shrinkage_bayes":
-        dens = shrinkage_bayes_kernel(problem, build_prior(cfg, problem), obs, section.alpha)
+        dens = shrinkage_bayes_kernel(build_prior(cfg, problem), obs, section.alpha)
     else:  # "plugin": load_config admits no other type
-        dens = plugin_density(plugin_bayes_estimators(problem, build_prior(cfg, problem), obs), problem)
+        dens = plugin_density(plugin_bayes_estimators(build_prior(cfg, problem), obs), problem)
 
     log_u = dens.log_unnormalized(points)
     table = np.column_stack([points, log_u, np.full(len(log_u), dens.log_const), log_u + dens.log_const])

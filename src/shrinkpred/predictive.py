@@ -130,27 +130,26 @@ class _SpectralScale:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Hyperparameters of the hierarchical shrinkage prior.
+    """The hierarchical shrinkage prior of one problem.
 
     ``c`` scales the prior covariance componentwise (c_i >= 1; a larger c_i
     shrinks component i less), ``nu`` = (k + 2a + 2)/(n - k) > 0 is the
     shrinkage weight, which fixes the common exponent a of the precision and
     mixing densities, and ``gamma_prior`` scales the prior on the auxiliary
-    mean.  Problem dimensions are captured so the exponent a is self-contained.
+    mean.  The rules that take the prior read n, k, l and d from its
+    ``problem``, so a prior cannot be paired with another problem.
     """
 
+    problem: CanonicalProblem
     c: np.ndarray
     nu: float
     gamma_prior: float
-    n: int
-    k: int
-    m: int
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).ravel()
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        l = min(self.k, self.m)
+        l = self.problem.l
         if c.shape != (l,):
             raise ValueError(f"c must have length l = {l}")
         if np.any(c < 1):
@@ -159,13 +158,12 @@ class PriorSpec:
             raise ValueError("nu must be positive")
         if self.gamma_prior < 1:
             raise ValueError("gamma_prior must be >= 1")
-        if self.n <= self.k:
-            raise ValueError("need n > k")
 
     @property
     def a(self) -> float:
         """The prior exponent a = (nu (n - k) - k - 2)/2."""
-        return (self.nu * (self.n - self.k) - self.k - 2.0) / 2.0
+        n, k = self.problem.n, self.problem.k
+        return (self.nu * (n - k) - k - 2.0) / 2.0
 
     @classmethod
     def from_problem(
@@ -182,7 +180,7 @@ class PriorSpec:
             if not nb.positive:
                 raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
             nu = nb.nu_max
-        return cls(c=c, nu=float(nu), gamma_prior=float(gamma_prior), n=problem.n, k=problem.k, m=problem.m)
+        return cls(problem=problem, c=c, nu=float(nu), gamma_prior=float(gamma_prior))
 
     @classmethod
     def minimax_default(cls, problem: CanonicalProblem, gamma_prior: float = 1.0) -> "PriorSpec":
@@ -211,12 +209,8 @@ class PluginEstimate:
 # ---------------------------------------------------------------------------
 
 
-def shrinkage_components(
-    problem: CanonicalProblem,
-    prior: PriorSpec,
-    alpha: float,
-    v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+def shrinkage_components(prior: PriorSpec, alpha: float,
+                         v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """(e_b, theta_b, r): spectrum, shrunken mean and residual of the two-kernel factorization.
 
     With c2 = 2/(1 - alpha) the kernels' scale matrices are c2 I + Q diag(d) Q'
@@ -228,8 +222,8 @@ def shrinkage_components(
     """
     alpha = _check_alpha(alpha)
     v = np.asarray(v, dtype=float)
-    d, c = problem.d, prior.c
-    if v.ndim not in (1, 2) or v.shape[-1] != problem.l:
+    d, c = prior.problem.d, prior.c
+    if v.ndim not in (1, 2) or v.shape[-1] != prior.problem.l:
         raise ValueError("v must have length l")
     half = (1.0 - alpha) / 2.0
     theta_b = (c - 1.0) / (c + half * d) * v
@@ -318,8 +312,7 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     return PredictiveKernel(alpha=alpha, Q=problem.Q, dof=nu_a, e_u=problem.d, v=obs.v, s=s, log_const=log_const)
 
 
-def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation,
-                           alpha: float) -> PredictiveKernel:
+def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: float) -> PredictiveKernel:
     """The shrinkage density of each observation of a block (or of one observation).
 
     Its kernel is (q_u(y) + s)^-A (q_b(y) + o)^-B with A = m/2 + (n-k)/(1-alpha),
@@ -329,8 +322,9 @@ def shrinkage_bayes_kernel(problem: CanonicalProblem, prior: PriorSpec, obs: Can
     Raises UnreliableNormalizationError when the certificate fails for any row.
     """
     alpha = _check_alpha(alpha)
-    e_b, theta_b, r = shrinkage_components(problem, prior, alpha, obs.v)
+    e_b, theta_b, r = shrinkage_components(prior, alpha, obs.v)
     s = _check_s(obs)
+    problem = prior.problem
     kernel = PredictiveKernel(
         alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=problem.d,
         v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=e_b,
@@ -378,20 +372,16 @@ def _log_expit(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def plugin_bayes_estimators(
-    problem: CanonicalProblem,
-    prior: PriorSpec,
-    obs: CanonicalObservation,
-) -> PluginEstimate:
+def plugin_bayes_estimators(prior: PriorSpec, obs: CanonicalObservation) -> PluginEstimate:
     """Shrinkage plug-in estimates of theta and sigma^2 at alpha = 1.
 
     W = (V' C^{-1} D^{-1} V + |V*|^2 / gamma) / S; both estimators shrink
     by nu/(nu + 1 + W).  A block of observations gives a block of estimates.
     """
     s = _check_s(obs)
-    d, c = problem.d, prior.c
+    problem, c = prior.problem, prior.c
     v, v_star = obs.v, obs.v_star
-    w = (_row_dot(v, v / (c * d)) + _row_dot(v_star, v_star) / prior.gamma_prior) / s
+    w = (_row_dot(v, v / (c * problem.d)) + _row_dot(v_star, v_star) / prior.gamma_prior) / s
     nu = prior.nu
     f = nu / (nu + 1.0 + w)
     theta = (1.0 - f[..., None] / c) * v
@@ -399,32 +389,29 @@ def plugin_bayes_estimators(
     return PluginEstimate(theta_hat=theta, sigma2_hat=sigma2)
 
 
-def umvu_estimators(obs: CanonicalObservation, n: int, k: int) -> PluginEstimate:
+def umvu_estimators(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
     """Unbiased baseline: theta_hat = V, sigma2_hat = S/(n-k), per observation of a block.
 
     It is the no-shrinkage limit of the plug-in rule, W at infinity.
     """
     s = _check_s(obs)
-    return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (n - k))
+    return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (problem.n - problem.k))
 
 
-def stein_variance(obs: CanonicalObservation, d: np.ndarray, n: int, k: int) -> float | np.ndarray:
-    """Stein variance estimate min(S/(n-k), (V'D^{-1}V + S)/(l + n - k)), per observation of a block."""
+def stein_variance(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
+    """theta_hat = V and Stein's variance estimate min(S/(n-k), (V'D^{-1}V + S)/(l + n - k)), per observation."""
     s = _check_s(obs)
-    d = np.asarray(d, dtype=float).ravel()
-    l = obs.v.shape[-1]
-    if d.shape != (l,):
-        raise ValueError("d must match the length of v")
-    return np.minimum(s / (n - k), (_row_dot(obs.v, obs.v / d) + s) / (l + n - k))
+    n, k, l = problem.n, problem.k, problem.l
+    return PluginEstimate(obs.v, np.minimum(s / (n - k), (_row_dot(obs.v, obs.v / problem.d) + s) / (l + n - k)))
 
 
-def stein_variance_star(obs: CanonicalObservation, n: int, k: int) -> float | np.ndarray:
-    """Variance estimate pooling the auxiliary statistic: min(S/(n-k), (|V*|^2 + S)/(n - l))."""
+def stein_variance_star(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
+    """theta_hat = V and the variance estimate pooling the auxiliary statistic, min(S/(n-k), (|V*|^2 + S)/(n - l))."""
     s = _check_s(obs)
     if obs.v_star.shape[-1] == 0:
         raise ValueError("v_star is empty; the pooled variant needs m < k")
-    l = obs.v.shape[-1]
-    return np.minimum(s / (n - k), (_row_dot(obs.v_star, obs.v_star) + s) / (n - l))
+    n, k, l = problem.n, problem.k, problem.l
+    return PluginEstimate(obs.v, np.minimum(s / (n - k), (_row_dot(obs.v_star, obs.v_star) + s) / (n - l)))
 
 
 @dataclass(frozen=True)
@@ -454,8 +441,7 @@ def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> PluginDens
                          log_const=-problem.m / 2.0 * math.log(2.0 * math.pi * sigma2))
 
 
-def alpha_limit_check(problem: CanonicalProblem, prior: PriorSpec, obs: CanonicalObservation, points,
-                      alpha_sequence) -> np.ndarray:
+def alpha_limit_check(prior: PriorSpec, obs: CanonicalObservation, points, alpha_sequence) -> np.ndarray:
     """Gap between the normalized shrinkage log density and the plug-in normal.
 
     Returns an array of shape (len(alpha_sequence), n_points) with
@@ -466,9 +452,10 @@ def alpha_limit_check(problem: CanonicalProblem, prior: PriorSpec, obs: Canonica
         raise ValueError("all alphas must be < 1")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_sequence must be increasing")
+    problem = prior.problem
     pts, _ = _points(np.atleast_2d(points), problem.m)
-    ref = plugin_density(plugin_bayes_estimators(problem, prior, obs), problem).log_density(pts)
+    ref = plugin_density(plugin_bayes_estimators(prior, obs), problem).log_density(pts)
     gaps = np.empty((len(alphas), pts.shape[0]))
     for i, alpha in enumerate(alphas):
-        gaps[i] = np.abs(shrinkage_bayes_kernel(problem, prior, obs, alpha).log_density(pts) - ref)
+        gaps[i] = np.abs(shrinkage_bayes_kernel(prior, obs, alpha).log_density(pts) - ref)
     return gaps

@@ -115,13 +115,10 @@ def _digamma_half(q: int) -> float:
     return math.fsum([-np.euler_gamma, -2.0 * math.log(2.0)] + [2.0 / (2 * j - 1) for j in range(1, q // 2 + 1)])
 
 
-def minimax_risk(d: np.ndarray, m: int, n: int, k: int) -> float:
+def minimax_risk(problem: CanonicalProblem) -> float:
     """Constant risk of the unbiased baseline under the alpha = 1 loss."""
-    if n <= k:
-        raise ValueError("need n > k")
-    d = np.asarray(d, dtype=float).ravel()
-    half_dof = (n - k) / 2.0
-    return 0.5 * (float(d.sum()) + m * (math.log(half_dof) - _digamma_half(n - k)))
+    q = problem.n - problem.k
+    return 0.5 * (float(problem.d.sum()) + problem.m * (math.log(q / 2.0) - _digamma_half(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,8 @@ def as1_minimax_value() -> float:
 
 def test_criterion_1_minimax_risk_constancy(as1_problem_n12):
     problem = as1_problem_n12
-    n, k = problem.n, problem.k
     mr_oracle = as1_minimax_value()
-    assert minimax_risk(problem.d, problem.m, n, k) == pytest.approx(mr_oracle, abs=1e-10)
+    assert minimax_risk(problem) == pytest.approx(mr_oracle, abs=1e-10)
     e1 = np.array([1.0, 0.0, 0.0])
     udir = np.ones(3) / math.sqrt(3.0)
     points = [
@@ -69,7 +68,7 @@ def test_criterion_1_minimax_risk_constancy(as1_problem_n12):
         # under common random numbers, so shared seeds would collapse the
         # five checks into one
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        est = risk_d1_mc(lambda o: umvu_estimators(o, n, k), problem, params, 20_000, seed=101 + j)
+        est = risk_d1_mc(lambda o: umvu_estimators(problem, o), problem, params, 20_000, seed=101 + j)
         zs.append(abs(est.mean - mr_oracle) / est.std_error)
     report(1, "minimax-risk-constancy", max(zs) < 3.0,
            f"5 points, max |z| = {max(zs):.2f}, MR = {mr_oracle:.6f}")
@@ -81,7 +80,7 @@ def test_criterion_2_shrinkage_plugin_domination(as1_problem_n12):
     nb = nu_limits(problem.d, prior.c, problem.m, problem.n, problem.k)
     assert prior.nu == pytest.approx(nb.nu_max)
     mr = as1_minimax_value()
-    proc = lambda obs: plugin_bayes_estimators(problem, prior, obs)
+    proc = lambda obs: plugin_bayes_estimators(prior, obs)
     results = []
     for norm, reps in ((0.0, 50_000), (2.0, 30_000), (5.0, 30_000), (10.0, 30_000)):
         theta = norm * np.array([1.0, 0.0, 0.0])
@@ -109,9 +108,9 @@ def test_criterion_3_small_l_domination(case2_problem_n12):
     nb = nu_limits(problem.d, c, problem.m, problem.n, problem.k)
     assert nb.positive
     prior = PriorSpec.from_problem(problem, c=c, nu=nb.nu_max)
-    mr = minimax_risk(problem.d, problem.m, problem.n, problem.k)
+    mr = minimax_risk(problem)
     params = CanonicalParams(theta=np.zeros(1), mu=np.zeros(2), eta=1.0)
-    est = risk_d1_mc(lambda o: plugin_bayes_estimators(problem, prior, o),
+    est = risk_d1_mc(lambda o: plugin_bayes_estimators(prior, o),
                      problem, params, 60_000, seed=303)
     margin = (mr - est.mean) / est.std_error
     report(3, "small-l-domination", margin > 3.0,
@@ -130,7 +129,7 @@ def test_criterion_4_stein_dominance(as1_problem_n12, case2_problem_n12):
                                  mu=np.zeros(problem.k - problem.l), eta=1.0)
         obs = simulate_rows(problem, params, seed=404, reps=reps)
         umvu = obs.s / (n - k)
-        stein = stein_variance_star(obs, n, k) if use_star else stein_variance(obs, problem.d, n, k)
+        stein = (stein_variance_star if use_star else stein_variance)(problem, obs).sigma2_hat
         diffs = l2(stein) - l2(umvu)
         se = diffs.std(ddof=1) / math.sqrt(reps)
         return -diffs.mean() / se
@@ -175,7 +174,7 @@ def test_criterion_7_alpha_convergence(as1_problem_n12):
     problem = as1_problem_n12
     prior = PriorSpec.minimax_default(problem)
     obs = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
-    est = plugin_bayes_estimators(problem, prior, obs)
+    est = plugin_bayes_estimators(prior, obs)
     center = problem.Q @ est.theta_hat
     pts = np.vstack([
         center,
@@ -184,7 +183,7 @@ def test_criterion_7_alpha_convergence(as1_problem_n12):
         center + np.array([1.0, 0.0, 0.0]),
         center + np.array([0.0, -1.5, 0.5]),
     ])
-    gaps = alpha_limit_check(problem, prior, obs, pts, [0.9, 0.99, 0.999])
+    gaps = alpha_limit_check(prior, obs, pts, [0.9, 0.99, 0.999])
     decreasing = bool(np.all(np.diff(gaps, axis=0) < 0))
     report(7, "alpha-to-one-convergence", decreasing,
            "max gaps per alpha: " + "/".join(f"{g:.1e}" for g in gaps.max(axis=1)))

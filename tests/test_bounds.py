@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shrinkpred.bounds import condition_d, nu_limits, rescale_C_for_positivity
+from shrinkpred.canonical import CanonicalProblem
 from shrinkpred.predictive import PriorSpec
 
 positive_floats = st.floats(0.05, 20.0, allow_nan=False)
@@ -96,7 +97,8 @@ def test_rescale_monotone_in_deficit(d1, d2):
 
 
 def prior_of_nu(k: int, nu: float, n: int) -> PriorSpec:
-    return PriorSpec(c=np.ones(k), nu=nu, gamma_prior=1.0, n=n, k=k, m=k)
+    problem = CanonicalProblem(n=n, k=k, m=k, d=np.ones(k), Q=np.eye(k), coef_transform=np.eye(k))
+    return PriorSpec(problem, c=np.ones(k), nu=nu, gamma_prior=1.0)
 
 
 def test_nu_a_round_trip_values():

@@ -457,8 +457,8 @@ def test_density_eval(tmp_path):
 
 DENSITY_BUILDERS = {
     "best_invariant": lambda problem, prior, obs: best_invariant_kernel(problem, obs, 0.3),
-    "shrinkage_bayes": lambda problem, prior, obs: shrinkage_bayes_kernel(problem, prior, obs, 0.3),
-    "plugin": lambda problem, prior, obs: plugin_density(plugin_bayes_estimators(problem, prior, obs), problem),
+    "shrinkage_bayes": lambda problem, prior, obs: shrinkage_bayes_kernel(prior, obs, 0.3),
+    "plugin": lambda problem, prior, obs: plugin_density(plugin_bayes_estimators(prior, obs), problem),
 }
 
 
@@ -485,8 +485,9 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
     obs_doc = {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}
     cfg = write_config(tmp_path, {
         "seed": 5,
-        "density": {"problem": str(out / "problem.json"), "observation": obs_doc, "type": kind,
-                    "alpha": 0.3, "points": str(pts)},
+        # the plug-in normal is the alpha = 1 density and takes no alpha
+        "density": dict({"problem": str(out / "problem.json"), "observation": obs_doc, "type": kind,
+                         "points": str(pts)}, **({} if kind == "plugin" else {"alpha": 0.3})),
     }, "c2.json")
     # the 1e300 and infinite coordinates put the row's density at 0: log density -inf, with no RuntimeWarning
     assert main(["density-eval", "--config", cfg, "--out", str(out)]) == 0
@@ -547,14 +548,47 @@ def test_density_eval_input_errors_name_the_key(tmp_path, capsys, as1_problem_n1
     np.savetxt(pts, np.zeros((2, problem.m)), delimiter=",")
     observation = {"v": [0.5] * problem.l, "v_star": [0.1] * (problem.k - problem.l), "s": 8.0}
     observation = {name: value for name, value in dict(observation, **obs).items() if value is not ABSENT}
-    density = {"problem": problem_to_dict(problem), "observation": observation, "type": kind, "alpha": 0.0,
-               "points": str(pts)}
+    density = {"problem": problem_to_dict(problem), "observation": observation, "type": kind, "points": str(pts)}
+    if kind != "plugin":
+        density["alpha"] = 0.0
     density.pop(drop, None)
     cfg = write_config(tmp_path, {"seed": 1, "density": density})
     capsys.readouterr()
     assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{key} must" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_density_eval_rejects_unknown_observation_keys(tmp_path, capsys, as1_problem_n12, inline):
+    # a misspelled key used to be ignored: "vstar" left v_star empty and the run exited 0
+    pts = tmp_path / "points.csv"
+    np.savetxt(pts, np.zeros((2, 3)), delimiter=",")
+    observation = {"v": [0.5, -0.2, 1.0], "vstar": [9.0], "s": 8.0, "extra": "x"}
+    if not inline:
+        observation = write_config(tmp_path, observation, "observation.json")
+    density = {"problem": problem_to_dict(as1_problem_n12), "observation": observation, "points": str(pts)}
+    cfg = write_config(tmp_path, {"seed": 1, "density": density})
+    capsys.readouterr()
+    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: unknown observation option(s): 'extra', 'vstar'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("density, message", [
+    ({"type": "plugin", "alpha": 0.0}, "alpha must be left out for type 'plugin', the alpha = 1 plug-in normal"),
+    ({"alpha": 1.0}, "alpha must lie in [-1, 1) for type 'best_invariant', got 1.0"),
+    ({"type": "shrinkage_bayes", "alpha": 1}, "alpha must lie in [-1, 1) for type 'shrinkage_bayes', got 1.0"),
+])
+def test_density_alpha_is_checked_against_its_type_by_every_subcommand(tmp_path, capsys, density, message):
+    # the plug-in normal is the alpha = 1 density, on which alpha had no effect; the other two exist for
+    # alpha < 1 only, and alpha = 1 used to pass the load and fail density-eval at run time
+    cfg = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN, "density": density})
+    for command in ("canonicalize", "bounds", "identities", "risk-compare", "density-eval"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
+        assert capsys.readouterr().err == f"configuration error: {message}\n", command
     assert not (tmp_path / "o").exists()
 
 
@@ -711,9 +745,10 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     runs = [["canonicalize", "--config", write_config(tmp_path, {"seed": 5, "design": AS1_DESIGN}, "c.json"),
              "--out", str(canon)]]
     for kind in ("best_invariant", "shrinkage_bayes", "plugin"):
-        density = {"problem": str(canon / "problem.json"), "type": kind, "alpha": 0.0,
-                   "points": str(tmp_path / "points.csv"),
+        density = {"problem": str(canon / "problem.json"), "type": kind, "points": str(tmp_path / "points.csv"),
                    "observation": {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}}
+        if kind != "plugin":
+            density["alpha"] = 0.0
         runs.append(["density-eval", "--config", write_config(tmp_path, {"density": density}, f"{kind}.json"),
                      "--out", str(tmp_path / kind)])
     for alpha in (1.0, 0.0):

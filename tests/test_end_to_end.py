@@ -60,7 +60,7 @@ def test_best_invariant_matches_regression_space_formula(m, rng):
     Xtilde = rng.standard_normal((m, k))
     y = rng.standard_normal(n)
     problem = canonicalize(X, Xtilde)
-    obs = to_canonical(problem, sufficient_statistics(X, y))
+    obs = to_canonical(problem, *sufficient_statistics(X, y))
     pts = rng.standard_normal((8, m))
     for alpha in (-1.0, 0.0, 0.6):
         dens = best_invariant_kernel(problem, obs, alpha)
@@ -76,11 +76,10 @@ def test_plugin_statistic_in_regression_space(rng):
     Xtilde = rng.standard_normal((m, k))
     y = rng.standard_normal(n)
     problem = canonicalize(X, Xtilde)
-    stats = sufficient_statistics(X, y)
-    obs = to_canonical(problem, stats)
+    beta, s = sufficient_statistics(X, y)
+    obs = to_canonical(problem, beta, s)
     prior = PriorSpec.from_problem(problem, c=1.0, nu=0.3)
-    est = plugin_bayes_estimators(problem, prior, obs)
-    beta = stats.beta_hat_u
-    w_direct = float(beta @ (X.T @ X) @ beta) / stats.s
+    est = plugin_bayes_estimators(prior, obs)
+    w_direct = float(beta @ (X.T @ X) @ beta) / s
     factor = 1.0 - 0.3 / (0.3 + 1.0 + w_direct)
     assert np.abs(problem.Q @ est.theta_hat - factor * (Xtilde @ beta)).max() < 1e-10

@@ -48,8 +48,8 @@ def test_quadratic_forms_match_closed_expressions():
         y, v = rng.standard_normal(m), rng.standard_normal(l)
         problem = CanonicalProblem(n=20, k=l, m=m, d=d, Q=Q,
                                    coef_transform=np.eye(l))
-        prior = PriorSpec(c=c, nu=(l + 2.0) / (20 - l), gamma_prior=1.0, n=20, k=l, m=m)  # a = 0
-        e_b, theta_b, r = shrinkage_components(problem, prior, alpha, v)
+        prior = PriorSpec(problem, c=c, nu=(l + 2.0) / (20 - l), gamma_prior=1.0)  # a = 0
+        e_b, theta_b, r = shrinkage_components(prior, alpha, v)
         ds = (1.0 - alpha) / 2.0 * d
         scale = 2.0 / (1.0 - alpha)
 

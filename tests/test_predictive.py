@@ -89,7 +89,7 @@ def dense_scale(problem, alpha, e):
 def test_components_identity_c_reduction(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.2)
     alpha = 0.3
-    e_b, theta_b, r = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
+    e_b, theta_b, r = shrinkage_components(prior, alpha, obs_m3.v)
     c2 = 2.0 / (1.0 - alpha)
     assert np.all(theta_b == 0)
     assert np.abs(dense_scale(prob_m3, alpha, e_b) - c2 * np.eye(3)).max() < 1e-12
@@ -98,7 +98,7 @@ def test_components_identity_c_reduction(prob_m3, obs_m3):
 
 def test_components_zero_v(prob_m3):
     prior = PriorSpec.from_problem(prob_m3, c=2.5, nu=0.2)
-    _, theta_b, r = shrinkage_components(prob_m3, prior, -0.5, np.zeros(3))
+    _, theta_b, r = shrinkage_components(prior, -0.5, np.zeros(3))
     assert np.all(theta_b == 0)
     assert r == 0.0
 
@@ -113,7 +113,7 @@ def test_shrinkage_never_expands():
         prior = PriorSpec.from_problem(problem, c=rng.uniform(1.0, 6.0, l), nu=rng.uniform(0.01, 2.0))
         alpha = rng.uniform(-1.0, 0.999)
         v = rng.standard_normal(l) * rng.uniform(0.1, 10.0)
-        _, theta_b, _ = shrinkage_components(problem, prior, alpha, v)
+        _, theta_b, _ = shrinkage_components(prior, alpha, v)
         assert np.linalg.norm(theta_b) <= np.linalg.norm(v) + 1e-12
         assert np.all(np.abs(theta_b) <= np.abs(v) + 1e-12)
 
@@ -121,7 +121,7 @@ def test_shrinkage_never_expands():
 def test_alpha_one_rejected(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, nu=0.2)
     with pytest.raises(ValueError):
-        shrinkage_components(prob_m3, prior, 1.0, obs_m3.v)
+        shrinkage_components(prior, 1.0, obs_m3.v)
 
 
 def test_prior_derived_quantities(prob_m3):
@@ -134,6 +134,21 @@ def test_prior_derived_quantities(prob_m3):
         PriorSpec.from_problem(prob_m3, c=0.5, nu=0.2)
     with pytest.raises(ValueError):
         PriorSpec.from_problem(prob_m3, nu=0.2, gamma_prior=0.5)
+
+
+@pytest.mark.parametrize("N, B", [(4, 2.7), (20, 17.1)])
+def test_the_prior_reads_n_and_k_from_its_own_problem(as1_xtilde, N, B):
+    # B = (k + 2a + 2)/(1 - alpha) = nu (n - k)/(1 - alpha): n = 12 gives 2.7 at nu = 0.3, n = 60 gives 17.1;
+    # the kernel takes no second problem that could pair one design's prior with another's n
+    problem = as1_problem(as1_xtilde, N)
+    prior = PriorSpec.from_problem(problem, nu=0.3)
+    assert prior.problem is problem
+    obs = CanonicalObservation(v=np.array([0.5, -0.2, 1.0]), v_star=np.zeros(0), s=8.0)
+    for alpha in (0.0, 0.5):
+        kernel = shrinkage_bayes_kernel(prior, obs, alpha)
+        assert kernel.B == (problem.k + 2 * prior.a + 2) / (1 - alpha)
+        assert kernel.dof == 2 * (problem.n - problem.k) / (1 - alpha)
+    assert shrinkage_bayes_kernel(prior, obs, 0.0).B == pytest.approx(B, rel=1e-14)
 
 
 def test_default_nu_needs_positive_bounds():
@@ -189,7 +204,7 @@ def test_far_points_have_zero_density(prob_rot, obs_rot, kind):
     if kind == "best_invariant":
         kernel = best_invariant_kernel(prob_rot, obs_rot, 0.3)
     else:
-        kernel = shrinkage_bayes_kernel(prob_rot, PriorSpec.minimax_default(prob_rot), obs_rot, 0.3)
+        kernel = shrinkage_bayes_kernel(PriorSpec.minimax_default(prob_rot), obs_rot, 0.3)
     near = np.array([[0.5, -1.0, 2.0, 0.1], [3.0, 0.0, -4.0, 1e-3]])
     far = np.array([[1e200, 0.0, 0.0, 0.0], [0.0, -1e300, 1.0, 0.0], [1e300, 1e300, -1e300, 1e300],
                     [np.inf, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, np.inf]])
@@ -275,7 +290,7 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
     block = simulate_observation(prob_m3, [params], 9)[0][:5]
     y = np.array([0.3, -1.0, 2.0])
     for build in (lambda o: best_invariant_kernel(prob_m3, o, 0.3),
-                  lambda o: shrinkage_bayes_kernel(prob_m3, prior, o, 0.3)):
+                  lambda o: shrinkage_bayes_kernel(prior, o, 0.3)):
         kernel = build(block)
         for evaluate in (kernel.log_unnormalized, kernel.log_density):
             with pytest.raises(ValueError, match="one observation"):
@@ -283,7 +298,7 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
         with pytest.raises(ValueError, match="one observation"):
             sample(kernel, replication_rng(1, 0), 10)
         assert kernel[2].log_density(y) == pytest.approx(build(block[2]).log_density(y), rel=1e-14)
-    shrink = shrinkage_bayes_kernel(prob_m3, prior, block[0], 0.3)
+    shrink = shrinkage_bayes_kernel(prior, block[0], 0.3)
     with pytest.raises(ValueError, match="no sampler"):
         sample(shrink, replication_rng(1, 0), 10)
     assert sample(best_invariant_kernel(prob_m3, block[0], 0.3), replication_rng(1, 0), 10).shape == (10, 3)
@@ -297,9 +312,9 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
 def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
     alpha = -0.3
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 2.0, 4.0], nu=0.4)
-    e_b, theta_b, r = shrinkage_components(prob_m3, prior, alpha, obs_m3.v)
+    e_b, theta_b, r = shrinkage_components(prior, alpha, obs_m3.v)
     sigma_b = dense_scale(prob_m3, alpha, e_b)
-    shrink = shrinkage_bayes_kernel(prob_m3, prior, obs_m3, alpha)
+    shrink = shrinkage_bayes_kernel(prior, obs_m3, alpha)
     invariant = best_invariant_kernel(prob_m3, obs_m3, alpha)
     for _ in range(10):
         y = rng.standard_normal(3) * 2.0
@@ -311,11 +326,11 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
         assert full == pytest.approx(first + second, rel=1e-12)
     # rotated Q, unequal d: both factors against dense solves
     prior = PriorSpec.from_problem(prob_rot, c=[1.5, 3.0], nu=0.4)
-    e_b, theta_b, r = shrinkage_components(prob_rot, prior, alpha, obs_rot.v)
+    e_b, theta_b, r = shrinkage_components(prior, alpha, obs_rot.v)
     sigma_u = dense_scale(prob_rot, alpha, prob_rot.d)
     sigma_b = dense_scale(prob_rot, alpha, e_b)
     q = prob_rot.n - prob_rot.k
-    shrink = shrinkage_bayes_kernel(prob_rot, prior, obs_rot, alpha)
+    shrink = shrinkage_bayes_kernel(prior, obs_rot, alpha)
     invariant = best_invariant_kernel(prob_rot, obs_rot, alpha)
     for _ in range(10):
         y = rng.standard_normal(4) * 2.0
@@ -336,7 +351,7 @@ def test_zero_data_reduction(prob_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=4.0 / 9.0)  # a = -1/2
     obs0 = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=4.0)
     y = np.array([1.0, -2.0, 0.5])
-    got = shrinkage_bayes_kernel(prob_m3, prior, obs0, alpha).log_unnormalized(y)
+    got = shrinkage_bayes_kernel(prior, obs0, alpha).log_unnormalized(y)
     first = best_invariant_kernel(prob_m3, obs0, alpha).log_unnormalized(y)
     expo = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha)
     want = first + expo * math.log((1 - alpha) / 2 * float(y @ y) + obs0.s)
@@ -377,7 +392,7 @@ def test_posterior_integral_oracle():
         return math.log(val) * 2 / (1 - alpha)
 
     grid = np.array([-2.0, -0.8, 0.0, 0.7, 1.5, 3.0])
-    kernel = shrinkage_bayes_kernel(problem, prior, obs, alpha)
+    kernel = shrinkage_bayes_kernel(prior, obs, alpha)
     diffs = [numeric_log(yt) - kernel.log_unnormalized(np.array([yt])) for yt in grid]
     assert np.ptp(diffs) < 1e-4
 
@@ -388,7 +403,7 @@ def test_posterior_integral_oracle():
 
 
 def test_self_normalization_is_exact(prob_m1):
-    est = umvu_estimators(CanonicalObservation(np.array([0.2]), np.zeros(0), 2.0), 6, 1)
+    est = umvu_estimators(prob_m1, CanonicalObservation(np.array([0.2]), np.zeros(0), 2.0))
     proposal = plugin_density(est, prob_m1)
 
     def target(pts):
@@ -419,7 +434,7 @@ def test_se_scales_with_sample_size(prob_m3, obs_m3):
 
 
 def test_ess_guard_trips(prob_m1):
-    est = umvu_estimators(CanonicalObservation(np.array([0.0]), np.zeros(0), 5.0), 6, 1)
+    est = umvu_estimators(prob_m1, CanonicalObservation(np.array([0.0]), np.zeros(0), 5.0))
     proposal = plugin_density(est, prob_m1)
     with pytest.raises(UnreliableNormalizationError):
         normalize_density(lambda pts: np.zeros(pts.shape[0]), proposal, 50_000, seed=8)
@@ -428,7 +443,7 @@ def test_ess_guard_trips(prob_m1):
 def test_normalized_density_integrates_to_one(prob_m3, obs_m3):
     # independent check of the quadrature constant with a fresh seed and proposal
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    dens = shrinkage_bayes_kernel(prob_m3, prior, obs_m3, alpha=0.2)
+    dens = shrinkage_bayes_kernel(prior, obs_m3, alpha=0.2)
     checker = best_invariant_kernel(prob_m3, obs_m3, -0.5)
     ys = sample(checker, replication_rng(99, 0), 200_000)
     w = np.exp(dens.log_density(ys) - checker.log_density(ys))
@@ -476,7 +491,7 @@ def qaws_log_z(problem, prior, obs, alpha):
     The integrand is rebuilt here from the design: weight w^(A-1) (1-w)^(B-1)
     times prod_i p_i(w)^(-1/2) h(w)^(-P), with the constants of the reduction.
     """
-    e_b, theta_b, r = shrinkage_components(problem, prior, alpha, obs.v)
+    e_b, theta_b, r = shrinkage_components(prior, alpha, obs.v)
     m, l, q = problem.m, problem.l, problem.n - problem.k
     c2 = 2.0 / (1.0 - alpha)
     A, B = m / 2.0 + q / (1.0 - alpha), (problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha)
@@ -505,7 +520,7 @@ def test_quadrature_constant_matches_importance_sampling(design):
     if design == "as1":
         cases.append((*far_case(), 0.9))
     for i, (p, obs, alpha) in enumerate(cases):
-        dens = shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), obs, alpha)
+        dens = shrinkage_bayes_kernel(PriorSpec.minimax_default(p), obs, alpha)
         log_norm_const, rel_se = normalize_density(dens.log_unnormalized, best_invariant_kernel(p, obs, alpha),
                                                    2_000_000, seed=3, rep_index=i)
         z = (dens.log_const - log_norm_const) / rel_se
@@ -521,7 +536,7 @@ def test_quadrature_constant_matches_algebraic_weight_rule(design):
     for prior in priors:
         for obs in two_observations(problem):
             for alpha in QUAD_ALPHAS:
-                got = -shrinkage_bayes_kernel(problem, prior, obs, alpha).log_const
+                got = -shrinkage_bayes_kernel(prior, obs, alpha).log_const
                 want = qaws_log_z(problem, prior, obs, alpha)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want)), (design, alpha, got, want)
 
@@ -533,9 +548,9 @@ def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
     far_problem, far_obs = far_case()
     near = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
     cases = [(as1_problem_n12, near), (far_problem, far_obs)]
-    base = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
+    base = [shrinkage_bayes_kernel(PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     monkeypatch.setattr(quad_module, "QUAD_START_INTERVALS", 4 * quad_module.QUAD_START_INTERVALS)
-    fine = [shrinkage_bayes_kernel(p, PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
+    fine = [shrinkage_bayes_kernel(PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     assert np.all(np.isfinite(base))
     assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
 
@@ -555,18 +570,18 @@ def test_trapezoid_certificate_failure_names_the_pair_its_gap_belongs_to():
 
 def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
+    shrinkage_bayes_kernel(prior, obs_m3, 0.0)
     # no refinement allowed: the n vs 2n comparison can never be made
     monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     with pytest.raises(UnreliableNormalizationError, match="n vs 2n"):
-        shrinkage_bayes_kernel(prob_m3, prior, obs_m3, 0.0)
+        shrinkage_bayes_kernel(prior, obs_m3, 0.0)
     monkeypatch.undo()
     # a window that may not grow cannot reach a long tail's QUAD_DROP
     long_tail = PriorSpec.from_problem(prob_m3, c=2.0, nu=0.02 / (prob_m3.n - prob_m3.k))
-    shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
+    shrinkage_bayes_kernel(long_tail, obs_m3, 0.0)
     monkeypatch.setattr(quad_module, "QUAD_MAX_WIDTH", 2.0 * quad_module.QUAD_HALF_WIDTH)
     with pytest.raises(UnreliableNormalizationError, match="of its peak"):
-        shrinkage_bayes_kernel(prob_m3, long_tail, obs_m3, 0.0)
+        shrinkage_bayes_kernel(long_tail, obs_m3, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +591,14 @@ def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
 
 def test_plugin_hand_example(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.2)
-    est = plugin_bayes_estimators(prob_m3, prior, obs_m3)
+    est = plugin_bayes_estimators(prior, obs_m3)
     assert np.abs(est.theta_hat - 10.0 / 11.0 * obs_m3.v).max() < 1e-13
     assert est.sigma2_hat == pytest.approx(10.0 / 11.0, rel=1e-13)
 
 
 def test_plugin_no_shrinkage_limit(prob_m3, obs_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=1e-13)
-    est = plugin_bayes_estimators(prob_m3, prior, obs_m3)
+    est = plugin_bayes_estimators(prior, obs_m3)
     assert np.abs(est.theta_hat - obs_m3.v).max() < 1e-12
     assert est.sigma2_hat == pytest.approx(obs_m3.s / 9.0, rel=1e-12)
 
@@ -591,7 +606,7 @@ def test_plugin_no_shrinkage_limit(prob_m3, obs_m3):
 def test_plugin_large_signal_limit(prob_m3):
     prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.5)
     big = CanonicalObservation(v=np.array([1e8, 0.0, 0.0]), v_star=np.zeros(0), s=9.0)
-    est = plugin_bayes_estimators(prob_m3, prior, big)
+    est = plugin_bayes_estimators(prior, big)
     assert np.abs(est.theta_hat / big.v[0] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
     assert est.sigma2_hat == pytest.approx(1.0, rel=1e-9)
 
@@ -601,14 +616,14 @@ def test_plugin_invariants_random(prob_m3, rng):
     q = prob_m3.n - prob_m3.k
     for _ in range(100):
         obs = CanonicalObservation(v=rng.standard_normal(3) * 3, v_star=np.zeros(0), s=rng.uniform(0.5, 30))
-        est = plugin_bayes_estimators(prob_m3, prior, obs)
+        est = plugin_bayes_estimators(prior, obs)
         assert 0 < est.sigma2_hat < obs.s / q
         assert np.all(np.abs(est.theta_hat) <= np.abs(obs.v) + 1e-15)
 
 
 def test_plugin_density_normal_facts(prob_m1):
     est = plugin_bayes_estimators(
-        prob_m1, PriorSpec.from_problem(prob_m1, nu=0.3),
+        PriorSpec.from_problem(prob_m1, nu=0.3),
         CanonicalObservation(np.array([1.2]), np.zeros(0), 2.5),
     )
     dens = plugin_density(est, prob_m1)
@@ -623,10 +638,10 @@ def test_plugin_density_normal_facts(prob_m1):
 
 def test_umvu(prob_m3):
     obs = CanonicalObservation(v=np.array([3.0, -1.0, 0.5]), v_star=np.zeros(0), s=18.0)
-    est = umvu_estimators(obs, 12, 3)
+    est = umvu_estimators(prob_m3, obs)
     assert np.array_equal(est.theta_hat, obs.v)
     assert est.sigma2_hat == 2.0
-    tiny = plugin_bayes_estimators(prob_m3, PriorSpec.from_problem(prob_m3, nu=1e-14), obs)
+    tiny = plugin_bayes_estimators(PriorSpec.from_problem(prob_m3, nu=1e-14), obs)
     assert np.abs(tiny.theta_hat - est.theta_hat).max() < 1e-12
 
 
@@ -635,56 +650,59 @@ def test_umvu(prob_m3):
 # ---------------------------------------------------------------------------
 
 
-def test_stein_zero_mean_takes_pooled():
+def test_stein_zero_mean_takes_pooled(prob_m3):
     obs = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=18.0)
-    assert stein_variance(obs, np.ones(3), 12, 3) == pytest.approx(18.0 / 12.0)
+    est = stein_variance(prob_m3, obs)
+    assert np.array_equal(est.theta_hat, obs.v)
+    assert est.sigma2_hat == pytest.approx(18.0 / 12.0)
 
 
-def test_stein_hand_example():
+def test_stein_hand_example(prob_m3):
     obs = CanonicalObservation(v=np.array([3.0, 0.0, 0.0]), v_star=np.zeros(0), s=18.0)
-    assert stein_variance(obs, np.ones(3), 12, 3) == pytest.approx(2.0)
+    assert stein_variance(prob_m3, obs).sigma2_hat == pytest.approx(2.0)
 
 
 def test_stein_never_exceeds_umvu(rng):
     for _ in range(100):
         l = int(rng.integers(1, 5))
         d = rng.uniform(0.1, 4.0, l)
+        problem = synthetic_problem(n=12 + l, k=l, m=l, d=np.sort(d)[::-1])
         obs = CanonicalObservation(v=rng.standard_normal(l), v_star=np.zeros(0), s=rng.uniform(0.1, 40))
-        assert stein_variance(obs, d, 12 + l, 3) <= obs.s / (12 + l - 3) + 1e-15
+        assert stein_variance(problem, obs).sigma2_hat <= obs.s / 12 + 1e-15
 
 
-def test_stein_star():
+def test_stein_star(case2_problem_n12):
     obs = CanonicalObservation(v=np.array([0.5]), v_star=np.array([1.0, -1.5]), s=18.0)
     # l = 1, n = 12: pooled term (|v*|^2 + s)/(n - l)
     want = min(2.0, (3.25 + 18.0) / 11.0)
-    assert stein_variance_star(obs, 12, 3) == pytest.approx(want)
+    est = stein_variance_star(case2_problem_n12, obs)
+    assert np.array_equal(est.theta_hat, obs.v)
+    assert est.sigma2_hat == pytest.approx(want)
     empty = CanonicalObservation(v=np.array([0.5]), v_star=np.zeros(0), s=18.0)
     with pytest.raises(ValueError):
-        stein_variance_star(empty, 12, 3)
+        stein_variance_star(case2_problem_n12, empty)
 
 
 @pytest.mark.parametrize("case", ["I", "II"])
 def test_block_estimators_equal_row_by_row(prob_m3, case2_problem_n12, case):
     # a block of observations runs through the same code as one observation
     problem = prob_m3 if case == "I" else case2_problem_n12
-    n, k, l = problem.n, problem.k, problem.l
+    k, l = problem.k, problem.l
     prior = PriorSpec.from_problem(problem, c=1.5, nu=0.3)
     params = CanonicalParams(theta=np.linspace(-1.0, 1.0, l), mu=np.full(k - l, 0.5), eta=0.7)
     reps = 250
     block = simulate_observation(problem, [params], seed=21)[0][:reps]
     assert block.v.shape == (reps, l) and block.v_star.shape == (reps, k - l) and block.s.shape == (reps,)
-    for rule in (lambda obs: umvu_estimators(obs, n, k),
-                 lambda obs: plugin_bayes_estimators(problem, prior, obs)):
+    rules = [lambda obs: umvu_estimators(problem, obs), lambda obs: plugin_bayes_estimators(prior, obs),
+             lambda obs: stein_variance(problem, obs)]
+    if case == "II":
+        rules.append(lambda obs: stein_variance_star(problem, obs))
+    for rule in rules:
         got = rule(block)
         for i in range(reps):
             one = rule(block[i])
             assert np.array_equal(got.theta_hat[i], one.theta_hat)
             assert got.sigma2_hat[i] == one.sigma2_hat
-    variances = [lambda obs: stein_variance(obs, problem.d, n, k)]
-    if case == "II":
-        variances.append(lambda obs: stein_variance_star(obs, n, k))
-    for variance in variances:
-        assert np.array_equal(variance(block), [variance(block[i]) for i in range(reps)])
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +714,10 @@ def test_alpha_limit_gaps_decrease(as1_problem_n12):
     problem = as1_problem_n12
     prior = PriorSpec.minimax_default(problem)
     obs = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
-    est = plugin_bayes_estimators(problem, prior, obs)
+    est = plugin_bayes_estimators(prior, obs)
     center = problem.Q @ est.theta_hat
     pts = np.vstack([center, center + 0.5, center - 0.8])
-    gaps = alpha_limit_check(problem, prior, obs, pts, [0.5, 0.9])
+    gaps = alpha_limit_check(prior, obs, pts, [0.5, 0.9])
     assert gaps.shape == (2, 3)
     assert np.all(gaps[1] < gaps[0])
 
@@ -710,7 +728,7 @@ def test_alpha_limit_degenerate_observation(as1_problem_n12):
     prior = PriorSpec.from_problem(problem, c=1.0, nu=0.25)
     obs = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=9.0)
     pts = np.vstack([np.zeros(3), np.full(3, 0.7)])
-    gaps = alpha_limit_check(problem, prior, obs, pts, [0.5, 0.9])
+    gaps = alpha_limit_check(prior, obs, pts, [0.5, 0.9])
     assert np.all(gaps[1] < gaps[0])
 
 
@@ -718,9 +736,9 @@ def test_alpha_limit_validates_sequence(as1_problem_n12):
     prior = PriorSpec.minimax_default(as1_problem_n12)
     obs = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=9.0)
     with pytest.raises(ValueError):
-        alpha_limit_check(as1_problem_n12, prior, obs, np.zeros((1, 3)), [0.9, 0.5])
+        alpha_limit_check(prior, obs, np.zeros((1, 3)), [0.9, 0.5])
     with pytest.raises(ValueError):
-        alpha_limit_check(as1_problem_n12, prior, obs, np.zeros((1, 3)), [0.9, 1.0])
+        alpha_limit_check(prior, obs, np.zeros((1, 3)), [0.9, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +781,7 @@ def test_marginal_derivative_representation():
     n, k, m = 12, 3, 1
     d, c, gam, a = np.array([0.4]), np.array([1.5]), 1.3, -1.0
     problem = synthetic_problem(n=n, k=k, m=m, d=d)
-    prior = PriorSpec(c=c, nu=(k + 2 * a + 2) / (n - k), gamma_prior=gam, n=n, k=k, m=m)
+    prior = PriorSpec(problem, c=c, nu=(k + 2 * a + 2) / (n - k), gamma_prior=gam)
     obs = CanonicalObservation(v=np.array([0.9]), v_star=np.array([0.3, -1.1]), s=2.0)
 
     def lm(v0, s0):
@@ -774,6 +792,6 @@ def test_marginal_derivative_representation():
     ds = (lm(obs.v[0], obs.s + h) - lm(obs.v[0], obs.s - h)) / (2 * h)
     theta_num = obs.v[0] - d[0] * dv / (2 * ds)
     sigma2_num = -1.0 / (2 * ds)
-    est = plugin_bayes_estimators(problem, prior, obs)
+    est = plugin_bayes_estimators(prior, obs)
     assert theta_num == pytest.approx(est.theta_hat[0], rel=1e-6)
     assert sigma2_num == pytest.approx(est.sigma2_hat, rel=1e-6)

@@ -124,7 +124,7 @@ def test_d1_loss_values():
 def test_d1_loss_block_equals_row_by_row(prob_m3):
     params = CanonicalParams(theta=np.array([0.5, -1.0, 2.0]), mu=np.zeros(0), eta=2.0)
     block = simulate_observation(prob_m3, [params], seed=6)[0][:300]
-    est = umvu_estimators(block, prob_m3.n, prob_m3.k)
+    est = umvu_estimators(prob_m3, block)
     got = d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, params.sigma2, 3)
     assert got.shape == (300,)
     rows = [d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, params.sigma2, 3)
@@ -136,11 +136,11 @@ def test_minimax_risk_frozen_example():
     # D = I_3, m = 3, n - k = 9, evaluated with the scipy digamma oracle
     want = 0.5 * (3.0 + 3.0 * (math.log(4.5) - float(scipy.special.digamma(4.5))))
     assert want == pytest.approx(1.6728097056251178, abs=1e-12)
-    assert minimax_risk(np.ones(3), 3, 12, 3) == pytest.approx(want, abs=1e-10)
+    assert minimax_risk(synthetic_problem(12, 3, 3, np.ones(3))) == pytest.approx(want, abs=1e-10)
 
 
 def test_minimax_risk_zero_trace_limit():
-    got = minimax_risk(np.full(3, 1e-15), 3, 12, 3)
+    got = minimax_risk(synthetic_problem(12, 3, 3, np.full(3, 1e-15)))
     assert got == pytest.approx(1.5 * (math.log(4.5) - float(scipy.special.digamma(4.5))), abs=1e-12)
     assert got > 0
 
@@ -154,7 +154,7 @@ def test_digamma_closed_form_matches_scipy():
 
 def test_minimax_risk_two_dof_euler():
     # n - k = 2: log(1) - psi(1) is the Euler-Mascheroni constant
-    got = minimax_risk(np.zeros(1) + 1e-300, 1, 5, 3)
+    got = minimax_risk(synthetic_problem(5, 3, 1, np.zeros(1) + 1e-300))
     assert got == pytest.approx(0.5772156649015329 / 2.0, abs=1e-10)
 
 
@@ -208,11 +208,10 @@ def test_divergence_nonnegative_up_to_noise(prob_m3, rng):
 
 
 def test_umvu_risk_matches_constant(prob_m3):
-    n, k = prob_m3.n, prob_m3.k
-    mr = minimax_risk(prob_m3.d, prob_m3.m, n, k)
+    mr = minimax_risk(prob_m3)
     for theta, s2 in ((np.zeros(3), 1.0), (np.array([5.0, 0, 0]), 0.5)):
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        est = risk_d1_mc(lambda o: umvu_estimators(o, n, k), prob_m3, params, 4000, seed=7)
+        est = risk_d1_mc(functools.partial(umvu_estimators, prob_m3), prob_m3, params, 4000, seed=7)
         assert abs(est.mean - mr) < 3 * est.std_error
 
 
@@ -225,7 +224,7 @@ def test_oracle_cheat_has_zero_risk(prob_m3):
 
 def test_risk_se_scaling(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    proc = lambda o: umvu_estimators(o, prob_m3.n, prob_m3.k)
+    proc = functools.partial(umvu_estimators, prob_m3)
     ses = [risk_d1_mc(proc, prob_m3, params, reps, seed=5).std_error for reps in (2000, 4000)]
     assert ses[0] / ses[1] == pytest.approx(math.sqrt(2.0), abs=0.15)
 
@@ -252,12 +251,12 @@ def _two_rules(problem, alpha):
     prior = PriorSpec.from_problem(problem, nu=0.25)
     if alpha == 1.0:
         return {
-            "umvu": lambda obs: umvu_estimators(obs, problem.n, problem.k),
-            "shrink_plugin": lambda obs: plugin_bayes_estimators(problem, prior, obs),
+            "umvu": lambda obs: umvu_estimators(problem, obs),
+            "shrink_plugin": lambda obs: plugin_bayes_estimators(prior, obs),
         }
     return {
         "best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
-        "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(problem, prior, obs, alpha),
+        "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(prior, obs, alpha),
     }
 
 
@@ -365,7 +364,7 @@ def _scored_rows(problem, params, reps, seed):
 
     def record(obs):
         seen.append(obs)
-        return umvu_estimators(obs, problem.n, problem.k)
+        return umvu_estimators(problem, obs)
 
     risk_mc([plugin_scorer(record, problem.m)], problem, [params], reps, seed)
     return np.concatenate([o.v for o in seen]), np.concatenate([o.s for o in seen])
@@ -415,7 +414,7 @@ def test_certificate_failure_propagates(prob_m3, monkeypatch):
 
 def test_minimum_replication_counts(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    proc = lambda o: umvu_estimators(o, prob_m3.n, prob_m3.k)
+    proc = functools.partial(umvu_estimators, prob_m3)
     with pytest.raises(ValueError):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
@@ -480,7 +479,7 @@ def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
     theta = np.array([1.0, -0.5, 0.0])
     block = simulate_observation(prob_m3, [CanonicalParams(theta=theta, mu=np.zeros(0), eta=2.0)], 9)[0][:20]
     for build in (lambda o: best_invariant_kernel(prob_m3, o, alpha),
-                  lambda o: shrinkage_bayes_kernel(prob_m3, prior, o, alpha)):
+                  lambda o: shrinkage_bayes_kernel(prior, o, alpha)):
         losses = alpha_divergence_loss(build(block), theta, 2.0)
         assert losses.shape == (20,)
         for i in (0, 7, 19):
@@ -653,7 +652,7 @@ def test_exact_loss_matches_inner_monte_carlo(design):
     # bias would fail by a wider margin.
     problem, prior = oracle_designs()[design]
     assert design != "wide_m5_k3" or problem.m > problem.k
-    assert design != "as1_c_ne_1" or np.all(shrinkage_components(problem, prior, 0.0, np.zeros(3))[0] > 0)
+    assert design != "as1_c_ne_1" or np.all(shrinkage_components(prior, 0.0, np.zeros(3))[0] > 0)
     zs, rechecked, rep = [], [], 0
     for alpha in (-1.0, -0.5, 0.0, 0.5, 0.9):
         for norm in (0.0, 2.0):
@@ -662,9 +661,9 @@ def test_exact_loss_matches_inner_monte_carlo(design):
             params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
             block = simulate_observation(problem, [params], 21, 0)[0][:8]
             kernels = (best_invariant_kernel(problem, block, alpha),
-                       shrinkage_bayes_kernel(problem, prior, block, alpha))
+                       shrinkage_bayes_kernel(prior, block, alpha))
             densities = (lambda o: best_invariant_kernel(problem, o, alpha),
-                         lambda o: shrinkage_bayes_kernel(problem, prior, o, alpha))
+                         lambda o: shrinkage_bayes_kernel(prior, o, alpha))
             for kernel, density in zip(kernels, densities):
                 losses = alpha_divergence_loss(kernel, theta, params.eta)
                 for i in range(8):
@@ -697,7 +696,7 @@ def test_certified_loss_is_within_loss_tol_of_a_deeper_reference(design, alpha, 
     problem, prior = oracle_designs()[design]
     for params, block in norm_blocks(problem, 64, 11):
         for kernel in (best_invariant_kernel(problem, block, alpha),
-                       shrinkage_bayes_kernel(problem, prior, block, alpha)):
+                       shrinkage_bayes_kernel(prior, block, alpha)):
             got = alpha_divergence_loss(kernel, params.theta, params.eta)
             with monkeypatch.context() as patch:
                 patch.setattr(quad_module, "LOSS_TOL", 1e-11)
@@ -729,7 +728,7 @@ def test_bulk_refinement_matches_the_full_window_rule(design, alpha, monkeypatch
             nodes = []
             with monkeypatch.context() as patch:
                 patch.setattr(quad_module, "_shared_grid", counting_grid(nodes))
-                kernels = (shrinkage_bayes_kernel(problem, prior, block, alpha),
+                kernels = (shrinkage_bayes_kernel(prior, block, alpha),
                            best_invariant_kernel(problem, block, alpha))
                 constant_nodes = sum(nodes)
                 losses = [alpha_divergence_loss(k, params.theta, params.eta) for k in kernels] if alpha == -1.0 else []
@@ -800,13 +799,13 @@ def affinity_cases():
     for alpha in AFFINITY_ALPHAS:
         cases[f"best_invariant-{alpha}"] = (best_invariant_kernel(as1, block(as1), alpha), 1)
         cases[f"all_equal-{alpha}"] = (shrinkage_bayes_kernel(
-            as1, PriorSpec.from_problem(as1, c=[2.0, 2.0, 2.0], nu=0.4), block(as1), alpha), 1)
+            PriorSpec.from_problem(as1, c=[2.0, 2.0, 2.0], nu=0.4), block(as1), alpha), 1)
         cases[f"two_equal_one_distinct-{alpha}"] = (shrinkage_bayes_kernel(
-            two_equal, PriorSpec.from_problem(two_equal, c=[2.0, 1.5, 1.5], nu=0.4), block(two_equal), alpha), 2)
+            PriorSpec.from_problem(two_equal, c=[2.0, 1.5, 1.5], nu=0.4), block(two_equal), alpha), 2)
         cases[f"distinct_m_gt_l-{alpha}"] = (shrinkage_bayes_kernel(
-            wide, PriorSpec.from_problem(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
+            PriorSpec.from_problem(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
         cases[f"c_is_1-{alpha}"] = (shrinkage_bayes_kernel(
-            as1, PriorSpec.from_problem(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
+            PriorSpec.from_problem(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
     return {name: (kernel, theta, 1.5, groups) for name, (kernel, groups) in cases.items()}
 
 

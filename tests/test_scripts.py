@@ -26,10 +26,11 @@ def test_script_runs(script, args):
         argv = ["-c", re.search(r"## Library quick start\n\n```python\n(.*?)```", README, re.S).group(1)]
     else:
         argv = [str(ROOT / "scripts" / script), *args]
-    # the child imports the same source tree as this process
+    # the child imports the same source tree as this process, and any warning it raises is an error,
+    # as in CI; pytest's own warning filters do not reach a subprocess
     src = str(Path(shrinkpred.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
