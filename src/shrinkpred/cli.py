@@ -43,6 +43,7 @@ from .canonical import (
     replication_rng,
 )
 from .predictive import (
+    ALPHA_MAX,
     PriorSpec,
     best_invariant_kernel,
     plugin_bayes_estimators,
@@ -255,8 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"nu must be positive, got {prior.nu!r}")
     prior.gamma_prior = read_number(pr, "gamma_prior", prior.gamma_prior, low=1.0)
     cfg.alphas = read_array(doc, "alphas", 1, cfg.alphas).tolist()
-    if not all(-1.0 <= a <= 1.0 for a in cfg.alphas):
-        raise ValueError("alphas must lie in [-1, 1]")
+    if not all(-1.0 <= a <= ALPHA_MAX or a == 1.0 for a in cfg.alphas):
+        raise ValueError(f"alphas must each lie in [-1, {ALPHA_MAX}] or be 1, got {cfg.alphas}")
     gr, grid = _section(doc.get("grid", {}), GridConfig, "grid"), cfg.grid
     grid.theta_directions = read_array(gr, "theta_directions", 2, grid.theta_directions).tolist()
     grid.theta_norms = read_array(gr, "theta_norms", 1, grid.theta_norms).tolist()
@@ -290,6 +291,8 @@ def load_config(path: str) -> ExperimentConfig:
     density.alpha = read_number(dn, "alpha", density.alpha)
     if not -1.0 <= density.alpha < 1.0:
         raise ValueError(f"alpha must lie in [-1, 1) for type {density.type!r}, got {density.alpha!r}")
+    if density.alpha > ALPHA_MAX:
+        raise ValueError(f"alpha must be at most {ALPHA_MAX} for type {density.type!r}, got {density.alpha!r}")
     for key, types, what in (("problem", (str, dict), "a path or a JSON object"),
                              ("observation", (str, dict), "a path or a JSON object"),
                              ("points", str, "a path to a CSV file")):
@@ -486,16 +489,12 @@ def _json_doc(value):
     return value
 
 
-def _observation(doc, problem: CanonicalProblem) -> CanonicalObservation:
-    """The density section's observation: finite v with l entries and v_star with k - l, a finite s > 0, no other key."""
+def _observation(doc) -> CanonicalObservation:
+    """The density section's observation: finite v and v_star (the rule checks their lengths), s > 0, no other key."""
     s = read_number(_section(doc, CanonicalObservation, "observation"), "s")
     if not s > 0:
         raise ValueError(f"s must be a finite number > 0, got {s!r}")
-    v, v_star = read_array(doc, "v", 1), read_array(doc, "v_star", 1, [])
-    for key, value, size, name in (("v", v, problem.l, "l"), ("v_star", v_star, problem.k - problem.l, "k - l")):
-        if value.shape != (size,):
-            raise ValueError(f"{key} must have {name} = {size} entries, got shape {value.shape}")
-    return CanonicalObservation(v=v, v_star=v_star, s=s)
+    return CanonicalObservation(v=read_array(doc, "v", 1), v_star=read_array(doc, "v_star", 1, []), s=s)
 
 
 # Exact '%.17g' in numpy for 1e-6 < |x| < 1e17 (the double 1e-6 lies below 10^-6, so every such
@@ -598,7 +597,7 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         if getattr(section, key) is None:
             raise ValueError(f"{key} must be given in the density section")
     problem = problem_from_dict(_json_doc(section.problem))
-    obs = _observation(_json_doc(section.observation), problem)
+    obs = _observation(_json_doc(section.observation))
     points = _load_csv(section.points, "points")
     if points.shape[1] != problem.m:
         raise ValueError(f"points must have {problem.m} columns")

@@ -49,6 +49,7 @@ __all__ = [
     "stein_variance",
     "stein_variance_star",
     "alpha_limit_check",
+    "ALPHA_MAX",
 ]
 
 
@@ -56,16 +57,27 @@ class DegenerateObservationError(ValueError):
     """Residual sum of squares is zero; scale-dependent densities are undefined."""
 
 
+# The largest alpha below 1 a density is built at.  Nearer 1 the exact loss cancels terms of size
+# 1/(1 - alpha) and loses digits its certificate cannot see: on as1_desk at alpha = 1 - 1e-4 its
+# mean is 2.7e-6 off the alpha -> 1 limit's linear term, above the loss tolerance 1e-6.
+ALPHA_MAX = 0.999
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is not supported here; use the plug-in path")
+    if not -1.0 <= alpha <= ALPHA_MAX:
+        raise ValueError(f"alpha must lie in [-1, {ALPHA_MAX}], got {alpha!r}")
     return alpha
 
 
-def _check_s(obs: CanonicalObservation) -> float | np.ndarray:
+def _check_obs(problem: CanonicalProblem, obs: CanonicalObservation) -> float | np.ndarray:
+    """obs.s, once obs (one observation or a block) fits problem: l entries of v, k - l of v_star, and s > 0."""
+    l = problem.l
+    for key, value, size, name in (("v", obs.v, l, "l"), ("v_star", obs.v_star, problem.k - l, "k - l")):
+        if value.shape[-1] != size:
+            raise ValueError(f"{key} must have {name} = {size} entries, got shape {value.shape}")
     if np.any(obs.s <= 0):
         raise DegenerateObservationError("observation has s = 0")
     return obs.s
@@ -300,7 +312,7 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     Q v and scale matrix (s/dof) A_u, A_u = c2 I + Q diag(d) Q'.
     """
     alpha = _check_alpha(alpha)
-    s = _check_s(obs)
+    s = _check_obs(problem, obs)
     m, q = problem.m, problem.n - problem.k
     nu_a = 2.0 * q / (1.0 - alpha)
     logdet = _SpectralScale(2.0 / (1.0 - alpha), problem.Q, problem.d).logdet()
@@ -322,9 +334,9 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
     Raises UnreliableNormalizationError when the certificate fails for any row.
     """
     alpha = _check_alpha(alpha)
-    e_b, theta_b, r = shrinkage_components(prior, alpha, obs.v)
-    s = _check_s(obs)
     problem = prior.problem
+    s = _check_obs(problem, obs)
+    e_b, theta_b, r = shrinkage_components(prior, alpha, obs.v)
     kernel = PredictiveKernel(
         alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=problem.d,
         v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=e_b,
@@ -378,8 +390,8 @@ def plugin_bayes_estimators(prior: PriorSpec, obs: CanonicalObservation) -> Plug
     W = (V' C^{-1} D^{-1} V + |V*|^2 / gamma) / S; both estimators shrink
     by nu/(nu + 1 + W).  A block of observations gives a block of estimates.
     """
-    s = _check_s(obs)
     problem, c = prior.problem, prior.c
+    s = _check_obs(problem, obs)
     v, v_star = obs.v, obs.v_star
     w = (_row_dot(v, v / (c * problem.d)) + _row_dot(v_star, v_star) / prior.gamma_prior) / s
     nu = prior.nu
@@ -394,20 +406,20 @@ def umvu_estimators(problem: CanonicalProblem, obs: CanonicalObservation) -> Plu
 
     It is the no-shrinkage limit of the plug-in rule, W at infinity.
     """
-    s = _check_s(obs)
+    s = _check_obs(problem, obs)
     return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (problem.n - problem.k))
 
 
 def stein_variance(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
     """theta_hat = V and Stein's variance estimate min(S/(n-k), (V'D^{-1}V + S)/(l + n - k)), per observation."""
-    s = _check_s(obs)
+    s = _check_obs(problem, obs)
     n, k, l = problem.n, problem.k, problem.l
     return PluginEstimate(obs.v, np.minimum(s / (n - k), (_row_dot(obs.v, obs.v / problem.d) + s) / (l + n - k)))
 
 
 def stein_variance_star(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
     """theta_hat = V and the variance estimate pooling the auxiliary statistic, min(S/(n-k), (|V*|^2 + S)/(n - l))."""
-    s = _check_s(obs)
+    s = _check_obs(problem, obs)
     if obs.v_star.shape[-1] == 0:
         raise ValueError("v_star is empty; the pooled variant needs m < k")
     n, k, l = problem.n, problem.k, problem.l
@@ -445,11 +457,9 @@ def alpha_limit_check(prior: PriorSpec, obs: CanonicalObservation, points, alpha
     """Gap between the normalized shrinkage log density and the plug-in normal.
 
     Returns an array of shape (len(alpha_sequence), n_points) with
-    |log p_alpha(y) - log plugin(y)|.  The sequence must increase toward 1.
+    |log p_alpha(y) - log plugin(y)|.  The sequence must increase toward 1, at most to ALPHA_MAX.
     """
-    alphas = [float(a) for a in alpha_sequence]
-    if any(a >= 1.0 for a in alphas):
-        raise ValueError("all alphas must be < 1")
+    alphas = [_check_alpha(a) for a in alpha_sequence]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_sequence must be increasing")
     problem = prior.problem

@@ -687,6 +687,31 @@ def test_kullback_leibler_loss_certificate_failure_exits_4(tmp_path, monkeypatch
     assert not (tmp_path / "o" / "risk_compare.csv").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"alphas": [0.0, 0.9999]}, "alphas must each lie in [-1, 0.999] or be 1, got [0.0, 0.9999]"),
+    ({"alphas": [0.99999, 1.0]}, "alphas must each lie in [-1, 0.999] or be 1, got [0.99999, 1.0]"),
+    ({"density": {"alpha": 0.9995}}, "alpha must be at most 0.999 for type 'best_invariant', got 0.9995"),
+    ({"density": {"type": "shrinkage_bayes", "alpha": 0.99999}},
+     "alpha must be at most 0.999 for type 'shrinkage_bayes', got 0.99999"),
+])
+def test_alpha_between_the_bound_and_one_is_a_configuration_error(tmp_path, capsys, doc, message):
+    # nearer 1 the exact loss loses digits its certificate cannot see: alphas = [0.9999] used to exit 0
+    # with a loss 2.7e-6 off, and 0.99999 to exit 4 with a trapezoid message that did not name alpha
+    cfg = write_config(tmp_path, dict(RISK_DOC, **doc))
+    for command in ("bounds", "risk-compare"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
+        assert capsys.readouterr().err == f"configuration error: {message}\n", command
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [{"alphas": [-1.0, 0.999, 1.0]}, {"density": {"type": "shrinkage_bayes", "alpha": 0.999}}])
+def test_alpha_at_the_bound_or_one_loads(tmp_path, doc):
+    cfg = load_config(write_config(tmp_path, dict(RISK_DOC, **doc)))
+    assert cfg.alphas == doc.get("alphas", RISK_DOC["alphas"])
+    assert cfg.density.alpha == doc.get("density", {}).get("alpha", 0.0)
+
+
 def test_risk_compare_near_alpha_one(tmp_path):
     # alpha = 0.99 puts the best-invariant Laguerre parameter near 900, where
     # scipy's roots_genlaguerre weights overflow
@@ -699,10 +724,11 @@ def test_risk_compare_near_alpha_one(tmp_path):
 
 
 @pytest.mark.parametrize("exported, numpy_first, expected", [
-    (None, False, "1"), ("3", False, "3"), (None, True, None)])
+    (None, False, "1"), ("3", False, "3"), (None, True, None), (None, "after the package", "1")])
 def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
     # a fresh process: importing shrinkpred first sets OPENBLAS_NUM_THREADS=1, keeps a
-    # value the user exported, and leaves the environment alone once numpy is loaded
+    # value the user exported, and leaves the environment alone once numpy is loaded;
+    # the bare package, which imports no submodule, sets it before numpy loads too
     import os
     import subprocess
     import sys
@@ -714,10 +740,11 @@ def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if exported is not None:
         env["OPENBLAS_NUM_THREADS"] = exported
+    imports = {False: "import shrinkpred.cli\n", True: "import numpy\nimport shrinkpred.cli\n",
+               "after the package": "import shrinkpred\nimport numpy\n"}[numpy_first]
     code = ("import json, os, sys\n"
-            + ("import numpy\n" if numpy_first else "")
-            + "import shrinkpred.cli\n"
-            "tasks = '/proc/self/task'\n"
+            + imports
+            + "tasks = '/proc/self/task'\n"
             "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
             "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
@@ -726,6 +753,22 @@ def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
     assert value == expected
     if expected == "1" and threads is not None:
         assert threads == 1  # no BLAS worker threads beside the main one
+
+
+def test_package_import_loads_no_submodule():
+    # each public name is imported from its module, so the package itself imports none of them, nor numpy
+    import os
+    import subprocess
+    import sys
+
+    import shrinkpred
+
+    src = str(Path(shrinkpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import shrinkpred, sys; print(sorted(m for m in sys.modules if m.split('.')[0] in ('shrinkpred', 'numpy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['shrinkpred']\n"
 
 
 def test_cli_import_skips_scipy_integrate(tmp_path):

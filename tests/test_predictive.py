@@ -263,6 +263,50 @@ def test_degenerate_observation_rejected(prob_m3):
         best_invariant_kernel(prob_m3, obs0, 0.0)
 
 
+PRIOR_RULES = (plugin_bayes_estimators, shrinkage_bayes_kernel)
+KERNEL_RULES = (best_invariant_kernel, shrinkage_bayes_kernel)
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["single", "block"])
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("rule", [umvu_estimators, stein_variance, stein_variance_star, plugin_bayes_estimators,
+                                  best_invariant_kernel, shrinkage_bayes_kernel], ids=lambda rule: rule.__name__)
+def test_every_rule_checks_that_the_observation_fits_its_problem(as1_problem_n12, case2_problem_n12, rule, case, rows):
+    # a v or v_star of the wrong length used to broadcast or be ignored without a word; on the case-I
+    # problem a stray v_star entry went into the shrinkage kernel's o
+    problem = as1_problem_n12 if case == "I" else case2_problem_n12
+    first = PriorSpec.minimax_default(problem) if rule in PRIOR_RULES else problem
+    alpha = (0.0,) if rule in KERNEL_RULES else ()
+    l, k, lead = problem.l, problem.k, () if rows is None else (rows,)
+
+    def call(n_v, n_star):
+        obs = CanonicalObservation(v=np.full(lead + (n_v,), 0.5), v_star=np.full(lead + (n_star,), 3.0),
+                                   s=np.full(lead, 8.0))
+        return rule(first, obs, *alpha)
+
+    if not (rule is stein_variance_star and case == "I"):  # the pooled variant needs v_star
+        call(l, k - l)
+    wrong = [("v", "l", l, n, k - l) for n in (l - 1, l + 1)]
+    wrong += [("v_star", "k - l", k - l, l, n) for n in (k - l - 1, k - l + 1) if n >= 0]
+    for key, name, size, n_v, n_star in wrong:
+        with pytest.raises(ValueError, match=re.escape(f"{key} must have {name} = {size} entries, got shape")):
+            call(n_v, n_star)
+
+
+@pytest.mark.parametrize("alpha", [0.9991, 0.9999, 0.99999, 1.0 - 1e-12])
+def test_kernels_reject_alpha_between_the_bound_and_one(prob_m3, alpha):
+    # nearer 1 the exact loss cancels terms of size 1/(1 - alpha) and loses digits its certificate cannot see
+    obs = CanonicalObservation(v=np.array([0.5, -0.2, 1.0]), v_star=np.zeros(0), s=8.0)
+    prior = PriorSpec.minimax_default(prob_m3)
+    message = re.escape(f"alpha must lie in [-1, 0.999], got {alpha!r}")
+    with pytest.raises(ValueError, match=message):
+        best_invariant_kernel(prob_m3, obs, alpha)
+    with pytest.raises(ValueError, match=message):
+        shrinkage_bayes_kernel(prior, obs, alpha)
+    for kernel in (best_invariant_kernel(prob_m3, obs, 0.999), shrinkage_bayes_kernel(prior, obs, 0.999)):
+        assert kernel.alpha == 0.999
+
+
 def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
     obs = CanonicalObservation(v=np.array([1.5]), v_star=np.zeros(0), s=2.0)
     dens = best_invariant_kernel(prob_m1, obs, 0.0)
