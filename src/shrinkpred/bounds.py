@@ -2,10 +2,10 @@
 
 The plug-in rule with shrinkage weight nu dominates the unbiased baseline
 under the combined quadratic/entropy loss whenever 0 < nu <= min(nu1, nu2,
-nu3), where the three bounds depend on the canonical eigenvalues d, the
-prior scaling C and the residual degrees of freedom.  nu2 and nu3 are
-always positive; nu1 can be negative, in which case inflating C restores
-positivity.
+nu3), where the three bounds depend on the canonical problem (d, m and
+n - k; it guarantees d > 0 nonincreasing and n > k) and on the prior scaling
+C, which prior_scale alone checks.  nu2 and nu3 are always positive; nu1
+can be negative, in which case inflating C restores positivity.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NuBounds", "nu_limits", "rescale_C_for_positivity", "condition_d"]
+from .canonical import CanonicalProblem
+
+__all__ = ["NuBounds", "prior_scale", "nu_limits", "rescale_C_for_positivity", "condition_d"]
 
 
 @dataclass(frozen=True)
@@ -33,31 +35,34 @@ class NuBounds:
         return self.nu_max > 0
 
 
-def _validate_dc(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(d, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
-    if d.shape != c.shape:
-        raise ValueError("d and c must have the same length")
-    if np.any(d <= 0):
-        raise ValueError("entries of d must be positive")
-    if np.any(c < 1):
-        raise ValueError("entries of c must be >= 1")
-    return d, c
+def prior_scale(c, l: int | None = None) -> np.ndarray:
+    """c as a new float array of finite entries >= 1 (C >= I); given l, the l-vector, a number standing for every axis.
+
+    Without l (a configuration, read before its problem is built) only the entries are checked.
+    """
+    out = np.array(c, dtype=float)
+    if not np.all(np.isfinite(out) & (out >= 1.0)):
+        raise ValueError(f"c must be finite and >= 1 in every entry, got {out.tolist()!r}")
+    if l is None:
+        return out
+    if out.ndim == 0:
+        return np.full(l, out)
+    if out.shape != (l,):
+        raise ValueError(f"c must have l = {l} entries, got {out.size if out.ndim == 1 else out.shape}")
+    return out
 
 
-def nu_limits(d: np.ndarray, c: np.ndarray, m: int, n: int, k: int) -> NuBounds:
-    """Domination thresholds nu1, nu2, nu3 for the shrinkage weight.
+def nu_limits(problem: CanonicalProblem, c) -> NuBounds:
+    """Domination thresholds nu1, nu2, nu3 for the shrinkage weight under prior scale c.
 
     Proof of the nu2 bound uses n - k - 2 >= 0; a warning is emitted when
     the residual degrees of freedom fall below that.
     """
-    d, c = _validate_dc(d, c)
-    if n <= k:
-        raise ValueError("need n > k")
-    q = n - k
+    c = prior_scale(c, problem.l)
+    m, q = problem.m, problem.n - problem.k
     if q < 2:
         warnings.warn("domination bounds need n - k >= 2; values are not trustworthy", stacklevel=2)
-    r = d / c
+    r = problem.d / c
     total, peak = r.sum(), r.max()
     nu1 = 4.0 * (total - 2.0 * peak + m / q) / (2.0 * peak * (q + 2) + m)
     nu2 = (4.0 * (total - peak) + 2.0 * m / q) / ((q - 2) * peak + m)
@@ -65,31 +70,22 @@ def nu_limits(d: np.ndarray, c: np.ndarray, m: int, n: int, k: int) -> NuBounds:
     return NuBounds(nu1=float(nu1), nu2=float(nu2), nu3=float(nu3))
 
 
-def rescale_C_for_positivity(d: np.ndarray, c0: np.ndarray, m: int, n: int, k: int) -> float:
+def rescale_C_for_positivity(problem: CanonicalProblem, c0) -> float:
     """Smallest factor g >= 1 such that C = g*C0 makes nu1 positive.
 
     The nu1 numerator scales as (sum - 2*max)(d_i/c_i)/g + m/(n-k), so a
     closed-form g exists whenever the first term is negative; a 5% safety
     margin keeps the rescaled nu1 away from zero.
     """
-    d, c0 = _validate_dc(d, c0)
-    if n <= k:
-        raise ValueError("need n > k")
-    r = d / c0
+    m, q = problem.m, problem.n - problem.k
+    r = problem.d / prior_scale(c0, problem.l)
     deficit = r.sum() - 2.0 * r.max()
-    if deficit + m / (n - k) > 0:
+    if deficit + m / q > 0:
         return 1.0
-    return float(max(1.0, 1.05 * (-deficit) * (n - k) / m))
+    return float(max(1.0, 1.05 * (-deficit) * q / m))
 
 
-def condition_d(d: np.ndarray) -> bool:
-    """Spread condition on the canonical eigenvalues: l - 2 <= 2(sum(d)/d1 - 2), l = len(d).
-
-    Requires d sorted nonincreasing (d1 is the largest entry).
-    """
-    d = np.asarray(d, dtype=float).ravel()
-    if np.any(np.diff(d) > 0):
-        raise ValueError("d must be sorted nonincreasing")
-    if np.any(d <= 0):
-        raise ValueError("entries of d must be positive")
+def condition_d(problem: CanonicalProblem) -> bool:
+    """Spread condition on the canonical eigenvalues: l - 2 <= 2(sum(d)/d1 - 2), d1 the largest."""
+    d = problem.d
     return bool(d.size - 2 <= 2.0 * (d.sum() / d[0] - 2.0))

@@ -249,8 +249,7 @@ def load_config(path: str) -> ExperimentConfig:
             prior.c = read_array(pr, "c", 1).tolist() if isinstance(c, list) else read_number(pr, "c")
         except ValueError:
             raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}') from None
-        if np.min(prior.c, initial=1.0) < 1:  # the prior needs C >= I
-            raise ValueError(f"c must be >= 1 in every entry, got {c!r}")
+        bounds_mod.prior_scale(prior.c)  # the prior needs C >= I
     prior.nu = read_number(pr, "nu", prior.nu)
     if prior.nu is not None and not prior.nu > 0:
         raise ValueError(f"nu must be positive, got {prior.nu!r}")
@@ -324,18 +323,12 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
 
 
 def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, float]:
-    """The prior's c vector, the configured one times the positivity rescale g0, and g0.
+    """The prior's c vector, the configured one (bounds.prior_scale; "identity" is 1) times g0, and g0.
 
-    g0 keeps nu1 > 0 (it is 1 unless nu1 <= 0).  A list must have one entry
-    per axis, l; a number stands for every axis.
+    g0, the positivity rescale, keeps nu1 > 0 (it is 1 unless nu1 <= 0).
     """
-    if pc.c == "identity":
-        c = np.ones(problem.l)
-    elif isinstance(pc.c, list) and len(pc.c) != problem.l:
-        raise ValueError(f"c must have l = {problem.l} entries, got {len(pc.c)}")
-    else:
-        c = np.broadcast_to(pc.c, (problem.l,)).copy()
-    g0 = bounds_mod.rescale_C_for_positivity(problem.d, c, problem.m, problem.n, problem.k)
+    c = bounds_mod.prior_scale(1.0 if pc.c == "identity" else pc.c, problem.l)
+    g0 = bounds_mod.rescale_C_for_positivity(problem, c)
     return g0 * c, g0
 
 
@@ -370,7 +363,7 @@ def run_canonicalize(cfg: ExperimentConfig, out_dir: str) -> int:
 def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, _, _ = build_problem(cfg)
     c, g0 = _prior_c(cfg.prior, problem)
-    nb = bounds_mod.nu_limits(problem.d, c, problem.m, problem.n, problem.k)
+    nb = bounds_mod.nu_limits(problem, c)
     out = {
         "nu1": nb.nu1,
         "nu2": nb.nu2,
@@ -378,7 +371,7 @@ def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
         "nu_max": nb.nu_max,
         "positive": nb.positive,
         "g0": g0,
-        "condition_d": bounds_mod.condition_d(problem.d),
+        "condition_d": bounds_mod.condition_d(problem),
     }
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "bounds.json"), out)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import nu_limits, rescale_C_for_positivity
+from .bounds import nu_limits, prior_scale, rescale_C_for_positivity
 from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _row_dot, _rows
 from .quad import log_trapezoid
 
@@ -144,12 +144,13 @@ class _SpectralScale:
 class PriorSpec:
     """The hierarchical shrinkage prior of one problem.
 
-    ``c`` scales the prior covariance componentwise (c_i >= 1; a larger c_i
-    shrinks component i less), ``nu`` = (k + 2a + 2)/(n - k) > 0 is the
-    shrinkage weight, which fixes the common exponent a of the precision and
-    mixing densities, and ``gamma_prior`` scales the prior on the auxiliary
-    mean.  The rules that take the prior read n, k, l and d from its
-    ``problem``, so a prior cannot be paired with another problem.
+    ``c`` scales the prior covariance componentwise (finite c_i >= 1, read by
+    bounds.prior_scale; a larger c_i shrinks component i less), ``nu`` =
+    (k + 2a + 2)/(n - k) > 0 is the finite shrinkage weight, which fixes the
+    common exponent a of the precision and mixing densities, and finite
+    ``gamma_prior`` >= 1 scales the prior on the auxiliary mean.  The rules
+    that take the prior read n, k, l and d from its ``problem``, so a prior
+    cannot be paired with another problem.
     """
 
     problem: CanonicalProblem
@@ -158,18 +159,13 @@ class PriorSpec:
     gamma_prior: float
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).ravel()
+        c = prior_scale(self.c, self.problem.l)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        l = self.problem.l
-        if c.shape != (l,):
-            raise ValueError(f"c must have length l = {l}")
-        if np.any(c < 1):
-            raise ValueError("entries of c must be >= 1")
-        if not self.nu > 0:  # the prior's integrability floor a > -k/2 - 1
-            raise ValueError("nu must be positive")
-        if self.gamma_prior < 1:
-            raise ValueError("gamma_prior must be >= 1")
+        if not 0 < self.nu < math.inf:  # the prior's integrability floor a > -k/2 - 1
+            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
+        if not 1 <= self.gamma_prior < math.inf:
+            raise ValueError(f"gamma_prior must be finite and >= 1, got {self.gamma_prior!r}")
 
     @property
     def a(self) -> float:
@@ -186,9 +182,9 @@ class PriorSpec:
         gamma_prior: float = 1.0,
     ) -> "PriorSpec":
         """The prior of problem with scale c (default I) and weight nu (default the domination cap nu_max)."""
-        c = np.ones(problem.l) if c is None else np.broadcast_to(np.asarray(c, dtype=float), (problem.l,)).copy()
+        c = prior_scale(1.0 if c is None else c, problem.l)
         if nu is None:
-            nb = nu_limits(problem.d, c, problem.m, problem.n, problem.k)
+            nb = nu_limits(problem, c)
             if not nb.positive:
                 raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
             nu = nb.nu_max
@@ -197,7 +193,7 @@ class PriorSpec:
     @classmethod
     def minimax_default(cls, problem: CanonicalProblem, gamma_prior: float = 1.0) -> "PriorSpec":
         """C = g0*I with g0 the positivity rescale, nu at the domination cap."""
-        g0 = rescale_C_for_positivity(problem.d, np.ones(problem.l), problem.m, problem.n, problem.k)
+        g0 = rescale_C_for_positivity(problem, 1.0)
         return cls.from_problem(problem, c=g0, gamma_prior=gamma_prior)
 
 
@@ -249,20 +245,18 @@ class PredictiveKernel:
     """Per-row parameters of a predictive density at alpha < 1.
 
     log p(y) = log_const - A log(q_u(y) + s) - B log(q_b(y) + o), q_u the
-    quadratic form of c2 I + Q diag(e_u) Q' about Q v, q_b that of
-    c2 I + Q diag(e_b) Q' about Q theta_b, c2 = 2/(1 - alpha) and
-    A = (m + dof)/2, dof = 2(n-k)/(1-alpha).  The best invariant density has
-    no second factor (B = 0, o None) and is multivariate t with dof degrees
-    of freedom.  A block of observations gives v and theta_b one row, and s,
-    o and log_const one entry, per observation; indexing the kernel selects
-    rows.  One observation's kernel evaluates its density at points
-    (log_unnormalized, log_density).
+    quadratic form of c2 I + Q diag(d) Q' about Q v, q_b that of
+    c2 I + Q diag(e_b) Q' about Q theta_b, with Q, d, m, n and k those of
+    ``problem``, c2 = 2/(1 - alpha) and A = (m + dof)/2, dof = 2(n-k)/(1-alpha).
+    The best invariant density has no second factor (B = 0, o None) and is
+    multivariate t with dof degrees of freedom.  A block of observations
+    gives v and theta_b one row, and s, o and log_const one entry, per
+    observation; indexing the kernel selects rows.  One observation's kernel
+    evaluates its density at points (log_unnormalized, log_density).
     """
 
+    problem: CanonicalProblem
     alpha: float
-    Q: np.ndarray
-    dof: float
-    e_u: np.ndarray
     v: np.ndarray
     s: float | np.ndarray
     log_const: float | np.ndarray = 0.0
@@ -276,8 +270,12 @@ class PredictiveKernel:
         return 2.0 / (1.0 - self.alpha)
 
     @property
+    def dof(self) -> float:
+        return 2.0 * (self.problem.n - self.problem.k) / (1.0 - self.alpha)
+
+    @property
     def A(self) -> float:
-        return self.Q.shape[0] / 2.0 + self.dof / 2.0
+        return self.problem.m / 2.0 + self.dof / 2.0
 
     def __getitem__(self, index) -> "PredictiveKernel":
         rows = ("v", "s", "log_const") + (() if self.o is None else ("theta_b", "o"))
@@ -287,16 +285,17 @@ class PredictiveKernel:
         """m, once the kernel is checked to hold one observation, not a block."""
         if np.ndim(self.s) != 0:
             raise ValueError("a density is evaluated for one observation, not a block; index the kernel first")
-        return self.Q.shape[0]
+        return self.problem.m
 
     def log_unnormalized(self, y) -> float | np.ndarray:
         """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
         pts, single = _points(y, self._single_m())
-        lu = np.log(_SpectralScale(self.c2, self.Q, self.e_u).quad(pts - self.Q @ self.v) + self.s)
+        Q = self.problem.Q
+        lu = np.log(_SpectralScale(self.c2, Q, self.problem.d).quad(pts - Q @ self.v) + self.s)
         if self.o is None:
             out = -self.A * lu
         else:
-            lb = np.log(_SpectralScale(self.c2, self.Q, self.e_b).quad(pts - self.Q @ self.theta_b) + self.o)
+            lb = np.log(_SpectralScale(self.c2, Q, self.e_b).quad(pts - Q @ self.theta_b) + self.o)
             out = -self.A * lu - self.B * lb
         return float(out[0]) if single else out
 
@@ -311,17 +310,15 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     It is multivariate t with 2(n-k)/(1-alpha) degrees of freedom, location
     Q v and scale matrix (s/dof) A_u, A_u = c2 I + Q diag(d) Q'.
     """
-    alpha = _check_alpha(alpha)
-    s = _check_obs(problem, obs)
-    m, q = problem.m, problem.n - problem.k
-    nu_a = 2.0 * q / (1.0 - alpha)
-    logdet = _SpectralScale(2.0 / (1.0 - alpha), problem.Q, problem.d).logdet()
+    kernel = PredictiveKernel(problem=problem, alpha=_check_alpha(alpha), v=obs.v, s=_check_obs(problem, obs))
+    m, dof, s = problem.m, kernel.dof, kernel.s
+    logdet = _SpectralScale(kernel.c2, problem.Q, problem.d).logdet()
     # one observation keeps math.log: numpy's vector log can differ from it in the last bit,
     # and density-eval prints this constant to 17 digits
     log_s = math.log(s) if np.ndim(s) == 0 else np.log(s)
-    log_const = (math.lgamma((nu_a + m) / 2.0) - math.lgamma(nu_a / 2.0)
-                 - (m / 2.0) * math.log(math.pi) - 0.5 * logdet + (nu_a / 2.0) * log_s)
-    return PredictiveKernel(alpha=alpha, Q=problem.Q, dof=nu_a, e_u=problem.d, v=obs.v, s=s, log_const=log_const)
+    log_const = (math.lgamma((dof + m) / 2.0) - math.lgamma(dof / 2.0)
+                 - (m / 2.0) * math.log(math.pi) - 0.5 * logdet + (dof / 2.0) * log_s)
+    return replace(kernel, log_const=log_const)
 
 
 def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: float) -> PredictiveKernel:
@@ -333,14 +330,12 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
     B is computed from a: nu(n-k) can round one ulp away from k+2a+2 and move the risks' last digits.
     Raises UnreliableNormalizationError when the certificate fails for any row.
     """
-    alpha = _check_alpha(alpha)
-    problem = prior.problem
+    alpha, problem = _check_alpha(alpha), prior.problem
     s = _check_obs(problem, obs)
     e_b, theta_b, r = shrinkage_components(prior, alpha, obs.v)
     kernel = PredictiveKernel(
-        alpha=alpha, Q=problem.Q, dof=2.0 * (problem.n - problem.k) / (1.0 - alpha), e_u=problem.d,
-        v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha), e_b=e_b,
-        theta_b=theta_b, o=r + _row_dot(obs.v_star, obs.v_star) / prior.gamma_prior + s,
+        problem=problem, alpha=alpha, v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha),
+        e_b=e_b, theta_b=theta_b, o=r + _row_dot(obs.v_star, obs.v_star) / prior.gamma_prior + s,
     )
     return replace(kernel, log_const=-_log_integral(kernel))
 
@@ -349,16 +344,16 @@ def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
     """log Z of each row, Z the integral of the shrinkage kernel over R^m, as one integral on the logit scale.
 
     Write each factor as a Gamma integral, integrate y and then the total
-    rate.  With w = expit(z), sigma_u = c2 + e_u, sigma_b = c2 + e_b,
+    rate.  With w = expit(z), sigma_u = c2 + d, sigma_b = c2 + e_b,
     p_i(w) = w/sigma_u_i + (1-w)/sigma_b_i, delta = v - theta_b, P = A + B - m/2:
       log Z = (m/2) log pi + ((m-l)/2) log c2 + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
       G(z) = A log w + B log(1-w) - (1/2) sum_i log p_i(w) - P log h(w),
       h(w) = w s + (1-w) o + w(1-w) sum_i delta_i^2/(sigma_u_i sigma_b_i p_i(w)).
     p does not depend on the row, so the rows of a chunk share one trapezoid grid.
     """
-    A, B, c2, (m, l) = kernel.A, kernel.B, kernel.c2, kernel.Q.shape
+    A, B, c2, m, l = kernel.A, kernel.B, kernel.c2, kernel.problem.m, kernel.problem.l
     P = A + B - m / 2.0
-    inv_u, inv_b = 1.0 / (c2 + kernel.e_u), 1.0 / (c2 + kernel.e_b)
+    inv_u, inv_b = 1.0 / (c2 + kernel.problem.d), 1.0 / (c2 + kernel.e_b)
     s, o = np.reshape(kernel.s, -1), np.reshape(kernel.o, -1)
     coupling = np.reshape(kernel.v - kernel.theta_b, (-1, l)) ** 2 * inv_u * inv_b
 

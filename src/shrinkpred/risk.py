@@ -11,7 +11,7 @@ computed exactly too (alpha_divergence_loss, on a predictive.PredictiveKernel
 of a whole block): Gamma integrals and a Gaussian integral in y leave 1-D
 or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, all on
 the certified rules of quad.  The Gaussian integral factors over the
-axes, and axes with equal scales (c2 + e_u, c2 + e_b) share one factor, so
+axes, and axes with equal scales (c2 + d, c2 + e_b) share one factor, so
 a rule's work grows with the number of such spectral groups (one in the
 replicated design), not with m; each row's few coefficients per group
 multiply node-pair arrays fixed per rule.  Risks are then single-level
@@ -149,7 +149,7 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of kernel at n nodes per factor.
 
     Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
-    after which y integrates as a Gaussian: per axis, with sigma_u = c2 + e_u,
+    after which y integrates as a Gaussian: per axis, with sigma_u = c2 + d,
     sigma_b = c2 + e_b and kappa = (1-alpha) eta/4, a factor
     (pi sigma_u sigma_b/P)^(1/2) exp(-(t dv + u db + t u dvb)/P), where
     P = kappa sigma_u sigma_b + sigma_b t + sigma_u u, dv = kappa sigma_b (theta - v)^2,
@@ -169,17 +169,17 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     (pi/kappa)^(m/2), so dropping light pairs is safe; rows go
     LOSS_CHUNK // kept at a time.
     """
-    alpha, c2, (m, l) = kernel.alpha, kernel.c2, kernel.Q.shape
+    alpha, c2, m, l, d = kernel.alpha, kernel.c2, kernel.problem.m, kernel.problem.l, kernel.problem.d
     beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) * eta / 4.0
     s = np.reshape(kernel.s, -1)
     if kernel.o is None:
-        e_b, theta_b, o, a_y = kernel.e_u, kernel.v, np.ones_like(s), None
+        e_b, theta_b, o, a_y = d, kernel.v, np.ones_like(s), None
     else:
         e_b, theta_b, o, a_y = kernel.e_b, kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0
     v, theta_b = np.reshape(kernel.v, (-1, l)), np.reshape(theta_b, (-1, l))
     log_const = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
     log_const += (m * (1.0 - alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
-    scales = list(zip((c2 + kernel.e_u).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)
+    scales = list(zip((c2 + d).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)
     groups: dict[tuple[float, float], list[int]] = {}
     for i, key in enumerate(scales):
         groups.setdefault(key, []).append(i)
@@ -225,8 +225,8 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta
     (1 + 2 tau/(eta c2))^(-(m-l)/2), sigma_i = c2 + e_i and mu the factor's
     center.  The t-integral is positive and runs on z = log t by quad.log_trapezoid.
     """
-    c2, (m, l) = kernel.c2, kernel.Q.shape
-    e, mu, o = (kernel.e_b, kernel.theta_b, kernel.o) if second else (kernel.e_u, kernel.v, kernel.s)
+    c2, m, l = kernel.c2, kernel.problem.m, kernel.problem.l
+    e, mu, o = (kernel.e_b, kernel.theta_b, kernel.o) if second else (kernel.problem.d, kernel.v, kernel.s)
     sigma, o = c2 + e, np.reshape(o, -1)
     dev = np.reshape(theta - mu, (-1, l)) ** 2 / sigma
 
@@ -254,7 +254,7 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
     """
     theta, eta = np.asarray(theta, dtype=float), float(eta)
     block = kernel if np.ndim(kernel.s) else kernel[None]
-    m, l = block.Q.shape
+    m = block.problem.m
     if block.alpha == -1.0:
         loss = -(m / 2.0) * (math.log(2.0 * math.pi / eta) + 1.0) - block.log_const
         loss = loss + block.A * _expected_log(block, False, theta, eta)

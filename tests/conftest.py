@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, as1_problem, canonicalize, simulate_observation
+from shrinkpred.canonical import (
+    BLOCK_SIZE,
+    CanonicalObservation,
+    CanonicalProblem,
+    as1_problem,
+    canonicalize,
+    simulate_observation,
+)
+
+
+def synthetic_problem(n, k, m, d, Q=None):
+    """Canonical problem assembled directly from its reduced pieces; Q defaults to the first l unit vectors."""
+    return CanonicalProblem(n=n, k=k, m=m, d=np.asarray(d, dtype=float),
+                            Q=np.eye(m, min(k, m)) if Q is None else Q, coef_transform=np.eye(k))
 
 
 def simulate_rows(problem, params, seed, reps):

@@ -45,7 +45,7 @@ MIN_ESS_FRACTION = 0.05
 def sample(density: PredictiveKernel | PluginDensity, rng: np.random.Generator, size: int) -> np.ndarray:
     """size draws, shape (size, m), of one observation's plug-in normal or best invariant t.
 
-    The t is Q v + sqrt(A_u) z sqrt(s/chi2_dof), A_u = c2 I + Q diag(e_u) Q':
+    The t is Q v + sqrt(A_u) z sqrt(s/chi2_dof), A_u = c2 I + Q diag(d) Q':
     the normal draws z come first, then the chi-square draws.  A block
     kernel, or a shrinkage kernel, raises ValueError.
     """
@@ -55,14 +55,14 @@ def sample(density: PredictiveKernel | PluginDensity, rng: np.random.Generator, 
     if density.o is not None:
         raise ValueError("the shrinkage density has no sampler")
     y = rng.standard_normal((size, m))
-    # sqrt(A_u) y = sqrt(c2) y + Q diag(sqrt(c2 + e_u) - sqrt(c2)) Q' y, in place
-    root_c2 = math.sqrt(density.c2)
-    yq = y @ density.Q
-    yq *= np.sqrt(density.c2 + density.e_u) - root_c2
+    # sqrt(A_u) y = sqrt(c2) y + Q diag(sqrt(c2 + d) - sqrt(c2)) Q' y, in place
+    root_c2, Q = math.sqrt(density.c2), density.problem.Q
+    yq = y @ Q
+    yq *= np.sqrt(density.c2 + density.problem.d) - root_c2
     y *= root_c2
-    y += yq @ density.Q.T
+    y += yq @ Q.T
     y *= np.sqrt(density.s / rng.chisquare(density.dof, size))[:, None]
-    y += density.Q @ density.v
+    y += Q @ density.v
     return y
 
 

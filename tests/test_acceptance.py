@@ -77,7 +77,7 @@ def test_criterion_1_minimax_risk_constancy(as1_problem_n12):
 def test_criterion_2_shrinkage_plugin_domination(as1_problem_n12):
     problem = as1_problem_n12
     prior = PriorSpec.minimax_default(problem)
-    nb = nu_limits(problem.d, prior.c, problem.m, problem.n, problem.k)
+    nb = nu_limits(problem, prior.c)
     assert prior.nu == pytest.approx(nb.nu_max)
     mr = as1_minimax_value()
     proc = lambda obs: plugin_bayes_estimators(prior, obs)
@@ -103,9 +103,9 @@ def test_criterion_3_small_l_domination(case2_problem_n12):
     problem = case2_problem_n12
     assert problem.l == 1 and problem.k - problem.l == 2
     c0 = np.ones(1)
-    g0 = rescale_C_for_positivity(problem.d, c0, problem.m, problem.n, problem.k)
+    g0 = rescale_C_for_positivity(problem, c0)
     c = g0 * c0
-    nb = nu_limits(problem.d, c, problem.m, problem.n, problem.k)
+    nb = nu_limits(problem, c)
     assert nb.positive
     prior = PriorSpec.from_problem(problem, c=c, nu=nb.nu_max)
     mr = minimax_risk(problem)

@@ -263,7 +263,7 @@ def test_the_prior_scale_is_always_g0_times_the_configured_c(tmp_path, c, g0):
     assert bounds["g0"] == g0 and bounds["nu1"] > 0
     cfg = load_config(path)
     problem, _, _ = build_problem(cfg)
-    assert nu_limits(problem.d, np.ones(1), problem.m, problem.n, problem.k).nu1 <= 0
+    assert nu_limits(problem, 1.0).nu1 <= 0
     configured = 1.0 if c == "identity" else c
     assert build_prior(cfg, problem).c.tolist() == [g0 * configured]
 
@@ -954,7 +954,7 @@ def test_prior_c_below_one_is_a_configuration_error_for_every_subcommand(tmp_pat
         capsys.readouterr()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
         err = capsys.readouterr().err
-        assert err == f"configuration error: c must be >= 1 in every entry, got {c!r}\n", (command, err)
+        assert err == f"configuration error: c must be finite and >= 1 in every entry, got {c!r}\n", (command, err)
     assert not (tmp_path / "o").exists()
 
 

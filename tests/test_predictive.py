@@ -15,7 +15,6 @@ from shrinkpred.canonical import (
     STREAM_DESIGN,
     CanonicalObservation,
     CanonicalParams,
-    CanonicalProblem,
     as1_problem,
     canonicalize,
     replication_rng,
@@ -37,16 +36,8 @@ from shrinkpred.predictive import (
 )
 from shrinkpred.quad import UnreliableNormalizationError
 
+from conftest import synthetic_problem
 from oracles import log_marginal_kernel, normalize_density, sample
-
-
-def synthetic_problem(n, k, m, d, Q=None):
-    """Canonical problem assembled directly from its reduced pieces."""
-    d = np.asarray(d, dtype=float)
-    if Q is None:
-        Q = np.eye(m, min(k, m))
-    return CanonicalProblem(n=n, k=k, m=m, d=d, Q=Q,
-                            coef_transform=np.eye(k))
 
 
 @pytest.fixture(scope="module")
@@ -144,17 +135,24 @@ def test_the_prior_reads_n_and_k_from_its_own_problem(as1_xtilde, N, B):
     prior = PriorSpec.from_problem(problem, nu=0.3)
     assert prior.problem is problem
     obs = CanonicalObservation(v=np.array([0.5, -0.2, 1.0]), v_star=np.zeros(0), s=8.0)
+    block = CanonicalObservation(v=np.array([[0.5, -0.2, 1.0], [0.1, 0.3, -0.4]]), v_star=np.zeros((2, 0)),
+                                 s=np.array([8.0, 5.0]))
     for alpha in (0.0, 0.5):
         kernel = shrinkage_bayes_kernel(prior, obs, alpha)
         assert kernel.B == (problem.k + 2 * prior.a + 2) / (1 - alpha)
         assert kernel.dof == 2 * (problem.n - problem.k) / (1 - alpha)
+        # the kernel holds the problem itself, not copies of its Q, d or n - k, and indexing keeps it
+        for built in (kernel, best_invariant_kernel(problem, obs, alpha)):
+            assert built.problem is problem
+        for built in (shrinkage_bayes_kernel(prior, block, alpha), best_invariant_kernel(problem, block, alpha)):
+            assert built.problem is problem and built[1].problem is problem and built[:1].problem is problem
     assert shrinkage_bayes_kernel(prior, obs, 0.0).B == pytest.approx(B, rel=1e-14)
 
 
 def test_default_nu_needs_positive_bounds():
     # nu1 = -0.155 at C = I: the domination cap is no prior until C is rescaled or nu is set
     problem = synthetic_problem(n=12, k=3, m=1, d=[1.0])
-    assert nu_limits(problem.d, np.ones(1), 1, 12, 3).nu1 == pytest.approx(-0.155, abs=5e-4)
+    assert nu_limits(problem, 1.0).nu1 == pytest.approx(-0.155, abs=5e-4)
     with pytest.raises(ValueError, match=r"^nu bounds are not positive; rescale C or set nu explicitly$"):
         PriorSpec.from_problem(problem)
     assert PriorSpec.from_problem(problem, nu=0.2).nu == 0.2

@@ -19,7 +19,6 @@ from shrinkpred.canonical import (
     STREAM_OBSERVATION,
     CanonicalObservation,
     CanonicalParams,
-    CanonicalProblem,
     canonicalize,
     replication_rng,
     simulate_observation,
@@ -49,12 +48,8 @@ from shrinkpred.risk import (
     risk_mc,
 )
 
+from conftest import synthetic_problem
 from oracles import alpha_divergence_mc, f_alpha
-
-
-def synthetic_problem(n, k, m, d):
-    return CanonicalProblem(n=n, k=k, m=m, d=np.asarray(d, float), Q=np.eye(m, min(k, m)),
-                            coef_transform=np.eye(k))
 
 
 @pytest.fixture(scope="module")
@@ -752,15 +747,15 @@ def per_axis_log_affinity(kernel, theta, eta, n):
     complement axes contributes its own P, log and division.
     """
     beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) * eta / 4.0, kernel.c2
-    (m, l), rows = kernel.Q.shape, np.size(kernel.s)
+    m, l, d, rows = kernel.problem.m, kernel.problem.l, kernel.problem.d, np.size(kernel.s)
     x, log_wx = quad_module.laguerre(kernel.A * beta - 1.0, n)
     y, log_wy = (np.zeros(1), np.zeros(1)) if kernel.o is None else quad_module.laguerre(kernel.B * beta - 1.0, n)
-    e_b, theta_b, o = (kernel.e_u, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
+    e_b, theta_b, o = (d, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
     log_w = (log_wx[:, None] + log_wy).ravel()
     keep = log_w >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
     s, o = np.reshape(kernel.s, (-1, 1)), np.reshape(o, (-1, 1))
     t, u = np.repeat(x, y.size)[keep] / s, np.tile(y, x.size)[keep] / o
-    sigma_u, sigma_b = c2 + kernel.e_u, c2 + e_b
+    sigma_u, sigma_b = c2 + d, c2 + e_b
     v, theta_b = np.reshape(kernel.v, (rows, l)), np.reshape(theta_b, (rows, l))
     dv, db, dvb = kappa * sigma_b * (theta - v) ** 2, kappa * sigma_u * (theta - theta_b) ** 2, (v - theta_b) ** 2
     log_f = np.broadcast_to(log_w[keep], t.shape).copy()
@@ -813,9 +808,9 @@ def affinity_cases():
 @pytest.mark.parametrize("n", [32, 48])
 def test_grouped_affinity_matches_per_axis_formula(case, n):
     kernel, theta, eta, groups = affinity_cases()[case]
-    (m, l), c2 = kernel.Q.shape, kernel.c2
-    e_b = kernel.e_u if kernel.o is None else kernel.e_b
-    pairs = set(zip((c2 + kernel.e_u).tolist(), (c2 + e_b).tolist())) | ({(c2, c2)} if m > l else set())
+    m, l, d, c2 = kernel.problem.m, kernel.problem.l, kernel.problem.d, kernel.c2
+    e_b = d if kernel.o is None else kernel.e_b
+    pairs = set(zip((c2 + d).tolist(), (c2 + e_b).tolist())) | ({(c2, c2)} if m > l else set())
     assert len(pairs) == groups
     if case.startswith("c_is_1"):
         assert np.all(kernel.e_b == 0.0) and np.all(kernel.theta_b == 0.0)
