@@ -47,7 +47,6 @@ from .predictive import (
     PriorSpec,
     best_invariant_kernel,
     plugin_bayes_estimators,
-    plugin_density,
     shrinkage_bayes_kernel,
     stein_variance,
     stein_variance_star,
@@ -55,7 +54,7 @@ from .predictive import (
 )
 from .identities import run_identities
 from .quad import UnreliableNormalizationError
-from .risk import RiskEstimate, kernel_scorer, min_reps, minimax_risk, plugin_scorer, risk_mc
+from .risk import RiskEstimate, min_reps, minimax_risk, risk_mc, scorer
 
 __all__ = [
     "ExperimentConfig",
@@ -221,6 +220,13 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
 
 _DESIGN_TYPE_KEYS = {"as1": {"m", "k", "N", "xtilde"}, "explicit": {"X", "Xtilde"}}
 _DENSITY_TYPES = ("best_invariant", "shrinkage_bayes", "plugin")
+# Risks depend on (theta, sigma2) only through theta/sigma, and past these bounds a grid point loses digits.  Above
+# THETA_OVER_SIGMA_MAX, V = theta + sigma sqrt(d) z rounds the noise away: umvu's risk on as1_desk (seed 1) is 1.2e-10
+# off its theta = 0 value at 1e8 and 1.1e-9 at 1e9.  SIGMA2_RANGE stays a factor 1e50 inside 2^-532 and 2^532, where
+# the exact losses underflow and overflow; up to 2^+-500 the alpha = 1, 0 and -1 risks equal the sigma2 = 1 risks at
+# theta/sigma within 1e-12, and alpha = 0.99 within 3.3e-8 (its A log s terms round in absolute terms).
+THETA_OVER_SIGMA_MAX = 1e8
+SIGMA2_RANGE = (1e-100, 1e100)
 
 
 def _section(doc, cls, name: str) -> dict:
@@ -268,8 +274,12 @@ def load_config(path: str) -> ExperimentConfig:
     # a negative norm would label the opposite direction's point
     if any(t < 0 for t in grid.theta_norms):
         raise ValueError("theta_norms must be nonnegative")
-    if any(s <= 0 for s in grid.sigma2):
-        raise ValueError("sigma2 values must be positive")
+    lo, hi = SIGMA2_RANGE
+    if not all(lo <= s <= hi for s in grid.sigma2):
+        raise ValueError(f"sigma2 must be in [{lo:g}, {hi:g}], got {grid.sigma2}")
+    norm, s2 = max(grid.theta_norms, default=0.0), min(grid.sigma2, default=1.0)
+    if norm / math.sqrt(s2) > THETA_OVER_SIGMA_MAX:
+        raise ValueError(f"theta_norms must be at most {THETA_OVER_SIGMA_MAX:g} sigma, got {norm!r} at sigma2 = {s2!r}")
     cfg.reps = read_int(doc, "reps", cfg.reps)
     cfg.reps_outer = read_int(doc, "reps_outer", cfg.reps_outer)
     # reps drives the alpha = 1 rows and reps_outer the alpha < 1 ones; each is checked where used
@@ -425,7 +435,7 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     # the domination guarantee is proved under n - k - 2 >= 0; never claim it below
     may_claim_domination = (problem.n - problem.k) >= 2
 
-    # each rule maps a block of observations to a block of estimates: plug-in
+    # each rule maps a block of observations to a block of densities: plug-in
     # estimates at alpha = 1, predictive kernels below
     plugin_rules = {
         "umvu": functools.partial(umvu_estimators, problem),
@@ -441,13 +451,12 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
              "minimax_risk,below_baseline_3se"]
     for alpha in cfg.alphas:
         if alpha == 1.0:
-            scorers, reps = {name: plugin_scorer(rule, problem.m) for name, rule in plugin_rules.items()}, cfg.reps
+            rules, reps = plugin_rules, cfg.reps
         else:
-            scorers = {
-                "best_invariant": kernel_scorer(lambda obs: best_invariant_kernel(problem, obs, alpha), alpha),
-                "shrinkage_bayes": kernel_scorer(lambda obs: shrinkage_bayes_kernel(prior, obs, alpha), alpha),
-            }
+            rules = {"best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
+                     "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(prior, obs, alpha)}
             reps = cfg.reps_outer
+        scorers = {name: scorer(rule, alpha) for name, rule in rules.items()}
         # one call over the whole grid, so each keyed block is drawn once for every point
         for (_, norm, direction, s2), rows in zip(points, risk_mc(scorers.values(), problem, grid, reps, seed)):
             risks = dict(zip(scorers, map(RiskEstimate.of, rows)))
@@ -593,7 +602,8 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     obs = _observation(_json_doc(section.observation))
     points = _load_csv(section.points, "points")
     if points.shape[1] != problem.m:
-        raise ValueError(f"points must have {problem.m} columns")
+        raise ValueError(f"points file {section.points} has {points.shape[1]} columns; "
+                         f"the problem needs m = {problem.m}")
     if np.isnan(points).any():   # an infinite coordinate has log density -inf, nan none
         raise ValueError(f"points must be numbers or +-inf, not nan, in {section.points}")
 
@@ -602,7 +612,7 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     elif section.type == "shrinkage_bayes":
         dens = shrinkage_bayes_kernel(build_prior(cfg, problem), obs, section.alpha)
     else:  # "plugin": load_config admits no other type
-        dens = plugin_density(plugin_bayes_estimators(build_prior(cfg, problem), obs), problem)
+        dens = plugin_bayes_estimators(build_prior(cfg, problem), obs)
 
     log_u = dens.log_unnormalized(points)
     table = np.column_stack([points, log_u, np.full(len(log_u), dens.log_const), log_u + dens.log_const])

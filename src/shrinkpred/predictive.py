@@ -11,16 +11,16 @@ ytilde ~ N_m(Q theta, I/eta):
 * the plug-in normal at alpha = 1, whose mean and variance shrink the
   unbiased estimators by the data-adaptive factor nu/(nu + 1 + W).
 
-Densities are evaluated in the log domain.  Below alpha = 1 each is one
-PredictiveKernel of per-row parameters: best_invariant_kernel and
-shrinkage_bayes_kernel map a whole block of observations to it at once,
+Densities are evaluated in the log domain.  Each is one block of per-row
+parameters: a PredictiveKernel below alpha = 1 (best_invariant_kernel and
+shrinkage_bayes_kernel map a whole block of observations to it at once) and
+a PluginEstimate at alpha = 1, which is its own plug-in normal.
 risk.alpha_divergence_loss scores a block, and indexing it gives one
-observation's density, which evaluates (log_density).  The plug-in normal
-is a PluginDensity with the same members.  The shrinkage density's constant
-reduces, through Gamma integrals, to one integral on the logit scale, which
-quad.log_trapezoid computes for every row of a block.  The samplers and the
-importance-sampling normalizer that check it live with the tests, in
-tests/oracles.py.
+observation's density, which evaluates (log_density).  The shrinkage
+density's constant reduces, through Gamma integrals, to one integral on the
+logit scale, which quad.log_trapezoid computes for every row of a block.
+The samplers and the importance-sampling normalizer that check it live
+with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ __all__ = [
     "PriorSpec",
     "PluginEstimate",
     "PredictiveKernel",
-    "PluginDensity",
     "shrinkage_components",
     "best_invariant_kernel",
     "shrinkage_bayes_kernel",
     "plugin_bayes_estimators",
-    "plugin_density",
     "umvu_estimators",
     "stein_variance",
     "stein_variance_star",
@@ -66,7 +64,7 @@ ALPHA_MAX = 0.999
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if alpha == 1.0:
-        raise ValueError("alpha = 1 is not supported here; use the plug-in path")
+        raise ValueError("alpha = 1 is not supported here; use a plug-in estimate")
     if not -1.0 <= alpha <= ALPHA_MAX:
         raise ValueError(f"alpha must lie in [-1, {ALPHA_MAX}], got {alpha!r}")
     return alpha
@@ -93,6 +91,20 @@ def _points(y, m: int) -> tuple[np.ndarray, bool]:
     if y.ndim == 2 and y.shape[1] == m:
         return y, False
     raise ValueError(f"points must have shape (m,) or (N, {m})")
+
+
+class _Density:
+    """What PredictiveKernel and PluginEstimate share: one observation's density evaluates, a block does not."""
+
+    def _single_m(self, row_value) -> int:
+        """m, once row_value (one entry per block row) shows the density holds one observation, not a block."""
+        if np.ndim(row_value) != 0:
+            raise ValueError("a density is evaluated for one observation, not a block; index it first")
+        return self.problem.m
+
+    def log_density(self, y) -> float | np.ndarray:
+        """The normalized log density at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
+        return self.log_unnormalized(y) + self.log_const
 
 
 class _SpectralScale:
@@ -198,11 +210,19 @@ class PriorSpec:
 
 
 @dataclass(frozen=True)
-class PluginEstimate:
-    """Plug-in mean and variance estimates, one row per block row."""
+class PluginEstimate(_Density):
+    """Plug-in estimates of theta and sigma^2, and the alpha = 1 density N_m(Q theta_hat, sigma2_hat I).
 
+    A block of observations gives theta_hat one row, and sigma2_hat one
+    entry, per observation; indexing the estimate selects rows.  One
+    observation's estimate evaluates its density (log_unnormalized,
+    log_const, log_density), as a PredictiveKernel does below alpha = 1.
+    """
+
+    problem: CanonicalProblem
     theta_hat: np.ndarray
     sigma2_hat: float | np.ndarray
+    alpha = 1.0
 
     def __post_init__(self):
         sigma2 = _freeze(self.sigma2_hat)
@@ -210,6 +230,20 @@ class PluginEstimate:
         object.__setattr__(self, "sigma2_hat", float(sigma2) if sigma2.ndim == 0 else sigma2)
         if not np.all(sigma2 > 0):
             raise ValueError("sigma2_hat must be positive")
+
+    def __getitem__(self, index) -> "PluginEstimate":
+        return replace(self, theta_hat=self.theta_hat[index], sigma2_hat=np.asarray(self.sigma2_hat)[index])
+
+    @property
+    def log_const(self) -> float:
+        return -self._single_m(self.sigma2_hat) / 2.0 * math.log(2.0 * math.pi * self.sigma2_hat)
+
+    def log_unnormalized(self, y) -> float | np.ndarray:
+        """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
+        pts, single = _points(y, self._single_m(self.sigma2_hat))
+        r = pts - self.problem.Q @ self.theta_hat
+        out = -0.5 * np.einsum("ij,ij->i", r, r) / self.sigma2_hat
+        return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +275,7 @@ def shrinkage_components(prior: PriorSpec, alpha: float,
 
 
 @dataclass(frozen=True)
-class PredictiveKernel:
+class PredictiveKernel(_Density):
     """Per-row parameters of a predictive density at alpha < 1.
 
     log p(y) = log_const - A log(q_u(y) + s) - B log(q_b(y) + o), q_u the
@@ -281,15 +315,9 @@ class PredictiveKernel:
         rows = ("v", "s", "log_const") + (() if self.o is None else ("theta_b", "o"))
         return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in rows})
 
-    def _single_m(self) -> int:
-        """m, once the kernel is checked to hold one observation, not a block."""
-        if np.ndim(self.s) != 0:
-            raise ValueError("a density is evaluated for one observation, not a block; index the kernel first")
-        return self.problem.m
-
     def log_unnormalized(self, y) -> float | np.ndarray:
         """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
-        pts, single = _points(y, self._single_m())
+        pts, single = _points(y, self._single_m(self.s))
         Q = self.problem.Q
         lu = np.log(_SpectralScale(self.c2, Q, self.problem.d).quad(pts - Q @ self.v) + self.s)
         if self.o is None:
@@ -298,10 +326,6 @@ class PredictiveKernel:
             lb = np.log(_SpectralScale(self.c2, Q, self.e_b).quad(pts - Q @ self.theta_b) + self.o)
             out = -self.A * lu - self.B * lb
         return float(out[0]) if single else out
-
-    def log_density(self, y) -> float | np.ndarray:
-        """The normalized log density at a point or at the rows of a batch."""
-        return self.log_unnormalized(y) + self.log_const
 
 
 def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, alpha: float) -> PredictiveKernel:
@@ -375,7 +399,7 @@ def _log_expit(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Plug-in estimators and density (alpha = 1)
+# Plug-in estimators (alpha = 1)
 # ---------------------------------------------------------------------------
 
 
@@ -393,7 +417,7 @@ def plugin_bayes_estimators(prior: PriorSpec, obs: CanonicalObservation) -> Plug
     f = nu / (nu + 1.0 + w)
     theta = (1.0 - f[..., None] / c) * v
     sigma2 = (1.0 - f) * s / (problem.n - problem.k)
-    return PluginEstimate(theta_hat=theta, sigma2_hat=sigma2)
+    return PluginEstimate(problem, theta, sigma2)
 
 
 def umvu_estimators(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
@@ -402,14 +426,14 @@ def umvu_estimators(problem: CanonicalProblem, obs: CanonicalObservation) -> Plu
     It is the no-shrinkage limit of the plug-in rule, W at infinity.
     """
     s = _check_obs(problem, obs)
-    return PluginEstimate(theta_hat=obs.v, sigma2_hat=s / (problem.n - problem.k))
+    return PluginEstimate(problem, obs.v, s / (problem.n - problem.k))
 
 
 def stein_variance(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
     """theta_hat = V and Stein's variance estimate min(S/(n-k), (V'D^{-1}V + S)/(l + n - k)), per observation."""
     s = _check_obs(problem, obs)
-    n, k, l = problem.n, problem.k, problem.l
-    return PluginEstimate(obs.v, np.minimum(s / (n - k), (_row_dot(obs.v, obs.v / problem.d) + s) / (l + n - k)))
+    n, k, l, d = problem.n, problem.k, problem.l, problem.d
+    return PluginEstimate(problem, obs.v, np.minimum(s / (n - k), (_row_dot(obs.v, obs.v / d) + s) / (l + n - k)))
 
 
 def stein_variance_star(problem: CanonicalProblem, obs: CanonicalObservation) -> PluginEstimate:
@@ -418,34 +442,7 @@ def stein_variance_star(problem: CanonicalProblem, obs: CanonicalObservation) ->
     if obs.v_star.shape[-1] == 0:
         raise ValueError("v_star is empty; the pooled variant needs m < k")
     n, k, l = problem.n, problem.k, problem.l
-    return PluginEstimate(obs.v, np.minimum(s / (n - k), (_row_dot(obs.v_star, obs.v_star) + s) / (n - l)))
-
-
-@dataclass(frozen=True)
-class PluginDensity:
-    """The normal density N_m(mean, sigma2 I) of one plug-in estimate, with its closed-form log_const."""
-
-    mean: np.ndarray
-    sigma2: float
-    log_const: float
-
-    def log_unnormalized(self, y) -> float | np.ndarray:
-        """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
-        pts, single = _points(y, self.mean.size)
-        r = pts - self.mean
-        out = -0.5 * np.einsum("ij,ij->i", r, r) / self.sigma2
-        return float(out[0]) if single else out
-
-    def log_density(self, y) -> float | np.ndarray:
-        """The normalized log density at a point or at the rows of a batch."""
-        return self.log_unnormalized(y) + self.log_const
-
-
-def plugin_density(est: PluginEstimate, problem: CanonicalProblem) -> PluginDensity:
-    """Normal density N_m(Q theta_hat, sigma2_hat I) of one plug-in estimate."""
-    sigma2 = est.sigma2_hat
-    return PluginDensity(mean=problem.Q @ est.theta_hat, sigma2=sigma2,
-                         log_const=-problem.m / 2.0 * math.log(2.0 * math.pi * sigma2))
+    return PluginEstimate(problem, obs.v, np.minimum(s / (n - k), (_row_dot(obs.v_star, obs.v_star) + s) / (n - l)))
 
 
 def alpha_limit_check(prior: PriorSpec, obs: CanonicalObservation, points, alpha_sequence) -> np.ndarray:
@@ -457,9 +454,8 @@ def alpha_limit_check(prior: PriorSpec, obs: CanonicalObservation, points, alpha
     alphas = [_check_alpha(a) for a in alpha_sequence]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_sequence must be increasing")
-    problem = prior.problem
-    pts, _ = _points(np.atleast_2d(points), problem.m)
-    ref = plugin_density(plugin_bayes_estimators(prior, obs), problem).log_density(pts)
+    pts, _ = _points(np.atleast_2d(points), prior.problem.m)
+    ref = plugin_bayes_estimators(prior, obs).log_density(pts)
     gaps = np.empty((len(alphas), pts.shape[0]))
     for i, alpha in enumerate(alphas):
         gaps[i] = np.abs(shrinkage_bayes_kernel(prior, obs, alpha).log_density(pts) - ref)

@@ -2,15 +2,16 @@
 
 The divergence family is indexed by alpha in [-1, 1]: alpha = -1 is the
 Kullback-Leibler divergence from the truth to the estimate, alpha = 1 the
-reversed form.  At alpha = 1 the divergence between a plug-in normal and
-the truth has the closed form (L1 + m L2)/2 combining scale-invariant
-quadratic loss and entropy loss, and the unbiased baseline has the known
-constant risk (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2.
-For alpha < 1 the divergence of a predictive density from the truth is
-computed exactly too (alpha_divergence_loss, on a predictive.PredictiveKernel
-of a whole block): Gamma integrals and a Gaussian integral in y leave 1-D
-or 2-D Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, all on
-the certified rules of quad.  The Gaussian integral factors over the
+reversed form.  alpha_divergence_loss scores a whole block of densities at
+every alpha.  At alpha = 1 the divergence between a plug-in normal (a
+predictive.PluginEstimate) and the truth has the closed form (L1 + m L2)/2
+combining scale-invariant quadratic loss and entropy loss, and the unbiased
+baseline has the known constant risk (tr D + m (log gamma - psi(gamma)))/2
+with gamma = (n-k)/2.  For alpha < 1 the divergence of a predictive density
+(a predictive.PredictiveKernel) from the truth is computed exactly too:
+Gamma integrals and a Gaussian integral in y leave 1-D or 2-D
+Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, all on the
+certified rules of quad.  The Gaussian integral factors over the
 axes, and axes with equal scales (c2 + d, c2 + e_b) share one factor, so
 a rule's work grows with the number of such spectral groups (one in the
 replicated design), not with m; each row's few coefficients per group
@@ -20,12 +21,12 @@ Monte Carlo averages of exact losses at every alpha.
 The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
 is an integer).
 
-Rows, then reductions: risk_mc scores keyed observation blocks
-(plugin_scorer at alpha = 1, kernel_scorer below) into a table of per-row
-losses, and RiskEstimate.of reduces a row by pairwise summation in
-replication order, so reruns agree bit for bit.  The tests check the exact
-losses against a Monte Carlo divergence with its own keyed draws,
-alpha_divergence_mc in tests/oracles.py.
+Rows, then reductions: risk_mc scores keyed observation blocks (with
+scorer, at any alpha) into a table of per-row losses, and RiskEstimate.of
+reduces a row by pairwise summation in replication order, so reruns agree
+bit for bit.  The tests check the exact losses against a Monte Carlo
+divergence with its own keyed draws, alpha_divergence_mc in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ __all__ = [
     "minimax_risk",
     "alpha_divergence_loss",
     "min_reps",
-    "plugin_scorer",
-    "kernel_scorer",
+    "scorer",
     "risk_mc",
     "risk_d1_mc",
 ]
@@ -241,9 +241,10 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta
     return np.log(o) + np.exp(log_trapezoid(g, o.size))
 
 
-def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float | np.ndarray:
+def alpha_divergence_loss(density: PredictiveKernel | PluginEstimate, theta, eta: float) -> float | np.ndarray:
     """Exact alpha-divergence of each row's predictive density from the truth N_m(Q theta, I/eta).
 
+    At alpha = 1 a plug-in estimate's loss is the closed form d1_loss_plugin.
     For |alpha| < 1 the loss is -4 expm1(log I)/(1 - alpha^2), I the affinity
     int p^((1-alpha)/2) phat^((1+alpha)/2) (_log_affinity), by generalized
     Gauss-Laguerre rules certified row by row (quad.certified).  At alpha = -1
@@ -253,7 +254,10 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
     certificate.
     """
     theta, eta = np.asarray(theta, dtype=float), float(eta)
-    block = kernel if np.ndim(kernel.s) else kernel[None]
+    if isinstance(density, PluginEstimate):
+        loss = d1_loss_plugin(density.theta_hat, density.sigma2_hat, theta, 1.0 / eta, density.problem.m)
+        return loss if np.ndim(loss) else float(loss)
+    block = density if np.ndim(density.s) else density[None]
     m = block.problem.m
     if block.alpha == -1.0:
         loss = -(m / 2.0) * (math.log(2.0 * math.pi / eta) + 1.0) - block.log_const
@@ -263,7 +267,7 @@ def alpha_divergence_loss(kernel: PredictiveKernel, theta, eta: float) -> float 
     else:
         scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta, eta)
         loss = certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s))
-    return loss if np.ndim(kernel.s) else float(loss[0])
+    return loss if np.ndim(density.s) else float(loss[0])
 
 
 def min_reps(alpha: float) -> int:
@@ -271,21 +275,13 @@ def min_reps(alpha: float) -> int:
     return 100 if alpha == 1.0 else MIN_REPS
 
 
-def plugin_scorer(rule: Callable[[CanonicalObservation], PluginEstimate], m: int) -> Scorer:
-    """Score a block's plug-in estimates by the closed-form alpha = 1 divergence (d1_loss_plugin)."""
+def scorer(rule: Callable[[CanonicalObservation], PredictiveKernel | PluginEstimate], alpha: float) -> Scorer:
+    """Score a block's densities by the exact alpha_divergence_loss; each density must be built at alpha."""
     def score(block: CanonicalObservation, params: CanonicalParams) -> np.ndarray:
-        out = rule(block)
-        return d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta, params.sigma2, m)
-    return score
-
-
-def kernel_scorer(rule: Callable[[CanonicalObservation], PredictiveKernel], alpha: float) -> Scorer:
-    """Score a block's predictive kernels by the exact alpha_divergence_loss; each kernel must be built at alpha."""
-    def score(block: CanonicalObservation, params: CanonicalParams) -> np.ndarray:
-        kernel = rule(block)
-        if kernel.alpha != alpha:
-            raise ValueError(f"a rule built its kernel at alpha = {kernel.alpha}, not {alpha}")
-        return alpha_divergence_loss(kernel, params.theta, params.eta)
+        density = rule(block)
+        if density.alpha != alpha:
+            raise ValueError(f"a rule built its density at alpha = {density.alpha}, not {alpha}")
+        return alpha_divergence_loss(density, params.theta, params.eta)
     return score
 
 
@@ -319,4 +315,4 @@ def risk_d1_mc(procedure: Callable[[CanonicalObservation], PluginEstimate], prob
     """Simulated alpha = 1 risk of one plug-in procedure at one point; kept only while perfbench/ calls it."""
     if reps < min_reps(1.0):
         raise ValueError(f"reps must be at least {min_reps(1.0)}")
-    return RiskEstimate.of(risk_mc([plugin_scorer(procedure, problem.m)], problem, [params], reps, seed)[0, 0])
+    return RiskEstimate.of(risk_mc([scorer(procedure, 1.0)], problem, [params], reps, seed)[0, 0])

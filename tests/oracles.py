@@ -29,29 +29,25 @@ from shrinkpred.canonical import (
     replication_rng,
 )
 from shrinkpred.identities import CHISQ_DOF, CHISQ_NUMERATOR_DOF
-from shrinkpred.predictive import (
-    DegenerateObservationError,
-    PluginDensity,
-    PluginEstimate,
-    PredictiveKernel,
-    plugin_density,
-)
+from shrinkpred.predictive import DegenerateObservationError, PluginEstimate, PredictiveKernel
 from shrinkpred.quad import UnreliableNormalizationError
 from shrinkpred.risk import RiskEstimate
 
 MIN_ESS_FRACTION = 0.05
 
 
-def sample(density: PredictiveKernel | PluginDensity, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample(density: PredictiveKernel | PluginEstimate, rng: np.random.Generator, size: int) -> np.ndarray:
     """size draws, shape (size, m), of one observation's plug-in normal or best invariant t.
 
     The t is Q v + sqrt(A_u) z sqrt(s/chi2_dof), A_u = c2 I + Q diag(d) Q':
     the normal draws z come first, then the chi-square draws.  A block
-    kernel, or a shrinkage kernel, raises ValueError.
+    density, or a shrinkage kernel, raises ValueError.
     """
-    if isinstance(density, PluginDensity):
-        return density.mean + math.sqrt(density.sigma2) * rng.standard_normal((size, density.mean.size))
-    m = density._single_m()
+    if isinstance(density, PluginEstimate):
+        m = density._single_m(density.sigma2_hat)
+        mean = density.problem.Q @ density.theta_hat
+        return mean + math.sqrt(density.sigma2_hat) * rng.standard_normal((size, m))
+    m = density._single_m(density.s)
     if density.o is not None:
         raise ValueError("the shrinkage density has no sampler")
     y = rng.standard_normal((size, m))
@@ -67,7 +63,7 @@ def sample(density: PredictiveKernel | PluginDensity, rng: np.random.Generator, 
 
 
 def normalize_density(log_unnormalized: Callable[[np.ndarray], np.ndarray],
-                      proposal: PredictiveKernel | PluginDensity, n_samples: int, seed: int,
+                      proposal: PredictiveKernel | PluginEstimate, n_samples: int, seed: int,
                       rep_index: int = 0) -> tuple[float, float]:
     """Normalize a density by importance sampling against a known proposal.
 
@@ -113,7 +109,7 @@ def f_alpha(log_z, alpha: float):
 
 
 def alpha_divergence_mc(
-    phat: PredictiveKernel | PluginDensity,
+    phat: PredictiveKernel | PluginEstimate,
     theta,
     eta: float,
     problem: CanonicalProblem,
@@ -125,7 +121,7 @@ def alpha_divergence_mc(
     """Monte Carlo alpha-divergence of phat from the true density N_m(Q theta, I/eta).
 
     The oracle for risk.alpha_divergence_loss.  phat is one observation's
-    density: a PredictiveKernel or a PluginDensity.  For alpha < 1 the draws
+    density: a PredictiveKernel or a PluginEstimate.  For alpha < 1 the draws
     come from the truth; at alpha = 1 the integral runs against phat itself,
     so phat must be samplable there (a plug-in normal or a best invariant
     kernel; a shrinkage kernel raises ValueError).
@@ -136,7 +132,7 @@ def alpha_divergence_mc(
     n_mc = int(n_mc)
     if n_mc < 100:
         raise ValueError("n_mc must be at least 100")
-    truth = plugin_density(PluginEstimate(theta_hat=theta, sigma2_hat=1.0 / eta), problem)
+    truth = PluginEstimate(problem, theta, 1.0 / eta)
     rng = replication_rng(seed, rep_index, stream=STREAM_DIVERGENCE)
     if alpha == 1.0:
         ys = sample(phat, rng, n_mc)

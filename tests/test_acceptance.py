@@ -26,7 +26,6 @@ from shrinkpred.predictive import (
     PriorSpec,
     alpha_limit_check,
     plugin_bayes_estimators,
-    plugin_density,
     stein_variance,
     stein_variance_star,
     umvu_estimators,
@@ -160,10 +159,11 @@ def test_criterion_6_d1_equivalence(as1_problem_n12):
         theta = rng.standard_normal(3) * 2.0
         sigma2 = rng.uniform(0.5, 2.0)
         est = PluginEstimate(
+            problem=problem,
             theta_hat=theta + 0.4 * rng.standard_normal(3),
             sigma2_hat=sigma2 * rng.uniform(0.6, 1.4),
         )
-        mc = alpha_divergence_mc(plugin_density(est, problem), theta, 1.0 / sigma2,
+        mc = alpha_divergence_mc(est, theta, 1.0 / sigma2,
                                  problem, 1.0, 20_000, seed=1000 + i)
         want = d1_loss_plugin(est.theta_hat, est.sigma2_hat, theta, sigma2, problem.m)
         zs.append(abs(mc.mean - want) / mc.std_error)

@@ -9,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, problem_from_dict, problem_to_dict
+from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, CanonicalParams, problem_from_dict, problem_to_dict
 from shrinkpred.bounds import nu_limits
-from shrinkpred.cli import _fmt, build_prior, build_problem, load_config, main
+from shrinkpred.cli import SIGMA2_RANGE, THETA_OVER_SIGMA_MAX, _fmt, build_prior, build_problem, load_config, main
 from shrinkpred.predictive import (
+    PriorSpec,
     best_invariant_kernel,
     plugin_bayes_estimators,
-    plugin_density,
     shrinkage_bayes_kernel,
+    umvu_estimators,
 )
+from shrinkpred.risk import risk_mc, scorer
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -349,6 +351,41 @@ def test_risks_depend_on_theta_and_sigma2_only_through_theta_over_sigma(tmp_path
     assert compared == 7 * (3 + 3 * 2)  # (norm, direction) points x (3 rules at alpha = 1, 2 at each alpha < 1)
 
 
+def test_umvu_risk_at_the_theta_over_sigma_cap_equals_its_theta_0_risk(tmp_path):
+    # its loss does not depend on theta, and up to the cap V = theta + sigma sqrt(d) z keeps the noise's digits
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
+    grid = dict(doc["grid"], theta_norms=[0.0, THETA_OVER_SIGMA_MAX])
+    doc = dict(doc, seed=1, alphas=[1.0], reps=BLOCK_SIZE, grid=grid)
+    assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "o" / "risk_compare.csv").read_text().splitlines()[1:]]
+    umvu = [float(cells[6]) for cells in rows if cells[0] == "umvu"]
+    assert len(umvu) == 3 and np.allclose(umvu, umvu[0], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("s2", SIGMA2_RANGE)
+def test_risks_at_the_ends_of_the_sigma2_range_equal_those_at_sigma2_1(as1_problem_n12, s2):
+    # the exact losses stay far from overflow and underflow; alpha = 0.99, whose A log s terms round in
+    # absolute terms, drifts with |log sigma2| and is held to 1e-7, far inside the loss tolerance
+    problem, sigma = as1_problem_n12, math.sqrt(s2)
+    prior = PriorSpec.from_problem(problem)
+    direction = np.ones(3) / math.sqrt(3.0)
+    for alpha, tol in ((1.0, 1e-10), (0.0, 1e-10), (-1.0, 1e-10), (0.99, 1e-7)):
+        if alpha == 1.0:
+            rules, reps = [lambda o: umvu_estimators(problem, o), lambda o: plugin_bayes_estimators(prior, o)], 500
+        else:
+            rules, reps = [lambda o: best_invariant_kernel(problem, o, alpha),
+                           lambda o: shrinkage_bayes_kernel(prior, o, alpha)], 100
+        scorers = [scorer(rule, alpha) for rule in rules]
+        risks = []
+        for scale in (1.0, sigma):
+            points = [CanonicalParams(theta=t * scale * direction, mu=np.zeros(0), eta=1.0 / scale ** 2)
+                      for t in (0.0, 2.0)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                risks.append(risk_mc(scorers, problem, points, reps, seed=1).mean(axis=-1))
+        assert np.allclose(risks[1], risks[0], rtol=tol, atol=0), (alpha, risks)
+
+
 def test_risk_compare_rows_have_unique_keys(tmp_path):
     # two directions at each nonzero norm: the direction column tells their rows apart
     doc = dict(RISK_DOC, alphas=[1.0], grid={
@@ -458,7 +495,7 @@ def test_density_eval(tmp_path):
 DENSITY_BUILDERS = {
     "best_invariant": lambda problem, prior, obs: best_invariant_kernel(problem, obs, 0.3),
     "shrinkage_bayes": lambda problem, prior, obs: shrinkage_bayes_kernel(prior, obs, 0.3),
-    "plugin": lambda problem, prior, obs: plugin_density(plugin_bayes_estimators(prior, obs), problem),
+    "plugin": lambda problem, prior, obs: plugin_bayes_estimators(prior, obs),
 }
 
 
@@ -624,6 +661,8 @@ NOT_A_TABLE = "{key} file {path} is not a table of numbers: "
     pytest.param("points", "1,2,3\n4,5\n", "error: " + NOT_A_TABLE + "the number of columns", id="points-ragged"),
     pytest.param("points", "1,2,3\nnan,5,6\n", "error: points must be numbers or +-inf, not nan, in {path}\n",
                  id="points-nan"),
+    pytest.param("points", "1,2\n4,5\n", "error: points file {path} has 2 columns; the problem needs m = 3\n",
+                 id="points-columns"),
     pytest.param("X", "1,0,0\n0,x,0\n", "configuration error: X must be a matrix of numbers: " + NOT_A_TABLE,
                  id="X-cell"),
     pytest.param("X", "1,0,0\n0,1\n", "configuration error: X must be a matrix of numbers: " + NOT_A_TABLE,
@@ -911,6 +950,13 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     ({"grid": {"theta_norms": [2.0, 2.0]}}, "theta_norms"),
     ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}}, "theta_norms"),
     ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2"),
+    # past THETA_OVER_SIGMA_MAX or outside SIGMA2_RANGE a risk loses digits
+    ({"grid": {"theta_norms": [0.0, 1e9]}}, "theta_norms"),
+    ({"grid": {"theta_norms": [1e16]}}, "theta_norms"),
+    ({"grid": {"theta_norms": [2.0], "sigma2": [1.0, 1e-100]}}, "theta_norms"),
+    ({"grid": {"sigma2": [1e200]}}, "sigma2"),
+    ({"grid": {"sigma2": [1.0, 1e-200]}}, "sigma2"),
+    ({"grid": {"sigma2": [0.0]}}, "sigma2"),
     # values a prior cannot take fail at load, also for subcommands that build no prior
     ({"prior": {"nu": -1}}, "nu"),
     ({"prior": {"nu": 0}}, "nu"),

@@ -27,7 +27,6 @@ from shrinkpred.predictive import (
     alpha_limit_check,
     best_invariant_kernel,
     plugin_bayes_estimators,
-    plugin_density,
     shrinkage_bayes_kernel,
     shrinkage_components,
     stein_variance,
@@ -445,8 +444,7 @@ def test_posterior_integral_oracle():
 
 
 def test_self_normalization_is_exact(prob_m1):
-    est = umvu_estimators(prob_m1, CanonicalObservation(np.array([0.2]), np.zeros(0), 2.0))
-    proposal = plugin_density(est, prob_m1)
+    proposal = umvu_estimators(prob_m1, CanonicalObservation(np.array([0.2]), np.zeros(0), 2.0))
 
     def target(pts):
         return proposal.log_unnormalized(pts) + proposal.log_const
@@ -476,8 +474,7 @@ def test_se_scales_with_sample_size(prob_m3, obs_m3):
 
 
 def test_ess_guard_trips(prob_m1):
-    est = umvu_estimators(prob_m1, CanonicalObservation(np.array([0.0]), np.zeros(0), 5.0))
-    proposal = plugin_density(est, prob_m1)
+    proposal = umvu_estimators(prob_m1, CanonicalObservation(np.array([0.0]), np.zeros(0), 5.0))
     with pytest.raises(UnreliableNormalizationError):
         normalize_density(lambda pts: np.zeros(pts.shape[0]), proposal, 50_000, seed=8)
 
@@ -663,19 +660,18 @@ def test_plugin_invariants_random(prob_m3, rng):
         assert np.all(np.abs(est.theta_hat) <= np.abs(obs.v) + 1e-15)
 
 
-def test_plugin_density_normal_facts(prob_m1):
+def test_plugin_estimate_normal_facts(prob_m1):
     est = plugin_bayes_estimators(
         PriorSpec.from_problem(prob_m1, nu=0.3),
         CanonicalObservation(np.array([1.2]), np.zeros(0), 2.5),
     )
-    dens = plugin_density(est, prob_m1)
-    total, _ = integrate.quad(lambda y: math.exp(dens.log_density(np.array([y]))), -np.inf, np.inf)
+    total, _ = integrate.quad(lambda y: math.exp(est.log_density(np.array([y]))), -np.inf, np.inf)
     assert total == pytest.approx(1.0, abs=1e-8)
     mean = prob_m1.Q @ est.theta_hat
-    at_mean = dens.log_density(mean)
+    at_mean = est.log_density(mean)
     assert at_mean == pytest.approx(-0.5 * math.log(2 * math.pi * est.sigma2_hat), rel=1e-12)
     for eps in (0.1, -0.2, 1.0):
-        assert dens.log_density(mean + eps) < at_mean
+        assert est.log_density(mean + eps) < at_mean
 
 
 def test_umvu(prob_m3):

@@ -29,9 +29,10 @@ from shrinkpred.predictive import (
     PriorSpec,
     best_invariant_kernel,
     plugin_bayes_estimators,
-    plugin_density,
     shrinkage_bayes_kernel,
     shrinkage_components,
+    stein_variance,
+    stein_variance_star,
     umvu_estimators,
 )
 import shrinkpred.quad as quad_module
@@ -41,11 +42,10 @@ from shrinkpred.risk import (
     RiskEstimate,
     alpha_divergence_loss,
     d1_loss_plugin,
-    kernel_scorer,
     minimax_risk,
-    plugin_scorer,
     risk_d1_mc,
     risk_mc,
+    scorer,
 )
 
 from conftest import synthetic_problem
@@ -160,8 +160,7 @@ def test_minimax_risk_two_dof_euler():
 
 def test_divergence_zero_when_equal(prob_m3):
     theta = np.array([0.4, -1.0, 2.0])
-    truth_est = PluginEstimate(theta_hat=theta, sigma2_hat=1.0)
-    phat = plugin_density(truth_est, prob_m3)
+    phat = PluginEstimate(prob_m3, theta, 1.0)
     for alpha in (-1.0, -0.3, 0.5, 1.0):
         est = alpha_divergence_mc(phat, theta, 1.0, prob_m3, alpha, 5000, seed=1)
         assert abs(est.mean) <= max(3 * est.std_error, 1e-12)
@@ -172,7 +171,7 @@ def test_divergence_gaussian_kl_oracle(prob_m3):
     theta = np.zeros(3)
     delta = np.array([0.6, -0.2, 0.1])
     sigma2 = 1.3
-    phat = plugin_density(PluginEstimate(theta + delta, sigma2), prob_m3)
+    phat = PluginEstimate(prob_m3, theta + delta, sigma2)
     est = alpha_divergence_mc(phat, theta, 1.0 / sigma2, prob_m3, -1.0, 40_000, seed=2)
     want = float(delta @ delta) / (2 * sigma2)
     assert abs(est.mean - want) < 3 * est.std_error
@@ -181,9 +180,8 @@ def test_divergence_gaussian_kl_oracle(prob_m3):
 def test_divergence_alpha_one_matches_closed_form(prob_m3):
     theta = np.array([1.0, 0.0, -0.5])
     sigma2 = 0.7
-    est_plug = PluginEstimate(np.array([0.7, 0.2, -0.4]), 0.9)
-    phat = plugin_density(est_plug, prob_m3)
-    mc = alpha_divergence_mc(phat, theta, 1.0 / sigma2, prob_m3, 1.0, 40_000, seed=3)
+    est_plug = PluginEstimate(prob_m3, np.array([0.7, 0.2, -0.4]), 0.9)
+    mc = alpha_divergence_mc(est_plug, theta, 1.0 / sigma2, prob_m3, 1.0, 40_000, seed=3)
     want = d1_loss_plugin(est_plug.theta_hat, est_plug.sigma2_hat, theta, sigma2, 3)
     assert abs(mc.mean - want) < 3 * mc.std_error
 
@@ -191,9 +189,9 @@ def test_divergence_alpha_one_matches_closed_form(prob_m3):
 def test_divergence_nonnegative_up_to_noise(prob_m3, rng):
     for i in range(10):
         theta = rng.standard_normal(3)
-        est = PluginEstimate(theta + 0.3 * rng.standard_normal(3), rng.uniform(0.5, 2.0))
+        est = PluginEstimate(prob_m3, theta + 0.3 * rng.standard_normal(3), rng.uniform(0.5, 2.0))
         alpha = rng.uniform(-1.0, 1.0)
-        out = alpha_divergence_mc(plugin_density(est, prob_m3), theta, 1.0, prob_m3, alpha, 2000, seed=i)
+        out = alpha_divergence_mc(est, theta, 1.0, prob_m3, alpha, 2000, seed=i)
         assert out.mean >= -3 * out.std_error
 
 
@@ -212,7 +210,7 @@ def test_umvu_risk_matches_constant(prob_m3):
 
 def test_oracle_cheat_has_zero_risk(prob_m3):
     params = CanonicalParams(theta=np.array([1.0, 2.0, 3.0]), mu=np.zeros(0), eta=2.0)
-    cheat = lambda obs: PluginEstimate(params.theta, params.sigma2)
+    cheat = lambda obs: PluginEstimate(prob_m3, params.theta, params.sigma2)
     est = risk_d1_mc(cheat, prob_m3, params, 200, seed=0)
     assert est.mean == 0.0 and est.std_error == 0.0
 
@@ -227,7 +225,7 @@ def test_risk_se_scaling(prob_m3):
 def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
     # invariance: same risk at well separated parameter points
     alpha = 0.0
-    score = kernel_scorer(lambda obs: best_invariant_kernel(prob_m3, obs, alpha), alpha)
+    score = scorer(lambda obs: best_invariant_kernel(prob_m3, obs, alpha), alpha)
     e1 = np.array([5.0, 0.0, 0.0])
     points = [(np.zeros(3), 1.0), (e1, 1.0), (np.zeros(3), 0.5), (e1, 4.0)]
     outs = []
@@ -257,10 +255,7 @@ def _two_rules(problem, alpha):
 
 def _two_scorers(problem, alpha):
     """risk_mc's scorers of _two_rules: the closed-form plug-in loss at 1, the exact kernel loss below."""
-    rules = _two_rules(problem, alpha)
-    if alpha == 1.0:
-        return {name: plugin_scorer(rule, problem.m) for name, rule in rules.items()}
-    return {name: kernel_scorer(rule, alpha) for name, rule in rules.items()}
+    return {name: scorer(rule, alpha) for name, rule in _two_rules(problem, alpha).items()}
 
 
 def _risks(scorers, problem, points, reps, seed):
@@ -347,7 +342,7 @@ def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
     scorers = list(_two_scorers(prob_m3, alpha).values())
     if alpha == 1.0:
-        scorers.append(plugin_scorer(lambda obs: PluginEstimate(np.zeros(3), 1.0), prob_m3.m))
+        scorers.append(scorer(lambda obs: PluginEstimate(prob_m3, np.zeros(3), 1.0), 1.0))
     out = risk_mc(scorers, prob_m3, _three_points(prob_m3), reps, seed=8)
     assert out.shape == (3, len(scorers), reps)
     assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
@@ -361,7 +356,7 @@ def _scored_rows(problem, params, reps, seed):
         seen.append(obs)
         return umvu_estimators(problem, obs)
 
-    risk_mc([plugin_scorer(record, problem.m)], problem, [params], reps, seed)
+    risk_mc([scorer(record, 1.0)], problem, [params], reps, seed)
     return np.concatenate([o.v for o in seen]), np.concatenate([o.s for o in seen])
 
 
@@ -413,13 +408,13 @@ def test_minimum_replication_counts(prob_m3):
     with pytest.raises(ValueError):
         risk_d1_mc(proc, prob_m3, params, reps=50, seed=0)
     with pytest.raises(ValueError):
-        risk_mc([kernel_scorer(lambda o: best_invariant_kernel(prob_m3, o, 0.0), 0.0)],
+        risk_mc([scorer(lambda o: best_invariant_kernel(prob_m3, o, 0.0), 0.0)],
                 prob_m3, [params], reps=10, seed=0)
     # risk_mc knows no alpha, so its floor is 50 rows for every scorer
     with pytest.raises(ValueError, match="at least 50"):
-        risk_mc([plugin_scorer(proc, prob_m3.m)], prob_m3, [params], reps=49, seed=0)
-    assert risk_mc([plugin_scorer(proc, prob_m3.m)], prob_m3, [params], reps=50, seed=0).shape == (1, 1, 50)
-    phat = plugin_density(PluginEstimate(np.zeros(3), 1.0), prob_m3)
+        risk_mc([scorer(proc, 1.0)], prob_m3, [params], reps=49, seed=0)
+    assert risk_mc([scorer(proc, 1.0)], prob_m3, [params], reps=50, seed=0).shape == (1, 1, 50)
+    phat = PluginEstimate(prob_m3, np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
 
@@ -454,7 +449,7 @@ def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypat
     # rule that fails is the one of its Frullani integrals
     monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    score = kernel_scorer(lambda o: best_invariant_kernel(prob_m3, o, -1.0), -1.0)
+    score = scorer(lambda o: best_invariant_kernel(prob_m3, o, -1.0), -1.0)
     with pytest.raises(UnreliableNormalizationError, match="n vs 2n") as raised:
         risk_mc([score], prob_m3, [params], 60, seed=2)
     assert "_expected_log" in [entry.name for entry in raised.traceback]
@@ -463,9 +458,48 @@ def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypat
 def test_rule_alpha_must_match(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     block = simulate_observation(prob_m3, [params], 2)[0][:60]
-    for score in (kernel_scorer(rule, 0.0) for rule in _two_rules(prob_m3, 0.5).values()):
+    for score in (scorer(rule, 0.0) for rule in _two_rules(prob_m3, 0.5).values()):
         with pytest.raises(ValueError, match="alpha = 0.5, not 0.0"):
             score(block, params)
+    # a plug-in estimate is the alpha = 1 density, so scoring it below 1 is the same error
+    with pytest.raises(ValueError, match="alpha = 1.0, not 0.0"):
+        scorer(lambda obs: umvu_estimators(prob_m3, obs), 0.0)(block, params)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12, case):
+    # one loss for every alpha: a plug-in estimate's alpha_divergence_loss is the closed form d1_loss_plugin, bit
+    # for bit on a block and on each of its rows, and one row's log density is that of N_m(Q theta_hat, sigma2_hat I)
+    problem = prob_m3 if case == "I" else case2_problem_n12
+    prior = PriorSpec.from_problem(problem, nu=0.25)
+    params = _three_points(problem)[1]
+    block = simulate_observation(problem, [params], seed=6)[0][:30]
+    ys = 2.0 * np.random.default_rng(4).standard_normal((7, problem.m))
+    rules = {"umvu": umvu_estimators, "stein_variance": stein_variance}
+    if case == "II":
+        rules["stein_variance_star"] = stein_variance_star
+    rules = {name: functools.partial(rule, problem) for name, rule in rules.items()}
+    rules["shrink_plugin"] = functools.partial(plugin_bayes_estimators, prior)
+    for name, rule in rules.items():
+        est = rule(block)
+        assert est.alpha == 1.0 and est.problem is problem
+        got = alpha_divergence_loss(est, params.theta, params.eta)
+        assert np.array_equal(got, d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, params.sigma2,
+                                                  problem.m)), name
+        for i in range(block.s.size):
+            row = est[i]
+            want = d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, params.sigma2, problem.m)
+            assert alpha_divergence_loss(row, params.theta, params.eta) == want == got[i], (name, i)
+            # |y - Q theta_hat|^2 in einsum's order, which is not left to right for m = 3
+            r, s2 = ys - problem.Q @ row.theta_hat, row.sigma2_hat
+            normal = (-(problem.m / 2) * math.log(2 * math.pi * s2) - np.einsum("ij,ij->i", r, r) / (2 * s2)).tolist()
+            assert row.log_density(ys).tolist() == normal, (name, i)
+            assert row.log_density(ys[0]) == normal[0]
+        for evaluate in (est.log_density, est.log_unnormalized):
+            with pytest.raises(ValueError, match="index it first"):
+                evaluate(ys)
+        with pytest.raises(ValueError, match="index it first"):
+            est.log_const
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.3])
