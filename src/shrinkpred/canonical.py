@@ -77,20 +77,41 @@ class RankDeficiencyError(ValueError):
     """Design matrix rank deficient beyond tolerance."""
 
 
+def _check_seed(value: int, name: str = "seed") -> int:
+    """value as an int, once it fits a 64-bit key word of the generator (one outside [0, 2^64) aliases one inside)."""
+    if not 0 <= int(value) < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2^64), got {value}")
+    return int(value)
+
+
 def replication_rng(master_seed: int, rep_index: int = 0, stream: int = STREAM_OBSERVATION) -> Generator:
-    """Counter-based generator keyed by (master_seed, rep_index).
+    """Counter-based generator keyed by (master_seed, rep_index), each a 64-bit key word in [0, 2^64).
 
     Distinct (seed, index) pairs map to distinct Philox keys, so draws are
     reproducible in any execution order.  The index is a block index on
     the observation stream and a replication index elsewhere; ``stream``
-    separates uses of the same key by offsetting the counter.  Each key word
-    must lie in [0, 2^64); one outside would alias a key inside it.
+    separates uses of the same key by offsetting the counter.
     """
-    master_seed, rep_index = int(master_seed), int(rep_index)
-    if not (0 <= master_seed < 1 << 64 and 0 <= rep_index < 1 << 64):
-        raise ValueError(f"seed and index must lie in [0, 2^64), got ({master_seed}, {rep_index})")
-    key = (master_seed << 64) | rep_index
+    key = (_check_seed(master_seed) << 64) | _check_seed(rep_index, "index")
     return Generator(Philox(key=key, counter=int(stream) << 192))
+
+
+# Risks depend on (theta, sigma2) only through theta/sigma, and past these bounds a point loses digits.  Above
+# THETA_OVER_SIGMA_MAX, V = theta + sigma sqrt(d) z rounds the noise away (and V* = mu + sigma z*): umvu's risk on
+# as1_desk (seed 1) is 1.2e-10 off its theta = 0 value at 1e8 and 1.1e-9 at 1e9.  SIGMA2_RANGE stays a factor 1e50
+# inside 2^-532 and 2^532, where the exact losses underflow and overflow; up to 2^+-500 the alpha = 1, 0 and -1 risks
+# equal the sigma2 = 1 risks at theta/sigma within 1e-12, and alpha = 0.99 within 3.3e-8 (A log s rounds absolutely).
+THETA_OVER_SIGMA_MAX = 1e8
+SIGMA2_RANGE = (1e-100, 1e100)
+
+
+def _check_scale(sigma2: float, norm: float = 0.0, name: str = "|theta|", slack: float = 0.0) -> None:
+    """Raise unless sigma2 is in SIGMA2_RANGE and norm (of name) at most THETA_OVER_SIGMA_MAX sigma, up to slack."""
+    lo, hi = SIGMA2_RANGE
+    if not lo * (1.0 - slack) <= sigma2 <= hi * (1.0 + slack):
+        raise ValueError(f"sigma2 must be in [{lo:g}, {hi:g}], got {sigma2!r}")
+    if not norm / np.sqrt(sigma2) <= THETA_OVER_SIGMA_MAX * (1.0 + slack):
+        raise ValueError(f"{name} must be at most {THETA_OVER_SIGMA_MAX:g} sigma, got {norm!r} at sigma2 = {sigma2!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +229,7 @@ class CanonicalObservation:
 
 @dataclass(frozen=True)
 class CanonicalParams:
-    """Canonical parameters: theta (l-vector), mu ((k-l)-vector), precision eta."""
+    """Canonical parameters: theta (l-vector), mu ((k-l)-vector), eta; held to THETA_OVER_SIGMA_MAX and SIGMA2_RANGE."""
 
     theta: np.ndarray
     mu: np.ndarray
@@ -220,6 +241,9 @@ class CanonicalParams:
         object.__setattr__(self, "eta", float(self.eta))
         if not self.eta > 0:
             raise ValueError("eta must be positive")
+        # to within the rounding of forming theta and eta: at the cap along (1, 1, 1) |theta| is an ulp above it
+        for name, part in (("|theta|", self.theta), ("|mu|", self.mu)):
+            _check_scale(self.sigma2, float(np.linalg.norm(part)), name, slack=1e-12)
 
     @property
     def sigma2(self) -> float:
@@ -348,9 +372,8 @@ def to_canonical(problem: CanonicalProblem, beta_hat: np.ndarray, s: float) -> C
 
 
 def params_to_canonical(problem: CanonicalProblem, beta: np.ndarray, sigma2: float) -> CanonicalParams:
-    """Map (beta, sigma2) into canonical coordinates."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    """Map (beta, sigma2), sigma2 in SIGMA2_RANGE, into canonical coordinates."""
+    _check_scale(sigma2)
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.shape != (problem.k,):
         raise ValueError(f"beta has length {beta.shape[0]}, expected k={problem.k}")

@@ -31,6 +31,8 @@ from .canonical import (
     CanonicalParams,
     CanonicalProblem,
     RankDeficiencyError,
+    _check_scale,
+    _check_seed,
     as1_design,
     as1_problem,
     canonicalize,
@@ -43,8 +45,9 @@ from .canonical import (
     replication_rng,
 )
 from .predictive import (
-    ALPHA_MAX,
     PriorSpec,
+    _check_alpha,
+    _check_prior_weights,
     best_invariant_kernel,
     plugin_bayes_estimators,
     shrinkage_bayes_kernel,
@@ -182,13 +185,6 @@ def _parse_design(doc: dict) -> DesignConfig:
     return cfg
 
 
-def _seed(seed: int) -> int:
-    """The master seed, checked to fit the generator's 64-bit key word, past which seeds would alias."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
-
-
 def _load_csv(path: str, key: str) -> np.ndarray:
     """The rows of the comma-separated file at path, as a 2-D float array; a file that is not one names key."""
     with warnings.catch_warnings():
@@ -220,13 +216,6 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
 
 _DESIGN_TYPE_KEYS = {"as1": {"m", "k", "N", "xtilde"}, "explicit": {"X", "Xtilde"}}
 _DENSITY_TYPES = ("best_invariant", "shrinkage_bayes", "plugin")
-# Risks depend on (theta, sigma2) only through theta/sigma, and past these bounds a grid point loses digits.  Above
-# THETA_OVER_SIGMA_MAX, V = theta + sigma sqrt(d) z rounds the noise away: umvu's risk on as1_desk (seed 1) is 1.2e-10
-# off its theta = 0 value at 1e8 and 1.1e-9 at 1e9.  SIGMA2_RANGE stays a factor 1e50 inside 2^-532 and 2^532, where
-# the exact losses underflow and overflow; up to 2^+-500 the alpha = 1, 0 and -1 risks equal the sigma2 = 1 risks at
-# theta/sigma within 1e-12, and alpha = 0.99 within 3.3e-8 (its A log s terms round in absolute terms).
-THETA_OVER_SIGMA_MAX = 1e8
-SIGMA2_RANGE = (1e-100, 1e100)
 
 
 def _section(doc, cls, name: str) -> dict:
@@ -244,10 +233,10 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         doc = _section(json.load(fh), ExperimentConfig, "configuration")
     cfg = ExperimentConfig()
-    cfg.seed = _seed(read_int(doc, "seed", cfg.seed))
+    cfg.seed = _check_seed(read_int(doc, "seed", cfg.seed))
     if "design" in doc:
         cfg.design = _parse_design(_section(doc["design"], DesignConfig, "design"))
-    # a value no prior can take fails here, also for subcommands that build none
+    # a value no prior can take fails here (the prior's own checks), also for subcommands that build none
     pr, prior = _section(doc.get("prior", {}), PriorConfig, "prior"), cfg.prior
     c = pr.get("c", prior.c)
     if c != "identity":
@@ -257,12 +246,12 @@ def load_config(path: str) -> ExperimentConfig:
             raise ValueError(f'c must be "identity", a finite number or a list of finite numbers, got {c!r}') from None
         bounds_mod.prior_scale(prior.c)  # the prior needs C >= I
     prior.nu = read_number(pr, "nu", prior.nu)
-    if prior.nu is not None and not prior.nu > 0:
-        raise ValueError(f"nu must be positive, got {prior.nu!r}")
-    prior.gamma_prior = read_number(pr, "gamma_prior", prior.gamma_prior, low=1.0)
+    prior.gamma_prior = read_number(pr, "gamma_prior", prior.gamma_prior)
+    _check_prior_weights(prior.nu, prior.gamma_prior)
     cfg.alphas = read_array(doc, "alphas", 1, cfg.alphas).tolist()
-    if not all(-1.0 <= a <= ALPHA_MAX or a == 1.0 for a in cfg.alphas):
-        raise ValueError(f"alphas must each lie in [-1, {ALPHA_MAX}] or be 1, got {cfg.alphas}")
+    for alpha in cfg.alphas:
+        if alpha != 1.0:  # 1 runs the plug-in rules, any other alpha the density kernels
+            _check_alpha(alpha, "alphas other than 1")
     gr, grid = _section(doc.get("grid", {}), GridConfig, "grid"), cfg.grid
     grid.theta_directions = read_array(gr, "theta_directions", 2, grid.theta_directions).tolist()
     grid.theta_norms = read_array(gr, "theta_norms", 1, grid.theta_norms).tolist()
@@ -274,12 +263,9 @@ def load_config(path: str) -> ExperimentConfig:
     # a negative norm would label the opposite direction's point
     if any(t < 0 for t in grid.theta_norms):
         raise ValueError("theta_norms must be nonnegative")
-    lo, hi = SIGMA2_RANGE
-    if not all(lo <= s <= hi for s in grid.sigma2):
-        raise ValueError(f"sigma2 must be in [{lo:g}, {hi:g}], got {grid.sigma2}")
-    norm, s2 = max(grid.theta_norms, default=0.0), min(grid.sigma2, default=1.0)
-    if norm / math.sqrt(s2) > THETA_OVER_SIGMA_MAX:
-        raise ValueError(f"theta_norms must be at most {THETA_OVER_SIGMA_MAX:g} sigma, got {norm!r} at sigma2 = {s2!r}")
+    # every grid point keeps to CanonicalParams's bounds; the largest norm at the smallest sigma2 comes nearest the cap
+    _check_scale(max(grid.sigma2, default=1.0))
+    _check_scale(min(grid.sigma2, default=1.0), max(grid.theta_norms, default=0.0), "theta_norms")
     cfg.reps = read_int(doc, "reps", cfg.reps)
     cfg.reps_outer = read_int(doc, "reps_outer", cfg.reps_outer)
     # reps drives the alpha = 1 rows and reps_outer the alpha < 1 ones; each is checked where used
@@ -297,11 +283,7 @@ def load_config(path: str) -> ExperimentConfig:
     # the plug-in normal is the alpha = 1 density; the other two are built for alpha < 1
     if density.type == "plugin" and "alpha" in dn:
         raise ValueError("alpha must be left out for type 'plugin', the alpha = 1 plug-in normal")
-    density.alpha = read_number(dn, "alpha", density.alpha)
-    if not -1.0 <= density.alpha < 1.0:
-        raise ValueError(f"alpha must lie in [-1, 1) for type {density.type!r}, got {density.alpha!r}")
-    if density.alpha > ALPHA_MAX:
-        raise ValueError(f"alpha must be at most {ALPHA_MAX} for type {density.type!r}, got {density.alpha!r}")
+    density.alpha = _check_alpha(read_number(dn, "alpha", density.alpha))
     for key, types, what in (("problem", (str, dict), "a path or a JSON object"),
                              ("observation", (str, dict), "a path or a JSON object"),
                              ("points", str, "a path to a CSV file")):
@@ -401,16 +383,12 @@ def run_identity_suite(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK if results["all_pass"] else EXIT_IDENTITY
 
 
-def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple[np.ndarray, float, int, float]]:
-    """Cross the configured directions, norms and variances into (theta, norm, direction, sigma2).
+def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple[CanonicalParams, float, int, float]]:
+    """Cross the configured directions, norms and variances into (params, norm, direction, sigma2).
 
     direction indexes grid.theta_directions (0 when none are configured, and for theta = 0)."""
     l = problem.l
-    dirs = [np.asarray(v) for v in cfg.grid.theta_directions]
-    if not dirs:
-        e1 = np.zeros(l)
-        e1[0] = 1.0
-        dirs = [e1]
+    dirs = [np.asarray(v) for v in cfg.grid.theta_directions] or [np.eye(l)[0]]
     for v in dirs:
         if v.shape != (l,):
             raise ValueError(f"theta directions must have length l = {l}")
@@ -418,11 +396,10 @@ def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple
             raise ValueError("theta directions must be nonzero")
     points = []
     for norm in cfg.grid.theta_norms:
-        chosen = dirs if norm != 0.0 else dirs[:1]
-        for index, direction in enumerate(chosen):
+        for index, direction in enumerate(dirs if norm != 0.0 else dirs[:1]):
             theta = norm * direction / np.linalg.norm(direction)
-            for s2 in cfg.grid.sigma2:
-                points.append((theta, norm, index, s2))
+            points += [(CanonicalParams(theta=theta, mu=np.zeros(problem.k - l), eta=1.0 / s2), norm, index, s2)
+                       for s2 in cfg.grid.sigma2]
     return points
 
 
@@ -445,8 +422,7 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     if problem.case == "II":
         plugin_rules["stein_variance_star"] = functools.partial(stein_variance_star, problem)
 
-    grid = [CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)
-            for theta, _, _, s2 in points]
+    grid = [params for params, *_ in points]
     lines = ["procedure,alpha,theta_norm,theta_direction,sigma2,reps,risk_mean,risk_se,"
              "minimax_risk,below_baseline_3se"]
     for alpha in cfg.alphas:
@@ -489,14 +465,6 @@ def _json_doc(value):
         with open(value) as fh:
             return json.load(fh)
     return value
-
-
-def _observation(doc) -> CanonicalObservation:
-    """The density section's observation: finite v and v_star (the rule checks their lengths), s > 0, no other key."""
-    s = read_number(_section(doc, CanonicalObservation, "observation"), "s")
-    if not s > 0:
-        raise ValueError(f"s must be a finite number > 0, got {s!r}")
-    return CanonicalObservation(v=read_array(doc, "v", 1), v_star=read_array(doc, "v_star", 1, []), s=s)
 
 
 # Exact '%.17g' in numpy for 1e-6 < |x| < 1e17 (the double 1e-6 lies below 10^-6, so every such
@@ -599,7 +567,9 @@ def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         if getattr(section, key) is None:
             raise ValueError(f"{key} must be given in the density section")
     problem = problem_from_dict(_json_doc(section.problem))
-    obs = _observation(_json_doc(section.observation))
+    # finite v, v_star and s, no other key; the density's rule checks their lengths and s > 0
+    doc = _section(_json_doc(section.observation), CanonicalObservation, "observation")
+    obs = CanonicalObservation(read_array(doc, "v", 1), read_array(doc, "v_star", 1, []), read_number(doc, "s"))
     points = _load_csv(section.points, "points")
     if points.shape[1] != problem.m:
         raise ValueError(f"points file {section.points} has {points.shape[1]} columns; "
@@ -668,7 +638,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = _seed(args.seed)
+            cfg.seed = _check_seed(args.seed)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

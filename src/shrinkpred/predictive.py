@@ -61,12 +61,11 @@ class DegenerateObservationError(ValueError):
 ALPHA_MAX = 0.999
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float, name: str = "alpha") -> float:
+    """alpha as a float, once a density kernel can be built at it (alpha = 1 takes a plug-in estimate instead)."""
     alpha = float(alpha)
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is not supported here; use a plug-in estimate")
     if not -1.0 <= alpha <= ALPHA_MAX:
-        raise ValueError(f"alpha must lie in [-1, {ALPHA_MAX}], got {alpha!r}")
+        raise ValueError(f"{name} must lie in [-1, {ALPHA_MAX}], got {alpha!r}")
     return alpha
 
 
@@ -77,7 +76,7 @@ def _check_obs(problem: CanonicalProblem, obs: CanonicalObservation) -> float | 
         if value.shape[-1] != size:
             raise ValueError(f"{key} must have {name} = {size} entries, got shape {value.shape}")
     if np.any(obs.s <= 0):
-        raise DegenerateObservationError("observation has s = 0")
+        raise DegenerateObservationError(f"s must be positive, got {float(np.min(obs.s))!r}")
     return obs.s
 
 
@@ -152,6 +151,14 @@ class _SpectralScale:
 # ---------------------------------------------------------------------------
 
 
+def _check_prior_weights(nu: float | None, gamma_prior: float) -> None:
+    """Raise unless nu (None: the domination cap, set later) is positive and finite, and gamma_prior finite and >= 1."""
+    if nu is not None and not 0 < nu < math.inf:  # the prior's integrability floor a > -k/2 - 1
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
+    if not 1 <= gamma_prior < math.inf:
+        raise ValueError(f"gamma_prior must be finite and >= 1, got {gamma_prior!r}")
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """The hierarchical shrinkage prior of one problem.
@@ -174,10 +181,9 @@ class PriorSpec:
         c = prior_scale(self.c, self.problem.l)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        if not 0 < self.nu < math.inf:  # the prior's integrability floor a > -k/2 - 1
-            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
-        if not 1 <= self.gamma_prior < math.inf:
-            raise ValueError(f"gamma_prior must be finite and >= 1, got {self.gamma_prior!r}")
+        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "gamma_prior", float(self.gamma_prior))
+        _check_prior_weights(self.nu, self.gamma_prior)
 
     @property
     def a(self) -> float:
@@ -200,7 +206,7 @@ class PriorSpec:
             if not nb.positive:
                 raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
             nu = nb.nu_max
-        return cls(problem=problem, c=c, nu=float(nu), gamma_prior=float(gamma_prior))
+        return cls(problem=problem, c=c, nu=nu, gamma_prior=gamma_prior)
 
     @classmethod
     def minimax_default(cls, problem: CanonicalProblem, gamma_prior: float = 1.0) -> "PriorSpec":

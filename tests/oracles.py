@@ -21,13 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from shrinkpred.canonical import (
-    STREAM_DIVERGENCE,
-    STREAM_IDENTITY,
-    STREAM_NORMALIZATION,
-    CanonicalProblem,
-    replication_rng,
-)
+from shrinkpred.canonical import STREAM_DIVERGENCE, STREAM_IDENTITY, STREAM_NORMALIZATION, replication_rng
 from shrinkpred.identities import CHISQ_DOF, CHISQ_NUMERATOR_DOF
 from shrinkpred.predictive import DegenerateObservationError, PluginEstimate, PredictiveKernel
 from shrinkpred.quad import UnreliableNormalizationError
@@ -112,13 +106,12 @@ def alpha_divergence_mc(
     phat: PredictiveKernel | PluginEstimate,
     theta,
     eta: float,
-    problem: CanonicalProblem,
     alpha: float,
     n_mc: int,
     seed: int,
     rep_index: int = 0,
 ) -> RiskEstimate:
-    """Monte Carlo alpha-divergence of phat from the true density N_m(Q theta, I/eta).
+    """Monte Carlo alpha-divergence of phat from the true density N_m(Q theta, I/eta), Q that of phat's problem.
 
     The oracle for risk.alpha_divergence_loss.  phat is one observation's
     density: a PredictiveKernel or a PluginEstimate.  For alpha < 1 the draws
@@ -132,7 +125,7 @@ def alpha_divergence_mc(
     n_mc = int(n_mc)
     if n_mc < 100:
         raise ValueError("n_mc must be at least 100")
-    truth = PluginEstimate(problem, theta, 1.0 / eta)
+    truth = PluginEstimate(phat.problem, theta, 1.0 / eta)
     rng = replication_rng(seed, rep_index, stream=STREAM_DIVERGENCE)
     if alpha == 1.0:
         ys = sample(phat, rng, n_mc)

@@ -1,5 +1,7 @@
 """Canonical reduction: sufficient statistics, both reduction cases, sampling."""
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,8 @@ from scipy.linalg import sqrtm
 
 from shrinkpred.canonical import (
     BLOCK_SIZE,
+    SIGMA2_RANGE,
+    THETA_OVER_SIGMA_MAX,
     CanonicalParams,
     RankDeficiencyError,
     _row_dot,
@@ -291,6 +295,50 @@ def test_params_zero_beta(case2_problem_n12):
 def test_params_nonpositive_sigma2_rejected(case2_problem_n12):
     with pytest.raises(ValueError):
         params_to_canonical(case2_problem_n12, np.zeros(3), 0.0)
+
+
+CAP_MESSAGE = re.escape(f"must be at most {THETA_OVER_SIGMA_MAX:g} sigma")
+RANGE_MESSAGE = re.escape(f"sigma2 must be in [{SIGMA2_RANGE[0]:g}, {SIGMA2_RANGE[1]:g}]")
+
+
+@pytest.mark.parametrize("part", ["theta", "mu"])
+@pytest.mark.parametrize("s2", [1.0, 4.0, SIGMA2_RANGE[0]])
+def test_canonical_params_hold_theta_and_mu_to_the_cap(part, s2):
+    # past the cap V = theta + sigma sqrt(d) z (and V* = mu + sigma z*) rounds the noise away
+    def params(ratio):  # l = 1, k - l = 2
+        vec = np.array([ratio * math.sqrt(s2), 0.0])
+        theta, mu = (vec[:1], np.zeros(2)) if part == "theta" else (np.zeros(1), vec)
+        return CanonicalParams(theta=theta, mu=mu, eta=1.0 / s2)
+
+    at_cap = params(THETA_OVER_SIGMA_MAX)
+    assert np.linalg.norm(getattr(at_cap, part)) * math.sqrt(at_cap.eta) == pytest.approx(THETA_OVER_SIGMA_MAX)
+    for ratio in (THETA_OVER_SIGMA_MAX * (1.0 + 1e-9), 1e12, 1e16):
+        with pytest.raises(ValueError, match=rf"^\|{part}\| {CAP_MESSAGE}, got "):
+            params(ratio)
+
+
+def test_canonical_params_hold_sigma2_to_its_range():
+    lo, hi = SIGMA2_RANGE
+    for s2 in (lo, hi):
+        assert CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0 / s2).sigma2 == s2
+    for s2 in (lo * (1.0 - 1e-9), hi * (1.0 + 1e-9), 1e-200, 1e200, 2.0**-600):
+        with pytest.raises(ValueError, match=f"^{RANGE_MESSAGE}, got "):
+            CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0 / s2)
+    for eta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=eta)
+
+
+def test_params_to_canonical_keeps_to_the_scale_bounds(case2_problem_n12):
+    problem, lo, hi = case2_problem_n12, *SIGMA2_RANGE
+    for s2 in (lo, 1.0, hi):
+        assert params_to_canonical(problem, np.zeros(3), s2).eta == 1.0 / s2
+    for s2 in (1e-200, 1e200, lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match=f"^{RANGE_MESSAGE}, got {re.escape(repr(s2))}$"):
+            params_to_canonical(problem, np.zeros(3), s2)
+    # beta far from zero puts theta (and mu, in case II) past the cap at sigma2 = 1
+    with pytest.raises(ValueError, match=CAP_MESSAGE):
+        params_to_canonical(problem, np.full(3, 1e12), 1.0)
 
 
 def test_case2_transform_whitens_coefficient_covariance(case2_problem_n12, case2_design):

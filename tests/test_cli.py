@@ -9,9 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shrinkpred.canonical import BLOCK_SIZE, CanonicalObservation, CanonicalParams, problem_from_dict, problem_to_dict
+from shrinkpred.canonical import (
+    BLOCK_SIZE,
+    SIGMA2_RANGE,
+    THETA_OVER_SIGMA_MAX,
+    CanonicalObservation,
+    CanonicalParams,
+    params_to_canonical,
+    problem_from_dict,
+    problem_to_dict,
+    replication_rng,
+)
 from shrinkpred.bounds import nu_limits
-from shrinkpred.cli import SIGMA2_RANGE, THETA_OVER_SIGMA_MAX, _fmt, build_prior, build_problem, load_config, main
+from shrinkpred.cli import _fmt, build_prior, build_problem, load_config, main
 from shrinkpred.predictive import (
     PriorSpec,
     best_invariant_kernel,
@@ -615,8 +625,8 @@ def test_density_eval_rejects_unknown_observation_keys(tmp_path, capsys, as1_pro
 
 @pytest.mark.parametrize("density, message", [
     ({"type": "plugin", "alpha": 0.0}, "alpha must be left out for type 'plugin', the alpha = 1 plug-in normal"),
-    ({"alpha": 1.0}, "alpha must lie in [-1, 1) for type 'best_invariant', got 1.0"),
-    ({"type": "shrinkage_bayes", "alpha": 1}, "alpha must lie in [-1, 1) for type 'shrinkage_bayes', got 1.0"),
+    ({"alpha": 1.0}, "alpha must lie in [-1, 0.999], got 1.0"),
+    ({"type": "shrinkage_bayes", "alpha": 1}, "alpha must lie in [-1, 0.999], got 1.0"),
 ])
 def test_density_alpha_is_checked_against_its_type_by_every_subcommand(tmp_path, capsys, density, message):
     # the plug-in normal is the alpha = 1 density, on which alpha had no effect; the other two exist for
@@ -727,11 +737,10 @@ def test_kullback_leibler_loss_certificate_failure_exits_4(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"alphas": [0.0, 0.9999]}, "alphas must each lie in [-1, 0.999] or be 1, got [0.0, 0.9999]"),
-    ({"alphas": [0.99999, 1.0]}, "alphas must each lie in [-1, 0.999] or be 1, got [0.99999, 1.0]"),
-    ({"density": {"alpha": 0.9995}}, "alpha must be at most 0.999 for type 'best_invariant', got 0.9995"),
-    ({"density": {"type": "shrinkage_bayes", "alpha": 0.99999}},
-     "alpha must be at most 0.999 for type 'shrinkage_bayes', got 0.99999"),
+    ({"alphas": [0.0, 0.9999]}, "alphas other than 1 must lie in [-1, 0.999], got 0.9999"),
+    ({"alphas": [0.99999, 1.0]}, "alphas other than 1 must lie in [-1, 0.999], got 0.99999"),
+    ({"density": {"alpha": 0.9995}}, "alpha must lie in [-1, 0.999], got 0.9995"),
+    ({"density": {"type": "shrinkage_bayes", "alpha": 0.99999}}, "alpha must lie in [-1, 0.999], got 0.99999"),
 ])
 def test_alpha_between_the_bound_and_one_is_a_configuration_error(tmp_path, capsys, doc, message):
     # nearer 1 the exact loss loses digits its certificate cannot see: alphas = [0.9999] used to exit 0
@@ -969,6 +978,28 @@ def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and re.search(f"{key} must (be|not repeat a value)", err), err
     assert not (tmp_path / "o").exists()
+
+
+OBS = CanonicalObservation(v=[0.5, -0.2, 1.0], v_star=[], s=8.0)
+
+
+@pytest.mark.parametrize("doc, library", [
+    ({"grid": {"theta_norms": [1e9]}}, lambda p: CanonicalParams(theta=[1e9, 0.0, 0.0], mu=[], eta=1.0)),
+    ({"grid": {"sigma2": [1e200]}}, lambda p: params_to_canonical(p, np.zeros(3), 1e200)),
+    ({"alphas": [1.0, 0.9995]}, lambda p: best_invariant_kernel(p, OBS, 0.9995)),
+    ({"density": {"alpha": -1.5}}, lambda p: shrinkage_bayes_kernel(PriorSpec.from_problem(p), OBS, -1.5)),
+    ({"prior": {"nu": -1.0}}, lambda p: PriorSpec.from_problem(p, nu=-1.0)),
+    ({"prior": {"gamma_prior": 0.5}}, lambda p: PriorSpec.from_problem(p, gamma_prior=0.5)),
+    ({"seed": 2**64}, lambda p: replication_rng(2**64)),
+], ids=["theta_norms", "sigma2", "alphas", "alpha", "nu", "gamma_prior", "seed"])
+def test_load_config_states_each_library_rule_in_its_words(tmp_path, as1_problem_n12, doc, library):
+    # load_config calls the library's own checks: only the subject (a config key, or |theta|) may differ
+    with pytest.raises(ValueError) as loaded:
+        load_config(write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **doc)))
+    with pytest.raises(ValueError) as built:
+        library(as1_problem_n12)
+    rule = [str(raised.value).split(" must ", 1)[1] for raised in (loaded, built)]
+    assert rule[0] == rule[1], (loaded.value, built.value)
 
 
 @pytest.mark.parametrize("command", ["bounds", "risk-compare"])

@@ -3,6 +3,7 @@
 import decimal
 import functools
 import math
+import re
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -162,7 +163,7 @@ def test_divergence_zero_when_equal(prob_m3):
     theta = np.array([0.4, -1.0, 2.0])
     phat = PluginEstimate(prob_m3, theta, 1.0)
     for alpha in (-1.0, -0.3, 0.5, 1.0):
-        est = alpha_divergence_mc(phat, theta, 1.0, prob_m3, alpha, 5000, seed=1)
+        est = alpha_divergence_mc(phat, theta, 1.0, alpha, 5000, seed=1)
         assert abs(est.mean) <= max(3 * est.std_error, 1e-12)
 
 
@@ -172,7 +173,7 @@ def test_divergence_gaussian_kl_oracle(prob_m3):
     delta = np.array([0.6, -0.2, 0.1])
     sigma2 = 1.3
     phat = PluginEstimate(prob_m3, theta + delta, sigma2)
-    est = alpha_divergence_mc(phat, theta, 1.0 / sigma2, prob_m3, -1.0, 40_000, seed=2)
+    est = alpha_divergence_mc(phat, theta, 1.0 / sigma2, -1.0, 40_000, seed=2)
     want = float(delta @ delta) / (2 * sigma2)
     assert abs(est.mean - want) < 3 * est.std_error
 
@@ -181,7 +182,7 @@ def test_divergence_alpha_one_matches_closed_form(prob_m3):
     theta = np.array([1.0, 0.0, -0.5])
     sigma2 = 0.7
     est_plug = PluginEstimate(prob_m3, np.array([0.7, 0.2, -0.4]), 0.9)
-    mc = alpha_divergence_mc(est_plug, theta, 1.0 / sigma2, prob_m3, 1.0, 40_000, seed=3)
+    mc = alpha_divergence_mc(est_plug, theta, 1.0 / sigma2, 1.0, 40_000, seed=3)
     want = d1_loss_plugin(est_plug.theta_hat, est_plug.sigma2_hat, theta, sigma2, 3)
     assert abs(mc.mean - want) < 3 * mc.std_error
 
@@ -191,7 +192,7 @@ def test_divergence_nonnegative_up_to_noise(prob_m3, rng):
         theta = rng.standard_normal(3)
         est = PluginEstimate(prob_m3, theta + 0.3 * rng.standard_normal(3), rng.uniform(0.5, 2.0))
         alpha = rng.uniform(-1.0, 1.0)
-        out = alpha_divergence_mc(est, theta, 1.0, prob_m3, alpha, 2000, seed=i)
+        out = alpha_divergence_mc(est, theta, 1.0, alpha, 2000, seed=i)
         assert out.mean >= -3 * out.std_error
 
 
@@ -402,6 +403,22 @@ def test_certificate_failure_propagates(prob_m3, monkeypatch):
         risk_mc(_two_scorers(prob_m3, 0.0).values(), prob_m3, [params], 60, seed=2)
 
 
+@pytest.mark.parametrize("norm, s2, message", [
+    (1e12, 1.0, "|theta| must be at most 1e+08 sigma"), (1e16, 1.0, "|theta| must be at most 1e+08 sigma"),
+    (0.0, 1e-200, "sigma2 must be in [1e-100, 1e+100]"), (0.0, 1e200, "sigma2 must be in [1e-100, 1e+100]"),
+])
+def test_no_point_past_the_scale_bounds_reaches_risk_mc(norm, s2, message):
+    # umvu's risk on as1_desk is the constant 0.5478, yet risk_mc (seed 1, 4096 rows) used to return 0.5425 at
+    # |theta| = 1e12 and 0.5115 at 1e16 without a word; such a point now fails before any row is scored
+    cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json"))
+    cfg.seed = 1
+    problem, _, _ = cli.build_problem(cfg)
+    rule = lambda obs: pytest.fail("a row was scored")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        points = [CanonicalParams(theta=norm * np.eye(problem.l)[0], mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)]
+        risk_mc([scorer(rule, 1.0)], problem, points, BLOCK_SIZE, seed=1)
+
+
 def test_minimum_replication_counts(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     proc = functools.partial(umvu_estimators, prob_m3)
@@ -416,7 +433,7 @@ def test_minimum_replication_counts(prob_m3):
     assert risk_mc([scorer(proc, 1.0)], prob_m3, [params], reps=50, seed=0).shape == (1, 1, 50)
     phat = PluginEstimate(prob_m3, np.zeros(3), 1.0)
     with pytest.raises(ValueError):
-        alpha_divergence_mc(phat, np.zeros(3), 1.0, prob_m3, 0.0, n_mc=50, seed=0)
+        alpha_divergence_mc(phat, np.zeros(3), 1.0, 0.0, n_mc=50, seed=0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0])
@@ -696,11 +713,11 @@ def test_exact_loss_matches_inner_monte_carlo(design):
             for kernel, density in zip(kernels, densities):
                 losses = alpha_divergence_loss(kernel, theta, params.eta)
                 for i in range(8):
-                    mc = alpha_divergence_mc(density(block[i]), theta, params.eta, problem, alpha, 200_000,
+                    mc = alpha_divergence_mc(density(block[i]), theta, params.eta, alpha, 200_000,
                                              seed=31, rep_index=rep)
                     zs.append((losses[i] - mc.mean) / mc.std_error)
                     if abs(zs[-1]) > 4.0:
-                        mc = alpha_divergence_mc(density(block[i]), theta, params.eta, problem, alpha,
+                        mc = alpha_divergence_mc(density(block[i]), theta, params.eta, alpha,
                                                  2_000_000, seed=32, rep_index=rep)
                         rechecked.append((losses[i] - mc.mean) / mc.std_error)
                     rep += 1
