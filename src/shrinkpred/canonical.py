@@ -98,9 +98,9 @@ def replication_rng(master_seed: int, rep_index: int = 0, stream: int = STREAM_O
 
 # Risks depend on (theta, sigma2) only through theta/sigma, and past these bounds a point loses digits.  Above
 # THETA_OVER_SIGMA_MAX, V = theta + sigma sqrt(d) z rounds the noise away (and V* = mu + sigma z*): umvu's risk on
-# as1_desk (seed 1) is 1.2e-10 off its theta = 0 value at 1e8 and 1.1e-9 at 1e9.  SIGMA2_RANGE stays a factor 1e50
-# inside 2^-532 and 2^532, where the exact losses underflow and overflow; up to 2^+-500 the alpha = 1, 0 and -1 risks
-# equal the sigma2 = 1 risks at theta/sigma within 1e-12, and alpha = 0.99 within 3.3e-8 (A log s rounds absolutely).
+# as1_desk (seed 1) is 1.2e-10 off its theta = 0 value at 1e8 and 1.1e-9 at 1e9.  risk.risk_mc scores every point at
+# sigma = 1, so no loss sees sigma2; SIGMA2_RANGE keeps eta = 1/sigma2, theta/sigma and the true-scale draws of
+# simulate_observation (V, V* and S = sigma2 chi2) far inside the float range.
 THETA_OVER_SIGMA_MAX = 1e8
 SIGMA2_RANGE = (1e-100, 1e100)
 
@@ -329,11 +329,18 @@ def canonicalize(X: np.ndarray, Xtilde: np.ndarray) -> CanonicalProblem:
     )
 
 
+def _check_as1(m: int, k: int, N: int) -> None:
+    """Raise unless N copies of an m x k Xtilde form a replicated design: m >= k, a whole N >= 1 and n = N m > k."""
+    if not m >= k:
+        raise ValueError(f"m must be at least k in the replicated design, got m={m}, k={k}")
+    if not (N >= 1 and float(N).is_integer() and N * m > k):
+        raise ValueError(f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k={k}")
+
+
 def as1_design(Xtilde: np.ndarray, N: int) -> np.ndarray:
     """Replicated design: N stacked copies of Xtilde, so X'X = N Xtilde'Xtilde."""
     Xtilde = np.atleast_2d(np.asarray(Xtilde, dtype=float))
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    _check_as1(*Xtilde.shape, N)
     return np.tile(Xtilde, (int(N), 1))
 
 
@@ -347,12 +354,9 @@ def as1_problem(Xtilde: np.ndarray, N: int) -> CanonicalProblem:
     """
     Xtilde = np.atleast_2d(np.asarray(Xtilde, dtype=float))
     m, k = Xtilde.shape
-    if m < k:
-        raise ValueError("replicated design requires m >= k")
+    _check_as1(m, k, N)
     if np.linalg.matrix_rank(Xtilde) < k:
         raise RankDeficiencyError("Xtilde is rank deficient")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
     U, sv, Vt = np.linalg.svd(Xtilde, full_matrices=False)
     root = Vt.T @ np.diag(sv) @ Vt
     Q = U @ Vt  # polar factor Xtilde (Xtilde'Xtilde)^{-1/2}, exactly orthonormal

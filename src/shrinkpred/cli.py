@@ -31,6 +31,7 @@ from .canonical import (
     CanonicalParams,
     CanonicalProblem,
     RankDeficiencyError,
+    _check_as1,
     _check_scale,
     _check_seed,
     as1_design,
@@ -170,10 +171,9 @@ def _parse_design(doc: dict) -> DesignConfig:
         raise ValueError(f"design option(s) {', '.join(map(repr, foreign))} do not apply to type {cfg.type!r}")
     if cfg.type == "as1":
         m, k, N = cfg.m, cfg.k, cfg.N = [read_int(doc, key) for key in ("m", "k", "N")]
-        if not (m >= k >= 3):
-            raise ValueError("the replicated design requires m >= k >= 3")
-        if N < 1 or N * m <= k:
-            raise ValueError(f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k={k}")
+        _check_as1(m, k, N)
+        if k < 3:  # the design is run to show shrinkage domination, which (Stein) needs 3 coefficients or more
+            raise ValueError(f"k must be at least 3 in the replicated design, got k={k}")
         if "xtilde" in doc:
             cfg.xtilde = _matrix(doc, "xtilde")
             if cfg.xtilde.shape != (m, k):
@@ -308,10 +308,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
                     break
             else:
                 raise RankDeficiencyError("no random Xtilde with condition number below 1e6 in 10 draws")
-        X = as1_design(xt, design.N)
-        return as1_problem(xt, design.N), X, xt
-    problem = canonicalize(design.X, design.Xtilde)
-    return problem, design.X, design.Xtilde
+        return as1_problem(xt, design.N), as1_design(xt, design.N), xt
+    return canonicalize(design.X, design.Xtilde), design.X, design.Xtilde
 
 
 def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, float]:

@@ -2,31 +2,28 @@
 
 The divergence family is indexed by alpha in [-1, 1]: alpha = -1 is the
 Kullback-Leibler divergence from the truth to the estimate, alpha = 1 the
-reversed form.  alpha_divergence_loss scores a whole block of densities at
-every alpha.  At alpha = 1 the divergence between a plug-in normal (a
-predictive.PluginEstimate) and the truth has the closed form (L1 + m L2)/2
-combining scale-invariant quadratic loss and entropy loss, and the unbiased
-baseline has the known constant risk (tr D + m (log gamma - psi(gamma)))/2
-with gamma = (n-k)/2.  For alpha < 1 the divergence of a predictive density
-(a predictive.PredictiveKernel) from the truth is computed exactly too:
-Gamma integrals and a Gaussian integral in y leave 1-D or 2-D
-Gauss-Laguerre rules, and at alpha = -1 Frullani integrals, all on the
-certified rules of quad.  The Gaussian integral factors over the
-axes, and axes with equal scales (c2 + d, c2 + e_b) share one factor, so
-a rule's work grows with the number of such spectral groups (one in the
-replicated design), not with m; each row's few coefficients per group
-multiply node-pair arrays fixed per rule.  Risks are then single-level
-Monte Carlo averages of exact losses at every alpha.
+reversed form.  Every loss takes the truth N_m(Q theta, I), in units of
+sigma: risk_mc alone handles scale.  alpha_divergence_loss scores a whole
+block of densities at every alpha.  At alpha = 1 the divergence between a
+plug-in normal (a predictive.PluginEstimate) and the truth has the closed
+form (L1 + m L2)/2 combining scale-invariant quadratic loss and entropy loss,
+and the unbiased baseline has the known constant risk
+(tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2, psi summed in
+closed form.  For alpha < 1 the divergence of a predictive density (a
+predictive.PredictiveKernel) from the truth is computed exactly too: Gamma
+integrals and a Gaussian integral in y leave 1-D or 2-D Gauss-Laguerre
+rules, and at alpha = -1 Frullani integrals, all on the certified rules of
+quad.  The Gaussian integral factors over the axes, and axes with equal
+scales (c2 + d, c2 + e_b) share one factor, so a rule's work grows with the
+number of such spectral groups (one in the replicated design), not with m;
+each row's few coefficients per group multiply node-pair arrays fixed per
+rule.  Risks are then single-level Monte Carlo averages of exact losses at
+every alpha, in numpy alone.
 
-The module uses numpy alone: psi((n-k)/2) is summed in closed form (n - k
-is an integer).
-
-Rows, then reductions: risk_mc scores keyed observation blocks (with
-scorer, at any alpha) into a table of per-row losses, and RiskEstimate.of
-reduces a row by pairwise summation in replication order, so reruns agree
-bit for bit.  The tests check the exact losses against a Monte Carlo
-divergence with its own keyed draws, alpha_divergence_mc in
-tests/oracles.py.
+Rows, then reductions: risk_mc scores keyed observation blocks (with scorer,
+at any alpha) into a table of per-row losses, and RiskEstimate.of reduces a
+row by pairwise summation in replication order, so reruns agree bit for bit.
+The exact losses' oracle is tests/oracles.py's alpha_divergence_mc.
 """
 
 from __future__ import annotations
@@ -90,18 +87,17 @@ class RiskEstimate:
 # Closed-form losses
 # ---------------------------------------------------------------------------
 
-def d1_loss_plugin(theta_hat, sigma2_hat, theta, sigma2: float, m: int):
-    """Closed-form alpha = 1 divergence of a plug-in normal from the truth.
+def d1_loss_plugin(theta_hat, sigma2_hat, theta, m: int):
+    """Closed-form alpha = 1 divergence of a plug-in normal from the truth N_m(Q theta, I).
 
     Equals (L1 + m L2)/2 with L1 the scale-invariant quadratic loss of the
     mean and L2 the entropy loss of the variance; one loss per row of a block.
     """
     sigma2_hat = np.asarray(sigma2_hat, dtype=float)
-    if np.any(sigma2_hat <= 0) or sigma2 <= 0:
+    if np.any(sigma2_hat <= 0):
         raise ValueError("variances must be positive")
     diff = np.asarray(theta_hat, dtype=float) - np.asarray(theta, dtype=float)
-    ratio = sigma2_hat / sigma2
-    return 0.5 * (_row_dot(diff, diff) / sigma2 + m * (ratio - np.log(ratio) - 1.0))
+    return 0.5 * (_row_dot(diff, diff) + m * (sigma2_hat - np.log(sigma2_hat) - 1.0))
 
 
 def _digamma_half(q: int) -> float:
@@ -145,12 +141,12 @@ def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]
     return out
 
 
-def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Callable[[int, np.ndarray], np.ndarray]:
+def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
     """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of kernel at n nodes per factor.
 
     Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
     after which y integrates as a Gaussian: per axis, with sigma_u = c2 + d,
-    sigma_b = c2 + e_b and kappa = (1-alpha) eta/4, a factor
+    sigma_b = c2 + e_b and kappa = (1-alpha)/4, a factor
     (pi sigma_u sigma_b/P)^(1/2) exp(-(t dv + u db + t u dvb)/P), where
     P = kappa sigma_u sigma_b + sigma_b t + sigma_u u, dv = kappa sigma_b (theta - v)^2,
     db = kappa sigma_u (theta - theta_b)^2 and dvb = (v - theta_b)^2.  The m - l
@@ -170,7 +166,7 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     LOSS_CHUNK // kept at a time.
     """
     alpha, c2, m, l, d = kernel.alpha, kernel.c2, kernel.problem.m, kernel.problem.l, kernel.problem.d
-    beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) * eta / 4.0
+    beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) / 4.0
     s = np.reshape(kernel.s, -1)
     if kernel.o is None:
         e_b, theta_b, o, a_y = d, kernel.v, np.ones_like(s), None
@@ -178,7 +174,7 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
         e_b, theta_b, o, a_y = kernel.e_b, kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0
     v, theta_b = np.reshape(kernel.v, (-1, l)), np.reshape(theta_b, (-1, l))
     log_const = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
-    log_const += (m * (1.0 - alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
+    log_const += (m * (1.0 - alpha) / 4.0) * math.log(1.0 / (2.0 * math.pi))
     scales = list(zip((c2 + d).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)
     groups: dict[tuple[float, float], list[int]] = {}
     for i, key in enumerate(scales):
@@ -216,13 +212,13 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray, eta: float) -> Ca
     return log_i
 
 
-def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta: float) -> np.ndarray:
-    """E log(q(Y) + o) for each row, Y ~ N(Q theta, I/eta), q and o a kernel factor's quadratic form and offset.
+def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> np.ndarray:
+    """E log(q(Y) + o) for each row, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
 
     log(q + o) = log o + int_0^inf e^-t (1 - e^(-t q/o)) dt/t (Frullani), and
-    M(tau) = E e^(-tau q(Y)) = prod_i (1 + 2 tau/(eta sigma_i))^(-1/2)
-    exp(-(tau/sigma_i)(theta_i - mu_i)^2/(1 + 2 tau/(eta sigma_i))) times
-    (1 + 2 tau/(eta c2))^(-(m-l)/2), sigma_i = c2 + e_i and mu the factor's
+    M(tau) = E e^(-tau q(Y)) = prod_i (1 + 2 tau/sigma_i)^(-1/2)
+    exp(-(tau/sigma_i)(theta_i - mu_i)^2/(1 + 2 tau/sigma_i)) times
+    (1 + 2 tau/c2)^(-(m-l)/2), sigma_i = c2 + e_i and mu the factor's
     center.  The t-integral is positive and runs on z = log t by quad.log_trapezoid.
     """
     c2, m, l = kernel.c2, kernel.problem.m, kernel.problem.l
@@ -233,39 +229,39 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray, eta
     def g(z: np.ndarray, rows: slice) -> np.ndarray:
         t = np.exp(z)
         tau = t / o[rows, None]
-        grow = 2.0 * tau[..., None] / (eta * sigma)
+        grow = 2.0 * tau[..., None] / sigma
         log_m = (-0.5 * np.log1p(grow) - tau[..., None] * dev[rows, None] / (1.0 + grow)).sum(axis=-1)
-        log_m -= ((m - l) / 2.0) * np.log1p(2.0 * tau / (eta * c2))
+        log_m -= ((m - l) / 2.0) * np.log1p(2.0 * tau / c2)
         return -t + np.log(-np.expm1(log_m))
 
     return np.log(o) + np.exp(log_trapezoid(g, o.size))
 
 
-def alpha_divergence_loss(density: PredictiveKernel | PluginEstimate, theta, eta: float) -> float | np.ndarray:
-    """Exact alpha-divergence of each row's predictive density from the truth N_m(Q theta, I/eta).
+def alpha_divergence_loss(density: PredictiveKernel | PluginEstimate, theta) -> float | np.ndarray:
+    """Exact alpha-divergence of each row's predictive density from the truth N_m(Q theta, I).
 
     At alpha = 1 a plug-in estimate's loss is the closed form d1_loss_plugin.
     For |alpha| < 1 the loss is -4 expm1(log I)/(1 - alpha^2), I the affinity
     int p^((1-alpha)/2) phat^((1+alpha)/2) (_log_affinity), by generalized
     Gauss-Laguerre rules certified row by row (quad.certified).  At alpha = -1
-    it is E log p - E log phat, with E log p = -(m/2)(log(2 pi/eta) + 1) and
+    it is E log p - E log phat, with E log p = -(m/2)(log(2 pi) + 1) and
     each kernel factor's E log(q(Y) + o) a Frullani integral (_expected_log).
     Raises UnreliableNormalizationError when a row's quadrature fails its
     certificate.
     """
-    theta, eta = np.asarray(theta, dtype=float), float(eta)
+    theta = np.asarray(theta, dtype=float)
     if isinstance(density, PluginEstimate):
-        loss = d1_loss_plugin(density.theta_hat, density.sigma2_hat, theta, 1.0 / eta, density.problem.m)
+        loss = d1_loss_plugin(density.theta_hat, density.sigma2_hat, theta, density.problem.m)
         return loss if np.ndim(loss) else float(loss)
     block = density if np.ndim(density.s) else density[None]
     m = block.problem.m
     if block.alpha == -1.0:
-        loss = -(m / 2.0) * (math.log(2.0 * math.pi / eta) + 1.0) - block.log_const
-        loss = loss + block.A * _expected_log(block, False, theta, eta)
+        loss = -(m / 2.0) * (math.log(2.0 * math.pi) + 1.0) - block.log_const
+        loss = loss + block.A * _expected_log(block, False, theta)
         if block.o is not None:
-            loss = loss + block.B * _expected_log(block, True, theta, eta)
+            loss = loss + block.B * _expected_log(block, True, theta)
     else:
-        scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta, eta)
+        scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta)
         loss = certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s))
     return loss if np.ndim(density.s) else float(loss[0])
 
@@ -281,29 +277,31 @@ def scorer(rule: Callable[[CanonicalObservation], PredictiveKernel | PluginEstim
         density = rule(block)
         if density.alpha != alpha:
             raise ValueError(f"a rule built its density at alpha = {density.alpha}, not {alpha}")
-        return alpha_divergence_loss(density, params.theta, params.eta)
+        return alpha_divergence_loss(density, params.theta)
     return score
 
 
 def risk_mc(scorers: Collection[Scorer], problem: CanonicalProblem, points: Sequence[CanonicalParams], reps: int,
             seed: int) -> np.ndarray:
-    """The (points x scorers x reps) table of per-row values, on common draws.
+    """The (points x scorers x reps) table of per-row values, on common draws, in units of sigma.
 
-    Replications are the rows of the keyed observation blocks (the last one
-    truncated), each block drawn once for every point: the points share its
-    standard draws (canonical.simulate_observation), so a point's rows are
-    those a run at that point alone would give.  table[i, j] holds scorer
-    j's score(block, points[i]) in replication order.  A scorer's error,
-    such as a failed quadrature certificate, propagates.
+    A scorer sees each point's unit-scale twin (theta sqrt(eta), mu sqrt(eta),
+    eta = 1) and its block; the rules must be scale-equivariant (all six in
+    predictive are), so a point's risk is its twin's.  Each keyed block (the
+    last truncated) is drawn once for every point from shared standard draws
+    (canonical.simulate_observation), so a point's rows are those a run at
+    it alone would give, in replication order in table[i, j] for scorer j.
+    A scorer's error, such as a failed quadrature certificate, propagates.
     """
     reps = int(reps)
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
+    twins = [CanonicalParams(p.theta * math.sqrt(p.eta), p.mu * math.sqrt(p.eta), 1.0) for p in points]
     losses = np.empty((len(points), len(scorers), reps))
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)
-        blocks = simulate_observation(problem, points, seed, start // BLOCK_SIZE)
-        for params, block, point_losses in zip(points, blocks, losses):
+        blocks = simulate_observation(problem, twins, seed, start // BLOCK_SIZE)
+        for params, block, point_losses in zip(twins, blocks, losses):
             block = block[:stop - start]
             for row, score in zip(point_losses, scorers):
                 row[start:stop] = score(block, params)

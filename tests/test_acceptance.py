@@ -164,7 +164,9 @@ def test_criterion_6_d1_equivalence(as1_problem_n12):
             sigma2_hat=sigma2 * rng.uniform(0.6, 1.4),
         )
         mc = alpha_divergence_mc(est, theta, 1.0 / sigma2, 1.0, 20_000, seed=1000 + i)
-        want = d1_loss_plugin(est.theta_hat, est.sigma2_hat, theta, sigma2, problem.m)
+        # the closed form takes the truth at unit scale: everything divided by sigma (variances by sigma2)
+        sigma = math.sqrt(sigma2)
+        want = d1_loss_plugin(est.theta_hat / sigma, est.sigma2_hat / sigma2, theta / sigma, problem.m)
         zs.append(abs(mc.mean - want) / mc.std_error)
     report(6, "d1-equivalence", max(zs) < 3.0, f"20 plug-in estimates, max |z| = {max(zs):.2f}")
 

@@ -277,6 +277,13 @@ def test_prediction_mean_round_trip(rng):
         assert np.abs(problem.Q @ obs.v - Xt @ beta_hat).max() < 1e-10
 
 
+def test_replicated_design_takes_whole_copies_only():
+    # n = N m counts whole copies while d = 1/N would not: N = 2.5 used to give n = 6 with d = 0.4
+    for build in (as1_design, as1_problem):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            build(np.eye(3), 2.5)
+
+
 def test_as1_single_replicate_matrix_root(rng):
     xt = rng.standard_normal((4, 3))  # m > k, so that one replicate leaves n - k = 1
     problem = as1_problem(xt, 1)

@@ -15,6 +15,8 @@ from shrinkpred.canonical import (
     THETA_OVER_SIGMA_MAX,
     CanonicalObservation,
     CanonicalParams,
+    as1_design,
+    as1_problem,
     params_to_canonical,
     problem_from_dict,
     problem_to_dict,
@@ -337,12 +339,11 @@ def test_risk_compare_rows_and_determinism(tmp_path):
 
 
 def test_risks_depend_on_theta_and_sigma2_only_through_theta_over_sigma(tmp_path):
-    # every grid point scales the same standard draws, and sigma = 2 scales them exactly (a power of two), so the
-    # sigma2 = 4 rows at |theta| = t are the sigma2 = 1 rows at t / 2: bit for bit at alpha = 1, whose losses are
-    # closed forms, and to rounding in the quadratures of the alpha < 1 losses
+    # risk_mc scores every point in units of sigma, and theta/sigma is exact at sigma = 2 (a power of two), so the
+    # sigma2 = 4 rows at |theta| = t are the sigma2 = 1 rows at t / 2, bit for bit at every alpha
     doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
     norms = [0.0, 2.0, 5.0, 10.0]
-    doc = dict(doc, seed=1, alphas=[1.0, 0.0, -1.0, 0.9], reps=BLOCK_SIZE, reps_outer=200,
+    doc = dict(doc, seed=1, alphas=[1.0, 0.0, -1.0, 0.9, 0.99], reps=BLOCK_SIZE, reps_outer=200,
                grid=dict(doc["grid"], theta_norms=sorted({*norms, *(t / 2 for t in norms)}), sigma2=[1.0, 4.0]))
     assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
     lines = (tmp_path / "o" / "risk_compare.csv").read_text().splitlines()[1:]
@@ -351,14 +352,9 @@ def test_risks_depend_on_theta_and_sigma2_only_through_theta_over_sigma(tmp_path
     compared = 0
     for (name, alpha, norm, direction, s2), scaled in risks.items():
         if s2 == "4" and float(norm) in norms:
-            base = risks[name, alpha, _fmt(float(norm) / 2), direction, "1"]
-            if alpha == "1":
-                assert scaled == base, (name, norm, direction)
-            else:
-                assert np.allclose(np.array(scaled, float), np.array(base, float), rtol=1e-10, atol=0), (
-                    name, alpha, norm, direction, scaled, base)
+            assert scaled == risks[name, alpha, _fmt(float(norm) / 2), direction, "1"], (name, alpha, norm, direction)
             compared += 1
-    assert compared == 7 * (3 + 3 * 2)  # (norm, direction) points x (3 rules at alpha = 1, 2 at each alpha < 1)
+    assert compared == 7 * (3 + 4 * 2)  # (norm, direction) points x (3 rules at alpha = 1, 2 at each alpha < 1)
 
 
 def test_umvu_risk_at_the_theta_over_sigma_cap_equals_its_theta_0_risk(tmp_path):
@@ -374,12 +370,12 @@ def test_umvu_risk_at_the_theta_over_sigma_cap_equals_its_theta_0_risk(tmp_path)
 
 @pytest.mark.parametrize("s2", SIGMA2_RANGE)
 def test_risks_at_the_ends_of_the_sigma2_range_equal_those_at_sigma2_1(as1_problem_n12, s2):
-    # the exact losses stay far from overflow and underflow; alpha = 0.99, whose A log s terms round in
-    # absolute terms, drifts with |log sigma2| and is held to 1e-7, far inside the loss tolerance
+    # risk_mc scores each point in units of sigma, so only the rounding of theta/sigma (an ulp at sigma = 1e+-50)
+    # separates the risks; alpha = 0.99, whose losses amplify it most, is held to 1e-11
     problem, sigma = as1_problem_n12, math.sqrt(s2)
     prior = PriorSpec.from_problem(problem)
     direction = np.ones(3) / math.sqrt(3.0)
-    for alpha, tol in ((1.0, 1e-10), (0.0, 1e-10), (-1.0, 1e-10), (0.99, 1e-7)):
+    for alpha, tol in ((1.0, 1e-14), (0.0, 1e-14), (-1.0, 1e-14), (0.99, 1e-11)):
         if alpha == 1.0:
             rules, reps = [lambda o: umvu_estimators(problem, o), lambda o: plugin_bayes_estimators(prior, o)], 500
         else:
@@ -1126,6 +1122,27 @@ def test_design_errors_name_the_key(tmp_path, capsys, design, key):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"{key} must be" in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("m, k, N, key", [(2, 3, 2, "m"), (3, 3, 1, "N"), (3, 3, 0, "N"), (4, 3, -2, "N")])
+def test_replicated_design_rules_have_one_text(tmp_path, capsys, m, k, N, key):
+    # m >= k, N >= 1 and n = N m > k are canonical's rules: load_config calls the check that as1_design and
+    # as1_problem call, so all three reject a design in the same words, naming the key
+    messages = set()
+    for build in (as1_design, as1_problem):
+        with pytest.raises(ValueError, match=f"^{key} must be") as raised:
+            build(np.eye(m, k), N)
+        messages.add(str(raised.value))
+    (message,) = messages
+    cfg = write_config(tmp_path, {"seed": 1, "design": {"type": "as1", "m": m, "k": k, "N": N}})
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    # k >= 3 is the command line's own rule, which the library does not state
+    cfg = write_config(tmp_path, {"seed": 1, "design": {"type": "as1", "m": 3, "k": 2, "N": 4}})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: k must be at least 3")
+    assert as1_problem(np.eye(3, 2), 4).k == 2
 
 
 def test_usage_errors(tmp_path, capsys, monkeypatch):

@@ -58,6 +58,18 @@ def prob_m3():
     return synthetic_problem(12, 3, 3, [1.0, 1.0, 1.0])
 
 
+def unit_twin(params):
+    """The point risk_mc scores in place of params: (theta sqrt(eta), mu sqrt(eta), eta = 1)."""
+    root = math.sqrt(params.eta)
+    return CanonicalParams(theta=params.theta * root, mu=params.mu * root, eta=1.0)
+
+
+def in_units_of_sigma(block, eta):
+    """A block of observations drawn at sigma = eta^(-1/2), divided by sigma (s by sigma^2)."""
+    root = math.sqrt(eta)
+    return CanonicalObservation(v=block.v * root, v_star=block.v_star * root, s=block.s * eta)
+
+
 # ---------------------------------------------------------------------------
 # Divergence generator
 # ---------------------------------------------------------------------------
@@ -108,23 +120,22 @@ def test_f_alpha_limit_toward_reversed_kl_affine():
 
 
 def test_d1_loss_values():
-    assert d1_loss_plugin(np.zeros(3), 1.0, np.zeros(3), 1.0, 3) == 0.0
+    assert d1_loss_plugin(np.zeros(3), 1.0, np.zeros(3), 3) == 0.0
     e1 = np.array([1.0, 0.0, 0.0])
-    assert d1_loss_plugin(e1, 1.0, np.zeros(3), 1.0, 3) == pytest.approx(0.5, rel=1e-14)
-    got = d1_loss_plugin(np.zeros(2), 2.0, np.zeros(2), 1.0, 2)
+    assert d1_loss_plugin(e1, 1.0, np.zeros(3), 3) == pytest.approx(0.5, rel=1e-14)
+    got = d1_loss_plugin(np.zeros(2), 2.0, np.zeros(2), 2)
     assert got == pytest.approx(1.0 - math.log(2.0), rel=1e-12)  # (m/2) L2 at ratio 2
     with pytest.raises(ValueError):
-        d1_loss_plugin(np.zeros(2), -1.0, np.zeros(2), 1.0, 2)
+        d1_loss_plugin(np.zeros(2), -1.0, np.zeros(2), 2)
 
 
 def test_d1_loss_block_equals_row_by_row(prob_m3):
     params = CanonicalParams(theta=np.array([0.5, -1.0, 2.0]), mu=np.zeros(0), eta=2.0)
     block = simulate_observation(prob_m3, [params], seed=6)[0][:300]
     est = umvu_estimators(prob_m3, block)
-    got = d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, params.sigma2, 3)
+    got = d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, 3)
     assert got.shape == (300,)
-    rows = [d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, params.sigma2, 3)
-            for i in range(300)]
+    rows = [d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, 3) for i in range(300)]
     assert np.array_equal(got, rows)
 
 
@@ -183,7 +194,9 @@ def test_divergence_alpha_one_matches_closed_form(prob_m3):
     sigma2 = 0.7
     est_plug = PluginEstimate(prob_m3, np.array([0.7, 0.2, -0.4]), 0.9)
     mc = alpha_divergence_mc(est_plug, theta, 1.0 / sigma2, 1.0, 40_000, seed=3)
-    want = d1_loss_plugin(est_plug.theta_hat, est_plug.sigma2_hat, theta, sigma2, 3)
+    # the closed form takes the truth at unit scale: everything divided by sigma (variances by sigma2)
+    sigma = math.sqrt(sigma2)
+    want = d1_loss_plugin(est_plug.theta_hat / sigma, est_plug.sigma2_hat / sigma2, theta / sigma, 3)
     assert abs(mc.mean - want) < 3 * mc.std_error
 
 
@@ -211,7 +224,8 @@ def test_umvu_risk_matches_constant(prob_m3):
 
 def test_oracle_cheat_has_zero_risk(prob_m3):
     params = CanonicalParams(theta=np.array([1.0, 2.0, 3.0]), mu=np.zeros(0), eta=2.0)
-    cheat = lambda obs: PluginEstimate(prob_m3, params.theta, params.sigma2)
+    # the scorer sees the unit-scale twin, so the cheat returns the twin's truth
+    cheat = lambda obs: PluginEstimate(prob_m3, unit_twin(params).theta, 1.0)
     est = risk_d1_mc(cheat, prob_m3, params, 200, seed=0)
     assert est.mean == 0.0 and est.std_error == 0.0
 
@@ -290,22 +304,22 @@ def _risk_one_point(rules, problem, params, alpha, reps, seed):
     for this point alone.
 
     The block layout is written out here (standard normals (B, l), then
-    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the point), so
-    it also pins the observation stream.
+    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the point's
+    unit-scale twin), so it also pins the observation stream.
     """
-    l, losses = problem.l, {name: [] for name in rules}
+    l, losses, twin = problem.l, {name: [] for name in rules}, unit_twin(params)
     for start in range(0, reps, BLOCK_SIZE):
         rng = replication_rng(seed, start // BLOCK_SIZE, stream=STREAM_OBSERVATION)
-        v = params.theta + np.sqrt(problem.d / params.eta) * rng.standard_normal((BLOCK_SIZE, l))
-        v_star = params.mu + np.sqrt(1.0 / params.eta) * rng.standard_normal((BLOCK_SIZE, problem.k - l))
-        s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE) / params.eta
+        v = twin.theta + np.sqrt(problem.d) * rng.standard_normal((BLOCK_SIZE, l))
+        v_star = twin.mu + rng.standard_normal((BLOCK_SIZE, problem.k - l))
+        s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE)
         block = CanonicalObservation(v=v, v_star=v_star, s=s)[:min(BLOCK_SIZE, reps - start)]
         for name, rule in rules.items():
             out = rule(block)
             if alpha == 1.0:
-                loss = d1_loss_plugin(out.theta_hat, out.sigma2_hat, params.theta, params.sigma2, problem.m)
+                loss = d1_loss_plugin(out.theta_hat, out.sigma2_hat, twin.theta, problem.m)
             else:
-                loss = alpha_divergence_loss(out, params.theta, params.eta)
+                loss = alpha_divergence_loss(out, twin.theta)
             losses[name].append(loss)
     out = {}
     for name, parts in losses.items():
@@ -371,21 +385,38 @@ def test_block_rows_prefix_invariant(prob_m3):
         assert v.shape == (reps, 3) and s.shape == (reps,)
         assert np.array_equal(v, full_v[:reps]) and np.array_equal(s, full_s[:reps])
     for i in (0, 4095, 4096, 8191, 8192, 8999):
-        row = simulate_observation(prob_m3, [params], 12, block=i // BLOCK_SIZE)[0][i % BLOCK_SIZE]
+        row = simulate_observation(prob_m3, [unit_twin(params)], 12, block=i // BLOCK_SIZE)[0][i % BLOCK_SIZE]
         assert np.array_equal(full_v[i], row.v) and full_s[i] == row.s
 
 
 @pytest.mark.parametrize("reps", [4095, 4096, 4097, 9000])
 def test_scorer_rows_are_the_drawn_rows_in_order(prob_m3, reps):
     # a per-row statistic of its block fills a scorer's table row with exactly the rows
-    # simulate_observation draws, in replication order, at every point
+    # simulate_observation draws, in replication order, at every point's unit-scale twin
     points = _three_points(prob_m3)
     table = risk_mc([lambda block, params: block.s, lambda block, params: block.v[:, 2]], prob_m3, points, reps, 12)
     assert table.shape == (3, 2, reps)
     for params, rows in zip(points, table):
-        drawn = [simulate_observation(prob_m3, [params], 12, block=b)[0] for b in range(math.ceil(reps / BLOCK_SIZE))]
+        drawn = [simulate_observation(prob_m3, [unit_twin(params)], 12, block=b)[0]
+                 for b in range(math.ceil(reps / BLOCK_SIZE))]
         assert np.array_equal(rows[0], np.concatenate([o.s for o in drawn])[:reps])
         assert np.array_equal(rows[1], np.concatenate([o.v[:, 2] for o in drawn])[:reps])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.99, 0.0, -1.0])
+def test_case2_rows_at_sigma_2_are_the_rows_at_a_half_the_point(case2_problem_n12, alpha):
+    # risk_mc scores every point in units of sigma, so (theta, mu) at sigma = 2 gives, bit for bit, every rule's
+    # rows at (theta/2, mu/2, sigma = 1); mu != 0 moves V*, which only the case II rules read
+    problem, prior = case2_problem_n12, PriorSpec.from_problem(case2_problem_n12, nu=0.25)
+    if alpha == 1.0:
+        rules = [functools.partial(rule, problem) for rule in (umvu_estimators, stein_variance, stein_variance_star)]
+        rules.append(functools.partial(plugin_bayes_estimators, prior))
+    else:
+        rules = [lambda o: best_invariant_kernel(problem, o, alpha), lambda o: shrinkage_bayes_kernel(prior, o, alpha)]
+    theta, mu = np.array([3.0]), np.array([4.0, -2.0])
+    points = [CanonicalParams(theta=theta, mu=mu, eta=0.25), CanonicalParams(theta=theta / 2, mu=mu / 2, eta=1.0)]
+    scaled, base = risk_mc([scorer(rule, alpha) for rule in rules], problem, points, 100, seed=5)
+    assert np.array_equal(scaled, base) and np.all(np.isfinite(base))
 
 
 def test_risk_estimate_validation():
@@ -490,7 +521,9 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
     problem = prob_m3 if case == "I" else case2_problem_n12
     prior = PriorSpec.from_problem(problem, nu=0.25)
     params = _three_points(problem)[1]
-    block = simulate_observation(problem, [params], seed=6)[0][:30]
+    # drawn at eta = 0.5 and scored in units of sigma
+    block = in_units_of_sigma(simulate_observation(problem, [params], seed=6)[0][:30], params.eta)
+    theta = unit_twin(params).theta
     ys = 2.0 * np.random.default_rng(4).standard_normal((7, problem.m))
     rules = {"umvu": umvu_estimators, "stein_variance": stein_variance}
     if case == "II":
@@ -500,13 +533,12 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
     for name, rule in rules.items():
         est = rule(block)
         assert est.alpha == 1.0 and est.problem is problem
-        got = alpha_divergence_loss(est, params.theta, params.eta)
-        assert np.array_equal(got, d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, params.sigma2,
-                                                  problem.m)), name
+        got = alpha_divergence_loss(est, theta)
+        assert np.array_equal(got, d1_loss_plugin(est.theta_hat, est.sigma2_hat, theta, problem.m)), name
         for i in range(block.s.size):
             row = est[i]
-            want = d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, params.sigma2, problem.m)
-            assert alpha_divergence_loss(row, params.theta, params.eta) == want == got[i], (name, i)
+            want = d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], theta, problem.m)
+            assert alpha_divergence_loss(row, theta) == want == got[i], (name, i)
             # |y - Q theta_hat|^2 in einsum's order, which is not left to right for m = 3
             r, s2 = ys - problem.Q @ row.theta_hat, row.sigma2_hat
             normal = (-(problem.m / 2) * math.log(2 * math.pi * s2) - np.einsum("ij,ij->i", r, r) / (2 * s2)).tolist()
@@ -522,14 +554,15 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
 @pytest.mark.parametrize("alpha", [-1.0, 0.3])
 def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
     prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    theta = np.array([1.0, -0.5, 0.0])
-    block = simulate_observation(prob_m3, [CanonicalParams(theta=theta, mu=np.zeros(0), eta=2.0)], 9)[0][:20]
+    params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
+    block = in_units_of_sigma(simulate_observation(prob_m3, [params], 9)[0][:20], params.eta)
+    theta = unit_twin(params).theta
     for build in (lambda o: best_invariant_kernel(prob_m3, o, alpha),
                   lambda o: shrinkage_bayes_kernel(prior, o, alpha)):
-        losses = alpha_divergence_loss(build(block), theta, 2.0)
+        losses = alpha_divergence_loss(build(block), theta)
         assert losses.shape == (20,)
         for i in (0, 7, 19):
-            assert alpha_divergence_loss(build(block[i]), theta, 2.0) == pytest.approx(losses[i], rel=1e-9, abs=1e-12)
+            assert alpha_divergence_loss(build(block[i]), theta) == pytest.approx(losses[i], rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [-0.99, -0.5, 0.0, 2.5, 9.5, 120.0])
@@ -695,7 +728,9 @@ def test_exact_loss_matches_inner_monte_carlo(design):
     # 640 rows a 4-SE excursion of the oracle itself is likely (the wide design's
     # alpha = -1 cell has one, z = 4.72, whose draws overshoot E|Z|^2 by 4 SE), so a row
     # beyond 4 SE is checked once more against 2e6 draws on fresh keys, which a real
-    # bias would fail by a wider margin.
+    # bias would fail by a wider margin.  The exact loss scores the block in units of
+    # sigma, and the oracle the true-scale density at eta = 1.5, so this checks the
+    # loss's scale equivariance too.
     problem, prior = oracle_designs()[design]
     assert design != "wide_m5_k3" or problem.m > problem.k
     assert design != "as1_c_ne_1" or np.all(shrinkage_components(prior, 0.0, np.zeros(3))[0] > 0)
@@ -706,12 +741,13 @@ def test_exact_loss_matches_inner_monte_carlo(design):
             theta[0] = norm
             params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
             block = simulate_observation(problem, [params], 21, 0)[0][:8]
-            kernels = (best_invariant_kernel(problem, block, alpha),
-                       shrinkage_bayes_kernel(prior, block, alpha))
+            unit_block = in_units_of_sigma(block, params.eta)
+            kernels = (best_invariant_kernel(problem, unit_block, alpha),
+                       shrinkage_bayes_kernel(prior, unit_block, alpha))
             densities = (lambda o: best_invariant_kernel(problem, o, alpha),
                          lambda o: shrinkage_bayes_kernel(prior, o, alpha))
             for kernel, density in zip(kernels, densities):
-                losses = alpha_divergence_loss(kernel, theta, params.eta)
+                losses = alpha_divergence_loss(kernel, unit_twin(params).theta)
                 for i in range(8):
                     mc = alpha_divergence_mc(density(block[i]), theta, params.eta, alpha, 200_000,
                                              seed=31, rep_index=rep)
@@ -743,11 +779,11 @@ def test_certified_loss_is_within_loss_tol_of_a_deeper_reference(design, alpha, 
     for params, block in norm_blocks(problem, 64, 11):
         for kernel in (best_invariant_kernel(problem, block, alpha),
                        shrinkage_bayes_kernel(prior, block, alpha)):
-            got = alpha_divergence_loss(kernel, params.theta, params.eta)
+            got = alpha_divergence_loss(kernel, params.theta)
             with monkeypatch.context() as patch:
                 patch.setattr(quad_module, "LOSS_TOL", 1e-11)
                 patch.setattr(quad_module, "LOSS_START_NODES", 64)
-                want = alpha_divergence_loss(kernel, params.theta, params.eta)
+                want = alpha_divergence_loss(kernel, params.theta)
             assert np.abs(got - want).max() <= quad_module.LOSS_TOL
 
 
@@ -777,7 +813,7 @@ def test_bulk_refinement_matches_the_full_window_rule(design, alpha, monkeypatch
                 kernels = (shrinkage_bayes_kernel(prior, block, alpha),
                            best_invariant_kernel(problem, block, alpha))
                 constant_nodes = sum(nodes)
-                losses = [alpha_divergence_loss(k, params.theta, params.eta) for k in kernels] if alpha == -1.0 else []
+                losses = [alpha_divergence_loss(k, params.theta) for k in kernels] if alpha == -1.0 else []
             return kernels[0].log_const, losses, constant_nodes
 
         got, got_losses, got_nodes = run()
@@ -790,14 +826,14 @@ def test_bulk_refinement_matches_the_full_window_rule(design, alpha, monkeypatch
         assert got_nodes < want_nodes
 
 
-def per_axis_log_affinity(kernel, theta, eta, n):
-    """log I of every row of a block kernel at n nodes per factor, one axis at a time.
+def per_axis_log_affinity(kernel, theta, n):
+    """log I of every row of a block kernel at n nodes per factor, one axis at a time, for the truth N_m(Q theta, I).
 
     The per-axis affinity formula, kept as an oracle: the node pairs are
     rebuilt from quad.laguerre, and each of the l eigen-axes and the m - l
     complement axes contributes its own P, log and division.
     """
-    beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) * eta / 4.0, kernel.c2
+    beta, kappa, c2 = (1.0 + kernel.alpha) / 2.0, (1.0 - kernel.alpha) / 4.0, kernel.c2
     m, l, d, rows = kernel.problem.m, kernel.problem.l, kernel.problem.d, np.size(kernel.s)
     x, log_wx = quad_module.laguerre(kernel.A * beta - 1.0, n)
     y, log_wy = (np.zeros(1), np.zeros(1)) if kernel.o is None else quad_module.laguerre(kernel.B * beta - 1.0, n)
@@ -819,7 +855,7 @@ def per_axis_log_affinity(kernel, theta, eta, n):
     shift = log_f.max(axis=1)
     log_sum = shift + np.log(np.exp(log_f - shift[:, None]).sum(axis=1))
     log_i = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s[:, 0])
-    log_i += (m * (1.0 - kernel.alpha) / 4.0) * math.log(eta / (2.0 * math.pi))
+    log_i += (m * (1.0 - kernel.alpha) / 4.0) * math.log(1.0 / (2.0 * math.pi))
     if kernel.o is not None:
         log_i -= kernel.B * beta * np.log(o[:, 0])
     return log_i + log_sum
@@ -831,7 +867,10 @@ AFFINITY_ALPHAS = (-0.5, 0.0, 0.7)
 
 @functools.lru_cache(maxsize=1)
 def affinity_cases():
-    """(kernel, theta, eta, spectral groups) for each shape of the grouped affinity, at each of AFFINITY_ALPHAS."""
+    """(kernel, theta, spectral groups) for each shape of the grouped affinity, at each of AFFINITY_ALPHAS.
+
+    The blocks are drawn at eta = 1.5 and taken in units of sigma, as risk_mc scores them.
+    """
     as1 = oracle_designs()["as1_desk"][0]
     wide = oracle_designs()["wide_m5_k3"][0]
     two_equal = synthetic_problem(12, 3, 3, [2.5, 1.0, 1.0])
@@ -839,7 +878,7 @@ def affinity_cases():
 
     def block(problem):
         params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
-        return simulate_observation(problem, [params], 5, 0)[0][:40]
+        return in_units_of_sigma(simulate_observation(problem, [params], 5, 0)[0][:40], params.eta)
 
     cases = {}
     for alpha in AFFINITY_ALPHAS:
@@ -852,13 +891,13 @@ def affinity_cases():
             PriorSpec.from_problem(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
         cases[f"c_is_1-{alpha}"] = (shrinkage_bayes_kernel(
             PriorSpec.from_problem(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
-    return {name: (kernel, theta, 1.5, groups) for name, (kernel, groups) in cases.items()}
+    return {name: (kernel, theta * math.sqrt(1.5), groups) for name, (kernel, groups) in cases.items()}
 
 
 @pytest.mark.parametrize("case", [f"{shape}-{alpha}" for shape in AFFINITY_SHAPES for alpha in AFFINITY_ALPHAS])
 @pytest.mark.parametrize("n", [32, 48])
 def test_grouped_affinity_matches_per_axis_formula(case, n):
-    kernel, theta, eta, groups = affinity_cases()[case]
+    kernel, theta, groups = affinity_cases()[case]
     m, l, d, c2 = kernel.problem.m, kernel.problem.l, kernel.problem.d, kernel.c2
     e_b = d if kernel.o is None else kernel.e_b
     pairs = set(zip((c2 + d).tolist(), (c2 + e_b).tolist())) | ({(c2, c2)} if m > l else set())
@@ -866,21 +905,21 @@ def test_grouped_affinity_matches_per_axis_formula(case, n):
     if case.startswith("c_is_1"):
         assert np.all(kernel.e_b == 0.0) and np.all(kernel.theta_b == 0.0)
     rows = np.size(kernel.s)
-    got = risk_module._log_affinity(kernel, theta, eta)(n, np.arange(rows))
-    want = per_axis_log_affinity(kernel, theta, eta, n)
+    got = risk_module._log_affinity(kernel, theta)(n, np.arange(rows))
+    want = per_axis_log_affinity(kernel, theta, n)
     assert np.abs(got - want).max() <= 1e-12, np.abs(got - want).max()
     # a subset of rows, in any order, gives the same bits as the whole block
     index = np.array([7, 3, 31])
-    assert np.array_equal(risk_module._log_affinity(kernel, theta, eta)(n, index), got[index])
+    assert np.array_equal(risk_module._log_affinity(kernel, theta)(n, index), got[index])
 
 
 @pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0"])
 def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
-    kernel, theta, eta, _ = affinity_cases()[case]
-    default = alpha_divergence_loss(kernel, theta, eta)
+    kernel, theta, _ = affinity_cases()[case]
+    default = alpha_divergence_loss(kernel, theta)
     for chunk in (1, 700):
         monkeypatch.setattr(risk_module, "LOSS_CHUNK", chunk)
-        assert np.array_equal(alpha_divergence_loss(kernel, theta, eta), default)
+        assert np.array_equal(alpha_divergence_loss(kernel, theta), default)
 
 
 def test_node_pairs_are_cached_read_only_and_built_once():
@@ -896,10 +935,10 @@ def test_node_pairs_are_cached_read_only_and_built_once():
     x, _ = quad_module.laguerre(3.25, 48)
     assert np.all(np.isin(X, x)) and np.all(np.diff(np.searchsorted(x, X)) >= 0)   # x-major order
     # a second block at the same alpha finds every rule it needs already built
-    kernel, theta, eta, _ = affinity_cases()["all_equal-0.0"]
-    alpha_divergence_loss(kernel, theta, eta)
+    kernel, theta, _ = affinity_cases()["all_equal-0.0"]
+    alpha_divergence_loss(kernel, theta)
     before = risk_module._node_pairs.cache_info()
-    alpha_divergence_loss(kernel[5:30], theta, eta)
+    alpha_divergence_loss(kernel[5:30], theta)
     after = risk_module._node_pairs.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
 
