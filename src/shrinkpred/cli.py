@@ -130,6 +130,11 @@ class PriorConfig:
     nu: float | None = None
     gamma_prior: float = 1.0
 
+    @property
+    def c0(self) -> float | list:
+        """C0, the configured scale before the positivity rescale: "identity" is 1."""
+        return 1.0 if self.c == "identity" else self.c
+
 
 @dataclass
 class GridConfig:
@@ -312,19 +317,10 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
     return canonicalize(design.X, design.Xtilde), design.X, design.Xtilde
 
 
-def _prior_c(pc: PriorConfig, problem: CanonicalProblem) -> tuple[np.ndarray, float]:
-    """The prior's c vector, the configured one (bounds.prior_scale; "identity" is 1) times g0, and g0.
-
-    g0, the positivity rescale, keeps nu1 > 0 (it is 1 unless nu1 <= 0).
-    """
-    c = bounds_mod.prior_scale(1.0 if pc.c == "identity" else pc.c, problem.l)
-    g0 = bounds_mod.rescale_C_for_positivity(problem, c)
-    return g0 * c, g0
-
-
 def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
-    c, _ = _prior_c(cfg.prior, problem)
-    return PriorSpec.from_problem(problem, c=c, nu=cfg.prior.nu, gamma_prior=cfg.prior.gamma_prior)
+    """The configured prior, at C = g0 C0 (PriorSpec.minimax_default)."""
+    pc = cfg.prior
+    return PriorSpec.minimax_default(problem, pc.c0, pc.nu, pc.gamma_prior)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +348,15 @@ def run_canonicalize(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def run_bounds(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, _, _ = build_problem(cfg)
-    c, g0 = _prior_c(cfg.prior, problem)
-    nb = bounds_mod.nu_limits(problem, c)
+    # the scale of build_prior's prior, whose nu these bounds cap: with n - k < 2 they need not be positive
+    nb = bounds_mod.nu_limits(problem, PriorSpec.minimax_scale(problem, cfg.prior.c0))
     out = {
         "nu1": nb.nu1,
         "nu2": nb.nu2,
         "nu3": nb.nu3,
         "nu_max": nb.nu_max,
         "positive": nb.positive,
-        "g0": g0,
+        "g0": bounds_mod.rescale_C_for_positivity(problem, cfg.prior.c0),
         "condition_d": bounds_mod.condition_d(problem),
     }
     os.makedirs(out_dir, exist_ok=True)

@@ -164,26 +164,32 @@ class PriorSpec:
     """The hierarchical shrinkage prior of one problem.
 
     ``c`` scales the prior covariance componentwise (finite c_i >= 1, read by
-    bounds.prior_scale; a larger c_i shrinks component i less), ``nu`` =
-    (k + 2a + 2)/(n - k) > 0 is the finite shrinkage weight, which fixes the
-    common exponent a of the precision and mixing densities, and finite
-    ``gamma_prior`` >= 1 scales the prior on the auxiliary mean.  The rules
-    that take the prior read n, k, l and d from its ``problem``, so a prior
-    cannot be paired with another problem.
+    bounds.prior_scale; a number stands for every axis, and a larger c_i
+    shrinks component i less).  ``nu`` = (k + 2a + 2)/(n - k) > 0 is the
+    shrinkage weight; it fixes the common exponent a of the precision and
+    mixing densities, which must be finite.  None, the default, takes the
+    domination cap nu_max at c.  Finite ``gamma_prior`` >= 1 scales the prior
+    on the auxiliary mean.  The rules that take the prior read n, k, l and d
+    from its ``problem``, so a prior cannot be paired with another problem.
+    minimax_default rescales c first (minimax_scale), so that nu1 > 0.
     """
 
     problem: CanonicalProblem
-    c: np.ndarray
-    nu: float
-    gamma_prior: float
+    c: np.ndarray | float = 1.0
+    nu: float | None = None
+    gamma_prior: float = 1.0
 
     def __post_init__(self):
         c = prior_scale(self.c, self.problem.l)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "nu", float(self.nu))
+        if self.nu is None and not (nb := nu_limits(self.problem, c)).positive:
+            raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
+        object.__setattr__(self, "nu", float(nb.nu_max if self.nu is None else self.nu))
         object.__setattr__(self, "gamma_prior", float(self.gamma_prior))
         _check_prior_weights(self.nu, self.gamma_prior)
+        if not math.isfinite(self.a):
+            raise ValueError(f"nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got {self.nu!r}")
 
     @property
     def a(self) -> float:
@@ -191,28 +197,17 @@ class PriorSpec:
         n, k = self.problem.n, self.problem.k
         return (self.nu * (n - k) - k - 2.0) / 2.0
 
-    @classmethod
-    def from_problem(
-        cls,
-        problem: CanonicalProblem,
-        c: np.ndarray | float | None = None,
-        nu: float | None = None,
-        gamma_prior: float = 1.0,
-    ) -> "PriorSpec":
-        """The prior of problem with scale c (default I) and weight nu (default the domination cap nu_max)."""
-        c = prior_scale(1.0 if c is None else c, problem.l)
-        if nu is None:
-            nb = nu_limits(problem, c)
-            if not nb.positive:
-                raise ValueError("nu bounds are not positive; rescale C or set nu explicitly")
-            nu = nb.nu_max
-        return cls(problem=problem, c=c, nu=nu, gamma_prior=gamma_prior)
+    @staticmethod
+    def minimax_scale(problem: CanonicalProblem, c: np.ndarray | float = 1.0) -> np.ndarray:
+        """C = g0 C0, C0 = diag(c) and g0 = bounds.rescale_C_for_positivity(problem, c), so nu1 > 0 at C."""
+        c = prior_scale(c, problem.l)
+        return rescale_C_for_positivity(problem, c) * c
 
     @classmethod
-    def minimax_default(cls, problem: CanonicalProblem, gamma_prior: float = 1.0) -> "PriorSpec":
-        """C = g0*I with g0 the positivity rescale, nu at the domination cap."""
-        g0 = rescale_C_for_positivity(problem, 1.0)
-        return cls.from_problem(problem, c=g0, gamma_prior=gamma_prior)
+    def minimax_default(cls, problem: CanonicalProblem, c: np.ndarray | float = 1.0, nu: float | None = None,
+                        gamma_prior: float = 1.0) -> "PriorSpec":
+        """The prior at C = minimax_scale(problem, c); nu = None takes the cap, a prior wherever n - k >= 2."""
+        return cls(problem, cls.minimax_scale(problem, c), nu, gamma_prior)
 
 
 @dataclass(frozen=True)

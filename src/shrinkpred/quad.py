@@ -44,7 +44,8 @@ def log_trapezoid(g: Callable[[np.ndarray, slice], np.ndarray], rows: int) -> np
     QUAD_BULK_MARGIN of its row's peak, since the trapezoid's accuracy comes
     from there, and g beyond lies lower still.  Past QUAD_MAX_INTERVALS
     (intervals of the whole window, so a floor on the step) or
-    QUAD_MAX_WIDTH it raises UnreliableNormalizationError.
+    QUAD_MAX_WIDTH, or once a row's peak or value is not finite, it raises
+    UnreliableNormalizationError.
     """
     out = np.empty(rows)
     for start in range(0, rows, QUAD_ROWS):
@@ -59,10 +60,12 @@ def _shared_grid(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     while hi - lo <= QUAD_MAX_WIDTH:
         gz = g(np.linspace(lo, hi, QUAD_START_INTERVALS + 1))
         shift = gz.max(axis=1)
+        if not np.isfinite(shift).all():  # no window or step makes such a row's integral a finite log
+            raise UnreliableNormalizationError(f"a row's largest value on [{lo:.3g}, {hi:.3g}] is not finite")
         low = gz[:, [0, -1]] <= (shift - QUAD_DROP)[:, None]
         if low.all():
             return _refine_bulk(g, lo, (hi - lo) / QUAD_START_INTERVALS, gz, shift)
-        # an end lies in the bulk of some row (or g is not finite there): widen toward it
+        # an end lies in the bulk of some row: widen toward it
         width = hi - lo
         lo -= 0.0 if low[:, 0].all() else width
         hi += 0.0 if low[:, 1].all() else width
@@ -98,6 +101,9 @@ def _refine_bulk(g: Callable[[np.ndarray], np.ndarray], lo: float, step: float, 
         shift, n, span, step = top, 2 * n, 2 * span, step / 2.0
         new = shift + np.log(step * total)
         gap, log_int = float(np.max(np.abs(new - log_int))), new
+        if not math.isfinite(gap):  # a nan gap would end the loop as if the rows agreed
+            raise UnreliableNormalizationError(f"trapezoid rule on [{lo:.3g}, {lo + step * span:.3g}]: "
+                                               f"a row's value is not finite at {n} intervals of the window")
     return log_int
 
 

@@ -106,7 +106,7 @@ def test_criterion_3_small_l_domination(case2_problem_n12):
     c = g0 * c0
     nb = nu_limits(problem, c)
     assert nb.positive
-    prior = PriorSpec.from_problem(problem, c=c, nu=nb.nu_max)
+    prior = PriorSpec(problem, c=c, nu=nb.nu_max)
     mr = minimax_risk(problem)
     params = CanonicalParams(theta=np.zeros(1), mu=np.zeros(2), eta=1.0)
     est = risk_d1_mc(lambda o: plugin_bayes_estimators(prior, o),

@@ -145,12 +145,7 @@ def prior_c(problem, c):
     return PriorSpec(problem, c=c, nu=0.2, gamma_prior=1.0).c.tolist()
 
 
-def default_prior(problem, c):
-    prior = PriorSpec.from_problem(problem, c=c)
-    return prior.c.tolist(), prior.nu
-
-
-LIBRARY_ENTRY_POINTS = (prior_c, default_prior, nu_limits, rescale_C_for_positivity)
+LIBRARY_ENTRY_POINTS = (prior_c, nu_limits, rescale_C_for_positivity)
 
 
 @pytest.mark.parametrize("entry", LIBRARY_ENTRY_POINTS + (None,), ids=lambda f: f.__name__ if f else "bounds_cli")
@@ -188,5 +183,3 @@ def test_a_prior_rejects_a_non_finite_nu_or_gamma_prior(as1_problem_n12, key, va
     args = {"c": np.ones(3), "nu": 0.2, "gamma_prior": 1.0, key: value}
     with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
         PriorSpec(as1_problem_n12, **args)
-    with pytest.raises(ValueError, match=f"^{message}"):
-        PriorSpec.from_problem(as1_problem_n12, **args)

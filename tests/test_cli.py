@@ -22,7 +22,7 @@ from shrinkpred.canonical import (
     problem_to_dict,
     replication_rng,
 )
-from shrinkpred.bounds import nu_limits
+from shrinkpred.bounds import nu_limits, prior_scale, rescale_C_for_positivity
 from shrinkpred.cli import _fmt, build_prior, build_problem, load_config, main
 from shrinkpred.predictive import (
     PriorSpec,
@@ -282,6 +282,94 @@ def test_the_prior_scale_is_always_g0_times_the_configured_c(tmp_path, c, g0):
     assert build_prior(cfg, problem).c.tolist() == [g0 * configured]
 
 
+
+def test_bounds_reports_bounds_that_are_not_positive(tmp_path):
+    # n - k = 1 and the default nu: nu2 < 0 at every C, so no prior takes the cap, yet bounds reports it at C = g0 I
+    design = {"type": "explicit", "X": [[1.0, 0.2, 0.1], [0.3, 1.0, -0.4], [0.5, -0.7, 1.2], [1.1, 0.9, 0.3]],
+              "Xtilde": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    path = write_config(tmp_path, {"seed": 3, "design": design})
+    with pytest.warns(UserWarning, match="n - k >= 2"):
+        assert main(["bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    bounds = json.loads((tmp_path / "o" / "bounds.json").read_text())
+    assert bounds["g0"] > 1 and bounds["nu1"] > 0 and bounds["nu2"] < 0 and bounds["positive"] is False
+    cfg = load_config(path)
+    problem = build_problem(cfg)[0]
+    with pytest.warns(UserWarning, match="n - k >= 2"):
+        assert bounds["nu_max"] == nu_limits(problem, PriorSpec.minimax_scale(problem)).nu_max
+    with pytest.warns(UserWarning, match="n - k >= 2"), pytest.raises(ValueError, match="^nu bounds are not positive"):
+        build_prior(cfg, problem)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PRIOR_DESIGNS = ["as1_desk", "case2_small_l", "case2_small_l_g0"]
+
+
+def prior_design(tmp_path, name, prior=None):
+    """The config at name with prior section prior, and its problem; case2_small_l_g0 takes Xtilde x 3 (g0 = 4.2525)."""
+    doc = json.loads((CONFIGS / f"{name.removesuffix('_g0')}.json").read_text())
+    if name.endswith("_g0"):
+        doc["design"]["Xtilde"] = [[3.0 * x for x in row] for row in doc["design"]["Xtilde"]]
+    cfg = load_config(write_config(tmp_path, dict(doc, prior=doc["prior"] if prior is None else prior)))
+    return cfg, build_problem(cfg)[0]
+
+
+def reference_prior(problem, c, nu=None, gamma_prior=1.0, rescale=False):
+    """(c, nu, gamma_prior, a) written out: C = c, or g0 c if rescale, and nu the domination cap at C unless set.
+
+    None where that cap is not positive, so that no prior takes it.
+    """
+    c = prior_scale(c, problem.l)
+    if rescale:
+        c = prior_scale(rescale_C_for_positivity(problem, c) * c, problem.l)
+    if nu is None:
+        nb = nu_limits(problem, c)
+        if not nb.positive:
+            return None
+        nu = nb.nu_max
+    n, k = problem.n, problem.k
+    return c.tolist(), float(nu), float(gamma_prior), (float(nu) * (n - k) - k - 2.0) / 2.0
+
+
+def prior_fields(prior):
+    return prior.c.tolist(), prior.nu, prior.gamma_prior, prior.a
+
+
+@pytest.mark.parametrize("name", PRIOR_DESIGNS)
+def test_the_constructor_takes_c_as_given_and_the_cap_at_c(tmp_path, name):
+    # c as given and nu the domination cap at c unless set, bit for bit; below c = g0 the g0 design's cap is not positive
+    _, problem = prior_design(tmp_path, name)
+    for c in (1.0, 4.5, np.linspace(1.5, 5.0, problem.l).tolist()):
+        for nu in (None, 0.3):
+            for gamma_prior in (1.0, 2.5):
+                expected = reference_prior(problem, c, nu, gamma_prior)
+                if expected is None:
+                    assert name.endswith("_g0") and np.max(c) < 4.2525
+                    with pytest.raises(ValueError, match="^nu bounds are not positive"):
+                        PriorSpec(problem, c, nu, gamma_prior)
+                    continue
+                assert prior_fields(PriorSpec(problem, c=c, nu=nu, gamma_prior=gamma_prior)) == expected
+    assert prior_fields(PriorSpec(problem, c=4.5)) == reference_prior(problem, 4.5)
+
+
+@pytest.mark.parametrize("name", PRIOR_DESIGNS)
+def test_build_prior_and_minimax_default_take_g0_times_c_and_the_cap_there(tmp_path, name):
+    # C = g0 C0 with g0 the positivity rescale at C0, "identity" C0 = 1, then nu the cap at C unless set; bit for bit
+    for c in ("identity", 1.5, [1.5, 2.0, 3.0]):
+        for nu in (None, 0.3):
+            for gamma_prior in (1.0, 2.5):
+                prior = {"c": c, "gamma_prior": gamma_prior, **({} if nu is None else {"nu": nu})}
+                cfg, problem = prior_design(tmp_path, name, prior)
+                if isinstance(c, list) and problem.l != 3:
+                    continue
+                c0 = 1.0 if c == "identity" else c
+                expected = reference_prior(problem, c0, nu, gamma_prior, rescale=True)
+                assert prior_fields(build_prior(cfg, problem)) == expected
+                assert prior_fields(PriorSpec.minimax_default(problem, c0, nu, gamma_prior)) == expected
+                assert PriorSpec.minimax_scale(problem, c0).tolist() == expected[0]
+    cfg, problem = prior_design(tmp_path, name)
+    assert cfg.prior.c == "identity"
+    assert prior_fields(PriorSpec.minimax_default(problem)) == prior_fields(build_prior(cfg, problem))
+
+
 @pytest.mark.parametrize("design, key", [
     (dict(AS1_DESIGN, X=EXPLICIT_DESIGN["X"]), "X"),
     (dict(AS1_DESIGN, Xtilde=EXPLICIT_DESIGN["Xtilde"]), "Xtilde"),
@@ -373,7 +461,7 @@ def test_risks_at_the_ends_of_the_sigma2_range_equal_those_at_sigma2_1(as1_probl
     # risk_mc scores each point in units of sigma, so only the rounding of theta/sigma (an ulp at sigma = 1e+-50)
     # separates the risks; alpha = 0.99, whose losses amplify it most, is held to 1e-11
     problem, sigma = as1_problem_n12, math.sqrt(s2)
-    prior = PriorSpec.from_problem(problem)
+    prior = PriorSpec(problem)
     direction = np.ones(3) / math.sqrt(3.0)
     for alpha, tol in ((1.0, 1e-14), (0.0, 1e-14), (-1.0, 1e-14), (0.99, 1e-11)):
         if alpha == 1.0:
@@ -704,6 +792,44 @@ def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o" / "risk_compare.csv").exists()
 
 
+def shrinkage_density_config(tmp_path, alpha, nu):
+    """A density-eval config for the shrinkage density on the canonicalized as1_desk at alpha, with prior weight nu."""
+    canon = tmp_path / "canon"
+    assert main(["canonicalize", "--config", str(CONFIGS / "as1_desk.json"), "--out", str(canon)]) == 0
+    np.savetxt(tmp_path / "points.csv", np.random.default_rng(1).standard_normal((5, 3)), delimiter=",", fmt="%.17g")
+    return write_config(tmp_path, {
+        "prior": {"c": "identity", "gamma_prior": 1.0, "nu": nu},
+        "density": {"problem": str(canon / "problem.json"), "type": "shrinkage_bayes", "alpha": alpha,
+                    "observation": {"v": [1.0, -0.5, 0.3], "v_star": [], "s": 7.5},
+                    "points": str(tmp_path / "points.csv")}})
+
+
+def test_a_shrinkage_constant_that_is_not_finite_exits_4(tmp_path, capsys):
+    # a is finite at nu = 1e306, but B = nu (n - k)/(1 - alpha) is not: the constant used to be written as nan
+    cfg = shrinkage_density_config(tmp_path, 0.999, 1e306)
+    capsys.readouterr()
+    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("normalization certificate failed:") and "not finite" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_nu_whose_prior_exponent_overflows_exits_1_from_the_subcommands_that_build_a_prior(tmp_path, capsys):
+    # at nu = 1e308, a = (nu (n - k) - k - 2)/2 is inf: density-eval wrote nan, and risk-compare at alpha = 0
+    # exited 2 from the Gauss-Laguerre rule's eigenvalue solver
+    message = "error: nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got 1e+308\n"
+    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    risk = write_config(tmp_path, dict(doc, prior=dict(doc["prior"], nu=1e308), alphas=[0.0], reps_outer=50),
+                        "risk.json")
+    for command, cfg in (("density-eval", shrinkage_density_config(tmp_path, 0.0, 1e308)), ("risk-compare", risk)):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
+        assert capsys.readouterr().err == message, command
+    assert not (tmp_path / "o").exists()
+    # bounds builds no prior, and its output does not depend on nu
+    assert main(["bounds", "--config", risk, "--out", str(tmp_path / "b")]) == 0
+
+
 def test_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
     import shrinkpred.quad as quad_module
 
@@ -983,9 +1109,9 @@ OBS = CanonicalObservation(v=[0.5, -0.2, 1.0], v_star=[], s=8.0)
     ({"grid": {"theta_norms": [1e9]}}, lambda p: CanonicalParams(theta=[1e9, 0.0, 0.0], mu=[], eta=1.0)),
     ({"grid": {"sigma2": [1e200]}}, lambda p: params_to_canonical(p, np.zeros(3), 1e200)),
     ({"alphas": [1.0, 0.9995]}, lambda p: best_invariant_kernel(p, OBS, 0.9995)),
-    ({"density": {"alpha": -1.5}}, lambda p: shrinkage_bayes_kernel(PriorSpec.from_problem(p), OBS, -1.5)),
-    ({"prior": {"nu": -1.0}}, lambda p: PriorSpec.from_problem(p, nu=-1.0)),
-    ({"prior": {"gamma_prior": 0.5}}, lambda p: PriorSpec.from_problem(p, gamma_prior=0.5)),
+    ({"density": {"alpha": -1.5}}, lambda p: shrinkage_bayes_kernel(PriorSpec(p), OBS, -1.5)),
+    ({"prior": {"nu": -1.0}}, lambda p: PriorSpec(p, nu=-1.0)),
+    ({"prior": {"gamma_prior": 0.5}}, lambda p: PriorSpec(p, gamma_prior=0.5)),
     ({"seed": 2**64}, lambda p: replication_rng(2**64)),
 ], ids=["theta_norms", "sigma2", "alphas", "alpha", "nu", "gamma_prior", "seed"])
 def test_load_config_states_each_library_rule_in_its_words(tmp_path, as1_problem_n12, doc, library):

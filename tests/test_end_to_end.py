@@ -78,7 +78,7 @@ def test_plugin_statistic_in_regression_space(rng):
     problem = canonicalize(X, Xtilde)
     beta, s = sufficient_statistics(X, y)
     obs = to_canonical(problem, beta, s)
-    prior = PriorSpec.from_problem(problem, c=1.0, nu=0.3)
+    prior = PriorSpec(problem, c=1.0, nu=0.3)
     est = plugin_bayes_estimators(prior, obs)
     w_direct = float(beta @ (X.T @ X) @ beta) / s
     factor = 1.0 - 0.3 / (0.3 + 1.0 + w_direct)

@@ -77,7 +77,7 @@ def dense_scale(problem, alpha, e):
 
 
 def test_components_identity_c_reduction(prob_m3, obs_m3):
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.2)
+    prior = PriorSpec(prob_m3, c=1.0, nu=0.2)
     alpha = 0.3
     e_b, theta_b, r = shrinkage_components(prior, alpha, obs_m3.v)
     c2 = 2.0 / (1.0 - alpha)
@@ -87,7 +87,7 @@ def test_components_identity_c_reduction(prob_m3, obs_m3):
 
 
 def test_components_zero_v(prob_m3):
-    prior = PriorSpec.from_problem(prob_m3, c=2.5, nu=0.2)
+    prior = PriorSpec(prob_m3, c=2.5, nu=0.2)
     _, theta_b, r = shrinkage_components(prior, -0.5, np.zeros(3))
     assert np.all(theta_b == 0)
     assert r == 0.0
@@ -100,7 +100,7 @@ def test_shrinkage_never_expands():
         l = int(rng.integers(1, 5))
         d = np.sort(rng.uniform(0.05, 5.0, l))[::-1]
         problem = synthetic_problem(n=20, k=l, m=l, d=d)
-        prior = PriorSpec.from_problem(problem, c=rng.uniform(1.0, 6.0, l), nu=rng.uniform(0.01, 2.0))
+        prior = PriorSpec(problem, c=rng.uniform(1.0, 6.0, l), nu=rng.uniform(0.01, 2.0))
         alpha = rng.uniform(-1.0, 0.999)
         v = rng.standard_normal(l) * rng.uniform(0.1, 10.0)
         _, theta_b, _ = shrinkage_components(prior, alpha, v)
@@ -109,21 +109,34 @@ def test_shrinkage_never_expands():
 
 
 def test_alpha_one_rejected(prob_m3, obs_m3):
-    prior = PriorSpec.from_problem(prob_m3, nu=0.2)
+    prior = PriorSpec(prob_m3, nu=0.2)
     with pytest.raises(ValueError):
         shrinkage_components(prior, 1.0, obs_m3.v)
 
 
 def test_prior_derived_quantities(prob_m3):
-    prior = PriorSpec.from_problem(prob_m3, nu=0.2)
+    prior = PriorSpec(prob_m3, nu=0.2)
     assert prior.a == pytest.approx(-1.6, rel=1e-14)
     for nu in (0.0, -1.0 / 9.0):  # at or below the integrability floor a > -k/2 - 1
         with pytest.raises(ValueError, match="nu must be positive"):
-            PriorSpec.from_problem(prob_m3, nu=nu)
+            PriorSpec(prob_m3, nu=nu)
     with pytest.raises(ValueError):
-        PriorSpec.from_problem(prob_m3, c=0.5, nu=0.2)
+        PriorSpec(prob_m3, c=0.5, nu=0.2)
     with pytest.raises(ValueError):
-        PriorSpec.from_problem(prob_m3, nu=0.2, gamma_prior=0.5)
+        PriorSpec(prob_m3, nu=0.2, gamma_prior=0.5)
+
+
+def test_a_prior_rejects_a_nu_whose_exponent_is_not_finite(as1_problem_n12, obs_m3):
+    # n - k = 9: at nu = 1e308, nu (n - k) overflows and a = inf; at 1e306 a is finite, but at alpha = 0.999
+    # B = nu (n - k)/(1 - alpha) is not, and the shrinkage constant's certificate fails instead of giving nan
+    problem = as1_problem_n12
+    for build in (PriorSpec, PriorSpec.minimax_default):
+        with pytest.raises(ValueError, match=r"^nu must leave the prior exponent a = .* finite, got 1e\+308$"):
+            build(problem, nu=1e308)
+    prior = PriorSpec(problem, nu=1e306)
+    assert math.isfinite(prior.a)
+    with pytest.raises(UnreliableNormalizationError, match="not finite"):
+        shrinkage_bayes_kernel(prior, obs_m3, 0.999)
 
 
 @pytest.mark.parametrize("N, B", [(4, 2.7), (20, 17.1)])
@@ -131,7 +144,7 @@ def test_the_prior_reads_n_and_k_from_its_own_problem(as1_xtilde, N, B):
     # B = (k + 2a + 2)/(1 - alpha) = nu (n - k)/(1 - alpha): n = 12 gives 2.7 at nu = 0.3, n = 60 gives 17.1;
     # the kernel takes no second problem that could pair one design's prior with another's n
     problem = as1_problem(as1_xtilde, N)
-    prior = PriorSpec.from_problem(problem, nu=0.3)
+    prior = PriorSpec(problem, nu=0.3)
     assert prior.problem is problem
     obs = CanonicalObservation(v=np.array([0.5, -0.2, 1.0]), v_star=np.zeros(0), s=8.0)
     block = CanonicalObservation(v=np.array([[0.5, -0.2, 1.0], [0.1, 0.3, -0.4]]), v_star=np.zeros((2, 0)),
@@ -153,8 +166,8 @@ def test_default_nu_needs_positive_bounds():
     problem = synthetic_problem(n=12, k=3, m=1, d=[1.0])
     assert nu_limits(problem, 1.0).nu1 == pytest.approx(-0.155, abs=5e-4)
     with pytest.raises(ValueError, match=r"^nu bounds are not positive; rescale C or set nu explicitly$"):
-        PriorSpec.from_problem(problem)
-    assert PriorSpec.from_problem(problem, nu=0.2).nu == 0.2
+        PriorSpec(problem)
+    assert PriorSpec(problem, nu=0.2).nu == 0.2
     assert PriorSpec.minimax_default(problem).nu > 0
 
 
@@ -326,7 +339,7 @@ def test_t_sampler_moments(prob_m1, prob_rot, obs_rot):
 
 def test_kernel_evaluates_and_samples_one_observation(prob_m3):
     # a block kernel is scored whole by the loss, but evaluated and (by the oracle) sampled one row at a time
-    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
     block = simulate_observation(prob_m3, [params], 9)[0][:5]
     y = np.array([0.3, -1.0, 2.0])
@@ -352,7 +365,7 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
 
 def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
     alpha = -0.3
-    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 2.0, 4.0], nu=0.4)
+    prior = PriorSpec(prob_m3, c=[1.0, 2.0, 4.0], nu=0.4)
     e_b, theta_b, r = shrinkage_components(prior, alpha, obs_m3.v)
     sigma_b = dense_scale(prob_m3, alpha, e_b)
     shrink = shrinkage_bayes_kernel(prior, obs_m3, alpha)
@@ -366,7 +379,7 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
         second = -(prob_m3.k + 2 * prior.a + 2) / (1 - alpha) * math.log(quad + r + obs_m3.s)
         assert full == pytest.approx(first + second, rel=1e-12)
     # rotated Q, unequal d: both factors against dense solves
-    prior = PriorSpec.from_problem(prob_rot, c=[1.5, 3.0], nu=0.4)
+    prior = PriorSpec(prob_rot, c=[1.5, 3.0], nu=0.4)
     e_b, theta_b, r = shrinkage_components(prior, alpha, obs_rot.v)
     sigma_u = dense_scale(prob_rot, alpha, prob_rot.d)
     sigma_b = dense_scale(prob_rot, alpha, e_b)
@@ -389,7 +402,7 @@ def test_factorization_recomposes(prob_m3, obs_m3, prob_rot, obs_rot, rng):
 def test_zero_data_reduction(prob_m3):
     # C = I and v = 0: second factor becomes ((1-alpha)|y|^2/2 + s)^{-(k+2a+2)/(1-alpha)}
     alpha = -1.0
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=4.0 / 9.0)  # a = -1/2
+    prior = PriorSpec(prob_m3, c=1.0, nu=4.0 / 9.0)  # a = -1/2
     obs0 = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=4.0)
     y = np.array([1.0, -2.0, 0.5])
     got = shrinkage_bayes_kernel(prior, obs0, alpha).log_unnormalized(y)
@@ -407,7 +420,7 @@ def test_posterior_integral_oracle():
     alpha, a, d, c = -0.2, 0.0, 0.8, 2.0
     v, s = 0.7, 1.3
     problem = synthetic_problem(n=n, k=k, m=m, d=[d])
-    prior = PriorSpec.from_problem(problem, c=c, nu=(k + 2 * a + 2) / (n - k))
+    prior = PriorSpec(problem, c=c, nu=(k + 2 * a + 2) / (n - k))
     obs = CanonicalObservation(v=np.array([v]), v_star=np.zeros(0), s=s)
     b_exp = (1 - alpha) * m / 4 + (n - k) / 2 - 1
 
@@ -481,7 +494,7 @@ def test_ess_guard_trips(prob_m1):
 
 def test_normalized_density_integrates_to_one(prob_m3, obs_m3):
     # independent check of the quadrature constant with a fresh seed and proposal
-    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     dens = shrinkage_bayes_kernel(prior, obs_m3, alpha=0.2)
     checker = best_invariant_kernel(prob_m3, obs_m3, -0.5)
     ys = sample(checker, replication_rng(99, 0), 200_000)
@@ -571,7 +584,7 @@ def test_quadrature_constant_matches_algebraic_weight_rule(design):
     # small B (nu near 0, a near -k/2 - 1) gives the long right tail that widens the window
     problem = item1_designs()[design]
     priors = [PriorSpec.minimax_default(problem),
-              PriorSpec.from_problem(problem, c=2.0, nu=0.02 / (problem.n - problem.k))]
+              PriorSpec(problem, c=2.0, nu=0.02 / (problem.n - problem.k))]
     for prior in priors:
         for obs in two_observations(problem):
             for alpha in QUAD_ALPHAS:
@@ -607,8 +620,19 @@ def test_trapezoid_certificate_failure_names_the_pair_its_gap_belongs_to():
                         rf"the window, the last pair within QUAD_MAX_INTERVALS = {top}", str(raised.value))
 
 
+@pytest.mark.parametrize("lo, hi", [(0.1, 0.5), (-1.0, 1.0)])
+def test_trapezoid_certificate_rejects_a_value_that_is_not_finite(lo, hi):
+    # nan on (0.1, 0.5) lies between the first pass's nodes (step 0.5), and its nan gap used to end the
+    # refinement with [nan, nan]; on (-1, 1) the first pass sees it at a row's peak
+    def g(z, chunk):
+        return np.broadcast_to(np.where((z > lo) & (z < hi), math.nan, -z * z / 2.0), (chunk.stop - chunk.start, z.size))
+
+    with pytest.raises(UnreliableNormalizationError, match="not finite"):
+        quad_module.log_trapezoid(g, 2)
+
+
 def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
-    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     shrinkage_bayes_kernel(prior, obs_m3, 0.0)
     # no refinement allowed: the n vs 2n comparison can never be made
     monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
@@ -616,7 +640,7 @@ def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
         shrinkage_bayes_kernel(prior, obs_m3, 0.0)
     monkeypatch.undo()
     # a window that may not grow cannot reach a long tail's QUAD_DROP
-    long_tail = PriorSpec.from_problem(prob_m3, c=2.0, nu=0.02 / (prob_m3.n - prob_m3.k))
+    long_tail = PriorSpec(prob_m3, c=2.0, nu=0.02 / (prob_m3.n - prob_m3.k))
     shrinkage_bayes_kernel(long_tail, obs_m3, 0.0)
     monkeypatch.setattr(quad_module, "QUAD_MAX_WIDTH", 2.0 * quad_module.QUAD_HALF_WIDTH)
     with pytest.raises(UnreliableNormalizationError, match="of its peak"):
@@ -629,21 +653,21 @@ def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
 
 
 def test_plugin_hand_example(prob_m3, obs_m3):
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.2)
+    prior = PriorSpec(prob_m3, c=1.0, nu=0.2)
     est = plugin_bayes_estimators(prior, obs_m3)
     assert np.abs(est.theta_hat - 10.0 / 11.0 * obs_m3.v).max() < 1e-13
     assert est.sigma2_hat == pytest.approx(10.0 / 11.0, rel=1e-13)
 
 
 def test_plugin_no_shrinkage_limit(prob_m3, obs_m3):
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=1e-13)
+    prior = PriorSpec(prob_m3, c=1.0, nu=1e-13)
     est = plugin_bayes_estimators(prior, obs_m3)
     assert np.abs(est.theta_hat - obs_m3.v).max() < 1e-12
     assert est.sigma2_hat == pytest.approx(obs_m3.s / 9.0, rel=1e-12)
 
 
 def test_plugin_large_signal_limit(prob_m3):
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.5)
+    prior = PriorSpec(prob_m3, c=1.0, nu=0.5)
     big = CanonicalObservation(v=np.array([1e8, 0.0, 0.0]), v_star=np.zeros(0), s=9.0)
     est = plugin_bayes_estimators(prior, big)
     assert np.abs(est.theta_hat / big.v[0] - np.array([1.0, 0.0, 0.0])).max() < 1e-9
@@ -651,7 +675,7 @@ def test_plugin_large_signal_limit(prob_m3):
 
 
 def test_plugin_invariants_random(prob_m3, rng):
-    prior = PriorSpec.from_problem(prob_m3, c=1.0, nu=0.4)
+    prior = PriorSpec(prob_m3, c=1.0, nu=0.4)
     q = prob_m3.n - prob_m3.k
     for _ in range(100):
         obs = CanonicalObservation(v=rng.standard_normal(3) * 3, v_star=np.zeros(0), s=rng.uniform(0.5, 30))
@@ -662,7 +686,7 @@ def test_plugin_invariants_random(prob_m3, rng):
 
 def test_plugin_estimate_normal_facts(prob_m1):
     est = plugin_bayes_estimators(
-        PriorSpec.from_problem(prob_m1, nu=0.3),
+        PriorSpec(prob_m1, nu=0.3),
         CanonicalObservation(np.array([1.2]), np.zeros(0), 2.5),
     )
     total, _ = integrate.quad(lambda y: math.exp(est.log_density(np.array([y]))), -np.inf, np.inf)
@@ -679,7 +703,7 @@ def test_umvu(prob_m3):
     est = umvu_estimators(prob_m3, obs)
     assert np.array_equal(est.theta_hat, obs.v)
     assert est.sigma2_hat == 2.0
-    tiny = plugin_bayes_estimators(PriorSpec.from_problem(prob_m3, nu=1e-14), obs)
+    tiny = plugin_bayes_estimators(PriorSpec(prob_m3, nu=1e-14), obs)
     assert np.abs(tiny.theta_hat - est.theta_hat).max() < 1e-12
 
 
@@ -726,7 +750,7 @@ def test_block_estimators_equal_row_by_row(prob_m3, case2_problem_n12, case):
     # a block of observations runs through the same code as one observation
     problem = prob_m3 if case == "I" else case2_problem_n12
     k, l = problem.k, problem.l
-    prior = PriorSpec.from_problem(problem, c=1.5, nu=0.3)
+    prior = PriorSpec(problem, c=1.5, nu=0.3)
     params = CanonicalParams(theta=np.linspace(-1.0, 1.0, l), mu=np.full(k - l, 0.5), eta=0.7)
     reps = 250
     block = simulate_observation(problem, [params], seed=21)[0][:reps]
@@ -763,7 +787,7 @@ def test_alpha_limit_gaps_decrease(as1_problem_n12):
 def test_alpha_limit_degenerate_observation(as1_problem_n12):
     # v = 0 with C = I still collapses onto the plug-in normal
     problem = as1_problem_n12
-    prior = PriorSpec.from_problem(problem, c=1.0, nu=0.25)
+    prior = PriorSpec(problem, c=1.0, nu=0.25)
     obs = CanonicalObservation(v=np.zeros(3), v_star=np.zeros(0), s=9.0)
     pts = np.vstack([np.zeros(3), np.full(3, 0.7)])
     gaps = alpha_limit_check(prior, obs, pts, [0.5, 0.9])

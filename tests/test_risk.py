@@ -256,7 +256,7 @@ def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
 
 def _two_rules(problem, alpha):
     """Two block rules at alpha: plug-in estimates at 1, predictive kernels below."""
-    prior = PriorSpec.from_problem(problem, nu=0.25)
+    prior = PriorSpec(problem, nu=0.25)
     if alpha == 1.0:
         return {
             "umvu": lambda obs: umvu_estimators(problem, obs),
@@ -407,7 +407,7 @@ def test_scorer_rows_are_the_drawn_rows_in_order(prob_m3, reps):
 def test_case2_rows_at_sigma_2_are_the_rows_at_a_half_the_point(case2_problem_n12, alpha):
     # risk_mc scores every point in units of sigma, so (theta, mu) at sigma = 2 gives, bit for bit, every rule's
     # rows at (theta/2, mu/2, sigma = 1); mu != 0 moves V*, which only the case II rules read
-    problem, prior = case2_problem_n12, PriorSpec.from_problem(case2_problem_n12, nu=0.25)
+    problem, prior = case2_problem_n12, PriorSpec(case2_problem_n12, nu=0.25)
     if alpha == 1.0:
         rules = [functools.partial(rule, problem) for rule in (umvu_estimators, stein_variance, stein_variance_star)]
         rules.append(functools.partial(plugin_bayes_estimators, prior))
@@ -519,7 +519,7 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
     # one loss for every alpha: a plug-in estimate's alpha_divergence_loss is the closed form d1_loss_plugin, bit
     # for bit on a block and on each of its rows, and one row's log density is that of N_m(Q theta_hat, sigma2_hat I)
     problem = prob_m3 if case == "I" else case2_problem_n12
-    prior = PriorSpec.from_problem(problem, nu=0.25)
+    prior = PriorSpec(problem, nu=0.25)
     params = _three_points(problem)[1]
     # drawn at eta = 0.5 and scored in units of sigma
     block = in_units_of_sigma(simulate_observation(problem, [params], seed=6)[0][:30], params.eta)
@@ -553,7 +553,7 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.3])
 def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
-    prior = PriorSpec.from_problem(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
+    prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
     params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
     block = in_units_of_sigma(simulate_observation(prob_m3, [params], 9)[0][:20], params.eta)
     theta = unit_twin(params).theta
@@ -717,7 +717,7 @@ def oracle_designs():
     wide = canonicalize(rng.standard_normal((10, 3)), rng.standard_normal((5, 3)))
     out["wide_m5_k3"] = (wide, PriorSpec.minimax_default(wide))
     as1 = out["as1_desk"][0]
-    out["as1_c_ne_1"] = (as1, PriorSpec.from_problem(as1, c=[1.5, 2.0, 3.0], nu=0.5))
+    out["as1_c_ne_1"] = (as1, PriorSpec(as1, c=[1.5, 2.0, 3.0], nu=0.5))
     return out
 
 
@@ -884,13 +884,13 @@ def affinity_cases():
     for alpha in AFFINITY_ALPHAS:
         cases[f"best_invariant-{alpha}"] = (best_invariant_kernel(as1, block(as1), alpha), 1)
         cases[f"all_equal-{alpha}"] = (shrinkage_bayes_kernel(
-            PriorSpec.from_problem(as1, c=[2.0, 2.0, 2.0], nu=0.4), block(as1), alpha), 1)
+            PriorSpec(as1, c=[2.0, 2.0, 2.0], nu=0.4), block(as1), alpha), 1)
         cases[f"two_equal_one_distinct-{alpha}"] = (shrinkage_bayes_kernel(
-            PriorSpec.from_problem(two_equal, c=[2.0, 1.5, 1.5], nu=0.4), block(two_equal), alpha), 2)
+            PriorSpec(two_equal, c=[2.0, 1.5, 1.5], nu=0.4), block(two_equal), alpha), 2)
         cases[f"distinct_m_gt_l-{alpha}"] = (shrinkage_bayes_kernel(
-            PriorSpec.from_problem(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
+            PriorSpec(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
         cases[f"c_is_1-{alpha}"] = (shrinkage_bayes_kernel(
-            PriorSpec.from_problem(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
+            PriorSpec(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
     return {name: (kernel, theta * math.sqrt(1.5), groups) for name, (kernel, groups) in cases.items()}
 
 
