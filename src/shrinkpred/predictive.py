@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import nu_limits, prior_scale, rescale_C_for_positivity
 from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _row_dot, _rows
-from .quad import log_trapezoid
+from .quad import UnreliableNormalizationError, log_trapezoid
 
 __all__ = [
     "DegenerateObservationError",
@@ -109,9 +109,8 @@ class _Density:
 class _SpectralScale:
     """Scale matrix A = c2 I + Q diag(e) Q' of a density kernel.
 
-    Q has orthonormal columns and e >= 0, so A has eigenvalue c2 + e_i along
-    column i of Q and c2 on the orthogonal complement: its inverse and
-    log-determinant are closed-form.
+    Q has orthonormal columns and e >= 0, so A has eigenvalue c2 + e_i along column i of Q and c2 on the
+    orthogonal complement (PredictiveKernel.groups): its inverse is closed-form.
     """
 
     def __init__(self, c2: float, Q: np.ndarray, e: np.ndarray):
@@ -140,10 +139,6 @@ class _SpectralScale:
         proj = resid @ self.Q
         proj *= proj
         return (np.einsum("ij,ij->i", resid, resid) - proj @ (self.e / (self.c2 + self.e))) / self.c2
-
-    def logdet(self) -> float:
-        m, l = self.Q.shape
-        return (m - l) * math.log(self.c2) + float(np.sum(np.log(self.c2 + self.e)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +307,20 @@ class PredictiveKernel(_Density):
     def A(self) -> float:
         return self.problem.m / 2.0 + self.dof / 2.0
 
+    @property
+    def groups(self) -> list[tuple[int, float, float, list[int]]]:
+        """The spectrum of both scale matrices: (count, sigma_u, sigma_b, axes) per set of axes with equal scales.
+
+        Axis i < l along Q has sigma_u = c2 + d_i and sigma_b = c2 + e_b,i (e_b = d without a second factor), and
+        the m - l axes outside Q have (c2, c2).  Groups come in first-seen order; axes lists the members below l.
+        """
+        c2, m, l, d = self.c2, self.problem.m, self.problem.l, self.problem.d
+        e_b = d if self.e_b is None else self.e_b
+        members: dict[tuple[float, float], list[int]] = {}
+        for i, key in enumerate(list(zip((c2 + d).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)):
+            members.setdefault(key, []).append(i)
+        return [(len(axes), u, b, [i for i in axes if i < l]) for (u, b), axes in members.items()]
+
     def __getitem__(self, index) -> "PredictiveKernel":
         rows = ("v", "s", "log_const") + (() if self.o is None else ("theta_b", "o"))
         return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in rows})
@@ -337,12 +346,12 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     """
     kernel = PredictiveKernel(problem=problem, alpha=_check_alpha(alpha), v=obs.v, s=_check_obs(problem, obs))
     m, dof, s = problem.m, kernel.dof, kernel.s
-    logdet = _SpectralScale(kernel.c2, problem.Q, problem.d).logdet()
+    counts, sigma_u = np.array([group[:2] for group in kernel.groups]).T
     # one observation keeps math.log: numpy's vector log can differ from it in the last bit,
     # and density-eval prints this constant to 17 digits
     log_s = math.log(s) if np.ndim(s) == 0 else np.log(s)
     log_const = (math.lgamma((dof + m) / 2.0) - math.lgamma(dof / 2.0)
-                 - (m / 2.0) * math.log(math.pi) - 0.5 * logdet + (dof / 2.0) * log_s)
+                 - (m / 2.0) * math.log(math.pi) - 0.5 * float(counts @ np.log(sigma_u)) + (dof / 2.0) * log_s)
     return replace(kernel, log_const=log_const)
 
 
@@ -368,29 +377,33 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
 def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
     """log Z of each row, Z the integral of the shrinkage kernel over R^m, as one integral on the logit scale.
 
-    Write each factor as a Gamma integral, integrate y and then the total
-    rate.  With w = expit(z), sigma_u = c2 + d, sigma_b = c2 + e_b,
-    p_i(w) = w/sigma_u_i + (1-w)/sigma_b_i, delta = v - theta_b, P = A + B - m/2:
-      log Z = (m/2) log pi + ((m-l)/2) log c2 + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
-      G(z) = A log w + B log(1-w) - (1/2) sum_i log p_i(w) - P log h(w),
-      h(w) = w s + (1-w) o + w(1-w) sum_i delta_i^2/(sigma_u_i sigma_b_i p_i(w)).
-    p does not depend on the row, so the rows of a chunk share one trapezoid grid.
+    Write each factor as a Gamma integral, integrate y per spectral group j of kernel.groups (n_j axes at
+    scales sigma_u_j, sigma_b_j) and then the total rate.  With w = expit(z), p_j(w) = w/sigma_u_j
+    + (1-w)/sigma_b_j, delta2_j the sum of (v - theta_b)^2 over j's axes along Q and P = A + B - m/2:
+      log Z = (m/2) log pi + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
+      G(z) = A log w + B log(1-w) - sum_j (n_j/2) log p_j(w) - P log h(w),
+      h(w) = w s + (1-w) o + w(1-w) sum_j delta2_j/(sigma_u_j sigma_b_j p_j(w)).
+    The rows of a chunk share one trapezoid grid (p does not depend on the row).  A lnG past the float range
+    raises UnreliableNormalizationError.
     """
-    A, B, c2, m, l = kernel.A, kernel.B, kernel.c2, kernel.problem.m, kernel.problem.l
-    P = A + B - m / 2.0
-    inv_u, inv_b = 1.0 / (c2 + kernel.problem.d), 1.0 / (c2 + kernel.e_b)
+    A, B, m, groups = kernel.A, kernel.B, kernel.problem.m, kernel.groups
+    P, const = A + B - m / 2.0, (m / 2.0) * math.log(math.pi)
+    half, inv_u, inv_b = np.array([(count / 2.0, 1.0 / u, 1.0 / b) for count, u, b, _ in groups]).T
     s, o = np.reshape(kernel.s, -1), np.reshape(kernel.o, -1)
-    coupling = np.reshape(kernel.v - kernel.theta_b, (-1, l)) ** 2 * inv_u * inv_b
+    delta2 = np.reshape(kernel.v - kernel.theta_b, (-1, kernel.problem.l)) ** 2
+    coupling = np.stack([delta2[:, axes].sum(axis=1) for *_, axes in groups], axis=1) * inv_u * inv_b
 
     def g(z: np.ndarray, rows: slice) -> np.ndarray:
         log_w, log_w1 = _log_expit(z), _log_expit(-z)
         w, w1 = np.exp(log_w), np.exp(log_w1)
         p = w[:, None] * inv_u + w1[:, None] * inv_b
         h = w * s[rows, None] + w1 * o[rows, None] + w * w1 * (coupling[rows] @ (1.0 / p).T)
-        return A * log_w + B * log_w1 - 0.5 * np.log(p).sum(axis=1) - P * np.log(h)
+        return A * log_w + B * log_w1 - np.log(p) @ half - P * np.log(h)
 
-    const = (m / 2.0) * math.log(math.pi) + ((m - l) / 2.0) * math.log(c2)
-    out = const + math.lgamma(P) - math.lgamma(A) - math.lgamma(B) + log_trapezoid(g, s.size)
+    try:  # math.lgamma raises OverflowError past the float range, at P above about 2.5e305
+        out = const + math.lgamma(P) - math.lgamma(A) - math.lgamma(B) + log_trapezoid(g, s.size)
+    except OverflowError:
+        raise UnreliableNormalizationError(f"lnGamma(P) is not finite at P = {P:.6g}") from None
     return float(out[0]) if np.ndim(kernel.s) == 0 else out
 
 

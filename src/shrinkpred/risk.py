@@ -15,7 +15,7 @@ integrals and a Gaussian integral in y leave 1-D or 2-D Gauss-Laguerre
 rules, and at alpha = -1 Frullani integrals, all on the certified rules of
 quad.  The Gaussian integral factors over the axes, and axes with equal
 scales (c2 + d, c2 + e_b) share one factor, so a rule's work grows with the
-number of such spectral groups (one in the replicated design), not with m;
+number of such spectral groups (PredictiveKernel.groups; one in the replicated design), not with m;
 each row's few coefficients per group multiply node-pair arrays fixed per
 rule.  Risks are then single-level Monte Carlo averages of exact losses at
 every alpha, in numpy alone.
@@ -145,14 +145,12 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int,
     """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of kernel at n nodes per factor.
 
     Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
-    after which y integrates as a Gaussian: per axis, with sigma_u = c2 + d,
-    sigma_b = c2 + e_b and kappa = (1-alpha)/4, a factor
-    (pi sigma_u sigma_b/P)^(1/2) exp(-(t dv + u db + t u dvb)/P), where
+    after which y integrates as a Gaussian: per axis, with kappa = (1-alpha)/4, a
+    factor (pi sigma_u sigma_b/P)^(1/2) exp(-(t dv + u db + t u dvb)/P), where
     P = kappa sigma_u sigma_b + sigma_b t + sigma_u u, dv = kappa sigma_b (theta - v)^2,
-    db = kappa sigma_u (theta - theta_b)^2 and dvb = (v - theta_b)^2.  The m - l
-    axes outside Q have e = 0 and no deviations.  Axes that share (sigma_u,
-    sigma_b) share P, so they form one group: its multiplicity scales the
-    log, and its members' deviations add up.  The rules run in the node
+    db = kappa sigma_u (theta - theta_b)^2 and dvb = (v - theta_b)^2.  The axes
+    of one spectral group (kernel.groups) share P: its size scales the log,
+    and its members' deviations along Q add up.  The rules run in the node
     coordinates X = t s and Y = u o, where P = kappa sigma_u sigma_b
     + (sigma_b/s) X + (sigma_u/o) Y and the exponent's numerator is
     (dv/s) X + (db/o) Y + (dvb/(s o)) X Y: each row has two triples of
@@ -165,31 +163,22 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int,
     (pi/kappa)^(m/2), so dropping light pairs is safe; rows go
     LOSS_CHUNK // kept at a time.
     """
-    alpha, c2, m, l, d = kernel.alpha, kernel.c2, kernel.problem.m, kernel.problem.l, kernel.problem.d
+    alpha, m, l = kernel.alpha, kernel.problem.m, kernel.problem.l
     beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) / 4.0
     s = np.reshape(kernel.s, -1)
-    if kernel.o is None:
-        e_b, theta_b, o, a_y = d, kernel.v, np.ones_like(s), None
-    else:
-        e_b, theta_b, o, a_y = kernel.e_b, kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0
+    theta_b, o, a_y = ((kernel.v, np.ones_like(s), None) if kernel.o is None
+                       else (kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0))
     v, theta_b = np.reshape(kernel.v, (-1, l)), np.reshape(theta_b, (-1, l))
     log_const = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
     log_const += (m * (1.0 - alpha) / 4.0) * math.log(1.0 / (2.0 * math.pi))
-    scales = list(zip((c2 + d).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, key in enumerate(scales):
-        groups.setdefault(key, []).append(i)
     terms = []
-    for (sigma_u, sigma_b), axes in groups.items():
-        log_const += (len(axes) / 2.0) * math.log(math.pi * sigma_u * sigma_b)
+    for count, sigma_u, sigma_b, eig in kernel.groups:
+        log_const += (count / 2.0) * math.log(math.pi * sigma_u * sigma_b)
         lin = np.stack([np.full_like(s, kappa * sigma_u * sigma_b), sigma_b / s, sigma_u / o], axis=1)
-        eig = [i for i in axes if i < l]
-        dev = None
-        if eig:
-            dev = np.stack([kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
-                            kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
-                            ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)], axis=1)
-        terms.append((len(axes) / 2.0, lin, dev))
+        dev = np.stack([kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
+                        kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
+                        ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)], axis=1) if eig else None
+        terms.append((count / 2.0, lin, dev))
 
     def log_i(n: int, index: np.ndarray) -> np.ndarray:
         basis, log_w = _node_pairs(kernel.A * beta - 1.0, a_y, n)
@@ -216,22 +205,21 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> 
     """E log(q(Y) + o) for each row, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
 
     log(q + o) = log o + int_0^inf e^-t (1 - e^(-t q/o)) dt/t (Frullani), and
-    M(tau) = E e^(-tau q(Y)) = prod_i (1 + 2 tau/sigma_i)^(-1/2)
-    exp(-(tau/sigma_i)(theta_i - mu_i)^2/(1 + 2 tau/sigma_i)) times
-    (1 + 2 tau/c2)^(-(m-l)/2), sigma_i = c2 + e_i and mu the factor's
-    center.  The t-integral is positive and runs on z = log t by quad.log_trapezoid.
+    M(tau) = E e^(-tau q(Y)) = prod_j (1 + 2 tau/sigma_j)^(-n_j/2) exp(-(tau/sigma_j) dev_j/(1 + 2 tau/sigma_j))
+    over kernel.groups: group j has n_j axes at the factor's scale sigma_j (sigma_u, or sigma_b for the second
+    factor), and dev_j sums (theta_i - mu_i)^2 over its axes along Q, mu the factor's center.  The t-integral
+    is positive and runs on z = log t by quad.log_trapezoid.
     """
-    c2, m, l = kernel.c2, kernel.problem.m, kernel.problem.l
-    e, mu, o = (kernel.e_b, kernel.theta_b, kernel.o) if second else (kernel.problem.d, kernel.v, kernel.s)
-    sigma, o = c2 + e, np.reshape(o, -1)
-    dev = np.reshape(theta - mu, (-1, l)) ** 2 / sigma
+    o = np.reshape(kernel.o if second else kernel.s, -1)
+    sq = np.reshape(theta - (kernel.theta_b if second else kernel.v), (-1, kernel.problem.l)) ** 2
+    terms = [(n / 2.0, sigma[second], sq[:, axes].sum(axis=1) / sigma[second]) for n, *sigma, axes in kernel.groups]
 
     def g(z: np.ndarray, rows: slice) -> np.ndarray:
-        t = np.exp(z)
+        t, log_m = np.exp(z), 0.0
         tau = t / o[rows, None]
-        grow = 2.0 * tau[..., None] / sigma
-        log_m = (-0.5 * np.log1p(grow) - tau[..., None] * dev[rows, None] / (1.0 + grow)).sum(axis=-1)
-        log_m -= ((m - l) / 2.0) * np.log1p(2.0 * tau / c2)
+        for half, sigma, dev in terms:
+            grow = 2.0 * tau / sigma
+            log_m = log_m - half * np.log1p(grow) - tau * dev[rows, None] / (1.0 + grow)
         return -t + np.log(-np.expm1(log_m))
 
     return np.log(o) + np.exp(log_trapezoid(g, o.size))

@@ -830,6 +830,29 @@ def test_a_nu_whose_prior_exponent_overflows_exits_1_from_the_subcommands_that_b
     assert main(["bounds", "--config", risk, "--out", str(tmp_path / "b")]) == 0
 
 
+@pytest.mark.parametrize("nu", [1e50, 1e100, 1e200, 1e300, 1e306])
+def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
+    # these used to end in a traceback, exit 1: ZeroDivisionError in the loss once the Gauss-Laguerre rule came
+    # back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant (1e306)
+    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    doc.update(prior=dict(doc["prior"], nu=nu), alphas=[0.0, -1.0], reps_outer=100, seed=1)
+    doc["grid"]["theta_norms"] = [0.0, 2.0]
+    cfg = write_config(tmp_path, doc)
+    capsys.readouterr()
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    cause = "lnGamma" if nu == 1e306 else "Gauss-Laguerre rule"
+    assert err.startswith(f"normalization certificate failed: {cause}") and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+    if nu == 1e306:
+        capsys.readouterr()
+        density = shrinkage_density_config(tmp_path, 0.0, nu)
+        capsys.readouterr()
+        assert main(["density-eval", "--config", density, "--out", str(tmp_path / "d")]) == 4
+        assert capsys.readouterr().err.startswith("normalization certificate failed: lnGamma")
+        assert not (tmp_path / "d").exists()
+
+
 def test_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
     import shrinkpred.quad as quad_module
 

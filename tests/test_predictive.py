@@ -161,6 +161,14 @@ def test_the_prior_reads_n_and_k_from_its_own_problem(as1_xtilde, N, B):
     assert shrinkage_bayes_kernel(prior, obs, 0.0).B == pytest.approx(B, rel=1e-14)
 
 
+def test_a_shrinkage_constant_whose_log_gamma_overflows_raises(as1_problem_n12):
+    # at nu = 1e306 the exponent a is finite but P = A + B - m/2 = 9e306, and math.lgamma(P) used to raise OverflowError
+    prior = PriorSpec(as1_problem_n12, nu=1e306)
+    obs = CanonicalObservation(v=np.array([1.0, -0.5, 0.3]), v_star=np.zeros(0), s=7.5)
+    with pytest.raises(UnreliableNormalizationError, match="lnGamma"):
+        shrinkage_bayes_kernel(prior, obs, 0.0)
+
+
 def test_default_nu_needs_positive_bounds():
     # nu1 = -0.155 at C = I: the domination cap is no prior until C is rescaled or nu is set
     problem = synthetic_problem(n=12, k=3, m=1, d=[1.0])

@@ -694,6 +694,24 @@ def test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference(n, a, node_t
     assert node_err <= node_tol and weight_err <= weight_tol, (node_err, weight_err)
 
 
+@pytest.mark.parametrize("a", [4.5e50, 4.5e300, 1e20])
+def test_laguerre_rule_rejects_a_rule_that_is_not_finite_or_not_of_mass_one(a):
+    # at n = 16: a = 4.5e50 (as1_desk at nu = 1e50, alpha = 0) gives nan nodes and log weights, 4.5e300 finite
+    # weights of mass e^-9240, and 1e20 a mass 8.5e-9 off 1 in log; each used to be returned as a rule
+    with pytest.raises(UnreliableNormalizationError, match=re.escape(f"Gauss-Laguerre rule at a = {a:.6g}, n = 16:")):
+        quad_module.laguerre(a, 16)
+
+
+@pytest.mark.parametrize("a", [-0.999, 0.0, 896.0, 9000.0])
+def test_laguerre_rule_has_mass_one_on_the_whole_ladder(a):
+    # 9000 is about A beta - 1 on as1_desk at ALPHA_MAX; the rule's check holds at every rung, far inside its tolerance
+    n = quad_module.LOSS_START_NODES
+    while n <= top_rung():
+        _, log_w = quad_module.laguerre(a, n)
+        assert abs(np.logaddexp.reduce(log_w)) <= quad_module.LAGUERRE_SUM_TOL / 100
+        n = 3 * n // 2
+
+
 def test_laguerre_rule_is_cached_and_read_only():
     x, log_w = quad_module.laguerre(2.75, 48)
     again = quad_module.laguerre(2.75, 48)
