@@ -263,19 +263,21 @@ def load_config(path: str) -> ExperimentConfig:
     grid.sigma2 = read_array(gr, "sigma2", 1, grid.sigma2).tolist()
     # a repeated value would repeat a row's key (procedure, alpha, theta_norm, theta_direction, sigma2)
     for key, values in (("alphas", cfg.alphas), ("theta_norms", grid.theta_norms), ("sigma2", grid.sigma2)):
+        if not values:  # risk-compare would write a header and no row
+            raise ValueError(f"{key} must hold at least one value")
         if len(set(values)) < len(values):
             raise ValueError(f"{key} must not repeat a value, got {values}")
     # a negative norm would label the opposite direction's point
     if any(t < 0 for t in grid.theta_norms):
         raise ValueError("theta_norms must be nonnegative")
     # every grid point keeps to CanonicalParams's bounds; the largest norm at the smallest sigma2 comes nearest the cap
-    _check_scale(max(grid.sigma2, default=1.0))
-    _check_scale(min(grid.sigma2, default=1.0), max(grid.theta_norms, default=0.0), "theta_norms")
+    _check_scale(max(grid.sigma2))
+    _check_scale(min(grid.sigma2), max(grid.theta_norms), "theta_norms")
     cfg.reps = read_int(doc, "reps", cfg.reps)
     cfg.reps_outer = read_int(doc, "reps_outer", cfg.reps_outer)
     # reps drives the alpha = 1 rows and reps_outer the alpha < 1 ones; each is checked where used
     for key, count, alpha, used in (("reps", cfg.reps, 1.0, 1.0 in cfg.alphas),
-                                    ("reps_outer", cfg.reps_outer, 0.0, min(cfg.alphas, default=1.0) < 1.0)):
+                                    ("reps_outer", cfg.reps_outer, 0.0, min(cfg.alphas) < 1.0)):
         if used and count < min_reps(alpha):
             raise ValueError(f"{key} must be at least {min_reps(alpha)}, got {count}")
     cfg.n_mc_inner = read_int(doc, "n_mc_inner", cfg.n_mc_inner)
@@ -298,8 +300,8 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, np.ndarray]:
-    """Materialize the design and reduce it; returns (problem, X, Xtilde)."""
+def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray | None, np.ndarray]:
+    """Materialize the design and reduce it: (problem, X, Xtilde), X None for as1 (canonicalize alone tiles it)."""
     design = cfg.design
     if design is None:
         raise ValueError("configuration has no design section")
@@ -313,7 +315,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray, 
                     break
             else:
                 raise RankDeficiencyError("no random Xtilde with condition number below 1e6 in 10 draws")
-        return as1_problem(xt, design.N), as1_design(xt, design.N), xt
+        return as1_problem(xt, design.N), None, xt
     return canonicalize(design.X, design.Xtilde), design.X, design.Xtilde
 
 
@@ -330,7 +332,7 @@ def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
 
 def run_canonicalize(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, X, Xtilde = build_problem(cfg)
-    report = invariant_report(problem, X, Xtilde)
+    report = invariant_report(problem, as1_design(Xtilde, cfg.design.N) if X is None else X, Xtilde)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "problem.json"), problem_to_dict(problem))
     _write_json(os.path.join(out_dir, "canonicalize_report.json"), report)

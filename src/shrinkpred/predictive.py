@@ -16,23 +16,25 @@ parameters: a PredictiveKernel below alpha = 1 (best_invariant_kernel and
 shrinkage_bayes_kernel map a whole block of observations to it at once) and
 a PluginEstimate at alpha = 1, which is its own plug-in normal.
 risk.alpha_divergence_loss scores a block, and indexing it gives one
-observation's density, which evaluates (log_density).  The shrinkage
-density's constant reduces, through Gamma integrals, to one integral on the
-logit scale, which quad.log_trapezoid computes for every row of a block.
-The samplers and the importance-sampling normalizer that check it live
-with the tests, in tests/oracles.py.
+observation's density, which evaluates (log_density).  Every integral of a
+kernel is here, one factor per spectral group (PredictiveKernel.groups): the
+shrinkage constant (_log_integral), the affinity behind the alpha < 1 loss
+(_log_affinity) and the Frullani integrals of the alpha = -1 loss
+(_expected_log).  Their oracles live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .bounds import nu_limits, prior_scale, rescale_C_for_positivity
 from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _row_dot, _rows
-from .quad import UnreliableNormalizationError, log_trapezoid
+from .quad import UnreliableNormalizationError, laguerre, log_trapezoid
 
 __all__ = [
     "DegenerateObservationError",
@@ -106,39 +108,28 @@ class _Density:
         return self.log_unnormalized(y) + self.log_const
 
 
-class _SpectralScale:
-    """Scale matrix A = c2 I + Q diag(e) Q' of a density kernel.
+def _quad_form(resid: np.ndarray, Q: np.ndarray, c2: float, e: np.ndarray) -> np.ndarray:
+    """Quadratic forms r' A^{-1} r for rows r of resid, shape (N, m), A = c2 I + Q diag(e) Q' a kernel's scale matrix.
 
     Q has orthonormal columns and e >= 0, so A has eigenvalue c2 + e_i along column i of Q and c2 on the
-    orthogonal complement (PredictiveKernel.groups): its inverse is closed-form.
+    orthogonal complement (PredictiveKernel.groups): the form is (|r|^2 - sum_i (Q'r)_i^2 e_i/(c2 + e_i))/c2.
+    A row whose squares overflow is scaled by its largest |r_i| M first, as M^2 q(r/M), so a far point gets
+    inf rather than inf - inf; a row with an infinite coordinate gets inf.
     """
-
-    def __init__(self, c2: float, Q: np.ndarray, e: np.ndarray):
-        self.c2, self.Q, self.e = c2, Q, e
-
-    def quad(self, resid: np.ndarray) -> np.ndarray:
-        """Quadratic forms r' A^{-1} r for rows r of resid, shape (N, m).
-
-        (|r|^2 - |Q'r|^2)/c2 + sum_i (Q'r)_i^2/(c2 + e_i), arranged as
-        (|r|^2 - sum_i (Q'r)_i^2 e_i/(c2 + e_i))/c2.  A row whose squares
-        overflow is scaled by its largest |r_i| M first, as M^2 q(r/M), so a
-        far point gets inf rather than inf - inf; a row with an infinite
-        coordinate gets inf.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._quad(resid)
-            far = ~np.isfinite(out)
-            if far.any():
-                far &= ~np.isnan(resid).any(axis=1)
-                r = resid[far]
-                top = np.abs(r).max(axis=1)
-                out[far] = np.where(np.isinf(top), np.inf, self._quad(r / top[:, None]) * top * top)
-        return out
-
-    def _quad(self, resid: np.ndarray) -> np.ndarray:
-        proj = resid @ self.Q
+    def form(r: np.ndarray) -> np.ndarray:
+        proj = r @ Q
         proj *= proj
-        return (np.einsum("ij,ij->i", resid, resid) - proj @ (self.e / (self.c2 + self.e))) / self.c2
+        return (np.einsum("ij,ij->i", r, r) - proj @ (e / (c2 + e))) / c2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = form(resid)
+        far = ~np.isfinite(out)
+        if far.any():
+            far &= ~np.isnan(resid).any(axis=1)
+            r = resid[far]
+            top = np.abs(r).max(axis=1)
+            out[far] = np.where(np.isinf(top), np.inf, form(r / top[:, None]) * top * top)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ class PluginEstimate(_Density):
 
 
 # ---------------------------------------------------------------------------
-# Shrinkage factorization
+# Density kernels and their integrals
 # ---------------------------------------------------------------------------
 
 
@@ -329,11 +320,11 @@ class PredictiveKernel(_Density):
         """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
         pts, single = _points(y, self._single_m(self.s))
         Q = self.problem.Q
-        lu = np.log(_SpectralScale(self.c2, Q, self.problem.d).quad(pts - Q @ self.v) + self.s)
+        lu = np.log(_quad_form(pts - Q @ self.v, Q, self.c2, self.problem.d) + self.s)
         if self.o is None:
             out = -self.A * lu
         else:
-            lb = np.log(_SpectralScale(self.c2, Q, self.e_b).quad(pts - Q @ self.theta_b) + self.o)
+            lb = np.log(_quad_form(pts - Q @ self.theta_b, Q, self.c2, self.e_b) + self.o)
             out = -self.A * lu - self.B * lb
         return float(out[0]) if single else out
 
@@ -359,16 +350,16 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
     """The shrinkage density of each observation of a block (or of one observation).
 
     Its kernel is (q_u(y) + s)^-A (q_b(y) + o)^-B with A = m/2 + (n-k)/(1-alpha),
-    B = (k+2a+2)/(1-alpha) = nu(n-k)/(1-alpha) and o = r + |v*|^2/gamma + s (v* is empty
-    when m >= k), normalized by its certified logit-scale quadrature (_log_integral).
-    B is computed from a: nu(n-k) can round one ulp away from k+2a+2 and move the risks' last digits.
-    Raises UnreliableNormalizationError when the certificate fails for any row.
+    B = nu(n-k)/(1-alpha) and o = r + |v*|^2/gamma + s (v* is empty when m >= k),
+    normalized by its certified logit-scale quadrature (_log_integral).  Raises
+    UnreliableNormalizationError when the certificate fails for any row, as it
+    does once a tiny nu leaves the kernel's tail in w too flat to integrate.
     """
     alpha, problem = _check_alpha(alpha), prior.problem
     s = _check_obs(problem, obs)
     e_b, theta_b, r = shrinkage_components(prior, alpha, obs.v)
     kernel = PredictiveKernel(
-        problem=problem, alpha=alpha, v=obs.v, s=s, B=(problem.k + 2.0 * prior.a + 2.0) / (1.0 - alpha),
+        problem=problem, alpha=alpha, v=obs.v, s=s, B=prior.nu * (problem.n - problem.k) / (1.0 - alpha),
         e_b=e_b, theta_b=theta_b, o=r + _row_dot(obs.v_star, obs.v_star) / prior.gamma_prior + s,
     )
     return replace(kernel, log_const=-_log_integral(kernel))
@@ -410,6 +401,113 @@ def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
 def _log_expit(z: np.ndarray) -> np.ndarray:
     """log(1/(1 + e^-z)), finite and without overflow in both tails."""
     return -np.logaddexp(0.0, -z)
+
+
+# _node_pairs leaves out pairs below e^-LOSS_WEIGHT_DROP of the heaviest; LOSS_CHUNK bounds one temporary (256 kB)
+LOSS_WEIGHT_DROP, LOSS_CHUNK = 60.0, 1 << 15
+
+
+@functools.lru_cache(maxsize=64)
+def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]:
+    """The kept node pairs of the tensor of laguerre(a_x, n) and laguerre(a_y, n): rows 1, X, Y, X Y; log w.
+
+    a_y None stands for a single node 0 of weight 1.  Pairs run x-major, and
+    those weighing less than e^-LOSS_WEIGHT_DROP of the heaviest are left
+    out.  Memoized per (a_x, a_y, n); the arrays are read-only.
+    """
+    x, log_wx = laguerre(a_x, n)
+    y, log_wy = (np.zeros(1), np.zeros(1)) if a_y is None else laguerre(a_y, n)
+    log_w = (log_wx[:, None] + log_wy).ravel()
+    keep = log_w >= log_w.max() - LOSS_WEIGHT_DROP
+    X, Y = np.repeat(x, y.size)[keep], np.tile(y, x.size)[keep]
+    out = np.stack([np.ones_like(X), X, Y, X * Y]), log_w[keep]
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+    """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of kernel at n nodes per factor.
+
+    Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
+    after which y integrates as a Gaussian: per axis, with kappa = (1-alpha)/4, a
+    factor (pi sigma_u sigma_b/P)^(1/2) exp(-(t dv + u db + t u dvb)/P), where
+    P = kappa sigma_u sigma_b + sigma_b t + sigma_u u, dv = kappa sigma_b (theta - v)^2,
+    db = kappa sigma_u (theta - theta_b)^2 and dvb = (v - theta_b)^2.  The axes
+    of one spectral group (kernel.groups) share P: its size scales the log,
+    and its members' deviations along Q add up.  The rules run in the node
+    coordinates X = t s and Y = u o, where P = kappa sigma_u sigma_b
+    + (sigma_b/s) X + (sigma_u/o) Y and the exponent's numerator is
+    (dv/s) X + (db/o) Y + (dvb/(s o)) X Y: each row has two triples of
+    coefficients per group, built once as (rows, 3) arrays, which np.einsum
+    contracts with the bases [1, X, Y] and [X, Y, XY], the first and last
+    three rows of _node_pairs's array.  einsum without optimize sums each element in the same
+    order whatever the number of rows, where a BLAS product need not, so a
+    row's bits do not depend on its chunk.  A kernel without a second
+    factor takes the single node u = 0.  The integrand is at most
+    (pi/kappa)^(m/2), so dropping light pairs is safe; rows go
+    LOSS_CHUNK // kept at a time.
+    """
+    alpha, m, l = kernel.alpha, kernel.problem.m, kernel.problem.l
+    beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) / 4.0
+    s = np.reshape(kernel.s, -1)
+    theta_b, o, a_y = ((kernel.v, np.ones_like(s), None) if kernel.o is None
+                       else (kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0))
+    v, theta_b = np.reshape(kernel.v, (-1, l)), np.reshape(theta_b, (-1, l))
+    log_const = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
+    log_const += (m * (1.0 - alpha) / 4.0) * math.log(1.0 / (2.0 * math.pi))
+    terms = []
+    for count, sigma_u, sigma_b, eig in kernel.groups:
+        log_const += (count / 2.0) * math.log(math.pi * sigma_u * sigma_b)
+        lin = np.stack([np.full_like(s, kappa * sigma_u * sigma_b), sigma_b / s, sigma_u / o], axis=1)
+        dev = np.stack([kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
+                        kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
+                        ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)], axis=1) if eig else None
+        terms.append((count / 2.0, lin, dev))
+
+    def log_i(n: int, index: np.ndarray) -> np.ndarray:
+        basis, log_w = _node_pairs(kernel.A * beta - 1.0, a_y, n)
+        width = max(1, LOSS_CHUNK // log_w.size)
+        chosen = [(half, lin[index], None if dev is None else dev[index]) for half, lin, dev in terms]
+        out = log_const[index]
+        for lo in range(0, index.size, width):
+            log_f = log_w   # each subtraction writes into the temporary it consumes
+            for half, lin, dev in chosen:
+                P = np.einsum("ik,kj->ij", lin[lo:lo + width], basis[:3])
+                if dev is not None:
+                    num = np.einsum("ik,kj->ij", dev[lo:lo + width], basis[1:])
+                    log_f = np.subtract(log_f, np.divide(num, P, out=num), out=num)
+                log_f = np.subtract(log_f, np.multiply(half, np.log(P, out=P), out=P), out=P)
+            shift = log_f.max(axis=1)
+            log_f -= shift[:, None]
+            out[lo:lo + width] += shift + np.log(np.exp(log_f, out=log_f).sum(axis=1))
+        return out
+
+    return log_i
+
+
+def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> np.ndarray:
+    """E log(q(Y) + o) for each row, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
+
+    log(q + o) = log o + int_0^inf e^-t (1 - e^(-t q/o)) dt/t (Frullani), and
+    M(tau) = E e^(-tau q(Y)) = prod_j (1 + 2 tau/sigma_j)^(-n_j/2) exp(-(tau/sigma_j) dev_j/(1 + 2 tau/sigma_j))
+    over kernel.groups: group j has n_j axes at the factor's scale sigma_j (sigma_u, or sigma_b for the second
+    factor), and dev_j sums (theta_i - mu_i)^2 over its axes along Q, mu the factor's center.  The t-integral
+    is positive and runs on z = log t by quad.log_trapezoid.
+    """
+    o = np.reshape(kernel.o if second else kernel.s, -1)
+    sq = np.reshape(theta - (kernel.theta_b if second else kernel.v), (-1, kernel.problem.l)) ** 2
+    terms = [(n / 2.0, sigma[second], sq[:, axes].sum(axis=1) / sigma[second]) for n, *sigma, axes in kernel.groups]
+
+    def g(z: np.ndarray, rows: slice) -> np.ndarray:
+        t, log_m = np.exp(z), 0.0
+        tau = t / o[rows, None]
+        for half, sigma, dev in terms:
+            grow = 2.0 * tau / sigma
+            log_m = log_m - half * np.log1p(grow) - tau * dev[rows, None] / (1.0 + grow)
+        return -t + np.log(-np.expm1(log_m))
+
+    return np.log(o) + np.exp(log_trapezoid(g, o.size))
 
 
 # ---------------------------------------------------------------------------

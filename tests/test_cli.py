@@ -548,13 +548,20 @@ def test_risk_compare_seed_override(tmp_path):
     assert (out_a / "risk_compare.csv").read_bytes() != (out_b / "risk_compare.csv").read_bytes()
 
 
-def test_risk_compare_empty_grid(tmp_path):
-    doc = dict(RISK_DOC, grid={"theta_norms": [], "sigma2": [1.0]})
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "empty"
-    assert main(["risk-compare", "--config", cfg, "--out", str(out)]) == 0
-    lines = (out / "risk_compare.csv").read_text().strip().split("\n")
-    assert len(lines) == 1  # header only
+def test_risk_compare_empty_grid(tmp_path, capsys):
+    # an empty list used to write a header-only CSV, exit 0; no directions still means the first axis
+    for doc, key in ((dict(RISK_DOC, grid={"theta_norms": [], "sigma2": [1.0]}), "theta_norms"),
+                     (dict(RISK_DOC, grid={"theta_norms": [0.0], "sigma2": []}), "sigma2"),
+                     (dict(RISK_DOC, alphas=[]), "alphas")):
+        cfg = write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "empty")]) == 1, key
+        assert capsys.readouterr().err == f"configuration error: {key} must hold at least one value\n"
+        assert not (tmp_path / "empty").exists()
+    cfg = write_config(tmp_path, dict(RISK_DOC, grid={"theta_directions": [], "theta_norms": [2.0], "sigma2": [1.0]}))
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "axis")]) == 0
+    rows = (tmp_path / "axis" / "risk_compare.csv").read_text().strip().split("\n")[1:]
+    assert rows and all(row.split(",")[3] == "0" for row in rows)
 
 
 def test_density_eval(tmp_path):
@@ -851,6 +858,52 @@ def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
         assert main(["density-eval", "--config", density, "--out", str(tmp_path / "d")]) == 4
         assert capsys.readouterr().err.startswith("normalization certificate failed: lnGamma")
         assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("prior", [{"nu": 1e-300}, {"nu": 1e-17}, {"c": 1e200}])
+def test_a_tiny_nu_is_a_certificate_failure(tmp_path, capsys, prior):
+    # at nu = 1e-17 or less (c = 1e200 caps nu at 1e-200) k + 2a + 2 rounded to 0, and B formed from it ended these
+    # runs in lnGamma(0), "error: math domain error", exit 1; B = nu (n - k)/(1 - alpha) leaves a w-tail too flat
+    # for the shrinkage constant's window
+    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    doc.update(prior=dict(doc["prior"], **prior), alphas=[0.0, -1.0], reps_outer=50, seed=1)
+    density = json.loads(Path(shrinkage_density_config(tmp_path, 0.0, 1.0)).read_text())
+    density["prior"] = doc["prior"]
+    for command, cfg, out in (("risk-compare", write_config(tmp_path, doc, "risk.json"), "r"),
+                              ("density-eval", write_config(tmp_path, density, "density.json"), "d")):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 4, command
+        err = capsys.readouterr().err
+        assert err.startswith("normalization certificate failed: ") and "Traceback" not in err, err
+        assert not (tmp_path / out).exists()
+    if prior == {"nu": 1e-300}:  # the alpha = 1 plug-in rules build no shrinkage kernel
+        doc.update(alphas=[1.0], reps=100)
+        assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "a1")]) == 0
+
+
+def test_as1_subcommands_other_than_canonicalize_never_tile_x(tmp_path, monkeypatch):
+    # the N-fold X of the replicated design grew memory with N in bounds and risk-compare, which never read it
+    import shrinkpred.cli as cli_module
+
+    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    doc.update(alphas=[1.0, 0.0], reps=100, reps_outer=50)
+    cfg = write_config(tmp_path, doc)
+
+    def refuse(*args):
+        raise AssertionError("as1_design called")
+
+    monkeypatch.setattr(cli_module, "as1_design", refuse)
+    for command in ("bounds", "risk-compare"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
+    with pytest.raises(AssertionError, match="as1_design called"):
+        main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "refused")])
+    monkeypatch.undo()
+    # canonicalize still reports on the tiled X, as the library builds it
+    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    problem, _, xt = build_problem(load_config(cfg))
+    report = cli_module.invariant_report(problem, as1_design(xt, 4), xt)
+    cli_module._write_json(str(tmp_path / "reference.json"), report)
+    assert (tmp_path / "c" / "canonicalize_report.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 def test_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 
 from shrinkpred import cli
 from shrinkpred.canonical import CanonicalParams, simulate_observation
-from shrinkpred.predictive import PriorSpec, _log_expit, _log_integral, best_invariant_kernel, shrinkage_bayes_kernel
+from shrinkpred.predictive import (
+    PriorSpec,
+    _expected_log,
+    _log_expit,
+    _log_integral,
+    best_invariant_kernel,
+    shrinkage_bayes_kernel,
+)
 from shrinkpred.quad import log_trapezoid
-from shrinkpred.risk import _expected_log
 
 from conftest import synthetic_problem
 

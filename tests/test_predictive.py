@@ -139,9 +139,20 @@ def test_a_prior_rejects_a_nu_whose_exponent_is_not_finite(as1_problem_n12, obs_
         shrinkage_bayes_kernel(prior, obs_m3, 0.999)
 
 
+@pytest.mark.parametrize("nu", [0.1, 0.2])
+def test_B_is_formed_from_nu_alone(as1_problem_n12, obs_m3, nu):
+    # with n - k = 9, nu (n - k) and k + 2a + 2 round apart at these nu (0.9 against 0.9000000000000004 at 0.1);
+    # B used to be formed from a, which rounds k + 2a + 2 to 0 once nu is 1e-17 or less
+    problem, prior = as1_problem_n12, PriorSpec(as1_problem_n12, nu=nu)
+    assert prior.nu * (problem.n - problem.k) != problem.k + 2 * prior.a + 2
+    for alpha in (-1.0, 0.0, 0.5):
+        B = shrinkage_bayes_kernel(prior, obs_m3, alpha).B
+        assert B == prior.nu * (problem.n - problem.k) / (1 - alpha)
+
+
 @pytest.mark.parametrize("N, B", [(4, 2.7), (20, 17.1)])
 def test_the_prior_reads_n_and_k_from_its_own_problem(as1_xtilde, N, B):
-    # B = (k + 2a + 2)/(1 - alpha) = nu (n - k)/(1 - alpha): n = 12 gives 2.7 at nu = 0.3, n = 60 gives 17.1;
+    # B = nu (n - k)/(1 - alpha): n = 12 gives 2.7 at nu = 0.3, n = 60 gives 17.1;
     # the kernel takes no second problem that could pair one design's prior with another's n
     problem = as1_problem(as1_xtilde, N)
     prior = PriorSpec(problem, nu=0.3)
@@ -151,7 +162,7 @@ def test_the_prior_reads_n_and_k_from_its_own_problem(as1_xtilde, N, B):
                                  s=np.array([8.0, 5.0]))
     for alpha in (0.0, 0.5):
         kernel = shrinkage_bayes_kernel(prior, obs, alpha)
-        assert kernel.B == (problem.k + 2 * prior.a + 2) / (1 - alpha)
+        assert kernel.B == prior.nu * (problem.n - problem.k) / (1 - alpha)
         assert kernel.dof == 2 * (problem.n - problem.k) / (1 - alpha)
         # the kernel holds the problem itself, not copies of its Q, d or n - k, and indexing keeps it
         for built in (kernel, best_invariant_kernel(problem, obs, alpha)):

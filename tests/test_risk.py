@@ -4,6 +4,7 @@ import decimal
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -36,6 +37,7 @@ from shrinkpred.predictive import (
     stein_variance_star,
     umvu_estimators,
 )
+import shrinkpred.predictive as predictive_module
 import shrinkpred.quad as quad_module
 import shrinkpred.risk as risk_module
 from shrinkpred.quad import UnreliableNormalizationError
@@ -157,6 +159,24 @@ def test_digamma_closed_form_matches_scipy():
     for q in range(1, 2001):
         want = float(scipy.special.digamma(q / 2.0))
         assert abs(risk_module._digamma_half(q) - want) <= 1e-14 * abs(want), q
+
+
+def test_digamma_streams_its_terms_with_the_list_sum_bits():
+    # psi(q/2) used to hand fsum a q/2-element list, 115 MB at q = 6e6 (the as1 design at N = 2e6)
+    def listed(q):
+        if q % 2 == 0:
+            return math.fsum([-np.euler_gamma] + [1.0 / j for j in range(1, q // 2)])
+        return math.fsum([-np.euler_gamma, -2.0 * math.log(2.0)] + [2.0 / (2 * j - 1) for j in range(1, q // 2 + 1)])
+
+    for q in (1, 2, 9, 10, 1001, 5_999_997):
+        assert risk_module._digamma_half(q) == listed(q), q
+    tracemalloc.start()
+    try:
+        risk_module._digamma_half(6_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_minimax_risk_two_dof_euler():
@@ -857,7 +877,7 @@ def per_axis_log_affinity(kernel, theta, n):
     y, log_wy = (np.zeros(1), np.zeros(1)) if kernel.o is None else quad_module.laguerre(kernel.B * beta - 1.0, n)
     e_b, theta_b, o = (d, kernel.v, 1.0) if kernel.o is None else (kernel.e_b, kernel.theta_b, kernel.o)
     log_w = (log_wx[:, None] + log_wy).ravel()
-    keep = log_w >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
+    keep = log_w >= log_w.max() - predictive_module.LOSS_WEIGHT_DROP
     s, o = np.reshape(kernel.s, (-1, 1)), np.reshape(o, (-1, 1))
     t, u = np.repeat(x, y.size)[keep] / s, np.tile(y, x.size)[keep] / o
     sigma_u, sigma_b = c2 + d, c2 + e_b
@@ -923,12 +943,12 @@ def test_grouped_affinity_matches_per_axis_formula(case, n):
     if case.startswith("c_is_1"):
         assert np.all(kernel.e_b == 0.0) and np.all(kernel.theta_b == 0.0)
     rows = np.size(kernel.s)
-    got = risk_module._log_affinity(kernel, theta)(n, np.arange(rows))
+    got = predictive_module._log_affinity(kernel, theta)(n, np.arange(rows))
     want = per_axis_log_affinity(kernel, theta, n)
     assert np.abs(got - want).max() <= 1e-12, np.abs(got - want).max()
     # a subset of rows, in any order, gives the same bits as the whole block
     index = np.array([7, 3, 31])
-    assert np.array_equal(risk_module._log_affinity(kernel, theta)(n, index), got[index])
+    assert np.array_equal(predictive_module._log_affinity(kernel, theta)(n, index), got[index])
 
 
 @pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0"])
@@ -936,28 +956,28 @@ def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
     kernel, theta, _ = affinity_cases()[case]
     default = alpha_divergence_loss(kernel, theta)
     for chunk in (1, 700):
-        monkeypatch.setattr(risk_module, "LOSS_CHUNK", chunk)
+        monkeypatch.setattr(predictive_module, "LOSS_CHUNK", chunk)
         assert np.array_equal(alpha_divergence_loss(kernel, theta), default)
 
 
 def test_node_pairs_are_cached_read_only_and_built_once():
-    basis, log_w = pairs = risk_module._node_pairs(3.25, 5.5, 48)
-    assert all(a is b for a, b in zip(pairs, risk_module._node_pairs(3.25, 5.5, 48)))
+    basis, log_w = pairs = predictive_module._node_pairs(3.25, 5.5, 48)
+    assert all(a is b for a, b in zip(pairs, predictive_module._node_pairs(3.25, 5.5, 48)))
     for array in (basis[0], basis[1], log_w):
         with pytest.raises(ValueError):
             array[0] = 0.0
     one, X, Y, XY = basis
     assert X.shape == Y.shape == XY.shape == log_w.shape and log_w.size < 48 * 48
     assert np.all(one == 1.0) and np.array_equal(XY, X * Y)
-    assert log_w.min() >= log_w.max() - risk_module.LOSS_WEIGHT_DROP
+    assert log_w.min() >= log_w.max() - predictive_module.LOSS_WEIGHT_DROP
     x, _ = quad_module.laguerre(3.25, 48)
     assert np.all(np.isin(X, x)) and np.all(np.diff(np.searchsorted(x, X)) >= 0)   # x-major order
     # a second block at the same alpha finds every rule it needs already built
     kernel, theta, _ = affinity_cases()["all_equal-0.0"]
     alpha_divergence_loss(kernel, theta)
-    before = risk_module._node_pairs.cache_info()
+    before = predictive_module._node_pairs.cache_info()
     alpha_divergence_loss(kernel[5:30], theta)
-    after = risk_module._node_pairs.cache_info()
+    after = predictive_module._node_pairs.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
 
 
