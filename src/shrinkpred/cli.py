@@ -5,9 +5,9 @@ Every run is configured by a single JSON document and one master seed;
 outputs are JSON or CSV files under the --out directory, byte-identical
 across reruns.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 canonicalization
-failure, 3 identity failure, 4 a quadrature (a shrinkage normalizing
-constant or an alpha < 1 loss) failed its certificate.
+Exit codes: 0 success, 1 usage or configuration error, 2 canonicalization failure, 3 identity
+failure, 4 a quadrature (a shrinkage normalizing constant, an alpha < 1 loss or an alpha = -1
+Frullani integral) failed its certificate; the message names which, and its alpha.
 """
 
 from __future__ import annotations

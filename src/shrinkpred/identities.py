@@ -4,11 +4,11 @@ Four checks, all exact up to rounding or a certified quadrature:
 
 * the quadratic-form lemma (lemma_identity_residual) on LEMMA_INSTANCES
   random instances;
-* the beta integral (beta_integral_identity), quad.log_trapezoid against its
-  closed form, on BETA_INSTANCES random instances;
+* the beta integral (beta_integral_identity), a certified Gauss-Jacobi rule
+  against its closed form, on BETA_INSTANCES random instances;
 * the chi-square integration-by-parts identity (chi_square_identity) at the
   shrinkage factor phi(w) = nu w/(nu + 1 + w), nu = CHISQ_NU, as one
-  integral over W = U/S for each side;
+  Beta expectation for each side;
 * the bound -log(1-x) <= x + x^2/(2(1-x)) (log_inequality_margin) on a grid
   of LOG_GRID_POINTS points in (0, 0.99).
 
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .canonical import STREAM_BETA, STREAM_LEMMA, replication_rng
-from .quad import log_trapezoid
+from .quad import QUAD_TOL, certified, jacobi
 
 __all__ = [
     "lemma_identity_residual",
@@ -76,57 +76,45 @@ def lemma_identity_residual(F, D_star, Q, ytilde, v) -> tuple[float, float]:
 def beta_integral_identity(a_exp: float, b_exp: float, w: float) -> tuple[float, float]:
     """Quadrature and closed form of int_0^1 t^a (1-t)^b (1 + w t)^{-(a+b+2)} dt.
 
-    At exponent a + b + 2 the integral collapses to
-    Be(a+1, b+1) / (w+1)^{a+1}.  The quadrature is quad.log_trapezoid on the
-    logit scale t = expit(z), where the integrand becomes
-    exp((a+1) log t + (b+1) log(1-t) - (a+b+2) log1p(w t)).  Returns
-    (quadrature, closed_form).
-
-    Any a, b > -1 and w > -1 are accepted, but the tails of the logit-scale
-    integrand fall with slopes a + 1 and b + 1, so the window must reach
-    about quad.QUAD_DROP/(min(a, b) + 1).  The working domain is exponents down to about
-    -0.997: at -0.99 and -0.995 the quadrature matches the closed form to
-    2e-15, while at -0.998 and below it needs more than quad.QUAD_MAX_INTERVALS
-    and raises UnreliableNormalizationError.
+    At exponent a + b + 2 the integral collapses to Be(a+1, b+1) / (w+1)^{a+1}.  The quadrature is
+    Be(a+1, b+1) times the mean of (1 + w t)^{-(a+b+2)} under quad.jacobi(a, b, n), whose weight is
+    t^a (1-t)^b itself, certified to QUAD_TOL in log; so any exponents above -1 integrate, -0.999 included.
+    Returns (quadrature, closed_form).
     """
     if a_exp <= -1 or b_exp <= -1:
         raise ValueError("exponents must exceed -1")
     if w <= -1:
         raise ValueError("w must exceed -1")
 
-    def g(z: np.ndarray, rows: slice) -> np.ndarray:   # rows is slice(0, 1), the one row, of w
-        log_t = -np.logaddexp(0.0, -z)
-        return ((a_exp + 1.0) * log_t + (b_exp + 1.0) * -np.logaddexp(0.0, z)
-                - (a_exp + b_exp + 2.0) * np.log1p(np.array([[w]]) * np.exp(log_t)))
+    def log_mean(n: int, index: np.ndarray) -> np.ndarray:   # index is the one row
+        x, log_w = jacobi(a_exp, b_exp, n)
+        return np.full(index.size, np.logaddexp.reduce(log_w - (a_exp + b_exp + 2.0) * np.log1p(w * x)))
 
-    log_closed = (math.lgamma(a_exp + 1.0) + math.lgamma(b_exp + 1.0) - math.lgamma(a_exp + b_exp + 2.0)
-                  - (a_exp + 1.0) * math.log(w + 1.0))
-    return math.exp(float(log_trapezoid(g, 1)[0])), math.exp(log_closed)
+    log_beta = math.lgamma(a_exp + 1.0) + math.lgamma(b_exp + 1.0) - math.lgamma(a_exp + b_exp + 2.0)
+    log_quad = log_beta + float(certified(log_mean, 1, f"beta integral at a = {a_exp:.6g}, b = {b_exp:.6g}, "
+                                                       f"w = {w:.6g}", QUAD_TOL)[0])
+    return math.exp(log_quad), math.exp(log_beta - (a_exp + 1.0) * math.log(w + 1.0))
 
 
 def chi_square_identity(phi, phi_prime) -> tuple[float, float]:
-    """Both sides of E[phi(W) S/W] = E[(CHISQ_DOF + 2) phi(W)/W - 2 phi'(W)], each one integral over W.
+    """Both sides of E[phi(W) S/W] = E[(CHISQ_DOF + 2) phi(W)/W - 2 phi'(W)], each one Beta expectation.
 
-    S ~ chi^2_nu and U ~ chi^2_p are independent (nu = CHISQ_DOF,
-    p = CHISQ_NUMERATOR_DOF) and W = U/S.  W has the density
-    w^{p/2-1} (1+w)^{-(p+nu)/2} / B(p/2, nu/2), and given W = w, S is
-    Gamma((p+nu)/2) with rate (1+w)/2, so E[S | W = w] = (p+nu)/(1+w) and the
-    left side is E[phi(W)/W (p+nu)/(1+W)].  phi and phi_prime map an array of
-    w to arrays, and both integrands must be positive: quad.log_trapezoid
-    integrates their logarithms over z = log w, as the two rows of one grid.
-    Returns (lhs, rhs).
+    S ~ chi^2_nu and U ~ chi^2_p are independent (nu = CHISQ_DOF, p = CHISQ_NUMERATOR_DOF) and W = U/S, so
+    W/(1+W) ~ Beta(p/2, nu/2).  Given W = w, S is Gamma((p+nu)/2) with rate (1+w)/2, so E[S | W = w] =
+    (p+nu)/(1+w) and the left side is E[phi(W)/W (p+nu)/(1+W)].  phi and phi_prime map an array of w to
+    arrays, and both integrands must be positive: each side is the log of its mean under
+    quad.jacobi(p/2 - 1, nu/2 - 1, n), the two rows of one certificate to QUAD_TOL.  Returns (lhs, rhs).
     """
     p, nu = CHISQ_NUMERATOR_DOF, CHISQ_DOF
-    log_beta = math.lgamma(p / 2.0) + math.lgamma(nu / 2.0) - math.lgamma((p + nu) / 2.0)
 
-    def g(z: np.ndarray, rows: slice) -> np.ndarray:   # rows is slice(0, 2): the lhs, then the rhs
-        w = np.exp(z)
+    def log_sides(n: int, index: np.ndarray) -> np.ndarray:   # index holds rows 0, the lhs, and 1, the rhs
+        u, log_w = jacobi(p / 2.0 - 1.0, nu / 2.0 - 1.0, n)
+        w = u / (1.0 - u)
         ratio = phi(w) / w
-        sides = np.log([ratio * (p + nu) / (1.0 + w), (nu + 2.0) * ratio - 2.0 * phi_prime(w)])
-        # dw = w dz, so the density of W carries w^{p/2} on the log scale
-        return sides + (p / 2.0 * z - (p + nu) / 2.0 * np.log1p(w) - log_beta)
+        sides = np.log([ratio * (p + nu) * (1.0 - u), (nu + 2.0) * ratio - 2.0 * phi_prime(w)])
+        return np.logaddexp.reduce(sides + log_w, axis=1)[index]
 
-    lhs, rhs = np.exp(log_trapezoid(g, 2))
+    lhs, rhs = np.exp(certified(log_sides, 2, "chi-square identity", QUAD_TOL))
     return float(lhs), float(rhs)
 
 

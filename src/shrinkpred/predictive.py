@@ -34,7 +34,7 @@ import numpy as np
 
 from .bounds import nu_limits, prior_scale, rescale_C_for_positivity
 from .canonical import CanonicalObservation, CanonicalProblem, _freeze, _row_dot, _rows
-from .quad import UnreliableNormalizationError, laguerre, log_trapezoid
+from .quad import QUAD_TOL, UnreliableNormalizationError, certified, jacobi, laguerre
 
 __all__ = [
     "DegenerateObservationError",
@@ -351,9 +351,9 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
 
     Its kernel is (q_u(y) + s)^-A (q_b(y) + o)^-B with A = m/2 + (n-k)/(1-alpha),
     B = nu(n-k)/(1-alpha) and o = r + |v*|^2/gamma + s (v* is empty when m >= k),
-    normalized by its certified logit-scale quadrature (_log_integral).  Raises
+    normalized by its certified Gauss-Jacobi quadrature (_log_integral).  Raises
     UnreliableNormalizationError when the certificate fails for any row, as it
-    does once a tiny nu leaves the kernel's tail in w too flat to integrate.
+    does once a tiny nu rounds B - 1 to -1, where the Beta weight has no mass.
     """
     alpha, problem = _check_alpha(alpha), prior.problem
     s = _check_obs(problem, obs)
@@ -365,42 +365,53 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
     return replace(kernel, log_const=-_log_integral(kernel))
 
 
+JACOBI_POWER = 8.0  # _log_integral's power kappa makes kappa (A - m/2) at least this
+
+
 def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
-    """log Z of each row, Z the integral of the shrinkage kernel over R^m, as one integral on the logit scale.
+    """log Z of each row, Z the integral of the shrinkage kernel over R^m, as a Beta(A, B) expectation.
 
     Write each factor as a Gamma integral, integrate y per spectral group j of kernel.groups (n_j axes at
-    scales sigma_u_j, sigma_b_j) and then the total rate.  With w = expit(z), p_j(w) = w/sigma_u_j
-    + (1-w)/sigma_b_j, delta2_j the sum of (v - theta_b)^2 over j's axes along Q and P = A + B - m/2:
-      log Z = (m/2) log pi + lnG(P) - lnG(A) - lnG(B) + log int e^G(z) dz,
-      G(z) = A log w + B log(1-w) - sum_j (n_j/2) log p_j(w) - P log h(w),
-      h(w) = w s + (1-w) o + w(1-w) sum_j delta2_j/(sigma_u_j sigma_b_j p_j(w)).
-    The rows of a chunk share one trapezoid grid (p does not depend on the row).  A lnG past the float range
-    raises UnreliableNormalizationError.
+    scales sigma_u_j, sigma_b_j) and then the total rate.  The first factor's share w of it, mapped by
+    w' = w s/(w s + (1-w) o), is Beta(A, B).  With P = A + B - m/2 and delta2_j the sum of (v - theta_b)^2
+    over j's axes along Q:
+      log Z = (m/2) log pi + lnG(P) - lnG(A + B) + (m/2 - A) log s + (m/2 - B) log o + log E F(w'),
+      log F = -P log(1 + w'(1-w') sum_j delta2_j/(sigma_u_j sigma_b_j q_j)) - sum_j (n_j/2) log q_j,
+      q_j = w' o/sigma_u_j + (1-w') s/sigma_b_j, so no product s o can overflow.
+    The weight carries (1-w')^(B-1), so a small B costs nothing.  But F falls like w'^(-m/2) down to
+    w' ~ s/o, whose share (s/o)^(A - m/2) of E F no w'^(A-1) rule resolves once A - m/2 = (n-k)/(1-alpha) is
+    small (n - k = 1 at alpha = -1: 134 of 4096 rows uncertified).  So w' = xi^kappa, with
+    kappa = ceil(JACOBI_POWER/(A - m/2)) (1 on the shipped configs from alpha = -1/8): that share falls
+    like xi^(kappa (A - m/2)), and E F is kappa Be(kappa A, B)/Be(A, B) times the mean of
+    (sum_{i<kappa} xi^i)^(B-1) F(xi^kappa) under jacobi(kappa A - 1, B - 1, n), certified to QUAD_TOL.
+    A B whose B - 1 rounds to -1, or a lnG past the float range, raises UnreliableNormalizationError
+    naming alpha, nu and B.
     """
     A, B, m, groups = kernel.A, kernel.B, kernel.problem.m, kernel.groups
-    P, const = A + B - m / 2.0, (m / 2.0) * math.log(math.pi)
+    P, kappa = A + B - m / 2.0, max(1, math.ceil(JACOBI_POWER / (A - m / 2.0)))
+    nu = B * (1.0 - kernel.alpha) / (kernel.problem.n - kernel.problem.k)
+    what = f"shrinkage constant at alpha = {kernel.alpha:.6g}, nu = {nu:.6g}, B = {B:.6g}"
     half, inv_u, inv_b = np.array([(count / 2.0, 1.0 / u, 1.0 / b) for count, u, b, _ in groups]).T
     s, o = np.reshape(kernel.s, -1), np.reshape(kernel.o, -1)
     delta2 = np.reshape(kernel.v - kernel.theta_b, (-1, kernel.problem.l)) ** 2
     coupling = np.stack([delta2[:, axes].sum(axis=1) for *_, axes in groups], axis=1) * inv_u * inv_b
 
-    def g(z: np.ndarray, rows: slice) -> np.ndarray:
-        log_w, log_w1 = _log_expit(z), _log_expit(-z)
-        w, w1 = np.exp(log_w), np.exp(log_w1)
-        p = w[:, None] * inv_u + w1[:, None] * inv_b
-        h = w * s[rows, None] + w1 * o[rows, None] + w * w1 * (coupling[rows] @ (1.0 / p).T)
-        return A * log_w + B * log_w1 - np.log(p) @ half - P * np.log(h)
+    def log_mean(n: int, rows: np.ndarray) -> np.ndarray:
+        xi, log_w = jacobi(kappa * A - 1.0, B - 1.0, n)
+        x = xi ** kappa
+        log_w = log_w + (B - 1.0) * np.log((xi[:, None] ** np.arange(kappa)).sum(axis=1))
+        q = (x[:, None] * inv_u) * o[rows, None, None] + ((1.0 - x)[:, None] * inv_b) * s[rows, None, None]
+        ratio = np.einsum("rng,rg->rn", (x * (1.0 - x))[:, None] / q, coupling[rows])
+        log_f = log_w - P * np.log1p(ratio) - np.log(q) @ half
+        top = log_f.max(axis=1)
+        return top + np.log(np.exp(log_f - top[:, None]).sum(axis=1))
 
-    try:  # math.lgamma raises OverflowError past the float range, at P above about 2.5e305
-        out = const + math.lgamma(P) - math.lgamma(A) - math.lgamma(B) + log_trapezoid(g, s.size)
-    except OverflowError:
-        raise UnreliableNormalizationError(f"lnGamma(P) is not finite at P = {P:.6g}") from None
+    if not P < 2.5e305:  # math.lgamma overflows from about 2.55e305, and an infinite B makes P infinite
+        raise UnreliableNormalizationError(f"lnGamma(P) is not finite at P = {P:.6g} ({what})")
+    const = ((m / 2.0) * math.log(math.pi) + math.lgamma(P) - math.lgamma(kappa * A + B)
+             + (math.lgamma(kappa * A) - math.lgamma(A) + math.log(kappa)))
+    out = const + (m / 2.0 - A) * np.log(s) + (m / 2.0 - B) * np.log(o) + certified(log_mean, s.size, what, QUAD_TOL)
     return float(out[0]) if np.ndim(kernel.s) == 0 else out
-
-
-def _log_expit(z: np.ndarray) -> np.ndarray:
-    """log(1/(1 + e^-z)), finite and without overflow in both tails."""
-    return -np.logaddexp(0.0, -z)
 
 
 # _node_pairs leaves out pairs below e^-LOSS_WEIGHT_DROP of the heaviest; LOSS_CHUNK bounds one temporary (256 kB)
@@ -486,28 +497,38 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int,
     return log_i
 
 
+# _expected_log's window in z = log t drops at most FRULLANI_EPS left of it and e^-FRULLANI_T/FRULLANI_T right of it
+FRULLANI_EPS, FRULLANI_T, FRULLANI_START_NODES = 1e-14, 60.0, 54
+
+
 def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> np.ndarray:
     """E log(q(Y) + o) for each row, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
 
-    log(q + o) = log o + int_0^inf e^-t (1 - e^(-t q/o)) dt/t (Frullani), and
+    log(q + o) = log o + int_0^inf e^-t (1 - M(t/o)) dt/t (Frullani), and
     M(tau) = E e^(-tau q(Y)) = prod_j (1 + 2 tau/sigma_j)^(-n_j/2) exp(-(tau/sigma_j) dev_j/(1 + 2 tau/sigma_j))
     over kernel.groups: group j has n_j axes at the factor's scale sigma_j (sigma_u, or sigma_b for the second
-    factor), and dev_j sums (theta_i - mu_i)^2 over its axes along Q, mu the factor's center.  The t-integral
-    is positive and runs on z = log t by quad.log_trapezoid.
+    factor), and dev_j sums (theta_i - mu_i)^2 over its axes along Q, mu the factor's center.  Gauss-Legendre
+    rules (quad.jacobi(0, 0, n)), certified to QUAD_TOL from FRULLANI_START_NODES, take the t-integral on
+    z = log t over [log(FRULLANI_EPS min(1, o/E q)), log FRULLANI_T], E q = sum_j (n_j + dev_j)/sigma_j: as
+    1 - M(tau) <= tau E q (Jensen), it drops at most FRULLANI_EPS on the left and e^-T/T on the right.
     """
     o = np.reshape(kernel.o if second else kernel.s, -1)
     sq = np.reshape(theta - (kernel.theta_b if second else kernel.v), (-1, kernel.problem.l)) ** 2
     terms = [(n / 2.0, sigma[second], sq[:, axes].sum(axis=1) / sigma[second]) for n, *sigma, axes in kernel.groups]
+    mean_q = sum(2.0 * half / sigma + dev for half, sigma, dev in terms)
+    lo = math.log(FRULLANI_EPS) + np.minimum(0.0, np.log(o / mean_q))
+    width = math.log(FRULLANI_T) - lo
 
-    def g(z: np.ndarray, rows: slice) -> np.ndarray:
-        t, log_m = np.exp(z), 0.0
-        tau = t / o[rows, None]
+    def integral(n: int, rows: np.ndarray) -> np.ndarray:
+        x, log_w = jacobi(0.0, 0.0, n)
+        t = np.exp(lo[rows, None] + width[rows, None] * x)
+        tau, log_m = t / o[rows, None], 0.0
         for half, sigma, dev in terms:
             grow = 2.0 * tau / sigma
             log_m = log_m - half * np.log1p(grow) - tau * dev[rows, None] / (1.0 + grow)
-        return -t + np.log(-np.expm1(log_m))
+        return width[rows] * ((np.exp(-t) * -np.expm1(log_m)) @ np.exp(log_w))
 
-    return np.log(o) + np.exp(log_trapezoid(g, o.size))
+    return np.log(o) + certified(integral, o.size, "Frullani integral at alpha = -1", QUAD_TOL, FRULLANI_START_NODES)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ def alpha_divergence_loss(density: PredictiveKernel | PluginEstimate, theta) -> 
             loss = loss + block.B * _expected_log(block, True, theta)
     else:
         scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta)
-        loss = certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s))
+        loss = certified(lambda n, index: -scale * np.expm1(log_i(n, index)), np.size(block.s),
+                         f"loss quadrature at alpha = {block.alpha:.6g}")
     return loss if np.ndim(density.s) else float(loss[0])
 
 

@@ -1,9 +1,10 @@
 """Monte Carlo oracles for the exact quadratures of shrinkpred, and the samplers they draw with.
 
-The program computes the shrinkage density's constant by a certified
-trapezoid rule (predictive.shrinkage_bayes_kernel), the alpha < 1 losses
-by Gauss-Laguerre and Frullani rules (risk.alpha_divergence_loss) and both
-sides of the chi-square identity by one trapezoid rule
+The program computes the shrinkage density's constant by certified
+Gauss-Jacobi rules (predictive.shrinkage_bayes_kernel), the alpha < 1
+losses by Gauss-Laguerre rules and the alpha = -1 losses' Frullani
+integrals by Gauss-Legendre rules (risk.alpha_divergence_loss), and both
+sides of the chi-square identity by one Gauss-Jacobi certificate
 (identities.chi_square_identity).  The tests check them against
 independent Monte Carlo estimates: normalize_density by importance
 sampling, alpha_divergence_mc by sampling the truth (or, at alpha = 1, the

@@ -187,7 +187,7 @@ def test_identities_pass(tmp_path):
 def test_identities_tight_tolerance_fails(tmp_path, monkeypatch):
     import shrinkpred.identities as identities_mod
 
-    # the beta check's trapezoid rule agrees with the closed form to a few 1e-15, so ask for 1e-17
+    # the beta check's Gauss-Jacobi rule agrees with the closed form to a few 1e-15, so ask for 1e-17
     monkeypatch.setattr(identities_mod, "BETA_TOL", 1e-17)
     monkeypatch.setattr(identities_mod, "LEMMA_TOL", 1e-14)
     cfg = write_config(tmp_path, {"seed": 2})
@@ -790,13 +790,20 @@ def test_csv_files_that_are_not_tables_of_numbers_name_the_key(tmp_path, capsys,
 def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
     import shrinkpred.quad as quad_module
 
-    # with no room to refine, the shrinkage constant's quadrature certificate fails
-    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
+    # with no larger Gauss rule to compare against (the top rung lowered to the first), no integral is certified:
+    # risk-compare fails at its first, and density-eval at the shrinkage constant, which its message names
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
     capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err.startswith("normalization certificate failed:")
     assert not (tmp_path / "o" / "risk_compare.csv").exists()
+    density = shrinkage_density_config(tmp_path, 0.0, 0.2)
+    capsys.readouterr()
+    assert main(["density-eval", "--config", density, "--out", str(tmp_path / "d")]) == 4
+    assert capsys.readouterr().err == ("normalization certificate failed: shrinkage constant at alpha = 0, nu = 0.2, "
+                                       "B = 1.8: 1 row(s) uncertified, no n vs 3n/2 pair within LOSS_MAX_NODES = 16\n")
+    assert not (tmp_path / "d").exists()
 
 
 def shrinkage_density_config(tmp_path, alpha, nu):
@@ -840,7 +847,8 @@ def test_a_nu_whose_prior_exponent_overflows_exits_1_from_the_subcommands_that_b
 @pytest.mark.parametrize("nu", [1e50, 1e100, 1e200, 1e300, 1e306])
 def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
     # these used to end in a traceback, exit 1: ZeroDivisionError in the loss once the Gauss-Laguerre rule came
-    # back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant (1e306)
+    # back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant (1e306);
+    # from 1e200 the shrinkage constant's Gauss-Jacobi rule, whose nodes would lie near 1e-200, fails before the loss
     doc = json.loads((CONFIGS / "as1_desk.json").read_text())
     doc.update(prior=dict(doc["prior"], nu=nu), alphas=[0.0, -1.0], reps_outer=100, seed=1)
     doc["grid"]["theta_norms"] = [0.0, 2.0]
@@ -848,7 +856,7 @@ def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
     capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
-    cause = "lnGamma" if nu == 1e306 else "Gauss-Laguerre rule"
+    cause = "lnGamma" if nu == 1e306 else "Gauss-Laguerre rule" if nu < 1e200 else "Gauss-Jacobi rule"
     assert err.startswith(f"normalization certificate failed: {cause}") and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
     if nu == 1e306:
@@ -863,8 +871,10 @@ def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
 @pytest.mark.parametrize("prior", [{"nu": 1e-300}, {"nu": 1e-17}, {"c": 1e200}])
 def test_a_tiny_nu_is_a_certificate_failure(tmp_path, capsys, prior):
     # at nu = 1e-17 or less (c = 1e200 caps nu at 1e-200) k + 2a + 2 rounded to 0, and B formed from it ended these
-    # runs in lnGamma(0), "error: math domain error", exit 1; B = nu (n - k)/(1 - alpha) leaves a w-tail too flat
-    # for the shrinkage constant's window
+    # runs in lnGamma(0), "error: math domain error", exit 1.  Now B = nu (n - k)/(1 - alpha): at 1e-300 and 1e-200
+    # B - 1 rounds to -1, where the shrinkage constant's Beta weight has no mass.  At 1e-17 the alpha = 0 constant
+    # (B = 9e-17) integrates, so density-eval runs, but the alpha = 0 loss's Gauss-Laguerre parameter B beta - 1
+    # rounds to -1 and risk-compare fails there
     doc = json.loads((CONFIGS / "as1_desk.json").read_text())
     doc.update(prior=dict(doc["prior"], **prior), alphas=[0.0, -1.0], reps_outer=50, seed=1)
     density = json.loads(Path(shrinkage_density_config(tmp_path, 0.0, 1.0)).read_text())
@@ -872,9 +882,14 @@ def test_a_tiny_nu_is_a_certificate_failure(tmp_path, capsys, prior):
     for command, cfg, out in (("risk-compare", write_config(tmp_path, doc, "risk.json"), "r"),
                               ("density-eval", write_config(tmp_path, density, "density.json"), "d")):
         capsys.readouterr()
+        if command == "density-eval" and prior == {"nu": 1e-17}:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+            continue
         assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 4, command
         err = capsys.readouterr().err
         assert err.startswith("normalization certificate failed: ") and "Traceback" not in err, err
+        # the shrinkage constant's failure names nu and B; at nu = 1e-17 risk-compare fails at the loss
+        assert prior == {"nu": 1e-17} or ("nu = " in err and "B = " in err), err
         assert not (tmp_path / out).exists()
     if prior == {"nu": 1e-300}:  # the alpha = 1 plug-in rules build no shrinkage kernel
         doc.update(alphas=[1.0], reps=100)
@@ -924,13 +939,13 @@ def test_kullback_leibler_loss_certificate_failure_exits_4(tmp_path, monkeypatch
     import shrinkpred.quad as quad_module
 
     # at alpha = -1 the best invariant loss's Frullani integrals fail first, before any shrinkage constant
-    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     monkeypatch.setattr(cli_mod, "shrinkage_bayes_kernel", lambda *args: pytest.fail("shrinkage kernel built"))
     cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[-1.0]))
     capsys.readouterr()
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("normalization certificate failed: trapezoid rule") and "n vs 2n" in err
+    assert err.startswith("normalization certificate failed: Frullani integral at alpha = -1") and "n vs 3n/2" in err
     assert not (tmp_path / "o" / "risk_compare.csv").exists()
 
 
@@ -942,7 +957,7 @@ def test_kullback_leibler_loss_certificate_failure_exits_4(tmp_path, monkeypatch
 ])
 def test_alpha_between_the_bound_and_one_is_a_configuration_error(tmp_path, capsys, doc, message):
     # nearer 1 the exact loss loses digits its certificate cannot see: alphas = [0.9999] used to exit 0
-    # with a loss 2.7e-6 off, and 0.99999 to exit 4 with a trapezoid message that did not name alpha
+    # with a loss 2.7e-6 off, and 0.99999 to exit 4 with a quadrature message that did not name alpha
     cfg = write_config(tmp_path, dict(RISK_DOC, **doc))
     for command in ("bounds", "risk-compare"):
         capsys.readouterr()

@@ -9,7 +9,6 @@ import scipy.special
 from scipy import integrate, stats
 
 from shrinkpred.bounds import nu_limits
-import shrinkpred.predictive as predictive_module
 import shrinkpred.quad as quad_module
 from shrinkpred.canonical import (
     STREAM_DESIGN,
@@ -219,11 +218,6 @@ def test_best_invariant_constant_matches_scipy_gammaln(prob_m3, prob_rot, obs_m3
         want = (scipy.special.gammaln((dof + m) / 2.0) - scipy.special.gammaln(dof / 2.0)
                 - m / 2.0 * math.log(math.pi) - 0.5 * logdet + dof / 2.0 * math.log(obs.s))
         assert best_invariant_kernel(problem, obs, alpha).log_const == pytest.approx(want, rel=1e-13, abs=1e-13)
-
-
-def test_log_expit_matches_scipy():
-    z = np.concatenate([np.linspace(-745.0, 745.0, 100001), [-1e6, 1e6]])
-    np.testing.assert_allclose(predictive_module._log_expit(z), scipy.special.log_expit(z), rtol=1e-15, atol=1e-300)
 
 
 @pytest.mark.parametrize("kind", ["best_invariant", "shrinkage_bayes"])
@@ -614,56 +608,52 @@ def test_quadrature_constant_matches_algebraic_weight_rule(design):
 
 @pytest.mark.parametrize("alpha", [0.99, 0.999])
 def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
-    # the rule certifies n against 2n intervals; four times the starting
-    # intervals must land on the same constant
+    # the rule certifies n against 3n/2 nodes; a ladder started at four times
+    # the first rung must land on the same constant
     far_problem, far_obs = far_case()
     near = CanonicalObservation(v=np.array([0.8, -0.4, 1.2]), v_star=np.zeros(0), s=9.5)
     cases = [(as1_problem_n12, near), (far_problem, far_obs)]
     base = [shrinkage_bayes_kernel(PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
-    monkeypatch.setattr(quad_module, "QUAD_START_INTERVALS", 4 * quad_module.QUAD_START_INTERVALS)
+    monkeypatch.setattr(quad_module, "LOSS_START_NODES", 4 * quad_module.LOSS_START_NODES)
     fine = [shrinkage_bayes_kernel(PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     assert np.all(np.isfinite(base))
     assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
 
 
-def test_trapezoid_certificate_failure_names_the_pair_its_gap_belongs_to():
-    # a step in exp(g) at the irrational +-sqrt(2) keeps the rule's error of the order of its step, far above
-    # QUAD_TOL, so the step halves up to QUAD_MAX_INTERVALS; the gap reported is that of the last pair formed
-    def g(z, chunk):
-        return np.broadcast_to(np.where(np.abs(z) < math.sqrt(2.0), 0.0, -100.0), (chunk.stop - chunk.start, z.size))
-
+def test_gauss_certificate_failure_names_the_integral_and_the_pair_its_gap_belongs_to():
+    # a value of 1/n never settles to QUAD_TOL, so the ladder climbs to its top rung; the gap reported is that of
+    # the last pair formed, and the message begins with the integral's name
     with pytest.raises(UnreliableNormalizationError) as raised:
-        quad_module.log_trapezoid(g, 2)
-    top = quad_module.QUAD_MAX_INTERVALS
-    assert re.fullmatch(rf"trapezoid rule on \[\S+, \S+\]: n vs 2n gap \S+ at {top // 2} vs {top} intervals of "
-                        rf"the window, the last pair within QUAD_MAX_INTERVALS = {top}", str(raised.value))
+        quad_module.certified(lambda n, index: np.full(index.size, 1.0 / n), 2, "an integral", quad_module.QUAD_TOL, 54)
+    assert str(raised.value) == ("an integral: 2 row(s) uncertified, n vs 3n/2 gap "
+                                 f"{1 / 406 - 1 / 609:.3e} at 406 vs 609 nodes, the last pair within "
+                                 "LOSS_MAX_NODES = 640")
 
 
-@pytest.mark.parametrize("lo, hi", [(0.1, 0.5), (-1.0, 1.0)])
-def test_trapezoid_certificate_rejects_a_value_that_is_not_finite(lo, hi):
-    # nan on (0.1, 0.5) lies between the first pass's nodes (step 0.5), and its nan gap used to end the
-    # refinement with [nan, nan]; on (-1, 1) the first pass sees it at a row's peak
-    def g(z, chunk):
-        return np.broadcast_to(np.where((z > lo) & (z < hi), math.nan, -z * z / 2.0), (chunk.stop - chunk.start, z.size))
+@pytest.mark.parametrize("bad_n", [16, 36])
+def test_gauss_certificate_rejects_a_value_that_is_not_finite(bad_n):
+    # a nan gap would never certify and climb the whole ladder, and a nan at the first rung could hide behind a
+    # nan gap; either fails at once, naming the integral
+    def integral(n, index):
+        return np.full(index.size, math.nan if n == bad_n else 1.0 / n)
 
-    with pytest.raises(UnreliableNormalizationError, match="not finite"):
-        quad_module.log_trapezoid(g, 2)
+    with pytest.raises(UnreliableNormalizationError, match=f"^an integral: a row's value is not finite at {bad_n}"):
+        quad_module.certified(integral, 2, "an integral", quad_module.QUAD_TOL)
 
 
 def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
     prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    shrinkage_bayes_kernel(prior, obs_m3, 0.0)
-    # no refinement allowed: the n vs 2n comparison can never be made
-    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
-    with pytest.raises(UnreliableNormalizationError, match="n vs 2n"):
-        shrinkage_bayes_kernel(prior, obs_m3, 0.0)
-    monkeypatch.undo()
-    # a window that may not grow cannot reach a long tail's QUAD_DROP
     long_tail = PriorSpec(prob_m3, c=2.0, nu=0.02 / (prob_m3.n - prob_m3.k))
-    shrinkage_bayes_kernel(long_tail, obs_m3, 0.0)
-    monkeypatch.setattr(quad_module, "QUAD_MAX_WIDTH", 2.0 * quad_module.QUAD_HALF_WIDTH)
-    with pytest.raises(UnreliableNormalizationError, match="of its peak"):
-        shrinkage_bayes_kernel(long_tail, obs_m3, 0.0)
+    for spec in (prior, long_tail):
+        shrinkage_bayes_kernel(spec, obs_m3, 0.0)
+    # no larger rule allowed: the n vs 3n/2 comparison can never be made, and the message names nu and B
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
+    for spec in (prior, long_tail):
+        B = spec.nu * (prob_m3.n - prob_m3.k)
+        with pytest.raises(UnreliableNormalizationError,
+                           match=re.escape(f"shrinkage constant at alpha = 0, nu = {spec.nu:.6g}, B = {B:.6g}: "
+                                           "1 row(s) uncertified, no n vs 3n/2 pair")):
+            shrinkage_bayes_kernel(spec, obs_m3, 0.0)
 
 
 # ---------------------------------------------------------------------------

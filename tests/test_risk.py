@@ -447,11 +447,11 @@ def test_risk_estimate_validation():
 
 
 def test_certificate_failure_propagates(prob_m3, monkeypatch):
-    # a shrinkage constant that fails its quadrature certificate stops the run
-    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
+    # a shrinkage constant that fails its quadrature certificate (the top rung lowered to the first) stops the run
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    with pytest.raises(UnreliableNormalizationError):
-        risk_mc(_two_scorers(prob_m3, 0.0).values(), prob_m3, [params], 60, seed=2)
+    with pytest.raises(UnreliableNormalizationError, match="^shrinkage constant at alpha = 0, nu = 0.25, B = 2.25: "):
+        risk_mc([_two_scorers(prob_m3, 0.0)["shrinkage_bayes"]], prob_m3, [params], 60, seed=2)
 
 
 @pytest.mark.parametrize("norm, s2, message", [
@@ -513,12 +513,12 @@ def test_loss_certificate_failure_names_the_pair_its_gap_belongs_to():
 
 
 def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypatch):
-    # the best invariant rule alone at alpha = -1 needs no shrinkage constant: the trapezoid
-    # rule that fails is the one of its Frullani integrals
-    monkeypatch.setattr(quad_module, "QUAD_MAX_INTERVALS", quad_module.QUAD_START_INTERVALS)
+    # the best invariant rule alone at alpha = -1 needs no shrinkage constant: the Gauss-Legendre
+    # certificate that fails is the one of its Frullani integrals
+    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     score = scorer(lambda o: best_invariant_kernel(prob_m3, o, -1.0), -1.0)
-    with pytest.raises(UnreliableNormalizationError, match="n vs 2n") as raised:
+    with pytest.raises(UnreliableNormalizationError, match="^Frullani integral at alpha = -1: .* n vs 3n/2") as raised:
         risk_mc([score], prob_m3, [params], 60, seed=2)
     assert "_expected_log" in [entry.name for entry in raised.traceback]
 
@@ -728,7 +728,7 @@ def test_laguerre_rule_has_mass_one_on_the_whole_ladder(a):
     n = quad_module.LOSS_START_NODES
     while n <= top_rung():
         _, log_w = quad_module.laguerre(a, n)
-        assert abs(np.logaddexp.reduce(log_w)) <= quad_module.LAGUERRE_SUM_TOL / 100
+        assert abs(np.logaddexp.reduce(log_w)) <= quad_module.MASS_TOL / 100
         n = 3 * n // 2
 
 
@@ -825,43 +825,27 @@ def test_certified_loss_is_within_loss_tol_of_a_deeper_reference(design, alpha, 
             assert np.abs(got - want).max() <= quad_module.LOSS_TOL
 
 
-def counting_grid(nodes: list):
-    """quad._shared_grid, recording how many nodes each evaluation of the integrand takes."""
-    shared = quad_module._shared_grid
-
-    def grid(g):
-        def counted(z):
-            nodes.append(z.size)
-            return g(z)
-        return shared(counted)
-    return grid
-
-
 @pytest.mark.parametrize("alpha", [-1.0, -0.99, 0.0, 0.99])
 @pytest.mark.parametrize("design", ["as1_desk", "case2_small_l"])
-def test_bulk_refinement_matches_the_full_window_rule(design, alpha, monkeypatch):
-    # an infinite QUAD_BULK_MARGIN refines the whole first-pass window; refining only the bulk moves the
-    # shrinkage constant and the alpha = -1 Frullani losses by rounding, and evaluates fewer nodes
+def test_constant_and_frullani_ladders_match_a_deeper_ladder(design, alpha, monkeypatch):
+    # the shrinkage constant and the alpha = -1 Frullani losses, each certified to QUAD_TOL from its first rung,
+    # against ladders started deeper (81 nodes for the constant, 121 for the Frullani integrals) and certified to
+    # 1e-13: they move by rounding
     problem, prior = oracle_designs()[design]
     for params, block in norm_blocks(problem, 128, 13):
         def run():
-            nodes = []
-            with monkeypatch.context() as patch:
-                patch.setattr(quad_module, "_shared_grid", counting_grid(nodes))
-                kernels = (shrinkage_bayes_kernel(prior, block, alpha),
-                           best_invariant_kernel(problem, block, alpha))
-                constant_nodes = sum(nodes)
-                losses = [alpha_divergence_loss(k, params.theta) for k in kernels] if alpha == -1.0 else []
-            return kernels[0].log_const, losses, constant_nodes
+            kernels = (shrinkage_bayes_kernel(prior, block, alpha), best_invariant_kernel(problem, block, alpha))
+            return kernels[0].log_const, [alpha_divergence_loss(k, params.theta) for k in kernels if alpha == -1.0]
 
-        got, got_losses, got_nodes = run()
-        monkeypatch.setattr(quad_module, "QUAD_BULK_MARGIN", math.inf)
-        want, want_losses, want_nodes = run()
-        monkeypatch.undo()
+        got, got_losses = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(quad_module, "LOSS_START_NODES", 81)
+            patch.setattr(predictive_module, "FRULLANI_START_NODES", 121)
+            patch.setattr(predictive_module, "QUAD_TOL", 1e-13)
+            want, want_losses = run()
         assert np.abs(got - want).max() <= quad_module.QUAD_TOL
         for got_loss, want_loss in zip(got_losses, want_losses):
             assert np.abs(got_loss - want_loss).max() <= quad_module.QUAD_TOL
-        assert got_nodes < want_nodes
 
 
 def per_axis_log_affinity(kernel, theta, n):
