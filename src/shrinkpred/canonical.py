@@ -220,6 +220,9 @@ class CanonicalObservation:
         object.__setattr__(self, "v", _rows(self.v, s.shape))
         object.__setattr__(self, "v_star", _rows(self.v_star, s.shape))
         object.__setattr__(self, "s", float(s) if s.ndim == 0 else s)
+        for key in ("v", "v_star", "s"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must hold finite numbers")
         if np.any(s < 0):
             raise ValueError("s must be nonnegative")
 

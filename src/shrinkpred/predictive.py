@@ -7,7 +7,7 @@ ytilde ~ N_m(Q theta, I/eta):
   pi(theta, mu, eta) = 1/eta), a multivariate t once normalized;
 * the hierarchical shrinkage density for divergence index alpha < 1, which
   factors as the best invariant kernel times a second polynomial kernel
-  centered at a shrunken mean;
+  centered at a shrunken mean (the best invariant kernel is its B = 0 member);
 * the plug-in normal at alpha = 1, whose mean and variance shrink the
   unbiased estimators by the data-adaptive factor nu/(nu + 1 + W).
 
@@ -269,22 +269,22 @@ class PredictiveKernel(_Density):
     quadratic form of c2 I + Q diag(d) Q' about Q v, q_b that of
     c2 I + Q diag(e_b) Q' about Q theta_b, with Q, d, m, n and k those of
     ``problem``, c2 = 2/(1 - alpha) and A = (m + dof)/2, dof = 2(n-k)/(1-alpha).
-    The best invariant density has no second factor (B = 0, o None) and is
-    multivariate t with dof degrees of freedom.  A block of observations
-    gives v and theta_b one row, and s, o and log_const one entry, per
-    observation; indexing the kernel selects rows.  One observation's kernel
-    evaluates its density at points (log_unnormalized, log_density).
+    Its B = 0 member (e_b = d, theta_b = v, o = s, the nu -> 0 limit) is the
+    best invariant density, multivariate t with dof degrees of freedom.  A
+    block of observations gives v and theta_b one row, and s, o and log_const
+    one entry, per observation; indexing the kernel selects rows.  One
+    observation's kernel evaluates its density (log_unnormalized, log_density).
     """
 
     problem: CanonicalProblem
     alpha: float
     v: np.ndarray
     s: float | np.ndarray
+    B: float
+    e_b: np.ndarray
+    theta_b: np.ndarray
+    o: float | np.ndarray
     log_const: float | np.ndarray = 0.0
-    B: float = 0.0
-    e_b: np.ndarray | None = None
-    theta_b: np.ndarray | None = None
-    o: float | np.ndarray | None = None
 
     @property
     def c2(self) -> float:
@@ -302,30 +302,26 @@ class PredictiveKernel(_Density):
     def groups(self) -> list[tuple[int, float, float, list[int]]]:
         """The spectrum of both scale matrices: (count, sigma_u, sigma_b, axes) per set of axes with equal scales.
 
-        Axis i < l along Q has sigma_u = c2 + d_i and sigma_b = c2 + e_b,i (e_b = d without a second factor), and
-        the m - l axes outside Q have (c2, c2).  Groups come in first-seen order; axes lists the members below l.
+        Axis i < l along Q has sigma_u = c2 + d_i and sigma_b = c2 + e_b,i (sigma_b = sigma_u at B = 0), and the
+        m - l axes outside Q have (c2, c2).  Groups come in first-seen order; axes lists the members below l.
         """
         c2, m, l, d = self.c2, self.problem.m, self.problem.l, self.problem.d
-        e_b = d if self.e_b is None else self.e_b
         members: dict[tuple[float, float], list[int]] = {}
-        for i, key in enumerate(list(zip((c2 + d).tolist(), (c2 + e_b).tolist())) + [(c2, c2)] * (m - l)):
+        for i, key in enumerate(list(zip((c2 + d).tolist(), (c2 + self.e_b).tolist())) + [(c2, c2)] * (m - l)):
             members.setdefault(key, []).append(i)
         return [(len(axes), u, b, [i for i in axes if i < l]) for (u, b), axes in members.items()]
 
     def __getitem__(self, index) -> "PredictiveKernel":
-        rows = ("v", "s", "log_const") + (() if self.o is None else ("theta_b", "o"))
+        rows = ("v", "s", "log_const", "theta_b", "o")
         return replace(self, **{name: np.asarray(getattr(self, name))[index] for name in rows})
 
     def log_unnormalized(self, y) -> float | np.ndarray:
         """log p(y) - log_const at a point, shape (m,), or at the rows of a batch, shape (N, m)."""
         pts, single = _points(y, self._single_m(self.s))
         Q = self.problem.Q
-        lu = np.log(_quad_form(pts - Q @ self.v, Q, self.c2, self.problem.d) + self.s)
-        if self.o is None:
-            out = -self.A * lu
-        else:
-            lb = np.log(_quad_form(pts - Q @ self.theta_b, Q, self.c2, self.e_b) + self.o)
-            out = -self.A * lu - self.B * lb
+        out = -self.A * np.log(_quad_form(pts - Q @ self.v, Q, self.c2, self.problem.d) + self.s)
+        if self.B:  # a zero exponent skips its factor: 0 log(inf) at an infinite point would be nan
+            out -= self.B * np.log(_quad_form(pts - Q @ self.theta_b, Q, self.c2, self.e_b) + self.o)
         return float(out[0]) if single else out
 
 
@@ -335,8 +331,9 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     It is multivariate t with 2(n-k)/(1-alpha) degrees of freedom, location
     Q v and scale matrix (s/dof) A_u, A_u = c2 I + Q diag(d) Q'.
     """
-    kernel = PredictiveKernel(problem=problem, alpha=_check_alpha(alpha), v=obs.v, s=_check_obs(problem, obs))
-    m, dof, s = problem.m, kernel.dof, kernel.s
+    s = _check_obs(problem, obs)
+    kernel = PredictiveKernel(problem, _check_alpha(alpha), obs.v, s, B=0.0, e_b=problem.d, theta_b=obs.v, o=s)
+    m, dof = problem.m, kernel.dof
     counts, sigma_u = np.array([group[:2] for group in kernel.groups]).T
     # one observation keeps math.log: numpy's vector log can differ from it in the last bit,
     # and density-eval prints this constant to 17 digits
@@ -422,7 +419,7 @@ LOSS_WEIGHT_DROP, LOSS_CHUNK = 60.0, 1 << 15
 def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]:
     """The kept node pairs of the tensor of laguerre(a_x, n) and laguerre(a_y, n): rows 1, X, Y, X Y; log w.
 
-    a_y None stands for a single node 0 of weight 1.  Pairs run x-major, and
+    a_y None, for a factor of exponent 0, stands for a single node 0 of weight 1.  Pairs run x-major, and
     those weighing less than e^-LOSS_WEIGHT_DROP of the heaviest are left
     out.  Memoized per (a_x, a_y, n); the arrays are read-only.
     """
@@ -438,7 +435,7 @@ def _node_pairs(a_x: float, a_y: float | None, n: int) -> tuple[np.ndarray, ...]
 
 
 def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
-    """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of kernel at n nodes per factor.
+    """log_i(n, index): log I, I = int p^(1-beta) phat^beta, for the rows index of a block kernel at n nodes per factor.
 
     Each factor (q + s)^(-A beta) = int t^(A beta - 1) e^(-t(q + s)) dt / Gamma(A beta),
     after which y integrates as a Gaussian: per axis, with kappa = (1-alpha)/4, a
@@ -454,30 +451,28 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int,
     contracts with the bases [1, X, Y] and [X, Y, XY], the first and last
     three rows of _node_pairs's array.  einsum without optimize sums each element in the same
     order whatever the number of rows, where a BLAS product need not, so a
-    row's bits do not depend on its chunk.  A kernel without a second
-    factor takes the single node u = 0.  The integrand is at most
+    row's bits do not depend on its chunk.  At B = 0 u takes the single node
+    0, and dvb = 0 even where s o underflows.  The integrand is at most
     (pi/kappa)^(m/2), so dropping light pairs is safe; rows go
     LOSS_CHUNK // kept at a time.
     """
-    alpha, m, l = kernel.alpha, kernel.problem.m, kernel.problem.l
+    alpha, m = kernel.alpha, kernel.problem.m
     beta, kappa = (1.0 + alpha) / 2.0, (1.0 - alpha) / 4.0
-    s = np.reshape(kernel.s, -1)
-    theta_b, o, a_y = ((kernel.v, np.ones_like(s), None) if kernel.o is None
-                       else (kernel.theta_b, np.reshape(kernel.o, -1), kernel.B * beta - 1.0))
-    v, theta_b = np.reshape(kernel.v, (-1, l)), np.reshape(theta_b, (-1, l))
-    log_const = beta * np.reshape(kernel.log_const, -1) - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
+    s, o, v, theta_b = kernel.s, kernel.o, kernel.v, kernel.theta_b
+    log_const = beta * kernel.log_const - kernel.A * beta * np.log(s) - kernel.B * beta * np.log(o)
     log_const += (m * (1.0 - alpha) / 4.0) * math.log(1.0 / (2.0 * math.pi))
     terms = []
     for count, sigma_u, sigma_b, eig in kernel.groups:
         log_const += (count / 2.0) * math.log(math.pi * sigma_u * sigma_b)
         lin = np.stack([np.full_like(s, kappa * sigma_u * sigma_b), sigma_b / s, sigma_u / o], axis=1)
+        cross = ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1)
         dev = np.stack([kappa * sigma_b * ((theta[eig] - v[:, eig]) ** 2).sum(axis=1) / s,
                         kappa * sigma_u * ((theta[eig] - theta_b[:, eig]) ** 2).sum(axis=1) / o,
-                        ((v[:, eig] - theta_b[:, eig]) ** 2).sum(axis=1) / (s * o)], axis=1) if eig else None
+                        np.divide(cross, s * o, out=np.zeros_like(s), where=cross > 0)], axis=1) if eig else None
         terms.append((count / 2.0, lin, dev))
 
     def log_i(n: int, index: np.ndarray) -> np.ndarray:
-        basis, log_w = _node_pairs(kernel.A * beta - 1.0, a_y, n)
+        basis, log_w = _node_pairs(kernel.A * beta - 1.0, kernel.B * beta - 1.0 if kernel.B else None, n)
         width = max(1, LOSS_CHUNK // log_w.size)
         chosen = [(half, lin[index], None if dev is None else dev[index]) for half, lin, dev in terms]
         out = log_const[index]
@@ -502,7 +497,7 @@ FRULLANI_EPS, FRULLANI_T, FRULLANI_START_NODES = 1e-14, 60.0, 54
 
 
 def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> np.ndarray:
-    """E log(q(Y) + o) for each row, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
+    """E log(q(Y) + o) for each row of a block, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
 
     log(q + o) = log o + int_0^inf e^-t (1 - M(t/o)) dt/t (Frullani), and
     M(tau) = E e^(-tau q(Y)) = prod_j (1 + 2 tau/sigma_j)^(-n_j/2) exp(-(tau/sigma_j) dev_j/(1 + 2 tau/sigma_j))
@@ -512,8 +507,8 @@ def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> 
     z = log t over [log(FRULLANI_EPS min(1, o/E q)), log FRULLANI_T], E q = sum_j (n_j + dev_j)/sigma_j: as
     1 - M(tau) <= tau E q (Jensen), it drops at most FRULLANI_EPS on the left and e^-T/T on the right.
     """
-    o = np.reshape(kernel.o if second else kernel.s, -1)
-    sq = np.reshape(theta - (kernel.theta_b if second else kernel.v), (-1, kernel.problem.l)) ** 2
+    o = kernel.o if second else kernel.s
+    sq = (theta - (kernel.theta_b if second else kernel.v)) ** 2
     terms = [(n / 2.0, sigma[second], sq[:, axes].sum(axis=1) / sigma[second]) for n, *sigma, axes in kernel.groups]
     mean_q = sum(2.0 * half / sigma + dev for half, sigma, dev in terms)
     lo = math.log(FRULLANI_EPS) + np.minimum(0.0, np.log(o / mean_q))

@@ -140,7 +140,7 @@ def alpha_divergence_loss(density: PredictiveKernel | PluginEstimate, theta) -> 
     if block.alpha == -1.0:
         loss = -(m / 2.0) * (math.log(2.0 * math.pi) + 1.0) - block.log_const
         loss = loss + block.A * _expected_log(block, False, theta)
-        if block.o is not None:
+        if block.B:  # a factor of exponent 0 needs no Frullani integral
             loss = loss + block.B * _expected_log(block, True, theta)
     else:
         scale, log_i = 4.0 / (1.0 - block.alpha * block.alpha), _log_affinity(block, theta)

@@ -34,16 +34,17 @@ MIN_ESS_FRACTION = 0.05
 def sample(density: PredictiveKernel | PluginEstimate, rng: np.random.Generator, size: int) -> np.ndarray:
     """size draws, shape (size, m), of one observation's plug-in normal or best invariant t.
 
-    The t is Q v + sqrt(A_u) z sqrt(s/chi2_dof), A_u = c2 I + Q diag(d) Q':
-    the normal draws z come first, then the chi-square draws.  A block
-    density, or a shrinkage kernel, raises ValueError.
+    The t, the kernel of exponent B = 0 on its second factor, is
+    Q v + sqrt(A_u) z sqrt(s/chi2_dof), A_u = c2 I + Q diag(d) Q': the normal
+    draws z come first, then the chi-square draws.  A block density, or a
+    shrinkage kernel (B > 0), raises ValueError.
     """
     if isinstance(density, PluginEstimate):
         m = density._single_m(density.sigma2_hat)
         mean = density.problem.Q @ density.theta_hat
         return mean + math.sqrt(density.sigma2_hat) * rng.standard_normal((size, m))
     m = density._single_m(density.s)
-    if density.o is not None:
+    if density.B:
         raise ValueError("the shrinkage density has no sampler")
     y = rng.standard_normal((size, m))
     # sqrt(A_u) y = sqrt(c2) y + Q diag(sqrt(c2 + d) - sqrt(c2)) Q' y, in place

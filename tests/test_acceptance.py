@@ -30,7 +30,7 @@ from shrinkpred.predictive import (
     stein_variance_star,
     umvu_estimators,
 )
-from shrinkpred.risk import d1_loss_plugin, minimax_risk, risk_d1_mc
+from shrinkpred.risk import RiskEstimate, d1_loss_plugin, minimax_risk, risk_mc, scorer
 
 from conftest import make_case2_design, simulate_rows
 from oracles import alpha_divergence_mc
@@ -67,7 +67,8 @@ def test_criterion_1_minimax_risk_constancy(as1_problem_n12):
         # under common random numbers, so shared seeds would collapse the
         # five checks into one
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0 / s2)
-        est = risk_d1_mc(lambda o: umvu_estimators(problem, o), problem, params, 20_000, seed=101 + j)
+        rule = lambda o: umvu_estimators(problem, o)
+        est = RiskEstimate.of(risk_mc([scorer(rule, 1.0)], problem, [params], 20_000, seed=101 + j)[0, 0])
         zs.append(abs(est.mean - mr_oracle) / est.std_error)
     report(1, "minimax-risk-constancy", max(zs) < 3.0,
            f"5 points, max |z| = {max(zs):.2f}, MR = {mr_oracle:.6f}")
@@ -84,7 +85,7 @@ def test_criterion_2_shrinkage_plugin_domination(as1_problem_n12):
     for norm, reps in ((0.0, 50_000), (2.0, 30_000), (5.0, 30_000), (10.0, 30_000)):
         theta = norm * np.array([1.0, 0.0, 0.0])
         params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=1.0)
-        results.append(risk_d1_mc(proc, problem, params, reps, seed=202))
+        results.append(RiskEstimate.of(risk_mc([scorer(proc, 1.0)], problem, [params], reps, seed=202)[0, 0]))
     strict_at_zero = results[0].mean + 3.0 * results[0].std_error < mr
     within_elsewhere = all(r.mean <= mr + 3.0 * r.std_error for r in results[1:])
     monotone = all(
@@ -109,8 +110,8 @@ def test_criterion_3_small_l_domination(case2_problem_n12):
     prior = PriorSpec(problem, c=c, nu=nb.nu_max)
     mr = minimax_risk(problem)
     params = CanonicalParams(theta=np.zeros(1), mu=np.zeros(2), eta=1.0)
-    est = risk_d1_mc(lambda o: plugin_bayes_estimators(prior, o),
-                     problem, params, 60_000, seed=303)
+    rule = lambda o: plugin_bayes_estimators(prior, o)
+    est = RiskEstimate.of(risk_mc([scorer(rule, 1.0)], problem, [params], 60_000, seed=303)[0, 0])
     margin = (mr - est.mean) / est.std_error
     report(3, "small-l-domination", margin > 3.0,
            f"l=1, nu={nb.nu_max:.4f}, g0={g0:.3f}, margin {margin:.1f} SE")

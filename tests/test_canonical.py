@@ -14,6 +14,7 @@ from shrinkpred.canonical import (
     BLOCK_SIZE,
     SIGMA2_RANGE,
     THETA_OVER_SIGMA_MAX,
+    CanonicalObservation,
     CanonicalParams,
     RankDeficiencyError,
     _row_dot,
@@ -223,6 +224,20 @@ def test_problem_constructor_validation():
                                  ("cond_xtx", np.inf, "cond_xtx must be"), ("cond_xtx", 0.99, "cond_xtx must be")):
         with pytest.raises(ValueError, match=f"^{message}"):
             CanonicalProblem(**{**ok, "d": np.array([2.0, 1.0]), name: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["v", "v_star", "s"])
+def test_observation_rejects_statistics_that_are_not_finite(key, bad):
+    # a nan or an infinity used to reach the rules, which returned a nan density or blamed a quadrature certificate
+    one = {"v": np.array([1.0, -0.5, 0.3]), "v_star": np.array([0.2]), "s": np.array(7.5)}
+    block = {name: np.stack([value] * 3) for name, value in one.items()}
+    for obs in (one, block):
+        bad_obs = {**obs, key: obs[key].copy()}
+        bad_obs[key][(-1,) * bad_obs[key].ndim] = bad   # the last entry: one observation's, or the block's last row
+        with pytest.raises(ValueError, match=f"^{key} must hold finite numbers$"):
+            CanonicalObservation(**bad_obs)
+        CanonicalObservation(**obs)
 
 
 def test_problem_json_round_trip(as1_problem_n12):

@@ -201,12 +201,11 @@ def test_groups_partition_the_m_axes(design, alpha):
     m, l = problem.m, problem.l
     for kernel in (best_invariant_kernel(problem, block, alpha), shrinkage_bayes_kernel(prior, block, alpha)):
         groups = kernel.groups
-        e_b = problem.d if kernel.e_b is None else kernel.e_b
         assert sum(count for count, *_ in groups) == m
         assert sorted(i for *_, axes in groups for i in axes) == list(range(l))
         assert len({(u, b) for _, u, b, _ in groups}) == len(groups)
         for count, sigma_u, sigma_b, axes in groups:
-            assert all((kernel.c2 + problem.d[i], kernel.c2 + e_b[i]) == (sigma_u, sigma_b) for i in axes)
+            assert all((kernel.c2 + problem.d[i], kernel.c2 + kernel.e_b[i]) == (sigma_u, sigma_b) for i in axes)
             assert count == len(axes) + (m - l if (sigma_u, sigma_b) == (kernel.c2, kernel.c2) else 0)
         # the complement is the one group at (c2, c2), and it is present exactly when m > l
         complement = [group for group in groups if group[1:3] == (kernel.c2, kernel.c2)]
@@ -216,8 +215,10 @@ def test_groups_partition_the_m_axes(design, alpha):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_best_invariant_groups_have_sigma_b_equal_to_sigma_u(alpha):
     for problem, _ in designs().values():
-        kernel = best_invariant_kernel(problem, block_and_theta(problem)[0], alpha)
-        assert kernel.o is None and kernel.e_b is None
+        block = block_and_theta(problem)[0]
+        kernel = best_invariant_kernel(problem, block, alpha)
+        # the B = 0 member of the kernel form: its second factor is its first
+        assert kernel.B == 0 and kernel.e_b is problem.d and kernel.theta_b is block.v and kernel.o is block.s
         assert all(sigma_b == sigma_u for _, sigma_u, sigma_b, _ in kernel.groups)
 
 
@@ -228,8 +229,7 @@ def test_as1_desk_has_one_group_and_the_multi_group_design_four(alpha):
     c2 = 2.0 / (1.0 - alpha)
     for kernel in (best_invariant_kernel(as1, block_and_theta(as1)[0], alpha),
                    shrinkage_bayes_kernel(as1_prior, block_and_theta(as1)[0], alpha)):
-        assert kernel.groups == [(3, c2 + as1.d[0], c2 + (as1.d[0] if kernel.e_b is None else kernel.e_b[0]),
-                                  [0, 1, 2])]
+        assert kernel.groups == [(3, c2 + as1.d[0], c2 + kernel.e_b[0], [0, 1, 2])]
     kernel = shrinkage_bayes_kernel(multi_prior, block_and_theta(multi)[0], alpha)
     assert [(count, axes) for count, _, _, axes in kernel.groups] == [(1, [0]), (1, [1]), (1, [2]), (2, [])]
 
