@@ -382,14 +382,16 @@ def run_identity_suite(cfg: ExperimentConfig, out_dir: str) -> int:
 def _grid_points(cfg: ExperimentConfig, problem: CanonicalProblem) -> list[tuple[CanonicalParams, float, int, float]]:
     """Cross the configured directions, norms and variances into (params, norm, direction, sigma2).
 
-    direction indexes grid.theta_directions (0 when none are configured, and for theta = 0)."""
+    direction indexes grid.theta_directions (0 when none are configured, and for theta = 0).  Each direction is
+    divided by its largest |entry| first, so its squared norm neither overflows nor underflows."""
     l = problem.l
     dirs = [np.asarray(v) for v in cfg.grid.theta_directions] or [np.eye(l)[0]]
     for v in dirs:
         if v.shape != (l,):
             raise ValueError(f"theta directions must have length l = {l}")
-        if not np.linalg.norm(v) > 0:
+        if not np.abs(v).max() > 0:
             raise ValueError("theta directions must be nonzero")
+    dirs = [v / np.abs(v).max() for v in dirs]
     points = []
     for norm in cfg.grid.theta_norms:
         for index, direction in enumerate(dirs if norm != 0.0 else dirs[:1]):

@@ -335,11 +335,8 @@ def best_invariant_kernel(problem: CanonicalProblem, obs: CanonicalObservation, 
     kernel = PredictiveKernel(problem, _check_alpha(alpha), obs.v, s, B=0.0, e_b=problem.d, theta_b=obs.v, o=s)
     m, dof = problem.m, kernel.dof
     counts, sigma_u = np.array([group[:2] for group in kernel.groups]).T
-    # one observation keeps math.log: numpy's vector log can differ from it in the last bit,
-    # and density-eval prints this constant to 17 digits
-    log_s = math.log(s) if np.ndim(s) == 0 else np.log(s)
     log_const = (math.lgamma((dof + m) / 2.0) - math.lgamma(dof / 2.0)
-                 - (m / 2.0) * math.log(math.pi) - 0.5 * float(counts @ np.log(sigma_u)) + (dof / 2.0) * log_s)
+                 - (m / 2.0) * math.log(math.pi) - 0.5 * float(counts @ np.log(sigma_u)) + (dof / 2.0) * np.log(s))
     return replace(kernel, log_const=log_const)
 
 
@@ -489,38 +486,38 @@ def _log_affinity(kernel: PredictiveKernel, theta: np.ndarray) -> Callable[[int,
     return log_i
 
 
-# _expected_log's window in z = log t drops at most FRULLANI_EPS left of it and e^-FRULLANI_T/FRULLANI_T right of it
-FRULLANI_EPS, FRULLANI_T, FRULLANI_START_NODES = 1e-14, 60.0, 54
+# _expected_log's window in z = log(c tau) runs from FRULLANI_Z0 to e^(-o tau) = e^-FRULLANI_T or M's tail FRULLANI_EPS
+FRULLANI_EPS, FRULLANI_T, FRULLANI_Z0, FRULLANI_START_NODES = 1e-14, 60.0, -16.0, 54
 
 
 def _expected_log(kernel: PredictiveKernel, second: bool, theta: np.ndarray) -> np.ndarray:
     """E log(q(Y) + o) for each row of a block, Y ~ N(Q theta, I), q and o a kernel factor's quadratic form and offset.
 
-    log(q + o) = log o + int_0^inf e^-t (1 - M(t/o)) dt/t (Frullani), and
     M(tau) = E e^(-tau q(Y)) = prod_j (1 + 2 tau/sigma_j)^(-n_j/2) exp(-(tau/sigma_j) dev_j/(1 + 2 tau/sigma_j))
     over kernel.groups: group j has n_j axes at the factor's scale sigma_j (sigma_u, or sigma_b for the second
-    factor), and dev_j sums (theta_i - mu_i)^2 over its axes along Q, mu the factor's center.  Gauss-Legendre
-    rules (quad.jacobi(0, 0, n)), certified to QUAD_TOL from FRULLANI_START_NODES, take the t-integral on
-    z = log t over [log(FRULLANI_EPS min(1, o/E q)), log FRULLANI_T], E q = sum_j (n_j + dev_j)/sigma_j: as
-    1 - M(tau) <= tau E q (Jensen), it drops at most FRULLANI_EPS on the left and e^-T/T on the right.
+    factor), and dev_j sums (theta_i - mu_i)^2 over its axes along Q, mu the factor's center.  With c = o + E q,
+    E q = sum_j (n_j + dev_j)/sigma_j, E log(q + o) = log c + int_0^inf e^(-o tau) (e^((o - c) tau) - M) dtau/tau
+    (Frullani), of one scale in z = log(c tau): near 0 the integrand is -tau^2 Var q/2 and Var q <= 2 c^2, so z
+    from FRULLANI_Z0 drops under FRULLANI_EPS, and as M <= (1 + 2 tau/sigma_max)^(-m/2) the window is at most
+    about 90 wide.  Gauss-Legendre rules, certified to QUAD_TOL from FRULLANI_START_NODES, contract by np.einsum.
     """
-    o = kernel.o if second else kernel.s
+    o, m = kernel.o if second else kernel.s, kernel.problem.m
     sq = (theta - (kernel.theta_b if second else kernel.v)) ** 2
     terms = [(n / 2.0, sigma[second], sq[:, axes].sum(axis=1) / sigma[second]) for n, *sigma, axes in kernel.groups]
-    mean_q = sum(2.0 * half / sigma + dev for half, sigma, dev in terms)
-    lo = math.log(FRULLANI_EPS) + np.minimum(0.0, np.log(o / mean_q))
-    width = math.log(FRULLANI_T) - lo
+    c = o + sum(2.0 * half / sigma + dev for half, sigma, dev in terms)
+    tail = math.log(max(sigma for _, sigma, _ in terms) / 2.0) + (2.0 / m) * math.log(2.0 / (m * FRULLANI_EPS))
+    width = np.log(c) + np.minimum(math.log(FRULLANI_T) - np.log(o), tail) - FRULLANI_Z0
 
     def integral(n: int, rows: np.ndarray) -> np.ndarray:
         x, log_w = jacobi(0.0, 0.0, n)
-        t = np.exp(lo[rows, None] + width[rows, None] * x)
-        tau, log_m = t / o[rows, None], 0.0
+        tau, log_m = np.exp(FRULLANI_Z0 + width[rows, None] * x) / c[rows, None], 0.0
         for half, sigma, dev in terms:
             grow = 2.0 * tau / sigma
             log_m = log_m - half * np.log1p(grow) - tau * dev[rows, None] / (1.0 + grow)
-        return width[rows] * ((np.exp(-t) * -np.expm1(log_m)) @ np.exp(log_w))
+        f = np.exp(-o[rows, None] * tau) * (np.expm1((o - c)[rows, None] * tau) - np.expm1(log_m))
+        return width[rows] * np.einsum("rn,n->r", f, np.exp(log_w))
 
-    return np.log(o) + certified(integral, o.size, "Frullani integral at alpha = -1", QUAD_TOL, FRULLANI_START_NODES)
+    return np.log(c) + certified(integral, o.size, "Frullani integral at alpha = -1", QUAD_TOL, FRULLANI_START_NODES)
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,21 @@ def test_risk_compare_rows_have_unique_keys(tmp_path):
     assert sorted({(r[2], r[3]) for r in rows}) == [("0", "0"), ("2", "0"), ("2", "1")]
 
 
+def test_grid_directions_whose_squared_norm_overflows_or_underflows_give_their_unit_vectors(tmp_path):
+    # squaring 1e300 overflows and squaring 1e-320 underflows; a direction divided by its largest |entry| first
+    # gives the rows of [1, 1, 1] and [1, 0, 0] byte for byte, with no warning
+    outputs = []
+    for name, dirs in (("extreme", [[1e300] * 3, [1e-320, 0.0, 0.0]]), ("plain", [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])):
+        grid = {"theta_directions": dirs, "theta_norms": [0.0, 2.0, 5.0], "sigma2": [1.0]}
+        doc = dict(RISK_DOC, alphas=[1.0], grid=grid)
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "risk_compare.csv").read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 1 + 3 * 5
+
+
 def test_risk_compare_deterministic_across_processes(tmp_path):
     import os
     import subprocess

@@ -196,7 +196,7 @@ def test_a_small_nu_certifies(name, alpha, nu_scale):
 @pytest.mark.parametrize("design", ["as1_desk", "multi_group"])
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e4, 1e8])
 def test_frullani_integrals_match_a_test_built_reference_as_the_offset_moves(design, scale):
-    # the window [log(FRULLANI_EPS min(1, o/E q)), log FRULLANI_T] follows o across twenty decades; the reference
+    # the window in z = log(c tau), c = o + E q, keeps one scale as o moves across twenty decades; the reference
     # is test_groups' per-axis form on its own trapezoid rule
     problem, prior = designs()[design]
     block, theta = block_and_theta(problem, rows=16)

@@ -938,14 +938,51 @@ def test_grouped_affinity_matches_per_axis_formula(case, n):
     assert np.array_equal(predictive_module._log_affinity(kernel, theta)(n, index), got[index])
 
 
-@pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0"])
+@pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0",
+                                  "as1_desk-best_invariant", "as1_desk-shrinkage_bayes",
+                                  "multi_group-best_invariant", "multi_group-shrinkage_bayes"])
 def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
-    kernel, theta, _ = affinity_cases()[case]
+    # the affinity and, at alpha = -1 (the design-rule cases, 300 rows at theta = 2 e_1), the Frullani integrals
+    # contract their nodes by np.einsum, which sums each row in the same order whatever the rows beside it
+    if case in affinity_cases():
+        kernel, theta, _ = affinity_cases()[case]
+    else:
+        design, rule = case.split("-")
+        problem, prior = designs()[design]
+        block, theta = block_and_theta(problem, rows=300)
+        kernel = (best_invariant_kernel(problem, block, -1.0) if rule == "best_invariant"
+                  else shrinkage_bayes_kernel(prior, block, -1.0))
     default = alpha_divergence_loss(kernel, theta)
     for chunk in (1, 700):
         monkeypatch.setattr(predictive_module, "ROW_CHUNK", chunk)
         monkeypatch.setattr(quad_module, "ROW_CHUNK", chunk)
         assert np.array_equal(alpha_divergence_loss(kernel, theta), default)
+
+
+@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l"])
+def test_a_lone_observation_is_its_block_row(design):
+    # one observation takes its block's arithmetic: its kernel constant, its plug-in estimates and its loss are
+    # its block row's bit for bit.  Row 0 holds s = 10.805623199832086, whose log math.log rounds an ulp off np.log's
+    problem, prior = designs()[design]
+    block, theta = block_and_theta(problem, rows=40)
+    block = CanonicalObservation(v=block.v, v_star=block.v_star, s=np.concatenate([[10.805623199832086], block.s[1:]]))
+    rules = {1.0: [lambda o: plugin_bayes_estimators(prior, o), lambda o: umvu_estimators(problem, o),
+                   lambda o: stein_variance(problem, o)]}
+    if problem.m < problem.k:  # the pooled variant needs a nonempty v_star
+        rules[1.0].append(lambda o: stein_variance_star(problem, o))
+    for alpha in (0.5, 0.0, -1.0):
+        rules[alpha] = [lambda o, a=alpha: best_invariant_kernel(problem, o, a),
+                        lambda o, a=alpha: shrinkage_bayes_kernel(prior, o, a)]
+    for alpha, densities in rules.items():
+        fields = ("log_const",) if alpha < 1.0 else ("theta_hat", "sigma2_hat")
+        for rule in densities:
+            whole = rule(block)
+            losses = alpha_divergence_loss(whole, theta)
+            for i in (0, 17, 39):
+                lone = rule(block[i])
+                for name in fields:
+                    assert np.array_equal(getattr(lone, name), getattr(whole, name)[i]), (alpha, name, i)
+                assert alpha_divergence_loss(lone, theta) == losses[i], (alpha, i)
 
 
 def test_node_pairs_are_cached_read_only_and_built_once():
@@ -1013,20 +1050,16 @@ def test_alpha_below_1_loss_holds_at_extreme_s(rule, alpha):
         assert loss[0] == pytest.approx(4.0 / (1.0 - alpha * alpha), rel=1e-9), s
 
 
-@pytest.mark.xfail(strict=True, raises=UnreliableNormalizationError,
-                   reason="the alpha = -1 Frullani integrals do not certify at a tiny s")
-@pytest.mark.parametrize("s", [1e-150, 1e-300])
+@pytest.mark.parametrize("s", [1e-150, 1e-200, 1e-300, 1e150, 1e300])
 @pytest.mark.parametrize("rule", ["best_invariant", "shrinkage_bayes"])
 def test_kullback_leibler_loss_certifies_at_a_tiny_s(rule, s):
-    # _expected_log's window [log(1e-14 o/E q), log 60] in z = log t is about |ln s| + 36 wide, and the
-    # Gauss-Legendre nodes spread over it: the 406 vs 609 node gap grows with the width, 8.2e-10 at s = 1e-150,
-    # 3.6e-8 at 1e-200 and 7.8e-7 at 1e-300, against QUAD_TOL = 1e-10.  s = 1e-100 certifies for both rules, and
-    # best_invariant certifies at 1e-163 by chance.  Once s is negligible against q(Y), E log(q(Y) + s) and
-    # E log(q_b(Y) + o) (o is r + s, and r scales with v^2 = 1e-6 s) stop moving, so the loss is affine in log s:
-    # the fix must extend the line through s = 1e-50 and 1e-100, and flip this marker
-    loss = alpha_divergence_loss(extreme_s_kernel(rule, s, -1.0), np.zeros(3))[0]
-    a, b = (alpha_divergence_loss(extreme_s_kernel(rule, x, -1.0), np.zeros(3))[0] for x in (1e-50, 1e-100))
-    assert loss == pytest.approx(b + (b - a) / math.log(1e-50) * (math.log(s) - math.log(1e-100)), rel=1e-12)
+    # _expected_log integrates over z = log(c tau), c = o + E q, where its integrand has one scale: the window is at
+    # most about 90 wide whatever s, so the Gauss-Legendre ladder certifies as at s = 1.  Once s is negligible
+    # against q(Y), E log(q(Y) + s) and E log(q_b(Y) + o) (o is r + s, and r scales with v^2 = 1e-6 s) stop moving,
+    # and once q(Y) is negligible against s, both move with log s: on either side the loss is affine in log s
+    near, far = (1e-50, 1e-100) if s < 1.0 else (1e50, 1e100)
+    loss, a, b = (alpha_divergence_loss(extreme_s_kernel(rule, x, -1.0), np.zeros(3))[0] for x in (s, near, far))
+    assert loss == pytest.approx(b + (b - a) / math.log(far / near) * math.log(s / far), rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True, raises=UnreliableNormalizationError,
