@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shrinkpred
 from shrinkpred.canonical import (
     BLOCK_SIZE,
     CanonicalObservation,
@@ -9,6 +13,29 @@ from shrinkpred.canonical import (
     canonicalize,
     simulate_observation,
 )
+
+
+# distinct d and m = 5 > l = 3: three spectral groups along Q and the m - l complement, at alpha = 0 and -1
+MULTI_GROUP = {
+    "seed": 3,
+    "design": {"type": "explicit",
+               "X": [[1.2, -0.4, 0.3], [0.5, 1.1, -0.7], [-0.9, 0.2, 1.4], [0.3, -1.3, 0.6],
+                     [1.7, 0.8, -0.2], [-0.6, 0.9, 0.5], [0.4, -0.1, -1.1], [-1.2, 0.7, 0.9]],
+               "Xtilde": [[0.8, 0.1, -0.5], [-0.3, 1.2, 0.4], [0.6, -0.7, 1.0], [1.1, 0.5, 0.2],
+                          [-0.4, 0.3, -0.9]]},
+    "prior": {"c": "identity", "gamma_prior": 1.0},
+    "alphas": [0.0, -1.0],
+    "grid": {"theta_directions": [[1.0, 0.0, 0.0]], "theta_norms": [0.0, 2.0], "sigma2": [1.0]},
+    "reps_outer": 200,
+}
+
+
+def child_env(**variables):
+    """This process's environment for a child: the imported shrinkpred's source tree first on PYTHONPATH, and
+    variables set, or removed where None."""
+    src = str(Path(shrinkpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **variables)
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def synthetic_problem(n, k, m, d, Q=None):

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +14,6 @@ import pytest
 from shrinkpred.canonical import (
     BLOCK_SIZE,
     SIGMA2_RANGE,
-    THETA_OVER_SIGMA_MAX,
     CanonicalObservation,
     CanonicalParams,
     as1_design,
@@ -32,6 +33,8 @@ from shrinkpred.predictive import (
     umvu_estimators,
 )
 from shrinkpred.risk import risk_mc, scorer
+
+from conftest import child_env
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -445,17 +448,6 @@ def test_risks_depend_on_theta_and_sigma2_only_through_theta_over_sigma(tmp_path
     assert compared == 7 * (3 + 4 * 2)  # (norm, direction) points x (3 rules at alpha = 1, 2 at each alpha < 1)
 
 
-def test_umvu_risk_at_the_theta_over_sigma_cap_equals_its_theta_0_risk(tmp_path):
-    # its loss does not depend on theta, and up to the cap V = theta + sigma sqrt(d) z keeps the noise's digits
-    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
-    grid = dict(doc["grid"], theta_norms=[0.0, THETA_OVER_SIGMA_MAX])
-    doc = dict(doc, seed=1, alphas=[1.0], reps=BLOCK_SIZE, grid=grid)
-    assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
-    rows = [line.split(",") for line in (tmp_path / "o" / "risk_compare.csv").read_text().splitlines()[1:]]
-    umvu = [float(cells[6]) for cells in rows if cells[0] == "umvu"]
-    assert len(umvu) == 3 and np.allclose(umvu, umvu[0], rtol=1e-9, atol=0)
-
-
 @pytest.mark.parametrize("s2", SIGMA2_RANGE)
 def test_risks_at_the_ends_of_the_sigma2_range_equal_those_at_sigma2_1(as1_problem_n12, s2):
     # risk_mc scores each point in units of sigma, so only the rounding of theta/sigma (an ulp at sigma = 1e+-50)
@@ -506,32 +498,6 @@ def test_grid_directions_whose_squared_norm_overflows_or_underflows_give_their_u
             assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / name)]) == 0
         outputs.append((tmp_path / name / "risk_compare.csv").read_bytes())
     assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 1 + 3 * 5
-
-
-def test_risk_compare_deterministic_across_processes(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import shrinkpred
-
-    doc = dict(RISK_DOC, alphas=[1.0])
-    cfg = write_config(tmp_path, doc)
-    # the children import the same source tree as this process
-    src = str(Path(shrinkpred.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    outs = []
-    for tag in ("p1", "p2"):
-        out = tmp_path / tag
-        proc = subprocess.run(
-            [sys.executable, "-m", "shrinkpred", "risk-compare",
-             "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append((out / "risk_compare.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("config, draws", [("as1_desk", 6), ("case2_small_l", 13)])
@@ -1005,17 +971,6 @@ def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
     # a fresh process: importing shrinkpred first sets OPENBLAS_NUM_THREADS=1, keeps a
     # value the user exported, and leaves the environment alone once numpy is loaded;
     # the bare package, which imports no submodule, sets it before numpy loads too
-    import os
-    import subprocess
-    import sys
-
-    import shrinkpred
-
-    src = str(Path(shrinkpred.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if exported is not None:
-        env["OPENBLAS_NUM_THREADS"] = exported
     imports = {False: "import shrinkpred.cli\n", True: "import numpy\nimport shrinkpred.cli\n",
                "after the package": "import shrinkpred\nimport numpy\n"}[numpy_first]
     code = ("import json, os, sys\n"
@@ -1023,7 +978,8 @@ def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
             + "tasks = '/proc/self/task'\n"
             "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
             "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(OPENBLAS_NUM_THREADS=exported))
     assert proc.returncode == 0, proc.stderr
     value, threads = json.loads(proc.stdout)
     assert value == expected
@@ -1033,16 +989,8 @@ def test_import_caps_blas_threads_unless_set(exported, numpy_first, expected):
 
 def test_package_import_loads_no_submodule():
     # each public name is imported from its module, so the package itself imports none of them, nor numpy
-    import os
-    import subprocess
-    import sys
-
-    import shrinkpred
-
-    src = str(Path(shrinkpred.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import shrinkpred, sys; print(sorted(m for m in sys.modules if m.split('.')[0] in ('shrinkpred', 'numpy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['shrinkpred']\n"
 
@@ -1050,15 +998,6 @@ def test_package_import_loads_no_submodule():
 def test_cli_import_skips_scipy_integrate(tmp_path):
     # the runtime is numpy alone: no subcommand, the alpha < 1 Gauss-Laguerre rules and
     # the identity suite's beta check included, loads any scipy module
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import shrinkpred
-
-    src = str(Path(shrinkpred.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     canon = tmp_path / "canon"
     np.savetxt(tmp_path / "points.csv", np.random.default_rng(4).standard_normal((50, 3)), delimiter=",")
     runs = [["canonicalize", "--config", write_config(tmp_path, {"seed": 5, "design": AS1_DESIGN}, "c.json"),
@@ -1085,7 +1024,8 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert shrinkpred.cli.main(argv) == 0, argv\n"
             "    print(json.dumps(loaded()))\n")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     after = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert len(after) == 2 + len(runs)

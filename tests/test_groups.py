@@ -17,24 +17,10 @@ from shrinkpred import cli
 from shrinkpred.canonical import CanonicalParams, simulate_observation
 from shrinkpred.predictive import PriorSpec, _expected_log, _log_integral, best_invariant_kernel, shrinkage_bayes_kernel
 
-from conftest import synthetic_problem
+from conftest import MULTI_GROUP, synthetic_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ALPHAS = (-1.0, -0.5, 0.0, 0.5, 0.9, 0.99)
-
-# distinct d and m = 5 > l = 3: three groups along Q and the complement (the CI workflow's multi-group design)
-MULTI_GROUP = {
-    "seed": 3,
-    "design": {"type": "explicit",
-               "X": [[1.2, -0.4, 0.3], [0.5, 1.1, -0.7], [-0.9, 0.2, 1.4], [0.3, -1.3, 0.6],
-                     [1.7, 0.8, -0.2], [-0.6, 0.9, 0.5], [0.4, -0.1, -1.1], [-1.2, 0.7, 0.9]],
-               "Xtilde": [[0.8, 0.1, -0.5], [-0.3, 1.2, 0.4], [0.6, -0.7, 1.0], [1.1, 0.5, 0.2],
-                          [-0.4, 0.3, -0.9]]},
-    "prior": {"c": "identity", "gamma_prior": 1.0},
-    "alphas": [0.0],
-    "grid": {"theta_directions": [[1.0, 0.0, 0.0]], "theta_norms": [0.0], "sigma2": [1.0]},
-    "reps_outer": 200,
-}
 
 
 # ---------------------------------------------------------------------------

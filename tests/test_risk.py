@@ -52,9 +52,9 @@ from shrinkpred.risk import (
     scorer,
 )
 
-from conftest import synthetic_problem
+from conftest import MULTI_GROUP, synthetic_problem
 from oracles import alpha_divergence_mc, f_alpha
-from test_groups import MULTI_GROUP, block_and_theta, designs
+from test_groups import block_and_theta, designs
 
 
 @pytest.fixture(scope="module")

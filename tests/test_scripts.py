@@ -1,7 +1,6 @@
 """The README's quick start and the example script run, and the README lists every config key and its default."""
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -10,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-import shrinkpred
 from shrinkpred.cli import DensityConfig, DesignConfig, ExperimentConfig, GridConfig, PriorConfig
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -26,11 +26,9 @@ def test_script_runs(script, args):
         argv = ["-c", re.search(r"## Library quick start\n\n```python\n(.*?)```", README, re.S).group(1)]
     else:
         argv = [str(ROOT / "scripts" / script), *args]
-    # the child imports the same source tree as this process, and any warning it raises is an error,
-    # as in CI; pytest's own warning filters do not reach a subprocess
-    src = str(Path(shrinkpred.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, text=True, env=env, timeout=300)
+    # any warning the child raises is an error; pytest's own warning filters do not reach a subprocess
+    proc = subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True, text=True, env=child_env(),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
