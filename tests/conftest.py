@@ -1,19 +1,26 @@
+import functools
+import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shrinkpred
+from shrinkpred import cli
 from shrinkpred.canonical import (
     BLOCK_SIZE,
     CanonicalObservation,
+    CanonicalParams,
     CanonicalProblem,
     as1_problem,
     canonicalize,
     simulate_observation,
 )
+from shrinkpred.predictive import PriorSpec, best_invariant_kernel, shrinkage_bayes_kernel
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # distinct d and m = 5 > l = 3: three spectral groups along Q and the m - l complement, at alpha = 0 and -1
 MULTI_GROUP = {
@@ -28,6 +35,78 @@ MULTI_GROUP = {
     "grid": {"theta_directions": [[1.0, 0.0, 0.0]], "theta_norms": [0.0, 2.0], "sigma2": [1.0]},
     "reps_outer": 200,
 }
+
+
+AS1_DESIGN = {"type": "as1", "m": 3, "k": 3, "N": 4}
+
+RISK_DOC = {
+    "seed": 33,
+    "design": AS1_DESIGN,
+    "alphas": [1.0, 0.0],
+    "grid": {"theta_norms": [0.0, 2.0], "sigma2": [1.0]},
+    "reps": 200,
+    "reps_outer": 50,
+    "n_mc_inner": 100,
+}
+
+
+# the density rules below alpha = 1, each as a function of (prior, observations, alpha)
+DENSITIES = {"best_invariant": lambda prior, obs, alpha: best_invariant_kernel(prior.problem, obs, alpha),
+             "shrinkage_bayes": shrinkage_bayes_kernel}
+
+
+def shipped(name, **updates):
+    """A shipped config's document, its top-level keys updated; case2_small_l_g0 is case2_small_l with Xtilde x 3."""
+    doc = json.loads((CONFIGS / f"{name.removesuffix('_g0')}.json").read_text())
+    if name.endswith("_g0"):
+        doc["design"]["Xtilde"] = [[3.0 * x for x in row] for row in doc["design"]["Xtilde"]]
+    return dict(doc, **updates)
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def shrinkage_density_config(tmp_path, alpha, nu):
+    """A density-eval config for the shrinkage density on the canonicalized as1_desk at alpha, with prior weight nu."""
+    canon = tmp_path / "canon"
+    assert cli.main(["canonicalize", "--config", str(CONFIGS / "as1_desk.json"), "--out", str(canon)]) == 0
+    np.savetxt(tmp_path / "points.csv", np.random.default_rng(1).standard_normal((5, 3)), delimiter=",", fmt="%.17g")
+    return write_config(tmp_path, {
+        "prior": {"c": "identity", "gamma_prior": 1.0, "nu": nu},
+        "density": {"problem": str(canon / "problem.json"), "type": "shrinkage_bayes", "alpha": alpha,
+                    "observation": {"v": [1.0, -0.5, 0.3], "v_star": [], "s": 7.5},
+                    "points": str(tmp_path / "points.csv")}})
+
+
+@functools.lru_cache(maxsize=1)
+def designs():
+    """(problem, prior) pairs: both shipped configs, the multi-group design, the g0 design (case2_small_l, Xtilde x 3),
+    a wide m > k design and as1_desk under a prior with c != 1."""
+    docs = {"as1_desk": shipped("as1_desk"), "case2_small_l": shipped("case2_small_l"), "multi_group": MULTI_GROUP,
+            "g0": shipped("case2_small_l_g0")}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            cfg = cli.load_config(write_config(Path(tmp), doc, f"{name}.json"))
+            problem, _, _ = cli.build_problem(cfg)
+            out[name] = (problem, cli.build_prior(cfg, problem))
+    rng = np.random.default_rng(77)
+    wide = canonicalize(rng.standard_normal((10, 3)), rng.standard_normal((5, 3)))
+    out["wide_m5_k3"] = (wide, PriorSpec.minimax_default(wide))
+    as1 = out["as1_desk"][0]
+    out["as1_c_ne_1"] = (as1, PriorSpec(as1, c=[1.5, 2.0, 3.0], nu=0.5))
+    return out
+
+
+def block_and_theta(problem, rows=48, seed=11):
+    """A block of observations drawn at theta = 2 e_1 (unit scale), and that theta."""
+    theta = np.zeros(problem.l)
+    theta[0] = 2.0
+    params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0)
+    return simulate_observation(problem, [params], seed, 0)[0][:rows], theta
 
 
 def child_env(**variables):
@@ -52,6 +131,16 @@ def simulate_rows(problem, params, seed, reps):
         v_star=np.concatenate([b.v_star for b in blocks])[:reps],
         s=np.concatenate([b.s for b in blocks])[:reps],
     )
+
+
+@pytest.fixture(scope="module")
+def prob_m3():
+    return synthetic_problem(n=12, k=3, m=3, d=[1.0, 1.0, 1.0])
+
+
+@pytest.fixture(scope="module")
+def obs_m3():
+    return CanonicalObservation(v=np.array([1.0, 2.0, 2.0]), v_star=np.zeros(0), s=9.0)
 
 
 @pytest.fixture(scope="session")

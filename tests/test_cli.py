@@ -34,16 +34,7 @@ from shrinkpred.predictive import (
 )
 from shrinkpred.risk import risk_mc, scorer
 
-from conftest import child_env
-
-
-def write_config(tmp_path, doc, name="config.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-AS1_DESIGN = {"type": "as1", "m": 3, "k": 3, "N": 4}
+from conftest import AS1_DESIGN, RISK_DOC, child_env, shipped, shrinkage_density_config, write_config
 
 
 def test_canonicalize_as1(tmp_path):
@@ -302,15 +293,12 @@ def test_bounds_reports_bounds_that_are_not_positive(tmp_path):
     with pytest.warns(UserWarning, match="n - k >= 2"), pytest.raises(ValueError, match="^nu bounds are not positive"):
         build_prior(cfg, problem)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PRIOR_DESIGNS = ["as1_desk", "case2_small_l", "case2_small_l_g0"]
 
 
 def prior_design(tmp_path, name, prior=None):
     """The config at name with prior section prior, and its problem; case2_small_l_g0 takes Xtilde x 3 (g0 = 4.2525)."""
-    doc = json.loads((CONFIGS / f"{name.removesuffix('_g0')}.json").read_text())
-    if name.endswith("_g0"):
-        doc["design"]["Xtilde"] = [[3.0 * x for x in row] for row in doc["design"]["Xtilde"]]
+    doc = shipped(name)
     cfg = load_config(write_config(tmp_path, dict(doc, prior=doc["prior"] if prior is None else prior)))
     return cfg, build_problem(cfg)[0]
 
@@ -389,17 +377,6 @@ def test_other_design_types_keys_are_rejected_by_name(tmp_path, capsys, design, 
     assert capsys.readouterr().err == (
         f"configuration error: design option(s) {key!r} do not apply to type {design['type']!r}\n")
     assert not (tmp_path / "o").exists()
-
-
-RISK_DOC = {
-    "seed": 33,
-    "design": AS1_DESIGN,
-    "alphas": [1.0, 0.0],
-    "grid": {"theta_norms": [0.0, 2.0], "sigma2": [1.0]},
-    "reps": 200,
-    "reps_outer": 50,
-    "n_mc_inner": 100,
-}
 
 
 def test_risk_compare_rows_and_determinism(tmp_path):
@@ -768,37 +745,6 @@ def test_csv_files_that_are_not_tables_of_numbers_name_the_key(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-def test_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
-    import shrinkpred.quad as quad_module
-
-    # with no larger Gauss rule to compare against (the top rung lowered to the first), no integral is certified:
-    # risk-compare fails at its first, and density-eval at the shrinkage constant, which its message names
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
-    capsys.readouterr()
-    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    assert capsys.readouterr().err.startswith("normalization certificate failed:")
-    assert not (tmp_path / "o" / "risk_compare.csv").exists()
-    density = shrinkage_density_config(tmp_path, 0.0, 0.2)
-    capsys.readouterr()
-    assert main(["density-eval", "--config", density, "--out", str(tmp_path / "d")]) == 4
-    assert capsys.readouterr().err == ("normalization certificate failed: shrinkage constant at alpha = 0, nu = 0.2, "
-                                       "B = 1.8: 1 row(s) uncertified, no n vs 3n/2 pair within LOSS_MAX_NODES = 16\n")
-    assert not (tmp_path / "d").exists()
-
-
-def shrinkage_density_config(tmp_path, alpha, nu):
-    """A density-eval config for the shrinkage density on the canonicalized as1_desk at alpha, with prior weight nu."""
-    canon = tmp_path / "canon"
-    assert main(["canonicalize", "--config", str(CONFIGS / "as1_desk.json"), "--out", str(canon)]) == 0
-    np.savetxt(tmp_path / "points.csv", np.random.default_rng(1).standard_normal((5, 3)), delimiter=",", fmt="%.17g")
-    return write_config(tmp_path, {
-        "prior": {"c": "identity", "gamma_prior": 1.0, "nu": nu},
-        "density": {"problem": str(canon / "problem.json"), "type": "shrinkage_bayes", "alpha": alpha,
-                    "observation": {"v": [1.0, -0.5, 0.3], "v_star": [], "s": 7.5},
-                    "points": str(tmp_path / "points.csv")}})
-
-
 def test_a_shrinkage_constant_that_is_not_finite_exits_4(tmp_path, capsys):
     # a is finite at nu = 1e306, but B = nu (n - k)/(1 - alpha) is not: the constant used to be written as nan
     cfg = shrinkage_density_config(tmp_path, 0.999, 1e306)
@@ -813,7 +759,7 @@ def test_a_nu_whose_prior_exponent_overflows_exits_1_from_the_subcommands_that_b
     # at nu = 1e308, a = (nu (n - k) - k - 2)/2 is inf: density-eval wrote nan, and risk-compare at alpha = 0
     # exited 2 from the Gauss-Laguerre rule's eigenvalue solver
     message = "error: nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got 1e+308\n"
-    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    doc = shipped("as1_desk")
     risk = write_config(tmp_path, dict(doc, prior=dict(doc["prior"], nu=1e308), alphas=[0.0], reps_outer=50),
                         "risk.json")
     for command, cfg in (("density-eval", shrinkage_density_config(tmp_path, 0.0, 1e308)), ("risk-compare", risk)):
@@ -830,7 +776,7 @@ def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
     # these used to end in a traceback, exit 1: ZeroDivisionError in the loss once the Gauss-Laguerre rule came
     # back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant (1e306);
     # from 1e200 the shrinkage constant's Gauss-Jacobi rule, whose nodes would lie near 1e-200, fails before the loss
-    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    doc = shipped("as1_desk")
     doc.update(prior=dict(doc["prior"], nu=nu), alphas=[0.0, -1.0], reps_outer=100, seed=1)
     doc["grid"]["theta_norms"] = [0.0, 2.0]
     cfg = write_config(tmp_path, doc)
@@ -856,7 +802,7 @@ def test_a_tiny_nu_is_a_certificate_failure(tmp_path, capsys, prior):
     # B - 1 rounds to -1, where the shrinkage constant's Beta weight has no mass.  At 1e-17 the alpha = 0 constant
     # (B = 9e-17) integrates, so density-eval runs, but the alpha = 0 loss's Gauss-Laguerre parameter B beta - 1
     # rounds to -1 and risk-compare fails there
-    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
+    doc = shipped("as1_desk")
     doc.update(prior=dict(doc["prior"], **prior), alphas=[0.0, -1.0], reps_outer=50, seed=1)
     density = json.loads(Path(shrinkage_density_config(tmp_path, 0.0, 1.0)).read_text())
     density["prior"] = doc["prior"]
@@ -881,9 +827,7 @@ def test_as1_subcommands_other_than_canonicalize_never_tile_x(tmp_path, monkeypa
     # the N-fold X of the replicated design grew memory with N in bounds and risk-compare, which never read it
     import shrinkpred.cli as cli_module
 
-    doc = json.loads((CONFIGS / "as1_desk.json").read_text())
-    doc.update(alphas=[1.0, 0.0], reps=100, reps_outer=50)
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, shipped("as1_desk", alphas=[1.0, 0.0], reps=100, reps_outer=50))
 
     def refuse(*args):
         raise AssertionError("as1_design called")
@@ -900,34 +844,6 @@ def test_as1_subcommands_other_than_canonicalize_never_tile_x(tmp_path, monkeypa
     report = cli_module.invariant_report(problem, as1_design(xt, 4), xt)
     cli_module._write_json(str(tmp_path / "reference.json"), report)
     assert (tmp_path / "c" / "canonicalize_report.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
-
-
-def test_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
-    import shrinkpred.quad as quad_module
-
-    # with no larger Gauss-Laguerre rule to compare against, no alpha < 1 loss is certified
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[0.0]))
-    capsys.readouterr()
-    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("normalization certificate failed:") and "loss quadrature" in err
-    assert not (tmp_path / "o" / "risk_compare.csv").exists()
-
-
-def test_kullback_leibler_loss_certificate_failure_exits_4(tmp_path, monkeypatch, capsys):
-    import shrinkpred.cli as cli_mod
-    import shrinkpred.quad as quad_module
-
-    # at alpha = -1 the best invariant loss's Frullani integrals fail first, before any shrinkage constant
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    monkeypatch.setattr(cli_mod, "shrinkage_bayes_kernel", lambda *args: pytest.fail("shrinkage kernel built"))
-    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[-1.0]))
-    capsys.readouterr()
-    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("normalization certificate failed: Frullani integral at alpha = -1") and "n vs 3n/2" in err
-    assert not (tmp_path / "o" / "risk_compare.csv").exists()
 
 
 @pytest.mark.parametrize("doc, message", [

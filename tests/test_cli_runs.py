@@ -11,7 +11,6 @@ import json
 import operator
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +19,8 @@ import shrinkpred.risk as risk_module
 from shrinkpred import cli
 from shrinkpred.canonical import THETA_OVER_SIGMA_MAX
 
-from conftest import MULTI_GROUP, child_env
+from conftest import CONFIGS, MULTI_GROUP, child_env, designs, shipped
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 OUTPUTS = {"canonicalize": ["canonicalize_report.json", "problem.json"], "bounds": ["bounds.json"],
            "identities": ["identities.json"], "risk-compare": ["risk_compare.csv"],
            "density-eval": ["density_eval.csv"]}
@@ -37,11 +35,6 @@ for name, argv in reversed(runs) if side == "b" else runs:
     if main(argv + ["--out", f"{out}/{name}"]):
         sys.exit(f"{name} failed")
 """
-
-
-def shipped(name, **updates):
-    """The shipped config name, its top-level keys updated."""
-    return dict(json.loads((CONFIGS / f"{name}.json").read_text()), **updates)
 
 
 def scenarios(tmp):
@@ -81,15 +74,13 @@ def scenarios(tmp):
     add("as1_alpha0.999", "risk-compare", shipped("as1_desk", alphas=[0.999]))
     # the shrinkage constant's (1 - w)^(B - 1) tail rides in its Gauss-Jacobi weight, so a small B costs nothing
     for config in ("as1_desk", "case2_small_l"):
-        cfg = cli.load_config(str(CONFIGS / f"{config}.json"))
-        nu_max = cli.build_prior(cfg, cli.build_problem(cfg)[0]).nu
+        nu_max = designs()[config][1].nu
         for scale in ("1e-4", "1e-8"):
             doc = shipped(config, alphas=[0.0, -1.0, 0.9])
             doc["prior"] = dict(doc["prior"], nu=float(scale) * nu_max)
             add(f"small-{config}-{scale}", "risk-compare", doc, "--seed", "1")
     # case2_small_l with Xtilde x 3 has d = 0.45, so nu1 <= 0 at C = I and every prior runs at C = g0 I, g0 = 4.2525
-    g0 = shipped("case2_small_l", alphas=[1.0, 0.0, -1.0], reps=2000, reps_outer=300)
-    g0["design"] = dict(g0["design"], Xtilde=[[3.0 * x for x in row] for row in g0["design"]["Xtilde"]])
+    g0 = shipped("case2_small_l_g0", alphas=[1.0, 0.0, -1.0], reps=2000, reps_outer=300)
     add("g0-bounds", "bounds", g0)
     add("g0-risk", "risk-compare", g0)
     density("g0", g0, [], ["shrinkage_bayes"], {"v": [0.4], "v_star": [0.7, -1.1], "s": 6.0},

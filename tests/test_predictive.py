@@ -44,16 +44,6 @@ def prob_m1():
 
 
 @pytest.fixture(scope="module")
-def prob_m3():
-    return synthetic_problem(n=12, k=3, m=3, d=[1.0, 1.0, 1.0])
-
-
-@pytest.fixture(scope="module")
-def obs_m3():
-    return CanonicalObservation(v=np.array([1.0, 2.0, 2.0]), v_star=np.zeros(0), s=9.0)
-
-
-@pytest.fixture(scope="module")
 def prob_rot():
     """m = 4, k = l = 2 with a random orthonormal Q and unequal d."""
     Q = np.linalg.qr(np.random.default_rng(2718).standard_normal((4, 2)))[0]
@@ -618,42 +608,6 @@ def test_quadrature_rule_refinement_agrees(as1_problem_n12, monkeypatch, alpha):
     fine = [shrinkage_bayes_kernel(PriorSpec.minimax_default(p), o, alpha).log_const for p, o in cases]
     assert np.all(np.isfinite(base))
     assert np.allclose(base, fine, rtol=1e-12, atol=1e-9)
-
-
-def test_gauss_certificate_failure_names_the_integral_and_the_pair_its_gap_belongs_to():
-    # a value of 1/n never settles to QUAD_TOL, so the ladder climbs to its top rung; the gap reported is that of
-    # the last pair formed, and the message begins with the integral's name
-    with pytest.raises(UnreliableNormalizationError) as raised:
-        quad_module.certified(lambda n, index: np.full(index.size, 1.0 / n), 2, "an integral", quad_module.QUAD_TOL, 54)
-    assert str(raised.value) == ("an integral: 2 row(s) uncertified, n vs 3n/2 gap "
-                                 f"{1 / 406 - 1 / 609:.3e} at 406 vs 609 nodes, the last pair within "
-                                 "LOSS_MAX_NODES = 640")
-
-
-@pytest.mark.parametrize("bad_n", [16, 36])
-def test_gauss_certificate_rejects_a_value_that_is_not_finite(bad_n):
-    # a nan gap would never certify and climb the whole ladder, and a nan at the first rung could hide behind a
-    # nan gap; either fails at once, naming the integral
-    def integral(n, index):
-        return np.full(index.size, math.nan if n == bad_n else 1.0 / n)
-
-    with pytest.raises(UnreliableNormalizationError, match=f"^an integral: a row's value is not finite at {bad_n}"):
-        quad_module.certified(integral, 2, "an integral", quad_module.QUAD_TOL)
-
-
-def test_quadrature_certificate_raises(prob_m3, obs_m3, monkeypatch):
-    prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    long_tail = PriorSpec(prob_m3, c=2.0, nu=0.02 / (prob_m3.n - prob_m3.k))
-    for spec in (prior, long_tail):
-        shrinkage_bayes_kernel(spec, obs_m3, 0.0)
-    # no larger rule allowed: the n vs 3n/2 comparison can never be made, and the message names nu and B
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    for spec in (prior, long_tail):
-        B = spec.nu * (prob_m3.n - prob_m3.k)
-        with pytest.raises(UnreliableNormalizationError,
-                           match=re.escape(f"shrinkage constant at alpha = 0, nu = {spec.nu:.6g}, B = {B:.6g}: "
-                                           "1 row(s) uncertified, no n vs 3n/2 pair")):
-            shrinkage_bayes_kernel(spec, obs_m3, 0.0)
 
 
 # ---------------------------------------------------------------------------

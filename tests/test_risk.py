@@ -1,14 +1,9 @@
 """Divergence generator, closed-form losses, Monte Carlo risk machinery."""
 
-import decimal
 import functools
-import json
 import math
 import re
 import tracemalloc
-import warnings
-from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +17,6 @@ from shrinkpred.canonical import (
     STREAM_OBSERVATION,
     CanonicalObservation,
     CanonicalParams,
-    canonicalize,
     replication_rng,
     simulate_observation,
 )
@@ -52,14 +46,8 @@ from shrinkpred.risk import (
     scorer,
 )
 
-from conftest import MULTI_GROUP, synthetic_problem
+from conftest import DENSITIES, MULTI_GROUP, block_and_theta, designs, shipped, synthetic_problem, write_config
 from oracles import alpha_divergence_mc, f_alpha
-from test_groups import block_and_theta, designs
-
-
-@pytest.fixture(scope="module")
-def prob_m3():
-    return synthetic_problem(12, 3, 3, [1.0, 1.0, 1.0])
 
 
 def unit_twin(params):
@@ -452,24 +440,14 @@ def test_risk_estimate_validation():
         RiskEstimate(mean=0.0, std_error=0.0, reps=1)
 
 
-def test_certificate_failure_propagates(prob_m3, monkeypatch):
-    # a shrinkage constant that fails its quadrature certificate (the top rung lowered to the first) stops the run
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    with pytest.raises(UnreliableNormalizationError, match="^shrinkage constant at alpha = 0, nu = 0.25, B = 2.25: "):
-        risk_mc([_two_scorers(prob_m3, 0.0)["shrinkage_bayes"]], prob_m3, [params], 60, seed=2)
-
-
 @pytest.mark.parametrize("norm, s2, message", [
     (1e12, 1.0, "|theta| must be at most 1e+08 sigma"), (1e16, 1.0, "|theta| must be at most 1e+08 sigma"),
     (0.0, 1e-200, "sigma2 must be in [1e-100, 1e+100]"), (0.0, 1e200, "sigma2 must be in [1e-100, 1e+100]"),
 ])
-def test_no_point_past_the_scale_bounds_reaches_risk_mc(norm, s2, message):
+def test_no_point_past_the_scale_bounds_reaches_risk_mc(norm, s2, message, tmp_path):
     # umvu's risk on as1_desk is the constant 0.5478, yet risk_mc (seed 1, 4096 rows) used to return 0.5425 at
     # |theta| = 1e12 and 0.5115 at 1e16 without a word; such a point now fails before any row is scored
-    cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json"))
-    cfg.seed = 1
-    problem, _, _ = cli.build_problem(cfg)
+    problem, _, _ = cli.build_problem(cli.load_config(write_config(tmp_path, shipped("as1_desk", seed=1))))
     rule = lambda obs: pytest.fail("a row was scored")
     with pytest.raises(ValueError, match=re.escape(message)):
         points = [CanonicalParams(theta=norm * np.eye(problem.l)[0], mu=np.zeros(problem.k - problem.l), eta=1.0 / s2)]
@@ -499,34 +477,6 @@ def test_risk_path_makes_no_inner_monte_carlo(prob_m3, alpha):
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
     [out] = _risks(_two_scorers(prob_m3, alpha), prob_m3, [params], 60, seed=4)
     assert all(math.isfinite(est.mean) and est.std_error > 0 for est in out.values())
-
-
-def test_loss_certificate_failure_propagates(prob_m3, monkeypatch):
-    # with no larger rule to compare against, no row's loss quadrature is certified
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    with pytest.raises(UnreliableNormalizationError, match="loss quadrature"):
-        risk_mc(_two_scorers(prob_m3, 0.5).values(), prob_m3, [params], 60, seed=2)
-
-
-def test_loss_certificate_failure_names_the_pair_its_gap_belongs_to():
-    # a loss of 1/n never settles: the last pair the ladder forms is 406 vs 609 nodes, and the gap is theirs
-    with pytest.raises(UnreliableNormalizationError) as raised:
-        quad_module.certified(lambda n, index: np.full(index.size, 1.0 / n), 3)
-    assert str(raised.value) == ("loss quadrature: 3 row(s) uncertified, n vs 3n/2 gap "
-                                 f"{1 / 406 - 1 / 609:.3e} at 406 vs 609 nodes, the last pair within "
-                                 "LOSS_MAX_NODES = 640")
-
-
-def test_kullback_leibler_loss_certificate_failure_propagates(prob_m3, monkeypatch):
-    # the best invariant rule alone at alpha = -1 needs no shrinkage constant: the Gauss-Legendre
-    # certificate that fails is the one of its Frullani integrals
-    monkeypatch.setattr(quad_module, "LOSS_MAX_NODES", quad_module.LOSS_START_NODES)
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    score = scorer(lambda o: best_invariant_kernel(prob_m3, o, -1.0), -1.0)
-    with pytest.raises(UnreliableNormalizationError, match="^Frullani integral at alpha = -1: .* n vs 3n/2") as raised:
-        risk_mc([score], prob_m3, [params], 60, seed=2)
-    assert "_expected_log" in [entry.name for entry in raised.traceback]
 
 
 def test_rule_alpha_must_match(prob_m3):
@@ -591,180 +541,6 @@ def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
             assert alpha_divergence_loss(build(block[i]), theta) == pytest.approx(losses[i], rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("a", [-0.99, -0.5, 0.0, 2.5, 9.5, 120.0])
-@pytest.mark.parametrize("n", [32, 48])
-def test_laguerre_rule_matches_scipy(a, n):
-    x, log_w = quad_module.laguerre(a, n)
-    ref_x, ref_w = scipy.special.roots_genlaguerre(n, a)
-    assert np.allclose(x, ref_x, rtol=1e-10, atol=0.0)
-    # normalized weights: equal to rounding, and in log on every node that carries mass
-    ref_log_w = np.log(ref_w) - scipy.special.gammaln(a + 1.0)
-    assert np.abs(np.exp(log_w) - np.exp(ref_log_w)).max() <= 1e-13
-    mass = ref_log_w > math.log(1e-12)
-    assert np.abs(log_w[mass] - ref_log_w[mass]).max() <= 1e-10
-
-
-@pytest.mark.parametrize("a", [896.0, 5000.0])
-def test_laguerre_rule_finite_where_scipy_overflows(a):
-    # roots_genlaguerre's weights are not finite at these parameters
-    with np.errstate(all="ignore"):
-        assert not np.all(np.isfinite(scipy.special.roots_genlaguerre(32, a)[1]))
-    x, log_w = quad_module.laguerre(a, 32)
-    w = np.exp(log_w)
-    assert np.all(np.isfinite(x)) and not np.any(np.isnan(log_w))
-    # the rule integrates polynomials of degree < 64 exactly: sum 1, mean a+1, second moment (a+1)(a+2)
-    assert w.sum() == pytest.approx(1.0, rel=1e-12)
-    assert w @ x == pytest.approx(a + 1.0, rel=1e-12)
-    assert w @ x**2 == pytest.approx((a + 1.0) * (a + 2.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
-@pytest.mark.parametrize("n", [162, 243, 271, 364])
-def test_laguerre_rule_at_largest_certificate_nodes(a, n):
-    # large node counts of quad.certified's n -> 3n/2 ladders; at its top rungs, 406 and 609, scipy's largest nodes
-    # are not finite, and test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference checks the rule instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        x, log_w = quad_module.laguerre.__wrapped__(a, n)
-    w = np.exp(log_w)
-    assert w.sum() == pytest.approx(1.0, rel=1e-12)
-    assert w @ x == pytest.approx(a + 1.0, rel=1e-12)
-    assert w @ x**2 == pytest.approx((a + 1.0) * (a + 2.0), rel=1e-12)
-    # scipy's nodes and weights, where they are finite (its weights are not at n = 364)
-    with np.errstate(all="ignore"):
-        ref_x, ref_w = scipy.special.roots_genlaguerre(n, a)
-        ref_log_w = np.log(ref_w) - scipy.special.gammaln(a + 1.0)
-    finite = np.isfinite(ref_x)
-    assert finite.sum() >= n - 1
-    assert np.allclose(x[finite], ref_x[finite], rtol=1e-10, atol=0.0)
-    finite = np.isfinite(ref_log_w)
-    if finite.any():
-        assert np.abs(w[finite] - np.exp(ref_log_w[finite])).max() <= 1e-13
-        mass = finite & (ref_log_w > math.log(1e-12))
-        assert np.abs(log_w[mass] - ref_log_w[mass]).max() <= 1e-10
-
-
-@pytest.mark.parametrize("a", [-0.99, 0.24, 4.25, 120.0])
-@pytest.mark.parametrize("n", [32, 48, 72])
-def test_laguerre_rule_integrates_every_monomial_below_degree_2n(a, n):
-    # the defining property of the n-point Gauss rule, with no scipy: E x^j = Gamma(a+1+j)/Gamma(a+1)
-    # for j < 2n, compared in log space, where x^j and the moments overflow
-    x, log_w = quad_module.laguerre(a, n)
-    j = np.arange(2 * n)
-    terms = log_w + j[:, None] * np.log(x)
-    top = terms.max(axis=1)
-    got = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-    want = np.array([math.lgamma(a + 1.0 + k) - math.lgamma(a + 1.0) for k in j])
-    assert np.abs(got - want).max() <= 1e-11
-
-
-def _decimal_orthonormal(x: Decimal, a: Decimal, b: list[Decimal]) -> tuple[Decimal, Decimal]:
-    """p_n(x)/p_n'(x) and sum_{k<n} p_k(x)^2 of laguerre's recurrence, b[k] = sqrt((k+1)(k+1+a)), n = len(b)."""
-    p_prev, p, dp_prev, dp, total, b_prev = Decimal(0), Decimal(1), Decimal(0), Decimal(0), Decimal(1), Decimal(0)
-    for k, b_next in enumerate(b):
-        xd = x - (2 * k + a + 1)
-        dp_prev, dp = dp, (xd * dp + p - b_prev * dp_prev) / b_next
-        p_prev, p, b_prev = p, (xd * p - b_prev * p_prev) / b_next, b_next
-        if k < len(b) - 1:
-            total += p * p
-    return p / dp, total
-
-
-def decimal_rule_errors(a: float, n: int) -> tuple[float, float]:
-    """The largest relative node error and log-weight error of laguerre(a, n) against a 50-digit reference.
-
-    The reference runs three Newton steps on the recurrence in 50-digit
-    decimals from the rule's own nodes (the last one moves a node by < 1e-40)
-    and takes each log weight at the node before the last step.
-    """
-    x, log_w = quad_module.laguerre(a, n)
-    node_err, weight_err = Decimal(0), Decimal(0)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        a_dec = Decimal(a)
-        b = [((k + 1) * (k + 1 + a_dec)).sqrt() for k in range(n)]
-        for node, got in zip(x.tolist(), log_w.tolist()):
-            ref = Decimal(node)
-            for _ in range(3):
-                step, total = _decimal_orthonormal(ref, a_dec, b)
-                ref -= step
-            node_err = max(node_err, abs((Decimal(node) - ref) / ref))
-            weight_err = max(weight_err, abs(Decimal(got) + total.ln()))
-    return float(node_err), float(weight_err)
-
-
-@pytest.mark.parametrize("a", [-0.99, -0.5, 4.25, 120.0])
-def test_laguerre_log_weights_match_a_50_digit_reference(a):
-    # the rule's Newton polish is what brings its log weights this close (without it: 2.8e-13 to 5.7e-13)
-    assert decimal_rule_errors(a, 72)[1] <= 1e-13
-
-
-def top_rung() -> int:
-    """The largest node count quad.certified reaches: n -> 3n/2 from LOSS_START_NODES within LOSS_MAX_NODES."""
-    n = quad_module.LOSS_START_NODES
-    while 3 * n // 2 <= quad_module.LOSS_MAX_NODES:
-        n = 3 * n // 2
-    return n
-
-
-# a = -0.99 is near the alpha -> -1 edge; 896 is about A beta - 1 on as1_desk at alpha = 0.99, the largest
-# the shipped configs' problems reach (A = 901.5, beta = 0.995); laguerre's docstring records the errors.
-# 406, the rung below the top, keeps its own pin.
-@pytest.mark.parametrize("n, a, node_tol, weight_tol", [
-    (406, -0.99, 1e-11, 2e-12), (406, 896.0, 1e-14, 2e-12),
-    (609, -0.99, 1e-11, 1e-11), (609, 896.0, 1e-14, 2e-12),
-])
-def test_laguerre_rule_at_the_top_rung_matches_a_50_digit_reference(n, a, node_tol, weight_tol):
-    assert top_rung() == 609
-    node_err, weight_err = decimal_rule_errors(a, n)
-    assert node_err <= node_tol and weight_err <= weight_tol, (node_err, weight_err)
-
-
-@pytest.mark.parametrize("a", [4.5e50, 4.5e300, 1e20])
-def test_laguerre_rule_rejects_a_rule_that_is_not_finite_or_not_of_mass_one(a):
-    # at n = 16: a = 4.5e50 (as1_desk at nu = 1e50, alpha = 0) gives nan nodes and log weights, 4.5e300 finite
-    # weights of mass e^-9240, and 1e20 a mass 8.5e-9 off 1 in log; each used to be returned as a rule
-    with pytest.raises(UnreliableNormalizationError, match=re.escape(f"Gauss-Laguerre rule at a = {a:.6g}, n = 16:")):
-        quad_module.laguerre(a, 16)
-
-
-@pytest.mark.parametrize("a", [-0.999, 0.0, 896.0, 9000.0])
-def test_laguerre_rule_has_mass_one_on_the_whole_ladder(a):
-    # 9000 is about A beta - 1 on as1_desk at ALPHA_MAX; the rule's check holds at every rung, far inside its tolerance
-    n = quad_module.LOSS_START_NODES
-    while n <= top_rung():
-        _, log_w = quad_module.laguerre(a, n)
-        assert abs(np.logaddexp.reduce(log_w)) <= quad_module.MASS_TOL / 100
-        n = 3 * n // 2
-
-
-def test_laguerre_rule_is_cached_and_read_only():
-    x, log_w = quad_module.laguerre(2.75, 48)
-    again = quad_module.laguerre(2.75, 48)
-    assert again[0] is x and again[1] is log_w
-    for array in (x, log_w):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def oracle_designs():
-    """(problem, prior) pairs: both shipped configs, a wide m > k design, and a prior with c != 1."""
-    out = {}
-    for name in ("as1_desk", "case2_small_l"):
-        cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
-        problem, _, _ = cli.build_problem(cfg)
-        out[name] = (problem, cli.build_prior(cfg, problem))
-    rng = np.random.default_rng(77)
-    wide = canonicalize(rng.standard_normal((10, 3)), rng.standard_normal((5, 3)))
-    out["wide_m5_k3"] = (wide, PriorSpec.minimax_default(wide))
-    as1 = out["as1_desk"][0]
-    out["as1_c_ne_1"] = (as1, PriorSpec(as1, c=[1.5, 2.0, 3.0], nu=0.5))
-    return out
-
-
 @pytest.mark.parametrize("design", ["as1_desk", "case2_small_l", "wide_m5_k3", "as1_c_ne_1"])
 def test_exact_loss_matches_inner_monte_carlo(design):
     # every row's exact loss against a 2e5-draw alpha_divergence_mc of the same density,
@@ -775,7 +551,7 @@ def test_exact_loss_matches_inner_monte_carlo(design):
     # bias would fail by a wider margin.  The exact loss scores the block in units of
     # sigma, and the oracle the true-scale density at eta = 1.5, so this checks the
     # loss's scale equivariance too.
-    problem, prior = oracle_designs()[design]
+    problem, prior = designs()[design]
     assert design != "wide_m5_k3" or problem.m > problem.k
     assert design != "as1_c_ne_1" or np.all(shrinkage_components(prior, 0.0, np.zeros(3))[0] > 0)
     zs, rechecked, rep = [], [], 0
@@ -819,7 +595,7 @@ def norm_blocks(problem, rows, seed):
 def test_certified_loss_is_within_loss_tol_of_a_deeper_reference(design, alpha, monkeypatch):
     # the ladder from LOSS_START_NODES against one certified to 1e-11 from 64 nodes; over these
     # cells the two differ by at most 3.3e-8
-    problem, prior = oracle_designs()[design]
+    problem, prior = designs()[design]
     for params, block in norm_blocks(problem, 64, 11):
         for kernel in (best_invariant_kernel(problem, block, alpha),
                        shrinkage_bayes_kernel(prior, block, alpha)):
@@ -837,7 +613,7 @@ def test_constant_and_frullani_ladders_match_a_deeper_ladder(design, alpha, monk
     # the shrinkage constant and the alpha = -1 Frullani losses, each certified to QUAD_TOL from its first rung,
     # against ladders started deeper (81 nodes for the constant, 121 for the Frullani integrals) and certified to
     # 1e-13: they move by rounding
-    problem, prior = oracle_designs()[design]
+    problem, prior = designs()[design]
     for params, block in norm_blocks(problem, 128, 13):
         def run():
             kernels = (shrinkage_bayes_kernel(prior, block, alpha), best_invariant_kernel(problem, block, alpha))
@@ -897,8 +673,8 @@ def affinity_cases():
 
     The blocks are drawn at eta = 1.5 and taken in units of sigma, as risk_mc scores them.
     """
-    as1 = oracle_designs()["as1_desk"][0]
-    wide = oracle_designs()["wide_m5_k3"][0]
+    as1 = designs()["as1_desk"][0]
+    wide = designs()["wide_m5_k3"][0]
     two_equal = synthetic_problem(12, 3, 3, [2.5, 1.0, 1.0])
     theta = np.array([1.0, -0.5, 0.3])
 
@@ -938,31 +714,42 @@ def test_grouped_affinity_matches_per_axis_formula(case, n):
     assert np.array_equal(predictive_module._log_affinity(kernel, theta)(n, index), got[index])
 
 
+# ROW_CHUNK values that split a 300-row block row by row, unevenly, in one piece with rows to spare, and at 2^20
+CHUNKS = (1, 7, 700, 1 << 20)
+
+
 @pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0",
-                                  "as1_desk-best_invariant", "as1_desk-shrinkage_bayes",
-                                  "multi_group-best_invariant", "multi_group-shrinkage_bayes"])
+                                  *(f"as1_desk-{rule}--1.0" for rule in DENSITIES),
+                                  *(f"multi_group-{rule}-{alpha}" for rule in DENSITIES
+                                    for alpha in (0.5, 0.0, -0.5, -1.0))])
 def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
-    # the affinity and, at alpha = -1 (the design-rule cases, 300 rows at theta = 2 e_1), the Frullani integrals
-    # contract their nodes by np.einsum, which sums each row in the same order whatever the rows beside it
+    # the affinity and, at alpha = -1, the Frullani integrals contract their nodes by np.einsum, which sums each row in
+    # the same order whatever the rows beside it.  The design-rule cases (300 rows at theta = 2 e_1) build their
+    # kernels at each chunk size too, so the shrinkage constant's contraction of the multi-group design's four spectral
+    # groups (np.log(q) @ half in _log_integral) is held to the same
     if case in affinity_cases():
         kernel, theta, _ = affinity_cases()[case]
+        build = lambda: kernel
     else:
-        design, rule = case.split("-")
+        design, rule, alpha = case.split("-", 2)
         problem, prior = designs()[design]
         block, theta = block_and_theta(problem, rows=300)
-        kernel = (best_invariant_kernel(problem, block, -1.0) if rule == "best_invariant"
-                  else shrinkage_bayes_kernel(prior, block, -1.0))
-    default = alpha_divergence_loss(kernel, theta)
-    for chunk in (1, 700):
+        build = lambda: DENSITIES[rule](prior, block, float(alpha))
+    default = build()
+    losses = alpha_divergence_loss(default, theta)
+    for chunk in CHUNKS:
         monkeypatch.setattr(predictive_module, "ROW_CHUNK", chunk)
         monkeypatch.setattr(quad_module, "ROW_CHUNK", chunk)
-        assert np.array_equal(alpha_divergence_loss(kernel, theta), default)
+        kernel = build()
+        assert np.array_equal(kernel.log_const, default.log_const), chunk
+        assert np.array_equal(alpha_divergence_loss(kernel, theta), losses), chunk
 
 
-@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l"])
-def test_a_lone_observation_is_its_block_row(design):
+@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l", "multi_group"])
+def test_a_lone_observation_is_its_block_row(design, monkeypatch):
     # one observation takes its block's arithmetic: its kernel constant, its plug-in estimates and its loss are
-    # its block row's bit for bit.  Row 0 holds s = 10.805623199832086, whose log math.log rounds an ulp off np.log's
+    # its block row's bit for bit, at every chunk size.  Row 0 holds s = 10.805623199832086, whose log math.log
+    # rounds an ulp off np.log's
     problem, prior = designs()[design]
     block, theta = block_and_theta(problem, rows=40)
     block = CanonicalObservation(v=block.v, v_star=block.v_star, s=np.concatenate([[10.805623199832086], block.s[1:]]))
@@ -970,19 +757,21 @@ def test_a_lone_observation_is_its_block_row(design):
                    lambda o: stein_variance(problem, o)]}
     if problem.m < problem.k:  # the pooled variant needs a nonempty v_star
         rules[1.0].append(lambda o: stein_variance_star(problem, o))
-    for alpha in (0.5, 0.0, -1.0):
-        rules[alpha] = [lambda o, a=alpha: best_invariant_kernel(problem, o, a),
-                        lambda o, a=alpha: shrinkage_bayes_kernel(prior, o, a)]
-    for alpha, densities in rules.items():
-        fields = ("log_const",) if alpha < 1.0 else ("theta_hat", "sigma2_hat")
-        for rule in densities:
-            whole = rule(block)
-            losses = alpha_divergence_loss(whole, theta)
-            for i in (0, 17, 39):
-                lone = rule(block[i])
-                for name in fields:
-                    assert np.array_equal(getattr(lone, name), getattr(whole, name)[i]), (alpha, name, i)
-                assert alpha_divergence_loss(lone, theta) == losses[i], (alpha, i)
+    for alpha in (0.5, 0.0, -0.5, -1.0):
+        rules[alpha] = [lambda o, a=alpha, density=density: density(prior, o, a) for density in DENSITIES.values()]
+    for chunk in CHUNKS:
+        monkeypatch.setattr(predictive_module, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(quad_module, "ROW_CHUNK", chunk)
+        for alpha, densities in rules.items():
+            fields = ("log_const",) if alpha < 1.0 else ("theta_hat", "sigma2_hat")
+            for rule in densities:
+                whole = rule(block)
+                losses = alpha_divergence_loss(whole, theta)
+                for i in (0, 17, 39):
+                    lone = rule(block[i])
+                    for name in fields:
+                        assert np.array_equal(getattr(lone, name), getattr(whole, name)[i]), (chunk, alpha, name, i)
+                    assert alpha_divergence_loss(lone, theta) == losses[i], (chunk, alpha, i)
 
 
 def test_node_pairs_are_cached_read_only_and_built_once():
@@ -1032,7 +821,7 @@ def test_shrinkage_kernel_tends_to_its_b_0_member_the_best_invariant_kernel(desi
 
 def extreme_s_kernel(rule, s, alpha):
     """as1_desk's kernel of rule for one row v = (1e-3 sqrt(s), 0, 0): near degenerate at a tiny s, flat at a huge s."""
-    problem, prior = oracle_designs()["as1_desk"]
+    problem, prior = designs()["as1_desk"]
     obs = CanonicalObservation(v=np.array([[1e-3 * math.sqrt(s), 0.0, 0.0]]), v_star=np.zeros((1, 0)), s=[s])
     if rule == "best_invariant":
         return best_invariant_kernel(problem, obs, alpha)
@@ -1063,21 +852,31 @@ def test_kullback_leibler_loss_certifies_at_a_tiny_s(rule, s):
 
 
 @pytest.mark.xfail(strict=True, raises=UnreliableNormalizationError,
-                   reason="the alpha < 1 affinity ladder fails on designs with one residual degree of freedom")
-def test_affinity_certifies_on_a_design_with_one_residual_degree_of_freedom(tmp_path):
-    # the multi-group design cut to n - k = 1: at theta = 0, row 3600 of seed 1's block 0 (s = 3.59e-7) is left
-    # uncertified by 406 vs 609 nodes, gap 1.4e-4; the fix must flip this marker
-    path = tmp_path / "one_dof.json"
-    design = dict(MULTI_GROUP["design"], X=MULTI_GROUP["design"]["X"][:4], Xtilde=MULTI_GROUP["design"]["Xtilde"][:3])
-    path.write_text(json.dumps(dict(MULTI_GROUP, design=design)))
-    problem, _, _ = cli.build_problem(cli.load_config(str(path)))
-    assert problem.n - problem.k == 1
-    params = CanonicalParams(theta=np.zeros(problem.l), mu=np.zeros(problem.k - problem.l), eta=1.0)
-    row = simulate_observation(problem, [params], 1, 0)[0][3600:3601]
-    kernel = best_invariant_kernel(problem, row, 0.0)
-    loss = alpha_divergence_loss(kernel, params.theta)
-    oracle = alpha_divergence_mc(kernel[0], params.theta, 1.0, 0.0, 20_000, seed=5)
-    assert abs(loss[0] - oracle.mean) <= 4.0 * oracle.std_error
+                   reason="the alpha < 1 affinity ladder fails on designs with few residual degrees of freedom")
+@pytest.mark.parametrize("dof", [1, 5])
+def test_affinity_certifies_on_a_design_with_few_residual_degrees_of_freedom(dof, tmp_path):
+    # n - k = 1, the multi-group design cut to its first four rows of X and three of Xtilde: at theta = 0, row 3600 of
+    # seed 1's block 0 (s = 3.59e-7) is left uncertified at alpha = 0 by 406 vs 609 nodes, gap 1.4e-4.
+    # n - k = 5, the multi-group design itself: of block_and_theta's 4096 rows, rows 2639 and 3813 (s = 0.105 and
+    # 0.076) fail at alpha = -0.5 for both rules, even as this 2-row block, gap 1.6e-5 at 406 vs 609 nodes (row 1603,
+    # s = 0.123, fails too at alpha = -0.9); risk-compare on it at reps_outer 8192 exits 4 at alpha = -0.5 and -0.9,
+    # 4 rows each, and exits 0 at 2000.  The fix must flip this marker
+    if dof == 1:
+        design = dict(MULTI_GROUP["design"], X=MULTI_GROUP["design"]["X"][:4], Xtilde=MULTI_GROUP["design"]["Xtilde"][:3])
+        problem, _, _ = cli.build_problem(cli.load_config(write_config(tmp_path, dict(MULTI_GROUP, design=design))))
+        theta, alpha = np.zeros(problem.l), 0.0
+        params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0)
+        block = simulate_observation(problem, [params], 1, 0)[0][3600:3601]
+    else:
+        problem, _ = designs()["multi_group"]
+        block, theta = block_and_theta(problem, rows=4096)
+        block, alpha = block[np.array([2639, 3813])], -0.5
+    assert problem.n - problem.k == dof
+    kernel = best_invariant_kernel(problem, block, alpha)
+    loss = alpha_divergence_loss(kernel, theta)
+    for i, row_loss in enumerate(loss):
+        oracle = alpha_divergence_mc(kernel[i], theta, 1.0, alpha, 20_000, seed=5)
+        assert abs(row_loss - oracle.mean) <= 4.0 * oracle.std_error
 
 
 # ---------------------------------------------------------------------------
