@@ -34,7 +34,6 @@ from .canonical import (
     _check_as1,
     _check_scale,
     _check_seed,
-    as1_design,
     as1_problem,
     canonicalize,
     invariant_report,
@@ -301,7 +300,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[CanonicalProblem, np.ndarray | None, np.ndarray]:
-    """Materialize the design and reduce it: (problem, X, Xtilde), X None for as1 (canonicalize alone tiles it)."""
+    """Materialize the design and reduce it: (problem, X, Xtilde), X None for as1, whose N copies of Xtilde no
+    subcommand tiles."""
     design = cfg.design
     if design is None:
         raise ValueError("configuration has no design section")
@@ -332,7 +332,9 @@ def build_prior(cfg: ExperimentConfig, problem: CanonicalProblem) -> PriorSpec:
 
 def run_canonicalize(cfg: ExperimentConfig, out_dir: str) -> int:
     problem, X, Xtilde = build_problem(cfg)
-    report = invariant_report(problem, as1_design(Xtilde, cfg.design.N) if X is None else X, Xtilde)
+    if X is None:  # a stand-in for the N copies of Xtilde with their Gram matrix N Xtilde'Xtilde, in k x k memory
+        X = math.sqrt(cfg.design.N) * np.linalg.qr(Xtilde, mode="r")
+    report = invariant_report(problem, X, Xtilde)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "problem.json"), problem_to_dict(problem))
     _write_json(os.path.join(out_dir, "canonicalize_report.json"), report)

@@ -143,12 +143,13 @@ def obs_m3():
     return CanonicalObservation(v=np.array([1.0, 2.0, 2.0]), v_star=np.zeros(0), s=9.0)
 
 
+AS1_XTILDE = np.random.default_rng(424242).standard_normal((3, 3))  # full rank
+
+
 @pytest.fixture(scope="session")
 def as1_xtilde():
-    rng = np.random.default_rng(424242)
-    xt = rng.standard_normal((3, 3))
-    assert np.linalg.matrix_rank(xt) == 3
-    return xt
+    assert np.linalg.matrix_rank(AS1_XTILDE) == 3
+    return AS1_XTILDE
 
 
 @pytest.fixture(scope="session")

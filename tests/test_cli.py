@@ -2,11 +2,11 @@
 
 import json
 import math
-import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from shrinkpred.canonical import (
     CanonicalParams,
     as1_design,
     as1_problem,
+    canonicalize,
     params_to_canonical,
     problem_from_dict,
     problem_to_dict,
@@ -34,7 +35,10 @@ from shrinkpred.predictive import (
 )
 from shrinkpred.risk import risk_mc, scorer
 
-from conftest import AS1_DESIGN, RISK_DOC, child_env, shipped, shrinkage_density_config, write_config
+from conftest import (AS1_DESIGN, AS1_XTILDE, CONFIGS, RISK_DOC, child_env, make_case2_design, shipped,
+                      write_config)
+
+COMMANDS = ("canonicalize", "bounds", "identities", "risk-compare", "density-eval")
 
 
 def test_canonicalize_as1(tmp_path):
@@ -76,18 +80,6 @@ def test_canonicalize_matrices_from_csv(tmp_path):
     cfg = write_config(tmp_path, {"design": dict(AS1_DESIGN, xtilde=str(xt_path))}, "as1.json")
     assert main(["canonicalize", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "problem.json").read_text())["d"] == [0.25, 0.25, 0.25]
-
-
-def test_canonicalize_rank_deficient_exits_2(tmp_path):
-    col = np.arange(10.0)
-    cfg = write_config(tmp_path, {
-        "design": {
-            "type": "explicit",
-            "X": np.column_stack([col, 2 * col]).tolist(),
-            "Xtilde": [[1.0, 0.0]],
-        }
-    })
-    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def badly_scaled_design(seed, n, k, m):
@@ -208,56 +200,6 @@ def test_identities_catch_a_phi_prime_half_a_percent_off(tmp_path, monkeypatch):
     assert chisq["lhs"] - chisq["rhs"] > 1e-3
 
 
-# every option the identities section held: its instance counts, then the settings fixed before it went
-REMOVED_IDENTITY_OPTIONS = {"lemma_instances": 200, "beta_instances": 50, "chisq_draws": 100_000,
-                            "log_grid_points": 10_000, "lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12,
-                            "chisq_se_mult": 4.0, "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}
-
-
-@pytest.mark.parametrize("key", REMOVED_IDENTITY_OPTIONS)
-def test_removed_identities_options_are_unknown(tmp_path, capsys, key):
-    # the suite's counts and tolerances are constants, so an identities section is itself the unknown option
-    cfg = write_config(tmp_path, {"seed": 2, "identities": {key: REMOVED_IDENTITY_OPTIONS[key]}})
-    capsys.readouterr()
-    assert main(["identities", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == "configuration error: unknown configuration option(s): 'identities'\n"
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("removed, message", [
-    ({"prior": {"a": [1]}}, "unknown prior option(s): 'a'"),
-    ({"design": {"type": "explicit", "file": "design.json"}}, "unknown design option(s): 'file'"),
-    ({"is_samples": 4000}, "unknown configuration option(s): 'is_samples'"),
-])
-def test_removed_prior_and_design_keys_are_unknown(tmp_path, capsys, removed, message):
-    # the prior is set by nu alone, an explicit design by X and Xtilde alone, and is_samples only
-    # in the density section
-    cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **removed))
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("removed, message", [
-    ({"out": "results"}, "unknown configuration option(s): 'out'"),
-    ({"prior": {"rescale_c": True}}, "unknown prior option(s): 'rescale_c'"),
-    ({"prior": {"c": None}}, 'c must be "identity", a finite number or a list of finite numbers, got None'),
-    ({"prior": {"nu": None}}, "nu must be a finite number, got None"),
-    ({"design": dict(AS1_DESIGN, xtilde=None)},
-     "xtilde must be a list of equal-length rows of finite numbers, got None"),
-])
-def test_removed_spellings_exit_1_from_every_subcommand(tmp_path, capsys, removed, message):
-    # --out alone sets the output directory, C is always g0 c, "identity" alone spells c = 1, and null spells
-    # no value: a key left out takes its default
-    cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **removed))
-    for command in ("canonicalize", "bounds", "identities", "risk-compare", "density-eval"):
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
-        assert capsys.readouterr().err == f"configuration error: {message}\n", command
-    assert not (tmp_path / "o").exists()
-
-
 EXPLICIT_DESIGN = {"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], "Xtilde": [[1.0, 0.0]]}
 
 
@@ -361,33 +303,11 @@ def test_build_prior_and_minimax_default_take_g0_times_c_and_the_cap_there(tmp_p
     assert prior_fields(PriorSpec.minimax_default(problem)) == prior_fields(build_prior(cfg, problem))
 
 
-@pytest.mark.parametrize("design, key", [
-    (dict(AS1_DESIGN, X=EXPLICIT_DESIGN["X"]), "X"),
-    (dict(AS1_DESIGN, Xtilde=EXPLICIT_DESIGN["Xtilde"]), "Xtilde"),
-    (dict(EXPLICIT_DESIGN, m=3), "m"),
-    (dict(EXPLICIT_DESIGN, k=3), "k"),
-    (dict(EXPLICIT_DESIGN, N=4), "N"),
-    (dict(EXPLICIT_DESIGN, xtilde=[[1.0, 0.0]]), "xtilde"),
-])
-def test_other_design_types_keys_are_rejected_by_name(tmp_path, capsys, design, key):
-    # a key of the other design type would otherwise be read by neither and silently ignored
-    cfg = write_config(tmp_path, {"seed": 1, "design": design})
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == (
-        f"configuration error: design option(s) {key!r} do not apply to type {design['type']!r}\n")
-    assert not (tmp_path / "o").exists()
-
-
 def test_risk_compare_rows_and_determinism(tmp_path):
+    # reruns give the same bytes: tests/test_cli_runs.py compares every output of its four child processes
     cfg = write_config(tmp_path, RISK_DOC)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["risk-compare", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["risk-compare", "--config", cfg, "--out", str(out_b)]) == 0
-    bytes_a = (out_a / "risk_compare.csv").read_bytes()
-    assert bytes_a == (out_b / "risk_compare.csv").read_bytes()
-
-    lines = bytes_a.decode().strip().split("\n")
+    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a" / "risk_compare.csv").read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["procedure", "alpha", "theta_norm", "theta_direction", "sigma2", "reps",
                       "risk_mean", "risk_se", "minimax_risk", "below_baseline_3se"]
@@ -462,21 +382,6 @@ def test_risk_compare_rows_have_unique_keys(tmp_path):
     assert sorted({(r[2], r[3]) for r in rows}) == [("0", "0"), ("2", "0"), ("2", "1")]
 
 
-def test_grid_directions_whose_squared_norm_overflows_or_underflows_give_their_unit_vectors(tmp_path):
-    # squaring 1e300 overflows and squaring 1e-320 underflows; a direction divided by its largest |entry| first
-    # gives the rows of [1, 1, 1] and [1, 0, 0] byte for byte, with no warning
-    outputs = []
-    for name, dirs in (("extreme", [[1e300] * 3, [1e-320, 0.0, 0.0]]), ("plain", [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])):
-        grid = {"theta_directions": dirs, "theta_norms": [0.0, 2.0, 5.0], "sigma2": [1.0]}
-        doc = dict(RISK_DOC, alphas=[1.0], grid=grid)
-        cfg = write_config(tmp_path, doc, name=f"{name}.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-        outputs.append((tmp_path / name / "risk_compare.csv").read_bytes())
-    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 1 + 3 * 5
-
-
 @pytest.mark.parametrize("config, draws", [("as1_desk", 6), ("case2_small_l", 13)])
 def test_risk_compare_draws_each_block_once(tmp_path, monkeypatch, config, draws):
     # one risk_mc call per alpha covers the whole grid, so each keyed block is drawn
@@ -506,16 +411,9 @@ def test_risk_compare_seed_override(tmp_path):
     assert (out_a / "risk_compare.csv").read_bytes() != (out_b / "risk_compare.csv").read_bytes()
 
 
-def test_risk_compare_empty_grid(tmp_path, capsys):
-    # an empty list used to write a header-only CSV, exit 0; no directions still means the first axis
-    for doc, key in ((dict(RISK_DOC, grid={"theta_norms": [], "sigma2": [1.0]}), "theta_norms"),
-                     (dict(RISK_DOC, grid={"theta_norms": [0.0], "sigma2": []}), "sigma2"),
-                     (dict(RISK_DOC, alphas=[]), "alphas")):
-        cfg = write_config(tmp_path, doc)
-        capsys.readouterr()
-        assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "empty")]) == 1, key
-        assert capsys.readouterr().err == f"configuration error: {key} must hold at least one value\n"
-        assert not (tmp_path / "empty").exists()
+def test_risk_compare_without_directions_takes_the_first_axis(tmp_path):
+    # an empty list of directions, like none, means the first axis (an empty list of norms, variances or alphas is a
+    # REJECTED row)
     cfg = write_config(tmp_path, dict(RISK_DOC, grid={"theta_directions": [], "theta_norms": [2.0], "sigma2": [1.0]}))
     assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "axis")]) == 0
     rows = (tmp_path / "axis" / "risk_compare.csv").read_text().strip().split("\n")[1:]
@@ -600,267 +498,34 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
     assert (out / "density_eval.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("bad, key", [
-    ({"alpha": "x"}, "alpha"), ({"alpha": [0.0]}, "alpha"), ({"alpha": 1.5}, "alpha"),
-    ({"type": "t_density"}, "type"), ({"problem": 3}, "problem"),
-    ({"observation": [0.5, -0.2, 1.0]}, "observation"), ({"points": 3}, "points"),
-])
-def test_density_config_errors_name_the_key(tmp_path, capsys, bad, key):
-    density = dict({"problem": "problem.json", "observation": "observation.json", "points": "points.csv"}, **bad)
-    cfg = write_config(tmp_path, {"seed": 1, "density": density})
-    capsys.readouterr()
-    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and f"{key} must" in err, err
-    assert not (tmp_path / "o").exists()
-
-
-ABSENT = object()  # an observation key left out
-
-
-@pytest.mark.parametrize("case, kind, drop, obs, key", [
-    ("I", "best_invariant", "problem", {}, "problem"),
-    ("I", "best_invariant", "observation", {}, "observation"),
-    ("I", "best_invariant", "points", {}, "points"),
-    ("I", "best_invariant", None, {"v": ABSENT}, "v"),
-    ("I", "best_invariant", None, {"s": ABSENT}, "s"),
-    ("I", "best_invariant", None, {"v": [0.5, -0.2]}, "v"),
-    ("I", "shrinkage_bayes", None, {"v_star": [3.0]}, "v_star"),
-    ("II", "shrinkage_bayes", None, {"v_star": ABSENT}, "v_star"),
-    ("I", "shrinkage_bayes", None, {"s": math.nan}, "s"),
-    ("I", "best_invariant", None, {"s": math.inf}, "s"),
-    ("I", "plugin", None, {"s": 0.0}, "s"),
-    ("I", "best_invariant", None, {"s": "8"}, "s"),
-    ("I", "best_invariant", None, {"v": [0.5, math.nan, 1.0]}, "v"),
-    ("I", "plugin", None, {"v": [0.5, "a", 1.0]}, "v"),
-    ("II", "best_invariant", None, {"v_star": [math.inf, 0.1]}, "v_star"),
-    ("I", "best_invariant", None, {"s": None}, "s"),
-])
-def test_density_eval_input_errors_name_the_key(tmp_path, capsys, as1_problem_n12, case2_problem_n12,
-                                                case, kind, drop, obs, key):
-    # a density section that loads but lacks a key, or whose observation does not fit the problem
-    problem = as1_problem_n12 if case == "I" else case2_problem_n12
-    pts = tmp_path / "points.csv"
-    np.savetxt(pts, np.zeros((2, problem.m)), delimiter=",")
-    observation = {"v": [0.5] * problem.l, "v_star": [0.1] * (problem.k - problem.l), "s": 8.0}
-    observation = {name: value for name, value in dict(observation, **obs).items() if value is not ABSENT}
-    density = {"problem": problem_to_dict(problem), "observation": observation, "type": kind, "points": str(pts)}
-    if kind != "plugin":
-        density["alpha"] = 0.0
-    density.pop(drop, None)
-    cfg = write_config(tmp_path, {"seed": 1, "density": density})
-    capsys.readouterr()
-    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{key} must" in err, err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("inline", [True, False])
-def test_density_eval_rejects_unknown_observation_keys(tmp_path, capsys, as1_problem_n12, inline):
-    # a misspelled key used to be ignored: "vstar" left v_star empty and the run exited 0
-    pts = tmp_path / "points.csv"
-    np.savetxt(pts, np.zeros((2, 3)), delimiter=",")
-    observation = {"v": [0.5, -0.2, 1.0], "vstar": [9.0], "s": 8.0, "extra": "x"}
-    if not inline:
-        observation = write_config(tmp_path, observation, "observation.json")
-    density = {"problem": problem_to_dict(as1_problem_n12), "observation": observation, "points": str(pts)}
-    cfg = write_config(tmp_path, {"seed": 1, "density": density})
-    capsys.readouterr()
-    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == "error: unknown observation option(s): 'extra', 'vstar'\n"
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("density, message", [
-    ({"type": "plugin", "alpha": 0.0}, "alpha must be left out for type 'plugin', the alpha = 1 plug-in normal"),
-    ({"alpha": 1.0}, "alpha must lie in [-1, 0.999], got 1.0"),
-    ({"type": "shrinkage_bayes", "alpha": 1}, "alpha must lie in [-1, 0.999], got 1.0"),
-])
-def test_density_alpha_is_checked_against_its_type_by_every_subcommand(tmp_path, capsys, density, message):
-    # the plug-in normal is the alpha = 1 density, on which alpha had no effect; the other two exist for
-    # alpha < 1 only, and alpha = 1 used to pass the load and fail density-eval at run time
-    cfg = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN, "density": density})
-    for command in ("canonicalize", "bounds", "identities", "risk-compare", "density-eval"):
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
-        assert capsys.readouterr().err == f"configuration error: {message}\n", command
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("action", ["always", "error"])
-@pytest.mark.parametrize("text", ["", "# ytilde_1,ytilde_2,ytilde_3\n\n"])
-def test_csv_files_without_rows_are_rejected_without_a_warning(tmp_path, capsys, as1_problem_n12, action, text):
-    # loadtxt warns on such a file and hands back a (0, 1) array, which used to fail a column check
-    # further on; under warnings as errors its warning escaped as a traceback
-    empty = tmp_path / "empty.csv"
-    empty.write_text(text)
-    density = {"problem": problem_to_dict(as1_problem_n12), "observation": {"v": [0.5] * 3, "v_star": [], "s": 8.0},
-               "points": str(empty)}
-    runs = [(["density-eval", "--config", write_config(tmp_path, {"seed": 1, "density": density}, "d.json")],
-             f"error: points file {empty} holds no rows\n"),
-            (["canonicalize", "--config", write_config(tmp_path, {"design": {
-                "type": "explicit", "X": str(empty), "Xtilde": [[1.0, 0.0, 0.0]]}}, "x.json")],
-             f"configuration error: X must be a matrix of numbers: X file {empty} holds no rows\n")]
-    for argv, message in runs:
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter(action)
-            assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-        assert not caught, [str(w.message) for w in caught]
-        assert capsys.readouterr().err == message
-        assert not (tmp_path / "o").exists()
-
-
-NOT_A_TABLE = "{key} file {path} is not a table of numbers: "
-
-
-@pytest.mark.parametrize("key, text, message", [
-    pytest.param("points", "1,2,3\n4,5,x\n", "error: " + NOT_A_TABLE + "could not convert", id="points-cell"),
-    pytest.param("points", "1,2,3\n4,5\n", "error: " + NOT_A_TABLE + "the number of columns", id="points-ragged"),
-    pytest.param("points", "1,2,3\nnan,5,6\n", "error: points must be numbers or +-inf, not nan, in {path}\n",
-                 id="points-nan"),
-    pytest.param("points", "1,2\n4,5\n", "error: points file {path} has 2 columns; the problem needs m = 3\n",
-                 id="points-columns"),
-    pytest.param("X", "1,0,0\n0,x,0\n", "configuration error: X must be a matrix of numbers: " + NOT_A_TABLE,
-                 id="X-cell"),
-    pytest.param("X", "1,0,0\n0,1\n", "configuration error: X must be a matrix of numbers: " + NOT_A_TABLE,
-                 id="X-ragged"),
-])
-def test_csv_files_that_are_not_tables_of_numbers_name_the_key(tmp_path, capsys, as1_problem_n12, key, text,
-                                                                 message):
-    # numpy's own message used to come through alone, and a nan point used to give a nan row and exit 0
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    if key == "points":
-        density = {"problem": problem_to_dict(as1_problem_n12), "points": str(path),
-                   "observation": {"v": [0.5] * 3, "v_star": [], "s": 8.0}}
-        argv = ["density-eval", "--config", write_config(tmp_path, {"seed": 1, "density": density})]
-    else:
-        design = {"type": "explicit", "X": str(path), "Xtilde": [[1.0, 0.0, 0.0]]}
-        argv = ["canonicalize", "--config", write_config(tmp_path, {"design": design})]
-    capsys.readouterr()
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(message.format(key=key, path=path))
-    assert not (tmp_path / "o").exists()
-
-
-def test_a_shrinkage_constant_that_is_not_finite_exits_4(tmp_path, capsys):
-    # a is finite at nu = 1e306, but B = nu (n - k)/(1 - alpha) is not: the constant used to be written as nan
-    cfg = shrinkage_density_config(tmp_path, 0.999, 1e306)
-    capsys.readouterr()
-    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("normalization certificate failed:") and "not finite" in err, err
-    assert not (tmp_path / "o").exists()
-
-
-def test_a_nu_whose_prior_exponent_overflows_exits_1_from_the_subcommands_that_build_a_prior(tmp_path, capsys):
-    # at nu = 1e308, a = (nu (n - k) - k - 2)/2 is inf: density-eval wrote nan, and risk-compare at alpha = 0
-    # exited 2 from the Gauss-Laguerre rule's eigenvalue solver
-    message = "error: nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got 1e+308\n"
-    doc = shipped("as1_desk")
-    risk = write_config(tmp_path, dict(doc, prior=dict(doc["prior"], nu=1e308), alphas=[0.0], reps_outer=50),
-                        "risk.json")
-    for command, cfg in (("density-eval", shrinkage_density_config(tmp_path, 0.0, 1e308)), ("risk-compare", risk)):
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
-        assert capsys.readouterr().err == message, command
-    assert not (tmp_path / "o").exists()
-    # bounds builds no prior, and its output does not depend on nu
-    assert main(["bounds", "--config", risk, "--out", str(tmp_path / "b")]) == 0
-
-
-@pytest.mark.parametrize("nu", [1e50, 1e100, 1e200, 1e300, 1e306])
-def test_a_huge_finite_nu_is_a_certificate_failure(tmp_path, capsys, nu):
-    # these used to end in a traceback, exit 1: ZeroDivisionError in the loss once the Gauss-Laguerre rule came
-    # back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant (1e306);
-    # from 1e200 the shrinkage constant's Gauss-Jacobi rule, whose nodes would lie near 1e-200, fails before the loss
-    doc = shipped("as1_desk")
-    doc.update(prior=dict(doc["prior"], nu=nu), alphas=[0.0, -1.0], reps_outer=100, seed=1)
-    doc["grid"]["theta_norms"] = [0.0, 2.0]
-    cfg = write_config(tmp_path, doc)
-    capsys.readouterr()
-    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    cause = "lnGamma" if nu == 1e306 else "Gauss-Laguerre rule" if nu < 1e200 else "Gauss-Jacobi rule"
-    assert err.startswith(f"normalization certificate failed: {cause}") and "Traceback" not in err, err
-    assert not (tmp_path / "o").exists()
-    if nu == 1e306:
-        capsys.readouterr()
-        density = shrinkage_density_config(tmp_path, 0.0, nu)
-        capsys.readouterr()
-        assert main(["density-eval", "--config", density, "--out", str(tmp_path / "d")]) == 4
-        assert capsys.readouterr().err.startswith("normalization certificate failed: lnGamma")
-        assert not (tmp_path / "d").exists()
-
-
-@pytest.mark.parametrize("prior", [{"nu": 1e-300}, {"nu": 1e-17}, {"c": 1e200}])
-def test_a_tiny_nu_is_a_certificate_failure(tmp_path, capsys, prior):
-    # at nu = 1e-17 or less (c = 1e200 caps nu at 1e-200) k + 2a + 2 rounded to 0, and B formed from it ended these
-    # runs in lnGamma(0), "error: math domain error", exit 1.  Now B = nu (n - k)/(1 - alpha): at 1e-300 and 1e-200
-    # B - 1 rounds to -1, where the shrinkage constant's Beta weight has no mass.  At 1e-17 the alpha = 0 constant
-    # (B = 9e-17) integrates, so density-eval runs, but the alpha = 0 loss's Gauss-Laguerre parameter B beta - 1
-    # rounds to -1 and risk-compare fails there
-    doc = shipped("as1_desk")
-    doc.update(prior=dict(doc["prior"], **prior), alphas=[0.0, -1.0], reps_outer=50, seed=1)
-    density = json.loads(Path(shrinkage_density_config(tmp_path, 0.0, 1.0)).read_text())
-    density["prior"] = doc["prior"]
-    for command, cfg, out in (("risk-compare", write_config(tmp_path, doc, "risk.json"), "r"),
-                              ("density-eval", write_config(tmp_path, density, "density.json"), "d")):
-        capsys.readouterr()
-        if command == "density-eval" and prior == {"nu": 1e-17}:
-            assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 0
-            continue
-        assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 4, command
-        err = capsys.readouterr().err
-        assert err.startswith("normalization certificate failed: ") and "Traceback" not in err, err
-        # the shrinkage constant's failure names nu and B; at nu = 1e-17 risk-compare fails at the loss
-        assert prior == {"nu": 1e-17} or ("nu = " in err and "B = " in err), err
-        assert not (tmp_path / out).exists()
-    if prior == {"nu": 1e-300}:  # the alpha = 1 plug-in rules build no shrinkage kernel
-        doc.update(alphas=[1.0], reps=100)
-        assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "a1")]) == 0
-
-
-def test_as1_subcommands_other_than_canonicalize_never_tile_x(tmp_path, monkeypatch):
-    # the N-fold X of the replicated design grew memory with N in bounds and risk-compare, which never read it
+def test_no_as1_subcommand_tiles_x(tmp_path, monkeypatch):
+    # the N-fold X of the replicated design grew memory with N; canonicalize reports on sqrt(N) R instead, R the
+    # triangular factor of Xtilde, which has the same Gram matrix N Xtilde'Xtilde (REJECTED's as1-N-1e15 row)
+    import shrinkpred.canonical as canonical_module
     import shrinkpred.cli as cli_module
-
-    cfg = write_config(tmp_path, shipped("as1_desk", alphas=[1.0, 0.0], reps=100, reps_outer=50))
 
     def refuse(*args):
         raise AssertionError("as1_design called")
 
-    monkeypatch.setattr(cli_module, "as1_design", refuse)
-    for command in ("bounds", "risk-compare"):
+    np.savetxt(tmp_path / "points.csv", np.zeros((2, 3)), delimiter=",")
+    density = {"problem": str(tmp_path / "canonicalize" / "problem.json"), "type": "shrinkage_bayes", "alpha": 0.0,
+               "observation": {"v": [1.0, -0.5, 0.3], "v_star": [], "s": 7.5}, "points": str(tmp_path / "points.csv")}
+    cfg = write_config(tmp_path, shipped("as1_desk", alphas=[1.0, 0.0], reps=100, reps_outer=50, density=density))
+    assert not hasattr(cli_module, "as1_design")
+    monkeypatch.setattr(canonical_module, "as1_design", refuse)
+    for command in COMMANDS:  # canonicalize first: density-eval reads its problem.json
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
-    with pytest.raises(AssertionError, match="as1_design called"):
-        main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "refused")])
     monkeypatch.undo()
-    # canonicalize still reports on the tiled X, as the library builds it
-    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    # the report on the tiled X, as the library builds it, is the reference: an SVD of another matrix rounds
+    # otherwise, by at most 3.1e-14 over 200 random as1 designs (each check's tolerance is 1e-8 or more)
     problem, _, xt = build_problem(load_config(cfg))
-    report = cli_module.invariant_report(problem, as1_design(xt, 4), xt)
-    cli_module._write_json(str(tmp_path / "reference.json"), report)
-    assert (tmp_path / "c" / "canonicalize_report.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"alphas": [0.0, 0.9999]}, "alphas other than 1 must lie in [-1, 0.999], got 0.9999"),
-    ({"alphas": [0.99999, 1.0]}, "alphas other than 1 must lie in [-1, 0.999], got 0.99999"),
-    ({"density": {"alpha": 0.9995}}, "alpha must lie in [-1, 0.999], got 0.9995"),
-    ({"density": {"type": "shrinkage_bayes", "alpha": 0.99999}}, "alpha must lie in [-1, 0.999], got 0.99999"),
-])
-def test_alpha_between_the_bound_and_one_is_a_configuration_error(tmp_path, capsys, doc, message):
-    # nearer 1 the exact loss loses digits its certificate cannot see: alphas = [0.9999] used to exit 0
-    # with a loss 2.7e-6 off, and 0.99999 to exit 4 with a quadrature message that did not name alpha
-    cfg = write_config(tmp_path, dict(RISK_DOC, **doc))
-    for command in ("bounds", "risk-compare"):
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
-        assert capsys.readouterr().err == f"configuration error: {message}\n", command
-    assert not (tmp_path / "o").exists()
+    reference = cli_module.invariant_report(problem, as1_design(xt, 4), xt)
+    report = json.loads((tmp_path / "canonicalize" / "canonicalize_report.json").read_text())
+    assert report.keys() == reference.keys() and report["all_pass"] is reference["all_pass"] is True
+    for name, check in reference.items():
+        if isinstance(check, dict):
+            assert report[name]["pass"] and report[name]["tol"] == check["tol"], name
+            assert report[name]["value"] == pytest.approx(check["value"], rel=0, abs=1e-13), name
 
 
 @pytest.mark.parametrize("doc", [{"alphas": [-1.0, 0.999, 1.0]}, {"density": {"type": "shrinkage_bayes", "alpha": 0.999}}])
@@ -949,54 +614,6 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
     assert after == [[]] * len(after)
 
 
-@pytest.mark.parametrize("problem, key", [
-    ([1, 2], "JSON object"), ({"k": 3, "m": 3}, "'n'"), ({"n": 12, "m": 3}, "'k'"), ({"n": 12, "k": 3}, "'m'"),
-    ({"n": [12], "k": 3, "m": 3}, "'n'"), ({"n": 12, "k": "three", "m": 3}, "'k'"),
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": [1.0]}, "'cond_xtx'"), ({"n": 12, "k": 3, "m": 3, "d": [[1.0], 2.0]}, "'d'"),
-    # JSON's NaN and Infinity, which every comparison in the constructor's checks lets through
-    ({"n": 12, "k": 3, "m": 3, "d": [0.25, math.nan, 0.25]}, "malformed: d must be a list of finite numbers"),
-    ({"n": 12, "k": 3, "m": 3, "Q": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]]},
-     "malformed: Q must be a list of equal-length rows of finite numbers"),
-    ({"n": 12, "k": 3, "m": 3, "coef_transform": [[math.inf] * 3] * 3},
-     "coef_transform must be a list of equal-length rows of finite numbers"),
-    # a fraction or a string where a dimension belongs, which int() used to truncate or parse
-    ({"n": 12.7, "k": 3, "m": 3}, "'n'"), ({"n": "12", "k": 3, "m": 3}, "'n'"),
-    # no residual degrees of freedom, which used to fail in a log with "math domain error"
-    ({"n": 3, "k": 3, "m": 3}, "n must exceed k"),
-    # cond_xtx, a ratio of ordered singular values: NaN used to load with a silently null warning
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": math.nan}, "cond_xtx must be a finite number >= 1"),
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": math.inf}, "cond_xtx must be a finite number >= 1"),
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": -math.inf}, "cond_xtx must be a finite number >= 1"),
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": 0.5}, "cond_xtx must be a finite number >= 1"),
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": True}, "'cond_xtx'"),
-    # a numeric string or a boolean, which float() and np.asarray(..., dtype=float) used to read as a number
-    ({"n": 12, "k": 3, "m": 3, "cond_xtx": "12"}, "cond_xtx must be a finite number >= 1, got '12'"),
-    ({"n": 12, "k": 3, "m": 3, "d": ["0.25", "0.25", "0.25"]}, "d must be a list of finite numbers"),
-    ({"n": 12, "k": 3, "m": 3, "d": [0.25, True, 0.25]}, "d must be a list of finite numbers"),
-    ({"n": 12, "k": 3, "m": 3, "Q": [[1.0, 0.0, 0.0], [0.0, "1", 0.0], [0.0, 0.0, 1.0]]}, "'Q'"),
-    ({"n": 12, "k": 3, "m": 3, "Q": [[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "'Q'"),
-    ({"n": 12, "k": 3, "m": 3, "coef_transform": [["0.5", 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},
-     "'coef_transform'"),
-    ({"n": 12, "k": 3, "m": 3, "coef_transform": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, False]]},
-     "'coef_transform'"),
-])
-def test_density_eval_problem_document_errors_name_the_key(tmp_path, capsys, as1_problem_n12, problem, key):
-    # a problem document that is not an object, or lacks or garbles a key, exits 1 naming it
-    if isinstance(problem, dict):
-        doc = problem_to_dict(as1_problem_n12)
-        problem = dict({name: value for name, value in doc.items() if name not in ("n", "k", "m")}, **problem)
-    (tmp_path / "problem.json").write_text(json.dumps(problem))
-    np.savetxt(tmp_path / "points.csv", np.zeros((2, 3)), delimiter=",")
-    density = {"problem": str(tmp_path / "problem.json"), "points": str(tmp_path / "points.csv"),
-               "observation": {"v": [0.5, -0.2, 1.0], "v_star": [], "s": 8.0}}
-    cfg = write_config(tmp_path, {"seed": 1, "density": density})
-    capsys.readouterr()
-    assert main(["density-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: problem document") and key in err, err
-    assert not (tmp_path / "o").exists()
-
-
 def test_no_domination_claim_below_two_residual_dof(tmp_path):
     # n - k = 1: the proof's sign condition fails, so the flag stays false
     rng = np.random.default_rng(14)
@@ -1017,51 +634,6 @@ def test_no_domination_claim_below_two_residual_dof(tmp_path):
     assert main(["risk-compare", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "risk_compare.csv").read_text().strip().split("\n")
     assert all(row.endswith(",false") for row in lines[1:])
-
-
-@pytest.mark.parametrize("wrong, key", [
-    ({"reps": math.nan}, "reps"),
-    ({"prior": {"gamma_prior": -math.inf}}, "gamma_prior"),
-    ({"grid": {"theta_directions": 5}}, "theta_directions"),
-    ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}}, "theta_directions"),
-    ({"grid": {"theta_norms": [1.0, "2"]}}, "theta_norms"),
-    ({"grid": {"sigma2": [None]}}, "sigma2"),
-    ({"alphas": [0.0, "0.5"]}, "alphas"),
-    # JSON's NaN and Infinity, an int past the float range, and a negative norm
-    ({"grid": {"theta_norms": [math.nan]}}, "theta_norms"),
-    ({"grid": {"theta_norms": [2.0, -2.0]}}, "theta_norms"),
-    ({"grid": {"sigma2": [math.nan]}}, "sigma2"),
-    ({"grid": {"sigma2": [math.inf]}}, "sigma2"),
-    ({"grid": {"theta_directions": [[1.0, math.nan, 0.0]]}}, "theta_directions"),
-    ({"prior": {"c": math.nan}}, "c"),
-    ({"prior": {"c": [1.0, -math.inf, 1.0]}}, "c"),
-    ({"prior": {"nu": math.inf}}, "nu"),
-    ({"alphas": [10**400]}, "alphas"),
-    # a repeated value, compared as a float, would repeat the key of a risk_compare.csv row
-    ({"alphas": [1.0, 1.0]}, "alphas"),
-    ({"alphas": [0, -0.0]}, "alphas"),
-    ({"grid": {"theta_norms": [2.0, 2.0]}}, "theta_norms"),
-    ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}}, "theta_norms"),
-    ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2"),
-    # past THETA_OVER_SIGMA_MAX or outside SIGMA2_RANGE a risk loses digits
-    ({"grid": {"theta_norms": [0.0, 1e9]}}, "theta_norms"),
-    ({"grid": {"theta_norms": [1e16]}}, "theta_norms"),
-    ({"grid": {"theta_norms": [2.0], "sigma2": [1.0, 1e-100]}}, "theta_norms"),
-    ({"grid": {"sigma2": [1e200]}}, "sigma2"),
-    ({"grid": {"sigma2": [1.0, 1e-200]}}, "sigma2"),
-    ({"grid": {"sigma2": [0.0]}}, "sigma2"),
-    # values a prior cannot take fail at load, also for subcommands that build no prior
-    ({"prior": {"nu": -1}}, "nu"),
-    ({"prior": {"nu": 0}}, "nu"),
-    ({"prior": {"gamma_prior": 0.5}}, "gamma_prior"),
-])
-def test_config_number_errors_name_the_key(tmp_path, capsys, wrong, key):
-    cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong))
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and re.search(f"{key} must (be|not repeat a value)", err), err
-    assert not (tmp_path / "o").exists()
 
 
 OBS = CanonicalObservation(v=[0.5, -0.2, 1.0], v_star=[], s=8.0)
@@ -1086,17 +658,6 @@ def test_load_config_states_each_library_rule_in_its_words(tmp_path, as1_problem
     assert rule[0] == rule[1], (loaded.value, built.value)
 
 
-@pytest.mark.parametrize("command", ["bounds", "risk-compare"])
-@pytest.mark.parametrize("c", [[1.0, 2.0], [2.0], [1.0, 2.0, 3.0, 4.0]])
-def test_prior_c_list_of_the_wrong_length_names_the_key_and_l(tmp_path, capsys, command, c):
-    # numpy used to reject the broadcast in its own words, or stretch a one-entry list over l axes
-    cfg = write_config(tmp_path, dict(RISK_DOC, prior={"c": c}))
-    capsys.readouterr()
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"error: c must have l = 3 entries, got {len(c)}\n"
-    assert not (tmp_path / "o").exists()
-
-
 def test_prior_c_number_stands_for_every_axis(tmp_path):
     outs = []
     for tag, c in (("number", 2.0), ("list", [2.0, 2.0, 2.0])):
@@ -1104,28 +665,6 @@ def test_prior_c_number_stands_for_every_axis(tmp_path):
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / tag)]) == 0
         outs.append((tmp_path / tag / "bounds.json").read_bytes())
     assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("c", [0.5, [1.0, 0.5, 2.0]])
-def test_prior_c_below_one_is_a_configuration_error_for_every_subcommand(tmp_path, capsys, c):
-    # the prior needs C >= I; canonicalize, which builds no prior, used to exit 0
-    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
-    cfg = write_config(tmp_path, dict(doc, prior=dict(doc["prior"], c=c)))
-    for command in ("canonicalize", "bounds", "risk-compare"):
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
-        err = capsys.readouterr().err
-        assert err == f"configuration error: c must be finite and >= 1 in every entry, got {c!r}\n", (command, err)
-    assert not (tmp_path / "o").exists()
-
-
-def test_a_config_without_a_design_exits_1_from_every_subcommand_that_needs_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"seed": 1})
-    for command in ("canonicalize", "bounds", "risk-compare"):
-        capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, command
-        assert capsys.readouterr().err == "error: configuration has no design section\n", command
-    assert not (tmp_path / "o").exists()
 
 
 def test_a_linear_algebra_failure_in_the_reduction_exits_2(tmp_path, monkeypatch, capsys):
@@ -1143,22 +682,6 @@ def test_a_linear_algebra_failure_in_the_reduction_exits_2(tmp_path, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("alphas, counts, message", [
-    ([0.0], {"reps_outer": 49}, "reps_outer must be at least 50"),
-    ([1.0, 0.5], {"reps_outer": 10}, "reps_outer must be at least 50"),
-    ([1.0], {"reps": 99}, "reps must be at least 100"),
-    ([1.0, 0.0], {"reps": 10}, "reps must be at least 100"),
-])
-def test_rep_counts_below_the_floor_name_the_key(tmp_path, capsys, alphas, counts, message):
-    # each count is checked against min_reps's floor where an alpha uses it, before any run starts
-    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=alphas, **counts))
-    capsys.readouterr()
-    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {message}"), err
-    assert not (tmp_path / "o").exists()
-
-
 def test_rep_counts_at_the_floor_or_unused_load(tmp_path):
     for alphas, counts in (([1.0, 0.0], {"reps": 100, "reps_outer": 50}), ([0.0], {"reps": 1}),
                            ([1.0], {"reps_outer": 1})):
@@ -1166,101 +689,407 @@ def test_rep_counts_at_the_floor_or_unused_load(tmp_path):
         assert (cfg.reps, cfg.reps_outer) == (counts.get("reps", 200), counts.get("reps_outer", 50))
 
 
-@pytest.mark.parametrize("source", ["config", "flag"])
-def test_seed_beyond_64_bits_rejected(tmp_path, capsys, source):
-    # the generator keys on 64 bits of the seed, so 2^64 would rerun seed 0's draws
-    seed = 2**64
-    cfg = write_config(tmp_path, dict(RISK_DOC, alphas=[1.0], seed=seed if source == "config" else 1))
-    flag = ["--seed", str(seed)] if source == "flag" else []
-    capsys.readouterr()
-    assert main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "seed must be" in err, err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("design, key", [
-    ({"type": "as1", "m": 3, "k": 3}, "N"),
-    ({"type": "explicit", "X": 5, "Xtilde": [[1.0, 0.0]]}, "X"),
-    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, "a", 0.0], [0.0, 0.0, 1.0]]},
-     "xtilde"),
-    # non-finite entries, which the reduction's SVD would fail on without naming the matrix
-    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]]},
-     "xtilde"),
-    ({"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [math.nan, 2.0]], "Xtilde": [[1.0, 0.0]]}, "X"),
-    ({"type": "explicit", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], "Xtilde": [[math.nan, 0.0]]},
-     "Xtilde"),
-    # one replicate of a square Xtilde leaves n = k, no residual degrees of freedom
-    ({"type": "as1", "m": 3, "k": 3, "N": 1}, "N"),
-    # a numeric string or a boolean, which np.asarray(..., dtype=float) used to read as a number
-    (dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0, "1.5"], [True, 2.0]]), "X"),
-    (dict(EXPLICIT_DESIGN, Xtilde=[["1", 0.0]]), "Xtilde"),
-    (dict(EXPLICIT_DESIGN, Xtilde=[[True, 0.0]]), "Xtilde"),
-    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, "1", 0.0], [0.0, 0.0, 1.0]]},
-     "xtilde"),
-    ({"type": "as1", "m": 3, "k": 3, "N": 4, "xtilde": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]]},
-     "xtilde"),
-    # rows of unequal length
-    (dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0], [1.0, 2.0]]), "X"),
-])
-def test_design_errors_name_the_key(tmp_path, capsys, design, key):
-    cfg = write_config(tmp_path, {"seed": 1, "design": design})
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and f"{key} must be" in err, err
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("m, k, N, key", [(2, 3, 2, "m"), (3, 3, 1, "N"), (3, 3, 0, "N"), (4, 3, -2, "N")])
-def test_replicated_design_rules_have_one_text(tmp_path, capsys, m, k, N, key):
+def test_replicated_design_rules_have_one_text(m, k, N, key):
     # m >= k, N >= 1 and n = N m > k are canonical's rules: load_config calls the check that as1_design and
-    # as1_problem call, so all three reject a design in the same words, naming the key
+    # as1_problem call, so all three reject a design in the same words, naming the key (REJECTED's as1 rows)
     messages = set()
     for build in (as1_design, as1_problem):
         with pytest.raises(ValueError, match=f"^{key} must be") as raised:
             build(np.eye(m, k), N)
         messages.add(str(raised.value))
-    (message,) = messages
-    cfg = write_config(tmp_path, {"seed": 1, "design": {"type": "as1", "m": m, "k": k, "N": N}})
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    # k >= 3 is the command line's own rule, which the library does not state
-    cfg = write_config(tmp_path, {"seed": 1, "design": {"type": "as1", "m": 3, "k": 2, "N": 4}})
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("configuration error: k must be at least 3")
+    assert messages == {REJECTED_BY_ID[f"as1-m{m}-k{k}-N{N}"].runs["bounds"][1].removeprefix("configuration error: ")
+                        .removesuffix("\n")}
+    # k >= 3 is the command line's own rule (REJECTED's as1-m3-k2-N4), which the library does not state
     assert as1_problem(np.eye(3, 2), 4).k == 2
 
 
-def test_usage_errors(tmp_path, capsys, monkeypatch):
-    assert main([]) == 1
-    assert main(["canonicalize", "--config", str(tmp_path / "missing.json")]) == 1
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["canonicalize", "--config", str(bad)]) == 1
-    assert main(["bogus-command"]) == 1
-    cfg = write_config(tmp_path, {"design": {"type": "as1", "m": 2, "k": 3, "N": 2}})
-    assert main(["canonicalize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    good = write_config(tmp_path, {"seed": 1, "design": AS1_DESIGN}, "good.json")
-    assert main(["bounds", "--config", good, "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
-    # a misspelled key in each checked section, and values of the wrong JSON type
-    for typo in ({"rep": 10}, {"prior": {"gama_prior": 2.0}}, {"grid": {"theta_norm": [1.0]}},
-                 {"design": dict(AS1_DESIGN, Nn=5)}, {"density": {"problem": "problem.json", "typ": "plugin"}},
-                 {"alphas": 5}, {"grid": {"sigma2": 2.0}}):
-        cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **typo), "typo.json")
+# ---------------------------------------------------------------------------
+# Bad input: every rejected configuration, file and flag is one row of REJECTED
+# ---------------------------------------------------------------------------
+
+class Prefix(str):
+    """A stderr checked by its start, where numpy, json or argparse words the rest."""
+
+
+class Rejected(NamedTuple):
+    """One bad input, and how each subcommand that reads it ends: runs maps a subcommand to (exit code, stderr).
+
+    doc is the config written to $TMP/config.json (None: files holds it, or there is none); files maps a name in
+    $TMP to its text, or to an array written as CSV; flags follow the config.  "$TMP" stands for the row's
+    directory.  Each run takes --out $TMP/out/<subcommand> or, where out is False, none, in an empty working
+    directory.
+    """
+    id: str
+    doc: dict | None
+    runs: dict
+    files: dict = {}
+    flags: tuple = ()
+    out: bool = True
+
+
+def ends(code, head, message, *commands):
+    """Each of commands exits code and writes "head: message" to stderr (a Prefix of it, if message is one)."""
+    text = f"{head}: {message}"
+    return dict.fromkeys(commands, (code, Prefix(text) if isinstance(message, Prefix) else text + "\n"))
+
+
+def load_error(message):
+    """Every subcommand loads its config alike, so what load_config rejects exits 1 from all five."""
+    return ends(1, "configuration error", message, *COMMANDS)
+
+
+def error(message, *commands):
+    return ends(1, "error", message, *commands)
+
+
+def certificate(message, *commands):
+    return ends(4, "normalization certificate failed", message, *commands)
+
+
+def accepted(*commands):
+    return dict.fromkeys(commands, (0, ""))
+
+
+BASE = {"seed": 1, "design": AS1_DESIGN}
+ABSENT = object()  # a key left out
+AS1_N12 = problem_to_dict(as1_problem(AS1_XTILDE, 4))
+CASE2_N12 = problem_to_dict(canonicalize(*make_case2_design()))
+ZEROS = {"points.csv": np.zeros((2, 3))}
+NUMBERS, ROWS = "a list of finite numbers", "a list of equal-length rows of finite numbers"
+C_VALUES = 'c must be "identity", a finite number or a list of finite numbers, got'
+Q = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def density_doc(problem=AS1_N12, obs=(), **section):
+    """A density-eval config on problem (a document or a path): best_invariant at alpha = 0 (the plug-in takes no
+    alpha) at $TMP/points.csv, observing v = 0.5, v_star = 0.1 and s = 8 sized to problem; obs and section update
+    those keys, and ABSENT drops one."""
+    fit = problem if isinstance(problem, dict) else AS1_N12
+    obs = dict({"v": [0.5] * fit["l"], "v_star": [0.1] * (fit["k"] - fit["l"]), "s": 8.0}, **dict(obs))
+    section = dict({"problem": problem, "observation": {k: v for k, v in obs.items() if v is not ABSENT},
+                    "type": "best_invariant", "points": "$TMP/points.csv"}, **section)
+    if section["type"] != "plugin":
+        section.setdefault("alpha", 0.0)
+    return {"seed": 1, "density": {k: v for k, v in section.items() if v is not ABSENT}}
+
+
+def malformed(key, value):
+    """A problem document (n = 12, k = 3, m = 3) whose key holds value, and density-eval's message for it."""
+    what = {"d": NUMBERS, "Q": ROWS, "coef_transform": ROWS, "cond_xtx": "a finite number >= 1"}
+    return ({"n": 12, "k": 3, "m": 3, key: value},
+            f"problem document's '{key}' is malformed: {key} must be {what.get(key, 'an integer')}, got {value!r}")
+
+
+DESK_DENSITY = {"problem": problem_to_dict(build_problem(load_config(str(CONFIGS / "as1_desk.json")))[0]),
+                "type": "shrinkage_bayes", "alpha": 0.0, "points": "$TMP/points.csv",
+                "observation": {"v": [1.0, -0.5, 0.3], "v_star": [], "s": 7.5}}
+DESK_POINTS = {"points.csv": np.random.default_rng(1).standard_normal((5, 3))}
+
+
+def desk(prior, density=(), **updates):
+    """as1_desk, its prior and top-level keys updated, with shrinkage_density_config's section inline: the
+    shrinkage density at alpha = 0 on as1_desk's problem at 5 points, updated by density."""
+    doc = shipped("as1_desk", **updates)
+    return dict(doc, prior=dict(doc["prior"], **prior), density=dict(DESK_DENSITY, **dict(density)))
+
+
+LOSS_RULE = "Gauss-Laguerre rule at a = {}, n = 16: not finite or not of mass 1 (loss quadrature at alpha = 0)"
+JACOBI_RULE = "Gauss-Jacobi rule at a = 9.5, b = {}, n = 16: not finite or not of mass 1 "
+NO_MASS = "Gauss-Jacobi rule at a = 9.5, b = -1: no finite weight "
+CONSTANT = "(shrinkage constant at alpha = 0, nu = {}, B = {})"
+
+REJECTED = [
+    # the suite's counts and tolerances are constants, so an identities section is itself the unknown option
+    *(Rejected(f"identities-{key}", {"seed": 2, "identities": {key: value}},
+               load_error("unknown configuration option(s): 'identities'"))
+      for key, value in {"lemma_instances": 200, "beta_instances": 50, "chisq_draws": 100_000,
+                         "log_grid_points": 10_000, "lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12,
+                         "chisq_se_mult": 4.0, "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}.items()),
+    # the prior is set by nu alone, an explicit design by X and Xtilde alone, is_samples only in the density
+    # section, --out alone sets the output directory, C is always g0 c, "identity" alone spells c = 1, and null
+    # spells no value: a key left out takes its default
+    Rejected("prior-a", dict(BASE, prior={"a": [1]}), load_error("unknown prior option(s): 'a'")),
+    Rejected("design-file", dict(BASE, design={"type": "explicit", "file": "design.json"}),
+             load_error("unknown design option(s): 'file'")),
+    Rejected("is_samples", dict(BASE, is_samples=4000), load_error("unknown configuration option(s): 'is_samples'")),
+    Rejected("out", dict(BASE, out="results"), load_error("unknown configuration option(s): 'out'")),
+    Rejected("rescale_c", dict(BASE, prior={"rescale_c": True}), load_error("unknown prior option(s): 'rescale_c'")),
+    Rejected("c-null", dict(BASE, prior={"c": None}), load_error(f"{C_VALUES} None")),
+    Rejected("nu-null", dict(BASE, prior={"nu": None}), load_error("nu must be a finite number, got None")),
+    Rejected("xtilde-null", dict(BASE, design=dict(AS1_DESIGN, xtilde=None)),
+             load_error(f"xtilde must be {ROWS}, got None")),
+    # a key of the other design type would otherwise be read by neither and silently ignored
+    *(Rejected(f"foreign-{key}", dict(BASE, design=dict(design, **{key: value})),
+               load_error(f"design option(s) {key!r} do not apply to type {design['type']!r}"))
+      for design, key, value in ((AS1_DESIGN, "X", EXPLICIT_DESIGN["X"]), (AS1_DESIGN, "Xtilde", [[1.0, 0.0]]),
+                                 (EXPLICIT_DESIGN, "m", 3), (EXPLICIT_DESIGN, "k", 3), (EXPLICIT_DESIGN, "N", 4),
+                                 (EXPLICIT_DESIGN, "xtilde", [[1.0, 0.0]]))),
+    # an empty list used to write a header-only CSV, exit 0
+    *(Rejected(f"empty-{key}", dict(RISK_DOC, **doc), load_error(f"{key} must hold at least one value"))
+      for key, doc in (("theta_norms", {"grid": {"theta_norms": [], "sigma2": [1.0]}}),
+                       ("sigma2", {"grid": {"theta_norms": [0.0], "sigma2": []}}), ("alphas", {"alphas": []}))),
+    # a density section's own keys are checked at load
+    *(Rejected(f"density-{index}", {"seed": 1, "density": dict(
+        {"problem": "problem.json", "observation": "observation.json", "points": "points.csv"}, **bad)},
+        load_error(message)) for index, (bad, message) in enumerate([
+            ({"alpha": "x"}, "alpha must be a finite number, got 'x'"),
+            ({"alpha": [0.0]}, "alpha must be a finite number, got [0.0]"),
+            ({"alpha": 1.5}, "alpha must lie in [-1, 0.999], got 1.5"),
+            ({"type": "t_density"}, "type must be one of best_invariant, shrinkage_bayes, plugin, got 't_density'"),
+            ({"problem": 3}, "problem must be a path or a JSON object, got 3"),
+            ({"observation": [0.5, -0.2, 1.0]}, "observation must be a path or a JSON object, got [0.5, -0.2, 1.0]"),
+            ({"points": 3}, "points must be a path to a CSV file, got 3")])),
+    # the plug-in normal is the alpha = 1 density, on which alpha had no effect; the other two exist for alpha < 1
+    # only, and alpha = 1 used to pass the load and fail density-eval at run time.  Nearer 1 the exact loss loses
+    # digits its certificate cannot see: alphas = [0.9999] used to exit 0 with a loss 2.7e-6 off, and 0.99999 to
+    # exit 4 with a quadrature message that did not name alpha
+    Rejected("density-plugin-alpha", dict(BASE, density={"type": "plugin", "alpha": 0.0}),
+             load_error("alpha must be left out for type 'plugin', the alpha = 1 plug-in normal")),
+    *(Rejected(f"alpha-{index}", dict(doc, **bad), load_error(f"{key} must lie in [-1, 0.999], got {alpha}"))
+      for index, (doc, bad, key, alpha) in enumerate([
+          (BASE, {"density": {"alpha": 1.0}}, "alpha", 1.0),
+          (BASE, {"density": {"type": "shrinkage_bayes", "alpha": 1}}, "alpha", 1.0),
+          (RISK_DOC, {"alphas": [0.0, 0.9999]}, "alphas other than 1", 0.9999),
+          (RISK_DOC, {"alphas": [0.99999, 1.0]}, "alphas other than 1", 0.99999),
+          (RISK_DOC, {"density": {"alpha": 0.9995}}, "alpha", 0.9995),
+          (RISK_DOC, {"density": {"type": "shrinkage_bayes", "alpha": 0.99999}}, "alpha", 0.99999)])),
+    # numbers: JSON's NaN and Infinity, an int past the float range, a numeric string, null, a negative norm, a
+    # repeated value (compared as a float, it would repeat the key of a risk_compare.csv row), a point past
+    # THETA_OVER_SIGMA_MAX or outside SIGMA2_RANGE (where a risk loses digits), values a prior cannot take (which
+    # fail at load also for subcommands that build no prior), and a misspelled key in each checked section
+    *(Rejected(f"number-{index}", dict(BASE, **wrong), load_error(message)) for index, (wrong, message) in enumerate([
+        ({"reps": math.nan}, "reps must be an integer, got nan"),
+        ({"prior": {"gamma_prior": -math.inf}}, "gamma_prior must be a finite number, got -inf"),
+        ({"grid": {"theta_directions": 5}}, f"theta_directions must be {ROWS}, got 5"),
+        ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}}, f"theta_directions must be {ROWS}, got [[1.0, 'x', 0.0]]"),
+        ({"grid": {"theta_norms": [1.0, "2"]}}, f"theta_norms must be {NUMBERS}, got [1.0, '2']"),
+        ({"grid": {"sigma2": [None]}}, f"sigma2 must be {NUMBERS}, got [None]"),
+        ({"alphas": [0.0, "0.5"]}, f"alphas must be {NUMBERS}, got [0.0, '0.5']"),
+        ({"grid": {"theta_norms": [math.nan]}}, f"theta_norms must be {NUMBERS}, got [nan]"),
+        ({"grid": {"theta_norms": [2.0, -2.0]}}, "theta_norms must be nonnegative"),
+        ({"grid": {"sigma2": [math.nan]}}, f"sigma2 must be {NUMBERS}, got [nan]"),
+        ({"grid": {"sigma2": [math.inf]}}, f"sigma2 must be {NUMBERS}, got [inf]"),
+        ({"grid": {"theta_directions": [[1.0, math.nan, 0.0]]}},
+         f"theta_directions must be {ROWS}, got [[1.0, nan, 0.0]]"),
+        ({"prior": {"c": math.nan}}, f"{C_VALUES} nan"),
+        ({"prior": {"c": [1.0, -math.inf, 1.0]}}, f"{C_VALUES} [1.0, -inf, 1.0]"),
+        ({"prior": {"nu": math.inf}}, "nu must be a finite number, got inf"),
+        ({"alphas": [10**400]}, f"alphas must be {NUMBERS}, got [{10**400}]"),
+        ({"alphas": [1.0, 1.0]}, "alphas must not repeat a value, got [1.0, 1.0]"),
+        ({"alphas": [0, -0.0]}, "alphas must not repeat a value, got [0.0, -0.0]"),
+        ({"grid": {"theta_norms": [2.0, 2.0]}}, "theta_norms must not repeat a value, got [2.0, 2.0]"),
+        ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}}, "theta_norms must not repeat a value, got [0.0, 5.0, -0.0]"),
+        ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2 must not repeat a value, got [1.0, 0.5, 1.0]"),
+        ({"grid": {"theta_norms": [0.0, 1e9]}},
+         "theta_norms must be at most 1e+08 sigma, got 1000000000.0 at sigma2 = 1.0"),
+        ({"grid": {"theta_norms": [1e16]}}, "theta_norms must be at most 1e+08 sigma, got 1e+16 at sigma2 = 1.0"),
+        ({"grid": {"theta_norms": [2.0], "sigma2": [1.0, 1e-100]}},
+         "theta_norms must be at most 1e+08 sigma, got 2.0 at sigma2 = 1e-100"),
+        ({"grid": {"sigma2": [1e200]}}, "sigma2 must be in [1e-100, 1e+100], got 1e+200"),
+        ({"grid": {"sigma2": [1.0, 1e-200]}}, "sigma2 must be in [1e-100, 1e+100], got 1e-200"),
+        ({"grid": {"sigma2": [0.0]}}, "sigma2 must be in [1e-100, 1e+100], got 0.0"),
+        ({"prior": {"nu": -1}}, "nu must be positive and finite, got -1.0"),
+        ({"prior": {"nu": 0}}, "nu must be positive and finite, got 0.0"),
+        ({"prior": {"gamma_prior": 0.5}}, "gamma_prior must be finite and >= 1, got 0.5"),
+        ({"rep": 10}, "unknown configuration option(s): 'rep'"),
+        ({"prior": {"gama_prior": 2.0}}, "unknown prior option(s): 'gama_prior'"),
+        ({"grid": {"theta_norm": [1.0]}}, "unknown grid option(s): 'theta_norm'"),
+        ({"design": dict(AS1_DESIGN, Nn=5)}, "unknown design option(s): 'Nn'"),
+        ({"density": {"problem": "problem.json", "typ": "plugin"}}, "unknown density option(s): 'typ'"),
+        ({"grid": {"sigma2": 2.0}}, f"sigma2 must be {NUMBERS}, got 2.0")])),
+    # values of the wrong JSON type, or a fraction where an integer belongs; run without --out, they write nothing
+    # to the working directory
+    *(Rejected(f"type-{index}", dict(BASE, **wrong), load_error(message), out=False)
+      for index, (wrong, message) in enumerate([
+          ({"alphas": 5}, f"alphas must be {NUMBERS}, got 5"), ({"seed": True}, "seed must be an integer, got True"),
+          ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+          ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m must be an integer, got 3.7"),
+          ({"prior": {"nu": "0.3"}}, "nu must be a finite number, got '0.3'"),
+          ({"prior": {"gamma_prior": "x"}}, "gamma_prior must be a finite number, got 'x'"),
+          ({"prior": {"c": "ones"}}, f"{C_VALUES} 'ones'")])),
+    # the prior needs C >= I; canonicalize, which builds no prior, used to exit 0
+    *(Rejected(f"c-below-1-{index}", desk({"c": c}), load_error(f"c must be finite and >= 1 in every entry, got {c!r}"))
+      for index, c in enumerate([0.5, [1.0, 0.5, 2.0]])),
+    # each count is checked against min_reps's floor where an alpha uses it, before any run starts
+    *(Rejected(f"{key}-{count}", dict(RISK_DOC, alphas=alphas, **{key: count}),
+               load_error(f"{key} must be at least {floor}, got {count}"))
+      for alphas, key, count, floor in (([0.0], "reps_outer", 49, 50), ([1.0, 0.5], "reps_outer", 10, 50),
+                                        ([1.0], "reps", 99, 100), ([1.0, 0.0], "reps", 10, 100))),
+    # the generator keys on 64 bits of the seed, so 2^64 would rerun seed 0's draws
+    *(Rejected(f"seed-2^64-{index}", dict(RISK_DOC, alphas=[1.0], **doc),
+               load_error(f"seed must be in [0, 2^64), got {2**64}"), flags=flags)
+      for index, (doc, flags) in enumerate([({"seed": 2**64}, ()), ({}, ("--seed", str(2**64)))])),
+    # design matrices: the wrong shape, non-finite entries (which the reduction's SVD would fail on without naming
+    # the matrix), a numeric string or a boolean (which np.asarray(..., dtype=float) used to read as a number),
+    # and rows of unequal length
+    Rejected("design-no-N", dict(BASE, design={"type": "as1", "m": 3, "k": 3}), load_error("N must be given")),
+    *(Rejected(f"design-{key}-{index}", dict(BASE, design=dict(AS1_DESIGN if key == "xtilde" else EXPLICIT_DESIGN,
+                                                               **{key: value})),
+               load_error(f"{key} must be {ROWS}, got {value!r}"))
+      for index, (key, value) in enumerate([
+          ("X", 5), ("xtilde", [Q[0], [0.0, "a", 0.0], Q[2]]), ("xtilde", [Q[0], [0.0, math.inf, 0.0], Q[2]]),
+          ("X", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [math.nan, 2.0]]), ("Xtilde", [[math.nan, 0.0]]),
+          ("X", [[1.0, 0.0], [0.0, 1.0], [1.0, "1.5"], [True, 2.0]]), ("Xtilde", [["1", 0.0]]),
+          ("Xtilde", [[True, 0.0]]), ("xtilde", [Q[0], [0.0, "1", 0.0], Q[2]]),
+          ("xtilde", [Q[0], Q[1], [0.0, 0.0, True]]),
+          ("X", [[1.0, 0.0], [0.0, 1.0], [1.0], [1.0, 2.0]])])),
+    # the replicated design's rules: m >= k, N >= 1 and n = N m > k (one replicate of a square Xtilde leaves n = k,
+    # no residual degrees of freedom), in the library's words, and k >= 3, the command line's own
+    *(Rejected(f"as1-m{m}-k{k}-N{N}", dict(BASE, design={"type": "as1", "m": m, "k": k, "N": N}), load_error(message))
+      for m, k, N, message in [
+          (2, 3, 2, "m must be at least k in the replicated design, got m=2, k=3"),
+          *((m, 3, N, f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k=3")
+            for m, N in ((3, 1), (3, 0), (4, -2))),
+          (3, 2, 4, "k must be at least 3 in the replicated design, got k=2")]),
+    # CSV files: one without rows (loadtxt warns on it and hands back a (0, 1) array, which used to fail a column
+    # check further on; under warnings as errors its warning escaped as a traceback), and one that is not a table
+    # of numbers (numpy's own message used to come through alone)
+    *(Rejected(f"X-csv-{index}", {"design": {"type": "explicit", "X": "$TMP/X.csv", "Xtilde": [[1.0, 0.0, 0.0]]}},
+               load_error(type(tail)(f"X must be a matrix of numbers: X file $TMP/X.csv {tail}")), {"X.csv": text})
+      for index, (text, tail) in enumerate([
+          ("", "holds no rows"), ("# ytilde_1,ytilde_2,ytilde_3\n\n", "holds no rows"),
+          ("1,0,0\n0,x,0\n", Prefix("is not a table of numbers: ")),
+          ("1,0,0\n0,1\n", Prefix("is not a table of numbers: "))])),
+    *(Rejected(f"points-csv-{index}", density_doc(), error(message, "density-eval"), {"points.csv": text})
+      for index, (text, message) in enumerate([
+          ("", "points file $TMP/points.csv holds no rows"),
+          ("# ytilde_1,ytilde_2,ytilde_3\n\n", "points file $TMP/points.csv holds no rows"),
+          ("1,2,3\n4,5,x\n", Prefix("points file $TMP/points.csv is not a table of numbers: could not convert")),
+          ("1,2,3\n4,5\n", Prefix("points file $TMP/points.csv is not a table of numbers: the number of columns")),
+          # a nan point used to give a nan row and exit 0
+          ("1,2,3\nnan,5,6\n", "points must be numbers or +-inf, not nan, in $TMP/points.csv"),
+          ("1,2\n4,5\n", "points file $TMP/points.csv has 2 columns; the problem needs m = 3")])),
+    # a density section that loads but lacks a key, or whose observation does not fit the problem
+    *(Rejected(f"density-input-{index}", doc, error(message, "density-eval"), {"points.csv": np.zeros((2, m))})
+      for index, (doc, m, message) in enumerate([
+          *((density_doc(**{key: ABSENT}), 3, f"{key} must be given in the density section")
+            for key in ("problem", "observation", "points")),
+          *((density_doc(obs={key: ABSENT}), 3, f"{key} must be given") for key in ("v", "s")),
+          (density_doc(obs={"v": [0.5, -0.2]}), 3, "v must have l = 3 entries, got shape (2,)"),
+          (density_doc(obs={"v_star": [3.0]}, type="shrinkage_bayes"), 3,
+           "v_star must have k - l = 0 entries, got shape (1,)"),
+          (density_doc(CASE2_N12, obs={"v_star": ABSENT}, type="shrinkage_bayes"), 1,
+           "v_star must have k - l = 2 entries, got shape (0,)"),
+          (density_doc(obs={"s": math.nan}, type="shrinkage_bayes"), 3, "s must be a finite number, got nan"),
+          (density_doc(obs={"s": math.inf}), 3, "s must be a finite number, got inf"),
+          (density_doc(obs={"s": 0.0}, type="plugin"), 3, "s must be positive, got 0.0"),
+          (density_doc(obs={"s": "8"}), 3, "s must be a finite number, got '8'"),
+          (density_doc(obs={"v": [0.5, math.nan, 1.0]}), 3, f"v must be {NUMBERS}, got [0.5, nan, 1.0]"),
+          (density_doc(obs={"v": [0.5, "a", 1.0]}, type="plugin"), 3, f"v must be {NUMBERS}, got [0.5, 'a', 1.0]"),
+          (density_doc(CASE2_N12, obs={"v_star": [math.inf, 0.1]}), 1, f"v_star must be {NUMBERS}, got [inf, 0.1]"),
+          (density_doc(obs={"s": None}), 3, "s must be a finite number, got None")])),
+    # a misspelled key used to be ignored: "vstar" left v_star empty and the run exited 0
+    Rejected("observation-inline-keys", density_doc(obs={"vstar": [9.0], "extra": "x", "v_star": ABSENT}),
+             error("unknown observation option(s): 'extra', 'vstar'", "density-eval"), ZEROS),
+    Rejected("observation-file-keys", density_doc(observation="$TMP/observation.json"),
+             error("unknown observation option(s): 'extra', 'vstar'", "density-eval"),
+             dict(ZEROS, **{"observation.json": '{"v": [0.5, -0.2, 1.0], "vstar": [9.0], "s": 8.0, "extra": "x"}'})),
+    # a problem document that is not an object, or lacks or garbles a key
+    *(Rejected(f"problem-{index}", density_doc("$TMP/problem.json"), error(message, "density-eval"),
+               dict(ZEROS, **{"problem.json": json.dumps(problem if isinstance(problem, list) else dict(
+                   {key: value for key, value in AS1_N12.items() if key not in ("n", "k", "m")}, **problem))}))
+      for index, (problem, message) in enumerate([
+          ([1, 2], "problem document must be a JSON object, got list"),
+          *(({name: 3 if name != "n" else 12 for name in ("n", "k", "m") if name != key},
+             f"problem document's '{key}' is malformed: {key} must be given") for key in ("n", "k", "m")),
+          malformed("n", [12]), malformed("k", "three"), malformed("cond_xtx", [1.0]), malformed("d", [[1.0], 2.0]),
+          # JSON's NaN and Infinity, which every comparison in the constructor's checks lets through
+          malformed("d", [0.25, math.nan, 0.25]), malformed("Q", [Q[0], [0.0, math.nan, 0.0], Q[2]]),
+          malformed("coef_transform", [[math.inf] * 3] * 3),
+          # a fraction or a string where a dimension belongs, which int() used to truncate or parse
+          malformed("n", 12.7), malformed("n", "12"),
+          # no residual degrees of freedom, which used to fail in a log with "math domain error"
+          ({"n": 3, "k": 3, "m": 3},
+           "problem document is invalid: n must exceed k (no residual degrees of freedom otherwise), got n=3, k=3"),
+          # cond_xtx, a ratio of ordered singular values: NaN used to load with a silently null warning
+          *(malformed("cond_xtx", value) for value in (math.nan, math.inf, -math.inf, 0.5, True)),
+          # a numeric string or a boolean, which float() and np.asarray(..., dtype=float) used to read as a number
+          malformed("cond_xtx", "12"), malformed("d", ["0.25", "0.25", "0.25"]), malformed("d", [0.25, True, 0.25]),
+          malformed("Q", [Q[0], [0.0, "1", 0.0], Q[2]]), malformed("Q", [[True, 0.0, 0.0], Q[1], Q[2]]),
+          malformed("coef_transform", [["0.5", 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
+          malformed("coef_transform", [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, False]])])),
+    # numpy used to reject the broadcast in its own words, or stretch a one-entry list over l axes
+    *(Rejected(f"c-length-{len(c)}", dict(RISK_DOC, prior={"c": c}),
+               error(f"c must have l = 3 entries, got {len(c)}", "bounds", "risk-compare"))
+      for c in ([1.0, 2.0], [2.0], [1.0, 2.0, 3.0, 4.0])),
+    Rejected("no-design", {"seed": 1}, error("configuration has no design section", "canonicalize", "bounds",
+                                              "risk-compare")),
+    Rejected("rank-deficient", {"design": dict(EXPLICIT_DESIGN, X=[[j, 2.0 * j] for j in range(10)])},
+             ends(2, "canonicalization failed", "X is rank deficient", "canonicalize")),
+    # a is finite at nu = 1e306, but B = nu (n - k)/(1 - alpha) is not, and the constant used to be written as nan
+    Rejected("nu-1e306-alpha-0.999", desk({"nu": 1e306}, {"alpha": 0.999}), certificate(
+        "lnGamma(P) is not finite at P = inf (shrinkage constant at alpha = 0.999, nu = inf, B = inf)", "density-eval"),
+        DESK_POINTS),
+    # at nu = 1e308, a = (nu (n - k) - k - 2)/2 is inf: density-eval wrote nan, and risk-compare at alpha = 0 exited
+    # 2 from the Gauss-Laguerre rule's eigenvalue solver; bounds builds no prior, and its output does not depend on nu
+    Rejected("nu-1e308", desk({"nu": 1e308}, alphas=[0.0], reps_outer=50),
+             {**error("nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got 1e+308",
+                      "density-eval", "risk-compare"), **accepted("bounds")}, DESK_POINTS),
+    # a huge finite nu used to end in a traceback, exit 1: ZeroDivisionError in the loss once the Gauss-Laguerre rule
+    # came back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant
+    # (1e306); from 1e200 the shrinkage constant's Gauss-Jacobi rule, whose nodes would lie near 1e-200, fails
+    # before the loss
+    *(Rejected(f"nu-{nu:g}", desk({"nu": nu}, alphas=[0.0, -1.0], reps_outer=100, seed=1,
+                                  grid=dict(shipped("as1_desk")["grid"], theta_norms=[0.0, 2.0])),
+               certificate(message, "risk-compare", *["density-eval"] * (nu == 1e306)), DESK_POINTS)
+      for nu, message in ((1e50, LOSS_RULE.format("4.5e+50")), (1e100, LOSS_RULE.format("4.5e+100")),
+                          *((nu, JACOBI_RULE.format(f"{9 * nu:g}") + CONSTANT.format(f"{nu:g}", f"{9 * nu:g}"))
+                            for nu in (1e200, 1e300)),
+                          (1e306, "lnGamma(P) is not finite at P = 9e+306 " + CONSTANT.format("1e+306", "9e+306")))),
+    # at nu = 1e-17 or less (c = 1e200 caps nu at 1e-200) k + 2a + 2 rounded to 0, and B formed from it ended these
+    # runs in lnGamma(0), "error: math domain error", exit 1.  Now B = nu (n - k)/(1 - alpha): at 1e-300 and 1e-200
+    # B - 1 rounds to -1, where the shrinkage constant's Beta weight has no mass, and the failure names nu and B.
+    # At 1e-17 the alpha = 0 constant (B = 9e-17) integrates, so density-eval runs, but the alpha = 0 loss's
+    # Gauss-Laguerre parameter B beta - 1 rounds to -1 and risk-compare fails there
+    *(Rejected(f"tiny-{key}-{value:g}", desk({key: value}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
+               certificate(NO_MASS + CONSTANT.format(f"{nu:g}", f"{9 * nu:g}"), "risk-compare", "density-eval"),
+               DESK_POINTS) for key, value, nu in (("nu", 1e-300, 1e-300), ("c", 1e200, 1e-200))),
+    Rejected("tiny-nu-1e-17", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
+             {**certificate(LOSS_RULE.format(-1), "risk-compare"), **accepted("density-eval")}, DESK_POINTS),
+    # the alpha = 1 plug-in rules build no shrinkage kernel
+    Rejected("tiny-nu-1e-300-alpha-1", desk({"nu": 1e-300}, alphas=[1.0], reps=100, reps_outer=50, seed=1),
+             accepted("risk-compare")),
+    # a replicated design at a huge N runs in memory and time independent of N: canonicalize used to tile N copies
+    # of Xtilde (63.9 PiB here), and risk-compare to sum (n - k)/2 terms of psi((n - k)/2)
+    Rejected("as1-N-1e15", {"seed": 1, "design": dict(AS1_DESIGN, N=10**15), "alphas": [1.0], "reps": 100},
+             accepted("canonicalize", "bounds", "risk-compare")),
+    # usage: no subcommand, one that does not exist, an unknown flag, and a config that is missing or not JSON
+    Rejected("no-subcommand", None, {"": (1, Prefix("usage: shrinkpred"))}),
+    Rejected("bogus-command", BASE, ends(1, "usage error", Prefix("argument command: invalid choice: 'bogus-command'"),
+                                         "bogus-command")),
+    Rejected("threads-flag", BASE, ends(1, "usage error", "unrecognized arguments: --threads 2", *COMMANDS),
+             flags=("--threads", "2")),
+    Rejected("missing-config", None, load_error("[Errno 2] No such file or directory: '$TMP/config.json'")),
+    Rejected("not-json", None, load_error(Prefix("Expecting property name enclosed in double quotes")),
+             {"config.json": "{not json"}),
+]
+REJECTED_BY_ID = {row.id: row for row in REJECTED}
+
+
+@pytest.mark.parametrize("row", REJECTED, ids=[row.id for row in REJECTED])
+def test_rejected(tmp_path, capsys, monkeypatch, row):
+    # each subcommand that reads the input ends with the row's exit code and exactly its stderr (or a Prefix of
+    # it), writes nothing unless it exits 0, and lets no warning escape
+    tmp = tmp_path.as_posix()
+    for name, content in row.files.items():
+        if isinstance(content, str):
+            (tmp_path / name).write_text(content)
+        else:
+            np.savetxt(tmp_path / name, content, delimiter=",", fmt="%.17g")
+    if row.doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(row.doc).replace("$TMP", tmp))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for command, (code, expected) in row.runs.items():
+        out = tmp_path / "out" / command
+        argv = [command, "--config", f"{tmp}/config.json", *row.flags, *(["--out", str(out)] if row.out else [])]
         capsys.readouterr()
-        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, typo
-        assert capsys.readouterr().err.startswith("configuration error:"), typo
-    # a value of the wrong type, or a fraction where an integer belongs, is named in the message
-    monkeypatch.chdir(tmp_path)
-    for wrong, key in (({"alphas": 5}, "alphas"), ({"seed": True}, "seed"),
-                       ({"reps": 2.5}, "reps"), ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m"),
-                       ({"prior": {"nu": "0.3"}}, "nu"),
-                       ({"prior": {"gamma_prior": "x"}}, "gamma_prior"), ({"prior": {"c": "ones"}}, "c")):
-        cfg = write_config(tmp_path, dict({"seed": 1, "design": AS1_DESIGN}, **wrong), "wrong.json")
-        capsys.readouterr()
-        assert main(["bounds", "--config", cfg]) == 1, wrong
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and f"{key} must be" in err, (wrong, err)
-    assert not (tmp_path / "bounds.json").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv if command else []) == code, command
+        err = capsys.readouterr().err.replace(tmp, "$TMP")
+        assert err.startswith(expected) if isinstance(expected, Prefix) else err == expected, (command, err)
+        assert out.exists() == (code == 0 and row.out), command
+        assert list(work.iterdir()) == [] or code == 0 and not row.out, command
