@@ -165,6 +165,12 @@ class ExperimentConfig:
     density: DensityConfig = field(default_factory=DensityConfig)
 
 
+# n - k of a replicated design, whose N the config sets freely: the baseline's risk sums (n - k)/2 terms of psi
+# (under 0.1 s at 1e6), the alpha < 1 certificates fail from about 3e6 (m = k = 3), and past it the alpha = 1 entropy
+# term sigma_hat^2 - log sigma_hat^2 - 1 cancels to rounding, about (n - k) 1e-16 relative
+AS1_RESIDUAL_DOF_MAX = 10**6
+
+
 def _parse_design(doc: dict) -> DesignConfig:
     cfg = DesignConfig()
     cfg.type = doc.get("type", cfg.type)
@@ -178,6 +184,9 @@ def _parse_design(doc: dict) -> DesignConfig:
         _check_as1(m, k, N)
         if k < 3:  # the design is run to show shrinkage domination, which (Stein) needs 3 coefficients or more
             raise ValueError(f"k must be at least 3 in the replicated design, got k={k}")
+        if N * m - k > AS1_RESIDUAL_DOF_MAX:
+            raise ValueError(f"N must leave n - k = N m - k at most {AS1_RESIDUAL_DOF_MAX} in the replicated design, "
+                             f"got N={N}, m={m}, k={k}")
         if "xtilde" in doc:
             cfg.xtilde = _matrix(doc, "xtilde")
             if cfg.xtilde.shape != (m, k):

@@ -356,13 +356,13 @@ def shrinkage_bayes_kernel(prior: PriorSpec, obs: CanonicalObservation, alpha: f
         problem=problem, alpha=alpha, v=obs.v, s=s, B=prior.nu * (problem.n - problem.k) / (1.0 - alpha),
         e_b=e_b, theta_b=theta_b, o=r + _row_dot(obs.v_star, obs.v_star) / prior.gamma_prior + s,
     )
-    return replace(kernel, log_const=-_log_integral(kernel))
+    return replace(kernel, log_const=-_log_integral(kernel, prior.nu))
 
 
 JACOBI_POWER = 8.0  # _log_integral's power kappa makes kappa (A - m/2) at least this
 
 
-def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
+def _log_integral(kernel: PredictiveKernel, nu: float) -> float | np.ndarray:
     """log Z of each row, Z the integral of the shrinkage kernel over R^m, as a Beta(A, B) expectation.
 
     Write each factor as a Gamma integral, integrate y per spectral group j of kernel.groups (n_j axes at
@@ -379,11 +379,10 @@ def _log_integral(kernel: PredictiveKernel) -> float | np.ndarray:
     like xi^(kappa (A - m/2)), and E F is kappa Be(kappa A, B)/Be(A, B) times the mean of
     (sum_{i<kappa} xi^i)^(B-1) F(xi^kappa) under jacobi(kappa A - 1, B - 1, n), certified to QUAD_TOL.
     A B whose B - 1 rounds to -1, or a lnG past the float range, raises UnreliableNormalizationError
-    naming alpha, nu and B.
+    naming alpha, the prior's nu and B.
     """
     A, B, m, groups = kernel.A, kernel.B, kernel.problem.m, kernel.groups
     P, kappa = A + B - m / 2.0, max(1, math.ceil(JACOBI_POWER / (A - m / 2.0)))
-    nu = B * (1.0 - kernel.alpha) / (kernel.problem.n - kernel.problem.k)
     what = f"shrinkage constant at alpha = {kernel.alpha:.6g}, nu = {nu:.6g}, B = {B:.6g}"
     half, inv_u, inv_b = np.array([(count / 2.0, 1.0 / u, 1.0 / b) for count, u, b, _ in groups]).T
     s, o = np.reshape(kernel.s, -1), np.reshape(kernel.o, -1)

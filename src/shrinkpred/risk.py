@@ -9,7 +9,7 @@ plug-in normal (a predictive.PluginEstimate) and the truth has the closed
 form (L1 + m L2)/2 combining scale-invariant quadratic loss and entropy loss,
 and the unbiased baseline has the known constant risk
 (tr D + m (log gamma - psi(gamma)))/2 with gamma = (n-k)/2, psi summed in
-closed form (log gamma - psi(gamma) from its asymptotic series at large n - k).  For alpha < 1 the divergence of a predictive density (a
+closed form.  For alpha < 1 the divergence of a predictive density (a
 predictive.PredictiveKernel) from the truth is computed exactly too: from
 the kernel's affinity with the truth (predictive._log_affinity) on quad's
 certified Gauss-Laguerre ladder, and at alpha = -1 from its factors'
@@ -108,24 +108,10 @@ def _digamma_half(q: int) -> float:
                                      (2.0 / (2 * j - 1) for j in range(1, q // 2 + 1))))
 
 
-DIGAMMA_SUM_MAX = 10_000  # above this q, log(q/2) - psi(q/2) is taken from its asymptotic series
-
-
-def _log_minus_digamma_half(q: int) -> float:
-    """log(q/2) - psi(q/2) for an integer q >= 1.
-
-    Up to DIGAMMA_SUM_MAX from _digamma_half's sum; above it, in O(1), from the series
-    1/(2x) + 1/(12x^2) - 1/(120x^4) + 1/(252x^6) at x = q/2, whose next term is below 1e-32.
-    """
-    if q <= DIGAMMA_SUM_MAX:
-        return math.log(q / 2.0) - _digamma_half(q)
-    t = 2.0 / q
-    return t / 2.0 + t * t * (1.0 / 12.0 - t * t * (1.0 / 120.0 - t * t / 252.0))
-
-
 def minimax_risk(problem: CanonicalProblem) -> float:
     """Constant risk of the unbiased baseline under the alpha = 1 loss."""
-    return 0.5 * (float(problem.d.sum()) + problem.m * _log_minus_digamma_half(problem.n - problem.k))
+    q = problem.n - problem.k
+    return 0.5 * (float(problem.d.sum()) + problem.m * (math.log(q / 2.0) - _digamma_half(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,7 @@ def test_density_eval_bytes_match_cell_by_cell_rendering(tmp_path, kind):
 
 def test_no_as1_subcommand_tiles_x(tmp_path, monkeypatch):
     # the N-fold X of the replicated design grew memory with N; canonicalize reports on sqrt(N) R instead, R the
-    # triangular factor of Xtilde, which has the same Gram matrix N Xtilde'Xtilde (REJECTED's as1-N-1e15 row)
+    # triangular factor of Xtilde, which has the same Gram matrix N Xtilde'Xtilde (ACCEPTED's as1 rows)
     import shrinkpred.canonical as canonical_module
     import shrinkpred.cli as cli_module
 
@@ -692,15 +692,14 @@ def test_rep_counts_at_the_floor_or_unused_load(tmp_path):
 @pytest.mark.parametrize("m, k, N, key", [(2, 3, 2, "m"), (3, 3, 1, "N"), (3, 3, 0, "N"), (4, 3, -2, "N")])
 def test_replicated_design_rules_have_one_text(m, k, N, key):
     # m >= k, N >= 1 and n = N m > k are canonical's rules: load_config calls the check that as1_design and
-    # as1_problem call, so all three reject a design in the same words, naming the key (REJECTED's as1 rows)
+    # as1_problem call, so all three reject a design in the same words, naming the key (LOAD_ERRORS's as1 rows)
     messages = set()
     for build in (as1_design, as1_problem):
         with pytest.raises(ValueError, match=f"^{key} must be") as raised:
             build(np.eye(m, k), N)
         messages.add(str(raised.value))
-    assert messages == {REJECTED_BY_ID[f"as1-m{m}-k{k}-N{N}"].runs["bounds"][1].removeprefix("configuration error: ")
-                        .removesuffix("\n")}
-    # k >= 3 is the command line's own rule (REJECTED's as1-m3-k2-N4), which the library does not state
+    assert messages == {LOAD_ERRORS[f"as1-m{m}-k{k}-N{N}"][1]}
+    # k >= 3 is the command line's own rule (LOAD_ERRORS's as1-m3-k2-N4), which the library does not state
     assert as1_problem(np.eye(3, 2), 4).k == 2
 
 
@@ -708,53 +707,29 @@ def test_replicated_design_rules_have_one_text(m, k, N, key):
 # Bad input: every rejected configuration, file and flag is one row of REJECTED
 # ---------------------------------------------------------------------------
 
-class Prefix(str):
-    """A stderr checked by its start, where numpy, json or argparse words the rest."""
-
-
 class Rejected(NamedTuple):
-    """One bad input, and how each subcommand that reads it ends: runs maps a subcommand to (exit code, stderr).
+    """One bad input: each of commands exits code and writes stderr, whole or (prefix) as its start.
 
-    doc is the config written to $TMP/config.json (None: files holds it, or there is none); files maps a name in
-    $TMP to its text, or to an array written as CSV; flags follow the config.  "$TMP" stands for the row's
-    directory.  Each run takes --out $TMP/out/<subcommand> or, where out is False, none, in an empty working
-    directory.
+    Each command runs in a directory that holds config.json (doc, unless None) and files (a name and its text,
+    or an array written as CSV), with flags after the config and --out out/<command> unless out is False.
     """
     id: str
     doc: dict | None
-    runs: dict
+    commands: tuple
+    code: int
+    stderr: str
     files: dict = {}
     flags: tuple = ()
     out: bool = True
-
-
-def ends(code, head, message, *commands):
-    """Each of commands exits code and writes "head: message" to stderr (a Prefix of it, if message is one)."""
-    text = f"{head}: {message}"
-    return dict.fromkeys(commands, (code, Prefix(text) if isinstance(message, Prefix) else text + "\n"))
-
-
-def load_error(message):
-    """Every subcommand loads its config alike, so what load_config rejects exits 1 from all five."""
-    return ends(1, "configuration error", message, *COMMANDS)
-
-
-def error(message, *commands):
-    return ends(1, "error", message, *commands)
-
-
-def certificate(message, *commands):
-    return ends(4, "normalization certificate failed", message, *commands)
-
-
-def accepted(*commands):
-    return dict.fromkeys(commands, (0, ""))
+    prefix: bool = False  # numpy, json or argparse words the rest
 
 
 BASE = {"seed": 1, "design": AS1_DESIGN}
 ABSENT = object()  # a key left out
 AS1_N12 = problem_to_dict(as1_problem(AS1_XTILDE, 4))
 CASE2_N12 = problem_to_dict(canonicalize(*make_case2_design()))
+DENSITY = ("density-eval",)
+FILES = {"problem": "problem.json", "observation": "observation.json", "points": "points.csv"}
 ZEROS = {"points.csv": np.zeros((2, 3))}
 NUMBERS, ROWS = "a list of finite numbers", "a list of equal-length rows of finite numbers"
 C_VALUES = 'c must be "identity", a finite number or a list of finite numbers, got'
@@ -763,26 +738,19 @@ Q = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 def density_doc(problem=AS1_N12, obs=(), **section):
     """A density-eval config on problem (a document or a path): best_invariant at alpha = 0 (the plug-in takes no
-    alpha) at $TMP/points.csv, observing v = 0.5, v_star = 0.1 and s = 8 sized to problem; obs and section update
+    alpha) at points.csv, observing v = 0.5, v_star = 0.1 and s = 8 sized to problem; obs and section update
     those keys, and ABSENT drops one."""
     fit = problem if isinstance(problem, dict) else AS1_N12
     obs = dict({"v": [0.5] * fit["l"], "v_star": [0.1] * (fit["k"] - fit["l"]), "s": 8.0}, **dict(obs))
     section = dict({"problem": problem, "observation": {k: v for k, v in obs.items() if v is not ABSENT},
-                    "type": "best_invariant", "points": "$TMP/points.csv"}, **section)
+                    "type": "best_invariant", "points": "points.csv"}, **section)
     if section["type"] != "plugin":
         section.setdefault("alpha", 0.0)
     return {"seed": 1, "density": {k: v for k, v in section.items() if v is not ABSENT}}
 
 
-def malformed(key, value):
-    """A problem document (n = 12, k = 3, m = 3) whose key holds value, and density-eval's message for it."""
-    what = {"d": NUMBERS, "Q": ROWS, "coef_transform": ROWS, "cond_xtx": "a finite number >= 1"}
-    return ({"n": 12, "k": 3, "m": 3, key: value},
-            f"problem document's '{key}' is malformed: {key} must be {what.get(key, 'an integer')}, got {value!r}")
-
-
 DESK_DENSITY = {"problem": problem_to_dict(build_problem(load_config(str(CONFIGS / "as1_desk.json")))[0]),
-                "type": "shrinkage_bayes", "alpha": 0.0, "points": "$TMP/points.csv",
+                "type": "shrinkage_bayes", "alpha": 0.0, "points": "points.csv",
                 "observation": {"v": [1.0, -0.5, 0.3], "v_star": [], "s": 7.5}}
 DESK_POINTS = {"points.csv": np.random.default_rng(1).standard_normal((5, 3))}
 
@@ -794,302 +762,411 @@ def desk(prior, density=(), **updates):
     return dict(doc, prior=dict(doc["prior"], **prior), density=dict(DESK_DENSITY, **dict(density)))
 
 
-LOSS_RULE = "Gauss-Laguerre rule at a = {}, n = 16: not finite or not of mass 1 (loss quadrature at alpha = 0)"
-JACOBI_RULE = "Gauss-Jacobi rule at a = 9.5, b = {}, n = 16: not finite or not of mass 1 "
-NO_MASS = "Gauss-Jacobi rule at a = 9.5, b = -1: no finite weight "
-CONSTANT = "(shrinkage constant at alpha = 0, nu = {}, B = {})"
-
-REJECTED = [
+# what load_config rejects, as {id: (keys, message)}: BASE with keys replaced.  Every subcommand loads its config
+# alike, so each row exits 1 from all five with "configuration error: <message>"
+LOAD_ERRORS = {
     # the suite's counts and tolerances are constants, so an identities section is itself the unknown option
-    *(Rejected(f"identities-{key}", {"seed": 2, "identities": {key: value}},
-               load_error("unknown configuration option(s): 'identities'"))
-      for key, value in {"lemma_instances": 200, "beta_instances": 50, "chisq_draws": 100_000,
-                         "log_grid_points": 10_000, "lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12,
-                         "chisq_se_mult": 4.0, "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}.items()),
+    **{f"identities-{key}": ({"seed": 2, "identities": {key: value}}, "unknown configuration option(s): 'identities'")
+       for key, value in {"lemma_instances": 200, "beta_instances": 50, "chisq_draws": 100_000,
+                          "log_grid_points": 10_000, "lemma_tol": 1e-8, "beta_tol": 1e-6, "log_tol": 1e-12,
+                          "chisq_se_mult": 4.0, "chisq_nu": 0.3, "chisq_dof": 9, "chisq_numerator_dof": 3}.items()},
     # the prior is set by nu alone, an explicit design by X and Xtilde alone, is_samples only in the density
     # section, --out alone sets the output directory, C is always g0 c, "identity" alone spells c = 1, and null
     # spells no value: a key left out takes its default
-    Rejected("prior-a", dict(BASE, prior={"a": [1]}), load_error("unknown prior option(s): 'a'")),
-    Rejected("design-file", dict(BASE, design={"type": "explicit", "file": "design.json"}),
-             load_error("unknown design option(s): 'file'")),
-    Rejected("is_samples", dict(BASE, is_samples=4000), load_error("unknown configuration option(s): 'is_samples'")),
-    Rejected("out", dict(BASE, out="results"), load_error("unknown configuration option(s): 'out'")),
-    Rejected("rescale_c", dict(BASE, prior={"rescale_c": True}), load_error("unknown prior option(s): 'rescale_c'")),
-    Rejected("c-null", dict(BASE, prior={"c": None}), load_error(f"{C_VALUES} None")),
-    Rejected("nu-null", dict(BASE, prior={"nu": None}), load_error("nu must be a finite number, got None")),
-    Rejected("xtilde-null", dict(BASE, design=dict(AS1_DESIGN, xtilde=None)),
-             load_error(f"xtilde must be {ROWS}, got None")),
+    "prior-a": ({"prior": {"a": [1]}}, "unknown prior option(s): 'a'"),
+    "design-file": ({"design": {"type": "explicit", "file": "design.json"}}, "unknown design option(s): 'file'"),
+    "is_samples": ({"is_samples": 4000}, "unknown configuration option(s): 'is_samples'"),
+    "out": ({"out": "results"}, "unknown configuration option(s): 'out'"),
+    "rescale_c": ({"prior": {"rescale_c": True}}, "unknown prior option(s): 'rescale_c'"),
+    "c-null": ({"prior": {"c": None}}, f"{C_VALUES} None"),
+    "nu-null": ({"prior": {"nu": None}}, "nu must be a finite number, got None"),
+    "xtilde-null": ({"design": dict(AS1_DESIGN, xtilde=None)}, f"xtilde must be {ROWS}, got None"),
     # a key of the other design type would otherwise be read by neither and silently ignored
-    *(Rejected(f"foreign-{key}", dict(BASE, design=dict(design, **{key: value})),
-               load_error(f"design option(s) {key!r} do not apply to type {design['type']!r}"))
-      for design, key, value in ((AS1_DESIGN, "X", EXPLICIT_DESIGN["X"]), (AS1_DESIGN, "Xtilde", [[1.0, 0.0]]),
-                                 (EXPLICIT_DESIGN, "m", 3), (EXPLICIT_DESIGN, "k", 3), (EXPLICIT_DESIGN, "N", 4),
-                                 (EXPLICIT_DESIGN, "xtilde", [[1.0, 0.0]]))),
+    "foreign-X": ({"design": dict(AS1_DESIGN, X=EXPLICIT_DESIGN["X"])},
+                  "design option(s) 'X' do not apply to type 'as1'"),
+    "foreign-Xtilde": ({"design": dict(AS1_DESIGN, Xtilde=[[1.0, 0.0]])},
+                       "design option(s) 'Xtilde' do not apply to type 'as1'"),
+    "foreign-m": ({"design": dict(EXPLICIT_DESIGN, m=3)}, "design option(s) 'm' do not apply to type 'explicit'"),
+    "foreign-k": ({"design": dict(EXPLICIT_DESIGN, k=3)}, "design option(s) 'k' do not apply to type 'explicit'"),
+    "foreign-N": ({"design": dict(EXPLICIT_DESIGN, N=4)}, "design option(s) 'N' do not apply to type 'explicit'"),
+    "foreign-xtilde": ({"design": dict(EXPLICIT_DESIGN, xtilde=[[1.0, 0.0]])},
+                       "design option(s) 'xtilde' do not apply to type 'explicit'"),
     # an empty list used to write a header-only CSV, exit 0
-    *(Rejected(f"empty-{key}", dict(RISK_DOC, **doc), load_error(f"{key} must hold at least one value"))
-      for key, doc in (("theta_norms", {"grid": {"theta_norms": [], "sigma2": [1.0]}}),
-                       ("sigma2", {"grid": {"theta_norms": [0.0], "sigma2": []}}), ("alphas", {"alphas": []}))),
+    "empty-theta_norms": ({"grid": {"theta_norms": [], "sigma2": [1.0]}}, "theta_norms must hold at least one value"),
+    "empty-sigma2": ({"grid": {"theta_norms": [0.0], "sigma2": []}}, "sigma2 must hold at least one value"),
+    "empty-alphas": ({"alphas": []}, "alphas must hold at least one value"),
     # a density section's own keys are checked at load
-    *(Rejected(f"density-{index}", {"seed": 1, "density": dict(
-        {"problem": "problem.json", "observation": "observation.json", "points": "points.csv"}, **bad)},
-        load_error(message)) for index, (bad, message) in enumerate([
-            ({"alpha": "x"}, "alpha must be a finite number, got 'x'"),
-            ({"alpha": [0.0]}, "alpha must be a finite number, got [0.0]"),
-            ({"alpha": 1.5}, "alpha must lie in [-1, 0.999], got 1.5"),
-            ({"type": "t_density"}, "type must be one of best_invariant, shrinkage_bayes, plugin, got 't_density'"),
-            ({"problem": 3}, "problem must be a path or a JSON object, got 3"),
-            ({"observation": [0.5, -0.2, 1.0]}, "observation must be a path or a JSON object, got [0.5, -0.2, 1.0]"),
-            ({"points": 3}, "points must be a path to a CSV file, got 3")])),
+    "density-alpha-string": ({"density": dict(FILES, alpha="x")}, "alpha must be a finite number, got 'x'"),
+    "density-alpha-list": ({"density": dict(FILES, alpha=[0.0])}, "alpha must be a finite number, got [0.0]"),
+    "density-alpha-1.5": ({"density": dict(FILES, alpha=1.5)}, "alpha must lie in [-1, 0.999], got 1.5"),
+    "density-type": ({"density": dict(FILES, type="t_density")},
+                     "type must be one of best_invariant, shrinkage_bayes, plugin, got 't_density'"),
+    "density-problem-3": ({"density": dict(FILES, problem=3)}, "problem must be a path or a JSON object, got 3"),
+    "density-observation-list": ({"density": dict(FILES, observation=[0.5, -0.2, 1.0])},
+                                 "observation must be a path or a JSON object, got [0.5, -0.2, 1.0]"),
+    "density-points-3": ({"density": dict(FILES, points=3)}, "points must be a path to a CSV file, got 3"),
     # the plug-in normal is the alpha = 1 density, on which alpha had no effect; the other two exist for alpha < 1
     # only, and alpha = 1 used to pass the load and fail density-eval at run time.  Nearer 1 the exact loss loses
     # digits its certificate cannot see: alphas = [0.9999] used to exit 0 with a loss 2.7e-6 off, and 0.99999 to
     # exit 4 with a quadrature message that did not name alpha
-    Rejected("density-plugin-alpha", dict(BASE, density={"type": "plugin", "alpha": 0.0}),
-             load_error("alpha must be left out for type 'plugin', the alpha = 1 plug-in normal")),
-    *(Rejected(f"alpha-{index}", dict(doc, **bad), load_error(f"{key} must lie in [-1, 0.999], got {alpha}"))
-      for index, (doc, bad, key, alpha) in enumerate([
-          (BASE, {"density": {"alpha": 1.0}}, "alpha", 1.0),
-          (BASE, {"density": {"type": "shrinkage_bayes", "alpha": 1}}, "alpha", 1.0),
-          (RISK_DOC, {"alphas": [0.0, 0.9999]}, "alphas other than 1", 0.9999),
-          (RISK_DOC, {"alphas": [0.99999, 1.0]}, "alphas other than 1", 0.99999),
-          (RISK_DOC, {"density": {"alpha": 0.9995}}, "alpha", 0.9995),
-          (RISK_DOC, {"density": {"type": "shrinkage_bayes", "alpha": 0.99999}}, "alpha", 0.99999)])),
+    "density-plugin-alpha": ({"density": {"type": "plugin", "alpha": 0.0}},
+                             "alpha must be left out for type 'plugin', the alpha = 1 plug-in normal"),
+    "density-alpha-1.0": ({"density": {"alpha": 1.0}}, "alpha must lie in [-1, 0.999], got 1.0"),
+    "density-shrinkage-alpha-1": ({"density": {"type": "shrinkage_bayes", "alpha": 1}},
+                                  "alpha must lie in [-1, 0.999], got 1.0"),
+    "alphas-0.9999": ({"alphas": [0.0, 0.9999]}, "alphas other than 1 must lie in [-1, 0.999], got 0.9999"),
+    "alphas-0.99999": ({"alphas": [0.99999, 1.0]}, "alphas other than 1 must lie in [-1, 0.999], got 0.99999"),
+    "density-alpha-0.9995": ({"density": {"alpha": 0.9995}}, "alpha must lie in [-1, 0.999], got 0.9995"),
+    "density-shrinkage-alpha-0.99999": ({"density": {"type": "shrinkage_bayes", "alpha": 0.99999}},
+                                        "alpha must lie in [-1, 0.999], got 0.99999"),
     # numbers: JSON's NaN and Infinity, an int past the float range, a numeric string, null, a negative norm, a
     # repeated value (compared as a float, it would repeat the key of a risk_compare.csv row), a point past
-    # THETA_OVER_SIGMA_MAX or outside SIGMA2_RANGE (where a risk loses digits), values a prior cannot take (which
-    # fail at load also for subcommands that build no prior), and a misspelled key in each checked section
-    *(Rejected(f"number-{index}", dict(BASE, **wrong), load_error(message)) for index, (wrong, message) in enumerate([
-        ({"reps": math.nan}, "reps must be an integer, got nan"),
-        ({"prior": {"gamma_prior": -math.inf}}, "gamma_prior must be a finite number, got -inf"),
-        ({"grid": {"theta_directions": 5}}, f"theta_directions must be {ROWS}, got 5"),
-        ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}}, f"theta_directions must be {ROWS}, got [[1.0, 'x', 0.0]]"),
-        ({"grid": {"theta_norms": [1.0, "2"]}}, f"theta_norms must be {NUMBERS}, got [1.0, '2']"),
-        ({"grid": {"sigma2": [None]}}, f"sigma2 must be {NUMBERS}, got [None]"),
-        ({"alphas": [0.0, "0.5"]}, f"alphas must be {NUMBERS}, got [0.0, '0.5']"),
-        ({"grid": {"theta_norms": [math.nan]}}, f"theta_norms must be {NUMBERS}, got [nan]"),
-        ({"grid": {"theta_norms": [2.0, -2.0]}}, "theta_norms must be nonnegative"),
-        ({"grid": {"sigma2": [math.nan]}}, f"sigma2 must be {NUMBERS}, got [nan]"),
-        ({"grid": {"sigma2": [math.inf]}}, f"sigma2 must be {NUMBERS}, got [inf]"),
-        ({"grid": {"theta_directions": [[1.0, math.nan, 0.0]]}},
-         f"theta_directions must be {ROWS}, got [[1.0, nan, 0.0]]"),
-        ({"prior": {"c": math.nan}}, f"{C_VALUES} nan"),
-        ({"prior": {"c": [1.0, -math.inf, 1.0]}}, f"{C_VALUES} [1.0, -inf, 1.0]"),
-        ({"prior": {"nu": math.inf}}, "nu must be a finite number, got inf"),
-        ({"alphas": [10**400]}, f"alphas must be {NUMBERS}, got [{10**400}]"),
-        ({"alphas": [1.0, 1.0]}, "alphas must not repeat a value, got [1.0, 1.0]"),
-        ({"alphas": [0, -0.0]}, "alphas must not repeat a value, got [0.0, -0.0]"),
-        ({"grid": {"theta_norms": [2.0, 2.0]}}, "theta_norms must not repeat a value, got [2.0, 2.0]"),
-        ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}}, "theta_norms must not repeat a value, got [0.0, 5.0, -0.0]"),
-        ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2 must not repeat a value, got [1.0, 0.5, 1.0]"),
-        ({"grid": {"theta_norms": [0.0, 1e9]}},
-         "theta_norms must be at most 1e+08 sigma, got 1000000000.0 at sigma2 = 1.0"),
-        ({"grid": {"theta_norms": [1e16]}}, "theta_norms must be at most 1e+08 sigma, got 1e+16 at sigma2 = 1.0"),
-        ({"grid": {"theta_norms": [2.0], "sigma2": [1.0, 1e-100]}},
-         "theta_norms must be at most 1e+08 sigma, got 2.0 at sigma2 = 1e-100"),
-        ({"grid": {"sigma2": [1e200]}}, "sigma2 must be in [1e-100, 1e+100], got 1e+200"),
-        ({"grid": {"sigma2": [1.0, 1e-200]}}, "sigma2 must be in [1e-100, 1e+100], got 1e-200"),
-        ({"grid": {"sigma2": [0.0]}}, "sigma2 must be in [1e-100, 1e+100], got 0.0"),
-        ({"prior": {"nu": -1}}, "nu must be positive and finite, got -1.0"),
-        ({"prior": {"nu": 0}}, "nu must be positive and finite, got 0.0"),
-        ({"prior": {"gamma_prior": 0.5}}, "gamma_prior must be finite and >= 1, got 0.5"),
-        ({"rep": 10}, "unknown configuration option(s): 'rep'"),
-        ({"prior": {"gama_prior": 2.0}}, "unknown prior option(s): 'gama_prior'"),
-        ({"grid": {"theta_norm": [1.0]}}, "unknown grid option(s): 'theta_norm'"),
-        ({"design": dict(AS1_DESIGN, Nn=5)}, "unknown design option(s): 'Nn'"),
-        ({"density": {"problem": "problem.json", "typ": "plugin"}}, "unknown density option(s): 'typ'"),
-        ({"grid": {"sigma2": 2.0}}, f"sigma2 must be {NUMBERS}, got 2.0")])),
-    # values of the wrong JSON type, or a fraction where an integer belongs; run without --out, they write nothing
-    # to the working directory
-    *(Rejected(f"type-{index}", dict(BASE, **wrong), load_error(message), out=False)
-      for index, (wrong, message) in enumerate([
-          ({"alphas": 5}, f"alphas must be {NUMBERS}, got 5"), ({"seed": True}, "seed must be an integer, got True"),
-          ({"reps": 2.5}, "reps must be an integer, got 2.5"),
-          ({"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m must be an integer, got 3.7"),
-          ({"prior": {"nu": "0.3"}}, "nu must be a finite number, got '0.3'"),
-          ({"prior": {"gamma_prior": "x"}}, "gamma_prior must be a finite number, got 'x'"),
-          ({"prior": {"c": "ones"}}, f"{C_VALUES} 'ones'")])),
+    # THETA_OVER_SIGMA_MAX or outside SIGMA2_RANGE (where a risk loses digits), and values a prior cannot take
+    # (which fail at load also for subcommands that build no prior)
+    "reps-nan": ({"reps": math.nan}, "reps must be an integer, got nan"),
+    "gamma_prior--inf": ({"prior": {"gamma_prior": -math.inf}}, "gamma_prior must be a finite number, got -inf"),
+    "theta_directions-5": ({"grid": {"theta_directions": 5}}, f"theta_directions must be {ROWS}, got 5"),
+    "theta_directions-string": ({"grid": {"theta_directions": [[1.0, "x", 0.0]]}},
+                                f"theta_directions must be {ROWS}, got [[1.0, 'x', 0.0]]"),
+    "theta_directions-nan": ({"grid": {"theta_directions": [[1.0, math.nan, 0.0]]}},
+                             f"theta_directions must be {ROWS}, got [[1.0, nan, 0.0]]"),
+    "theta_norms-string": ({"grid": {"theta_norms": [1.0, "2"]}}, f"theta_norms must be {NUMBERS}, got [1.0, '2']"),
+    "theta_norms-nan": ({"grid": {"theta_norms": [math.nan]}}, f"theta_norms must be {NUMBERS}, got [nan]"),
+    "theta_norms-negative": ({"grid": {"theta_norms": [2.0, -2.0]}}, "theta_norms must be nonnegative"),
+    "sigma2-null": ({"grid": {"sigma2": [None]}}, f"sigma2 must be {NUMBERS}, got [None]"),
+    "sigma2-nan": ({"grid": {"sigma2": [math.nan]}}, f"sigma2 must be {NUMBERS}, got [nan]"),
+    "sigma2-inf": ({"grid": {"sigma2": [math.inf]}}, f"sigma2 must be {NUMBERS}, got [inf]"),
+    "sigma2-number": ({"grid": {"sigma2": 2.0}}, f"sigma2 must be {NUMBERS}, got 2.0"),
+    "alphas-string": ({"alphas": [0.0, "0.5"]}, f"alphas must be {NUMBERS}, got [0.0, '0.5']"),
+    "alphas-1e400": ({"alphas": [10**400]}, f"alphas must be {NUMBERS}, got [{10**400}]"),
+    "c-nan": ({"prior": {"c": math.nan}}, f"{C_VALUES} nan"),
+    "c--inf": ({"prior": {"c": [1.0, -math.inf, 1.0]}}, f"{C_VALUES} [1.0, -inf, 1.0]"),
+    "nu-inf": ({"prior": {"nu": math.inf}}, "nu must be a finite number, got inf"),
+    "alphas-repeated": ({"alphas": [1.0, 1.0]}, "alphas must not repeat a value, got [1.0, 1.0]"),
+    "alphas-signed-zeros": ({"alphas": [0, -0.0]}, "alphas must not repeat a value, got [0.0, -0.0]"),
+    "theta_norms-repeated": ({"grid": {"theta_norms": [2.0, 2.0]}},
+                             "theta_norms must not repeat a value, got [2.0, 2.0]"),
+    "theta_norms-signed-zeros": ({"grid": {"theta_norms": [0.0, 5.0, -0.0]}},
+                                 "theta_norms must not repeat a value, got [0.0, 5.0, -0.0]"),
+    "sigma2-repeated": ({"grid": {"sigma2": [1.0, 0.5, 1]}}, "sigma2 must not repeat a value, got [1.0, 0.5, 1.0]"),
+    "theta_norms-1e9": ({"grid": {"theta_norms": [0.0, 1e9]}},
+                        "theta_norms must be at most 1e+08 sigma, got 1000000000.0 at sigma2 = 1.0"),
+    "theta_norms-1e16": ({"grid": {"theta_norms": [1e16]}},
+                         "theta_norms must be at most 1e+08 sigma, got 1e+16 at sigma2 = 1.0"),
+    "theta_norms-at-sigma2-1e-100": ({"grid": {"theta_norms": [2.0], "sigma2": [1.0, 1e-100]}},
+                                     "theta_norms must be at most 1e+08 sigma, got 2.0 at sigma2 = 1e-100"),
+    "sigma2-1e200": ({"grid": {"sigma2": [1e200]}}, "sigma2 must be in [1e-100, 1e+100], got 1e+200"),
+    "sigma2-1e-200": ({"grid": {"sigma2": [1.0, 1e-200]}}, "sigma2 must be in [1e-100, 1e+100], got 1e-200"),
+    "sigma2-0": ({"grid": {"sigma2": [0.0]}}, "sigma2 must be in [1e-100, 1e+100], got 0.0"),
+    "nu--1": ({"prior": {"nu": -1}}, "nu must be positive and finite, got -1.0"),
+    "nu-0": ({"prior": {"nu": 0}}, "nu must be positive and finite, got 0.0"),
+    "gamma_prior-0.5": ({"prior": {"gamma_prior": 0.5}}, "gamma_prior must be finite and >= 1, got 0.5"),
     # the prior needs C >= I; canonicalize, which builds no prior, used to exit 0
-    *(Rejected(f"c-below-1-{index}", desk({"c": c}), load_error(f"c must be finite and >= 1 in every entry, got {c!r}"))
-      for index, c in enumerate([0.5, [1.0, 0.5, 2.0]])),
+    "c-0.5": ({"prior": {"c": 0.5}}, "c must be finite and >= 1 in every entry, got 0.5"),
+    "c-list-0.5": ({"prior": {"c": [1.0, 0.5, 2.0]}}, "c must be finite and >= 1 in every entry, got [1.0, 0.5, 2.0]"),
+    # a misspelled key in each checked section
+    "typo-rep": ({"rep": 10}, "unknown configuration option(s): 'rep'"),
+    "typo-gama_prior": ({"prior": {"gama_prior": 2.0}}, "unknown prior option(s): 'gama_prior'"),
+    "typo-theta_norm": ({"grid": {"theta_norm": [1.0]}}, "unknown grid option(s): 'theta_norm'"),
+    "typo-Nn": ({"design": dict(AS1_DESIGN, Nn=5)}, "unknown design option(s): 'Nn'"),
+    "typo-typ": ({"density": {"problem": "problem.json", "typ": "plugin"}}, "unknown density option(s): 'typ'"),
     # each count is checked against min_reps's floor where an alpha uses it, before any run starts
-    *(Rejected(f"{key}-{count}", dict(RISK_DOC, alphas=alphas, **{key: count}),
-               load_error(f"{key} must be at least {floor}, got {count}"))
-      for alphas, key, count, floor in (([0.0], "reps_outer", 49, 50), ([1.0, 0.5], "reps_outer", 10, 50),
-                                        ([1.0], "reps", 99, 100), ([1.0, 0.0], "reps", 10, 100))),
+    "reps_outer-49": ({"alphas": [0.0], "reps_outer": 49}, "reps_outer must be at least 50, got 49"),
+    "reps_outer-10": ({"alphas": [1.0, 0.5], "reps_outer": 10}, "reps_outer must be at least 50, got 10"),
+    "reps-99": ({"alphas": [1.0], "reps": 99}, "reps must be at least 100, got 99"),
+    "reps-10": ({"alphas": [1.0, 0.0], "reps": 10}, "reps must be at least 100, got 10"),
     # the generator keys on 64 bits of the seed, so 2^64 would rerun seed 0's draws
-    *(Rejected(f"seed-2^64-{index}", dict(RISK_DOC, alphas=[1.0], **doc),
-               load_error(f"seed must be in [0, 2^64), got {2**64}"), flags=flags)
-      for index, (doc, flags) in enumerate([({"seed": 2**64}, ()), ({}, ("--seed", str(2**64)))])),
+    "seed-2^64": ({"alphas": [1.0], "seed": 2**64}, "seed must be in [0, 2^64), got 18446744073709551616"),
     # design matrices: the wrong shape, non-finite entries (which the reduction's SVD would fail on without naming
     # the matrix), a numeric string or a boolean (which np.asarray(..., dtype=float) used to read as a number),
     # and rows of unequal length
-    Rejected("design-no-N", dict(BASE, design={"type": "as1", "m": 3, "k": 3}), load_error("N must be given")),
-    *(Rejected(f"design-{key}-{index}", dict(BASE, design=dict(AS1_DESIGN if key == "xtilde" else EXPLICIT_DESIGN,
-                                                               **{key: value})),
-               load_error(f"{key} must be {ROWS}, got {value!r}"))
-      for index, (key, value) in enumerate([
-          ("X", 5), ("xtilde", [Q[0], [0.0, "a", 0.0], Q[2]]), ("xtilde", [Q[0], [0.0, math.inf, 0.0], Q[2]]),
-          ("X", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [math.nan, 2.0]]), ("Xtilde", [[math.nan, 0.0]]),
-          ("X", [[1.0, 0.0], [0.0, 1.0], [1.0, "1.5"], [True, 2.0]]), ("Xtilde", [["1", 0.0]]),
-          ("Xtilde", [[True, 0.0]]), ("xtilde", [Q[0], [0.0, "1", 0.0], Q[2]]),
-          ("xtilde", [Q[0], Q[1], [0.0, 0.0, True]]),
-          ("X", [[1.0, 0.0], [0.0, 1.0], [1.0], [1.0, 2.0]])])),
+    "design-no-N": ({"design": {"type": "as1", "m": 3, "k": 3}}, "N must be given"),
+    "X-5": ({"design": dict(EXPLICIT_DESIGN, X=5)}, f"X must be {ROWS}, got 5"),
+    "X-nan": ({"design": dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [math.nan, 2.0]])},
+              f"X must be {ROWS}, got [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [nan, 2.0]]"),
+    "X-string-and-bool": ({"design": dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0, "1.5"], [True, 2.0]])},
+                          f"X must be {ROWS}, got [[1.0, 0.0], [0.0, 1.0], [1.0, '1.5'], [True, 2.0]]"),
+    "X-ragged": ({"design": dict(EXPLICIT_DESIGN, X=[[1.0, 0.0], [0.0, 1.0], [1.0], [1.0, 2.0]])},
+                 f"X must be {ROWS}, got [[1.0, 0.0], [0.0, 1.0], [1.0], [1.0, 2.0]]"),
+    "Xtilde-nan": ({"design": dict(EXPLICIT_DESIGN, Xtilde=[[math.nan, 0.0]])},
+                   f"Xtilde must be {ROWS}, got [[nan, 0.0]]"),
+    "Xtilde-string": ({"design": dict(EXPLICIT_DESIGN, Xtilde=[["1", 0.0]])}, f"Xtilde must be {ROWS}, got [['1', 0.0]]"),
+    "Xtilde-bool": ({"design": dict(EXPLICIT_DESIGN, Xtilde=[[True, 0.0]])}, f"Xtilde must be {ROWS}, got [[True, 0.0]]"),
+    "xtilde-a": ({"design": dict(AS1_DESIGN, xtilde=[Q[0], [0.0, "a", 0.0], Q[2]])},
+                 f"xtilde must be {ROWS}, got [[1.0, 0.0, 0.0], [0.0, 'a', 0.0], [0.0, 0.0, 1.0]]"),
+    "xtilde-inf": ({"design": dict(AS1_DESIGN, xtilde=[Q[0], [0.0, math.inf, 0.0], Q[2]])},
+                   f"xtilde must be {ROWS}, got [[1.0, 0.0, 0.0], [0.0, inf, 0.0], [0.0, 0.0, 1.0]]"),
+    "xtilde-string": ({"design": dict(AS1_DESIGN, xtilde=[Q[0], [0.0, "1", 0.0], Q[2]])},
+                      f"xtilde must be {ROWS}, got [[1.0, 0.0, 0.0], [0.0, '1', 0.0], [0.0, 0.0, 1.0]]"),
+    "xtilde-bool": ({"design": dict(AS1_DESIGN, xtilde=[Q[0], Q[1], [0.0, 0.0, True]])},
+                    f"xtilde must be {ROWS}, got [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]]"),
     # the replicated design's rules: m >= k, N >= 1 and n = N m > k (one replicate of a square Xtilde leaves n = k,
-    # no residual degrees of freedom), in the library's words, and k >= 3, the command line's own
-    *(Rejected(f"as1-m{m}-k{k}-N{N}", dict(BASE, design={"type": "as1", "m": m, "k": k, "N": N}), load_error(message))
-      for m, k, N, message in [
-          (2, 3, 2, "m must be at least k in the replicated design, got m=2, k=3"),
-          *((m, 3, N, f"N must be a positive integer with n = N m > k, got N={N}, m={m}, k=3")
-            for m, N in ((3, 1), (3, 0), (4, -2))),
-          (3, 2, 4, "k must be at least 3 in the replicated design, got k=2")]),
-    # CSV files: one without rows (loadtxt warns on it and hands back a (0, 1) array, which used to fail a column
-    # check further on; under warnings as errors its warning escaped as a traceback), and one that is not a table
-    # of numbers (numpy's own message used to come through alone)
-    *(Rejected(f"X-csv-{index}", {"design": {"type": "explicit", "X": "$TMP/X.csv", "Xtilde": [[1.0, 0.0, 0.0]]}},
-               load_error(type(tail)(f"X must be a matrix of numbers: X file $TMP/X.csv {tail}")), {"X.csv": text})
-      for index, (text, tail) in enumerate([
-          ("", "holds no rows"), ("# ytilde_1,ytilde_2,ytilde_3\n\n", "holds no rows"),
-          ("1,0,0\n0,x,0\n", Prefix("is not a table of numbers: ")),
-          ("1,0,0\n0,1\n", Prefix("is not a table of numbers: "))])),
-    *(Rejected(f"points-csv-{index}", density_doc(), error(message, "density-eval"), {"points.csv": text})
-      for index, (text, message) in enumerate([
-          ("", "points file $TMP/points.csv holds no rows"),
-          ("# ytilde_1,ytilde_2,ytilde_3\n\n", "points file $TMP/points.csv holds no rows"),
-          ("1,2,3\n4,5,x\n", Prefix("points file $TMP/points.csv is not a table of numbers: could not convert")),
-          ("1,2,3\n4,5\n", Prefix("points file $TMP/points.csv is not a table of numbers: the number of columns")),
-          # a nan point used to give a nan row and exit 0
-          ("1,2,3\nnan,5,6\n", "points must be numbers or +-inf, not nan, in $TMP/points.csv"),
-          ("1,2\n4,5\n", "points file $TMP/points.csv has 2 columns; the problem needs m = 3")])),
-    # a density section that loads but lacks a key, or whose observation does not fit the problem
-    *(Rejected(f"density-input-{index}", doc, error(message, "density-eval"), {"points.csv": np.zeros((2, m))})
-      for index, (doc, m, message) in enumerate([
-          *((density_doc(**{key: ABSENT}), 3, f"{key} must be given in the density section")
-            for key in ("problem", "observation", "points")),
-          *((density_doc(obs={key: ABSENT}), 3, f"{key} must be given") for key in ("v", "s")),
-          (density_doc(obs={"v": [0.5, -0.2]}), 3, "v must have l = 3 entries, got shape (2,)"),
-          (density_doc(obs={"v_star": [3.0]}, type="shrinkage_bayes"), 3,
-           "v_star must have k - l = 0 entries, got shape (1,)"),
-          (density_doc(CASE2_N12, obs={"v_star": ABSENT}, type="shrinkage_bayes"), 1,
-           "v_star must have k - l = 2 entries, got shape (0,)"),
-          (density_doc(obs={"s": math.nan}, type="shrinkage_bayes"), 3, "s must be a finite number, got nan"),
-          (density_doc(obs={"s": math.inf}), 3, "s must be a finite number, got inf"),
-          (density_doc(obs={"s": 0.0}, type="plugin"), 3, "s must be positive, got 0.0"),
-          (density_doc(obs={"s": "8"}), 3, "s must be a finite number, got '8'"),
-          (density_doc(obs={"v": [0.5, math.nan, 1.0]}), 3, f"v must be {NUMBERS}, got [0.5, nan, 1.0]"),
-          (density_doc(obs={"v": [0.5, "a", 1.0]}, type="plugin"), 3, f"v must be {NUMBERS}, got [0.5, 'a', 1.0]"),
-          (density_doc(CASE2_N12, obs={"v_star": [math.inf, 0.1]}), 1, f"v_star must be {NUMBERS}, got [inf, 0.1]"),
-          (density_doc(obs={"s": None}), 3, "s must be a finite number, got None")])),
+    # no residual degrees of freedom), in the library's words, and the command line's own: k >= 3, and n - k at most
+    # AS1_RESIDUAL_DOF_MAX (at N = 1e12 risk-compare used to run on in minimax_risk's sum of (n - k)/2 terms)
+    "as1-m2-k3-N2": ({"design": {"type": "as1", "m": 2, "k": 3, "N": 2}},
+                     "m must be at least k in the replicated design, got m=2, k=3"),
+    "as1-m3-k3-N1": ({"design": {"type": "as1", "m": 3, "k": 3, "N": 1}},
+                     "N must be a positive integer with n = N m > k, got N=1, m=3, k=3"),
+    "as1-m3-k3-N0": ({"design": {"type": "as1", "m": 3, "k": 3, "N": 0}},
+                     "N must be a positive integer with n = N m > k, got N=0, m=3, k=3"),
+    "as1-m4-k3-N-2": ({"design": {"type": "as1", "m": 4, "k": 3, "N": -2}},
+                      "N must be a positive integer with n = N m > k, got N=-2, m=4, k=3"),
+    "as1-m3-k2-N4": ({"design": {"type": "as1", "m": 3, "k": 2, "N": 4}},
+                     "k must be at least 3 in the replicated design, got k=2"),
+    "as1-m3-k3-N333335": ({"design": dict(AS1_DESIGN, N=333_335)},
+                          "N must leave n - k = N m - k at most 1000000 in the replicated design, got N=333335, "
+                          "m=3, k=3"),
+    "as1-m3-k3-N1e15": ({"design": dict(AS1_DESIGN, N=10**15), "alphas": [1.0], "reps": 100},
+                        "N must leave n - k = N m - k at most 1000000 in the replicated design, "
+                        "got N=1000000000000000, m=3, k=3"),
+}
+
+# a density section that loads but lacks a key, or whose observation does not fit the problem, as {id: (config,
+# message)}: density-eval exits 1 with "error: <message>", beside two points of zeros (m = 3, or m = 1 in case II)
+# and an observation file with two misspelled keys
+DENSITY_FILES = dict(ZEROS, **{"case2.csv": np.zeros((2, 1)),
+                               "observation.json": '{"v": [0.5, -0.2, 1.0], "vstar": [9.0], "s": 8.0, "extra": "x"}'})
+DENSITY_ERRORS = {
+    "no-problem": (density_doc(problem=ABSENT), "problem must be given in the density section"),
+    "no-observation": (density_doc(observation=ABSENT), "observation must be given in the density section"),
+    "no-points": (density_doc(points=ABSENT), "points must be given in the density section"),
+    "no-v": (density_doc(obs={"v": ABSENT}), "v must be given"),
+    "no-s": (density_doc(obs={"s": ABSENT}), "s must be given"),
+    "v-short": (density_doc(obs={"v": [0.5, -0.2]}), "v must have l = 3 entries, got shape (2,)"),
+    "v-nan": (density_doc(obs={"v": [0.5, math.nan, 1.0]}), f"v must be {NUMBERS}, got [0.5, nan, 1.0]"),
+    "v-string": (density_doc(obs={"v": [0.5, "a", 1.0]}, type="plugin"), f"v must be {NUMBERS}, got [0.5, 'a', 1.0]"),
+    "v_star-in-case-I": (density_doc(obs={"v_star": [3.0]}, type="shrinkage_bayes"),
+                         "v_star must have k - l = 0 entries, got shape (1,)"),
+    "v_star-missing-in-case-II": (density_doc(CASE2_N12, {"v_star": ABSENT}, type="shrinkage_bayes",
+                                              points="case2.csv"),
+                                  "v_star must have k - l = 2 entries, got shape (0,)"),
+    "v_star-inf": (density_doc(CASE2_N12, {"v_star": [math.inf, 0.1]}, points="case2.csv"),
+                   f"v_star must be {NUMBERS}, got [inf, 0.1]"),
+    "s-nan": (density_doc(obs={"s": math.nan}, type="shrinkage_bayes"), "s must be a finite number, got nan"),
+    "s-inf": (density_doc(obs={"s": math.inf}), "s must be a finite number, got inf"),
+    "s-0": (density_doc(obs={"s": 0.0}, type="plugin"), "s must be positive, got 0.0"),
+    "s-string": (density_doc(obs={"s": "8"}), "s must be a finite number, got '8'"),
+    "s-null": (density_doc(obs={"s": None}), "s must be a finite number, got None"),
     # a misspelled key used to be ignored: "vstar" left v_star empty and the run exited 0
-    Rejected("observation-inline-keys", density_doc(obs={"vstar": [9.0], "extra": "x", "v_star": ABSENT}),
-             error("unknown observation option(s): 'extra', 'vstar'", "density-eval"), ZEROS),
-    Rejected("observation-file-keys", density_doc(observation="$TMP/observation.json"),
-             error("unknown observation option(s): 'extra', 'vstar'", "density-eval"),
-             dict(ZEROS, **{"observation.json": '{"v": [0.5, -0.2, 1.0], "vstar": [9.0], "s": 8.0, "extra": "x"}'})),
-    # a problem document that is not an object, or lacks or garbles a key
-    *(Rejected(f"problem-{index}", density_doc("$TMP/problem.json"), error(message, "density-eval"),
-               dict(ZEROS, **{"problem.json": json.dumps(problem if isinstance(problem, list) else dict(
-                   {key: value for key, value in AS1_N12.items() if key not in ("n", "k", "m")}, **problem))}))
-      for index, (problem, message) in enumerate([
-          ([1, 2], "problem document must be a JSON object, got list"),
-          *(({name: 3 if name != "n" else 12 for name in ("n", "k", "m") if name != key},
-             f"problem document's '{key}' is malformed: {key} must be given") for key in ("n", "k", "m")),
-          malformed("n", [12]), malformed("k", "three"), malformed("cond_xtx", [1.0]), malformed("d", [[1.0], 2.0]),
-          # JSON's NaN and Infinity, which every comparison in the constructor's checks lets through
-          malformed("d", [0.25, math.nan, 0.25]), malformed("Q", [Q[0], [0.0, math.nan, 0.0], Q[2]]),
-          malformed("coef_transform", [[math.inf] * 3] * 3),
-          # a fraction or a string where a dimension belongs, which int() used to truncate or parse
-          malformed("n", 12.7), malformed("n", "12"),
-          # no residual degrees of freedom, which used to fail in a log with "math domain error"
-          ({"n": 3, "k": 3, "m": 3},
-           "problem document is invalid: n must exceed k (no residual degrees of freedom otherwise), got n=3, k=3"),
-          # cond_xtx, a ratio of ordered singular values: NaN used to load with a silently null warning
-          *(malformed("cond_xtx", value) for value in (math.nan, math.inf, -math.inf, 0.5, True)),
-          # a numeric string or a boolean, which float() and np.asarray(..., dtype=float) used to read as a number
-          malformed("cond_xtx", "12"), malformed("d", ["0.25", "0.25", "0.25"]), malformed("d", [0.25, True, 0.25]),
-          malformed("Q", [Q[0], [0.0, "1", 0.0], Q[2]]), malformed("Q", [[True, 0.0, 0.0], Q[1], Q[2]]),
-          malformed("coef_transform", [["0.5", 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
-          malformed("coef_transform", [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, False]])])),
+    "observation-inline-keys": (density_doc(obs={"vstar": [9.0], "extra": "x", "v_star": ABSENT}),
+                                "unknown observation option(s): 'extra', 'vstar'"),
+    "observation-file-keys": (density_doc(observation="observation.json"),
+                              "unknown observation option(s): 'extra', 'vstar'"),
+}
+
+# problem.json, as1 at n = 12 with keys updated (ABSENT drops one), as {id: (updates, message)}: density-eval exits
+# 1 with "error: problem document's <message>"
+PROBLEM_ERRORS = {
+    "no-n": ({"n": ABSENT}, "'n' is malformed: n must be given"),
+    "no-k": ({"k": ABSENT}, "'k' is malformed: k must be given"),
+    "no-m": ({"m": ABSENT}, "'m' is malformed: m must be given"),
+    "n-list": ({"n": [12]}, "'n' is malformed: n must be an integer, got [12]"),
+    "k-string": ({"k": "three"}, "'k' is malformed: k must be an integer, got 'three'"),
+    "cond_xtx-list": ({"cond_xtx": [1.0]}, "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got [1.0]"),
+    "d-nested": ({"d": [[1.0], 2.0]}, f"'d' is malformed: d must be {NUMBERS}, got [[1.0], 2.0]"),
+    # JSON's NaN and Infinity, which every comparison in the constructor's checks lets through
+    "d-nan": ({"d": [0.25, math.nan, 0.25]}, f"'d' is malformed: d must be {NUMBERS}, got [0.25, nan, 0.25]"),
+    "Q-nan": ({"Q": [Q[0], [0.0, math.nan, 0.0], Q[2]]},
+              f"'Q' is malformed: Q must be {ROWS}, got [[1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 1.0]]"),
+    "coef_transform-inf": ({"coef_transform": [[math.inf] * 3] * 3}, f"'coef_transform' is malformed: coef_transform "
+                           f"must be {ROWS}, got [[inf, inf, inf], [inf, inf, inf], [inf, inf, inf]]"),
+    # a fraction or a string where a dimension belongs, which int() used to truncate or parse
+    "n-fraction": ({"n": 12.7}, "'n' is malformed: n must be an integer, got 12.7"),
+    "n-string": ({"n": "12"}, "'n' is malformed: n must be an integer, got '12'"),
+    # cond_xtx, a ratio of ordered singular values: NaN used to load with a silently null warning
+    "cond_xtx-nan": ({"cond_xtx": math.nan}, "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got nan"),
+    "cond_xtx-inf": ({"cond_xtx": math.inf}, "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got inf"),
+    "cond_xtx--inf": ({"cond_xtx": -math.inf},
+                      "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got -inf"),
+    "cond_xtx-0.5": ({"cond_xtx": 0.5}, "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got 0.5"),
+    # a numeric string or a boolean, which float() and np.asarray(..., dtype=float) used to read as a number
+    "cond_xtx-bool": ({"cond_xtx": True}, "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got True"),
+    "cond_xtx-string": ({"cond_xtx": "12"}, "'cond_xtx' is malformed: cond_xtx must be a finite number >= 1, got '12'"),
+    "d-strings": ({"d": ["0.25"] * 3}, f"'d' is malformed: d must be {NUMBERS}, got ['0.25', '0.25', '0.25']"),
+    "d-bool": ({"d": [0.25, True, 0.25]}, f"'d' is malformed: d must be {NUMBERS}, got [0.25, True, 0.25]"),
+    "Q-string": ({"Q": [Q[0], [0.0, "1", 0.0], Q[2]]},
+                 f"'Q' is malformed: Q must be {ROWS}, got [[1.0, 0.0, 0.0], [0.0, '1', 0.0], [0.0, 0.0, 1.0]]"),
+    "Q-bool": ({"Q": [[True, 0.0, 0.0], Q[1], Q[2]]},
+               f"'Q' is malformed: Q must be {ROWS}, got [[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]"),
+    "coef_transform-string": ({"coef_transform": [["0.5", 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},
+                              f"'coef_transform' is malformed: coef_transform must be {ROWS}, "
+                              "got [['0.5', 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]"),
+    "coef_transform-bool": ({"coef_transform": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, False]]},
+                            f"'coef_transform' is malformed: coef_transform must be {ROWS}, "
+                            "got [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, False]]"),
+}
+
+NO_ROWS = "# ytilde_1,ytilde_2,ytilde_3\n\n"
+CSV_X = {"design": {"type": "explicit", "X": "X.csv", "Xtilde": [[1.0, 0.0, 0.0]]}}
+NOT_A_TABLE = "configuration error: X must be a matrix of numbers: X file X.csv is not a table of numbers: "
+CERTIFICATE = "normalization certificate failed: "
+
+REJECTED = [
+    *(Rejected(key, dict(BASE, **keys), COMMANDS, 1, f"configuration error: {message}")
+      for key, (keys, message) in LOAD_ERRORS.items()),
+    *(Rejected(key, doc, DENSITY, 1, f"error: {message}", DENSITY_FILES)
+      for key, (doc, message) in DENSITY_ERRORS.items()),
+    *(Rejected(f"problem-{key}", density_doc("problem.json"), DENSITY, 1, f"error: problem document's {message}",
+               dict(ZEROS, **{"problem.json": json.dumps({k: v for k, v in dict(AS1_N12, **updates).items()
+                                                          if v is not ABSENT})}))
+      for key, (updates, message) in PROBLEM_ERRORS.items()),
+    Rejected("problem-list", density_doc("problem.json"), DENSITY, 1,
+             "error: problem document must be a JSON object, got list", dict(ZEROS, **{"problem.json": "[1, 2]"})),
+    # no residual degrees of freedom, which used to fail in a log with "math domain error"
+    Rejected("problem-n-3", density_doc("problem.json"), DENSITY, 1, "error: problem document is invalid: n must "
+             "exceed k (no residual degrees of freedom otherwise), got n=3, k=3",
+             dict(ZEROS, **{"problem.json": json.dumps(dict(AS1_N12, n=3))})),
+    # values of the wrong JSON type, or a fraction where an integer belongs; run without --out, they write nothing
+    # to the working directory
+    *(Rejected(f"type-{key}", dict(BASE, **keys), COMMANDS, 1, f"configuration error: {message}", out=False)
+      for key, keys, message in [
+          ("alphas", {"alphas": 5}, f"alphas must be {NUMBERS}, got 5"),
+          ("seed", {"seed": True}, "seed must be an integer, got True"),
+          ("reps", {"reps": 2.5}, "reps must be an integer, got 2.5"),
+          ("m", {"design": {"type": "as1", "m": 3.7, "k": 3, "N": 4.9}}, "m must be an integer, got 3.7"),
+          ("nu", {"prior": {"nu": "0.3"}}, "nu must be a finite number, got '0.3'"),
+          ("gamma_prior", {"prior": {"gamma_prior": "x"}}, "gamma_prior must be a finite number, got 'x'"),
+          ("c", {"prior": {"c": "ones"}}, f"{C_VALUES} 'ones'")]),
+    Rejected("seed-flag-2^64", dict(RISK_DOC, alphas=[1.0]), COMMANDS, 1,
+             "configuration error: seed must be in [0, 2^64), got 18446744073709551616", flags=("--seed", str(2**64))),
+    # CSV files: one without rows (loadtxt warns on it and hands back a (0, 1) array, which used to fail a column
+    # check further on, or escape as a traceback under warnings as errors), and one that is not a table of numbers
+    # (numpy's own message used to come through alone)
+    Rejected("X-csv-empty", CSV_X, COMMANDS, 1,
+             "configuration error: X must be a matrix of numbers: X file X.csv holds no rows", {"X.csv": ""}),
+    Rejected("X-csv-comment", CSV_X, COMMANDS, 1,
+             "configuration error: X must be a matrix of numbers: X file X.csv holds no rows", {"X.csv": NO_ROWS}),
+    Rejected("X-csv-cell", CSV_X, COMMANDS, 1, NOT_A_TABLE, {"X.csv": "1,0,0\n0,x,0\n"}, prefix=True),
+    Rejected("X-csv-ragged", CSV_X, COMMANDS, 1, NOT_A_TABLE, {"X.csv": "1,0,0\n0,1\n"}, prefix=True),
+    Rejected("points-csv-empty", density_doc(), DENSITY, 1, "error: points file points.csv holds no rows",
+             {"points.csv": ""}),
+    Rejected("points-csv-comment", density_doc(), DENSITY, 1, "error: points file points.csv holds no rows",
+             {"points.csv": NO_ROWS}),
+    Rejected("points-csv-cell", density_doc(), DENSITY, 1,
+             "error: points file points.csv is not a table of numbers: could not convert",
+             {"points.csv": "1,2,3\n4,5,x\n"}, prefix=True),
+    Rejected("points-csv-ragged", density_doc(), DENSITY, 1,
+             "error: points file points.csv is not a table of numbers: the number of columns",
+             {"points.csv": "1,2,3\n4,5\n"}, prefix=True),
+    # a nan point used to give a nan row and exit 0
+    Rejected("points-csv-nan", density_doc(), DENSITY, 1,
+             "error: points must be numbers or +-inf, not nan, in points.csv", {"points.csv": "1,2,3\nnan,5,6\n"}),
+    Rejected("points-csv-columns", density_doc(), DENSITY, 1,
+             "error: points file points.csv has 2 columns; the problem needs m = 3", {"points.csv": "1,2\n4,5\n"}),
     # numpy used to reject the broadcast in its own words, or stretch a one-entry list over l axes
-    *(Rejected(f"c-length-{len(c)}", dict(RISK_DOC, prior={"c": c}),
-               error(f"c must have l = 3 entries, got {len(c)}", "bounds", "risk-compare"))
-      for c in ([1.0, 2.0], [2.0], [1.0, 2.0, 3.0, 4.0])),
-    Rejected("no-design", {"seed": 1}, error("configuration has no design section", "canonicalize", "bounds",
-                                              "risk-compare")),
+    *(Rejected(f"c-length-{len(c)}", dict(RISK_DOC, prior={"c": c}), ("bounds", "risk-compare"), 1,
+               f"error: c must have l = 3 entries, got {len(c)}") for c in ([1.0, 2.0], [2.0], [1.0, 2.0, 3.0, 4.0])),
+    Rejected("no-design", {"seed": 1}, ("canonicalize", "bounds", "risk-compare"), 1,
+             "error: configuration has no design section"),
     Rejected("rank-deficient", {"design": dict(EXPLICIT_DESIGN, X=[[j, 2.0 * j] for j in range(10)])},
-             ends(2, "canonicalization failed", "X is rank deficient", "canonicalize")),
+             ("canonicalize",), 2, "canonicalization failed: X is rank deficient"),
     # a is finite at nu = 1e306, but B = nu (n - k)/(1 - alpha) is not, and the constant used to be written as nan
-    Rejected("nu-1e306-alpha-0.999", desk({"nu": 1e306}, {"alpha": 0.999}), certificate(
-        "lnGamma(P) is not finite at P = inf (shrinkage constant at alpha = 0.999, nu = inf, B = inf)", "density-eval"),
-        DESK_POINTS),
+    Rejected("nu-1e306-alpha-0.999", desk({"nu": 1e306}, {"alpha": 0.999}), DENSITY, 4,
+             CERTIFICATE + "lnGamma(P) is not finite at P = inf (shrinkage constant at alpha = 0.999, nu = 1e+306, "
+             "B = inf)", DESK_POINTS),
     # at nu = 1e308, a = (nu (n - k) - k - 2)/2 is inf: density-eval wrote nan, and risk-compare at alpha = 0 exited
-    # 2 from the Gauss-Laguerre rule's eigenvalue solver; bounds builds no prior, and its output does not depend on nu
-    Rejected("nu-1e308", desk({"nu": 1e308}, alphas=[0.0], reps_outer=50),
-             {**error("nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got 1e+308",
-                      "density-eval", "risk-compare"), **accepted("bounds")}, DESK_POINTS),
+    # 2 from the Gauss-Laguerre rule's eigenvalue solver (bounds builds no prior: see ACCEPTED)
+    Rejected("nu-1e308", desk({"nu": 1e308}, alphas=[0.0], reps_outer=50), ("density-eval", "risk-compare"), 1,
+             "error: nu must leave the prior exponent a = (nu (n - k) - k - 2)/2 finite, got 1e+308", DESK_POINTS),
     # a huge finite nu used to end in a traceback, exit 1: ZeroDivisionError in the loss once the Gauss-Laguerre rule
     # came back nan or of the wrong mass (up to 1e300), and math.lgamma's OverflowError in the shrinkage constant
     # (1e306); from 1e200 the shrinkage constant's Gauss-Jacobi rule, whose nodes would lie near 1e-200, fails
     # before the loss
     *(Rejected(f"nu-{nu:g}", desk({"nu": nu}, alphas=[0.0, -1.0], reps_outer=100, seed=1,
                                   grid=dict(shipped("as1_desk")["grid"], theta_norms=[0.0, 2.0])),
-               certificate(message, "risk-compare", *["density-eval"] * (nu == 1e306)), DESK_POINTS)
-      for nu, message in ((1e50, LOSS_RULE.format("4.5e+50")), (1e100, LOSS_RULE.format("4.5e+100")),
-                          *((nu, JACOBI_RULE.format(f"{9 * nu:g}") + CONSTANT.format(f"{nu:g}", f"{9 * nu:g}"))
-                            for nu in (1e200, 1e300)),
-                          (1e306, "lnGamma(P) is not finite at P = 9e+306 " + CONSTANT.format("1e+306", "9e+306")))),
+               commands, 4, CERTIFICATE + message, DESK_POINTS)
+      for nu, commands, message in [
+          (1e50, ("risk-compare",), "Gauss-Laguerre rule at a = 4.5e+50, n = 16: not finite or not of mass 1 "
+                                    "(loss quadrature at alpha = 0)"),
+          (1e100, ("risk-compare",), "Gauss-Laguerre rule at a = 4.5e+100, n = 16: not finite or not of mass 1 "
+                                     "(loss quadrature at alpha = 0)"),
+          (1e200, ("risk-compare",), "Gauss-Jacobi rule at a = 9.5, b = 9e+200, n = 16: not finite or not of mass 1 "
+                                     "(shrinkage constant at alpha = 0, nu = 1e+200, B = 9e+200)"),
+          (1e300, ("risk-compare",), "Gauss-Jacobi rule at a = 9.5, b = 9e+300, n = 16: not finite or not of mass 1 "
+                                     "(shrinkage constant at alpha = 0, nu = 1e+300, B = 9e+300)"),
+          (1e306, ("risk-compare", "density-eval"), "lnGamma(P) is not finite at P = 9e+306 (shrinkage constant at "
+                                                    "alpha = 0, nu = 1e+306, B = 9e+306)")]),
     # at nu = 1e-17 or less (c = 1e200 caps nu at 1e-200) k + 2a + 2 rounded to 0, and B formed from it ended these
     # runs in lnGamma(0), "error: math domain error", exit 1.  Now B = nu (n - k)/(1 - alpha): at 1e-300 and 1e-200
     # B - 1 rounds to -1, where the shrinkage constant's Beta weight has no mass, and the failure names nu and B.
-    # At 1e-17 the alpha = 0 constant (B = 9e-17) integrates, so density-eval runs, but the alpha = 0 loss's
-    # Gauss-Laguerre parameter B beta - 1 rounds to -1 and risk-compare fails there
-    *(Rejected(f"tiny-{key}-{value:g}", desk({key: value}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
-               certificate(NO_MASS + CONSTANT.format(f"{nu:g}", f"{9 * nu:g}"), "risk-compare", "density-eval"),
-               DESK_POINTS) for key, value, nu in (("nu", 1e-300, 1e-300), ("c", 1e200, 1e-200))),
-    Rejected("tiny-nu-1e-17", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
-             {**certificate(LOSS_RULE.format(-1), "risk-compare"), **accepted("density-eval")}, DESK_POINTS),
-    # the alpha = 1 plug-in rules build no shrinkage kernel
-    Rejected("tiny-nu-1e-300-alpha-1", desk({"nu": 1e-300}, alphas=[1.0], reps=100, reps_outer=50, seed=1),
-             accepted("risk-compare")),
-    # a replicated design at a huge N runs in memory and time independent of N: canonicalize used to tile N copies
-    # of Xtilde (63.9 PiB here), and risk-compare to sum (n - k)/2 terms of psi((n - k)/2)
-    Rejected("as1-N-1e15", {"seed": 1, "design": dict(AS1_DESIGN, N=10**15), "alphas": [1.0], "reps": 100},
-             accepted("canonicalize", "bounds", "risk-compare")),
+    # At 1e-17 the alpha = 0 constant (B = 9e-17) integrates, so density-eval runs (see ACCEPTED), but the
+    # alpha = 0 loss's Gauss-Laguerre parameter B beta - 1 rounds to -1 and risk-compare fails there
+    Rejected("tiny-nu-1e-300", desk({"nu": 1e-300}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
+             ("risk-compare", "density-eval"), 4, CERTIFICATE + "Gauss-Jacobi rule at a = 9.5, b = -1: no finite "
+             "weight (shrinkage constant at alpha = 0, nu = 1e-300, B = 9e-300)", DESK_POINTS),
+    Rejected("tiny-c-1e+200", desk({"c": 1e200}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
+             ("risk-compare", "density-eval"), 4, CERTIFICATE + "Gauss-Jacobi rule at a = 9.5, b = -1: no finite "
+             "weight (shrinkage constant at alpha = 0, nu = 1e-200, B = 9e-200)", DESK_POINTS),
+    Rejected("tiny-nu-1e-17", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1), ("risk-compare",), 4,
+             CERTIFICATE + "Gauss-Laguerre rule at a = -1, n = 16: not finite or not of mass 1 (loss quadrature at "
+             "alpha = 0)", DESK_POINTS),
     # usage: no subcommand, one that does not exist, an unknown flag, and a config that is missing or not JSON
-    Rejected("no-subcommand", None, {"": (1, Prefix("usage: shrinkpred"))}),
-    Rejected("bogus-command", BASE, ends(1, "usage error", Prefix("argument command: invalid choice: 'bogus-command'"),
-                                         "bogus-command")),
-    Rejected("threads-flag", BASE, ends(1, "usage error", "unrecognized arguments: --threads 2", *COMMANDS),
+    Rejected("no-subcommand", None, ("",), 1, "usage: shrinkpred", prefix=True),
+    Rejected("bogus-command", BASE, ("bogus-command",), 1,
+             "usage error: argument command: invalid choice: 'bogus-command'", prefix=True),
+    Rejected("threads-flag", BASE, COMMANDS, 1, "usage error: unrecognized arguments: --threads 2",
              flags=("--threads", "2")),
-    Rejected("missing-config", None, load_error("[Errno 2] No such file or directory: '$TMP/config.json'")),
-    Rejected("not-json", None, load_error(Prefix("Expecting property name enclosed in double quotes")),
-             {"config.json": "{not json"}),
+    Rejected("missing-config", None, COMMANDS, 1,
+             "configuration error: [Errno 2] No such file or directory: 'config.json'"),
+    Rejected("not-json", None, COMMANDS, 1, "configuration error: Expecting property name enclosed in double quotes",
+             {"config.json": "{not json"}, prefix=True),
 ]
-REJECTED_BY_ID = {row.id: row for row in REJECTED}
+
+# the runs at the edge of the domain that exit 0: (id, config, subcommand, files)
+ACCEPTED = [
+    # bounds builds no prior, and its output does not depend on nu
+    ("nu-1e308-bounds", desk({"nu": 1e308}, alphas=[0.0], reps_outer=50), "bounds", DESK_POINTS),
+    ("nu-1e-17-density-eval", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1), "density-eval",
+     DESK_POINTS),
+    # the alpha = 1 plug-in rules build no shrinkage kernel
+    ("nu-1e-300-alpha-1-risk-compare", desk({"nu": 1e-300}, alphas=[1.0], reps=100, reps_outer=50, seed=1),
+     "risk-compare", {}),
+    # a replicated design at the cap on n - k: no subcommand tiles its N copies of Xtilde, and below alpha = 1 the
+    # certificates still hold
+    *((f"as1-N333334-{command}", {"seed": 1, "design": dict(AS1_DESIGN, N=333_334), "alphas": [1.0, 0.0],
+                                  "reps": 100, "reps_outer": 50}, command, {})
+      for command in ("canonicalize", "bounds", "risk-compare")),
+]
 
 
-@pytest.mark.parametrize("row", REJECTED, ids=[row.id for row in REJECTED])
-def test_rejected(tmp_path, capsys, monkeypatch, row):
-    # each subcommand that reads the input ends with the row's exit code and exactly its stderr (or a Prefix of
-    # it), writes nothing unless it exits 0, and lets no warning escape
-    tmp = tmp_path.as_posix()
-    for name, content in row.files.items():
+def run_in(tmp_path, monkeypatch, doc, files):
+    """Write doc as config.json and files into tmp_path, and make it the working directory."""
+    for name, content in files.items():
         if isinstance(content, str):
             (tmp_path / name).write_text(content)
         else:
             np.savetxt(tmp_path / name, content, delimiter=",", fmt="%.17g")
-    if row.doc is not None:
-        (tmp_path / "config.json").write_text(json.dumps(row.doc).replace("$TMP", tmp))
-    work = tmp_path / "work"
-    work.mkdir()
-    monkeypatch.chdir(work)
-    for command, (code, expected) in row.runs.items():
-        out = tmp_path / "out" / command
-        argv = [command, "--config", f"{tmp}/config.json", *row.flags, *(["--out", str(out)] if row.out else [])]
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(argv if command else []) == code, command
-        err = capsys.readouterr().err.replace(tmp, "$TMP")
-        assert err.startswith(expected) if isinstance(expected, Prefix) else err == expected, (command, err)
-        assert out.exists() == (code == 0 and row.out), command
-        assert list(work.iterdir()) == [] or code == 0 and not row.out, command
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+
+
+def run_main(capsys, argv):
+    """main(argv): its exit code, its stderr and the message of every warning it let escape."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning the program does not handle itself is recorded, not raised
+        code = main(argv)
+    return code, capsys.readouterr().err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("row", REJECTED, ids=[row.id for row in REJECTED])
+def test_rejected(tmp_path, capsys, monkeypatch, row):
+    # each subcommand that reads the input ends with the row's exit code and its stderr, lets no warning escape,
+    # and writes nothing: no --out directory, and nothing else in the working directory
+    run_in(tmp_path, monkeypatch, row.doc, row.files)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    for command in row.commands:
+        argv = [command, "--config", "config.json", *row.flags, *(["--out", f"out/{command}"] if row.out else [])]
+        code, err, caught = run_main(capsys, argv if command else [])
+        assert code == row.code, (command, err)
+        assert err.startswith(row.stderr) if row.prefix else err == row.stderr + "\n", (command, err)
+        assert caught == [], command
+        assert sorted(path.name for path in tmp_path.iterdir()) == before, command
+
+
+@pytest.mark.parametrize("doc, command, files", [row[1:] for row in ACCEPTED], ids=[row[0] for row in ACCEPTED])
+def test_accepted(tmp_path, capsys, monkeypatch, doc, command, files):
+    run_in(tmp_path, monkeypatch, doc, files)
+    assert run_main(capsys, [command, "--config", "config.json", "--out", "out"]) == (0, "", [])
+    assert (tmp_path / "out").is_dir()

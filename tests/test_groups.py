@@ -203,7 +203,7 @@ def test_grouped_integrals_match_the_per_axis_forms(design, alpha):
     # changed order, so the closed-form constant is its per-axis form bit for bit
     assert problem.m > 1 or np.array_equal(best.log_const, per_axis_best_invariant_log_const(best))
     # the integrals' references are another rule's, so a log near 0 is held to its absolute gap (log_gap)
-    assert log_gap(tight(_log_integral, shrink), per_axis_log_integral(shrink)) <= tol
+    assert log_gap(tight(_log_integral, shrink, prior.nu), per_axis_log_integral(shrink)) <= tol
     for kernel, second in ((best, False), (shrink, False), (shrink, True)):
         assert log_gap(tight(_expected_log, kernel, second, theta), per_axis_expected_log(kernel, second, theta)) <= tol
 
@@ -229,7 +229,7 @@ def test_tied_spectra_group_and_match_the_per_axis_forms(data, l, extra, q, alph
         [[i for i in range(l) if d[i] == value] for value in dict.fromkeys(d)] + ([[]] if extra else []))
     # drawn designs can put a log value near 0, where only the log-scale gap is bounded by rounding
     assert log_gap(best.log_const, per_axis_best_invariant_log_const(best)) <= 1e-13
-    assert log_gap(tight(_log_integral, shrink), per_axis_log_integral(shrink)) <= 1e-13
+    assert log_gap(tight(_log_integral, shrink, prior.nu), per_axis_log_integral(shrink)) <= 1e-13
     for kernel, second in ((best, False), (shrink, False), (shrink, True)):
         got = tight(_expected_log, kernel, second, theta)
         assert log_gap(got, per_axis_expected_log(kernel, second, theta)) <= 1e-13

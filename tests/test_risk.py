@@ -169,26 +169,6 @@ def test_digamma_streams_its_terms_with_the_list_sum_bits():
     assert peak < 1 << 20, peak
 
 
-def test_log_minus_digamma_takes_its_series_above_the_sum(monkeypatch):
-    # the sum costs q/2 terms (0.45 s at q = 1e7), so risk-compare on a replicated design at N = 1e12 never finished;
-    # above DIGAMMA_SUM_MAX the asymptotic series takes over.  log(q/2) less the sum, or less scipy's digamma, keeps
-    # log(q/2)'s rounding, so the series is held to two of its ulps
-    cutoff = risk_module.DIGAMMA_SUM_MAX
-    for q in (1, 2, 9, cutoff):  # the sum up to the cutoff, so q = 9 on both shipped configs keeps its bits
-        assert risk_module._log_minus_digamma_half(q) == math.log(q / 2.0) - risk_module._digamma_half(q), q
-    references = [(cutoff, risk_module._log_minus_digamma_half(cutoff))]
-    references += [(q, math.log(q / 2.0) - float(scipy.special.digamma(q / 2.0))) for q in (10**4, 10**6)]
-
-    def refuse(q):
-        raise AssertionError("psi summed")
-
-    monkeypatch.setattr(risk_module, "_digamma_half", refuse)
-    assert 0 < risk_module._log_minus_digamma_half(3 * 10**15) < 1e-15
-    monkeypatch.setattr(risk_module, "DIGAMMA_SUM_MAX", 0)
-    for q, want in references:
-        assert abs(risk_module._log_minus_digamma_half(q) - want) <= 2 * math.ulp(math.log(q / 2.0)), q
-
-
 def test_minimax_risk_two_dof_euler():
     # n - k = 2: log(1) - psi(1) is the Euler-Mascheroni constant
     got = minimax_risk(synthetic_problem(5, 3, 1, np.zeros(1) + 1e-300))
