@@ -165,6 +165,11 @@ class ExperimentConfig:
     density: DensityConfig = field(default_factory=DensityConfig)
 
 
+# risk_mc fills a (points x rules x reps) float64 table of losses, allocated whole before the first draw.  On a 2-core
+# host with 7.8 GiB, as1_desk's 7 points x 3 rules at alpha = 1 took 100 ns a loss (2.3 s and 249 MB peak RSS for a
+# 168 MiB table) and 6.9 us a loss at alpha = 0, so a 1 GiB table takes about 14 s at alpha = 1 and 15 min below
+LOSS_TABLE_BYTES_MAX = 1 << 30
+
 # n - k of a replicated design, whose N the config sets freely: the baseline's risk sums (n - k)/2 terms of psi
 # (under 0.1 s at 1e6), the alpha < 1 certificates fail from about 3e6 (m = k = 3), and past it the alpha = 1 entropy
 # term sigma_hat^2 - log sigma_hat^2 - 1 cancels to rounding, about (n - k) 1e-16 relative
@@ -431,16 +436,20 @@ def run_risk_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     if problem.case == "II":
         plugin_rules["stein_variance_star"] = functools.partial(stein_variance_star, problem)
 
+    runs = {}  # alpha -> (the config key of its rep count, the count, its rules)
+    for alpha in cfg.alphas:
+        kernels = {"best_invariant": functools.partial(best_invariant_kernel, problem, alpha=alpha),
+                   "shrinkage_bayes": functools.partial(shrinkage_bayes_kernel, prior, alpha=alpha)}
+        runs[alpha] = ("reps", cfg.reps, plugin_rules) if alpha == 1.0 else ("reps_outer", cfg.reps_outer, kernels)
     grid = [params for params, *_ in points]
+    for key, reps, rules in runs.values():  # before any draw at any alpha
+        size = 8 * len(grid) * len(rules) * reps
+        if size > LOSS_TABLE_BYTES_MAX:
+            raise ValueError(f"{key} = {reps} needs a loss table of {len(grid)} points x {len(rules)} rules x {reps} "
+                             f"rows x 8 bytes = {size:.3g} bytes, above LOSS_TABLE_BYTES_MAX = {LOSS_TABLE_BYTES_MAX}")
     lines = ["procedure,alpha,theta_norm,theta_direction,sigma2,reps,risk_mean,risk_se,"
              "minimax_risk,below_baseline_3se"]
-    for alpha in cfg.alphas:
-        if alpha == 1.0:
-            rules, reps = plugin_rules, cfg.reps
-        else:
-            rules = {"best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
-                     "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(prior, obs, alpha)}
-            reps = cfg.reps_outer
+    for alpha, (_, reps, rules) in runs.items():
         scorers = {name: scorer(rule, alpha) for name, rule in rules.items()}
         # one call over the whole grid, so each keyed block is drawn once for every point
         for (_, norm, direction, s2), rows in zip(points, risk_mc(scorers.values(), problem, grid, reps, seed)):
@@ -643,6 +652,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.command is None:
         parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    # every subcommand makes --out last, so a path that cannot become a directory is refused before any work
+    existing = args.out
+    while not os.path.lexists(existing):  # a dangling link exists, and makedirs fails on it
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        print(f"usage error: --out {args.out} cannot be a directory: {existing} exists and is not one", file=sys.stderr)
         return EXIT_USAGE
     try:
         cfg = load_config(args.config)

@@ -326,25 +326,6 @@ def test_risk_compare_rows_and_determinism(tmp_path):
             assert abs(mean - mr) < 3 * se
 
 
-def test_risks_depend_on_theta_and_sigma2_only_through_theta_over_sigma(tmp_path):
-    # risk_mc scores every point in units of sigma, and theta/sigma is exact at sigma = 2 (a power of two), so the
-    # sigma2 = 4 rows at |theta| = t are the sigma2 = 1 rows at t / 2, bit for bit at every alpha
-    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "as1_desk.json").read_text())
-    norms = [0.0, 2.0, 5.0, 10.0]
-    doc = dict(doc, seed=1, alphas=[1.0, 0.0, -1.0, 0.9, 0.99], reps=BLOCK_SIZE, reps_outer=200,
-               grid=dict(doc["grid"], theta_norms=sorted({*norms, *(t / 2 for t in norms)}), sigma2=[1.0, 4.0]))
-    assert main(["risk-compare", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
-    lines = (tmp_path / "o" / "risk_compare.csv").read_text().splitlines()[1:]
-    # (procedure, alpha, theta_norm, theta_direction, sigma2) -> (risk_mean, risk_se)
-    risks = {tuple(cells[:5]): cells[6:8] for cells in (line.split(",") for line in lines)}
-    compared = 0
-    for (name, alpha, norm, direction, s2), scaled in risks.items():
-        if s2 == "4" and float(norm) in norms:
-            assert scaled == risks[name, alpha, _fmt(float(norm) / 2), direction, "1"], (name, alpha, norm, direction)
-            compared += 1
-    assert compared == 7 * (3 + 4 * 2)  # (norm, direction) points x (3 rules at alpha = 1, 2 at each alpha < 1)
-
-
 @pytest.mark.parametrize("s2", SIGMA2_RANGE)
 def test_risks_at_the_ends_of_the_sigma2_range_equal_those_at_sigma2_1(as1_problem_n12, s2):
     # risk_mc scores each point in units of sigma, so only the rounding of theta/sigma (an ulp at sigma = 1e+-50)
@@ -1100,6 +1081,21 @@ REJECTED = [
     Rejected("tiny-nu-1e-17", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1), ("risk-compare",), 4,
              CERTIFICATE + "Gauss-Laguerre rule at a = -1, n = 16: not finite or not of mass 1 (loss quadrature at "
              "alpha = 0)", DESK_POINTS),
+    # risk_mc allocates its whole (points x rules x reps) table of losses first: a huge rep count used to end in
+    # numpy's ArrayMemoryError, a traceback naming no key, and at reps_outer only after the alpha = 1 rows had run
+    Rejected("reps-1e13", shipped("case2_small_l", reps=10**13), ("risk-compare",), 1,
+             "error: reps = 10000000000000 needs a loss table of 3 points x 4 rules x 10000000000000 rows x 8 bytes = "
+             "9.6e+14 bytes, above LOSS_TABLE_BYTES_MAX = 1073741824"),
+    Rejected("reps_outer-1e13", shipped("as1_desk", reps_outer=10**13), ("risk-compare",), 1,
+             "error: reps_outer = 10000000000000 needs a loss table of 7 points x 2 rules x 10000000000000 rows x 8 "
+             "bytes = 1.12e+15 bytes, above LOSS_TABLE_BYTES_MAX = 1073741824"),
+    # an --out that cannot become a directory used to fail only when the run wrote its output, after all the work
+    Rejected("out-file", BASE, COMMANDS, 1,
+             "usage error: --out taken cannot be a directory: taken exists and is not one", {"taken": "a file"},
+             flags=("--out", "taken"), out=False),
+    Rejected("out-under-a-file", BASE, COMMANDS, 1,
+             "usage error: --out taken/sub cannot be a directory: taken exists and is not one", {"taken": "a file"},
+             flags=("--out", "taken/sub"), out=False),
     # usage: no subcommand, one that does not exist, an unknown flag, and a config that is missing or not JSON
     Rejected("no-subcommand", None, ("",), 1, "usage: shrinkpred", prefix=True),
     Rejected("bogus-command", BASE, ("bogus-command",), 1,
@@ -1163,6 +1159,24 @@ def test_rejected(tmp_path, capsys, monkeypatch, row):
         assert err.startswith(row.stderr) if row.prefix else err == row.stderr + "\n", (command, err)
         assert caught == [], command
         assert sorted(path.name for path in tmp_path.iterdir()) == before, command
+
+
+def test_an_out_that_cannot_be_a_directory_stops_every_subcommand_before_it_loads(tmp_path, capsys, monkeypatch):
+    # risk-compare on as1_desk used to run its whole Monte Carlo before it failed on such an --out
+    import shrinkpred.cli as cli_module
+
+    def fail(*args, **kwargs):
+        pytest.fail("a subcommand started work")
+
+    run_in(tmp_path, monkeypatch, shipped("as1_desk"), {"taken": "a file"})
+    (tmp_path / "dangling").symlink_to("nowhere")
+    monkeypatch.setattr(cli_module, "load_config", fail)
+    monkeypatch.setattr(cli_module, "risk_mc", fail)
+    for command in COMMANDS:
+        for out, existing in (("taken/sub", "taken"), ("dangling", "dangling")):
+            code, err, _ = run_main(capsys, [command, "--config", "config.json", "--out", out])
+            want = f"usage error: --out {out} cannot be a directory: {existing} exists and is not one\n"
+            assert (code, err) == (1, want), (command, out)
 
 
 @pytest.mark.parametrize("doc, command, files", [row[1:] for row in ACCEPTED], ids=[row[0] for row in ACCEPTED])

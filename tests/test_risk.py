@@ -17,6 +17,7 @@ from shrinkpred.canonical import (
     STREAM_OBSERVATION,
     CanonicalObservation,
     CanonicalParams,
+    canonicalize,
     replication_rng,
     simulate_observation,
 )
@@ -46,7 +47,16 @@ from shrinkpred.risk import (
     scorer,
 )
 
-from conftest import DENSITIES, MULTI_GROUP, block_and_theta, designs, shipped, synthetic_problem, write_config
+from conftest import (
+    DENSITIES,
+    MULTI_GROUP,
+    block_and_theta,
+    designs,
+    make_case2_design,
+    shipped,
+    synthetic_problem,
+    write_config,
+)
 from oracles import alpha_divergence_mc, f_alpha
 
 
@@ -119,16 +129,6 @@ def test_d1_loss_values():
     assert got == pytest.approx(1.0 - math.log(2.0), rel=1e-12)  # (m/2) L2 at ratio 2
     with pytest.raises(ValueError):
         d1_loss_plugin(np.zeros(2), -1.0, np.zeros(2), 2)
-
-
-def test_d1_loss_block_equals_row_by_row(prob_m3):
-    params = CanonicalParams(theta=np.array([0.5, -1.0, 2.0]), mu=np.zeros(0), eta=2.0)
-    block = simulate_observation(prob_m3, [params], seed=6)[0][:300]
-    est = umvu_estimators(prob_m3, block)
-    got = d1_loss_plugin(est.theta_hat, est.sigma2_hat, params.theta, 3)
-    assert got.shape == (300,)
-    rows = [d1_loss_plugin(est.theta_hat[i], est.sigma2_hat[i], params.theta, 3) for i in range(300)]
-    assert np.array_equal(got, rows)
 
 
 def test_minimax_risk_frozen_example():
@@ -268,43 +268,6 @@ def test_best_invariant_risk_constant_for_alpha_below_one(prob_m3):
             assert abs(a.mean - b.mean) <= tol or a is b
 
 
-def _two_rules(problem, alpha):
-    """Two block rules at alpha: plug-in estimates at 1, predictive kernels below."""
-    prior = PriorSpec(problem, nu=0.25)
-    if alpha == 1.0:
-        return {
-            "umvu": lambda obs: umvu_estimators(problem, obs),
-            "shrink_plugin": lambda obs: plugin_bayes_estimators(prior, obs),
-        }
-    return {
-        "best_invariant": lambda obs: best_invariant_kernel(problem, obs, alpha),
-        "shrinkage_bayes": lambda obs: shrinkage_bayes_kernel(prior, obs, alpha),
-    }
-
-
-def _two_scorers(problem, alpha):
-    """risk_mc's scorers of _two_rules: the closed-form plug-in loss at 1, the exact kernel loss below."""
-    return {name: scorer(rule, alpha) for name, rule in _two_rules(problem, alpha).items()}
-
-
-def _risks(scorers, problem, points, reps, seed):
-    """risk_mc's table reduced row by row, as run_risk_compare does: one {name: RiskEstimate} per point."""
-    return [dict(zip(scorers, map(RiskEstimate.of, rows)))
-            for rows in risk_mc(scorers.values(), problem, points, reps, seed)]
-
-
-@pytest.mark.parametrize("alpha, reps", [(1.0, 500), (0.0, 60)])
-def test_risk_mc_joint_equals_single(prob_m3, alpha, reps):
-    # every scorer sees the same keyed observations, so scoring several rules
-    # in one loop changes no row
-    params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
-    scorers = list(_two_scorers(prob_m3, alpha).values())
-    joint = risk_mc(scorers, prob_m3, [params], reps, seed=3)
-    assert joint.shape == (1, 2, reps)
-    for j, score in enumerate(scorers):
-        assert np.array_equal(joint[:, j], risk_mc([score], prob_m3, [params], reps, seed=3)[:, 0])
-
-
 def _three_points(problem):
     """Three parameter points that differ in theta, mu and eta."""
     l, k = problem.l, problem.k
@@ -313,124 +276,218 @@ def _three_points(problem):
             CanonicalParams(theta=np.full(l, -3.0), mu=np.full(k - l, 1.0), eta=4.0)]
 
 
-def _risk_one_point(rules, problem, params, alpha, reps, seed):
-    """Reference: one point's risks by a per-point loop with its own alpha branch, drawing each keyed block
-    for this point alone.
+# ---------------------------------------------------------------------------
+# What a row depends on: one battery over every rule and design
+# ---------------------------------------------------------------------------
 
-    The block layout is written out here (standard normals (B, l), then
-    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the point's
-    unit-scale twin), so it also pins the observation stream.
-    """
-    l, losses, twin = problem.l, {name: [] for name in rules}, unit_twin(params)
-    for start in range(0, reps, BLOCK_SIZE):
-        rng = replication_rng(seed, start // BLOCK_SIZE, stream=STREAM_OBSERVATION)
-        v = twin.theta + np.sqrt(problem.d) * rng.standard_normal((BLOCK_SIZE, l))
-        v_star = twin.mu + rng.standard_normal((BLOCK_SIZE, problem.k - l))
-        s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE)
-        block = CanonicalObservation(v=v, v_star=v_star, s=s)[:min(BLOCK_SIZE, reps - start)]
-        for name, rule in rules.items():
-            out = rule(block)
-            if alpha == 1.0:
-                loss = d1_loss_plugin(out.theta_hat, out.sigma2_hat, twin.theta, problem.m)
-            else:
-                loss = alpha_divergence_loss(out, twin.theta)
-            losses[name].append(loss)
-    out = {}
-    for name, parts in losses.items():
-        loss = np.concatenate(parts)
-        out[name] = RiskEstimate(float(np.sum(loss) / reps), float(np.std(loss, ddof=1) / math.sqrt(reps)), reps)
+# every rule risk-compare runs, as a function of (prior, observations, alpha); the prior carries the problem
+RULES = {"umvu": lambda prior, obs, alpha: umvu_estimators(prior.problem, obs),
+         "stein_variance": lambda prior, obs, alpha: stein_variance(prior.problem, obs),
+         "stein_variance_star": lambda prior, obs, alpha: stein_variance_star(prior.problem, obs),
+         "shrink_plugin": lambda prior, obs, alpha: plugin_bayes_estimators(prior, obs),
+         **DENSITIES}
+
+
+@functools.lru_cache(maxsize=1)
+def battery_designs():
+    """{name: (problem, its own prior)}: four of conftest's designs with theirs, and three synthetic problems under
+    c = 1, nu = 0.25: prob_m3 (d = 1), case2_problem_n12 (case II, m = 1) and two_group (d = (2.5, 1, 1))."""
+    out = {name: designs()[name] for name in ("as1_desk", "case2_small_l", "multi_group", "wide_m5_k3")}
+    for name, problem in (("prob_m3", synthetic_problem(12, 3, 3, [1.0, 1.0, 1.0])),
+                          ("case2_problem_n12", canonicalize(*make_case2_design())),
+                          ("two_group", synthetic_problem(12, 3, 3, [2.5, 1.0, 1.0]))):
+        out[name] = (problem, PriorSpec(problem, nu=0.25))
     return out
 
 
-@pytest.mark.parametrize("alpha, reps", [(1.0, 5000), (0.0, 60)])
-@pytest.mark.parametrize("case", ["I", "II"])
-def test_risk_mc_over_points_equals_per_point_loop(prob_m3, case2_problem_n12, case, alpha, reps):
-    # one draw per block shared by every point gives each point, bit for bit,
-    # the risks of a run at that point alone
-    problem = prob_m3 if case == "I" else case2_problem_n12
-    rules, scorers = _two_rules(problem, alpha), _two_scorers(problem, alpha)
-    points = _three_points(problem)
-    got = _risks(scorers, problem, points, reps, seed=13)
-    assert len(got) == len(points)
-    for params, risks in zip(points, got):
-        assert list(risks) == list(rules)
-        assert risks == _risk_one_point(rules, problem, params, alpha, reps, seed=13)
-    assert risk_mc(scorers.values(), problem, [], reps, seed=13).shape == (0, 2, reps)
+# (design, prior, rule, alpha): a prior of None is the design's own, a dict the PriorSpec keywords of another.  The
+# shipped configs' rows are every rule risk-compare runs on them (test_the_battery_has_every_rule_risk_compare_runs);
+# a new rule or design joins as rows
+CASES = [
+    ("prob_m3", None, "umvu", 1.0),
+    ("prob_m3", None, "stein_variance", 1.0),
+    ("prob_m3", None, "shrink_plugin", 1.0),
+    ("prob_m3", {"c": 1.5, "nu": 0.3}, "shrink_plugin", 1.0),
+    ("prob_m3", None, "best_invariant", 0.3),
+    ("prob_m3", {"c": [1.0, 1.5, 2.0], "nu": 0.3}, "shrinkage_bayes", 0.3),
+    ("prob_m3", None, "best_invariant", 0.0),
+    ("prob_m3", None, "shrinkage_bayes", 0.0),
+    ("prob_m3", None, "best_invariant", -1.0),
+    ("prob_m3", {"c": [1.0, 1.5, 2.0], "nu": 0.3}, "shrinkage_bayes", -1.0),
+    ("case2_problem_n12", None, "umvu", 1.0),
+    ("case2_problem_n12", None, "stein_variance", 1.0),
+    ("case2_problem_n12", None, "stein_variance_star", 1.0),
+    ("case2_problem_n12", None, "shrink_plugin", 1.0),
+    ("case2_problem_n12", {"c": 1.5, "nu": 0.3}, "shrink_plugin", 1.0),
+    ("case2_problem_n12", None, "best_invariant", 0.99),
+    ("case2_problem_n12", None, "shrinkage_bayes", 0.99),
+    ("case2_problem_n12", None, "best_invariant", 0.0),
+    ("case2_problem_n12", None, "shrinkage_bayes", 0.0),
+    ("case2_problem_n12", None, "best_invariant", -1.0),
+    ("case2_problem_n12", None, "shrinkage_bayes", -1.0),
+    ("as1_desk", None, "umvu", 1.0),
+    ("as1_desk", None, "shrink_plugin", 1.0),
+    ("as1_desk", None, "stein_variance", 1.0),
+    ("as1_desk", None, "best_invariant", 0.99),
+    ("as1_desk", None, "shrinkage_bayes", 0.99),
+    ("as1_desk", None, "best_invariant", 0.9),
+    ("as1_desk", None, "shrinkage_bayes", 0.9),
+    ("as1_desk", None, "best_invariant", 0.5),
+    ("as1_desk", None, "shrinkage_bayes", 0.5),
+    ("as1_desk", None, "best_invariant", 0.0),
+    ("as1_desk", None, "shrinkage_bayes", 0.0),
+    ("as1_desk", None, "best_invariant", -0.5),
+    ("as1_desk", None, "shrinkage_bayes", -0.5),
+    ("as1_desk", None, "best_invariant", -1.0),
+    ("as1_desk", None, "shrinkage_bayes", -1.0),
+    ("case2_small_l", None, "umvu", 1.0),
+    ("case2_small_l", None, "shrink_plugin", 1.0),
+    ("case2_small_l", None, "stein_variance", 1.0),
+    ("case2_small_l", None, "stein_variance_star", 1.0),
+    ("case2_small_l", None, "best_invariant", 0.5),
+    ("case2_small_l", None, "shrinkage_bayes", 0.5),
+    ("case2_small_l", None, "best_invariant", 0.0),
+    ("case2_small_l", None, "shrinkage_bayes", 0.0),
+    ("case2_small_l", None, "best_invariant", -0.5),
+    ("case2_small_l", None, "shrinkage_bayes", -0.5),
+    ("case2_small_l", None, "best_invariant", -1.0),
+    ("case2_small_l", None, "shrinkage_bayes", -1.0),
+    ("multi_group", None, "umvu", 1.0),
+    ("multi_group", None, "shrink_plugin", 1.0),
+    ("multi_group", None, "stein_variance", 1.0),
+    ("multi_group", None, "best_invariant", 0.5),
+    ("multi_group", None, "shrinkage_bayes", 0.5),
+    ("multi_group", None, "best_invariant", 0.0),
+    ("multi_group", None, "shrinkage_bayes", 0.0),
+    ("multi_group", None, "best_invariant", -0.5),
+    ("multi_group", None, "shrinkage_bayes", -0.5),
+    ("multi_group", None, "best_invariant", -1.0),
+    ("multi_group", None, "shrinkage_bayes", -1.0),
+    ("wide_m5_k3", {"c": [1.5, 2.0, 3.0], "nu": 0.4}, "shrinkage_bayes", 0.0),
+    ("two_group", {"c": [2.0, 1.5, 1.5], "nu": 0.4}, "shrinkage_bayes", 0.7),
+]
 
 
-@pytest.mark.parametrize("alpha, reps", [(1.0, 150), (1.0, 4096), (1.0, 9000), (0.0, 60)])
-def test_risk_mc_draws_each_block_once(prob_m3, monkeypatch, alpha, reps):
-    # one draw per block, whatever the number of rules and points
-    calls = []
+def case_id(case):
+    design, prior, rule, alpha = case
+    return "-".join([design, *(f"{key}{value}".replace(" ", "") for key, value in (prior or {}).items()), rule,
+                     str(alpha)])
+
+
+def case_rule(case):
+    """The case's problem, and its rule on a block of observations at its alpha."""
+    design, keys, name, alpha = case
+    problem, prior = battery_designs()[design]
+    return problem, functools.partial(RULES[name], prior if keys is None else PriorSpec(problem, **keys), alpha=alpha)
+
+
+# ROW_CHUNK values that split a block row by row, unevenly, in one piece with rows to spare, and at 2^20
+CHUNKS = (1, 7, 700, 1 << 20)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_a_row_alone_is_its_block_row_at_every_chunk(case, monkeypatch):
+    # one observation takes its block's arithmetic: its plug-in estimates or kernel constant, its log density at a
+    # point and its loss are its block row's bit for bit, every row at alpha = 1.  The block's are the same at every
+    # ROW_CHUNK: the kernel integrals contract by np.einsum, which sums each row in the same order whatever the rows
+    # beside it (a lone row is one chunk at any ROW_CHUNK).  Row 0 holds s = 10.805623199832086, whose log math.log
+    # rounds an ulp off np.log's
+    (problem, rule), alpha = case_rule(case), case[3]
+    block, theta = block_and_theta(problem, rows=40)
+    block = CanonicalObservation(v=block.v, v_star=block.v_star, s=np.concatenate([[10.805623199832086], block.s[1:]]))
+    fields = ("theta_hat", "sigma2_hat") if alpha == 1.0 else ("log_const",)
+    y = np.linspace(-1.0, 2.0, problem.m)
+    whole = rule(block)
+    losses = alpha_divergence_loss(whole, theta)
+    for i in range(40) if alpha == 1.0 else (0, 2, 7, 17, 19, 39):
+        lone = rule(block[i])
+        for name in fields:
+            assert np.array_equal(getattr(lone, name), getattr(whole, name)[i]), (name, i)
+        assert lone.log_density(y) == whole[i].log_density(y) and alpha_divergence_loss(lone, theta) == losses[i], i
+    for chunk in CHUNKS:
+        monkeypatch.setattr(predictive_module, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(quad_module, "ROW_CHUNK", chunk)
+        again = rule(block)
+        for name in fields:
+            assert np.array_equal(getattr(again, name), getattr(whole, name)), (chunk, name)
+        assert np.array_equal(alpha_divergence_loss(again, theta), losses), chunk
+
+
+def _risk_one_point(rule, problem, params, alpha, reps, seed):
+    """Reference: (s, the last column of v, rule's loss) of each row drawn at params's unit-scale twin, by a
+    per-point loop with its own alpha branch that draws each keyed block for this point alone.
+
+    The block layout is written out here (standard normals (B, l), then
+    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the twin), so
+    it also pins the observation stream.
+    """
+    twin, columns = unit_twin(params), []
+    for start in range(0, reps, BLOCK_SIZE):
+        rng = replication_rng(seed, start // BLOCK_SIZE, stream=STREAM_OBSERVATION)
+        v = twin.theta + np.sqrt(problem.d) * rng.standard_normal((BLOCK_SIZE, problem.l))
+        v_star = twin.mu + rng.standard_normal((BLOCK_SIZE, problem.k - problem.l))
+        s = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE)
+        block = CanonicalObservation(v=v, v_star=v_star, s=s)[:reps - start]
+        out = rule(block)
+        if alpha == 1.0:
+            loss = d1_loss_plugin(out.theta_hat, out.sigma2_hat, twin.theta, problem.m)
+        else:
+            loss = alpha_divergence_loss(out, twin.theta)
+        columns.append((block.s, block.v[:, -1], loss))
+    return [np.concatenate(column) for column in zip(*columns)]
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_a_table_row_is_the_row_drawn_at_its_unit_scale_twin(case, monkeypatch):
+    # a risk_mc row depends on (seed, replication, unit-scale point) alone.  Between two per-row statistics of its
+    # block, at three points that differ in theta, mu and eta, each keyed block is drawn once for every point, and
+    # each point's rows are bit for bit the first reps rows its own blocks give at its twin, and the scorer's row
+    # that of a run alone at that point: at every reps, across the block boundary too
+    (problem, rule), alpha = case_rule(case), case[3]
+    score, points, calls = scorer(rule, alpha), _three_points(problem), []
     original = risk_module.simulate_observation
+    counts = (100, 150, 500, 4095, 4096, 4097, 5000, 9000) if alpha == 1.0 else (60, 100)
+    drawn = [_risk_one_point(rule, problem, params, alpha, max(counts), seed=13) for params in points]
 
     def counted(problem, points, seed, block=0):
-        calls.append(block)
+        calls.append((block, len(points)))
         return original(problem, points, seed, block)
 
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
-    scorers = list(_two_scorers(prob_m3, alpha).values())
-    if alpha == 1.0:
-        scorers.append(scorer(lambda obs: PluginEstimate(prob_m3, np.zeros(3), 1.0), 1.0))
-    out = risk_mc(scorers, prob_m3, _three_points(prob_m3), reps, seed=8)
-    assert out.shape == (3, len(scorers), reps)
-    assert calls == list(range(math.ceil(reps / BLOCK_SIZE)))
+    for reps in counts:
+        calls.clear()
+        table = risk_mc([lambda block, params: block.s, score, lambda block, params: block.v[:, -1]], problem,
+                        points, reps, seed=13)
+        assert table.shape == (3, 3, reps) and calls == [(b, 3) for b in range(math.ceil(reps / BLOCK_SIZE))]
+        for (s, loss, v), (want_s, want_v, want_loss) in zip(table, drawn):
+            assert np.array_equal(s, want_s[:reps]) and np.array_equal(v, want_v[:reps]), reps
+            assert np.array_equal(loss, want_loss[:reps]), reps
+        assert np.array_equal(risk_mc([score], problem, points[1:2], reps, seed=13), table[1:2, 1:2]), reps
+    assert risk_mc([score], problem, [], 60, seed=13).shape == (0, 1, 60)
 
 
-def _scored_rows(problem, params, reps, seed):
-    """The observations risk_mc hands a plug-in scorer's rule, stacked in replication order."""
-    seen = []
-
-    def record(obs):
-        seen.append(obs)
-        return umvu_estimators(problem, obs)
-
-    risk_mc([scorer(record, 1.0)], problem, [params], reps, seed)
-    return np.concatenate([o.v for o in seen]), np.concatenate([o.s for o in seen])
-
-
-def test_block_rows_prefix_invariant(prob_m3):
-    # row i depends only on (seed, i): runs of any length agree on their common
-    # rows, across the block boundary too
-    params = CanonicalParams(theta=np.array([1.0, 0.0, -1.0]), mu=np.zeros(0), eta=1.5)
-    runs = {reps: _scored_rows(prob_m3, params, reps, seed=12) for reps in (4095, 4096, 4097, 9000)}
-    full_v, full_s = runs[9000]
-    for reps, (v, s) in runs.items():
-        assert v.shape == (reps, 3) and s.shape == (reps,)
-        assert np.array_equal(v, full_v[:reps]) and np.array_equal(s, full_s[:reps])
-    for i in (0, 4095, 4096, 8191, 8192, 8999):
-        row = simulate_observation(prob_m3, [unit_twin(params)], 12, block=i // BLOCK_SIZE)[0][i % BLOCK_SIZE]
-        assert np.array_equal(full_v[i], row.v) and full_s[i] == row.s
+@pytest.mark.parametrize("case", [case for case in CASES if case[0] in ("as1_desk", "case2_problem_n12")], ids=case_id)
+def test_a_point_at_sigma_2_scores_the_rows_of_its_half(case):
+    # risk_mc scores every point in units of sigma, and halving is exact, so (theta, mu) at sigma = 2 gives, bit for
+    # bit, the rows of (theta/2, mu/2, sigma = 1): at |theta| = 0, 2, 3, 5 and 10 along the first axis, and with
+    # mu = (4, -2) on the case II design, where V* moves and its rules read it
+    (problem, rule), alpha = case_rule(case), case[3]
+    mu, axis = np.linspace(4.0, -2.0, problem.k - problem.l), np.eye(problem.l)[0]
+    points = [CanonicalParams(theta=norm * scale * axis, mu=mu * scale, eta=eta)
+              for scale, eta in ((1.0, 0.25), (0.5, 1.0)) for norm in (0.0, 2.0, 3.0, 5.0, 10.0)]
+    table = risk_mc([scorer(rule, alpha)], problem, points, BLOCK_SIZE if alpha == 1.0 else 200, seed=1)
+    assert np.array_equal(table[:5], table[5:]) and np.all(np.isfinite(table))
 
 
-@pytest.mark.parametrize("reps", [4095, 4096, 4097, 9000])
-def test_scorer_rows_are_the_drawn_rows_in_order(prob_m3, reps):
-    # a per-row statistic of its block fills a scorer's table row with exactly the rows
-    # simulate_observation draws, in replication order, at every point's unit-scale twin
-    points = _three_points(prob_m3)
-    table = risk_mc([lambda block, params: block.s, lambda block, params: block.v[:, 2]], prob_m3, points, reps, 12)
-    assert table.shape == (3, 2, reps)
-    for params, rows in zip(points, table):
-        drawn = [simulate_observation(prob_m3, [unit_twin(params)], 12, block=b)[0]
-                 for b in range(math.ceil(reps / BLOCK_SIZE))]
-        assert np.array_equal(rows[0], np.concatenate([o.s for o in drawn])[:reps])
-        assert np.array_equal(rows[1], np.concatenate([o.v[:, 2] for o in drawn])[:reps])
-
-
-@pytest.mark.parametrize("alpha", [1.0, 0.99, 0.0, -1.0])
-def test_case2_rows_at_sigma_2_are_the_rows_at_a_half_the_point(case2_problem_n12, alpha):
-    # risk_mc scores every point in units of sigma, so (theta, mu) at sigma = 2 gives, bit for bit, every rule's
-    # rows at (theta/2, mu/2, sigma = 1); mu != 0 moves V*, which only the case II rules read
-    problem, prior = case2_problem_n12, PriorSpec(case2_problem_n12, nu=0.25)
-    if alpha == 1.0:
-        rules = [functools.partial(rule, problem) for rule in (umvu_estimators, stein_variance, stein_variance_star)]
-        rules.append(functools.partial(plugin_bayes_estimators, prior))
-    else:
-        rules = [lambda o: best_invariant_kernel(problem, o, alpha), lambda o: shrinkage_bayes_kernel(prior, o, alpha)]
-    theta, mu = np.array([3.0]), np.array([4.0, -2.0])
-    points = [CanonicalParams(theta=theta, mu=mu, eta=0.25), CanonicalParams(theta=theta / 2, mu=mu / 2, eta=1.0)]
-    scaled, base = risk_mc([scorer(rule, alpha) for rule in rules], problem, points, 100, seed=5)
-    assert np.array_equal(scaled, base) and np.all(np.isfinite(base))
+@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l"])
+def test_the_battery_has_every_rule_risk_compare_runs(design, tmp_path):
+    # a rule run_risk_compare gains without a battery row fails here
+    cfg = write_config(tmp_path, shipped(design, alphas=[1.0, 0.0], reps=100, reps_outer=50))
+    assert cli.main(["risk-compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "out" / "risk_compare.csv").read_text().splitlines()[1:]]
+    for alpha in ("1", "0"):
+        ran = {cells[0] for cells in rows if cells[1] == alpha}
+        assert ran == {rule for name, _, rule, a in CASES if name == design and (a == 1.0) == (alpha == "1")}, alpha
 
 
 def test_risk_estimate_validation():
@@ -475,14 +532,17 @@ def test_minimum_replication_counts(prob_m3):
 def test_risk_path_makes_no_inner_monte_carlo(prob_m3, alpha):
     # the Monte Carlo divergence lives in tests/oracles.py, out of the risk path's reach
     params = CanonicalParams(theta=np.array([1.0, 0.0, 0.0]), mu=np.zeros(0), eta=1.0)
-    [out] = _risks(_two_scorers(prob_m3, alpha), prob_m3, [params], 60, seed=4)
-    assert all(math.isfinite(est.mean) and est.std_error > 0 for est in out.values())
+    prior = PriorSpec(prob_m3, nu=0.25)
+    scorers = [scorer(functools.partial(rule, prior, alpha=alpha), alpha) for rule in DENSITIES.values()]
+    rows = risk_mc(scorers, prob_m3, [params], 60, seed=4)[0]
+    assert all(math.isfinite(est.mean) and est.std_error > 0 for est in map(RiskEstimate.of, rows))
 
 
 def test_rule_alpha_must_match(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     block = simulate_observation(prob_m3, [params], 2)[0][:60]
-    for score in (scorer(rule, 0.0) for rule in _two_rules(prob_m3, 0.5).values()):
+    prior = PriorSpec(prob_m3, nu=0.25)
+    for score in (scorer(functools.partial(rule, prior, alpha=0.5), 0.0) for rule in DENSITIES.values()):
         with pytest.raises(ValueError, match="alpha = 0.5, not 0.0"):
             score(block, params)
     # a plug-in estimate is the alpha = 1 density, so scoring it below 1 is the same error
@@ -525,20 +585,6 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
                 evaluate(ys)
         with pytest.raises(ValueError, match="index it first"):
             est.log_const
-
-
-@pytest.mark.parametrize("alpha", [-1.0, 0.3])
-def test_loss_of_one_observation_equals_its_block_row(prob_m3, alpha):
-    prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
-    block = in_units_of_sigma(simulate_observation(prob_m3, [params], 9)[0][:20], params.eta)
-    theta = unit_twin(params).theta
-    for build in (lambda o: best_invariant_kernel(prob_m3, o, alpha),
-                  lambda o: shrinkage_bayes_kernel(prior, o, alpha)):
-        losses = alpha_divergence_loss(build(block), theta)
-        assert losses.shape == (20,)
-        for i in (0, 7, 19):
-            assert alpha_divergence_loss(build(block[i]), theta) == pytest.approx(losses[i], rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("design", ["as1_desk", "case2_small_l", "wide_m5_k3", "as1_c_ne_1"])
@@ -712,66 +758,6 @@ def test_grouped_affinity_matches_per_axis_formula(case, n):
     # a subset of rows, in any order, gives the same bits as the whole block
     index = np.array([7, 3, 31])
     assert np.array_equal(predictive_module._log_affinity(kernel, theta)(n, index), got[index])
-
-
-# ROW_CHUNK values that split a 300-row block row by row, unevenly, in one piece with rows to spare, and at 2^20
-CHUNKS = (1, 7, 700, 1 << 20)
-
-
-@pytest.mark.parametrize("case", ["best_invariant-0.0", "two_equal_one_distinct-0.7", "distinct_m_gt_l-0.0",
-                                  *(f"as1_desk-{rule}--1.0" for rule in DENSITIES),
-                                  *(f"multi_group-{rule}-{alpha}" for rule in DENSITIES
-                                    for alpha in (0.5, 0.0, -0.5, -1.0))])
-def test_loss_does_not_depend_on_chunk_size(case, monkeypatch):
-    # the affinity and, at alpha = -1, the Frullani integrals contract their nodes by np.einsum, which sums each row in
-    # the same order whatever the rows beside it.  The design-rule cases (300 rows at theta = 2 e_1) build their
-    # kernels at each chunk size too, so the shrinkage constant's contraction of the multi-group design's four spectral
-    # groups (np.log(q) @ half in _log_integral) is held to the same
-    if case in affinity_cases():
-        kernel, theta, _ = affinity_cases()[case]
-        build = lambda: kernel
-    else:
-        design, rule, alpha = case.split("-", 2)
-        problem, prior = designs()[design]
-        block, theta = block_and_theta(problem, rows=300)
-        build = lambda: DENSITIES[rule](prior, block, float(alpha))
-    default = build()
-    losses = alpha_divergence_loss(default, theta)
-    for chunk in CHUNKS:
-        monkeypatch.setattr(predictive_module, "ROW_CHUNK", chunk)
-        monkeypatch.setattr(quad_module, "ROW_CHUNK", chunk)
-        kernel = build()
-        assert np.array_equal(kernel.log_const, default.log_const), chunk
-        assert np.array_equal(alpha_divergence_loss(kernel, theta), losses), chunk
-
-
-@pytest.mark.parametrize("design", ["as1_desk", "case2_small_l", "multi_group"])
-def test_a_lone_observation_is_its_block_row(design, monkeypatch):
-    # one observation takes its block's arithmetic: its kernel constant, its plug-in estimates and its loss are
-    # its block row's bit for bit, at every chunk size.  Row 0 holds s = 10.805623199832086, whose log math.log
-    # rounds an ulp off np.log's
-    problem, prior = designs()[design]
-    block, theta = block_and_theta(problem, rows=40)
-    block = CanonicalObservation(v=block.v, v_star=block.v_star, s=np.concatenate([[10.805623199832086], block.s[1:]]))
-    rules = {1.0: [lambda o: plugin_bayes_estimators(prior, o), lambda o: umvu_estimators(problem, o),
-                   lambda o: stein_variance(problem, o)]}
-    if problem.m < problem.k:  # the pooled variant needs a nonempty v_star
-        rules[1.0].append(lambda o: stein_variance_star(problem, o))
-    for alpha in (0.5, 0.0, -0.5, -1.0):
-        rules[alpha] = [lambda o, a=alpha, density=density: density(prior, o, a) for density in DENSITIES.values()]
-    for chunk in CHUNKS:
-        monkeypatch.setattr(predictive_module, "ROW_CHUNK", chunk)
-        monkeypatch.setattr(quad_module, "ROW_CHUNK", chunk)
-        for alpha, densities in rules.items():
-            fields = ("log_const",) if alpha < 1.0 else ("theta_hat", "sigma2_hat")
-            for rule in densities:
-                whole = rule(block)
-                losses = alpha_divergence_loss(whole, theta)
-                for i in (0, 17, 39):
-                    lone = rule(block[i])
-                    for name in fields:
-                        assert np.array_equal(getattr(lone, name), getattr(whole, name)[i]), (chunk, alpha, name, i)
-                    assert alpha_divergence_loss(lone, theta) == losses[i], (chunk, alpha, i)
 
 
 def test_node_pairs_are_cached_read_only_and_built_once():
