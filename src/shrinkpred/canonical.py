@@ -17,13 +17,14 @@ which gives V* and is empty when m >= k; both blocks come out
 uncorrelated, with covariances D and I.
 
 Observations are simulated in keyed blocks of BLOCK_SIZE rows (stream
-layout 2), so replication i depends only on (seed, i).
+layout 2) at the origin theta = 0, mu = 0, sigma = 1, so replication i
+depends only on (seed, i); risk.risk_mc translates a block to each point.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -97,10 +98,9 @@ def replication_rng(master_seed: int, rep_index: int = 0, stream: int = STREAM_O
 
 
 # Risks depend on (theta, sigma2) only through theta/sigma, and past these bounds a point loses digits.  Above
-# THETA_OVER_SIGMA_MAX, V = theta + sigma sqrt(d) z rounds the noise away (and V* = mu + sigma z*): umvu's risk on
+# THETA_OVER_SIGMA_MAX, V = theta/sigma + sqrt(d) z rounds the noise away (and V* = mu/sigma + z*): umvu's risk on
 # as1_desk (seed 1) is 1.2e-10 off its theta = 0 value at 1e8 and 1.1e-9 at 1e9.  risk.risk_mc scores every point at
-# sigma = 1, so no loss sees sigma2; SIGMA2_RANGE keeps eta = 1/sigma2, theta/sigma and the true-scale draws of
-# simulate_observation (V, V* and S = sigma2 chi2) far inside the float range.
+# sigma = 1, so no loss sees sigma2; SIGMA2_RANGE keeps eta = 1/sigma2 and theta/sigma far inside the float range.
 THETA_OVER_SIGMA_MAX = 1e8
 SIGMA2_RANGE = (1e-100, 1e100)
 
@@ -389,28 +389,20 @@ def params_to_canonical(problem: CanonicalProblem, beta: np.ndarray, sigma2: flo
     return CanonicalParams(theta=w[:l], mu=w[l:], eta=1.0 / sigma2)
 
 
-def simulate_observation(problem: CanonicalProblem, points: Sequence[CanonicalParams], seed: int,
-                         block: int = 0) -> list[CanonicalObservation]:
-    """Draw block ``block`` of canonical observations at each parameter point: BLOCK_SIZE rows of V, V*, S.
+def simulate_observation(problem: CanonicalProblem, seed: int, block: int = 0) -> CanonicalObservation:
+    """Block ``block`` of canonical observations at the origin (theta = 0, mu = 0, sigma = 1): BLOCK_SIZE rows.
 
-    The generator keyed by (seed, block) draws standard normals (B, l), then
-    (B, k - l), then B gamma((n-k)/2, 2) variates, once for all of
-    ``points``; each point scales them by its theta, mu and eta (and d).
-    Row r is replication block * B + r, so it depends only on (seed,
-    replication) and every parameter point reuses the same standard draws.
-    Returns one CanonicalObservation per point, in order.
+    The generator keyed by (seed, block) draws standard normals z (B, l),
+    then z* (B, k - l), then B gamma((n-k)/2, 2) variates g; the block is
+    V = sqrt(d) z, V* = z*, S = g.  Row r is replication block * B + r, so
+    it depends only on (seed, replication); risk.risk_mc moves a block to a
+    unit-scale point by translating V by theta and V* by mu.
     """
-    l = problem.l
-    for params in points:
-        if params.theta.shape != (l,) or params.mu.shape != (problem.k - l,):
-            raise ValueError("params dimensions do not match problem")
     rng = replication_rng(seed, block, stream=STREAM_OBSERVATION)
-    z = rng.standard_normal((BLOCK_SIZE, l))
-    z_star = rng.standard_normal((BLOCK_SIZE, problem.k - l))
+    z = rng.standard_normal((BLOCK_SIZE, problem.l))
+    z_star = rng.standard_normal((BLOCK_SIZE, problem.k - problem.l))
     g = rng.gamma((problem.n - problem.k) / 2.0, 2.0, BLOCK_SIZE)
-    return [CanonicalObservation(v=p.theta + np.sqrt(problem.d / p.eta) * z,
-                                 v_star=p.mu + np.sqrt(1.0 / p.eta) * z_star, s=g / p.eta)
-            for p in points]
+    return CanonicalObservation(v=np.sqrt(problem.d) * z, v_star=z_star, s=g)
 
 
 # ---------------------------------------------------------------------------

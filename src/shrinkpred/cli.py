@@ -654,6 +654,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     # every subcommand makes --out last, so a path that cannot become a directory is refused before any work
+    if not args.out:
+        print("usage error: --out must name a directory, got an empty path", file=sys.stderr)
+        return EXIT_USAGE
     existing = args.out
     while not os.path.lexists(existing):  # a dangling link exists, and makedirs fails on it
         existing = os.path.dirname(existing) or "."

@@ -170,22 +170,25 @@ def risk_mc(scorers: Collection[Scorer], problem: CanonicalProblem, points: Sequ
 
     A scorer sees each point's unit-scale twin (theta sqrt(eta), mu sqrt(eta),
     eta = 1) and its block; the rules must be scale-equivariant (all six in
-    predictive are), so a point's risk is its twin's.  Each keyed block (the
-    last truncated) is drawn once for every point from shared standard draws
-    (canonical.simulate_observation), so a point's rows are those a run at
-    it alone would give, in replication order in table[i, j] for scorer j.
-    A scorer's error, such as a failed quadrature certificate, propagates.
+    predictive are), so a point's risk is its twin's.  Each keyed block is
+    drawn once at the origin (canonical.simulate_observation), the last
+    truncated, and translated to every twin (V + theta, V* + mu, S shared),
+    so a point's rows are those a run at it alone would give, in
+    replication order in table[i, j] for scorer j.  A scorer's error, such
+    as a failed quadrature certificate, propagates.
     """
     reps = int(reps)
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
+    if any(p.theta.shape != (problem.l,) or p.mu.shape != (problem.k - problem.l,) for p in points):
+        raise ValueError("params dimensions do not match problem")
     twins = [CanonicalParams(p.theta * math.sqrt(p.eta), p.mu * math.sqrt(p.eta), 1.0) for p in points]
     losses = np.empty((len(points), len(scorers), reps))
     for start in range(0, reps, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, reps)
-        blocks = simulate_observation(problem, twins, seed, start // BLOCK_SIZE)
-        for params, block, point_losses in zip(twins, blocks, losses):
-            block = block[:stop - start]
+        origin = simulate_observation(problem, seed, start // BLOCK_SIZE)[:stop - start]
+        for params, point_losses in zip(twins, losses):
+            block = CanonicalObservation(v=params.theta + origin.v, v_star=params.mu + origin.v_star, s=origin.s)
             for row, score in zip(point_losses, scorers):
                 row[start:stop] = score(block, params)
     return losses

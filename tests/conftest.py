@@ -12,7 +12,6 @@ from shrinkpred import cli
 from shrinkpred.canonical import (
     BLOCK_SIZE,
     CanonicalObservation,
-    CanonicalParams,
     CanonicalProblem,
     as1_problem,
     canonicalize,
@@ -101,12 +100,16 @@ def designs():
     return out
 
 
+def translate(origin, theta, mu=0.0):
+    """origin's rows moved to the unit-scale point (theta, mu) as risk_mc moves a block: V + theta, V* + mu, S."""
+    return CanonicalObservation(v=theta + origin.v, v_star=mu + origin.v_star, s=origin.s)
+
+
 def block_and_theta(problem, rows=48, seed=11):
     """A block of observations drawn at theta = 2 e_1 (unit scale), and that theta."""
     theta = np.zeros(problem.l)
     theta[0] = 2.0
-    params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0)
-    return simulate_observation(problem, [params], seed, 0)[0][:rows], theta
+    return translate(simulate_observation(problem, seed)[:rows], theta), theta
 
 
 def child_env(**variables):
@@ -123,9 +126,9 @@ def synthetic_problem(n, k, m, d, Q=None):
                             Q=np.eye(m, min(k, m)) if Q is None else Q, coef_transform=np.eye(k))
 
 
-def simulate_rows(problem, params, seed, reps):
-    """Replications 0..reps-1 of the keyed observation stream as one block (the last block truncated)."""
-    blocks = [simulate_observation(problem, [params], seed, b)[0] for b in range(-(-reps // BLOCK_SIZE))]
+def simulate_rows(problem, seed, reps):
+    """Replications 0..reps-1 of the keyed observation stream at the origin as one block (the last block truncated)."""
+    blocks = [simulate_observation(problem, seed, b) for b in range(-(-reps // BLOCK_SIZE))]
     return CanonicalObservation(
         v=np.concatenate([b.v for b in blocks])[:reps],
         v_star=np.concatenate([b.v_star for b in blocks])[:reps],

@@ -125,9 +125,7 @@ def test_criterion_4_stein_dominance(as1_problem_n12, case2_problem_n12):
 
     def paired_margin(problem, use_star):
         n, k = problem.n, problem.k
-        params = CanonicalParams(theta=np.zeros(problem.l),
-                                 mu=np.zeros(problem.k - problem.l), eta=1.0)
-        obs = simulate_rows(problem, params, seed=404, reps=reps)
+        obs = simulate_rows(problem, seed=404, reps=reps)  # at theta = 0, mu = 0, sigma = 1
         umvu = obs.s / (n - k)
         stein = (stein_variance_star if use_star else stein_variance)(problem, obs).sigma2_hat
         diffs = l2(stein) - l2(umvu)

@@ -32,7 +32,7 @@ from shrinkpred.canonical import (
 )
 
 
-from conftest import simulate_rows
+from conftest import simulate_rows, translate
 
 
 def random_design(rng, n, k, m):
@@ -412,27 +412,23 @@ def test_replication_rng_rejects_keys_beyond_64_bits():
 
 
 def test_simulation_deterministic(as1_problem_n12):
-    params = CanonicalParams(theta=np.array([1.0, 2.0, 3.0]), mu=np.zeros(0), eta=0.5)
-    a = simulate_observation(as1_problem_n12, [params], seed=9)[0][3]
-    b = simulate_observation(as1_problem_n12, [params], seed=9)[0][3]
+    a = simulate_observation(as1_problem_n12, seed=9)[3]
+    b = simulate_observation(as1_problem_n12, seed=9)[3]
     assert np.array_equal(a.v, b.v) and a.s == b.s
-    c = simulate_observation(as1_problem_n12, [params], seed=9)[0][4]
+    c = simulate_observation(as1_problem_n12, seed=9)[4]
     assert not np.array_equal(a.v, c.v)
 
 
 @settings(deadline=None, max_examples=5)
 @given(st.integers(0, 2**63 - 1))
 def test_simulation_deterministic_any_seed(as1_problem_n12, seed):
-    params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    [a] = simulate_observation(as1_problem_n12, [params], seed=seed)
-    [b] = simulate_observation(as1_problem_n12, [params], seed=seed)
+    a = simulate_observation(as1_problem_n12, seed=seed)
+    b = simulate_observation(as1_problem_n12, seed=seed)
     assert np.array_equal(a.v, b.v) and np.array_equal(a.v_star, b.v_star) and np.array_equal(a.s, b.s)
 
 
 def test_simulation_blocks_and_seeds_distinct(case2_problem_n12):
-    params = CanonicalParams(theta=np.zeros(1), mu=np.zeros(2), eta=1.0)
-    draws = [simulate_observation(case2_problem_n12, [params], seed, block)[0]
-             for seed, block in ((5, 0), (5, 1), (6, 0), (6, 1))]
+    draws = [simulate_observation(case2_problem_n12, seed, block) for seed, block in ((5, 0), (5, 1), (6, 0), (6, 1))]
     for obs in draws:
         assert obs.v.shape == (BLOCK_SIZE, 1) and obs.v_star.shape == (BLOCK_SIZE, 2)
         assert obs.s.shape == (BLOCK_SIZE,)
@@ -441,23 +437,22 @@ def test_simulation_blocks_and_seeds_distinct(case2_problem_n12):
 
 
 def test_simulation_moments(as1_problem_n12):
+    # the origin block: V ~ N(0, D) and S ~ chi2_{n-k}, and its translate to theta has mean theta
     problem = as1_problem_n12
-    theta = np.array([0.5, -1.0, 2.0])
-    eta = 2.0
-    params = CanonicalParams(theta=theta, mu=np.zeros(0), eta=eta)
     reps = 100_000
-    obs = simulate_rows(problem, params, seed=11, reps=reps)
+    obs = simulate_rows(problem, seed=11, reps=reps)
     vs, ss = obs.v, obs.s
-    # means of V within 4 SE componentwise
+    # means of V, and of its translate, within 4 SE componentwise
     se = vs.std(ddof=1, axis=0) / np.sqrt(reps)
-    assert np.all(np.abs(vs.mean(0) - theta) < 4 * se)
-    # mean of eta*S within 4 SE of n-k
-    et = eta * ss
-    se_s = et.std(ddof=1) / np.sqrt(reps)
-    assert abs(et.mean() - 9.0) < 4 * se_s
-    # empirical covariance of V matches D/eta within 4 SE
+    assert np.all(np.abs(vs.mean(0)) < 4 * se)
+    theta = np.array([0.5, -1.0, 2.0])
+    assert np.all(np.abs(translate(obs, theta).v.mean(0) - theta) < 4 * se)
+    # mean of S within 4 SE of n-k
+    se_s = ss.std(ddof=1) / np.sqrt(reps)
+    assert abs(ss.mean() - 9.0) < 4 * se_s
+    # empirical covariance of V matches D within 4 SE
     cov = np.cov(vs.T)
-    target = np.diag(problem.d / eta)
+    target = np.diag(problem.d)
     var_se = np.sqrt(2.0 / (reps - 1)) * np.diag(target)
     assert np.all(np.abs(np.diag(cov) - np.diag(target)) < 4 * var_se)
     off = cov - np.diag(np.diag(cov))
@@ -466,8 +461,7 @@ def test_simulation_moments(as1_problem_n12):
 
 
 def test_case2_simulation_dimensions(case2_problem_n12):
-    params = CanonicalParams(theta=np.zeros(1), mu=np.array([1.0, -1.0]), eta=1.0)
-    obs = simulate_observation(case2_problem_n12, [params], seed=0)[0][0]
+    obs = simulate_observation(case2_problem_n12, seed=0)[0]
     assert obs.v.shape == (1,) and obs.v_star.shape == (2,) and obs.s > 0
 
 

@@ -363,25 +363,25 @@ def test_risk_compare_rows_have_unique_keys(tmp_path):
     assert sorted({(r[2], r[3]) for r in rows}) == [("0", "0"), ("2", "0"), ("2", "1")]
 
 
-@pytest.mark.parametrize("config, draws", [("as1_desk", 6), ("case2_small_l", 13)])
-def test_risk_compare_draws_each_block_once(tmp_path, monkeypatch, config, draws):
+@pytest.mark.parametrize("config, blocks", [("as1_desk", [0, 1, 2, 3, 4, 0]), ("case2_small_l", list(range(13)))])
+def test_risk_compare_draws_each_block_once(tmp_path, monkeypatch, config, blocks):
     # one risk_mc call per alpha covers the whole grid, so each keyed block is drawn
-    # once for all points: ceil(20000/4096) + ceil(500/4096) on as1_desk (7 points,
-    # 42 draws point by point) and ceil(50000/4096) on case2_small_l (3 points, 39)
+    # once, in order, for all points: ceil(20000/4096) + ceil(500/4096) on as1_desk
+    # (7 points, 42 draws point by point) and ceil(50000/4096) on case2_small_l
+    # (3 points, 39)
     import shrinkpred.risk as risk_module
 
     calls = []
     original = risk_module.simulate_observation
 
-    def counted(problem, points, seed, block=0):
-        calls.append(len(points))
-        return original(problem, points, seed, block)
+    def counted(problem, seed, block=0):
+        calls.append(block)
+        return original(problem, seed, block)
 
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
     path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
     assert main(["risk-compare", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert len(calls) == draws
-    assert set(calls) == {7 if config == "as1_desk" else 3}
+    assert calls == blocks
 
 
 def test_risk_compare_seed_override(tmp_path):
@@ -1096,6 +1096,8 @@ REJECTED = [
     Rejected("out-under-a-file", BASE, COMMANDS, 1,
              "usage error: --out taken/sub cannot be a directory: taken exists and is not one", {"taken": "a file"},
              flags=("--out", "taken/sub"), out=False),
+    Rejected("out-empty", BASE, COMMANDS, 1, "usage error: --out must name a directory, got an empty path",
+             flags=("--out", ""), out=False),
     # usage: no subcommand, one that does not exist, an unknown flag, and a config that is missing or not JSON
     Rejected("no-subcommand", None, ("",), 1, "usage: shrinkpred", prefix=True),
     Rejected("bogus-command", BASE, ("bogus-command",), 1,
@@ -1162,7 +1164,7 @@ def test_rejected(tmp_path, capsys, monkeypatch, row):
 
 
 def test_an_out_that_cannot_be_a_directory_stops_every_subcommand_before_it_loads(tmp_path, capsys, monkeypatch):
-    # risk-compare on as1_desk used to run its whole Monte Carlo before it failed on such an --out
+    # risk-compare on as1_desk used to run its whole Monte Carlo before it failed on such an --out, an empty one too
     import shrinkpred.cli as cli_module
 
     def fail(*args, **kwargs):
@@ -1173,10 +1175,11 @@ def test_an_out_that_cannot_be_a_directory_stops_every_subcommand_before_it_load
     monkeypatch.setattr(cli_module, "load_config", fail)
     monkeypatch.setattr(cli_module, "risk_mc", fail)
     for command in COMMANDS:
-        for out, existing in (("taken/sub", "taken"), ("dangling", "dangling")):
+        for out, want in (("taken/sub", "--out taken/sub cannot be a directory: taken exists and is not one"),
+                          ("dangling", "--out dangling cannot be a directory: dangling exists and is not one"),
+                          ("", "--out must name a directory, got an empty path")):
             code, err, _ = run_main(capsys, [command, "--config", "config.json", "--out", out])
-            want = f"usage error: --out {out} cannot be a directory: {existing} exists and is not one\n"
-            assert (code, err) == (1, want), (command, out)
+            assert (code, err) == (1, f"usage error: {want}\n"), (command, out)
 
 
 @pytest.mark.parametrize("doc, command, files", [row[1:] for row in ACCEPTED], ids=[row[0] for row in ACCEPTED])

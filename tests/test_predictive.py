@@ -13,7 +13,6 @@ import shrinkpred.quad as quad_module
 from shrinkpred.canonical import (
     STREAM_DESIGN,
     CanonicalObservation,
-    CanonicalParams,
     as1_problem,
     canonicalize,
     replication_rng,
@@ -34,7 +33,7 @@ from shrinkpred.predictive import (
 )
 from shrinkpred.quad import UnreliableNormalizationError
 
-from conftest import synthetic_problem
+from conftest import synthetic_problem, translate
 from oracles import log_marginal_kernel, normalize_density, sample
 
 
@@ -344,8 +343,7 @@ def test_kernel_evaluates_and_samples_one_observation(prob_m3):
     # a block kernel is scored whole by the loss, but evaluated and (by the oracle) sampled one row at a time; that a
     # row alone is its block row is tests/test_risk.py's battery
     prior = PriorSpec(prob_m3, c=[1.0, 1.5, 2.0], nu=0.3)
-    params = CanonicalParams(theta=np.array([1.0, -0.5, 0.0]), mu=np.zeros(0), eta=2.0)
-    block = simulate_observation(prob_m3, [params], 9)[0][:5]
+    block = translate(simulate_observation(prob_m3, 9)[:5], np.array([1.0, -0.5, 0.0]))
     y = np.array([0.3, -1.0, 2.0])
     for kernel in (best_invariant_kernel(prob_m3, block, 0.3), shrinkage_bayes_kernel(prior, block, 0.3)):
         for evaluate in (kernel.log_unnormalized, kernel.log_density):
@@ -525,11 +523,8 @@ def item1_designs():
 
 def two_observations(problem):
     """One simulated observation at theta = 0 and one at theta = (1, ..., 1)."""
-    return [
-        simulate_observation(problem, [CanonicalParams(theta=np.full(problem.l, float(j)),
-                                                       mu=np.zeros(problem.k - problem.l), eta=1.0)], 5)[0][j]
-        for j in range(2)
-    ]
+    origin = simulate_observation(problem, 5)
+    return [translate(origin[j], np.full(problem.l, float(j))) for j in range(2)]
 
 
 def far_case():

@@ -55,6 +55,7 @@ from conftest import (
     make_case2_design,
     shipped,
     synthetic_problem,
+    translate,
     write_config,
 )
 from oracles import alpha_divergence_mc, f_alpha
@@ -64,12 +65,6 @@ def unit_twin(params):
     """The point risk_mc scores in place of params: (theta sqrt(eta), mu sqrt(eta), eta = 1)."""
     root = math.sqrt(params.eta)
     return CanonicalParams(theta=params.theta * root, mu=params.mu * root, eta=1.0)
-
-
-def in_units_of_sigma(block, eta):
-    """A block of observations drawn at sigma = eta^(-1/2), divided by sigma (s by sigma^2)."""
-    root = math.sqrt(eta)
-    return CanonicalObservation(v=block.v * root, v_star=block.v_star * root, s=block.s * eta)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,7 @@ def _risk_one_point(rule, problem, params, alpha, reps, seed):
     per-point loop with its own alpha branch that draws each keyed block for this point alone.
 
     The block layout is written out here (standard normals (B, l), then
-    (B, k - l), then B gamma((n-k)/2, 2) variates, scaled by the twin), so
+    (B, k - l), then B gamma((n-k)/2, 2) variates, moved to the twin), so
     it also pins the observation stream.
     """
     twin, columns = unit_twin(params), []
@@ -440,30 +435,34 @@ def _risk_one_point(rule, problem, params, alpha, reps, seed):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_a_table_row_is_the_row_drawn_at_its_unit_scale_twin(case, monkeypatch):
     # a risk_mc row depends on (seed, replication, unit-scale point) alone.  Between two per-row statistics of its
-    # block, at three points that differ in theta, mu and eta, each keyed block is drawn once for every point, and
-    # each point's rows are bit for bit the first reps rows its own blocks give at its twin, and the scorer's row
-    # that of a run alone at that point: at every reps, across the block boundary too
+    # block, at three points that differ in theta, mu and eta, each keyed block is drawn once, in order, whatever the
+    # number of points, and each point's rows are bit for bit the first reps rows its own blocks give at its twin,
+    # and the scorer's row that of a run alone at that point: at every reps, across the block boundary too
     (problem, rule), alpha = case_rule(case), case[3]
     score, points, calls = scorer(rule, alpha), _three_points(problem), []
     original = risk_module.simulate_observation
     counts = (100, 150, 500, 4095, 4096, 4097, 5000, 9000) if alpha == 1.0 else (60, 100)
     drawn = [_risk_one_point(rule, problem, params, alpha, max(counts), seed=13) for params in points]
 
-    def counted(problem, points, seed, block=0):
-        calls.append((block, len(points)))
-        return original(problem, points, seed, block)
+    def counted(problem, seed, block=0):
+        calls.append(block)
+        return original(problem, seed, block)
 
     monkeypatch.setattr(risk_module, "simulate_observation", counted)
     for reps in counts:
+        blocks = list(range(math.ceil(reps / BLOCK_SIZE)))
         calls.clear()
         table = risk_mc([lambda block, params: block.s, score, lambda block, params: block.v[:, -1]], problem,
                         points, reps, seed=13)
-        assert table.shape == (3, 3, reps) and calls == [(b, 3) for b in range(math.ceil(reps / BLOCK_SIZE))]
+        assert table.shape == (3, 3, reps) and calls == blocks
         for (s, loss, v), (want_s, want_v, want_loss) in zip(table, drawn):
             assert np.array_equal(s, want_s[:reps]) and np.array_equal(v, want_v[:reps]), reps
             assert np.array_equal(loss, want_loss[:reps]), reps
+        calls.clear()
         assert np.array_equal(risk_mc([score], problem, points[1:2], reps, seed=13), table[1:2, 1:2]), reps
-    assert risk_mc([score], problem, [], 60, seed=13).shape == (0, 1, 60)
+        assert calls == blocks, reps
+    calls.clear()
+    assert risk_mc([score], problem, [], 60, seed=13).shape == (0, 1, 60) and calls == [0]
 
 
 @pytest.mark.parametrize("case", [case for case in CASES if case[0] in ("as1_desk", "case2_problem_n12")], ids=case_id)
@@ -511,6 +510,18 @@ def test_no_point_past_the_scale_bounds_reaches_risk_mc(norm, s2, message, tmp_p
         risk_mc([scorer(rule, 1.0)], problem, points, BLOCK_SIZE, seed=1)
 
 
+@pytest.mark.parametrize("theta, mu", [(1, 2), (3, 2), (2, 1), (2, 3), (0, 2), (2, 0)])
+def test_a_point_of_the_wrong_length_reaches_no_block(theta, mu, monkeypatch):
+    # risk_mc translates each origin block by a point's theta and mu, where one of length 1 would broadcast over the
+    # rows; so on a design with l = k - l = 2, a point whose lengths differ fails before any block is drawn
+    problem = synthetic_problem(12, 4, 2, [2.0, 1.0])
+    good = CanonicalParams(theta=np.zeros(2), mu=np.zeros(2), eta=1.0)
+    bad = CanonicalParams(theta=np.ones(theta), mu=np.ones(mu), eta=1.0)
+    monkeypatch.setattr(risk_module, "simulate_observation", lambda *args: pytest.fail("a block was drawn"))
+    with pytest.raises(ValueError, match="params dimensions do not match problem"):
+        risk_mc([lambda block, params: block.s], problem, [good, bad], 60, seed=1)
+
+
 def test_minimum_replication_counts(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
     proc = functools.partial(umvu_estimators, prob_m3)
@@ -540,7 +551,7 @@ def test_risk_path_makes_no_inner_monte_carlo(prob_m3, alpha):
 
 def test_rule_alpha_must_match(prob_m3):
     params = CanonicalParams(theta=np.zeros(3), mu=np.zeros(0), eta=1.0)
-    block = simulate_observation(prob_m3, [params], 2)[0][:60]
+    block = simulate_observation(prob_m3, 2)[:60]
     prior = PriorSpec(prob_m3, nu=0.25)
     for score in (scorer(functools.partial(rule, prior, alpha=0.5), 0.0) for rule in DENSITIES.values()):
         with pytest.raises(ValueError, match="alpha = 0.5, not 0.0"):
@@ -556,10 +567,9 @@ def test_plugin_estimate_is_its_own_alpha_one_density(prob_m3, case2_problem_n12
     # for bit on a block and on each of its rows, and one row's log density is that of N_m(Q theta_hat, sigma2_hat I)
     problem = prob_m3 if case == "I" else case2_problem_n12
     prior = PriorSpec(problem, nu=0.25)
-    params = _three_points(problem)[1]
-    # drawn at eta = 0.5 and scored in units of sigma
-    block = in_units_of_sigma(simulate_observation(problem, [params], seed=6)[0][:30], params.eta)
-    theta = unit_twin(params).theta
+    # the unit-scale twin of a point at eta = 0.5, as risk_mc scores it
+    twin = unit_twin(_three_points(problem)[1])
+    block, theta = translate(simulate_observation(problem, seed=6)[:30], twin.theta, twin.mu), twin.theta
     ys = 2.0 * np.random.default_rng(4).standard_normal((7, problem.m))
     rules = {"umvu": umvu_estimators, "stein_variance": stein_variance}
     if case == "II":
@@ -594,9 +604,9 @@ def test_exact_loss_matches_inner_monte_carlo(design):
     # 640 rows a 4-SE excursion of the oracle itself is likely (the wide design's
     # alpha = -1 cell has one, z = 4.72, whose draws overshoot E|Z|^2 by 4 SE), so a row
     # beyond 4 SE is checked once more against 2e6 draws on fresh keys, which a real
-    # bias would fail by a wider margin.  The exact loss scores the block in units of
-    # sigma, and the oracle the true-scale density at eta = 1.5, so this checks the
-    # loss's scale equivariance too.
+    # bias would fail by a wider margin.  The exact loss scores the block at the unit-scale
+    # twin, and the oracle the true-scale density at eta = 1.5 (the block scaled up by
+    # sigma), so this checks the loss's scale equivariance too.
     problem, prior = designs()[design]
     assert design != "wide_m5_k3" or problem.m > problem.k
     assert design != "as1_c_ne_1" or np.all(shrinkage_components(prior, 0.0, np.zeros(3))[0] > 0)
@@ -606,14 +616,17 @@ def test_exact_loss_matches_inner_monte_carlo(design):
             theta = np.zeros(problem.l)
             theta[0] = norm
             params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
-            block = simulate_observation(problem, [params], 21, 0)[0][:8]
-            unit_block = in_units_of_sigma(block, params.eta)
+            twin = unit_twin(params)
+            unit_block = translate(simulate_observation(problem, 21, 0)[:8], twin.theta, twin.mu)
+            sigma = 1.0 / math.sqrt(params.eta)
+            block = CanonicalObservation(v=unit_block.v * sigma, v_star=unit_block.v_star * sigma,
+                                         s=unit_block.s / params.eta)
             kernels = (best_invariant_kernel(problem, unit_block, alpha),
                        shrinkage_bayes_kernel(prior, unit_block, alpha))
             densities = (lambda o: best_invariant_kernel(problem, o, alpha),
                          lambda o: shrinkage_bayes_kernel(prior, o, alpha))
             for kernel, density in zip(kernels, densities):
-                losses = alpha_divergence_loss(kernel, unit_twin(params).theta)
+                losses = alpha_divergence_loss(kernel, twin.theta)
                 for i in range(8):
                     mc = alpha_divergence_mc(density(block[i]), theta, params.eta, alpha, 200_000,
                                              seed=31, rep_index=rep)
@@ -633,7 +646,8 @@ def norm_blocks(problem, rows, seed):
     """(params, block) pairs at |theta| = 0, 2, 10 and 50 along the first axis, eta = 1, rows rows each."""
     points = [CanonicalParams(theta=norm * np.eye(problem.l)[0], mu=np.zeros(problem.k - problem.l), eta=1.0)
               for norm in (0.0, 2.0, 10.0, 50.0)]
-    return [(params, block[:rows]) for params, block in zip(points, simulate_observation(problem, points, seed, 0))]
+    origin = simulate_observation(problem, seed)[:rows]
+    return [(params, translate(origin, params.theta)) for params in points]
 
 
 @pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 0.5, 0.9, 0.99])
@@ -717,16 +731,15 @@ AFFINITY_ALPHAS = (-0.5, 0.0, 0.7)
 def affinity_cases():
     """(kernel, theta, spectral groups) for each shape of the grouped affinity, at each of AFFINITY_ALPHAS.
 
-    The blocks are drawn at eta = 1.5 and taken in units of sigma, as risk_mc scores them.
+    The blocks are drawn at the unit-scale twin of theta at eta = 1.5, as risk_mc scores them.
     """
     as1 = designs()["as1_desk"][0]
     wide = designs()["wide_m5_k3"][0]
     two_equal = synthetic_problem(12, 3, 3, [2.5, 1.0, 1.0])
-    theta = np.array([1.0, -0.5, 0.3])
+    theta = np.array([1.0, -0.5, 0.3]) * math.sqrt(1.5)
 
     def block(problem):
-        params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.5)
-        return in_units_of_sigma(simulate_observation(problem, [params], 5, 0)[0][:40], params.eta)
+        return translate(simulate_observation(problem, 5, 0)[:40], theta)
 
     cases = {}
     for alpha in AFFINITY_ALPHAS:
@@ -739,7 +752,7 @@ def affinity_cases():
             PriorSpec(wide, c=[1.5, 2.0, 3.0], nu=0.4), block(wide), alpha), 4)
         cases[f"c_is_1-{alpha}"] = (shrinkage_bayes_kernel(
             PriorSpec(as1, c=[1.0, 1.0, 1.0], nu=0.4), block(as1), alpha), 1)
-    return {name: (kernel, theta * math.sqrt(1.5), groups) for name, (kernel, groups) in cases.items()}
+    return {name: (kernel, theta, groups) for name, (kernel, groups) in cases.items()}
 
 
 @pytest.mark.parametrize("case", [f"{shape}-{alpha}" for shape in AFFINITY_SHAPES for alpha in AFFINITY_ALPHAS])
@@ -851,8 +864,7 @@ def test_affinity_certifies_on_a_design_with_few_residual_degrees_of_freedom(dof
         design = dict(MULTI_GROUP["design"], X=MULTI_GROUP["design"]["X"][:4], Xtilde=MULTI_GROUP["design"]["Xtilde"][:3])
         problem, _, _ = cli.build_problem(cli.load_config(write_config(tmp_path, dict(MULTI_GROUP, design=design))))
         theta, alpha = np.zeros(problem.l), 0.0
-        params = CanonicalParams(theta=theta, mu=np.zeros(problem.k - problem.l), eta=1.0)
-        block = simulate_observation(problem, [params], 1, 0)[0][3600:3601]
+        block = simulate_observation(problem, 1, 0)[3600:3601]
     else:
         problem, _ = designs()["multi_group"]
         block, theta = block_and_theta(problem, rows=4096)
