@@ -17,7 +17,11 @@ import numpy as np
 
 from .canonical import CanonicalProblem
 
-__all__ = ["NuBounds", "prior_scale", "nu_limits", "rescale_C_for_positivity", "condition_d"]
+__all__ = ["Caveat", "NuBounds", "prior_scale", "nu_limits", "rescale_C_for_positivity", "condition_d"]
+
+
+class Caveat(UserWarning):
+    """A result that is still returned, but whose guarantee does not hold on this problem."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ def nu_limits(problem: CanonicalProblem, c) -> NuBounds:
     c = prior_scale(c, problem.l)
     m, q = problem.m, problem.n - problem.k
     if q < 2:
-        warnings.warn("domination bounds need n - k >= 2; values are not trustworthy", stacklevel=2)
+        warnings.warn("domination bounds need n - k >= 2; values are not trustworthy", Caveat, stacklevel=2)
     r = problem.d / c
     total, peak = r.sum(), r.max()
     nu1 = 4.0 * (total - 2.0 * peak + m / q) / (2.0 * peak * (q + 2) + m)

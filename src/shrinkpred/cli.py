@@ -485,10 +485,12 @@ def _json_doc(value):
     return value
 
 
-# Exact '%.17g' in numpy for 1e-6 < |x| < 1e17 (the double 1e-6 lies below 10^-6, so every such
-# value has a decimal exponent X in [-6, 16]). |x| 10^(16 - X) is formed exactly as hi + lo by
-# Dekker's product (10^p is an exact double for p <= 22); hi >= 2^53 is an even integer, so
-# hi + rint(lo) is the correctly rounded 17-digit integer, ties to even (Gay 1990).
+# Exact '%.17g' in numpy for 1e-6 < |x| < 1e17.  A cell's decimal exponent X in [-6, 16] is the count of the
+# doubles nearest 10^q, q in [-5, 16], at or below |x|, minus 6: each is 10^q itself or lies above it, so no double
+# lies in [10^q, its nearest double) and the count is exact (the double 1e-6 lies below 10^-6, and 1e17 is exact).
+# |x| 10^(16 - X) is formed exactly as hi + lo by Dekker's product (10^p is an exact double for p <= 22); hi >= 2^53
+# is an even integer, so hi + rint(lo) is the correctly rounded 17-digit integer, ties to even (Gay 1990).
+_POWERS = np.array([float(f"1e{q}") for q in range(-5, 17)])
 _P10 = np.array([float(10**p) for p in range(23)])
 _P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)  # Veltkamp split: 26-bit high halves
 _P10_LO = _P10 - _P10_HI
@@ -538,22 +540,16 @@ def _csv_cells(cols: int) -> np.ndarray:
 def _csv_rows(block: np.ndarray, cells: np.ndarray) -> bytes:
     """The rows of block as CSV lines, each number as _fmt writes it; cells is a _csv_cells buffer.
 
-    A row holding a value outside the range above (a zero, a subnormal, an
-    infinity, a nan, |x| <= 1e-6 or |x| >= 1e17) is %-formatted alone.
+    A value outside the range above (a zero, a subnormal, an infinity, a nan,
+    |x| <= 1e-6 or |x| >= 1e17) is written by _fmt into its own cell, whose
+    layout is put back afterwards: the buffer serves every block of a file.
     """
-    rows, cols = block.shape
     x = block.ravel()
     fast = (np.abs(x) > 1e-6) & (np.abs(x) < 1e17)
     a = np.where(fast, np.abs(x), 1.0)
-    exp10 = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    exp10 = np.searchsorted(_POWERS, a, side="right") - 6
     hi, lo = _scaled(a, exp10)
-    # floor(log10) can miss by one next to a power of ten: move to where 10^16 <= hi + lo < 10^17
-    shift = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).view(np.int8) - ((hi < 1e16) | (hi == 1e16) & (lo < 0))
-    moved = np.flatnonzero(shift)
-    exp10[moved] += shift[moved]
-    hi[moved], lo[moved] = _scaled(a[moved], exp10[moved])
-    # d < 10^17: 17 digits cannot round up to 10^(X + 1), since the nearest double to a power of ten
-    # 10^q, q in [-5, 17], is 10^q itself or lies above it (below it for q = -6, outside the range)
+    # d < 10^17: 17 digits cannot round up to 10^(X + 1), since |x| lies below the double nearest it
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     chunks = np.empty((x.size, 5), np.uint32)  # d's base-10^4 digits, most significant first
     for j in range(4, 0, -1):
@@ -563,20 +559,16 @@ def _csv_rows(block: np.ndarray, cells: np.ndarray) -> bytes:
     zeros = trailing0[chunks[:, 4]]
     for j in range(3, 0, -1):
         zeros += (zeros == 16 - 4 * j) * trailing0[chunks[:, j]]
-    cells = cells[:rows]
-    cells[..., 6:40:2] = digits4[chunks].view(np.uint8).reshape(rows, cols, 20)[..., 3:]
+    cells = cells[:len(block)].reshape(x.size, 46)
+    cells[:, 6:40:2] = digits4[chunks].view(np.uint8).reshape(x.size, 20)[:, 3:]
     keep = masks[((exp10 + 6) * 17 + 16 - zeros) * 2 + np.signbit(x)]
+    slow = np.flatnonzero(~fast)
+    texts = np.array([_fmt(v) for v in x[slow].tolist()], "S45").view(np.uint8).reshape(-1, 45)  # <= 24 bytes each
+    cells[slow, :45] = texts
+    keep[slow, :45] = texts != 0
     text = np.compress(keep.ravel(), cells.ravel()).tobytes()
-    slow = np.flatnonzero(~fast.reshape(rows, cols).all(axis=1))
-    if not slow.size:
-        return text
-    starts = np.concatenate([[0], np.cumsum(keep.reshape(rows, -1).sum(axis=1))])
-    template = ",".join(["%.17g"] * cols) + "\n"
-    parts, start = [], 0
-    for i in slow:
-        parts += [text[start:starts[i]], (template % tuple(block[i].tolist())).encode()]
-        start = starts[i + 1]
-    return b"".join(parts + [text[start:]])
+    cells[slow, :45] = np.frombuffer(_CELL, np.uint8)
+    return text
 
 
 def run_density_eval(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -671,7 +663,13 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](cfg, args.out)
+        with warnings.catch_warnings():
+            # a Caveat, such as n - k < 2 for the domination bounds, is one stderr line; other warnings are as they were
+            warnings.simplefilter("always", bounds_mod.Caveat)
+            show = warnings.showwarning
+            warnings.showwarning = lambda message, category, *rest: (print(f"warning: {message}", file=sys.stderr)
+                if issubclass(category, bounds_mod.Caveat) else show(message, category, *rest))
+            return _COMMANDS[args.command](cfg, args.out)
     except UnreliableNormalizationError as exc:
         print(f"normalization certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

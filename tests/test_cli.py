@@ -25,6 +25,7 @@ from shrinkpred.canonical import (
     replication_rng,
 )
 from shrinkpred.bounds import nu_limits, prior_scale, rescale_C_for_positivity
+from shrinkpred import cli
 from shrinkpred.cli import _fmt, build_prior, build_problem, load_config, main
 from shrinkpred.predictive import (
     PriorSpec,
@@ -219,13 +220,13 @@ def test_the_prior_scale_is_always_g0_times_the_configured_c(tmp_path, c, g0):
 
 
 
-def test_bounds_reports_bounds_that_are_not_positive(tmp_path):
+def test_bounds_reports_bounds_that_are_not_positive(tmp_path, capsys):
     # n - k = 1 and the default nu: nu2 < 0 at every C, so no prior takes the cap, yet bounds reports it at C = g0 I
     design = {"type": "explicit", "X": [[1.0, 0.2, 0.1], [0.3, 1.0, -0.4], [0.5, -0.7, 1.2], [1.1, 0.9, 0.3]],
               "Xtilde": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
     path = write_config(tmp_path, {"seed": 3, "design": design})
-    with pytest.warns(UserWarning, match="n - k >= 2"):
-        assert main(["bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert main(["bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == FEW_DOF
     bounds = json.loads((tmp_path / "o" / "bounds.json").read_text())
     assert bounds["g0"] > 1 and bounds["nu1"] > 0 and bounds["nu2"] < 0 and bounds["positive"] is False
     cfg = load_config(path)
@@ -1110,20 +1111,44 @@ REJECTED = [
              {"config.json": "{not json"}, prefix=True),
 ]
 
-# the runs at the edge of the domain that exit 0: (id, config, subcommand, files)
+class Accepted(NamedTuple):
+    """A run at the edge of the domain: command exits 0 and writes stderr, in a directory as Rejected's."""
+    id: str
+    doc: dict
+    command: str
+    files: dict = {}
+    stderr: str = ""
+
+
+# case2_small_l cut to its first 4 rows of X: n - k = 1
+ONE_DOF = shipped("case2_small_l", reps=2000)
+ONE_DOF["design"] = dict(ONE_DOF["design"], X=ONE_DOF["design"]["X"][:4])
+FEW_DOF = "warning: domination bounds need n - k >= 2; values are not trustworthy\n"
+ONE_DOF_DENSITY = {"problem": problem_to_dict(canonicalize(np.array(ONE_DOF["design"]["X"]),
+                                                           np.array(ONE_DOF["design"]["Xtilde"]))),
+                   "points": "points.csv", "observation": {"v": [1.0], "v_star": [0.4, -0.2], "s": 7.5}}
+
 ACCEPTED = [
     # bounds builds no prior, and its output does not depend on nu
-    ("nu-1e308-bounds", desk({"nu": 1e308}, alphas=[0.0], reps_outer=50), "bounds", DESK_POINTS),
-    ("nu-1e-17-density-eval", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1), "density-eval",
-     DESK_POINTS),
+    Accepted("nu-1e308-bounds", desk({"nu": 1e308}, alphas=[0.0], reps_outer=50), "bounds", DESK_POINTS),
+    Accepted("nu-1e-17-density-eval", desk({"nu": 1e-17}, alphas=[0.0, -1.0], reps_outer=50, seed=1),
+             "density-eval", DESK_POINTS),
     # the alpha = 1 plug-in rules build no shrinkage kernel
-    ("nu-1e-300-alpha-1-risk-compare", desk({"nu": 1e-300}, alphas=[1.0], reps=100, reps_outer=50, seed=1),
-     "risk-compare", {}),
+    Accepted("nu-1e-300-alpha-1-risk-compare", desk({"nu": 1e-300}, alphas=[1.0], reps=100, reps_outer=50, seed=1),
+             "risk-compare"),
     # a replicated design at the cap on n - k: no subcommand tiles its N copies of Xtilde, and below alpha = 1 the
     # certificates still hold
-    *((f"as1-N333334-{command}", {"seed": 1, "design": dict(AS1_DESIGN, N=333_334), "alphas": [1.0, 0.0],
-                                  "reps": 100, "reps_outer": 50}, command, {})
+    *(Accepted(f"as1-N333334-{command}", {"seed": 1, "design": dict(AS1_DESIGN, N=333_334), "alphas": [1.0, 0.0],
+                                          "reps": 100, "reps_outer": 50}, command)
       for command in ("canonicalize", "bounds", "risk-compare")),
+    # the domination bounds' caveat at n - k = 1 used to escape main as a UserWarning with a source line, and under
+    # warnings as errors as a traceback; risk-compare meets it where the prior takes nu_max (nu left unset)
+    *(Accepted(f"one-dof-{command}", ONE_DOF, command, stderr=FEW_DOF) for command in ("bounds", "risk-compare")),
+    # density-eval builds a prior, at nu_max, for the shrinkage and plug-in densities only
+    *(Accepted(f"one-dof-density-eval-{kind}", dict(ONE_DOF, density=dict(ONE_DOF_DENSITY, type=kind)),
+               "density-eval", {"points.csv": np.random.default_rng(1).standard_normal((5, 1))},
+               "" if kind == "best_invariant" else FEW_DOF)
+      for kind in ("shrinkage_bayes", "plugin", "best_invariant")),
 ]
 
 
@@ -1182,8 +1207,21 @@ def test_an_out_that_cannot_be_a_directory_stops_every_subcommand_before_it_load
             assert (code, err) == (1, f"usage error: {want}\n"), (command, out)
 
 
-@pytest.mark.parametrize("doc, command, files", [row[1:] for row in ACCEPTED], ids=[row[0] for row in ACCEPTED])
-def test_accepted(tmp_path, capsys, monkeypatch, doc, command, files):
-    run_in(tmp_path, monkeypatch, doc, files)
-    assert run_main(capsys, [command, "--config", "config.json", "--out", "out"]) == (0, "", [])
+@pytest.mark.parametrize("row", ACCEPTED, ids=[row.id for row in ACCEPTED])
+def test_accepted(tmp_path, capsys, monkeypatch, row):
+    run_in(tmp_path, monkeypatch, row.doc, row.files)
+    assert run_main(capsys, [row.command, "--config", "config.json", "--out", "out"]) == (0, row.stderr, [])
     assert (tmp_path / "out").is_dir()
+
+
+def test_a_warning_that_is_not_a_caveat_still_escapes_main(tmp_path, capsys, monkeypatch):
+    # main prints only a Caveat as a warning: line, so the suite's warnings-as-errors filter still sees any other one
+    def warn(cfg, out_dir):
+        warnings.warn("not a caveat", UserWarning)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", warn)
+    run_in(tmp_path, monkeypatch, ONE_DOF, {})
+    assert run_main(capsys, ["bounds", "--config", "config.json", "--out", "out"]) == (0, "", ["not a caveat"])
+    with pytest.raises(UserWarning, match="^not a caveat$"):
+        main(["bounds", "--config", "config.json", "--out", "out"])

@@ -69,6 +69,8 @@ def scenarios(tmp):
     design = dict(MULTI_GROUP["design"], X=MULTI_GROUP["design"]["X"][:4], Xtilde=MULTI_GROUP["design"]["Xtilde"][:3])
     add("one_dof", "risk-compare", dict(MULTI_GROUP, design=design, prior=dict(MULTI_GROUP["prior"], nu=0.5), seed=1,
                                         alphas=[-1.0], reps_outer=4096))
+    # its domination bounds' caveat used to escape main, a traceback under -W error
+    add("one_dof-bounds", "bounds", dict(MULTI_GROUP, design=design))
     # as1_desk's equal d puts its three eigen-axes in one spectral group
     add("as1_kl", "risk-compare", shipped("as1_desk", alphas=[-1.0]))
     add("as1_alpha0.999", "risk-compare", shipped("as1_desk", alphas=[0.999]))
@@ -131,7 +133,7 @@ def test_every_output_is_byte_identical_on_every_side(cli_runs, side):
             if (root / side / name / file).read_bytes() != (root / "a" / name / file).read_bytes():
                 differ.append(f"{name}/{file}")
     assert differ == []
-    assert (len(runs), compared) == (29, 31)
+    assert (len(runs), compared) == (30, 32)
 
 
 def test_sigma2_4_rows_at_twice_theta_are_the_sigma2_1_rows(cli_runs):
